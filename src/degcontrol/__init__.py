@@ -22,7 +22,6 @@ from .solvers import (
     EnergyReport,
     energy_diagnostics,
     solve_adjoint_coupled,
-    solve_adjoint_follower,
     solve_forward_semilinear,
     solve_linearized_coupled,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "EnergyReport",
     "energy_diagnostics",
     "solve_forward_semilinear",
-    "solve_adjoint_follower",
     "solve_linearized_coupled",
     "solve_adjoint_coupled",
     "CarlemanParams",

@@ -131,6 +131,10 @@ def main(argv=None) -> int:
             CGStagnationError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
+    except ValueError as exc:
+        # a config that validation let through but the model rejects
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
     print(f"kind: {record.kind}")
     print(f"config hash: {record.config_hash}  seed: {record.seed}")

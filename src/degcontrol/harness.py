@@ -21,7 +21,7 @@ import numpy as np
 
 from .carleman import (CarlemanParams, CarlemanWeights, empirical_carleman,
                        empirical_observability)
-from .geometry import ControlGeometry
+from .geometry import ControlGeometry, MovingDomainSpec
 from .grids import TrajectoryField
 from .nash import (GameSpec, convexity_margin, evaluate_functional,
                    fit_mu_star, functional_gradient, make_default_targets,
@@ -50,6 +50,7 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
+FAMILIES = ("constant", "affine", "exponential", "sinusoidal")
 KINDS = ("forward", "nash", "convexity", "observability", "linear-control",
          "nonlinear-control", "diagnostics")
 
@@ -187,10 +188,19 @@ def validate_config(config: ScenarioConfig | dict) -> list:
         issues.append("geometry.alpha: weak degeneracy requires 0 < alpha < 1")
     if g["T"] <= 0:
         issues.append("geometry.T: must be positive")
-    if g["family"] not in ("constant", "affine", "exponential", "sinusoidal"):
+    if g["family"] not in FAMILIES:
         issues.append(f"geometry.family: unknown family {g['family']!r}")
     if g["l0"] < 1.0:
         issues.append("geometry.l0: domain scale must satisfy l(t) >= 1")
+    if g["b_exp"] <= 1.0:
+        issues.append("geometry.b_exp: gradient weight exponent must exceed 1")
+    # the family's own checks, once the fields it is built from are valid
+    if g["T"] > 0 and g["l0"] >= 1.0 and g["family"] in FAMILIES:
+        try:
+            MovingDomainSpec(T=g["T"], family=g["family"], l0=g["l0"],
+                             k=g["k"], w=g["w"]).validate()
+        except ValueError as exc:
+            issues.append(f"geometry: {exc}")
     grid = cfg["grid"]
     if not 8 <= int(grid["N"]) <= 1024:
         issues.append("grid.N: supported range is [8, 1024]")
@@ -235,6 +245,8 @@ def validate_config(config: ScenarioConfig | dict) -> list:
             f"experiment.kind: {exp['kind']!r} not one of {', '.join(KINDS)}")
     if exp["samples"] < 1:
         issues.append("experiment.samples: must be at least 1")
+    if exp["y0_mode"] not in ("sine", "random"):
+        issues.append(f"experiment.y0_mode: unknown {exp['y0_mode']!r}")
     return issues
 
 
@@ -313,7 +325,7 @@ def _build_problem(cfg: dict) -> CylinderProblem:
     return CylinderProblem.default(
         N=int(grid["N"]), M=int(grid["M"]), alpha=g["alpha"], T=g["T"],
         gamma=grid["gamma"], b_exp=g["b_exp"], family=g["family"],
-        k=g["k"], windows=windows, F=_build_F(cfg))
+        l0=g["l0"], k=g["k"], w=g["w"], windows=windows, F=_build_F(cfg))
 
 
 def _build_weights(cfg: dict, prob: CylinderProblem) -> CarlemanWeights:

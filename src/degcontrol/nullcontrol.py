@@ -12,9 +12,10 @@ over discrete adjoint trajectories, with
     l = <y0, phi(0+)> + int H phi + sum_i int H_i psi_i.
 
 The minimizer is found by assembling the (sparse, SPD) normal operator
-over the 3*M*(N-1) space-time unknowns; conjugate gradient preconditioned
-by a sparse LU factorization solves it to near roundoff.  The controlled
-triple is read off the minimizer as
+over the 3*M*(N-1) space-time unknowns, built from the CSR views of the
+banded level operators; a shifted sparse LU factorization, corrected by
+iterative refinement with extended-precision residuals, solves it to
+near roundoff.  The controlled triple is read off the minimizer as
 
     y = rho0^-2 (L* phi - a1 psi1 1_Od - a2 psi2 1_Od),
     p_i = rho0^-2 (L psi_i + phi/mu_i 1_Oi),    h = -rho1^-2 phi 1_O,
@@ -40,6 +41,7 @@ import scipy.sparse.linalg as spla
 from .carleman import CarlemanWeights
 from .grids import TrajectoryField
 from .nash import GameSpec, _dL_transpose_apply
+from .operators import band_apply
 from .solvers import CylinderProblem, _interior, solve_backward_linear, solve_forward_linear
 
 __all__ = [
@@ -171,13 +173,10 @@ class HUMSolver:
     """
 
     def __init__(self, prob: CylinderProblem, weights: CarlemanWeights,
-                 game: GameSpec, cg_rtol: float = 1e-12,
-                 cg_maxiter: int = 12, residual_limit: float = 1e-6):
+                 game: GameSpec, residual_limit: float = 1e-6):
         self.prob = prob
         self.weights = weights
         self.game = game
-        self.cg_rtol = cg_rtol
-        self.cg_maxiter = cg_maxiter
         self.residual_limit = residual_limit
         ops = prob.linearized_ops()
         self.ops = ops
@@ -266,10 +265,10 @@ class HUMSolver:
         fnorm = np.linalg.norm(fs)
         if fnorm == 0.0:
             z = np.zeros_like(f)
-            rel_res, iters = 0.0, 0
+            rel_res = 0.0
         else:
-            # shifted-LU preconditioned CG, warm-started by refinement
-            # with extended-precision residuals
+            # shifted LU corrected by refinement with extended-precision
+            # residuals; the best iterate is kept
             fld = fs.astype(np.longdouble)
             zl = self.lu.solve(fs).astype(np.longdouble)
             best = zl.astype(float)
@@ -279,26 +278,13 @@ class HUMSolver:
                 r = np.linalg.norm((fld - self._Bld @ zl).astype(float))
                 if r < best_res:
                     best, best_res = zl.astype(float), r
-            count = {"it": 0}
-
-            def cb(_):
-                count["it"] += 1
-
-            precond = spla.LinearOperator(self.Bs.shape, matvec=self.lu.solve)
-            zs, info = spla.cg(self.Bs, fs, x0=best, M=precond,
-                               rtol=self.cg_rtol, atol=0.0,
-                               maxiter=self.cg_maxiter, callback=cb)
-            r = np.linalg.norm(fs - self.Bs @ zs)
-            if r < best_res:
-                best, best_res = zs, r
             rel_res = float(best_res / fnorm)
-            iters = count["it"]
             if rel_res > self.residual_limit:
-                raise CGStagnationError(rel_res, iters)
+                raise CGStagnationError(rel_res, 0)
             z = best / self.scale
-        return self._reconstruct(z, y0, H, H1, H2, rel_res, iters, budget_limit)
+        return self._reconstruct(z, y0, H, H1, H2, rel_res, budget_limit)
 
-    def _reconstruct(self, z, y0, H, H1, H2, rel_res, iters,
+    def _reconstruct(self, z, y0, H, H1, H2, rel_res,
                      budget_limit) -> ControlledTriple:
         prob = self.prob
         M, n = self._M, self._n
@@ -336,7 +322,7 @@ class HUMSolver:
             budget_constant=budget_c,
             terminal_norm=grid.norm(y.values[-1]),
             residuals=residuals,
-            cg_info={"relative_residual": rel_res, "iterations": iters},
+            cg_info={"relative_residual": rel_res, "iterations": 0},
             budget_exceeded=bool(budget_c > budget_limit),
         )
         return triple
@@ -460,6 +446,18 @@ class AResiduals:
         return float(np.sqrt(total))
 
 
+def _next_level(p: np.ndarray) -> np.ndarray:
+    """Rows shifted one level back: out[m] = p[m+1], and zero at m = M."""
+    out = np.zeros_like(p)
+    out[:-1] = p[1:]
+    return out
+
+
+def _nodal(arr: np.ndarray) -> np.ndarray:
+    """Interior rows (M+1, N-1) padded with zero boundary columns."""
+    return np.pad(arr, ((0, 0), (1, 1)))
+
+
 def assemble_A_map(prob: CylinderProblem, game: GameSpec,
                    y: TrajectoryField, p1: TrajectoryField,
                    p2: TrajectoryField, h: TrajectoryField,
@@ -469,53 +467,37 @@ def assemble_A_map(prob: CylinderProblem, game: GameSpec,
     linearized=True evaluates the map of the system linearized at zero
     (used for Y-norm bookkeeping); otherwise the full semilinear map.
     """
-    grid, mesh = prob.grid, prob.mesh
-    M, n = mesh.M, grid.N - 1
-    dt = mesh.dt
+    dt = prob.mesh.dt
     ind_o = prob.indicator_interior("O")
     ind_i = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
     ind_d = prob.indicator_interior("Od")
-    wt = game.time_weight(prob)
+    wt = game.time_weight(prob)[:, None]
     targets = game.targets(prob)
     yi, h_i = _interior(y.values), _interior(h.values)
     p_i = [_interior(p1.values), _interior(p2.values)]
     if linearized:
         ops = prob.linearized_ops()
-        mats, mats_t = ops.mats, ops.mats_t
+        Ly = band_apply(ops.bands, yi)
     else:
         ops = prob.ops_at_state(y)
-        mats_t = ops.mats_t
-    A0 = np.zeros((M + 1, n))
-    for m in range(1, M + 1):
-        if linearized:
-            Ly = mats[m] @ yi[m]
-        else:
-            g = prob.grad_weight(m)
-            Ly = (prob.base_operator(m) @ yi[m]
-                  + prob.F.F(yi[m], g * (prob.Dc @ yi[m])))
-        A0[m] = ((yi[m] - yi[m - 1]) / dt + Ly - h_i[m] * ind_o
-                 + p_i[0][m] * ind_i[0] / game.mu1
-                 + p_i[1][m] * ind_i[1] / game.mu2)
+        wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
+        Ly = band_apply(prob.base_bands, yi) + prob.F.F(yi, wgrad)
+    A0 = np.zeros_like(yi)
+    A0[1:] = ((yi[1:] - yi[:-1]) / dt + Ly[1:] - h_i[1:] * ind_o
+              + p_i[0][1:] * ind_i[0] / game.mu1
+              + p_i[1][1:] * ind_i[1] / game.mu2)
     A12 = []
     for i in (0, 1):
-        res = np.zeros((M + 1, n))
         p = p_i[i]
-        for m in range(1, M + 1):
-            p_next = p[m + 1] if m < M else np.zeros(n)
-            if linearized:
-                track = game.alphas[i] * wt[m] * yi[m] * ind_d
-            else:
-                track = (game.alphas[i] * wt[m]
-                         * (yi[m] - _interior(targets[i].values)[m]) * ind_d)
-            res[m] = (p[m] - p_next) / dt + mats_t[m] @ p[m] - track
+        if linearized:
+            track = game.alphas[i] * wt * yi * ind_d
+        else:
+            track = (game.alphas[i] * wt
+                     * (yi - _interior(targets[i].values)) * ind_d)
+        res = (p - _next_level(p)) / dt + band_apply(ops.bands_t, p) - track
+        res[0] = 0.0
         A12.append(res)
-
-    def full(arr):
-        out = np.zeros((M + 1, grid.N + 1))
-        out[:, 1:-1] = arr
-        return out
-
-    return AResiduals(A0=full(A0), A1=full(A12[0]), A2=full(A12[1]),
+    return AResiduals(A0=_nodal(A0), A1=_nodal(A12[0]), A2=_nodal(A12[1]),
                       A3=y.values[0].copy())
 
 
@@ -526,41 +508,33 @@ def apply_A_derivative(prob: CylinderProblem, game: GameSpec,
                        dp2: TrajectoryField, dh: TrajectoryField) -> AResiduals:
     """Gateaux derivative of the semilinear map at (y,p1,p2,.) applied
     to the direction (dy, dp1, dp2, dh)."""
-    grid, mesh = prob.grid, prob.mesh
-    M, n = mesh.M, grid.N - 1
-    dt = mesh.dt
+    M = prob.mesh.M
+    dt = prob.mesh.dt
     ind_o = prob.indicator_interior("O")
     ind_i = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
     ind_d = prob.indicator_interior("Od")
-    wt = game.time_weight(prob)
+    wt = game.time_weight(prob)[:, None]
     ops = prob.ops_at_state(y)
     yi = _interior(y.values)
     ti = _interior(dy.values)
     dhi = _interior(dh.values)
     q = [_interior(dp1.values), _interior(dp2.values)]
     pfull = [_interior(p1.values), _interior(p2.values)]
-    A0 = np.zeros((M + 1, n))
-    for m in range(1, M + 1):
-        A0[m] = ((ti[m] - ti[m - 1]) / dt + ops.mats[m] @ ti[m]
-                 - dhi[m] * ind_o
-                 + q[0][m] * ind_i[0] / game.mu1
-                 + q[1][m] * ind_i[1] / game.mu2)
+    A0 = np.zeros_like(ti)
+    A0[1:] = ((ti[1:] - ti[:-1]) / dt + band_apply(ops.bands, ti)[1:]
+              - dhi[1:] * ind_o
+              + q[0][1:] * ind_i[0] / game.mu1
+              + q[1][1:] * ind_i[1] / game.mu2)
     A12 = []
     for i in (0, 1):
-        res = np.zeros((M + 1, n))
-        for m in range(1, M + 1):
-            q_next = q[i][m + 1] if m < M else np.zeros(n)
-            res[m] = ((q[i][m] - q_next) / dt + ops.mats_t[m] @ q[i][m]
-                      + _dL_transpose_apply(prob, m, yi[m], ti[m], pfull[i][m])
-                      - game.alphas[i] * wt[m] * ti[m] * ind_d)
+        dlt = np.array([_dL_transpose_apply(prob, m, yi[m], ti[m], pfull[i][m])
+                        for m in range(1, M + 1)])
+        res = np.zeros_like(ti)
+        res[1:] = (((q[i] - _next_level(q[i])) / dt
+                    + band_apply(ops.bands_t, q[i]))[1:] + dlt
+                   - game.alphas[i] * wt[1:] * ti[1:] * ind_d)
         A12.append(res)
-
-    def full(arr):
-        out = np.zeros((M + 1, grid.N + 1))
-        out[:, 1:-1] = arr
-        return out
-
-    return AResiduals(A0=full(A0), A1=full(A12[0]), A2=full(A12[1]),
+    return AResiduals(A0=_nodal(A0), A1=_nodal(A12[0]), A2=_nodal(A12[1]),
                       A3=dy.values[0].copy())
 
 
@@ -572,36 +546,20 @@ def _nonlinear_remainders(prob: CylinderProblem, game: GameSpec,
     N0 = F(y, g y_x) - D1F(0,0) y - D2F(0,0) g y_x,
     N_i = (L(y)^T - L(0)^T) p_i + alpha_i wt y_id 1_Od  (constants included).
     """
-    grid, mesh = prob.grid, prob.mesh
-    M, n = mesh.M, grid.N - 1
-    wt = game.time_weight(prob)
+    wt = game.time_weight(prob)[:, None]
     ind_d = prob.indicator_interior("Od")
     targets = game.targets(prob)
     zero = np.zeros(1)
     d1 = float(prob.F.D1(zero, zero)[0])
     d2 = float(prob.F.D2(zero, zero)[0])
-    ops_y = prob.ops_at_state(y)
-    ops_0 = prob.linearized_ops()
+    dbands = prob.ops_at_state(y).bands_t - prob.linearized_ops().bands_t
     yi = _interior(y.values)
-    p_i = [_interior(p1.values), _interior(p2.values)]
-    N0 = np.zeros((M + 1, n))
-    Ni = [np.zeros((M + 1, n)), np.zeros((M + 1, n))]
-    for m in range(M + 1):
-        g = prob.grad_weight(m)
-        wgrad = g * (prob.Dc @ yi[m])
-        N0[m] = prob.F.F(yi[m], wgrad) - d1 * yi[m] - d2 * wgrad
-        dmat = ops_y.mats_t[m] - ops_0.mats_t[m]
-        for i in (0, 1):
-            Ni[i][m] = (dmat @ p_i[i][m]
-                        + game.alphas[i] * wt[m]
-                        * _interior(targets[i].values)[m] * ind_d)
-
-    def full(arr):
-        out = np.zeros((M + 1, grid.N + 1))
-        out[:, 1:-1] = arr
-        return out
-
-    return full(N0), full(Ni[0]), full(Ni[1])
+    wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
+    N0 = prob.F.F(yi, wgrad) - d1 * yi - d2 * wgrad
+    Ni = [band_apply(dbands, _interior(p.values))
+          + game.alphas[i] * wt * _interior(targets[i].values) * ind_d
+          for i, p in enumerate((p1, p2))]
+    return _nodal(N0), _nodal(Ni[0]), _nodal(Ni[1])
 
 
 def solve_nonlinear_null_control(prob: CylinderProblem,
@@ -610,7 +568,6 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
                                  tol_z: float = 1e-9,
                                  tol_terminal: float = 1e-6,
                                  max_newton: int = 10,
-                                 full_newton: bool = False,
                                  hum: HUMSolver | None = None) -> tuple:
     """Newton-Kantorovich loop z_{k+1} = W(b - N(z_k)) for the semilinear
     optimality system; returns (ControlledTriple, history).
@@ -623,10 +580,8 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
     norm of the state is below tol_terminal.  With F identically zero
     the remainder is constant in z and the loop stops after one solve.
 
-    With full_newton=True the variational operator is reassembled from
-    the coefficients at the current state each step (a Gauss-Newton
-    style refresh); the default frozen-at-zero loop reuses one
-    factorization and is the faithful Liusternik construction.
+    The variational operator is the one linearized at zero, so every
+    step reuses one factorization: the Liusternik construction.
     """
     y0 = np.asarray(y0, dtype=float)
     if hum is None:
@@ -646,13 +601,7 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
         H = TrajectoryField(prob.grid, prob.mesh, -N_prev[0])
         H1 = TrajectoryField(prob.grid, prob.mesh, -N_prev[1])
         H2 = TrajectoryField(prob.grid, prob.mesh, -N_prev[2])
-        solver = hum
-        if full_newton and k > 0:
-            # refresh coefficients at the current state (keeps the same
-            # quadratic structure; second-order adjoint couplings are not
-            # included, so this is a Gauss-Newton flavored speedup)
-            solver = HUMSolver(prob, weights, game)
-        triple = solver.solve(y0, H=H, H1=H1, H2=H2)
+        triple = hum.solve(y0, H=H, H1=H1, H2=H2)
         z = (triple.y, triple.p1, triple.p2, triple.h)
         N_cur = _nonlinear_remainders(prob, game, z[0], z[1], z[2])
         delta = remainder_norm(N_cur[0] - N_prev[0], N_cur[1] - N_prev[1],

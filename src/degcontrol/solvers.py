@@ -4,10 +4,14 @@ All systems derive from the primal operator
 
     L_n = b(t_n) W^{-1} A + upwind(-B(t_n) x) + diag(D1F) + diag(D2F g_n) Dc,
 
-with g_n = C(t_n) beta(x) and Dc the central gradient matrix.  Backward
-problems use the weighted transpose of the exact forward matrix at each
-level, so every forward/backward pair obeys the summation-by-parts
-identity
+with g_n = C(t_n) beta(x) and Dc the central gradient matrix.  Every L_n
+is tridiagonal; `LevelOps` keeps the operators of all levels as one band
+array of shape (M+1, 3, N-1) (see `operators` for the layout), assembled
+vectorized over levels.  Each implicit step matrix I + dt L_n is factored
+once, on first use, by LAPACK dgttrf.  Backward problems use the weighted
+transpose W^{-1} L_n^T W of the exact forward operator, solved through
+the same factors transposed (dgttrs with trans="T"), so every
+forward/backward pair obeys the summation-by-parts identity
 
     sum_n dt <f^n, p^n>_W + <y^0, p^1>_W = sum_n dt <g^n, y^n>_W
 
@@ -15,21 +19,23 @@ to roundoff.  Gradients of the tracking functionals computed from these
 adjoints are therefore exact discrete derivatives, not approximations.
 
 Time stepping is backward Euler; the semilinear term is resolved by a
-per-step Picard loop around the frozen linear factorization.
+per-step Picard loop around the frozen factorization of the base operator.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .geometry import ControlGeometry, DegeneracySpec, GradientWeightSpec, MovingDomainSpec
 from .grids import SpatialGrid, TimeMesh, TrajectoryField
-from .operators import assemble_drift, assemble_stiffness, weighted_transpose
+from .operators import (band_apply, band_weighted_transpose, drift_bands,
+                        stiffness_bands, tridiag_csr)
 from .semilinear import SemilinearF
 
 __all__ = [
@@ -40,13 +46,13 @@ __all__ = [
     "solve_forward_semilinear",
     "solve_forward_linear",
     "solve_backward_linear",
-    "solve_adjoint_follower",
     "solve_linearized_coupled",
     "solve_adjoint_coupled",
     "LinearizedSolution",
     "AdjointSolution",
     "EnergyReport",
     "energy_diagnostics",
+    "central_gradient_bands",
     "central_gradient_matrix",
 ]
 
@@ -72,59 +78,87 @@ class SweepFailureError(RuntimeError):
         self.history = list(history)
 
 
-def central_gradient_matrix(grid: SpatialGrid) -> sp.csr_matrix:
-    """Central difference u_x at interior nodes with Dirichlet closure.
+def central_gradient_bands(grid: SpatialGrid) -> np.ndarray:
+    """Bands (3, N-1) of the central difference u_x at interior nodes.
 
     Row j (node x_{j+1}) is (u_{j+2} - u_j) / (x_{j+2} - x_j); boundary
-    values are zero, so the matrix is (N-1) x (N-1).  On the smoothly
-    graded mesh this is second-order accurate.
+    values are zero (Dirichlet closure).  On the smoothly graded mesh this
+    is second-order accurate.
     """
     x = grid.nodes
-    n = grid.N - 1
     denom = x[2:] - x[:-2]  # length N-1
-    upper = 1.0 / denom[:-1]
-    lower = -1.0 / denom[1:]
-    return sp.diags([lower, np.zeros(n), upper], [-1, 0, 1], shape=(n, n), format="csr")
+    bands = np.zeros((3, grid.N - 1))
+    bands[0, 1:] = -1.0 / denom[1:]
+    bands[2, :-1] = 1.0 / denom[:-1]
+    return bands
+
+
+def central_gradient_matrix(grid: SpatialGrid) -> sp.csr_matrix:
+    """CSR form of `central_gradient_bands`."""
+    return tridiag_csr(central_gradient_bands(grid))
 
 
 def _interior(values: np.ndarray) -> np.ndarray:
     return values[..., 1:-1]
 
 
-@dataclass
 class LevelOps:
-    """Per-level linear operators and factorizations of (I + dt L_n).
+    """Per-level operators L_n as bands and LU factors of (I + dt L_n).
 
-    `mats[n]` is the full spatial operator at level n; `lu_fw`/`lu_bw`
-    factorize the implicit forward and (weighted-transpose) backward
-    systems.  Instances are immutable once built and shared by sweeps.
+    `bands[n]` holds L_n (shape (M+1, 3, N-1)); `bands_t` the bands of its
+    weighted transpose.  `solve` and `solve_adjoint` step forward and
+    backward through the same dgttrf factors, each level factored at
+    most once.  `mats`/`mats_t` are CSR views for the space-time HUM
+    assembly, built only when read.  Instances are immutable once built
+    and shared by sweeps.
     """
 
-    prob: "CylinderProblem"
-    mats: list
-    mats_t: list
-    lu_fw: list
-    lu_bw: list
+    def __init__(self, prob: "CylinderProblem", bands: np.ndarray):
+        self.prob = prob
+        self.bands = bands
+        self._wv = prob.grid.interior_volumes
+        self._factors = [None] * len(bands)
 
     @classmethod
     def build(cls, prob: "CylinderProblem", reaction: np.ndarray,
               grad_coeff: np.ndarray) -> "LevelOps":
         """reaction, grad_coeff: arrays of shape (M+1, N-1)."""
-        dt = prob.mesh.dt
-        n = prob.grid.N - 1
-        eye = sp.identity(n, format="csr")
-        wv = prob.grid.interior_volumes
-        mats, mats_t, lu_fw, lu_bw = [], [], [], []
-        for m in range(prob.mesh.M + 1):
-            L = (prob.base_operator(m)
-                 + sp.diags(reaction[m])
-                 + sp.diags(grad_coeff[m]) @ prob.Dc).tocsr()
-            Lt = weighted_transpose(L, wv)
-            mats.append(L)
-            mats_t.append(Lt)
-            lu_fw.append(spla.splu((eye + dt * L).tocsc()))
-            lu_bw.append(spla.splu((eye + dt * Lt).tocsc()))
-        return cls(prob=prob, mats=mats, mats_t=mats_t, lu_fw=lu_fw, lu_bw=lu_bw)
+        bands = prob.base_bands.copy()
+        bands[:, 1] += reaction
+        bands += grad_coeff[:, None, :] * prob.Dc_bands
+        return cls(prob, bands)
+
+    @cached_property
+    def bands_t(self) -> np.ndarray:
+        return band_weighted_transpose(self.bands, self._wv)
+
+    @cached_property
+    def mats(self) -> list:
+        return [tridiag_csr(b) for b in self.bands]
+
+    @cached_property
+    def mats_t(self) -> list:
+        return [tridiag_csr(b) for b in self.bands_t]
+
+    def _factor(self, m: int) -> list:
+        if self._factors[m] is None:
+            dt = self.prob.mesh.dt
+            lo, d, up = self.bands[m]
+            *factors, info = lapack.dgttrf(dt * lo[1:], 1.0 + dt * d,
+                                           dt * up[:-1])
+            if info > 0:
+                raise RuntimeError(f"level {m}: I + dt L_n is singular")
+            self._factors[m] = factors
+        return self._factors[m]
+
+    def solve(self, m: int, rhs: np.ndarray) -> np.ndarray:
+        """(I + dt L_m)^{-1} rhs."""
+        return lapack.dgttrs(*self._factor(m), rhs)[0]
+
+    def solve_adjoint(self, m: int, rhs: np.ndarray) -> np.ndarray:
+        """(I + dt W^{-1} L_m^T W)^{-1} rhs, by the transposed factors."""
+        wv = self._wv
+        return lapack.dgttrs(*self._factor(m), wv * rhs, trans="T")[0] / wv
 
 
 class CylinderProblem:
@@ -149,23 +183,20 @@ class CylinderProblem:
         self.B_t = np.atleast_1d(B)
         self.C_t = np.atleast_1d(C)
         self.beta_i = gw.beta(self.xi)
-        self.A = assemble_stiffness(grid, deg)
         self.Dc = central_gradient_matrix(grid)
-        self._winv = sp.diags(1.0 / grid.interior_volumes)
-        self._base = [None] * (mesh.M + 1)
-        self._base_lu = None
+        self.Dc_bands = central_gradient_bands(grid)
         self._lin_ops = None
         self._ind = {}
 
     @classmethod
     def default(cls, N: int = 64, M: int = 128, alpha: float = 0.5,
                 T: float = 1.0, gamma: float = 2.0, b_exp: float = 2.0,
-                family: str = "affine", k: float = 0.25,
-                windows: ControlGeometry | None = None,
+                family: str = "affine", l0: float = 1.0, k: float = 0.25,
+                w: float = np.pi, windows: ControlGeometry | None = None,
                 F: SemilinearF | None = None) -> "CylinderProblem":
         deg = DegeneracySpec(alpha=alpha)
         gw = GradientWeightSpec(b_exp=b_exp).attach(deg)
-        dom = MovingDomainSpec(T=T, family=family, k=k)
+        dom = MovingDomainSpec(T=T, family=family, l0=l0, k=k, w=w)
         dom.validate()
         return cls(
             deg=deg, gw=gw, dom=dom,
@@ -186,28 +217,27 @@ class CylinderProblem:
     def indicator_interior(self, name: str) -> np.ndarray:
         return self.indicator(name)[1:-1]
 
+    @cached_property
+    def grad_weights(self) -> np.ndarray:
+        """g_n = C(t_n) beta(x) at interior nodes, shape (M+1, N-1)."""
+        return self.C_t[:, None] * self.beta_i[None, :]
+
     def grad_weight(self, n: int) -> np.ndarray:
         """g_n = C(t_n) beta(x) at interior nodes."""
-        return self.C_t[n] * self.beta_i
+        return self.grad_weights[n]
 
-    def base_operator(self, n: int) -> sp.csr_matrix:
-        """L0_n = b_n W^{-1} A + upwind(-B_n x), cached per level."""
-        if self._base[n] is None:
-            diff = self.b_t[n] * (self._winv @ self.A)
-            drift = assemble_drift(self.grid, -self.B_t[n] * self.xi)
-            self._base[n] = (diff + drift).tocsr()
-        return self._base[n]
+    @cached_property
+    def base_bands(self) -> np.ndarray:
+        """Bands of L0_n = b_n W^{-1} A + upwind(-B_n x), all levels."""
+        winv_a = (1.0 / self.grid.interior_volumes) * stiffness_bands(
+            self.grid, self.deg)
+        drift = drift_bands(self.grid, -self.B_t[:, None] * self.xi[None, :])
+        return self.b_t[:, None, None] * winv_a[None] + drift
 
-    def base_lu(self):
-        """Factorizations of (I + dt L0_n) for the semilinear stepper."""
-        if self._base_lu is None:
-            dt = self.mesh.dt
-            eye = sp.identity(self.grid.N - 1, format="csr")
-            self._base_lu = [
-                spla.splu((eye + dt * self.base_operator(m)).tocsc())
-                for m in range(self.mesh.M + 1)
-            ]
-        return self._base_lu
+    @cached_property
+    def base_ops(self) -> LevelOps:
+        """Factors of (I + dt L0_n) for the semilinear stepper."""
+        return LevelOps(self, self.base_bands)
 
     def linearized_ops(self) -> LevelOps:
         """Operators of the system linearized at the zero state."""
@@ -217,22 +247,16 @@ class CylinderProblem:
             d1 = float(self.F.D1(zero, zero)[0])
             d2 = float(self.F.D2(zero, zero)[0])
             reaction = np.full(shape, d1)
-            gradc = d2 * (self.C_t[:, None] * self.beta_i[None, :])
-            self._lin_ops = LevelOps.build(self, reaction, gradc)
+            self._lin_ops = LevelOps.build(self, reaction,
+                                           d2 * self.grad_weights)
         return self._lin_ops
 
     def ops_at_state(self, y: TrajectoryField) -> LevelOps:
         """Operators of the equation linearized at the trajectory y."""
         yi = _interior(y.values)
-        shape = yi.shape
-        reaction = np.empty(shape)
-        gradc = np.empty(shape)
-        for n in range(shape[0]):
-            g = self.grad_weight(n)
-            w = g * (self.Dc @ yi[n])
-            reaction[n] = self.F.D1(yi[n], w)
-            gradc[n] = self.F.D2(yi[n], w) * g
-        return LevelOps.build(self, reaction, gradc)
+        g = self.grad_weights
+        w = g * band_apply(self.Dc_bands, yi)
+        return LevelOps.build(self, self.F.D1(yi, w), self.F.D2(yi, w) * g)
 
     def new_field(self) -> TrajectoryField:
         return TrajectoryField(self.grid, self.mesh)
@@ -275,7 +299,7 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
     if y0.shape != (prob.grid.N + 1,):
         raise ValueError("y0 must be a nodal row of length N+1")
     src = _source_array(prob, h, v1, v2, source)
-    lus = prob.base_lu()
+    base = prob.base_ops
     dt = prob.mesh.dt
     out = prob.new_field()
     out.values[0] = y0
@@ -289,7 +313,7 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
         for _ in range(max_inner):
             w = g * (prob.Dc @ z)
             rhs = y + dt * (src[n] - prob.F.F(z, w))
-            z_new = lus[n].solve(rhs)
+            z_new = base.solve(n, rhs)
             d = float(np.sqrt(prob.grid.inner(
                 np.pad(z_new - z, 1), np.pad(z_new - z, 1))))
             z = z_new
@@ -314,8 +338,9 @@ def solve_forward_linear(ops: LevelOps, y0: np.ndarray,
     out.values[0] = np.asarray(y0, dtype=float)
     out.zero_boundary()
     y = _interior(out.values[0]).copy()
+    src = dt * np.asarray(source, dtype=float)
     for n in range(1, prob.mesh.M + 1):
-        y = ops.lu_fw[n].solve(y + dt * source[n])
+        y = ops.solve(n, y + src[n])
         out.values[n, 1:-1] = y
     return out
 
@@ -339,28 +364,11 @@ def solve_backward_linear(ops: LevelOps, source: np.ndarray,
         out.zero_boundary()
         p = _interior(out.values[prob.mesh.M]).copy()
         start = prob.mesh.M - 1
+    src = dt * np.asarray(source, dtype=float)
     for m in range(start, -1, -1):
-        p = ops.lu_bw[m].solve(p + dt * source[m])
+        p = ops.solve_adjoint(m, p + src[m])
         out.values[m, 1:-1] = p
     return out
-
-
-def solve_adjoint_follower(prob: CylinderProblem, y: TrajectoryField,
-                           target: TrajectoryField, alpha: float,
-                           ops: LevelOps | None = None,
-                           tweight: np.ndarray | None = None) -> TrajectoryField:
-    """Follower adjoint p with terminal p(T)=0 and frozen coefficients from y.
-
-    Source alpha (y - target) on the observation window; `tweight` is an
-    optional per-level multiplier (Jacobian weighting of the functional).
-    """
-    if ops is None:
-        ops = prob.ops_at_state(y)
-    ind = prob.indicator_interior("Od")
-    g = alpha * (_interior(y.values) - _interior(target.values)) * ind[None, :]
-    if tweight is not None:
-        g = g * np.asarray(tweight, dtype=float)[:, None]
-    return solve_backward_linear(ops, g)
 
 
 @dataclass

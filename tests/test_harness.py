@@ -50,6 +50,31 @@ class TestConfig:
             {"grid": {"M": 48, "N": 32}})
         assert a.canonical_hash() == b.canonical_hash()
 
+    @pytest.mark.parametrize("geometry, word", [
+        ({"family": "sinusoidal", "k": 1.5}, "sinusoidal"),
+        ({"family": "affine", "k": -2.0}, "positive"),
+        ({"family": "spiral"}, "family"),
+        ({"b_exp": 0.5}, "b_exp"),
+    ])
+    def test_domain_checked_by_validation(self, geometry, word):
+        config = harness.ScenarioConfig.from_dict({"geometry": geometry})
+        issues = harness.validate_config(config)
+        assert any(word in s for s in issues)
+
+    @pytest.mark.parametrize("base, changed", [
+        ({"l0": 1.0}, {"l0": 2.0}),
+        ({"family": "sinusoidal", "k": 0.3, "w": 1.0},
+         {"family": "sinusoidal", "k": 0.3, "w": 3.0}),
+    ])
+    def test_domain_fields_change_the_run(self, tmp_path, base, changed):
+        reports = []
+        for name, geometry in (("a", base), ("b", changed)):
+            config = {**_tiny(), "geometry": geometry}
+            harness.run_scenario(config, tmp_path / name, seed=0)
+            reports.append(json.loads(
+                (tmp_path / name / "report.json").read_text())["report"])
+        assert reports[0] != reports[1]
+
     def test_roundtrip_json(self, tmp_path):
         config = harness.ScenarioConfig.from_dict(_tiny())
         path = tmp_path / "c.json"
@@ -134,6 +159,18 @@ class TestCLI:
                          "--out", str(tmp_path / "out"),
                          "--seed", "1"]) == cli.EXIT_OK
         assert (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_invalid_domain_is_config_error(self, tmp_path, capsys, command):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {**_tiny(), "geometry": {"family": "sinusoidal", "k": 1.5}}))
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert "sinusoidal" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_budget_violation_exit_code(self, tmp_path):
         path = tmp_path / "c.json"
