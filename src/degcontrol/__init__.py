@@ -6,65 +6,38 @@ The moving-interval problem is pulled back to the fixed cylinder
 while the leader steers the state to zero at t=T via a Carleman-weighted
 variational (HUM-type) control, extended to the semilinear equation by a
 Newton-Kantorovich loop.
+
+The names below are imported from their modules on first access, so
+importing the package (or `degcontrol.cli`) loads neither numpy nor
+scipy: the CLI can still cap the BLAS thread pools before they start.
 """
 
-from .geometry import (
-    ControlGeometry,
-    DegeneracySpec,
-    GradientWeightSpec,
-    MovingDomainSpec,
-    beta_condition_report,
-)
-from .grids import SpatialGrid, TimeMesh, TrajectoryField
-from .semilinear import SemilinearF
-from .solvers import (
-    CylinderProblem,
-    EnergyReport,
-    energy_diagnostics,
-    solve_adjoint_coupled,
-    solve_forward_semilinear,
-    solve_linearized_coupled,
-)
-from .carleman import CarlemanParams, CarlemanWeights
-from .nash import GameSpec, NashSolution, nash_fixed_point
-from .nullcontrol import (
-    ControlledTriple,
-    LinearControlProblem,
-    solve_linear_null_control,
-    solve_nonlinear_null_control,
-)
-from .harness import ScenarioConfig, preset, run_scenario, validate_config
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ControlGeometry",
-    "DegeneracySpec",
-    "GradientWeightSpec",
-    "MovingDomainSpec",
-    "beta_condition_report",
-    "SpatialGrid",
-    "TimeMesh",
-    "TrajectoryField",
-    "SemilinearF",
-    "CylinderProblem",
-    "EnergyReport",
-    "energy_diagnostics",
-    "solve_forward_semilinear",
-    "solve_linearized_coupled",
-    "solve_adjoint_coupled",
-    "CarlemanParams",
-    "CarlemanWeights",
-    "GameSpec",
-    "NashSolution",
-    "nash_fixed_point",
-    "LinearControlProblem",
-    "ControlledTriple",
-    "solve_linear_null_control",
-    "solve_nonlinear_null_control",
-    "ScenarioConfig",
-    "preset",
-    "run_scenario",
-    "validate_config",
-    "__version__",
-]
+_SOURCES = {
+    "geometry": ("ControlGeometry", "DegeneracySpec", "GradientWeightSpec",
+                 "MovingDomainSpec", "beta_condition_report"),
+    "grids": ("SpatialGrid", "TimeMesh", "TrajectoryField"),
+    "semilinear": ("SemilinearF",),
+    "solvers": ("CylinderProblem", "EnergyReport", "energy_diagnostics",
+                "solve_forward_semilinear", "solve_linearized_coupled",
+                "solve_adjoint_coupled"),
+    "carleman": ("CarlemanParams", "CarlemanWeights"),
+    "nash": ("GameSpec", "NashSolution", "nash_fixed_point"),
+    "nullcontrol": ("LinearControlProblem", "ControlledTriple",
+                    "solve_linear_null_control",
+                    "solve_nonlinear_null_control"),
+    "harness": ("ScenarioConfig", "preset", "run_scenario",
+                "validate_config"),
+}
+_MODULE_OF = {name: mod for mod, names in _SOURCES.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_MODULE_OF[name]}", __name__), name)

@@ -469,14 +469,18 @@ def empirical_carleman(prob, weights: CarlemanWeights,
         g1 = float(mesh.dt * np.einsum("f,nf->", h, vals[1:]))
         return g0 + g1
 
+    # source modes on the (time, space) mesh, combined per draw below
+    x, t = grid.nodes[None, :], mesh.times[:, None]
+    sin1, sin2, cos_t = np.sin(np.pi * x), np.sin(2 * np.pi * x), np.cos(t)
     ratios, skipped = [], 0
     for _ in range(samples):
         phiT = _random_smooth_row(grid, rng)
-        srcs = [TrajectoryField.from_function(
-            grid, mesh,
-            lambda x, t, c=rng.standard_normal(3): (
-                c[0] * np.sin(np.pi * x) + c[1] * np.sin(2 * np.pi * x) * t
-                + c[2] * x * (1 - x) * np.cos(t))) for _ in range(3)]
+        srcs = []
+        for _ in range(3):
+            c = rng.standard_normal(3)
+            srcs.append(TrajectoryField(
+                grid, mesh,
+                c[0] * sin1 + c[1] * sin2 * t + c[2] * x * (1 - x) * cos_t))
         sol = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
                                     F2=srcs[2], mus=mus, alphas=alphas)
         lhs = (gamma(sol.phi.values) + gamma(sol.psi1.values)

@@ -90,8 +90,6 @@ _DEFAULTS = {
         "cap_ratio": 1e3,
     },
     "solver": {
-        "picard_tol": 1e-10,
-        "max_sweeps": 300,
         "newton_tol": 1e-9,
         "newton_max": 10,
         "tol_terminal": 1e-6,
@@ -104,7 +102,6 @@ _DEFAULTS = {
         "samples": 20,
         "scale_factors": [1.0],
         "mu_grid": [1.0, 5.0, 25.0, 125.0],
-        "refine": False,
         "budget_limit": None,
         "study": None,
     },

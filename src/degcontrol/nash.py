@@ -26,6 +26,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .grids import TrajectoryField
+from .operators import band_apply, band_transpose
 from .solvers import (
     CylinderProblem,
     LevelOps,
@@ -241,22 +242,24 @@ def functional_gradient(prob: CylinderProblem, game: GameSpec, i: int,
     return TrajectoryField(prob.grid, prob.mesh, grad)
 
 
-def _dL_transpose_apply(prob: CylinderProblem, n: int, y_row: np.ndarray,
-                        theta_row: np.ndarray, p_row: np.ndarray) -> np.ndarray:
-    """(dL_n[theta])^T p with respect to the volume inner product.
+def _dL_transpose_apply(prob: CylinderProblem, y: np.ndarray,
+                        theta: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(dL_n[theta_n])^T p_n for all levels, in the volume inner product.
 
-    dL_n[theta] = diag(r) + diag(q g) Dc with
-    r = D11 theta + D12 (g Dc theta), q = D21 theta + D22 (g Dc theta),
-    all derivative coefficients evaluated at (y, g Dc y).
+    y, theta, p: interior arrays (M+1, N-1).  dL_n[theta] = diag(r) +
+    diag(q g_n) Dc with r = D11 theta + D12 (g_n Dc theta),
+    q = D21 theta + D22 (g_n Dc theta), all derivative coefficients
+    evaluated at (y, g_n Dc y).
     """
-    g = prob.grad_weight(n)
-    w_arg = g * (prob.Dc @ y_row)
-    dth = g * (prob.Dc @ theta_row)
+    g = prob.grad_weights
+    w_arg = g * band_apply(prob.Dc_bands, y)
+    dth = g * band_apply(prob.Dc_bands, theta)
     F = prob.F
-    r = F.D11(y_row, w_arg) * theta_row + F.D12(y_row, w_arg) * dth
-    q = F.D21(y_row, w_arg) * theta_row + F.D22(y_row, w_arg) * dth
+    r = F.D11(y, w_arg) * theta + F.D12(y, w_arg) * dth
+    q = F.D21(y, w_arg) * theta + F.D22(y, w_arg) * dth
     wv = prob.grid.interior_volumes
-    return r * p_row + (prob.Dc.T @ (q * g * wv * p_row)) / wv
+    dct = band_transpose(prob.Dc_bands)
+    return r * p + band_apply(dct, q * g * wv * p) / wv
 
 
 def second_derivative_form(prob: CylinderProblem, game: GameSpec,
@@ -288,10 +291,8 @@ def second_derivative_form(prob: CylinderProblem, game: GameSpec,
     yi = _interior(state.y.values)
     ti = _interior(theta.values)
     pi = _interior(state.p1.values)
-    g_eta = np.empty_like(ti)
-    for n in range(prob.mesh.M + 1):
-        g_eta[n] = (game.alpha1 * wt[n] * ti[n] * ind_d
-                    - _dL_transpose_apply(prob, n, yi[n], ti[n], pi[n]))
+    g_eta = (game.alpha1 * wt[:, None] * ti * ind_d
+             - _dL_transpose_apply(prob, yi, ti, pi))
     eta = solve_backward_linear(ops, g_eta)
     w = prob.grid.cell_volumes
     dt = prob.mesh.dt

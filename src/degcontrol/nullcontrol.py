@@ -12,10 +12,11 @@ over discrete adjoint trajectories, with
     l = <y0, phi(0+)> + int H phi + sum_i int H_i psi_i.
 
 The minimizer is found by assembling the (sparse, SPD) normal operator
-over the 3*M*(N-1) space-time unknowns, built from the CSR views of the
-banded level operators; a shifted sparse LU factorization, corrected by
-iterative refinement with extended-precision residuals, solves it to
-near roundoff.  The controlled triple is read off the minimizer as
+over the 3*M*(N-1) space-time unknowns, whose blocks are laid out from
+the same level bands the marches use; a shifted sparse LU factorization,
+corrected by iterative refinement with extended-precision residuals,
+solves it to near roundoff.  The controlled triple is read off the
+minimizer as
 
     y = rho0^-2 (L* phi - a1 psi1 1_Od - a2 psi2 1_Od),
     p_i = rho0^-2 (L psi_i + phi/mu_i 1_Oi),    h = -rho1^-2 phi 1_O,
@@ -32,7 +33,7 @@ inverse of the map linearized at zero) and N the nonlinear remainder.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,25 +41,25 @@ import scipy.sparse.linalg as spla
 
 from .carleman import CarlemanWeights
 from .grids import TrajectoryField
-from .nash import GameSpec, _dL_transpose_apply
+from .nash import GameSpec
 from .operators import band_apply
 from .solvers import CylinderProblem, _interior, solve_backward_linear, solve_forward_linear
 
 __all__ = [
     "LinearControlProblem",
     "ControlledTriple",
-    "YSpaceNorm",
     "HUMSolver",
     "CGStagnationError",
     "NewtonFailureError",
     "h1a_norm",
     "solve_linear_null_control",
     "verify_additional_estimates",
-    "AResiduals",
-    "assemble_A_map",
-    "apply_A_derivative",
     "solve_nonlinear_null_control",
 ]
+
+
+# largest relative residual of the refined HUM solve that is accepted
+RESIDUAL_LIMIT = 1e-6
 
 
 class CGStagnationError(RuntimeError):
@@ -128,27 +129,6 @@ def _weighted_l2q(prob: CylinderProblem, tfactor: np.ndarray,
 
 
 @dataclass
-class YSpaceNorm:
-    """The six summands of the Y-norm of a state (y, p1, p2, h)."""
-
-    rho0_y: float
-    rho0_p: float
-    rho1_h: float
-    rho2_H: float
-    rho2_Hi: float
-    h1a_trace: float
-
-    def total(self) -> float:
-        return (self.rho0_y + self.rho0_p + self.rho1_h
-                + self.rho2_H + self.rho2_Hi + self.h1a_trace)
-
-    def all_finite(self) -> bool:
-        return all(np.isfinite(v) for v in
-                   (self.rho0_y, self.rho0_p, self.rho1_h,
-                    self.rho2_H, self.rho2_Hi, self.h1a_trace))
-
-
-@dataclass
 class ControlledTriple:
     """Output of a linear null-control solve."""
 
@@ -165,6 +145,21 @@ class ControlledTriple:
     budget_exceeded: bool = False
 
 
+def _space_time_blocks(bands: np.ndarray, dt: float,
+                       shift: int) -> sp.csr_matrix:
+    """Backward-Euler space-time operator of the levels in `bands`.
+
+    bands: (M, 3, n).  Level m puts I/dt + L_m on its diagonal block, and
+    -I/dt sits at offset `shift` (-n: y^m sees y^{m-1}; +n: p^m sees
+    p^{m+1}).  Zero entries are dropped.
+    """
+    lo, d, up = bands.transpose(1, 0, 2).reshape(3, -1)
+    size = d.size
+    return sp.diags(
+        [lo[1:], d + 1.0 / dt, up[:-1], np.full(size - abs(shift), -1.0 / dt)],
+        [-1, 0, 1, shift], shape=(size, size), format="csr")
+
+
 class HUMSolver:
     """Assembles and factorizes the variational operator once; solves many.
 
@@ -173,18 +168,15 @@ class HUMSolver:
     """
 
     def __init__(self, prob: CylinderProblem, weights: CarlemanWeights,
-                 game: GameSpec, residual_limit: float = 1e-6):
+                 game: GameSpec):
         self.prob = prob
         self.weights = weights
         self.game = game
-        self.residual_limit = residual_limit
         ops = prob.linearized_ops()
         self.ops = ops
         M, n = prob.mesh.M, prob.grid.N - 1
         dt = prob.mesh.dt
         eye = sp.identity(n, format="csr")
-        shift_up = sp.kron(sp.diags([np.ones(M - 1)], [1], (M, M)), eye)
-        shift_dn = sp.kron(sp.diags([np.ones(M - 1)], [-1], (M, M)), eye)
         # phi carries a free terminal datum phi^{M+1}: its stationarity
         # condition reads w . y^M = 0, i.e. exact discrete null control,
         # rather than relying on the capped weight to crush y(T)
@@ -192,12 +184,8 @@ class HUMSolver:
             sp.csr_matrix((np.ones(1), (np.array([M - 1]), np.array([0]))),
                           shape=(M, 1)), -eye / dt)
         self.Lstar = sp.hstack(
-            [(sp.block_diag([eye / dt + ops.mats_t[m]
-                             for m in range(1, M + 1)])
-              - shift_up / dt), term_col]).tocsr()
-        self.Lfwd = (sp.block_diag([eye / dt + ops.mats[m]
-                                    for m in range(1, M + 1)])
-                     - shift_dn / dt).tocsr()
+            [_space_time_blocks(ops.bands_t[1:], dt, n), term_col]).tocsr()
+        self.Lfwd = _space_time_blocks(ops.bands[1:], dt, -n)
         wt = game.time_weight(prob)[1:]
         ind_d = prob.indicator_interior("Od")
         ind_o = prob.indicator_interior("O")
@@ -279,7 +267,7 @@ class HUMSolver:
                 if r < best_res:
                     best, best_res = zl.astype(float), r
             rel_res = float(best_res / fnorm)
-            if rel_res > self.residual_limit:
+            if rel_res > RESIDUAL_LIMIT:
                 raise CGStagnationError(rel_res, 0)
             z = best / self.scale
         return self._reconstruct(z, y0, H, H1, H2, rel_res, budget_limit)
@@ -410,132 +398,9 @@ def verify_additional_estimates(lcp: LinearControlProblem,
     }
 
 
-def y_space_norm(lcp: LinearControlProblem, y, p1, p2, h) -> YSpaceNorm:
-    """The six Y-norm summands of a state, with H, H_i from the residuals."""
-    prob, w = lcp.prob, lcp.weights
-    res = assemble_A_map(prob, lcp.game, y, p1, p2, h, linearized=True)
-    return YSpaceNorm(
-        rho0_y=_weighted_l2q(prob, w.rho0_n**2, y.values),
-        rho0_p=(_weighted_l2q(prob, w.rho0_n**2, p1.values)
-                + _weighted_l2q(prob, w.rho0_n**2, p2.values)),
-        rho1_h=_weighted_l2q(prob, w.rho1_n**2, h.values),
-        rho2_H=_weighted_l2q(prob, w.rho2_n**2, res.A0),
-        rho2_Hi=(_weighted_l2q(prob, w.rho2_n**2, res.A1)
-                 + _weighted_l2q(prob, w.rho2_n**2, res.A2)),
-        h1a_trace=h1a_norm(prob.grid, prob.deg, y.values[0]) ** 2,
-    )
-
-
-@dataclass
-class AResiduals:
-    """PDE residuals of the optimality-system map, nodal fields (M+1, N+1)."""
-
-    A0: np.ndarray
-    A1: np.ndarray
-    A2: np.ndarray
-    A3: np.ndarray  # initial trace y(., 0)
-
-    def znorm(self, lcp: LinearControlProblem,
-              y0_target: np.ndarray | None = None) -> float:
-        prob, w = lcp.prob, lcp.weights
-        total = (_weighted_l2q(prob, w.rho2_n**2, self.A0)
-                 + _weighted_l2q(prob, w.rho2_n**2, self.A1)
-                 + _weighted_l2q(prob, w.rho2_n**2, self.A2))
-        trace = self.A3 if y0_target is None else self.A3 - y0_target
-        total += h1a_norm(prob.grid, prob.deg, trace) ** 2
-        return float(np.sqrt(total))
-
-
-def _next_level(p: np.ndarray) -> np.ndarray:
-    """Rows shifted one level back: out[m] = p[m+1], and zero at m = M."""
-    out = np.zeros_like(p)
-    out[:-1] = p[1:]
-    return out
-
-
 def _nodal(arr: np.ndarray) -> np.ndarray:
     """Interior rows (M+1, N-1) padded with zero boundary columns."""
     return np.pad(arr, ((0, 0), (1, 1)))
-
-
-def assemble_A_map(prob: CylinderProblem, game: GameSpec,
-                   y: TrajectoryField, p1: TrajectoryField,
-                   p2: TrajectoryField, h: TrajectoryField,
-                   linearized: bool = False) -> AResiduals:
-    """Discrete residuals of the optimality-system map at a state.
-
-    linearized=True evaluates the map of the system linearized at zero
-    (used for Y-norm bookkeeping); otherwise the full semilinear map.
-    """
-    dt = prob.mesh.dt
-    ind_o = prob.indicator_interior("O")
-    ind_i = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
-    ind_d = prob.indicator_interior("Od")
-    wt = game.time_weight(prob)[:, None]
-    targets = game.targets(prob)
-    yi, h_i = _interior(y.values), _interior(h.values)
-    p_i = [_interior(p1.values), _interior(p2.values)]
-    if linearized:
-        ops = prob.linearized_ops()
-        Ly = band_apply(ops.bands, yi)
-    else:
-        ops = prob.ops_at_state(y)
-        wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
-        Ly = band_apply(prob.base_bands, yi) + prob.F.F(yi, wgrad)
-    A0 = np.zeros_like(yi)
-    A0[1:] = ((yi[1:] - yi[:-1]) / dt + Ly[1:] - h_i[1:] * ind_o
-              + p_i[0][1:] * ind_i[0] / game.mu1
-              + p_i[1][1:] * ind_i[1] / game.mu2)
-    A12 = []
-    for i in (0, 1):
-        p = p_i[i]
-        if linearized:
-            track = game.alphas[i] * wt * yi * ind_d
-        else:
-            track = (game.alphas[i] * wt
-                     * (yi - _interior(targets[i].values)) * ind_d)
-        res = (p - _next_level(p)) / dt + band_apply(ops.bands_t, p) - track
-        res[0] = 0.0
-        A12.append(res)
-    return AResiduals(A0=_nodal(A0), A1=_nodal(A12[0]), A2=_nodal(A12[1]),
-                      A3=y.values[0].copy())
-
-
-def apply_A_derivative(prob: CylinderProblem, game: GameSpec,
-                       y: TrajectoryField, p1: TrajectoryField,
-                       p2: TrajectoryField,
-                       dy: TrajectoryField, dp1: TrajectoryField,
-                       dp2: TrajectoryField, dh: TrajectoryField) -> AResiduals:
-    """Gateaux derivative of the semilinear map at (y,p1,p2,.) applied
-    to the direction (dy, dp1, dp2, dh)."""
-    M = prob.mesh.M
-    dt = prob.mesh.dt
-    ind_o = prob.indicator_interior("O")
-    ind_i = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
-    ind_d = prob.indicator_interior("Od")
-    wt = game.time_weight(prob)[:, None]
-    ops = prob.ops_at_state(y)
-    yi = _interior(y.values)
-    ti = _interior(dy.values)
-    dhi = _interior(dh.values)
-    q = [_interior(dp1.values), _interior(dp2.values)]
-    pfull = [_interior(p1.values), _interior(p2.values)]
-    A0 = np.zeros_like(ti)
-    A0[1:] = ((ti[1:] - ti[:-1]) / dt + band_apply(ops.bands, ti)[1:]
-              - dhi[1:] * ind_o
-              + q[0][1:] * ind_i[0] / game.mu1
-              + q[1][1:] * ind_i[1] / game.mu2)
-    A12 = []
-    for i in (0, 1):
-        dlt = np.array([_dL_transpose_apply(prob, m, yi[m], ti[m], pfull[i][m])
-                        for m in range(1, M + 1)])
-        res = np.zeros_like(ti)
-        res[1:] = (((q[i] - _next_level(q[i])) / dt
-                    + band_apply(ops.bands_t, q[i]))[1:] + dlt
-                   - game.alphas[i] * wt[1:] * ti[1:] * ind_d)
-        A12.append(res)
-    return AResiduals(A0=_nodal(A0), A1=_nodal(A12[0]), A2=_nodal(A12[1]),
-                      A3=dy.values[0].copy())
 
 
 def _nonlinear_remainders(prob: CylinderProblem, game: GameSpec,

@@ -16,9 +16,9 @@ duality identities hold to roundoff.  A backward step with that adjoint
 needs no factorization of its own: (I + dt W^{-1} L^T W) p = r is solved as
 W p = (I + dt L)^{-T} W r through the factors of the forward step.
 
-The scipy.sparse functions (`assemble_drift`, `weighted_transpose`) are the
-reference the band forms are tested against; `tridiag_csr` turns bands into
-the CSR matrices that the space-time HUM assembly needs.
+The scipy.sparse functions (`assemble_stiffness`, `assemble_drift`,
+`weighted_transpose`, `tridiag_csr`) are the reference the band forms are
+tested against.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ __all__ = [
     "assemble_stiffness",
     "assemble_drift",
     "band_apply",
+    "band_transpose",
     "band_weighted_transpose",
     "drift_bands",
     "stiffness_bands",
@@ -61,6 +62,19 @@ def band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def band_transpose(bands: np.ndarray) -> np.ndarray:
+    """Bands of the plain transpose L^T.
+
+    `band_apply` with these bands sums each row in the order of a CSC
+    product with L^T, so it equals `tridiag_csr(bands).T @ x` bit for bit.
+    """
+    out = np.zeros_like(bands)
+    out[..., 0, 1:] = bands[..., 2, :-1]
+    out[..., 1, :] = bands[..., 1, :]
+    out[..., 2, :-1] = bands[..., 0, 1:]
+    return out
+
+
 def band_weighted_transpose(bands: np.ndarray,
                             volumes: np.ndarray) -> np.ndarray:
     """Bands of W^{-1} L^T W, the adjoint in the cell-volume inner product.
@@ -68,11 +82,10 @@ def band_weighted_transpose(bands: np.ndarray,
     Entry (i, j) is ((1/w_i) L[j, i]) w_j, multiplied in the order of the
     sparse product in `weighted_transpose`, so both agree bit for bit.
     """
-    winv = 1.0 / volumes
-    out = np.zeros_like(bands)
-    out[..., 0, 1:] = (winv[1:] * bands[..., 2, :-1]) * volumes[:-1]
-    out[..., 1, :] = (winv * bands[..., 1, :]) * volumes
-    out[..., 2, :-1] = (winv[:-1] * bands[..., 0, 1:]) * volumes[1:]
+    out = (1.0 / volumes) * band_transpose(bands)
+    out[..., 0, 1:] *= volumes[:-1]
+    out[..., 1, :] *= volumes
+    out[..., 2, :-1] *= volumes[1:]
     return out
 
 

@@ -4,8 +4,8 @@ All systems derive from the primal operator
 
     L_n = b(t_n) W^{-1} A + upwind(-B(t_n) x) + diag(D1F) + diag(D2F g_n) Dc,
 
-with g_n = C(t_n) beta(x) and Dc the central gradient matrix.  Every L_n
-is tridiagonal; `LevelOps` keeps the operators of all levels as one band
+with g_n = C(t_n) beta(x) and Dc the central gradient.  Every L_n is
+tridiagonal; `LevelOps` keeps the operators of all levels as one band
 array of shape (M+1, 3, N-1) (see `operators` for the layout), assembled
 vectorized over levels.  Each implicit step matrix I + dt L_n is factored
 once, on first use, by LAPACK dgttrf.  Backward problems use the weighted
@@ -108,9 +108,8 @@ class LevelOps:
     `bands[n]` holds L_n (shape (M+1, 3, N-1)); `bands_t` the bands of its
     weighted transpose.  `solve` and `solve_adjoint` step forward and
     backward through the same dgttrf factors, each level factored at
-    most once.  `mats`/`mats_t` are CSR views for the space-time HUM
-    assembly, built only when read.  Instances are immutable once built
-    and shared by sweeps.
+    most once.  The space-time HUM assembly reads the same bands.
+    Instances are immutable once built and shared by sweeps.
     """
 
     def __init__(self, prob: "CylinderProblem", bands: np.ndarray):
@@ -131,14 +130,6 @@ class LevelOps:
     @cached_property
     def bands_t(self) -> np.ndarray:
         return band_weighted_transpose(self.bands, self._wv)
-
-    @cached_property
-    def mats(self) -> list:
-        return [tridiag_csr(b) for b in self.bands]
-
-    @cached_property
-    def mats_t(self) -> list:
-        return [tridiag_csr(b) for b in self.bands_t]
 
     def _factor(self, m: int) -> list:
         if self._factors[m] is None:
@@ -183,7 +174,6 @@ class CylinderProblem:
         self.B_t = np.atleast_1d(B)
         self.C_t = np.atleast_1d(C)
         self.beta_i = gw.beta(self.xi)
-        self.Dc = central_gradient_matrix(grid)
         self.Dc_bands = central_gradient_bands(grid)
         self._lin_ops = None
         self._ind = {}
@@ -304,6 +294,7 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
     out = prob.new_field()
     out.values[0] = y0
     out.zero_boundary()
+    wv = prob.grid.interior_volumes
     y = _interior(out.values[0]).copy()
     for n in range(1, prob.mesh.M + 1):
         g = prob.grad_weight(n)
@@ -311,11 +302,11 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
         converged = False
         d = np.inf
         for _ in range(max_inner):
-            w = g * (prob.Dc @ z)
+            w = g * band_apply(prob.Dc_bands, z)
             rhs = y + dt * (src[n] - prob.F.F(z, w))
             z_new = base.solve(n, rhs)
-            d = float(np.sqrt(prob.grid.inner(
-                np.pad(z_new - z, 1), np.pad(z_new - z, 1))))
+            dz = z_new - z
+            d = float(np.sqrt(np.sum(wv * dz * dz)))
             z = z_new
             if d <= picard_tol * (1.0 + float(np.max(np.abs(z)))):
                 converged = True

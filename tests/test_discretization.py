@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh, TrajectoryField
-from degcontrol.nash import GameSpec, make_default_targets
-from degcontrol.nullcontrol import _nonlinear_remainders
+from degcontrol.carleman import CarlemanParams, CarlemanWeights
+from degcontrol.nash import GameSpec, _dL_transpose_apply, make_default_targets
+from degcontrol.nullcontrol import (HUMSolver, _nonlinear_remainders,
+                                    _space_time_blocks)
 from degcontrol.operators import (
     assemble_drift,
     assemble_stiffness,
@@ -163,6 +165,21 @@ def _random_state(prob, rng, amplitude=0.3):
     return TrajectoryField(prob.grid, prob.mesh, vals)
 
 
+def _space_time_reference(mats, dt, sign):
+    """block_diag of I/dt + L_m over m = 1..M, minus I/dt shifted one block
+    down (sign=-1) or up (sign=+1)."""
+    M, n = len(mats) - 1, mats[0].shape[0]
+    eye = sp.identity(n, format="csr")
+    shift = sp.kron(sp.diags([np.ones(M - 1)], [sign], (M, M)), eye)
+    return (sp.block_diag([eye / dt + mats[m] for m in range(1, M + 1)])
+            - shift / dt).tocsr()
+
+
+def _assert_same_csr(a, b):
+    for part in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, part), getattr(b, part)), part
+
+
 class TestBandOperators:
     def test_drift_bands_match_loop(self, rng):
         g = SpatialGrid(N=24, gamma=2.0)
@@ -181,6 +198,50 @@ class TestBandOperators:
                                   mats[n].toarray())
             assert np.array_equal(tridiag_csr(ops.bands_t[n]).toarray(),
                                   mats_t[n].toarray())
+
+    def test_space_time_blocks_equal_block_diag(self, prob_small, rng):
+        prob = prob_small
+        dt, n = prob.mesh.dt, prob.grid.N - 1
+        y = _random_state(prob, rng)
+        ops = prob.ops_at_state(y)
+        mats, mats_t = _sparse_levels(prob, y)
+        _assert_same_csr(_space_time_blocks(ops.bands[1:], dt, -n),
+                         _space_time_reference(mats, dt, -1))
+        _assert_same_csr(_space_time_blocks(ops.bands_t[1:], dt, n),
+                         _space_time_reference(mats_t, dt, 1))
+
+    def test_hum_blocks_equal_sparse_reference(self, prob_small):
+        # the HUM operator is built from the system linearized at zero,
+        # plus the free terminal datum of phi as one extra block column
+        prob = prob_small
+        M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        mats, mats_t = _sparse_levels(prob, prob.new_field())
+        eye = sp.identity(n, format="csr")
+        term_col = sp.kron(
+            sp.csr_matrix((np.ones(1), (np.array([M - 1]), np.array([0]))),
+                          shape=(M, 1)), -eye / dt)
+        _assert_same_csr(hum.Lfwd, _space_time_reference(mats, dt, -1))
+        _assert_same_csr(hum.Lstar, sp.hstack(
+            [_space_time_reference(mats_t, dt, 1), term_col]).tocsr())
+
+    def test_dL_transpose_equals_levelwise_sparse(self, prob_small, rng):
+        prob, F = prob_small, prob_small.F
+        y, theta, p = (_random_state(prob, rng).values[:, 1:-1]
+                       for _ in range(3))
+        got = _dL_transpose_apply(prob, y, theta, p)
+        Dc = central_gradient_matrix(prob.grid)
+        wv = prob.grid.interior_volumes
+        for n in range(prob.mesh.M + 1):
+            g = prob.C_t[n] * prob.beta_i
+            w = g * (Dc @ y[n])
+            dth = g * (Dc @ theta[n])
+            r = F.D11(y[n], w) * theta[n] + F.D12(y[n], w) * dth
+            q = F.D21(y[n], w) * theta[n] + F.D22(y[n], w) * dth
+            ref = r * p[n] + (Dc.T @ (q * g * wv * p[n])) / wv
+            assert np.array_equal(got[n], ref)
 
     @pytest.mark.parametrize("N, M", [(32, 64), (64, 128)])
     def test_summation_by_parts(self, N, M, rng):

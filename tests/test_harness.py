@@ -1,6 +1,10 @@
 """Scenario configs, presets, deterministic runs and the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,23 @@ class TestConfig:
             reports.append(json.loads(
                 (tmp_path / name / "report.json").read_text())["report"])
         assert reports[0] != reports[1]
+
+    @pytest.mark.parametrize("section, name", [
+        ("solver", "picard_tol"),
+        ("solver", "max_sweeps"),
+        ("experiment", "refine"),
+    ])
+    def test_unread_fields_are_unknown(self, tmp_path, capsys, section,
+                                       name):
+        # a field no run reads is refused: two configs differing only in
+        # it would hash apart yet run the same
+        config = {section: {name: 1}}
+        assert harness.validate_config(config) == [
+            f"unknown field {section}.{name}"]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
+        assert f"{section}.{name}" in capsys.readouterr().err
 
     def test_roundtrip_json(self, tmp_path):
         config = harness.ScenarioConfig.from_dict(_tiny())
@@ -171,6 +192,17 @@ class TestCLI:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert "sinusoidal" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_cli_import_leaves_blas_unloaded(self):
+        # --threads/--deterministic set the BLAS caps inside main(), which
+        # only works if importing the CLI has not loaded numpy yet
+        src = str(Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, degcontrol.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_budget_violation_exit_code(self, tmp_path):
         path = tmp_path / "c.json"

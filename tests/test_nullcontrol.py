@@ -9,13 +9,10 @@ from degcontrol.nash import GameSpec, make_default_targets
 from degcontrol.nullcontrol import (
     HUMSolver,
     LinearControlProblem,
-    apply_A_derivative,
-    assemble_A_map,
     h1a_norm,
     solve_linear_null_control,
     solve_nonlinear_null_control,
     verify_additional_estimates,
-    y_space_norm,
 )
 from degcontrol.semilinear import SemilinearF
 
@@ -104,45 +101,6 @@ class TestLinearControl:
         rep = verify_additional_estimates(lcp, triple)
         assert rep["all_finite"]
         assert rep["C_prop5"] > 0 and rep["C_prop6"] > 0
-
-    def test_y_space_norm_finite(self, prob_linear, weights, hum):
-        game, solver = hum
-        lcp = LinearControlProblem(prob_linear, weights, game,
-                                   sine_data(prob_linear, 0.1))
-        triple = solver.solve(lcp.y0)
-        ynorm = y_space_norm(lcp, triple.y, triple.p1, triple.p2, triple.h)
-        assert ynorm.all_finite()
-        assert ynorm.total() > 0
-
-
-class TestAMap:
-    def test_gateaux_derivative(self, prob_small, rng):
-        game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob_small)
-
-        def smooth(seed):
-            r = np.random.default_rng(seed)
-            c = r.standard_normal(3) * 0.1
-            return TrajectoryField.from_function(
-                prob_small.grid, prob_small.mesh,
-                lambda x, t: (c[0] * np.sin(np.pi * x)
-                              + c[1] * np.sin(2 * np.pi * x) * t
-                              + c[2] * x * (1 - x) * np.cos(t)))
-
-        y, p1, p2, h = (smooth(k) for k in range(4))
-        dy, dp1, dp2, dh = (smooth(k) for k in range(10, 14))
-        eps = 1e-5
-        der = apply_A_derivative(prob_small, game, y, p1, p2,
-                                 dy, dp1, dp2, dh)
-        plus = assemble_A_map(prob_small, game, y + eps * dy, p1 + eps * dp1,
-                              p2 + eps * dp2, h + eps * dh)
-        minus = assemble_A_map(prob_small, game, y - eps * dy, p1 - eps * dp1,
-                               p2 - eps * dp2, h - eps * dh)
-        for name in ("A0", "A1", "A2"):
-            fd = (getattr(plus, name) - getattr(minus, name)) / (2 * eps)
-            got = getattr(der, name)
-            scale = np.max(np.abs(fd)) + 1e-30
-            assert np.max(np.abs(fd - got)) / scale <= 1e-4
 
 
 class TestNewton:
