@@ -13,10 +13,11 @@ over discrete adjoint trajectories, with
 
 The minimizer is found by assembling the (sparse, SPD) normal operator
 over the 3*M*(N-1) space-time unknowns, whose blocks are laid out from
-the same level bands the marches use; a shifted sparse LU factorization,
-corrected by iterative refinement with extended-precision residuals,
-solves it to near roundoff.  The controlled triple is read off the
-minimizer as
+the same level bands the marches use.  A shifted copy is factored by
+SuperLU in symmetric mode (minimum-degree ordering of A + A^T, diagonal
+pivots); iterative refinement against the unshifted operator, with one
+extended-precision CSR residual per step, solves it to near roundoff.
+The controlled triple is read off the minimizer as
 
     y = rho0^-2 (L* phi - a1 psi1 1_Od - a2 psi2 1_Od),
     p_i = rho0^-2 (L psi_i + phi/mu_i 1_Oi),    h = -rho1^-2 phi 1_O,
@@ -218,12 +219,18 @@ class HUMSolver:
         # the normal operator inherits the exponentially weak observability
         # of the continuous problem; factor a shifted copy and correct by
         # iterative refinement against the true matrix (the load is in the
-        # numerical range, so the refinement converges there)
+        # numerical range, so the refinement converges there).  The shifted
+        # copy is SPD, so it is factored in symmetric mode: diagonal pivots
+        # keep the minimum-degree ordering of A + A^T, which partial
+        # pivoting would break
         self.shift = 1e-12
         self.lu = spla.splu(
-            (self.Bs + self.shift * sp.identity(self.Bs.shape[0])).tocsc())
-        # extended-precision copy for refinement residuals
-        self._Bld = self.Bs.astype(np.longdouble)
+            (self.Bs + self.shift * sp.identity(self.Bs.shape[0])).tocsc(),
+            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True})
+        # extended-precision copy for refinement residuals; CSR sums each
+        # row in the same order as the CSC product, at half its cost
+        self._Bld = self.Bs.astype(np.longdouble).tocsr()
         self._W0, self._W1 = W0, W1
         self._size, self._n, self._M = size, n, M
 
@@ -246,33 +253,39 @@ class HUMSolver:
 
     def solve(self, y0: np.ndarray, H=None, H1=None, H2=None,
               budget_limit: float = float("inf")) -> ControlledTriple:
-        prob = self.prob
-        M, n = self._M, self._n
         f = self._rhs(y0, H, H1, H2)
         fs = f / self.scale
         fnorm = np.linalg.norm(fs)
+        history = []
         if fnorm == 0.0:
             z = np.zeros_like(f)
             rel_res = 0.0
         else:
             # shifted LU corrected by refinement with extended-precision
-            # residuals; the best iterate is kept
+            # residuals; the residual that scores an iterate is the load
+            # of the next correction.  The best iterate is kept
             fld = fs.astype(np.longdouble)
             zl = self.lu.solve(fs).astype(np.longdouble)
-            best = zl.astype(float)
-            best_res = np.linalg.norm((fld - self._Bld @ zl).astype(float))
+            rl = fld - self._Bld @ zl
+            history.append(np.linalg.norm(rl.astype(float)))
+            best, best_res = zl.astype(float), history[0]
             for _ in range(10):
-                zl = zl + self.lu.solve((fld - self._Bld @ zl).astype(float))
-                r = np.linalg.norm((fld - self._Bld @ zl).astype(float))
+                zl = zl + self.lu.solve(rl.astype(float))
+                rl = fld - self._Bld @ zl
+                r = np.linalg.norm(rl.astype(float))
+                history.append(r)
                 if r < best_res:
                     best, best_res = zl.astype(float), r
             rel_res = float(best_res / fnorm)
             if rel_res > RESIDUAL_LIMIT:
                 raise CGStagnationError(rel_res, 0)
             z = best / self.scale
-        return self._reconstruct(z, y0, H, H1, H2, rel_res, budget_limit)
+        cg_info = {"relative_residual": rel_res, "iterations": 0,
+                   "refinement_residuals": [float(r / fnorm)
+                                            for r in history]}
+        return self._reconstruct(z, y0, H, H1, H2, cg_info, budget_limit)
 
-    def _reconstruct(self, z, y0, H, H1, H2, rel_res,
+    def _reconstruct(self, z, y0, H, H1, H2, cg_info,
                      budget_limit) -> ControlledTriple:
         prob = self.prob
         M, n = self._M, self._n
@@ -310,7 +323,7 @@ class HUMSolver:
             budget_constant=budget_c,
             terminal_norm=grid.norm(y.values[-1]),
             residuals=residuals,
-            cg_info={"relative_residual": rel_res, "iterations": 0},
+            cg_info=cg_info,
             budget_exceeded=bool(budget_c > budget_limit),
         )
         return triple

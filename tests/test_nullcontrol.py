@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from degcontrol import harness, nullcontrol
+from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TrajectoryField
 from degcontrol.nash import GameSpec, make_default_targets
@@ -15,6 +18,7 @@ from degcontrol.nullcontrol import (
     verify_additional_estimates,
 )
 from degcontrol.semilinear import SemilinearF
+from degcontrol.solvers import CylinderProblem
 
 from conftest import sine_data
 
@@ -25,6 +29,22 @@ def hum(prob_linear, weights):
     game.target1, game.target2 = make_default_targets(prob_linear,
                                                       weights=weights)
     return game, HUMSolver(prob_linear, weights, game)
+
+
+def _coarse_parts():
+    prob = CylinderProblem.default(N=32, M=64, F=SemilinearF.zero())
+    weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                              prob.mesh)
+    game = GameSpec(mu1=5.0, mu2=5.0)
+    game.target1, game.target2 = make_default_targets(prob, weights=weights)
+    return prob, weights, game
+
+
+@pytest.fixture(scope="module")
+def coarse():
+    """(32,64) linear problem, its parts and one HUM solver."""
+    prob, weights, game = _coarse_parts()
+    return prob, weights, game, HUMSolver(prob, weights, game)
 
 
 class TestH1aNorm:
@@ -121,3 +141,96 @@ class TestNewton:
         assert len(history) <= 10
         assert triple.terminal_norm <= 1e-6
         assert all(np.isfinite(step["remainder_delta"]) for step in history)
+
+
+class _CountingMatrix:
+    """Forwards `@` to a matrix and counts the products."""
+
+    def __init__(self, mat):
+        self.mat = mat
+        self.products = 0
+
+    def __matmul__(self, other):
+        self.products += 1
+        return self.mat @ other
+
+
+class TestFactorization:
+    """The symmetric-mode factorization and the refinement it feeds."""
+
+    def test_csr_product_equals_csc(self, coarse):
+        hum = coarse[3]
+        assert hum._Bld.format == "csr"
+        v = np.random.default_rng(0).standard_normal(
+            hum.Bs.shape[0]).astype(np.longdouble)
+        assert np.array_equal(hum._Bld @ v,
+                              hum.Bs.astype(np.longdouble) @ v)
+
+    def test_one_product_per_refinement_step(self, coarse, monkeypatch):
+        prob, hum = coarse[0], coarse[3]
+        counter = _CountingMatrix(hum._Bld)
+        monkeypatch.setattr(hum, "_Bld", counter)
+        hum.solve(sine_data(prob, 0.1))
+        # the unrefined iterate plus ten refinement steps
+        assert counter.products == 11
+
+    def test_fewer_lu_nonzeros_than_default_ordering(self, coarse):
+        hum = coarse[3]
+        plain = nullcontrol.spla.splu(
+            (hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])).tocsc())
+        assert (hum.lu.L.nnz + hum.lu.U.nnz
+                < plain.L.nnz + plain.U.nnz)
+
+    def test_factorization_goes_through_module_splu(self, monkeypatch):
+        # wrappers of spla.splu (e.g. a profiler) must see the factorization
+        splu = nullcontrol.spla.splu
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(nullcontrol.spla, "splu", counted)
+        HUMSolver(*_coarse_parts())
+        assert len(calls) == 1
+
+    def test_matches_default_splu_reference(self, coarse, monkeypatch):
+        prob, weights, game, hum = coarse
+        splu = nullcontrol.spla.splu
+        monkeypatch.setattr(nullcontrol.spla, "splu",
+                            lambda A, **kwargs: splu(A))
+        ref = HUMSolver(prob, weights, game)
+        y0 = sine_data(prob, 0.1)
+        a, b = hum.solve(y0), ref.solve(y0)
+
+        def rel(u, v):
+            return np.linalg.norm(u - v) / np.linalg.norm(v)
+
+        # measured 1.2e-9 (y) and 3.9e-8 (h); h is the least determined
+        # part: ten more refinement steps move h by 1.3e-3, y by 4e-5
+        assert rel(a.y.values, b.y.values) <= 1e-8
+        assert rel(a.h.values, b.h.values) <= 1e-7
+
+    def test_refinement_residuals(self, coarse):
+        prob, hum = coarse[0], coarse[3]
+        info = hum.solve(sine_data(prob, 0.1)).cg_info
+        trace = info["refinement_residuals"]
+        assert len(trace) == 11
+        assert min(trace) == info["relative_residual"]
+        # the first correction gains most
+        assert trace[1] < 0.5 * trace[0]
+        zero = hum.solve(np.zeros(prob.grid.N + 1)).cg_info
+        assert zero["refinement_residuals"] == []
+
+
+class TestAccuracyRange:
+    """The reconstruction residual over carleman.cap_ratio at (32,64)."""
+
+    @pytest.mark.parametrize("cap_ratio, limit", [(1e3, 1e-9), (1e4, 1e-8)])
+    def test_reconstruction_within_range(self, tmp_path, cap_ratio, limit):
+        # measured 2.6e-11 at 1e3 and 1.2e-9 at 1e4; 1e5 gives 2.8e-5
+        record = harness.run_scenario(
+            {"grid": {"N": 32, "M": 64},
+             "carleman": {"cap_ratio": cap_ratio},
+             "experiment": {"kind": "linear-control"}}, tmp_path, seed=0)
+        assert max(record.report["reconstruction"].values()) <= limit
