@@ -360,16 +360,49 @@ def _random_smooth_row(grid: SpatialGrid, rng: np.random.Generator,
     return sum(c * np.sin((k + 1) * np.pi * x) for k, c in enumerate(coef))
 
 
-def _weighted_q_integral(weights: CarlemanWeights, logw: np.ndarray,
-                         fields_sq: np.ndarray, grid: SpatialGrid,
-                         mesh: TimeMesh, mask_x: np.ndarray | None = None) -> float:
-    """sum_n dt sum_j w_j e^{logw} fields_sq, log-safe (t=T row drops out)."""
-    w = grid.cell_volumes
-    vals = np.exp(np.minimum(logw, 700.0)) * fields_sq
-    vals = np.where(np.isfinite(logw), vals, 0.0)
-    if mask_x is not None:
-        vals = vals * mask_x[None, :]
-    return float(mesh.dt * np.einsum("j,nj->", w, vals[1:]))
+# Memory budget of one sampling block.  The adjoint problems of a block
+# are solved together, each sample one column of the same level solves,
+# so a block holds every trajectory its samples need at once; sizing it in
+# bytes rather than samples gives finer grids narrower blocks.
+BLOCK_BYTES = 1_200_000
+
+
+def block_size(prob, trajectories: int) -> int:
+    """Samples per block: the most whose `trajectories` nodal trajectories
+    each fit in BLOCK_BYTES together.  A sample larger than the budget is
+    solved alone."""
+    traj_bytes = (prob.mesh.M + 1) * (prob.grid.N + 1) * 8
+    return max(1, BLOCK_BYTES // (trajectories * traj_bytes))
+
+
+def _blocks(samples: int, k: int):
+    """Sizes of consecutive blocks of at most k samples."""
+    return [min(k, samples - i) for i in range(0, samples, k)]
+
+
+def _nodal_scratch(prob):
+    """nodal(rows): interior rows (M+1, N-1) written into one reused nodal
+    array, whose boundary stays 0, and returned.  Each call overwrites the
+    previous result."""
+    u = np.zeros((prob.mesh.M + 1, prob.grid.N + 1))
+
+    def nodal(rows: np.ndarray) -> np.ndarray:
+        u[:, 1:-1] = rows
+        return u
+
+    return nodal
+
+
+def _exp_weight(logw: np.ndarray) -> np.ndarray:
+    """e^{logw}, capped at e^700, with the non-finite (t=T) entries 0."""
+    return np.where(np.isfinite(logw), np.exp(np.minimum(logw, 700.0)), 0.0)
+
+
+def _weighted_q_integral(weight: np.ndarray, fields_sq: np.ndarray,
+                         grid: SpatialGrid, mesh: TimeMesh) -> float:
+    """sum_n dt sum_j w_j weight fields_sq over levels 1..M."""
+    vals = weight * fields_sq
+    return float(mesh.dt * np.einsum("j,nj->", grid.cell_volumes, vals[1:]))
 
 
 def empirical_observability(prob, weights: CarlemanWeights,
@@ -383,34 +416,38 @@ def empirical_observability(prob, weights: CarlemanWeights,
     returns max over samples of
     (|phi(0)|^2 + |rho(T)|^2) / int_O e^{2s(A-Aref)} (s lam zeta)^8 |phi|^2.
     The normalization exponent 2 s Aref is reported; ratios are only
-    meaningful relative to it.
+    meaningful relative to it.  Samples are solved in blocks (see
+    `block_size`); each ratio is the one a solo solve gives.
     """
     from .solvers import solve_adjoint_coupled
 
     rng = rng or np.random.default_rng(0)
-    logw = weights.log_observation_weight()
-    ind_o = prob.indicator("O")
+    grid, mesh = prob.grid, prob.mesh
+    w_obs = _exp_weight(weights.log_observation_weight()) \
+        * prob.indicator("O")[None, :]
     # The weight is sharply peaked in (x, t); its raw integral scales with
     # the cell measure at the peak and is not mesh-stable.  Normalizing
     # the observation term by the weight's own mass turns it into a
     # weighted average of |phi|^2 over O, which converges under
     # refinement; the mass is absorbed into the fitted constant.
-    ones = np.ones((prob.mesh.M + 1, prob.grid.N + 1))
-    wmass = _weighted_q_integral(weights, logw, ones, prob.grid, prob.mesh,
-                                 mask_x=ind_o)
+    wmass = _weighted_q_integral(w_obs, np.ones((mesh.M + 1, grid.N + 1)),
+                                 grid, mesh)
+    nodal = _nodal_scratch(prob)
     ratios, skipped = [], 0
-    for _ in range(samples):
-        phiT = _random_smooth_row(prob.grid, rng)
-        sol = solve_adjoint_coupled(prob, phiT, mus=mus, alphas=alphas,
-                                    reduced=True)
-        lhs = prob.grid.norm(sol.phi.values[0]) ** 2 \
-            + prob.grid.norm(sol.rho.values[-1]) ** 2
-        rhs = _weighted_q_integral(weights, logw, sol.phi.values**2,
-                                   prob.grid, prob.mesh, mask_x=ind_o) / wmass
-        if rhs <= 1e-300:
-            skipped += 1
-            continue
-        ratios.append(lhs / rhs)
+    # per sample: phi, rho and the next rho iterate
+    for k in _blocks(samples, block_size(prob, 3)):
+        phiT = np.array([_random_smooth_row(grid, rng) for _ in range(k)])
+        block = solve_adjoint_coupled(prob, phiT, mus=mus, alphas=alphas,
+                                      reduced=True)
+        for j in range(k):
+            rho_T = grid.norm(nodal(block.rho[:, j])[-1])
+            phi = nodal(block.phi[:, j])
+            lhs = grid.norm(phi[0]) ** 2 + rho_T ** 2
+            rhs = _weighted_q_integral(w_obs, phi**2, grid, mesh) / wmass
+            if rhs <= 1e-300:
+                skipped += 1
+                continue
+            ratios.append(lhs / rhs)
     return {
         "max_ratio": float(np.max(ratios)) if ratios else float("nan"),
         "ratios": [float(r) for r in ratios],
@@ -421,21 +458,15 @@ def empirical_observability(prob, weights: CarlemanWeights,
     }
 
 
-def empirical_carleman(prob, weights: CarlemanWeights,
-                       samples: int = 10,
-                       rng: np.random.Generator | None = None,
-                       mus: tuple = (1.0, 1.0),
-                       alphas: tuple = (1.0, 1.0)) -> dict:
-    """Sampled ratio of the Carleman inequality for the adjoint system.
+def _carleman_weights(prob, weights: CarlemanWeights) -> tuple:
+    """The Carleman weights of `empirical_carleman`, exponentiated once.
 
-    Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
-    both evaluated with the common normalization e^{-2 s Aref}.
+    Returns (w0, wf, w_src, w_obs): the zero-order weight
+    e^{2s(A-Aref)} (s lam zeta)^2; the gradient weight at faces, with
+    b^2 a folded in; the source weight (power 4); and the observation
+    weight (power 8) masked to O.
     """
-    from .grids import TrajectoryField
-    from .solvers import solve_adjoint_coupled
-
-    rng = rng or np.random.default_rng(0)
-    grid, mesh = prob.grid, prob.mesh
+    grid = prob.grid
     A_ref = weights.A_reference()
     z = weights.zeta()
     fin = np.isfinite(weights.A)
@@ -452,20 +483,40 @@ def empirical_carleman(prob, weights: CarlemanWeights,
             - (np.log(slam) + 0.5 * (logz[:, :-1] + logz[:, 1:])),
             -np.inf,
         )
+        wf = np.where(np.isfinite(lwf),
+                      np.exp(np.minimum(lwf, 700.0)) * prob.b_t[:, None]**2
+                      * prob.deg.a(grid.faces)[None, :], 0.0)
+    return (_exp_weight(lw0), wf, _exp_weight(log_src),
+            _exp_weight(log_obs) * prob.indicator("O")[None, :])
+
+
+def empirical_carleman(prob, weights: CarlemanWeights,
+                       samples: int = 10,
+                       rng: np.random.Generator | None = None,
+                       mus: tuple = (1.0, 1.0),
+                       alphas: tuple = (1.0, 1.0)) -> dict:
+    """Sampled ratio of the Carleman inequality for the adjoint system.
+
+    Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
+    both evaluated with the common normalization e^{-2 s Aref}.  Samples
+    are solved in blocks (see `block_size`); each ratio is the one a
+    solo solve gives.
+    """
+    from .solvers import solve_adjoint_coupled
+
+    rng = rng or np.random.default_rng(0)
+    grid, mesh = prob.grid, prob.mesh
+    w0, wf, w_src, w_obs = _carleman_weights(prob, weights)
     b_sq = prob.b_t**2
-    a_face = prob.deg.a(grid.faces)
     h = grid.spacings
-    ind_o = prob.indicator("O")
+    nodal = _nodal_scratch(prob)
 
     def gamma(u_vals: np.ndarray) -> float:
         # zero-order part: (s lam)^2 zeta^2 b^2 |u|^2
-        g0 = _weighted_q_integral(weights, lw0, b_sq[:, None] * u_vals**2,
-                                  grid, mesh)
+        g0 = _weighted_q_integral(w0, b_sq[:, None] * u_vals**2, grid, mesh)
         # gradient part at faces: (s lam) zeta b^2 a |u_x|^2
         ux = np.diff(u_vals, axis=1) / h[None, :]
-        with np.errstate(invalid="ignore"):
-            vals = np.exp(np.minimum(lwf, 700.0)) * b_sq[:, None] * a_face[None, :] * ux**2
-            vals = np.where(np.isfinite(lwf), vals, 0.0)
+        vals = wf * ux**2
         g1 = float(mesh.dt * np.einsum("f,nf->", h, vals[1:]))
         return g0 + g1
 
@@ -473,31 +524,38 @@ def empirical_carleman(prob, weights: CarlemanWeights,
     x, t = grid.nodes[None, :], mesh.times[:, None]
     sin1, sin2, cos_t = np.sin(np.pi * x), np.sin(2 * np.pi * x), np.cos(t)
     ratios, skipped = [], 0
-    for _ in range(samples):
-        phiT = _random_smooth_row(grid, rng)
-        srcs = []
-        for _ in range(3):
-            c = rng.standard_normal(3)
-            srcs.append(TrajectoryField(
-                grid, mesh,
-                c[0] * sin1 + c[1] * sin2 * t + c[2] * x * (1 - x) * cos_t))
-        sol = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
-                                    F2=srcs[2], mus=mus, alphas=alphas)
-        lhs = (gamma(sol.phi.values) + gamma(sol.psi1.values)
-               + gamma(sol.psi2.values))
-        src_sq = sum(f.values**2 for f in srcs)
-        rhs = (_weighted_q_integral(weights, log_src, src_sq, grid, mesh)
-               + _weighted_q_integral(weights, log_obs, sol.phi.values**2,
-                                      grid, mesh, mask_x=ind_o))
-        if rhs <= 1e-300:
-            skipped += 1
-            continue
-        ratios.append(lhs / rhs)
+    # per sample: three sources, phi, psi1, psi2 and the next psi iterates
+    for k in _blocks(samples, block_size(prob, 8)):
+        phiT = np.empty((k, grid.N + 1))
+        srcs = np.empty((3, k, mesh.M + 1, grid.N + 1))
+        src_terms = []
+        for j in range(k):
+            phiT[j] = _random_smooth_row(grid, rng)
+            for i in range(3):
+                c = rng.standard_normal(3)
+                srcs[i, j] = (c[0] * sin1 + c[1] * sin2 * t
+                              + c[2] * x * (1 - x) * cos_t)
+            src_sq = sum(f**2 for f in srcs[:, j])
+            src_terms.append(_weighted_q_integral(w_src, src_sq, grid, mesh))
+        block = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
+                                      F2=srcs[2], mus=mus, alphas=alphas)
+        del srcs
+        for j in range(k):
+            phi = nodal(block.phi[:, j])
+            rhs = src_terms[j] + _weighted_q_integral(w_obs, phi**2, grid,
+                                                      mesh)
+            lhs = gamma(phi)
+            lhs += gamma(nodal(block.psi[:, j, 0]))
+            lhs += gamma(nodal(block.psi[:, j, 1]))
+            if rhs <= 1e-300:
+                skipped += 1
+                continue
+            ratios.append(lhs / rhs)
     return {
         "max_ratio": float(np.max(ratios)) if ratios else float("nan"),
         "ratios": [float(r) for r in ratios],
         "skipped": skipped,
-        "A_reference": A_ref,
+        "A_reference": weights.A_reference(),
         "s": weights.s,
         "lambda": weights.lam,
     }

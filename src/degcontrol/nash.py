@@ -173,8 +173,8 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     targets = game.targets(prob)
     wt = game.time_weight(prob)
     ind = [prob.indicator("O1"), prob.indicator("O2")]
-    shape = (prob.mesh.M + 1, prob.grid.N + 1)
-    p_vals = [np.zeros(shape), np.zeros(shape)]
+    M = prob.mesh.M
+    p_vals = np.zeros((2, M + 1, prob.grid.N + 1))
     history = []
     sol = None
     for _ in range(max_sweeps):
@@ -185,17 +185,20 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
         y = solve_forward_semilinear(prob, y0, h=h, v1=v[0], v2=v[1])
         ops = prob.ops_at_state(y)
         srcs = _follower_sources(prob, game, _interior(y.values), targets, wt)
-        delta = 0.0
-        p_fields = []
-        for i in (0, 1):
-            pf = solve_backward_linear(ops, srcs[i])
-            delta = max(delta, float(np.max(np.abs(pf.values - p_vals[i]))))
-            p_vals[i] = pf.values.copy()
-            p_fields.append(pf)
+        # both adjoints march backward as the two columns of one march
+        rows = np.stack(srcs, axis=1)
+        rows *= prob.mesh.dt
+        ops.march_adjoint(rows, M)
+        new = np.zeros_like(p_vals)
+        new[:, :, 1:-1] = rows.transpose(1, 0, 2)
+        delta = max(0.0, *(float(np.max(np.abs(new[i] - p_vals[i])))
+                           for i in (0, 1)))
+        p_vals = new
         history.append(delta)
         if delta <= tol:
-            sol = NashSolution(y=y, p1=p_fields[0], p2=p_fields[1],
-                               v1=v[0], v2=v[1], history=history)
+            p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p) for p in new)
+            sol = NashSolution(y=y, p1=p1, p2=p2, v1=v[0], v2=v[1],
+                               history=history)
             break
     if sol is None:
         raise SweepFailureError(history, "nash optimality system")

@@ -191,9 +191,9 @@ class HUMSolver:
         ind_d = prob.indicator_interior("Od")
         ind_o = prob.indicator_interior("O")
         ind_i = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
-        self.D_od = sp.diags(np.outer(wt, ind_d).ravel())
-        self.D_o = sp.diags(np.tile(ind_o, M))
-        self.D_oi = [sp.diags(np.tile(ind_i[i], M)) for i in (0, 1)]
+        D_od = sp.diags(np.outer(wt, ind_d).ravel())
+        D_o = sp.diags(np.tile(ind_o, M))
+        D_oi = [sp.diags(np.tile(ind_i[i], M)) for i in (0, 1)]
         wv = prob.grid.interior_volumes
         self.rho0_inv2 = weights.rho0_n ** (-2.0)
         self.rho1_inv2 = weights.rho1_n ** (-2.0)
@@ -204,18 +204,20 @@ class HUMSolver:
         Zt = sp.csr_matrix((size, n))  # phi^{M+1} couples only through L*
         a1, a2 = game.alphas
         m1, m2 = game.mus
-        self.G0 = sp.hstack([self.Lstar, -a1 * self.D_od, -a2 * self.D_od]).tocsr()
-        self.G1 = sp.hstack([self.D_oi[0] / m1, Zt, self.Lfwd, Z]).tocsr()
-        self.G2 = sp.hstack([self.D_oi[1] / m2, Zt, Z, self.Lfwd]).tocsr()
-        self.E = sp.hstack([self.D_o, Zt, Z, Z]).tocsr()
+        self.G0 = sp.hstack([self.Lstar, -a1 * D_od, -a2 * D_od]).tocsr()
+        self.G1 = sp.hstack([D_oi[0] / m1, Zt, self.Lfwd, Z]).tocsr()
+        self.G2 = sp.hstack([D_oi[1] / m2, Zt, Z, self.Lfwd]).tocsr()
+        self.E = sp.hstack([D_o, Zt, Z, Z]).tocsr()
         B = (self.G0.T @ W0 @ self.G0 + self.G1.T @ W0 @ self.G1
-             + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E)
-        self.B = B.tocsc()
+             + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E).tocsc()
         # symmetric Jacobi scaling: the raw operator mixes rho scales over
         # ten decades, which defeats plain splu in double precision
-        self.scale = np.sqrt(self.B.diagonal())
+        self.scale = np.sqrt(B.diagonal())
         Dinv = sp.diags(1.0 / self.scale)
-        self.Bs = (Dinv @ self.B @ Dinv).tocsc()
+        self.Bs = (Dinv @ B @ Dinv).tocsc()
+        # only the scaled operator is read from here on; free the unscaled
+        # copy before the factorization, the memory peak of the build
+        del B
         # the normal operator inherits the exponentially weak observability
         # of the continuous problem; factor a shifted copy and correct by
         # iterative refinement against the true matrix (the load is in the
@@ -231,8 +233,7 @@ class HUMSolver:
         # extended-precision copy for refinement residuals; CSR sums each
         # row in the same order as the CSC product, at half its cost
         self._Bld = self.Bs.astype(np.longdouble).tocsr()
-        self._W0, self._W1 = W0, W1
-        self._size, self._n, self._M = size, n, M
+        self._n, self._M = n, M
 
     def _rhs(self, y0: np.ndarray, H, H1, H2) -> np.ndarray:
         prob = self.prob

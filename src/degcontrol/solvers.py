@@ -50,6 +50,7 @@ __all__ = [
     "solve_adjoint_coupled",
     "LinearizedSolution",
     "AdjointSolution",
+    "AdjointBlock",
     "EnergyReport",
     "energy_diagnostics",
     "central_gradient_bands",
@@ -106,8 +107,9 @@ class LevelOps:
     """Per-level operators L_n as bands and LU factors of (I + dt L_n).
 
     `bands[n]` holds L_n (shape (M+1, 3, N-1)); `bands_t` the bands of its
-    weighted transpose.  `solve` and `solve_adjoint` step forward and
-    backward through the same dgttrf factors, each level factored at
+    weighted transpose.  `march` and `march_adjoint` step forward and
+    backward through the same dgttrf factors, one or many columns at a
+    time, and `solve` takes one forward step; each level is factored at
     most once.  The space-time HUM assembly reads the same bands.
     Instances are immutable once built and shared by sweeps.
     """
@@ -146,10 +148,36 @@ class LevelOps:
         """(I + dt L_m)^{-1} rhs."""
         return lapack.dgttrs(*self._factor(m), rhs)[0]
 
-    def solve_adjoint(self, m: int, rhs: np.ndarray) -> np.ndarray:
-        """(I + dt W^{-1} L_m^T W)^{-1} rhs, by the transposed factors."""
+    def march(self, rows: np.ndarray) -> None:
+        """Forward march y^m = (I + dt L_m)^{-1} (y^{m-1} + dt f^m), in place.
+
+        rows: (M+1, N-1) or (M+1, k, N-1), each rows[m] C-contiguous.  On
+        entry rows[0] holds y^0 and rows[m] holds dt f^m; on exit rows[m]
+        holds y^m.  The k columns are the right-hand sides of one dgttrs
+        call per level, which runs the one-column recurrence on each, so
+        every column equals its own one-column march bit for bit.
+        """
+        for m in range(1, len(rows)):
+            b = rows[m]
+            np.add(rows[m - 1], b, out=b)
+            lapack.dgttrs(*self._factor(m), b.T, overwrite_b=1)
+
+    def march_adjoint(self, rows: np.ndarray, start: int) -> None:
+        """Backward march with the weighted transposes, in place.
+
+        p^m = (I + dt W^{-1} L_m^T W)^{-1} (p^{m+1} + dt g^m) for m = start
+        down to 0, by the transposed factors; p^{M+1} = 0.  On entry
+        rows[m] holds dt g^m for m <= start, and rows[start+1] the
+        terminal row when start < M.  Layout as in `march`.
+        """
         wv = self._wv
-        return lapack.dgttrs(*self._factor(m), wv * rhs, trans="T")[0] / wv
+        last = len(rows) - 1
+        for m in range(start, -1, -1):
+            b = rows[m]
+            np.add(b, rows[m + 1] if m < last else 0.0, out=b)
+            np.multiply(wv, b, out=b)
+            lapack.dgttrs(*self._factor(m), b.T, trans="T", overwrite_b=1)
+            np.divide(b, wv, out=b)
 
 
 class CylinderProblem:
@@ -324,15 +352,13 @@ def solve_forward_linear(ops: LevelOps, y0: np.ndarray,
                          source: np.ndarray) -> TrajectoryField:
     """March y^n = (I + dt L_n)^{-1} (y^{n-1} + dt f^n) with f = source."""
     prob = ops.prob
-    dt = prob.mesh.dt
     out = prob.new_field()
     out.values[0] = np.asarray(y0, dtype=float)
     out.zero_boundary()
-    y = _interior(out.values[0]).copy()
-    src = dt * np.asarray(source, dtype=float)
-    for n in range(1, prob.mesh.M + 1):
-        y = ops.solve(n, y + src[n])
-        out.values[n, 1:-1] = y
+    rows = _interior(out.values)
+    np.multiply(prob.mesh.dt, np.asarray(source, dtype=float)[1:],
+                out=rows[1:])
+    ops.march(rows)
     return out
 
 
@@ -345,20 +371,17 @@ def solve_backward_linear(ops: LevelOps, source: np.ndarray,
     terminal row imposes p^M = terminal instead.
     """
     prob = ops.prob
-    dt = prob.mesh.dt
+    M = prob.mesh.M
     out = prob.new_field()
-    if terminal is None:
-        p = np.zeros(prob.grid.N - 1)
-        start = prob.mesh.M
-    else:
-        out.values[prob.mesh.M] = np.asarray(terminal, dtype=float)
+    start = M
+    if terminal is not None:
+        out.values[M] = np.asarray(terminal, dtype=float)
         out.zero_boundary()
-        p = _interior(out.values[prob.mesh.M]).copy()
-        start = prob.mesh.M - 1
-    src = dt * np.asarray(source, dtype=float)
-    for m in range(start, -1, -1):
-        p = ops.solve_adjoint(m, p + src[m])
-        out.values[m, 1:-1] = p
+        start = M - 1
+    rows = _interior(out.values)
+    np.multiply(prob.mesh.dt, np.asarray(source, dtype=float)[:start + 1],
+                out=rows[:start + 1])
+    ops.march_adjoint(rows, start)
     return out
 
 
@@ -368,6 +391,13 @@ class LinearizedSolution:
     p1: TrajectoryField
     p2: TrajectoryField
     history: list
+
+
+def _field(prob: CylinderProblem, interior: np.ndarray) -> TrajectoryField:
+    """Nodal field with the interior rows (M+1, N-1) and zero boundary."""
+    out = prob.new_field()
+    out.values[:, 1:-1] = interior
+    return out
 
 
 def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
@@ -383,6 +413,8 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
 
     y_t + L y = h 1_O - p1/mu1 1_O1 - p2/mu2 1_O2 + H,   y(0)=y0,
     -p_i_t + L* p_i = alpha_i y 1_Od + H_i,              p_i(T)=0.
+
+    p1 and p2 march backward together, as the two columns of one march.
     """
     ops = prob.linearized_ops()
     ind_od = prob.indicator_interior("Od")
@@ -392,26 +424,26 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
         _interior(H1.values) if H1 is not None else 0.0,
         _interior(H2.values) if H2 is not None else 0.0,
     ]
-    shape = (prob.mesh.M + 1, prob.grid.N - 1)
-    p = [np.zeros(shape), np.zeros(shape)]
+    M = prob.mesh.M
+    p = np.zeros((M + 1, 2, prob.grid.N - 1))
     history = []
-    y_field = p_fields = None
     for _ in range(max_sweeps):
-        src = base_src - p[0] * (ind[0] / mus[0]) - p[1] * (ind[1] / mus[1])
+        src = (base_src - p[:, 0] * (ind[0] / mus[0])
+               - p[:, 1] * (ind[1] / mus[1]))
         y_field = solve_forward_linear(ops, y0, src)
         yi = _interior(y_field.values)
-        p_fields = []
-        delta = 0.0
+        rows = np.empty_like(p)
         for i in (0, 1):
-            gi = alphas[i] * yi * ind_od[None, :] + hsrc[i]
-            pf = solve_backward_linear(ops, gi)
-            pi = _interior(pf.values)
-            delta = max(delta, float(np.max(np.abs(pi - p[i]))))
-            p[i] = pi
-            p_fields.append(pf)
+            rows[:, i] = alphas[i] * yi * ind_od[None, :] + hsrc[i]
+        rows *= prob.mesh.dt
+        ops.march_adjoint(rows, M)
+        delta = max(0.0, *(float(d) for d in
+                           np.max(np.abs(rows - p), axis=(0, 2))))
+        p = rows
         history.append(delta)
         if delta <= tol:
-            return LinearizedSolution(y=y_field, p1=p_fields[0], p2=p_fields[1],
+            return LinearizedSolution(y=y_field, p1=_field(prob, p[:, 0]),
+                                      p2=_field(prob, p[:, 1]),
                                       history=history)
     raise SweepFailureError(history, "linearized forward-backward coupling")
 
@@ -425,15 +457,57 @@ class AdjointSolution:
     history: list
 
 
+@dataclass
+class AdjointBlock:
+    """k coupled adjoint solutions, one column each, in march layout.
+
+    phi: (M+1, k, N-1) interior values; psi: (M+1, k, 2, N-1) for the
+    full form, rho: (M+1, k, N-1) for the reduced one (the other is
+    None).  history holds, per sweep, the largest update over the
+    columns still sweeping.
+    """
+
+    prob: CylinderProblem
+    phi: np.ndarray
+    psi: np.ndarray | None
+    rho: np.ndarray | None
+    alphas: tuple
+    history: list
+
+    def sample(self, j: int) -> AdjointSolution:
+        """Column j as nodal fields; history is the block's."""
+        prob = self.prob
+        phi = _field(prob, self.phi[:, j])
+        if self.psi is None:
+            return AdjointSolution(phi=phi, psi1=None, psi2=None,
+                                   rho=_field(prob, self.rho[:, j]),
+                                   history=self.history)
+        psi1, psi2 = (_field(prob, self.psi[:, j, i]) for i in (0, 1))
+        rho = self.alphas[0] * psi1 + self.alphas[1] * psi2
+        return AdjointSolution(phi=phi, psi1=psi1, psi2=psi2, rho=rho,
+                               history=self.history)
+
+
+def _block_source(F, k: int):
+    """Interior values of a source in march layout (M+1, k, N-1).
+
+    F is None (the scalar 0.0, so a zero source is never stored), a
+    TrajectoryField (k = 1) or an array (k, M+1, N+1).  The result is a
+    view of F's values.
+    """
+    if F is None:
+        return 0.0
+    vals = np.asarray(getattr(F, "values", F), dtype=float)
+    return _interior(vals.reshape(k, *vals.shape[-2:])).transpose(1, 0, 2)
+
+
 def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
-                          Fsrc: TrajectoryField | None = None,
-                          F1: TrajectoryField | None = None,
-                          F2: TrajectoryField | None = None,
+                          Fsrc=None, F1=None, F2=None,
                           mus: tuple = (1.0, 1.0),
                           alphas: tuple = (1.0, 1.0),
                           tol: float = 1e-10,
                           max_sweeps: int = 200,
-                          reduced: bool = False) -> AdjointSolution:
+                          reduced: bool = False):
     """Coupled adjoint system, full (phi, psi1, psi2) or reduced (phi, rho).
 
     -phi_t + L* phi = Fsrc + (alpha1 psi1 + alpha2 psi2) 1_Od, phi(T)=phiT,
@@ -441,54 +515,107 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
 
     The reduced form tracks rho = alpha1 psi1 + alpha2 psi2 directly with
     source G = alpha1 F1 + alpha2 F2.
+
+    phiT is one terminal row (N+1,), with sources given as TrajectoryFields
+    and an AdjointSolution returned, or a block of k rows (k, N+1), with
+    sources as arrays (k, M+1, N+1) and an AdjointBlock returned.  Each
+    row is one column of the same level solves (psi1 and psi2 are two
+    columns each), and each column leaves the sweep at its own first
+    converged sweep: it is swapped out of the active prefix that is
+    marched, so its result is the one a solo solve gives, bit for bit.
+    Raises SweepFailureError if any column is unconverged after
+    max_sweeps.
     """
     ops = prob.linearized_ops()
+    M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
+    terminal = np.asarray(phiT, dtype=float)
+    single = terminal.ndim == 1
+    terminal = terminal.reshape(-1, prob.grid.N + 1)
+    k = len(terminal)
+    f0, f1, f2 = (_block_source(F, k) for F in (Fsrc, F1, F2))
     ind_od = prob.indicator_interior("Od")
     ind = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
-    f0 = _interior(Fsrc.values) if Fsrc is not None else 0.0
-    fi = [
-        _interior(F1.values) if F1 is not None else 0.0,
-        _interior(F2.values) if F2 is not None else 0.0,
-    ]
-    shape = (prob.mesh.M + 1, prob.grid.N - 1)
-    zero0 = np.zeros(prob.grid.N + 1)
-    history = []
+    phi = np.zeros((M + 1, k, n))
+    phi[M] = _interior(terminal)
+    # the current iterate of psi (or rho) and the buffer the next one is
+    # marched in; both hold the finished columns
+    shape = (M + 1, k, n) if reduced else (M + 1, k, 2, n)
+    cur, nxt = np.zeros(shape), np.zeros(shape)
     if reduced:
-        g_src = alphas[0] * fi[0] + alphas[1] * fi[1]
+        g_src = alphas[0] * f1 + alphas[1] * f2
         coupling = (alphas[0] / mus[0]) * ind[0] + (alphas[1] / mus[1]) * ind[1]
-        rho_i = np.zeros(shape)
-        for _ in range(max_sweeps):
-            phi = solve_backward_linear(ops, f0 + rho_i * ind_od[None, :],
-                                        terminal=phiT)
-            rho_f = solve_forward_linear(
-                ops, zero0, g_src - _interior(phi.values) * coupling[None, :])
-            delta = float(np.max(np.abs(_interior(rho_f.values) - rho_i)))
-            rho_i = _interior(rho_f.values)
-            history.append(delta)
-            if delta <= tol:
-                return AdjointSolution(phi=phi, psi1=None, psi2=None,
-                                       rho=rho_f, history=history)
-        raise SweepFailureError(history, "reduced adjoint coupling")
-    psi = [np.zeros(shape), np.zeros(shape)]
+    order = np.arange(k)  # the column of the input held at each position
+    swaps = []
+    a = k  # columns [:a] are still sweeping
+    history = []
+
+    def active(f, levels: slice):
+        # a source's levels for the active columns, in their current order
+        if np.ndim(f) == 0:
+            return f
+        return f[levels, :a] if a == k else f[levels, order[:a]]
+
+    def swap(i, j):
+        for arr in (phi, cur):
+            col = arr[:, i].copy()
+            arr[:, i] = arr[:, j]
+            arr[:, j] = col
+
     for _ in range(max_sweeps):
-        combined = alphas[0] * psi[0] + alphas[1] * psi[1]
-        phi = solve_backward_linear(ops, f0 + combined * ind_od[None, :],
-                                    terminal=phiT)
-        phi_i = _interior(phi.values)
-        psi_fields = []
-        delta = 0.0
-        for i in (0, 1):
-            pf = solve_forward_linear(
-                ops, zero0, fi[i] - phi_i * (ind[i] / mus[i])[None, :])
-            delta = max(delta, float(np.max(np.abs(_interior(pf.values) - psi[i]))))
-            psi[i] = _interior(pf.values)
-            psi_fields.append(pf)
-        history.append(delta)
-        if delta <= tol:
-            rho = alphas[0] * psi_fields[0] + alphas[1] * psi_fields[1]
-            return AdjointSolution(phi=phi, psi1=psi_fields[0], psi2=psi_fields[1],
-                                   rho=rho, history=history)
-    raise SweepFailureError(history, "adjoint forward-backward coupling")
+        p, c, q = phi[:, :a], cur[:, :a], nxt[:, :a]
+        # phi source dt (f0 + (coupled term) 1_Od) on levels 0..M-1,
+        # built in the phi buffer; phi^M keeps the terminal row
+        s = p[:M]
+        if reduced:
+            np.multiply(c[:M], ind_od, out=s)
+        else:
+            # alpha2 psi2 goes through the next iterate's buffer, which is
+            # free until its sources are built below
+            np.multiply(c[:M, :, 0], alphas[0], out=s)
+            np.multiply(c[:M, :, 1], alphas[1], out=q[1:, :, 0])
+            np.add(s, q[1:, :, 0], out=s)
+            np.multiply(s, ind_od, out=s)
+        np.add(active(f0, slice(M)), s, out=s)
+        np.multiply(s, dt, out=s)
+        ops.march_adjoint(p, M - 1)
+        # forward sources dt (f - phi c) on levels 1..M; level 0 stays 0
+        if reduced:
+            fwd = [(q[1:], g_src, coupling)]
+        else:
+            fwd = [(q[1:, :, i], fi, ind[i] / mus[i])
+                   for i, fi in ((0, f1), (1, f2))]
+        for s, fi, coef in fwd:
+            np.multiply(p[1:], coef, out=s)
+            np.subtract(active(fi, slice(1, None)), s, out=s)
+            np.multiply(s, dt, out=s)
+        ops.march(q.reshape(M + 1, -1, n))
+        # per-column update, computed in the old iterate's buffer
+        np.subtract(c, q, out=c)
+        np.abs(c, out=c)
+        delta = c.max(axis=tuple(i for i in range(c.ndim) if i != 1))
+        history.append(float(delta.max()))
+        cur, nxt = nxt, cur
+        top = a
+        for j in np.flatnonzero(delta <= tol)[::-1]:
+            a -= 1
+            if j != a:
+                swap(j, a)
+                swaps.append((j, a))
+                order[[j, a]] = order[[a, j]]
+        nxt[:, a:top] = cur[:, a:top]
+        if a == 0:
+            break
+    else:
+        what = "reduced adjoint coupling" if reduced else \
+            "adjoint forward-backward coupling"
+        raise SweepFailureError(history, what)
+    del nxt  # scratch: free it before any output is built
+    for j, i in reversed(swaps):
+        swap(j, i)
+    block = AdjointBlock(prob=prob, phi=phi, psi=None if reduced else cur,
+                         rho=cur if reduced else None, alphas=alphas,
+                         history=history)
+    return block.sample(0) if single else block
 
 
 # -- energy diagnostics --------------------------------------------------

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from degcontrol import carleman
 from degcontrol.carleman import (
+    BLOCK_BYTES,
     CarlemanParams,
     CarlemanWeights,
     PsiFunction,
+    block_size,
     build_psi,
     empirical_carleman,
     empirical_observability,
@@ -14,7 +17,8 @@ from degcontrol.carleman import (
 )
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh
-from degcontrol.solvers import CylinderProblem
+from degcontrol.grids import TrajectoryField
+from degcontrol.solvers import CylinderProblem, solve_adjoint_coupled
 
 
 class TestPsi:
@@ -156,3 +160,108 @@ class TestEmpiricalInequalities:
                                  rng=np.random.default_rng(3))
         assert rep["skipped"] == 0
         assert np.isfinite(rep["max_ratio"])
+
+
+def _q_integral(logw, fields_sq, grid, mesh, mask_x=None):
+    vals = np.exp(np.minimum(logw, 700.0)) * fields_sq
+    vals = np.where(np.isfinite(logw), vals, 0.0)
+    if mask_x is not None:
+        vals = vals * mask_x[None, :]
+    return float(mesh.dt * np.einsum("j,nj->", grid.cell_volumes, vals[1:]))
+
+
+def _reference_observability(prob, w, samples, rng):
+    """One solo solve per sample; the weight exponentiated per integral."""
+    grid, mesh = prob.grid, prob.mesh
+    logw = w.log_observation_weight()
+    ind_o = prob.indicator("O")
+    wmass = _q_integral(logw, np.ones((mesh.M + 1, grid.N + 1)), grid, mesh,
+                        ind_o)
+    ratios = []
+    for _ in range(samples):
+        sol = solve_adjoint_coupled(prob, carleman._random_smooth_row(grid, rng),
+                                    reduced=True)
+        lhs = grid.norm(sol.phi.values[0]) ** 2 + grid.norm(sol.rho.values[-1]) ** 2
+        ratios.append(lhs / (_q_integral(logw, sol.phi.values**2, grid, mesh,
+                                         ind_o) / wmass))
+    return ratios
+
+
+def _reference_carleman(prob, w, samples, rng):
+    """One solo solve per sample; every weight exponentiated per integral."""
+    grid, mesh = prob.grid, prob.mesh
+    z = w.zeta()
+    fin = np.isfinite(w.A)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logz = np.where(np.isfinite(z), np.log(np.where(z > 0, z, 1.0)), np.inf)
+        log2sA = np.where(fin, 2 * w.s * (w.A - w.A_reference()), -np.inf)
+        lsl = np.log(w.s * w.lam)
+        log_src = np.where(fin, log2sA + 4 * (lsl + logz), -np.inf)
+        log_obs = np.where(fin, log2sA + 8 * (lsl + logz), -np.inf)
+        lw0 = np.where(fin, log2sA + 2 * (lsl + logz), -np.inf)
+        lwf = np.where(fin[:, :-1] & fin[:, 1:],
+                       0.5 * (lw0[:, :-1] + lw0[:, 1:])
+                       - (lsl + 0.5 * (logz[:, :-1] + logz[:, 1:])), -np.inf)
+    b_sq = prob.b_t**2
+    a_face = prob.deg.a(grid.faces)
+    h = grid.spacings
+
+    def gamma(u):
+        g0 = _q_integral(lw0, b_sq[:, None] * u**2, grid, mesh)
+        ux = np.diff(u, axis=1) / h[None, :]
+        with np.errstate(invalid="ignore"):
+            vals = (np.exp(np.minimum(lwf, 700.0)) * b_sq[:, None]
+                    * a_face[None, :] * ux**2)
+            vals = np.where(np.isfinite(lwf), vals, 0.0)
+        return g0 + float(mesh.dt * np.einsum("f,nf->", h, vals[1:]))
+
+    x, t = grid.nodes[None, :], mesh.times[:, None]
+    ratios = []
+    for _ in range(samples):
+        phiT = carleman._random_smooth_row(grid, rng)
+        srcs = []
+        for _ in range(3):
+            c = rng.standard_normal(3)
+            srcs.append(TrajectoryField(grid, mesh, (
+                c[0] * np.sin(np.pi * x) + c[1] * np.sin(2 * np.pi * x) * t
+                + c[2] * x * (1 - x) * np.cos(t))))
+        sol = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
+                                    F2=srcs[2])
+        lhs = (gamma(sol.phi.values) + gamma(sol.psi1.values)
+               + gamma(sol.psi2.values))
+        src_sq = sum(f.values**2 for f in srcs)
+        rhs = (_q_integral(log_src, src_sq, grid, mesh)
+               + _q_integral(log_obs, sol.phi.values**2, grid, mesh,
+                             prob.indicator("O")))
+        ratios.append(lhs / rhs)
+    return ratios
+
+
+class TestBlockedSampling:
+    """Blocked sampling gives the per-sample ratios and rng stream."""
+
+    def test_ratios_equal_per_sample_reference(self):
+        prob = CylinderProblem.default(N=32, M=64)
+        w = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
+        # sample counts that the block sizes do not divide
+        n_obs, n_car = 3 * block_size(prob, 3) // 2, 3 * block_size(prob, 8) // 2
+        assert block_size(prob, 8) > 1 and n_car % block_size(prob, 8)
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        obs = empirical_observability(prob, w, samples=n_obs, rng=rng)
+        car = empirical_carleman(prob, w, samples=n_car, rng=rng)
+        assert obs["ratios"] == _reference_observability(prob, w, n_obs, ref_rng)
+        assert car["ratios"] == _reference_carleman(prob, w, n_car, ref_rng)
+        assert rng.standard_normal() == ref_rng.standard_normal()
+
+    @pytest.mark.parametrize("grid", [(64, 128), (128, 256)])
+    @pytest.mark.parametrize("trajectories", [3, 8])
+    def test_block_within_budget(self, grid, trajectories):
+        prob = CylinderProblem.default(N=grid[0], M=grid[1])
+        sample = trajectories * (prob.mesh.M + 1) * (prob.grid.N + 1) * 8
+        k = block_size(prob, trajectories)
+        # the largest block within the budget; a larger sample runs alone
+        assert k >= 1
+        assert k * sample <= BLOCK_BYTES or k == 1
+        assert (k + 1) * sample > BLOCK_BYTES
+        if grid == (64, 128):
+            assert k >= 2

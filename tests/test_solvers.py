@@ -7,6 +7,7 @@ from degcontrol.grids import TrajectoryField
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
     CylinderProblem,
+    SweepFailureError,
     energy_diagnostics,
     solve_adjoint_coupled,
     solve_backward_linear,
@@ -92,6 +93,78 @@ class TestCoupledSweeps:
         combo = alphas[0] * full.psi1.values + alphas[1] * full.psi2.values
         scale = np.max(np.abs(combo)) + 1e-30
         assert np.max(np.abs(red.rho.values - combo)) / scale <= 1e-8
+
+
+class TestBlockedMarches:
+    """Columns of one march equal one-column marches, bit for bit."""
+
+    def test_forward_columns(self, prob, rng):
+        ops = prob.ops_at_state(TrajectoryField.from_function(
+            prob.grid, prob.mesh, lambda x, t: 0.2 * np.sin(np.pi * x) * (1 + t)))
+        rows = rng.standard_normal((prob.mesh.M + 1, 5, prob.grid.N - 1))
+        cols = [rows[:, j].copy() for j in range(5)]
+        ops.march(rows)
+        for j, col in enumerate(cols):
+            ops.march(col)
+            assert np.array_equal(rows[:, j], col)
+
+    @pytest.mark.parametrize("start", ["free", "terminal"])
+    def test_adjoint_columns(self, prob, rng, start):
+        ops = prob.linearized_ops()
+        M = prob.mesh.M
+        m0 = M if start == "free" else M - 1
+        rows = rng.standard_normal((M + 1, 4, prob.grid.N - 1))
+        cols = [rows[:, j].copy() for j in range(4)]
+        ops.march_adjoint(rows, m0)
+        for j, col in enumerate(cols):
+            ops.march_adjoint(col, m0)
+            assert np.array_equal(rows[:, j], col)
+
+
+def _block_case(prob, k):
+    """k terminal rows scaled over 1e-6..1e2 and k source triples."""
+    rng = np.random.default_rng(7)
+    x = prob.grid.nodes
+    scales = np.logspace(-6, 2, k)
+    phiT = np.array([s * (np.sin(np.pi * x) + 0.4 * np.sin(3 * np.pi * x)
+                          * rng.standard_normal()) for s in scales])
+    shape = (3, k, prob.mesh.M + 1, prob.grid.N + 1)
+    srcs = 1e-3 * scales[None, :, None, None] * rng.standard_normal(shape)
+    return phiT, srcs
+
+
+class TestBlockedAdjoint:
+    """A block of rows solves like solo calls, column by column."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_block_equals_solo(self, prob_small, reduced):
+        prob = prob_small
+        k = 5
+        phiT, srcs = _block_case(prob, k)
+        kw = dict(mus=(2.0, 3.0), alphas=(1.3, 0.7), reduced=reduced)
+        block = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
+                                      F2=srcs[2], **kw)
+        sweeps = []
+        for j in range(k):
+            fields = [TrajectoryField(prob.grid, prob.mesh, f[j]) for f in srcs]
+            solo = solve_adjoint_coupled(prob, phiT[j], Fsrc=fields[0],
+                                         F1=fields[1], F2=fields[2], **kw)
+            got = block.sample(j)
+            names = ("phi", "rho") if reduced else ("phi", "psi1", "psi2", "rho")
+            for name in names:
+                assert np.array_equal(getattr(got, name).values,
+                                      getattr(solo, name).values), (j, name)
+            sweeps.append(len(solo.history))
+        # the columns left the block at different sweeps
+        assert len(set(sweeps)) > 1
+        assert len(block.history) == max(sweeps)
+
+    def test_unconverged_column_raises(self, prob_small):
+        phiT, srcs = _block_case(prob_small, 3)
+        with pytest.raises(SweepFailureError) as err:
+            solve_adjoint_coupled(prob_small, phiT, Fsrc=srcs[0], F1=srcs[1],
+                                  F2=srcs[2], max_sweeps=1)
+        assert len(err.value.history) == 1
 
 
 class TestEnergy:
