@@ -29,6 +29,7 @@ import numpy as np
 
 from .geometry import DegeneracySpec
 from .grids import SpatialGrid, TimeMesh
+from .operators import band_apply
 
 __all__ = [
     "CarlemanParams",
@@ -350,47 +351,46 @@ class CarlemanWeights:
 
 
 # -- empirical constants --------------------------------------------------
+#
+# Every sample is drawn from a fixed family: a terminal row combines the
+# first SINE_MODES sine modes with `_damped` normal coefficients, and
+# each Carleman source combines the three `_source_modes`.  The adjoint
+# system is linear, so a sample's solution is the same combination of
+# basis solutions, and both sides of each sampled inequality are
+# quadratic forms in the sample's coefficients (the Gramian view of HUM
+# observability).  The adjoint system is therefore solved once per basis
+# mode, and every ratio is c.G.c / c.R.c with Gram matrices G, R built
+# once from the basis solutions.
+
+SINE_MODES = 5
 
 
-def _random_smooth_row(grid: SpatialGrid, rng: np.random.Generator,
-                       modes: int = 5) -> np.ndarray:
+def _sine_modes(grid: SpatialGrid) -> np.ndarray:
+    """Rows sin((k+1) pi x) for k < SINE_MODES, shape (SINE_MODES, N+1)."""
+    k = np.arange(1, SINE_MODES + 1)[:, None]
+    return np.sin(k * np.pi * grid.nodes[None, :])
+
+
+def _damped(normals: np.ndarray) -> np.ndarray:
+    """Sine-mode coefficients from standard normals: mode k over (k+1)^2."""
+    return normals / (1.0 + np.arange(normals.shape[-1])) ** 2
+
+
+def _random_smooth_row(grid: SpatialGrid,
+                       rng: np.random.Generator) -> np.ndarray:
     """Random Dirichlet-compatible combination of low sine modes."""
-    x = grid.nodes
-    coef = rng.standard_normal(modes) / (1.0 + np.arange(modes)) ** 2
-    return sum(c * np.sin((k + 1) * np.pi * x) for k, c in enumerate(coef))
+    return _damped(rng.standard_normal(SINE_MODES)) @ _sine_modes(grid)
 
 
-# Memory budget of one sampling block.  The adjoint problems of a block
-# are solved together, each sample one column of the same level solves,
-# so a block holds every trajectory its samples need at once; sizing it in
-# bytes rather than samples gives finer grids narrower blocks.
-BLOCK_BYTES = 1_200_000
-
-
-def block_size(prob, trajectories: int) -> int:
-    """Samples per block: the most whose `trajectories` nodal trajectories
-    each fit in BLOCK_BYTES together.  A sample larger than the budget is
-    solved alone."""
-    traj_bytes = (prob.mesh.M + 1) * (prob.grid.N + 1) * 8
-    return max(1, BLOCK_BYTES // (trajectories * traj_bytes))
-
-
-def _blocks(samples: int, k: int):
-    """Sizes of consecutive blocks of at most k samples."""
-    return [min(k, samples - i) for i in range(0, samples, k)]
-
-
-def _nodal_scratch(prob):
-    """nodal(rows): interior rows (M+1, N-1) written into one reused nodal
-    array, whose boundary stays 0, and returned.  Each call overwrites the
-    previous result."""
-    u = np.zeros((prob.mesh.M + 1, prob.grid.N + 1))
-
-    def nodal(rows: np.ndarray) -> np.ndarray:
-        u[:, 1:-1] = rows
-        return u
-
-    return nodal
+def _source_modes(grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:
+    """The Carleman source basis sin(pi x), t sin(2 pi x), x(1-x) cos t,
+    shape (3, M+1, N+1)."""
+    x, t = grid.nodes[None, :], mesh.times[:, None]
+    out = np.empty((3, mesh.M + 1, grid.N + 1))
+    out[0] = np.sin(np.pi * x)
+    out[1] = np.sin(2 * np.pi * x) * t
+    out[2] = x * (1 - x) * np.cos(t)
+    return out
 
 
 def _exp_weight(logw: np.ndarray) -> np.ndarray:
@@ -405,6 +405,45 @@ def _weighted_q_integral(weight: np.ndarray, fields_sq: np.ndarray,
     return float(mesh.dt * np.einsum("j,nj->", grid.cell_volumes, vals[1:]))
 
 
+def _gram(groups, weight: np.ndarray) -> np.ndarray:
+    """Gram matrix sum_{m=1..M} <u_a^m, T_m u_b^m> of basis columns.
+
+    groups: arrays (M+1, k, N-1) of interior rows in march layout, whose
+    columns are numbered group after group.  weight: T_m for m = 1..M,
+    as bands (M, 3, N-1) or as a diagonal (M, N-1).  T u is held for one
+    group at a time.
+    """
+    ends = np.cumsum([u.shape[1] for u in groups])
+    G = np.empty((ends[-1], ends[-1]))
+    for u, stop in zip(groups, ends):
+        if weight.ndim == 3:
+            tu = band_apply(weight[:, None], u[1:])
+        else:
+            tu = weight[:, None] * u[1:]
+        for v, row_stop in zip(groups, ends):
+            G[row_stop - v.shape[1]:row_stop, stop - u.shape[1]:stop] = \
+                np.einsum("mkn,mln->kl", v[1:], tu)
+    return G
+
+
+def _ratio_report(coef: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
+                  weights: CarlemanWeights) -> dict:
+    """Ratios c.lhs.c / c.rhs.c for the coefficient rows c of `coef`; a
+    sample whose right-hand side is at most 1e-300 is skipped."""
+    num = np.einsum("si,ij,sj->s", coef, lhs, coef)
+    den = np.einsum("si,ij,sj->s", coef, rhs, coef)
+    skip = den <= 1e-300
+    ratios = num[~skip] / den[~skip]
+    return {
+        "max_ratio": float(np.max(ratios)) if ratios.size else float("nan"),
+        "ratios": ratios.tolist(),
+        "skipped": int(np.count_nonzero(skip)),
+        "A_reference": weights.A_reference(),
+        "s": weights.s,
+        "lambda": weights.lam,
+    }
+
+
 def empirical_observability(prob, weights: CarlemanWeights,
                             samples: int = 20,
                             rng: np.random.Generator | None = None,
@@ -412,12 +451,12 @@ def empirical_observability(prob, weights: CarlemanWeights,
                             alphas: tuple = (1.0, 1.0)) -> dict:
     """Sampled observability ratio of the reduced adjoint system.
 
-    For random terminal data, solves (phi, rho) with zero sources and
-    returns max over samples of
+    For random terminal data and zero sources, returns max over samples of
     (|phi(0)|^2 + |rho(T)|^2) / int_O e^{2s(A-Aref)} (s lam zeta)^8 |phi|^2.
     The normalization exponent 2 s Aref is reported; ratios are only
-    meaningful relative to it.  Samples are solved in blocks (see
-    `block_size`); each ratio is the one a solo solve gives.
+    meaningful relative to it.  The adjoint system is solved once, with
+    the sine modes as its columns, and each ratio is a quotient of two
+    Gram forms in the sample's mode coefficients.
     """
     from .solvers import solve_adjoint_coupled
 
@@ -432,30 +471,13 @@ def empirical_observability(prob, weights: CarlemanWeights,
     # refinement; the mass is absorbed into the fitted constant.
     wmass = _weighted_q_integral(w_obs, np.ones((mesh.M + 1, grid.N + 1)),
                                  grid, mesh)
-    nodal = _nodal_scratch(prob)
-    ratios, skipped = [], 0
-    # per sample: phi, rho and the next rho iterate
-    for k in _blocks(samples, block_size(prob, 3)):
-        phiT = np.array([_random_smooth_row(grid, rng) for _ in range(k)])
-        block = solve_adjoint_coupled(prob, phiT, mus=mus, alphas=alphas,
-                                      reduced=True)
-        for j in range(k):
-            rho_T = grid.norm(nodal(block.rho[:, j])[-1])
-            phi = nodal(block.phi[:, j])
-            lhs = grid.norm(phi[0]) ** 2 + rho_T ** 2
-            rhs = _weighted_q_integral(w_obs, phi**2, grid, mesh) / wmass
-            if rhs <= 1e-300:
-                skipped += 1
-                continue
-            ratios.append(lhs / rhs)
-    return {
-        "max_ratio": float(np.max(ratios)) if ratios else float("nan"),
-        "ratios": [float(r) for r in ratios],
-        "skipped": skipped,
-        "A_reference": weights.A_reference(),
-        "s": weights.s,
-        "lambda": weights.lam,
-    }
+    basis = solve_adjoint_coupled(prob, _sine_modes(grid), mus=mus,
+                                  alphas=alphas, reduced=True)
+    vol = grid.interior_volumes
+    lhs = sum((u * vol) @ u.T for u in (basis.phi[0], basis.rho[-1]))
+    rhs = _gram([basis.phi], mesh.dt * vol * w_obs[1:, 1:-1]) / wmass
+    coef = _damped(rng.standard_normal((samples, SINE_MODES)))
+    return _ratio_report(coef, lhs, rhs, weights)
 
 
 def _carleman_weights(prob, weights: CarlemanWeights) -> tuple:
@@ -490,6 +512,24 @@ def _carleman_weights(prob, weights: CarlemanWeights) -> tuple:
             _exp_weight(log_obs) * prob.indicator("O")[None, :])
 
 
+def _gamma_bands(prob, w0: np.ndarray, wf: np.ndarray) -> np.ndarray:
+    """Bands (M, 3, N-1) of the Gamma form on levels 1..M.
+
+    Gamma(u) = sum_m dt [sum_j w_j w0 b^2 |u_j|^2 + sum_f h_f wf |u_x|^2]
+    is sum_m <u^m, T_m u^m> with the tridiagonal
+    T_m = diag(dt w w0 b^2) + D^T diag(dt wf / h) D, D the face differences
+    of the interior values (the boundary values are zero).
+    """
+    grid, dt = prob.grid, prob.mesh.dt
+    g = dt * wf[1:] / grid.spacings
+    bands = np.zeros((prob.mesh.M, 3, grid.N - 1))
+    bands[:, 0, 1:] = -g[:, 1:-1]
+    bands[:, 1] = (g[:, :-1] + g[:, 1:] + dt * grid.interior_volumes
+                   * w0[1:, 1:-1] * prob.b_t[1:, None]**2)
+    bands[:, 2, :-1] = -g[:, 1:-1]
+    return bands
+
+
 def empirical_carleman(prob, weights: CarlemanWeights,
                        samples: int = 10,
                        rng: np.random.Generator | None = None,
@@ -498,64 +538,35 @@ def empirical_carleman(prob, weights: CarlemanWeights,
     """Sampled ratio of the Carleman inequality for the adjoint system.
 
     Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
-    both evaluated with the common normalization e^{-2 s Aref}.  Samples
-    are solved in blocks (see `block_size`); each ratio is the one a
-    solo solve gives.
+    both evaluated with the common normalization e^{-2 s Aref}.  The
+    adjoint system is solved once per basis mode (the sine modes as
+    terminal rows, then the source modes in each source slot), and each
+    ratio is a quotient of two Gram forms in the sample's coefficients.
     """
     from .solvers import solve_adjoint_coupled
 
     rng = rng or np.random.default_rng(0)
     grid, mesh = prob.grid, prob.mesh
     w0, wf, w_src, w_obs = _carleman_weights(prob, weights)
-    b_sq = prob.b_t**2
-    h = grid.spacings
-    nodal = _nodal_scratch(prob)
-
-    def gamma(u_vals: np.ndarray) -> float:
-        # zero-order part: (s lam)^2 zeta^2 b^2 |u|^2
-        g0 = _weighted_q_integral(w0, b_sq[:, None] * u_vals**2, grid, mesh)
-        # gradient part at faces: (s lam) zeta b^2 a |u_x|^2
-        ux = np.diff(u_vals, axis=1) / h[None, :]
-        vals = wf * ux**2
-        g1 = float(mesh.dt * np.einsum("f,nf->", h, vals[1:]))
-        return g0 + g1
-
-    # source modes on the (time, space) mesh, combined per draw below
-    x, t = grid.nodes[None, :], mesh.times[:, None]
-    sin1, sin2, cos_t = np.sin(np.pi * x), np.sin(2 * np.pi * x), np.cos(t)
-    ratios, skipped = [], 0
-    # per sample: three sources, phi, psi1, psi2 and the next psi iterates
-    for k in _blocks(samples, block_size(prob, 8)):
-        phiT = np.empty((k, grid.N + 1))
-        srcs = np.empty((3, k, mesh.M + 1, grid.N + 1))
-        src_terms = []
-        for j in range(k):
-            phiT[j] = _random_smooth_row(grid, rng)
-            for i in range(3):
-                c = rng.standard_normal(3)
-                srcs[i, j] = (c[0] * sin1 + c[1] * sin2 * t
-                              + c[2] * x * (1 - x) * cos_t)
-            src_sq = sum(f**2 for f in srcs[:, j])
-            src_terms.append(_weighted_q_integral(w_src, src_sq, grid, mesh))
-        block = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
-                                      F2=srcs[2], mus=mus, alphas=alphas)
-        del srcs
-        for j in range(k):
-            phi = nodal(block.phi[:, j])
-            rhs = src_terms[j] + _weighted_q_integral(w_obs, phi**2, grid,
-                                                      mesh)
-            lhs = gamma(phi)
-            lhs += gamma(nodal(block.psi[:, j, 0]))
-            lhs += gamma(nodal(block.psi[:, j, 1]))
-            if rhs <= 1e-300:
-                skipped += 1
-                continue
-            ratios.append(lhs / rhs)
-    return {
-        "max_ratio": float(np.max(ratios)) if ratios else float("nan"),
-        "ratios": [float(r) for r in ratios],
-        "skipped": skipped,
-        "A_reference": weights.A_reference(),
-        "s": weights.s,
-        "lambda": weights.lam,
-    }
+    modes = _source_modes(grid, mesh)
+    q = len(modes)
+    blocks = [solve_adjoint_coupled(prob, _sine_modes(grid), mus=mus,
+                                    alphas=alphas)]
+    for slot in ("Fsrc", "F1", "F2"):
+        blocks.append(solve_adjoint_coupled(
+            prob, np.zeros((q, grid.N + 1)), mus=mus, alphas=alphas,
+            **{slot: modes}))
+    gamma = _gamma_bands(prob, w0, wf)
+    lhs = _gram([b.phi for b in blocks], gamma)
+    for i in (0, 1):
+        lhs += _gram([b.psi[:, :, i] for b in blocks], gamma)
+    dtw = mesh.dt * grid.interior_volumes
+    rhs = _gram([b.phi for b in blocks], dtw * w_obs[1:, 1:-1])
+    # each slot's source term: the Gram matrix of the source modes
+    src = _gram([modes[:, :, 1:-1].transpose(1, 0, 2)], dtw * w_src[1:, 1:-1])
+    for i in range(SINE_MODES, len(rhs), q):
+        rhs[i:i + q, i:i + q] += src
+    # per sample: the terminal normals, then three per source slot
+    coef = rng.standard_normal((samples, len(rhs)))
+    coef[:, :SINE_MODES] = _damped(coef[:, :SINE_MODES])
+    return _ratio_report(coef, lhs, rhs, weights)

@@ -168,7 +168,8 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
 
     Alternates the semilinear forward solve (with the current follower
     controls) and the two adjoint solves with coefficients frozen at the
-    new state, until the trajectory update stalls below tol.
+    new state, until the trajectory update stalls below tol.  Raises
+    SweepFailureError as soon as an update is not finite.
     """
     targets = game.targets(prob)
     wt = game.time_weight(prob)
@@ -191,10 +192,12 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
         ops.march_adjoint(rows, M)
         new = np.zeros_like(p_vals)
         new[:, :, 1:-1] = rows.transpose(1, 0, 2)
-        delta = max(0.0, *(float(np.max(np.abs(new[i] - p_vals[i])))
-                           for i in (0, 1)))
+        # np.max, unlike Python's max, propagates a NaN update
+        delta = float(np.max(np.abs(new - p_vals)))
         p_vals = new
         history.append(delta)
+        if not np.isfinite(delta):
+            raise SweepFailureError(history, "nash optimality system")
         if delta <= tol:
             p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p) for p in new)
             sol = NashSolution(y=y, p1=p1, p2=p2, v1=v[0], v2=v[1],

@@ -415,6 +415,7 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
     -p_i_t + L* p_i = alpha_i y 1_Od + H_i,              p_i(T)=0.
 
     p1 and p2 march backward together, as the two columns of one march.
+    Raises SweepFailureError as soon as an update is not finite.
     """
     ops = prob.linearized_ops()
     ind_od = prob.indicator_interior("Od")
@@ -437,10 +438,13 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
             rows[:, i] = alphas[i] * yi * ind_od[None, :] + hsrc[i]
         rows *= prob.mesh.dt
         ops.march_adjoint(rows, M)
-        delta = max(0.0, *(float(d) for d in
-                           np.max(np.abs(rows - p), axis=(0, 2))))
+        # np.max, unlike Python's max, propagates a NaN update
+        delta = float(np.max(np.abs(rows - p)))
         p = rows
         history.append(delta)
+        if not np.isfinite(delta):
+            raise SweepFailureError(history,
+                                    "linearized forward-backward coupling")
         if delta <= tol:
             return LinearizedSolution(y=y_field, p1=_field(prob, p[:, 0]),
                                       p2=_field(prob, p[:, 1]),
@@ -524,7 +528,7 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     converged sweep: it is swapped out of the active prefix that is
     marched, so its result is the one a solo solve gives, bit for bit.
     Raises SweepFailureError if any column is unconverged after
-    max_sweeps.
+    max_sweeps, or as soon as an update is not finite.
     """
     ops = prob.linearized_ops()
     M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
@@ -548,6 +552,8 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     swaps = []
     a = k  # columns [:a] are still sweeping
     history = []
+    what = "reduced adjoint coupling" if reduced else \
+        "adjoint forward-backward coupling"
 
     def active(f, levels: slice):
         # a source's levels for the active columns, in their current order
@@ -594,6 +600,8 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
         np.abs(c, out=c)
         delta = c.max(axis=tuple(i for i in range(c.ndim) if i != 1))
         history.append(float(delta.max()))
+        if not np.isfinite(history[-1]):
+            raise SweepFailureError(history, what)
         cur, nxt = nxt, cur
         top = a
         for j in np.flatnonzero(delta <= tol)[::-1]:
@@ -606,8 +614,6 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
         if a == 0:
             break
     else:
-        what = "reduced adjoint coupling" if reduced else \
-            "adjoint forward-backward coupling"
         raise SweepFailureError(history, what)
     del nxt  # scratch: free it before any output is built
     for j, i in reversed(swaps):

@@ -15,7 +15,8 @@ from degcontrol.nash import (
     second_derivative_form,
 )
 from degcontrol.semilinear import SemilinearF
-from degcontrol.solvers import CylinderProblem, solve_forward_semilinear
+from degcontrol.solvers import (CylinderProblem, SweepFailureError,
+                                solve_forward_semilinear)
 
 from conftest import sine_data
 
@@ -86,6 +87,16 @@ class TestFixedPoint:
         scale = np.max(np.abs(y_free.values))
         assert np.max(np.abs(sol.y.values - y_free.values)) / scale <= 1e-9
         assert sol.v1.l2q_norm() <= 1e-9
+
+    def test_nan_target_raises_at_once(self, prob_small):
+        # the target is the source of the first follower's adjoint
+        target = prob_small.new_field()
+        target.values[prob_small.mesh.M // 2, prob_small.grid.N // 2] = np.nan
+        with pytest.raises(SweepFailureError) as err:
+            nash_fixed_point(prob_small, GameSpec(target1=target), None,
+                             sine_data(prob_small, 0.05))
+        assert len(err.value.history) == 1
+        assert np.isnan(err.value.history[0])
 
 
 class TestGradient:

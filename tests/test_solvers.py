@@ -167,6 +167,57 @@ class TestBlockedAdjoint:
         assert len(err.value.history) == 1
 
 
+class TestSuperposition:
+    """The adjoint system is linear: a column with the data a u + b v
+    equals a (column u) + b (column v), to the sweep tolerance."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_combined_column(self, prob_small, reduced):
+        prob = prob_small
+        rng = np.random.default_rng(3)
+        x = prob.grid.nodes
+        phiT = np.array([np.sin(np.pi * x) + 0.5 * np.sin(2 * np.pi * x),
+                         np.sin(3 * np.pi * x) - 0.2 * np.sin(np.pi * x)])
+        srcs = 0.3 * rng.standard_normal((3, 2, prob.mesh.M + 1,
+                                          prob.grid.N + 1))
+        a, b = 0.7, -1.9
+        phiT = np.vstack([phiT, a * phiT[0] + b * phiT[1]])
+        srcs = np.concatenate([srcs, a * srcs[:, :1] + b * srcs[:, 1:]],
+                              axis=1)
+        block = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
+                                      F2=srcs[2], mus=(2.0, 3.0),
+                                      alphas=(1.3, 0.7), reduced=reduced)
+        for u in (block.phi, block.rho if reduced else block.psi):
+            gap = u[:, 2] - (a * u[:, 0] + b * u[:, 1])
+            assert np.max(np.abs(gap)) <= 1e-9 * np.max(np.abs(u))
+
+
+def _nan_field(prob):
+    """A zero field with one NaN value inside the cylinder."""
+    f = prob.new_field()
+    f.values[prob.mesh.M // 2, prob.grid.N // 2] = np.nan
+    return f
+
+
+class TestNonFiniteSweep:
+    """A NaN source ends a coupled sweep at once with SweepFailureError."""
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_adjoint(self, prob_small, reduced):
+        with pytest.raises(SweepFailureError) as err:
+            solve_adjoint_coupled(prob_small, sine_data(prob_small, 1.0),
+                                  F1=_nan_field(prob_small), reduced=reduced)
+        assert len(err.value.history) == 1
+        assert np.isnan(err.value.history[0])
+
+    def test_linearized(self, prob_small):
+        with pytest.raises(SweepFailureError) as err:
+            solve_linearized_coupled(prob_small, sine_data(prob_small, 0.1),
+                                     H1=_nan_field(prob_small))
+        assert len(err.value.history) == 1
+        assert np.isnan(err.value.history[0])
+
+
 class TestEnergy:
     def test_diagnostics_finite(self, prob):
         y = solve_forward_semilinear(prob, sine_data(prob, 0.1))
