@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,6 +54,9 @@ SCHEMA_VERSION = 1
 FAMILIES = ("constant", "affine", "exponential", "sinusoidal")
 KINDS = ("forward", "nash", "convexity", "observability", "linear-control",
          "nonlinear-control", "diagnostics")
+# each study runs in place of its kind's experiment, and only with that kind
+STUDIES = {"mms-convergence": "diagnostics"}
+WINDOWS = ("O", "O1", "O2", "Od")
 
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -145,6 +149,8 @@ class ScenarioConfig:
 
     @classmethod
     def from_dict(cls, overrides: dict) -> "ScenarioConfig":
+        if not isinstance(overrides, dict):
+            raise ConfigError(["config: expected an object of sections"])
         issues: list = []
         merged = _merge(_DEFAULTS, overrides, "", issues)
         if issues:
@@ -170,16 +176,76 @@ class ScenarioConfig:
         return self.data[key]
 
 
+def _is_number(val) -> bool:
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
+# per type of default: its name in an issue, and the check of a value
+_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer",
+          lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    float: ("a finite number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    list: ("a non-empty list of finite numbers",
+           lambda v: isinstance(v, list) and v and all(map(_is_number, v))),
+}
+# the type of a field whose default is None, when it is set
+_OPTIONAL = {"carleman.lam": float, "carleman.m_floor": float,
+             "experiment.budget_limit": float, "experiment.study": str}
+
+
+def _type_issues(base: dict, cfg: dict, path: str) -> list:
+    """Fields whose value does not have the type of their default."""
+    issues = []
+    for key, default in base.items():
+        here = f"{path}.{key}" if path else key
+        val = cfg[key]
+        if here == "game.windows":
+            issues.extend(_window_type_issues(val))
+        elif isinstance(default, dict):
+            issues.extend(_type_issues(default, val, here))
+        elif default is not None or val is not None:
+            name, ok = _TYPES[type(default) if default is not None
+                              else _OPTIONAL[here]]
+            if not ok(val):
+                issues.append(f"{here}: expected {name}, got {val!r}")
+    return issues
+
+
+def _window_type_issues(wins) -> list:
+    if not isinstance(wins, dict):
+        return ["game.windows: expected a section of windows"]
+    issues = [f"game.windows.{name}: unknown window"
+              for name in wins if name not in WINDOWS]
+    for name in WINDOWS:
+        if name not in wins:
+            issues.append(f"game.windows.{name}: missing")
+        elif not (isinstance(wins[name], (list, tuple))
+                  and len(wins[name]) == 2
+                  and all(map(_is_number, wins[name]))):
+            issues.append(f"game.windows.{name}: expected a pair [a, b] of "
+                          f"numbers, got {wins[name]!r}")
+    return issues
+
+
 def validate_config(config: ScenarioConfig | dict) -> list:
-    """Returns the full list of offending fields (empty means valid)."""
+    """Returns the full list of offending fields (empty means valid).
+
+    Every field must first have the type of its default; the range checks
+    run only once all types are right.
+    """
     if isinstance(config, ScenarioConfig):
         cfg = config.data
     else:
-        issues: list = []
-        cfg = _merge(_DEFAULTS, config, "", issues)
-        if issues:
-            return issues
-    issues = []
+        try:
+            cfg = ScenarioConfig.from_dict(config).data
+        except ConfigError as exc:
+            return exc.issues
+    issues = _type_issues(_DEFAULTS, cfg, "")
+    if issues:
+        return issues
     g = cfg["geometry"]
     if not 0.0 < g["alpha"] < 1.0:
         issues.append("geometry.alpha: weak degeneracy requires 0 < alpha < 1")
@@ -199,23 +265,17 @@ def validate_config(config: ScenarioConfig | dict) -> list:
         except ValueError as exc:
             issues.append(f"geometry: {exc}")
     grid = cfg["grid"]
-    if not 8 <= int(grid["N"]) <= 1024:
+    if not 8 <= grid["N"] <= 1024:
         issues.append("grid.N: supported range is [8, 1024]")
-    if not 8 <= int(grid["M"]) <= 4096:
+    if not 8 <= grid["M"] <= 4096:
         issues.append("grid.M: supported range is [8, 4096]")
     if grid["gamma"] < 1.0:
         issues.append("grid.gamma: grading exponent must be >= 1")
     game = cfg["game"]
     wins = game["windows"]
-    window_issues = []
-    for name in ("O", "O1", "O2", "Od"):
-        if name not in wins:
-            window_issues.append(f"game.windows.{name}: missing")
-            continue
-        a, b = wins[name]
-        if not (0.0 < a < b < 1.0):
-            window_issues.append(
-                f"game.windows.{name}: must satisfy 0 < a < b < 1")
+    window_issues = [f"game.windows.{name}: must satisfy 0 < a < b < 1"
+                     for name in WINDOWS
+                     if not 0.0 < wins[name][0] < wins[name][1] < 1.0]
     issues.extend(window_issues)
     if not window_issues:
         try:
@@ -244,6 +304,13 @@ def validate_config(config: ScenarioConfig | dict) -> list:
         issues.append("experiment.samples: must be at least 1")
     if exp["y0_mode"] not in ("sine", "random"):
         issues.append(f"experiment.y0_mode: unknown {exp['y0_mode']!r}")
+    study = exp["study"]
+    if study is not None and study not in STUDIES:
+        issues.append(f"experiment.study: unknown study {study!r}; "
+                      f"known: {', '.join(STUDIES)}")
+    elif study is not None and STUDIES[study] != exp["kind"]:
+        issues.append(f"experiment.study: {study!r} runs with kind "
+                      f"{STUDIES[study]!r}, not {exp['kind']!r}")
     return issues
 
 

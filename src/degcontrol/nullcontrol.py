@@ -50,7 +50,7 @@ __all__ = [
     "LinearControlProblem",
     "ControlledTriple",
     "HUMSolver",
-    "CGStagnationError",
+    "RefinementError",
     "NewtonFailureError",
     "h1a_norm",
     "solve_linear_null_control",
@@ -63,15 +63,14 @@ __all__ = [
 RESIDUAL_LIMIT = 1e-6
 
 
-class CGStagnationError(RuntimeError):
-    """The Lax-Milgram solve failed to reach the requested residual."""
+class RefinementError(RuntimeError):
+    """The refined HUM solve failed to reach RESIDUAL_LIMIT."""
 
-    def __init__(self, rel_residual: float, iterations: int):
+    def __init__(self, rel_residual: float):
         super().__init__(
-            f"variational solve stalled: relative residual {rel_residual:.3e} "
-            f"after {iterations} iterations")
+            f"HUM refinement stalled: relative residual {rel_residual:.3e} "
+            f"above the limit {RESIDUAL_LIMIT:.1e}")
         self.rel_residual = rel_residual
-        self.iterations = iterations
 
 
 class NewtonFailureError(RuntimeError):
@@ -279,7 +278,7 @@ class HUMSolver:
                     best, best_res = zl.astype(float), r
             rel_res = float(best_res / fnorm)
             if rel_res > RESIDUAL_LIMIT:
-                raise CGStagnationError(rel_res, 0)
+                raise RefinementError(rel_res)
             z = best / self.scale
         cg_info = {"relative_residual": rel_res, "iterations": 0,
                    "refinement_residuals": [float(r / fnorm)

@@ -49,7 +49,6 @@ __all__ = [
     "solve_linearized_coupled",
     "solve_adjoint_coupled",
     "LinearizedSolution",
-    "AdjointSolution",
     "AdjointBlock",
     "EnergyReport",
     "energy_diagnostics",
@@ -453,175 +452,96 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
 
 
 @dataclass
-class AdjointSolution:
-    phi: TrajectoryField
-    psi1: TrajectoryField | None
-    psi2: TrajectoryField | None
-    rho: TrajectoryField  # the combined variable alpha1 psi1 + alpha2 psi2
-    history: list
-
-
-@dataclass
 class AdjointBlock:
     """k coupled adjoint solutions, one column each, in march layout.
 
-    phi: (M+1, k, N-1) interior values; psi: (M+1, k, 2, N-1) for the
-    full form, rho: (M+1, k, N-1) for the reduced one (the other is
-    None).  history holds, per sweep, the largest update over the
-    columns still sweeping.
+    phi: (M+1, k, N-1) interior values; psi: (M+1, k, r, N-1), the
+    follower columns psi1, psi2 (r = 2) of the full form or rho (r = 1)
+    of the reduced one.  history holds the largest update of each sweep.
     """
 
-    prob: CylinderProblem
     phi: np.ndarray
-    psi: np.ndarray | None
-    rho: np.ndarray | None
-    alphas: tuple
+    psi: np.ndarray
     history: list
-
-    def sample(self, j: int) -> AdjointSolution:
-        """Column j as nodal fields; history is the block's."""
-        prob = self.prob
-        phi = _field(prob, self.phi[:, j])
-        if self.psi is None:
-            return AdjointSolution(phi=phi, psi1=None, psi2=None,
-                                   rho=_field(prob, self.rho[:, j]),
-                                   history=self.history)
-        psi1, psi2 = (_field(prob, self.psi[:, j, i]) for i in (0, 1))
-        rho = self.alphas[0] * psi1 + self.alphas[1] * psi2
-        return AdjointSolution(phi=phi, psi1=psi1, psi2=psi2, rho=rho,
-                               history=self.history)
-
-
-def _block_source(F, k: int):
-    """Interior values of a source in march layout (M+1, k, N-1).
-
-    F is None (the scalar 0.0, so a zero source is never stored), a
-    TrajectoryField (k = 1) or an array (k, M+1, N+1).  The result is a
-    view of F's values.
-    """
-    if F is None:
-        return 0.0
-    vals = np.asarray(getattr(F, "values", F), dtype=float)
-    return _interior(vals.reshape(k, *vals.shape[-2:])).transpose(1, 0, 2)
 
 
 def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
                           Fsrc=None, F1=None, F2=None,
-                          mus: tuple = (1.0, 1.0),
-                          alphas: tuple = (1.0, 1.0),
-                          tol: float = 1e-10,
-                          max_sweeps: int = 200,
-                          reduced: bool = False):
+                          mus: tuple = (1.0, 1.0), alphas: tuple = (1.0, 1.0),
+                          tol: float = 1e-10, max_sweeps: int = 200,
+                          reduced: bool = False) -> AdjointBlock:
     """Coupled adjoint system, full (phi, psi1, psi2) or reduced (phi, rho).
 
     -phi_t + L* phi = Fsrc + (alpha1 psi1 + alpha2 psi2) 1_Od, phi(T)=phiT,
     psi_i_t + L psi_i = F_i - phi/mu_i 1_Oi,                   psi_i(0)=0.
 
-    The reduced form tracks rho = alpha1 psi1 + alpha2 psi2 directly with
-    source G = alpha1 F1 + alpha2 F2.
-
-    phiT is one terminal row (N+1,), with sources given as TrajectoryFields
-    and an AdjointSolution returned, or a block of k rows (k, N+1), with
-    sources as arrays (k, M+1, N+1) and an AdjointBlock returned.  Each
-    row is one column of the same level solves (psi1 and psi2 are two
-    columns each), and each column leaves the sweep at its own first
-    converged sweep: it is swapped out of the active prefix that is
-    marched, so its result is the one a solo solve gives, bit for bit.
-    Raises SweepFailureError if any column is unconverged after
-    max_sweeps, or as soon as an update is not finite.
+    The reduced form is the same sweep with one follower column
+    rho = alpha1 psi1 + alpha2 psi2 of weight 1, coupling
+    alpha1/mu1 1_O1 + alpha2/mu2 1_O2 and source alpha1 F1 + alpha2 F2.
+    phiT holds k terminal rows (k, N+1) and each source is None or an
+    array (k, M+1, N+1).  The rows are the columns of one solve per level,
+    and all of them sweep until the largest update is at most tol.
+    Raises SweepFailureError if that takes more than max_sweeps, or as
+    soon as an update is not finite.
     """
     ops = prob.linearized_ops()
     M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
     terminal = np.asarray(phiT, dtype=float)
-    single = terminal.ndim == 1
-    terminal = terminal.reshape(-1, prob.grid.N + 1)
+    if terminal.ndim != 2 or terminal.shape[1] != n + 2:
+        raise ValueError("phiT must be a block of terminal rows (k, N+1)")
     k = len(terminal)
-    f0, f1, f2 = (_block_source(F, k) for F in (Fsrc, F1, F2))
-    ind_od = prob.indicator_interior("Od")
-    ind = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
-    phi = np.zeros((M + 1, k, n))
-    phi[M] = _interior(terminal)
-    # the current iterate of psi (or rho) and the buffer the next one is
-    # marched in; both hold the finished columns
-    shape = (M + 1, k, n) if reduced else (M + 1, k, 2, n)
-    cur, nxt = np.zeros(shape), np.zeros(shape)
+
+    def source(F):  # march layout (M+1, k, N-1); None gives a zero view
+        if F is None:
+            return np.broadcast_to(0.0, (M + 1, k, n))
+        if np.shape(F) != (k, M + 1, n + 2):
+            raise ValueError(f"sources must have shape {(k, M + 1, n + 2)}")
+        return _interior(np.asarray(F, dtype=float)).transpose(1, 0, 2)
+
+    f0, f1, f2 = source(Fsrc), source(F1), source(F2)
+    ind_od, ind1, ind2 = map(prob.indicator_interior, ("Od", "O1", "O2"))
     if reduced:
-        g_src = alphas[0] * f1 + alphas[1] * f2
-        coupling = (alphas[0] / mus[0]) * ind[0] + (alphas[1] / mus[1]) * ind[1]
-    order = np.arange(k)  # the column of the input held at each position
-    swaps = []
-    a = k  # columns [:a] are still sweeping
-    history = []
+        weights, sources = (1.0,), [alphas[0] * f1 + alphas[1] * f2]
+        couplings = [alphas[0] / mus[0] * ind1 + alphas[1] / mus[1] * ind2]
+    else:
+        weights, sources = alphas, [f1, f2]
+        couplings = [ind1 / mus[0], ind2 / mus[1]]
     what = "reduced adjoint coupling" if reduced else \
         "adjoint forward-backward coupling"
-
-    def active(f, levels: slice):
-        # a source's levels for the active columns, in their current order
-        if np.ndim(f) == 0:
-            return f
-        return f[levels, :a] if a == k else f[levels, order[:a]]
-
-    def swap(i, j):
-        for arr in (phi, cur):
-            col = arr[:, i].copy()
-            arr[:, i] = arr[:, j]
-            arr[:, j] = col
-
+    phi = np.zeros((M + 1, k, n))
+    phi[M] = _interior(terminal)
+    # the current follower iterate and the buffer the next one is marched in
+    cur, nxt = (np.zeros((M + 1, k, len(weights), n)) for _ in range(2))
+    history = []
     for _ in range(max_sweeps):
-        p, c, q = phi[:, :a], cur[:, :a], nxt[:, :a]
-        # phi source dt (f0 + (coupled term) 1_Od) on levels 0..M-1,
-        # built in the phi buffer; phi^M keeps the terminal row
-        s = p[:M]
-        if reduced:
-            np.multiply(c[:M], ind_od, out=s)
-        else:
-            # alpha2 psi2 goes through the next iterate's buffer, which is
-            # free until its sources are built below
-            np.multiply(c[:M, :, 0], alphas[0], out=s)
-            np.multiply(c[:M, :, 1], alphas[1], out=q[1:, :, 0])
-            np.add(s, q[1:, :, 0], out=s)
-            np.multiply(s, ind_od, out=s)
-        np.add(active(f0, slice(M)), s, out=s)
+        # phi source dt (f0 + sum_i w_i psi_i 1_Od) on levels 0..M-1, built
+        # in the phi buffer (phi^M keeps the terminal row); later terms go
+        # through nxt, which is free until its sources are built below
+        s = phi[:M]
+        np.multiply(cur[:M, :, 0], weights[0], out=s)
+        for i in range(1, len(weights)):
+            np.multiply(cur[:M, :, i], weights[i], out=nxt[1:, :, 0])
+            np.add(s, nxt[1:, :, 0], out=s)
+        np.multiply(s, ind_od, out=s)
+        np.add(f0[:M], s, out=s)
         np.multiply(s, dt, out=s)
-        ops.march_adjoint(p, M - 1)
-        # forward sources dt (f - phi c) on levels 1..M; level 0 stays 0
-        if reduced:
-            fwd = [(q[1:], g_src, coupling)]
-        else:
-            fwd = [(q[1:, :, i], fi, ind[i] / mus[i])
-                   for i, fi in ((0, f1), (1, f2))]
-        for s, fi, coef in fwd:
-            np.multiply(p[1:], coef, out=s)
-            np.subtract(active(fi, slice(1, None)), s, out=s)
+        ops.march_adjoint(phi, M - 1)
+        # follower sources dt (F_i - c_i phi) on levels 1..M; level 0 stays 0
+        for i, (fi, ci) in enumerate(zip(sources, couplings)):
+            s = nxt[1:, :, i]
+            np.multiply(phi[1:], ci, out=s)
+            np.subtract(fi[1:], s, out=s)
             np.multiply(s, dt, out=s)
-        ops.march(q.reshape(M + 1, -1, n))
-        # per-column update, computed in the old iterate's buffer
-        np.subtract(c, q, out=c)
-        np.abs(c, out=c)
-        delta = c.max(axis=tuple(i for i in range(c.ndim) if i != 1))
-        history.append(float(delta.max()))
+        ops.march(nxt.reshape(M + 1, -1, n))
+        # the update, in the old iterate's buffer; np.max propagates a NaN
+        np.subtract(cur, nxt, out=cur)
+        history.append(float(np.max(np.abs(cur, out=cur))))
         if not np.isfinite(history[-1]):
             raise SweepFailureError(history, what)
         cur, nxt = nxt, cur
-        top = a
-        for j in np.flatnonzero(delta <= tol)[::-1]:
-            a -= 1
-            if j != a:
-                swap(j, a)
-                swaps.append((j, a))
-                order[[j, a]] = order[[a, j]]
-        nxt[:, a:top] = cur[:, a:top]
-        if a == 0:
-            break
-    else:
-        raise SweepFailureError(history, what)
-    del nxt  # scratch: free it before any output is built
-    for j, i in reversed(swaps):
-        swap(j, i)
-    block = AdjointBlock(prob=prob, phi=phi, psi=None if reduced else cur,
-                         rho=cur if reduced else None, alphas=alphas,
-                         history=history)
-    return block.sample(0) if single else block
+        if history[-1] <= tol:
+            return AdjointBlock(phi=phi, psi=cur, history=history)
+    raise SweepFailureError(history, what)
 
 
 # -- energy diagnostics --------------------------------------------------

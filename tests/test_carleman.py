@@ -15,7 +15,6 @@ from degcontrol.carleman import (
 )
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh
-from degcontrol.grids import TrajectoryField
 from degcontrol.solvers import CylinderProblem, solve_adjoint_coupled
 
 
@@ -168,6 +167,11 @@ def _q_integral(logw, fields_sq, grid, mesh, mask_x=None):
     return float(mesh.dt * np.einsum("j,nj->", grid.cell_volumes, vals[1:]))
 
 
+def _nodal(interior):
+    """Nodal values (M+1, N+1) of interior rows, zero on the boundary."""
+    return np.pad(interior, ((0, 0), (1, 1)))
+
+
 def _reference_observability(prob, w, samples, rng):
     """One solo solve per sample; the weight exponentiated per integral.
 
@@ -179,10 +183,11 @@ def _reference_observability(prob, w, samples, rng):
                         ind_o)
     ratios, skipped = [], 0
     for _ in range(samples):
-        sol = solve_adjoint_coupled(prob, carleman._random_smooth_row(grid, rng),
-                                    reduced=True)
-        lhs = grid.norm(sol.phi.values[0]) ** 2 + grid.norm(sol.rho.values[-1]) ** 2
-        rhs = _q_integral(logw, sol.phi.values**2, grid, mesh, ind_o) / wmass
+        sol = solve_adjoint_coupled(
+            prob, carleman._random_smooth_row(grid, rng)[None], reduced=True)
+        phi, rho = _nodal(sol.phi[:, 0]), _nodal(sol.psi[:, 0, 0])
+        lhs = grid.norm(phi[0]) ** 2 + grid.norm(rho[-1]) ** 2
+        rhs = _q_integral(logw, phi**2, grid, mesh, ind_o) / wmass
         if rhs <= 1e-300:
             skipped += 1
             continue
@@ -242,15 +247,15 @@ def _reference_carleman(prob, w, samples, rng):
         srcs = []
         for _ in range(3):
             c = rng.standard_normal(3)
-            srcs.append(TrajectoryField(grid, mesh, (
-                c[0] * np.sin(np.pi * x) + c[1] * np.sin(2 * np.pi * x) * t
-                + c[2] * x * (1 - x) * np.cos(t))))
-        sol = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
-                                    F2=srcs[2])
-        lhs = (gamma(sol.phi.values) + gamma(sol.psi1.values)
-               + gamma(sol.psi2.values))
-        rhs = (source(sum(f.values**2 for f in srcs))
-               + observation(sol.phi.values))
+            srcs.append(c[0] * np.sin(np.pi * x)
+                        + c[1] * np.sin(2 * np.pi * x) * t
+                        + c[2] * x * (1 - x) * np.cos(t))
+        sol = solve_adjoint_coupled(prob, phiT[None], Fsrc=srcs[0][None],
+                                    F1=srcs[1][None], F2=srcs[2][None])
+        phi = _nodal(sol.phi[:, 0])
+        lhs = (gamma(phi) + gamma(_nodal(sol.psi[:, 0, 0]))
+               + gamma(_nodal(sol.psi[:, 0, 1])))
+        rhs = source(sum(f**2 for f in srcs)) + observation(phi)
         if rhs <= 1e-300:
             skipped += 1
             continue

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from degcontrol import cli, harness
+from degcontrol import cli, harness, nullcontrol
 
 
 def _tiny(kind="forward", **experiment):
@@ -17,6 +17,9 @@ def _tiny(kind="forward", **experiment):
         "grid": {"N": 32, "M": 48},
         "experiment": {"kind": kind, **experiment},
     }
+
+
+_WINDOWS = harness.default_config()["game"]["windows"]
 
 
 class TestConfig:
@@ -193,6 +196,31 @@ class TestCLI:
         assert "sinusoidal" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("config, field", [
+        (_tiny(study="bogus"), "experiment.study"),
+        (_tiny(study="mms-convergence"), "experiment.study"),
+        (_tiny(samples=2.5), "experiment.samples"),
+        (_tiny(scale_factors=3), "experiment.scale_factors"),
+        ({"grid": {"N": "abc"}}, "grid.N"),
+        ({**_tiny(), "game": {"windows": {**_WINDOWS, "O": [0.3]}}},
+         "game.windows.O"),
+        (_tiny("linear-control", budget_limit="x"), "experiment.budget_limit"),
+        ([1], "config"),
+    ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
+            "budget_limit", "not-an-object"])
+    def test_malformed_config_is_config_error(self, tmp_path, capsys,
+                                              command, config, field):
+        # refused by validation, so neither command reaches a traceback
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert f"error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_cli_import_leaves_blas_unloaded(self):
         # --threads/--deterministic set the BLAS caps inside main(), which
         # only works if importing the CLI has not loaded numpy yet
@@ -210,3 +238,12 @@ class TestCLI:
             _tiny("linear-control", y0_amplitude=0.1, budget_limit=1e-12)))
         assert cli.main(["run", "--config", str(path),
                         "--out", str(tmp_path / "out")]) == cli.EXIT_BUDGET
+
+    def test_refinement_failure_exit_code(self, tmp_path, capsys,
+                                          monkeypatch):
+        monkeypatch.setattr(nullcontrol, "RESIDUAL_LIMIT", 0.0)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_tiny("linear-control", y0_amplitude=0.1)))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
+        assert "HUM refinement stalled" in capsys.readouterr().err

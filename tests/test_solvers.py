@@ -86,13 +86,24 @@ class TestCoupledSweeps:
 
     def test_adjoint_reduction_identity(self, prob, rng):
         # the reduced variable is rho = alpha1 psi1 + alpha2 psi2
-        phiT = sine_data(prob, 1.0)
+        phiT = sine_data(prob, 1.0)[None]
         alphas = (1.3, 0.7)
         full = solve_adjoint_coupled(prob, phiT, alphas=alphas)
         red = solve_adjoint_coupled(prob, phiT, alphas=alphas, reduced=True)
-        combo = alphas[0] * full.psi1.values + alphas[1] * full.psi2.values
+        combo = alphas[0] * full.psi[:, 0, 0] + alphas[1] * full.psi[:, 0, 1]
         scale = np.max(np.abs(combo)) + 1e-30
-        assert np.max(np.abs(red.rho.values - combo)) / scale <= 1e-8
+        assert np.max(np.abs(red.psi[:, 0, 0] - combo)) / scale <= 1e-8
+
+    def test_bad_input_shapes(self, prob_small):
+        prob = prob_small
+        row = sine_data(prob, 1.0)
+        src = np.zeros((1, prob.mesh.M + 1, prob.grid.N + 1))
+        for phiT, kw in ((row, {}), (row[None, :-1], {}),
+                         (row[None], {"F1": src[0]}),
+                         (row[None], {"Fsrc": src[:, :-1]}),
+                         (np.vstack([row, row]), {"F2": src})):
+            with pytest.raises(ValueError):
+                solve_adjoint_coupled(prob, phiT, **kw)
 
 
 class TestBlockedMarches:
@@ -134,10 +145,10 @@ def _block_case(prob, k):
 
 
 class TestBlockedAdjoint:
-    """A block of rows solves like solo calls, column by column."""
+    """A block of rows solves like one-row blocks, column by column."""
 
     @pytest.mark.parametrize("reduced", [False, True])
-    def test_block_equals_solo(self, prob_small, reduced):
+    def test_block_matches_rows(self, prob_small, reduced):
         prob = prob_small
         k = 5
         phiT, srcs = _block_case(prob, k)
@@ -146,16 +157,16 @@ class TestBlockedAdjoint:
                                       F2=srcs[2], **kw)
         sweeps = []
         for j in range(k):
-            fields = [TrajectoryField(prob.grid, prob.mesh, f[j]) for f in srcs]
-            solo = solve_adjoint_coupled(prob, phiT[j], Fsrc=fields[0],
-                                         F1=fields[1], F2=fields[2], **kw)
-            got = block.sample(j)
-            names = ("phi", "rho") if reduced else ("phi", "psi1", "psi2", "rho")
-            for name in names:
-                assert np.array_equal(getattr(got, name).values,
-                                      getattr(solo, name).values), (j, name)
-            sweeps.append(len(solo.history))
-        # the columns left the block at different sweeps
+            row = solve_adjoint_coupled(prob, phiT[j:j + 1],
+                                        Fsrc=srcs[0, j:j + 1],
+                                        F1=srcs[1, j:j + 1],
+                                        F2=srcs[2, j:j + 1], **kw)
+            # every column meets the absolute sweep tolerance of its row
+            for got, want in ((block.phi, row.phi), (block.psi, row.psi)):
+                assert np.max(np.abs(got[:, j] - want[:, 0])) <= 1e-10, j
+            sweeps.append(len(row.history))
+        # the rows alone converge at different sweeps; the block sweeps
+        # until its slowest column has converged
         assert len(set(sweeps)) > 1
         assert len(block.history) == max(sweeps)
 
@@ -187,7 +198,7 @@ class TestSuperposition:
         block = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
                                       F2=srcs[2], mus=(2.0, 3.0),
                                       alphas=(1.3, 0.7), reduced=reduced)
-        for u in (block.phi, block.rho if reduced else block.psi):
+        for u in (block.phi, block.psi):
             gap = u[:, 2] - (a * u[:, 0] + b * u[:, 1])
             assert np.max(np.abs(gap)) <= 1e-9 * np.max(np.abs(u))
 
@@ -205,8 +216,9 @@ class TestNonFiniteSweep:
     @pytest.mark.parametrize("reduced", [False, True])
     def test_adjoint(self, prob_small, reduced):
         with pytest.raises(SweepFailureError) as err:
-            solve_adjoint_coupled(prob_small, sine_data(prob_small, 1.0),
-                                  F1=_nan_field(prob_small), reduced=reduced)
+            solve_adjoint_coupled(prob_small, sine_data(prob_small, 1.0)[None],
+                                  F1=_nan_field(prob_small).values[None],
+                                  reduced=reduced)
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])
 
