@@ -35,7 +35,9 @@ __all__ = [
     "CarlemanParams",
     "CarlemanWeights",
     "build_psi",
+    "check_admissible",
     "eval_time_weights",
+    "adjoint_basis",
     "empirical_observability",
     "empirical_carleman",
 ]
@@ -65,6 +67,8 @@ class CarlemanParams:
             raise ValueError("s must be positive")
         if self.cap_ratio < 10.0:
             raise ValueError("cap_ratio too small to be useful")
+        if self.m_floor is not None and self.m_floor <= 0:
+            raise ValueError("m_floor must be positive")
 
     def check_inside(self, window: tuple) -> None:
         lo, hi = window
@@ -147,8 +151,6 @@ def eval_time_weights(params: CarlemanParams, T: float, t):
     if np.any(t < 0) or np.any(t > T):
         raise ValueError("t outside [0,T]")
     m_floor = params.m_floor if params.m_floor is not None else (T / 2.0) ** 8
-    if m_floor <= 0:
-        raise ValueError("m_floor must be positive")
     core = (t * (T - t)) ** 4
     with np.errstate(divide="ignore"):
         theta = np.where(core > 0, 1.0 / np.where(core > 0, core, 1.0), np.inf)
@@ -193,6 +195,34 @@ def _auto_lambda(psi_inf: float, psi_max: float, psi_min: float,
     return hi * margin, hi
 
 
+def _psi_range(psi_fn: PsiFunction) -> tuple:
+    """(|Psi|_inf, max Psi, min Psi), sampled at 4097 points of [0,1]."""
+    psif = psi_fn(np.linspace(0.0, 1.0, 4097))
+    return (float(np.max(np.abs(psif))), float(np.max(psif)),
+            float(np.min(psif)))
+
+
+def _choose_lambda(params: CarlemanParams, psi_range: tuple) -> tuple:
+    """(lambda, lambda_min): params.lam, or the automatic choice when it is
+    None, and the least admissible lambda.  Raises ValueError if
+    params.lam is below that least value."""
+    if params.lam is None:
+        return _auto_lambda(*psi_range, params.lambda_margin)
+    lam = float(params.lam)
+    _, lambda_min = _auto_lambda(*psi_range, 1.0)
+    if lam < lambda_min:
+        raise ValueError(
+            f"lambda={lam} below admissible minimum {lambda_min:.4g}")
+    return lam, lambda_min
+
+
+def check_admissible(params: CarlemanParams, deg: DegeneracySpec) -> None:
+    """Raises the ValueError that building the weights for params and deg
+    raises on any grid: a profile Psi that cannot be built, or a lambda
+    below the admissible minimum."""
+    _choose_lambda(params, _psi_range(build_psi(params, deg)))
+
+
 class CarlemanWeights:
     """Tabulated weight family on a given grid/mesh.
 
@@ -212,21 +242,9 @@ class CarlemanWeights:
         x = grid.nodes
         t = mesh.times
         self.psi = self.psi_fn(x)
-        xf = np.linspace(0.0, 1.0, 4097)
-        psif = self.psi_fn(xf)
-        self.psi_max = float(np.max(psif))
-        self.psi_min = float(np.min(psif))
-        self.psi_inf = float(np.max(np.abs(psif)))
-        if params.lam is None:
-            self.lam, self.lambda_min = _auto_lambda(
-                self.psi_inf, self.psi_max, self.psi_min, params.lambda_margin)
-        else:
-            self.lam = float(params.lam)
-            _, self.lambda_min = _auto_lambda(
-                self.psi_inf, self.psi_max, self.psi_min, 1.0)
-            if self.lam < self.lambda_min:
-                raise ValueError(
-                    f"lambda={self.lam} below admissible minimum {self.lambda_min:.4g}")
+        psi_range = _psi_range(self.psi_fn)
+        self.psi_inf, self.psi_max, self.psi_min = psi_range
+        self.lam, self.lambda_min = _choose_lambda(params, psi_range)
         self.s = params.s
         lam = self.lam
         self.eta = np.exp(lam * (self.psi_inf + self.psi))
@@ -358,14 +376,18 @@ class CarlemanWeights:
 # system is linear, so a sample's solution is the same combination of
 # basis solutions, and both sides of each sampled inequality are
 # quadratic forms in the sample's coefficients (the Gramian view of HUM
-# observability).  The adjoint system is therefore solved once per basis
-# mode, and every ratio is c.G.c / c.R.c with Gram matrices G, R built
-# once from the basis solutions.  The basis modes of one slot are the
-# columns of one block solve; they stop sweeping together, so each basis
-# solution meets the sweep tolerance, and a ratio agrees with the one a
-# sample's own solve gives to about 1e-9, not bit for bit.
+# observability).  `adjoint_basis` solves the full adjoint system once,
+# with every basis mode as a column of one block, and every ratio is
+# c.G.c / c.R.c with Gram matrices G, R built from those columns.  The
+# follower of the reduced system, rho = alpha1 psi1 + alpha2 psi2, is
+# the same combination of the full system's followers, so the
+# observability ratios read the sine columns of the same block.  The
+# columns stop sweeping together, so each basis solution meets the sweep
+# tolerance, and a ratio agrees with the one a sample's own solve gives
+# to about 1e-9, not bit for bit.
 
 SINE_MODES = 5
+SOURCE_SLOTS = ("Fsrc", "F1", "F2")
 
 
 def _sine_modes(grid: SpatialGrid) -> np.ndarray:
@@ -396,6 +418,37 @@ def _source_modes(grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:
     return out
 
 
+def adjoint_basis(prob, mus: tuple = (1.0, 1.0),
+                  alphas: tuple = (1.0, 1.0)):
+    """The full adjoint system solved for every basis mode in one block.
+
+    Returns the AdjointBlock whose first SINE_MODES columns have the sine
+    modes as terminal rows and no sources, followed, for each slot of
+    SOURCE_SLOTS in turn, by one column per source mode with a zero
+    terminal row and that mode in this slot only.
+    """
+    from .solvers import solve_adjoint_coupled
+
+    grid, mesh = prob.grid, prob.mesh
+    modes = _source_modes(grid, mesh)
+    q = len(modes)
+    k = SINE_MODES + len(SOURCE_SLOTS) * q
+    phiT = np.zeros((k, grid.N + 1))
+    phiT[:SINE_MODES] = _sine_modes(grid)
+    # Each slot's sources are a window of k rows into one zero buffer that
+    # holds the modes once, at the rows of the last slot; the window of
+    # slot i starts (last - i) q rows in, so the modes fall on its own
+    # columns.  Three separate zero-padded arrays would take twice the
+    # memory.
+    last = len(SOURCE_SLOTS) - 1
+    held = np.zeros((k + last * q, mesh.M + 1, grid.N + 1))
+    held[k - q:k] = modes
+    sources = {slot: held[(last - i) * q:(last - i) * q + k]
+               for i, slot in enumerate(SOURCE_SLOTS)}
+    return solve_adjoint_coupled(prob, phiT, mus=mus, alphas=alphas,
+                                 **sources)
+
+
 def _exp_weight(logw: np.ndarray) -> np.ndarray:
     """e^{logw}, capped at e^700, with the non-finite (t=T) entries 0."""
     return np.where(np.isfinite(logw), np.exp(np.minimum(logw, 700.0)), 0.0)
@@ -408,25 +461,17 @@ def _weighted_q_integral(weight: np.ndarray, fields_sq: np.ndarray,
     return float(mesh.dt * np.einsum("j,nj->", grid.cell_volumes, vals[1:]))
 
 
-def _gram(groups, weight: np.ndarray) -> np.ndarray:
-    """Gram matrix sum_{m=1..M} <u_a^m, T_m u_b^m> of basis columns.
+def _gram(u: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Gram matrix sum_{m=1..M} <u_a^m, T_m u_b^m> of the columns of u.
 
-    groups: arrays (M+1, k, N-1) of interior rows in march layout, whose
-    columns are numbered group after group.  weight: T_m for m = 1..M,
-    as bands (M, 3, N-1) or as a diagonal (M, N-1).  T u is held for one
-    group at a time.
+    u: (M+1, k, N-1) interior rows in march layout.  weight: T_m for
+    m = 1..M, as bands (M, 3, N-1) or as a diagonal (M, N-1).
     """
-    ends = np.cumsum([u.shape[1] for u in groups])
-    G = np.empty((ends[-1], ends[-1]))
-    for u, stop in zip(groups, ends):
-        if weight.ndim == 3:
-            tu = band_apply(weight[:, None], u[1:])
-        else:
-            tu = weight[:, None] * u[1:]
-        for v, row_stop in zip(groups, ends):
-            G[row_stop - v.shape[1]:row_stop, stop - u.shape[1]:stop] = \
-                np.einsum("mkn,mln->kl", v[1:], tu)
-    return G
+    if weight.ndim == 3:
+        tu = band_apply(weight[:, None], u[1:])
+    else:
+        tu = weight[:, None] * u[1:]
+    return np.tensordot(u[1:], tu, axes=([0, 2], [0, 2]))
 
 
 def _ratio_report(coef: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
@@ -447,23 +492,10 @@ def _ratio_report(coef: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
     }
 
 
-def empirical_observability(prob, weights: CarlemanWeights,
-                            samples: int = 20,
-                            rng: np.random.Generator | None = None,
-                            mus: tuple = (1.0, 1.0),
-                            alphas: tuple = (1.0, 1.0)) -> dict:
-    """Sampled observability ratio of the reduced adjoint system.
-
-    For random terminal data and zero sources, returns max over samples of
-    (|phi(0)|^2 + |rho(T)|^2) / int_O e^{2s(A-Aref)} (s lam zeta)^8 |phi|^2.
-    The normalization exponent 2 s Aref is reported; ratios are only
-    meaningful relative to it.  The adjoint system is solved once, with
-    the sine modes as its columns, and each ratio is a quotient of two
-    Gram forms in the sample's mode coefficients.
-    """
-    from .solvers import solve_adjoint_coupled
-
-    rng = rng or np.random.default_rng(0)
+def _observability_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
+                         rho: np.ndarray) -> tuple:
+    """(lhs, rhs) Gram matrices of the observability ratio, for reduced
+    adjoint solutions with columns phi and rho, both (M+1, k, N-1)."""
     grid, mesh = prob.grid, prob.mesh
     w_obs = _exp_weight(weights.log_observation_weight()) \
         * prob.indicator("O")[None, :]
@@ -474,12 +506,35 @@ def empirical_observability(prob, weights: CarlemanWeights,
     # refinement; the mass is absorbed into the fitted constant.
     wmass = _weighted_q_integral(w_obs, np.ones((mesh.M + 1, grid.N + 1)),
                                  grid, mesh)
-    basis = solve_adjoint_coupled(prob, _sine_modes(grid), mus=mus,
-                                  alphas=alphas, reduced=True)
     vol = grid.interior_volumes
-    rho = basis.psi[:, :, 0]
-    lhs = sum((u * vol) @ u.T for u in (basis.phi[0], rho[-1]))
-    rhs = _gram([basis.phi], mesh.dt * vol * w_obs[1:, 1:-1]) / wmass
+    lhs = sum((u * vol) @ u.T for u in (phi[0], rho[-1]))
+    rhs = _gram(phi, mesh.dt * vol * w_obs[1:, 1:-1]) / wmass
+    return lhs, rhs
+
+
+def empirical_observability(prob, weights: CarlemanWeights,
+                            samples: int = 20,
+                            rng: np.random.Generator | None = None,
+                            mus: tuple = (1.0, 1.0),
+                            alphas: tuple = (1.0, 1.0),
+                            basis=None) -> dict:
+    """Sampled observability ratio of the reduced adjoint system.
+
+    For random terminal data and zero sources, returns max over samples of
+    (|phi(0)|^2 + |rho(T)|^2) / int_O e^{2s(A-Aref)} (s lam zeta)^8 |phi|^2.
+    The normalization exponent 2 s Aref is reported; ratios are only
+    meaningful relative to it.  Each ratio is a quotient of two Gram
+    forms in the sample's mode coefficients, read from the sine columns
+    of `basis`, the `adjoint_basis(prob, mus, alphas)` that is solved
+    here when it is not given.
+    """
+    rng = rng or np.random.default_rng(0)
+    if basis is None:
+        basis = adjoint_basis(prob, mus, alphas)
+    psi = basis.psi[:, :SINE_MODES]
+    rho = alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1]
+    lhs, rhs = _observability_forms(prob, weights,
+                                    basis.phi[:, :SINE_MODES], rho)
     coef = _damped(rng.standard_normal((samples, SINE_MODES)))
     return _ratio_report(coef, lhs, rhs, weights)
 
@@ -534,42 +589,44 @@ def _gamma_bands(prob, w0: np.ndarray, wf: np.ndarray) -> np.ndarray:
     return bands
 
 
+def _carleman_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
+                     psi: np.ndarray) -> tuple:
+    """(lhs, rhs) Gram matrices of the Carleman ratio, for full adjoint
+    solutions in the column layout of `adjoint_basis`: phi (M+1, k, N-1)
+    and psi (M+1, k, 2, N-1)."""
+    grid, mesh = prob.grid, prob.mesh
+    w0, wf, w_src, w_obs = _carleman_weights(prob, weights)
+    gamma = _gamma_bands(prob, w0, wf)
+    lhs = sum(_gram(u, gamma) for u in (phi, psi[:, :, 0], psi[:, :, 1]))
+    dtw = mesh.dt * grid.interior_volumes
+    rhs = _gram(phi, dtw * w_obs[1:, 1:-1])
+    # each slot's source term: the Gram matrix of the source modes
+    modes = _source_modes(grid, mesh)
+    q = len(modes)
+    src = _gram(modes[:, :, 1:-1].transpose(1, 0, 2), dtw * w_src[1:, 1:-1])
+    for i in range(SINE_MODES, len(rhs), q):
+        rhs[i:i + q, i:i + q] += src
+    return lhs, rhs
+
+
 def empirical_carleman(prob, weights: CarlemanWeights,
                        samples: int = 10,
                        rng: np.random.Generator | None = None,
                        mus: tuple = (1.0, 1.0),
-                       alphas: tuple = (1.0, 1.0)) -> dict:
+                       alphas: tuple = (1.0, 1.0),
+                       basis=None) -> dict:
     """Sampled ratio of the Carleman inequality for the adjoint system.
 
     Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
-    both evaluated with the common normalization e^{-2 s Aref}.  The
-    adjoint system is solved once per basis mode (the sine modes as
-    terminal rows, then the source modes in each source slot), and each
-    ratio is a quotient of two Gram forms in the sample's coefficients.
+    both evaluated with the common normalization e^{-2 s Aref}.  Each
+    ratio is a quotient of two Gram forms in the sample's coefficients,
+    read from every column of `basis`, the `adjoint_basis(prob, mus,
+    alphas)` that is solved here when it is not given.
     """
-    from .solvers import solve_adjoint_coupled
-
     rng = rng or np.random.default_rng(0)
-    grid, mesh = prob.grid, prob.mesh
-    w0, wf, w_src, w_obs = _carleman_weights(prob, weights)
-    modes = _source_modes(grid, mesh)
-    q = len(modes)
-    blocks = [solve_adjoint_coupled(prob, _sine_modes(grid), mus=mus,
-                                    alphas=alphas)]
-    for slot in ("Fsrc", "F1", "F2"):
-        blocks.append(solve_adjoint_coupled(
-            prob, np.zeros((q, grid.N + 1)), mus=mus, alphas=alphas,
-            **{slot: modes}))
-    gamma = _gamma_bands(prob, w0, wf)
-    lhs = _gram([b.phi for b in blocks], gamma)
-    for i in (0, 1):
-        lhs += _gram([b.psi[:, :, i] for b in blocks], gamma)
-    dtw = mesh.dt * grid.interior_volumes
-    rhs = _gram([b.phi for b in blocks], dtw * w_obs[1:, 1:-1])
-    # each slot's source term: the Gram matrix of the source modes
-    src = _gram([modes[:, :, 1:-1].transpose(1, 0, 2)], dtw * w_src[1:, 1:-1])
-    for i in range(SINE_MODES, len(rhs), q):
-        rhs[i:i + q, i:i + q] += src
+    if basis is None:
+        basis = adjoint_basis(prob, mus, alphas)
+    lhs, rhs = _carleman_forms(prob, weights, basis.phi, basis.psi)
     # per sample: the terminal normals, then three per source slot
     coef = rng.standard_normal((samples, len(rhs)))
     coef[:, :SINE_MODES] = _damped(coef[:, :SINE_MODES])

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .carleman import (CarlemanParams, CarlemanWeights, empirical_carleman,
+from .carleman import (CarlemanParams, CarlemanWeights, adjoint_basis,
+                       check_admissible, empirical_carleman,
                        empirical_observability)
-from .geometry import ControlGeometry, MovingDomainSpec
+from .geometry import ControlGeometry, DegeneracySpec, MovingDomainSpec
 from .grids import TrajectoryField
 from .nash import (GameSpec, convexity_margin, evaluate_functional,
                    fit_mu_star, functional_gradient, make_default_targets,
@@ -290,12 +291,24 @@ def validate_config(config: ScenarioConfig | dict) -> list:
     if nl["label"] not in ("sinusoidal", "zero"):
         issues.append(f"nonlinearity.label: unknown label {nl['label']!r}")
     car = cfg["carleman"]
+    carleman_issues = []
     if car["s"] <= 0:
-        issues.append("carleman.s: must be positive")
+        carleman_issues.append("carleman.s: must be positive")
     if not (0.0 < car["alpha_p"] < car["beta_p"] < 1.0):
-        issues.append("carleman: need 0 < alpha_p < beta_p < 1")
+        carleman_issues.append("carleman: need 0 < alpha_p < beta_p < 1")
     if car["cap_ratio"] < 10.0:
-        issues.append("carleman.cap_ratio: must be at least 10")
+        carleman_issues.append("carleman.cap_ratio: must be at least 10")
+    if car["m_floor"] is not None and car["m_floor"] <= 0:
+        carleman_issues.append("carleman.m_floor: must be positive")
+    issues.extend(carleman_issues)
+    # a set lambda must be admissible for the profile Psi: the weights' own
+    # check, once the fields they are built from are valid
+    if (car["lam"] is not None and not carleman_issues
+            and 0.0 < g["alpha"] < 1.0):
+        try:
+            check_admissible(_weight_params(cfg), DegeneracySpec(g["alpha"]))
+        except ValueError as exc:
+            issues.append(f"carleman.lam: {exc}")
     exp = cfg["experiment"]
     if exp["kind"] not in KINDS:
         issues.append(
@@ -392,13 +405,16 @@ def _build_problem(cfg: dict) -> CylinderProblem:
         l0=g["l0"], k=g["k"], w=g["w"], windows=windows, F=_build_F(cfg))
 
 
-def _build_weights(cfg: dict, prob: CylinderProblem) -> CarlemanWeights:
+def _weight_params(cfg: dict) -> CarlemanParams:
     car = cfg["carleman"]
-    params = CarlemanParams(s=car["s"], lam=car["lam"],
-                            alpha_p=car["alpha_p"], beta_p=car["beta_p"],
-                            m_floor=car["m_floor"],
-                            cap_ratio=car["cap_ratio"])
-    return CarlemanWeights(params, prob.deg, prob.grid, prob.mesh)
+    return CarlemanParams(s=car["s"], lam=car["lam"], alpha_p=car["alpha_p"],
+                          beta_p=car["beta_p"], m_floor=car["m_floor"],
+                          cap_ratio=car["cap_ratio"])
+
+
+def _build_weights(cfg: dict, prob: CylinderProblem) -> CarlemanWeights:
+    return CarlemanWeights(_weight_params(cfg), prob.deg, prob.grid,
+                           prob.mesh)
 
 
 def _build_game(cfg: dict, prob: CylinderProblem,
@@ -548,10 +564,13 @@ def _run_observability(cfg, out, rng, outputs, timings):
     weights = _build_weights(cfg, prob)
     game = _build_game(cfg, prob, weights)
     n = cfg["experiment"]["samples"]
+    # one block solve serves both samplers
+    basis = adjoint_basis(prob, mus=game.mus, alphas=game.alphas)
     obs = empirical_observability(prob, weights, samples=n, rng=rng,
-                                  mus=game.mus, alphas=game.alphas)
+                                  mus=game.mus, alphas=game.alphas,
+                                  basis=basis)
     car = empirical_carleman(prob, weights, samples=n, rng=rng,
-                             mus=game.mus, alphas=game.alphas)
+                             mus=game.mus, alphas=game.alphas, basis=basis)
     _write_csv(out / "ratios.csv", "observability,carleman",
                np.column_stack([obs["ratios"], car["ratios"]]))
     outputs.append("ratios.csv")
@@ -599,9 +618,10 @@ def _run_nonlinear_control(cfg, out, rng, outputs, timings):
     hum = HUMSolver(prob, weights, game)
     results = {}
     for factor in cfg["experiment"]["scale_factors"]:
+        y0 = factor * base_y0
         try:
             triple, history = solve_nonlinear_null_control(
-                prob, weights, game, factor * base_y0,
+                prob, weights, game, y0,
                 tol_z=sv["newton_tol"], tol_terminal=sv["tol_terminal"],
                 max_newton=int(sv["newton_max"]), hum=hum)
         except (NewtonFailureError, StepFailureError, SweepFailureError) as exc:
@@ -613,10 +633,11 @@ def _run_nonlinear_control(cfg, out, rng, outputs, timings):
         v1.values *= -prob.indicator("O1")[None, :] / (game.mu1 * wt[:, None])
         v2 = triple.p2.copy()
         v2.values *= -prob.indicator("O2")[None, :] / (game.mu2 * wt[:, None])
+        # both gradients are taken at the same state, marched once
+        y = solve_forward_semilinear(prob, y0, h=triple.h, v1=v1, v2=v2)
         qeq = []
         for i, v in ((1, v1), (2, v2)):
-            r = functional_gradient(prob, game, i, triple.h, v1, v2,
-                                    factor * base_y0)
+            r = functional_gradient(prob, game, i, triple.h, v1, v2, y0, y=y)
             qeq.append(float(np.max(np.abs(r.values))
                              / (1.0 + np.max(np.abs(v.values)))))
         results[str(factor)] = {

@@ -213,8 +213,11 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
                              -sol.p2.values * ind[1][None, :]
                              / (game.mu2 * wt[:, None]))
     if compute_residuals:
+        # both gradients are taken at the same state, marched once
+        y = solve_forward_semilinear(prob, y0, h=h, v1=sol.v1, v2=sol.v2)
         for i, v_i in ((1, sol.v1), (2, sol.v2)):
-            g = functional_gradient(prob, game, i, h, sol.v1, sol.v2, y0)
+            g = functional_gradient(prob, game, i, h, sol.v1, sol.v2, y0,
+                                    y=y)
             scale = 1.0 + v_i.l2q_norm()
             sol.residuals[f"grad_J{i}"] = g.l2q_norm() / scale
     return sol

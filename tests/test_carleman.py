@@ -1,13 +1,16 @@
 """Carleman weight construction, identities and empirical inequalities."""
 
+import json
+
 import numpy as np
 import pytest
 
-from degcontrol import carleman
+from degcontrol import carleman, cli, solvers
 from degcontrol.carleman import (
     CarlemanParams,
     CarlemanWeights,
     PsiFunction,
+    adjoint_basis,
     build_psi,
     empirical_carleman,
     empirical_observability,
@@ -280,10 +283,9 @@ class TestGramForms:
         w0, wf, _, w_obs = carleman._carleman_weights(prob, w)
         rng = np.random.default_rng(4)
         cols = rng.standard_normal((mesh.M + 1, 5, grid.N - 1))
-        groups = [cols[:, :2], cols[:, 2:]]
-        g_gamma = carleman._gram(groups, carleman._gamma_bands(prob, w0, wf))
+        g_gamma = carleman._gram(cols, carleman._gamma_bands(prob, w0, wf))
         g_obs = carleman._gram(
-            groups, mesh.dt * grid.interior_volumes * w_obs[1:, 1:-1])
+            cols, mesh.dt * grid.interior_volumes * w_obs[1:, 1:-1])
         for c in np.vstack([np.eye(5), rng.standard_normal((3, 5))]):
             u = np.zeros((mesh.M + 1, grid.N + 1))
             u[:, 1:-1] = np.einsum("mkn,k->mn", cols, c)
@@ -321,3 +323,79 @@ class TestGramSampling:
         ref_car, _ = _reference_carleman(prob, w, 3,
                                          np.random.default_rng(12))
         np.testing.assert_allclose(car["ratios"], ref_car, rtol=1e-8)
+
+
+def _rel(a, b):
+    """Largest entry of a - b relative to the largest entry of b."""
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+class TestSharedBasis:
+    """Both samplers read one full-form block solve, `adjoint_basis`."""
+
+    MUS, ALPHAS = (2.0, 3.0), (0.7, 1.3)
+
+    def test_given_basis_equals_own_solve(self, w32):
+        prob, w = w32
+        basis = adjoint_basis(prob, self.MUS, self.ALPHAS)
+        for sampler in (empirical_observability, empirical_carleman):
+            reports = [sampler(prob, w, samples=6,
+                               rng=np.random.default_rng(5), mus=self.MUS,
+                               alphas=self.ALPHAS, basis=given)
+                       for given in (basis, None)]
+            assert reports[0].keys() == reports[1].keys()
+            for key in reports[0]:
+                assert np.array_equal(reports[0][key], reports[1][key])
+
+    @pytest.mark.parametrize("mus, alphas", [((1.0, 1.0), (1.0, 1.0)),
+                                             (MUS, ALPHAS)])
+    def test_observability_forms_match_reduced_solve(self, w32, mus, alphas):
+        # rho = alpha1 psi1 + alpha2 psi2 of the full form is the follower
+        # of the reduced form, solved here on its own as the reference
+        prob, w = w32
+        basis = adjoint_basis(prob, mus, alphas)
+        psi = basis.psi[:, :carleman.SINE_MODES]
+        forms = carleman._observability_forms(
+            prob, w, basis.phi[:, :carleman.SINE_MODES],
+            alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1])
+        red = solve_adjoint_coupled(prob, carleman._sine_modes(prob.grid),
+                                    mus=mus, alphas=alphas, reduced=True)
+        ref = carleman._observability_forms(prob, w, red.phi,
+                                            red.psi[:, :, 0])
+        for form, ref_form in zip(forms, ref):
+            assert _rel(form, ref_form) <= 1e-9
+
+    def test_carleman_forms_match_per_slot_solves(self, w32):
+        # the reference solves the sine modes and each slot's source modes
+        # in four calls, and stacks their columns in the basis order
+        prob, w = w32
+        grid = prob.grid
+        modes = carleman._source_modes(grid, prob.mesh)
+        blocks = [solve_adjoint_coupled(prob, carleman._sine_modes(grid))]
+        for slot in carleman.SOURCE_SLOTS:
+            blocks.append(solve_adjoint_coupled(
+                prob, np.zeros((len(modes), grid.N + 1)), **{slot: modes}))
+        ref = carleman._carleman_forms(
+            prob, w, np.concatenate([b.phi for b in blocks], axis=1),
+            np.concatenate([b.psi for b in blocks], axis=1))
+        basis = adjoint_basis(prob)
+        forms = carleman._carleman_forms(prob, w, basis.phi, basis.psi)
+        for form, ref_form in zip(forms, ref):
+            assert _rel(form, ref_form) <= 1e-9
+
+    def test_observability_run_solves_once(self, tmp_path, monkeypatch):
+        calls = []
+        solve = solvers.solve_adjoint_coupled
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "solve_adjoint_coupled", counted)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "grid": {"N": 16, "M": 16},
+            "experiment": {"kind": "observability", "samples": 4}}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        assert len(calls) == 1

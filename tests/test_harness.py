@@ -207,8 +207,12 @@ class TestCLI:
          "game.windows.O"),
         (_tiny("linear-control", budget_limit="x"), "experiment.budget_limit"),
         ([1], "config"),
+        ({**_tiny("diagnostics"), "carleman": {"lam": 0.1}},
+         "carleman.lam: lambda=0.1 below admissible minimum"),
+        ({**_tiny("diagnostics"), "carleman": {"m_floor": -1}},
+         "carleman.m_floor: must be positive"),
     ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
-            "budget_limit", "not-an-object"])
+            "budget_limit", "not-an-object", "lam", "m_floor"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback
@@ -220,6 +224,12 @@ class TestCLI:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert f"error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_admissible_lambda_validates(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"carleman": {"lam": 0.7, "m_floor": 0.01},
+                                    "experiment": {"kind": "diagnostics"}}))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
 
     def test_cli_import_leaves_blas_unloaded(self):
         # --threads/--deterministic set the BLAS caps inside main(), which
