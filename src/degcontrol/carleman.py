@@ -42,13 +42,16 @@ __all__ = [
     "empirical_carleman",
 ]
 
+# the automatic lambda is the least admissible one enlarged by this factor
+LAMBDA_MARGIN = 1.1
+
 
 @dataclass(frozen=True)
 class CarlemanParams:
     """Parameters of the weight construction.
 
     lam=None selects lambda automatically: the least value satisfying
-    3A* < 2A_hat is found by bisection, then enlarged by lambda_margin.
+    3A* < 2A_hat is found by bisection, then enlarged by LAMBDA_MARGIN.
     cap_ratio bounds the dynamic range of the normalized rho tables.
     """
 
@@ -57,7 +60,6 @@ class CarlemanParams:
     alpha_p: float = 0.35
     beta_p: float = 0.45
     m_floor: float | None = None
-    lambda_margin: float = 1.1
     cap_ratio: float = 1e3
 
     def __post_init__(self):
@@ -207,7 +209,7 @@ def _choose_lambda(params: CarlemanParams, psi_range: tuple) -> tuple:
     None, and the least admissible lambda.  Raises ValueError if
     params.lam is below that least value."""
     if params.lam is None:
-        return _auto_lambda(*psi_range, params.lambda_margin)
+        return _auto_lambda(*psi_range, LAMBDA_MARGIN)
     lam = float(params.lam)
     _, lambda_min = _auto_lambda(*psi_range, 1.0)
     if lam < lambda_min:

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -309,6 +309,12 @@ def validate_config(config: ScenarioConfig | dict) -> list:
             check_admissible(_weight_params(cfg), DegeneracySpec(g["alpha"]))
         except ValueError as exc:
             issues.append(f"carleman.lam: {exc}")
+    # the bridge of Psi must lie inside the leader window O
+    if not carleman_issues and not window_issues:
+        try:
+            _weight_params(cfg).check_inside(tuple(wins["O"]))
+        except ValueError as exc:
+            issues.append(f"carleman: {exc}")
     exp = cfg["experiment"]
     if exp["kind"] not in KINDS:
         issues.append(
@@ -543,7 +549,7 @@ def _run_convexity(cfg, out, rng, outputs, timings):
     h = prob.new_field()
     margins = []
     for mu in cfg["experiment"]["mu_grid"]:
-        game.mu1 = game.mu2 = float(mu)
+        game = replace(game, mu1=float(mu), mu2=float(mu))
         state = nash_fixed_point(prob, game, h, y0)
         m = convexity_margin(prob, game, state, probes=4, rng=rng)
         margins.append((mu, m["margin"], m["certified"]))
@@ -628,18 +634,11 @@ def _run_nonlinear_control(cfg, out, rng, outputs, timings):
             results[str(factor)] = {"converged": False,
                                     "failure": type(exc).__name__}
             continue
-        wt = game.time_weight(prob)
-        v1 = triple.p1.copy()
-        v1.values *= -prob.indicator("O1")[None, :] / (game.mu1 * wt[:, None])
-        v2 = triple.p2.copy()
-        v2.values *= -prob.indicator("O2")[None, :] / (game.mu2 * wt[:, None])
-        # both gradients are taken at the same state, marched once
-        y = solve_forward_semilinear(prob, y0, h=triple.h, v1=v1, v2=v2)
-        qeq = []
-        for i, v in ((1, v1), (2, v2)):
-            r = functional_gradient(prob, game, i, triple.h, v1, v2, y0, y=y)
-            qeq.append(float(np.max(np.abs(r.values))
-                             / (1.0 + np.max(np.abs(v.values)))))
+        v = game.controls(prob, (triple.p1.values, triple.p2.values))
+        grads = functional_gradient(prob, game, triple.h, *v, y0)
+        qeq = [float(np.max(np.abs(g.values))
+                     / (1.0 + np.max(np.abs(v_i.values))))
+               for g, v_i in zip(grads, v)]
         results[str(factor)] = {
             "converged": True,
             "newton_steps": len(history),

@@ -13,6 +13,10 @@ forward step; the quasi-equilibrium is the Picard fixed point of
 
     v^i = -(1/(mu_i wt)) p^i 1_{Oi}.
 
+GameSpec.couplings is the one definition of this control map and of the
+adjoint tracking weight alpha_i wt 1_{Od}; the leader's HUM system and the
+Newton remainders read the same arrays.
+
 The second-derivative quadratic form follows the tangent/second-adjoint
 (theta, eta) system; with the exact-transpose construction it is the
 exact Hessian of the discrete J_1, so finite-difference cross-checks
@@ -21,7 +25,7 @@ hold to solver tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -29,7 +33,6 @@ from .grids import TrajectoryField
 from .operators import band_apply, band_transpose
 from .solvers import (
     CylinderProblem,
-    LevelOps,
     SweepFailureError,
     _interior,
     solve_backward_linear,
@@ -91,6 +94,28 @@ class GameSpec:
             return np.ones(prob.mesh.M + 1)
         return np.atleast_1d(prob.dom.ell(prob.mesh.times))
 
+    def couplings(self, prob: CylinderProblem) -> tuple:
+        """(control, tracking), each of shape (2, M+1, N+1).
+
+        The two couplings of the followers' optimality system: follower i
+        plays v^i = -control_i p^i, and its adjoint p^i has the source
+        tracking_i (y - y_id), where
+
+            control_i = 1_{Oi} / (mu_i wt),    tracking_i = alpha_i wt 1_{Od}.
+        """
+        wt = self.time_weight(prob)[:, None]
+        ind = (prob.indicator("O1"), prob.indicator("O2"))
+        control = np.stack([ind[i] / (self.mus[i] * wt) for i in (0, 1)])
+        tracking = np.stack([a * wt * prob.indicator("Od")
+                             for a in self.alphas])
+        return control, tracking
+
+    def controls(self, prob: CylinderProblem, p) -> list:
+        """[v1, v2] with v^i = -control_i p^i, for p = (p^1, p^2) values."""
+        control = self.couplings(prob)[0]
+        return [TrajectoryField(prob.grid, prob.mesh, -control[i] * p[i])
+                for i in (0, 1)]
+
 
 def make_default_targets(prob: CylinderProblem, weights=None,
                          amplitude: float = 1.0) -> tuple:
@@ -151,13 +176,22 @@ class NashSolution:
     residuals: dict = dc_field(default_factory=dict)
 
 
-def _follower_sources(prob, game, y_vals_int, targets, wt):
-    ind_d = prob.indicator_interior("Od")
-    out = []
-    for i in (0, 1):
-        mis = y_vals_int - _interior(targets[i].values)
-        out.append(game.alphas[i] * wt[:, None] * mis * ind_d[None, :])
-    return out
+def _follower_adjoints(prob: CylinderProblem, game: GameSpec,
+                       y: TrajectoryField) -> np.ndarray:
+    """Both follower adjoints at the state y, shape (2, M+1, N+1).
+
+    p^i has the source tracking_i (y - y_id); the two march backward as
+    the two columns of one march, each equal to its own one-column march.
+    """
+    tracking = game.couplings(prob)[1]
+    targets = game.targets(prob)
+    rows = np.stack([_interior(tracking[i] * (y.values - targets[i].values))
+                     for i in (0, 1)], axis=1)
+    rows *= prob.mesh.dt
+    prob.ops_at_state(y).march_adjoint(rows, prob.mesh.M)
+    p = np.zeros((2,) + y.values.shape)
+    p[:, :, 1:-1] = rows.transpose(1, 0, 2)
+    return p
 
 
 def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
@@ -171,84 +205,55 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     new state, until the trajectory update stalls below tol.  Raises
     SweepFailureError as soon as an update is not finite.
     """
-    targets = game.targets(prob)
-    wt = game.time_weight(prob)
-    ind = [prob.indicator("O1"), prob.indicator("O2")]
-    M = prob.mesh.M
-    p_vals = np.zeros((2, M + 1, prob.grid.N + 1))
+    p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
     history = []
-    sol = None
     for _ in range(max_sweeps):
-        v = [TrajectoryField(prob.grid, prob.mesh,
-                             -p_vals[i] * ind[i][None, :]
-                             / (game.mus[i] * wt[:, None]))
-             for i in (0, 1)]
+        v = game.controls(prob, p)
         y = solve_forward_semilinear(prob, y0, h=h, v1=v[0], v2=v[1])
-        ops = prob.ops_at_state(y)
-        srcs = _follower_sources(prob, game, _interior(y.values), targets, wt)
-        # both adjoints march backward as the two columns of one march
-        rows = np.stack(srcs, axis=1)
-        rows *= prob.mesh.dt
-        ops.march_adjoint(rows, M)
-        new = np.zeros_like(p_vals)
-        new[:, :, 1:-1] = rows.transpose(1, 0, 2)
+        new = _follower_adjoints(prob, game, y)
         # np.max, unlike Python's max, propagates a NaN update
-        delta = float(np.max(np.abs(new - p_vals)))
-        p_vals = new
+        delta = float(np.max(np.abs(new - p)))
+        p = new
         history.append(delta)
         if not np.isfinite(delta):
             raise SweepFailureError(history, "nash optimality system")
         if delta <= tol:
-            p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p) for p in new)
-            sol = NashSolution(y=y, p1=p1, p2=p2, v1=v[0], v2=v[1],
-                               history=history)
             break
-    if sol is None:
+    else:
         raise SweepFailureError(history, "nash optimality system")
     # one more control update so v matches the final adjoints exactly
-    sol.v1 = TrajectoryField(prob.grid, prob.mesh,
-                             -sol.p1.values * ind[0][None, :]
-                             / (game.mu1 * wt[:, None]))
-    sol.v2 = TrajectoryField(prob.grid, prob.mesh,
-                             -sol.p2.values * ind[1][None, :]
-                             / (game.mu2 * wt[:, None]))
+    v1, v2 = game.controls(prob, p)
+    p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
+    sol = NashSolution(y=y, p1=p1, p2=p2, v1=v1, v2=v2, history=history)
     if compute_residuals:
-        # both gradients are taken at the same state, marched once
-        y = solve_forward_semilinear(prob, y0, h=h, v1=sol.v1, v2=sol.v2)
-        for i, v_i in ((1, sol.v1), (2, sol.v2)):
-            g = functional_gradient(prob, game, i, h, sol.v1, sol.v2, y0,
-                                    y=y)
-            scale = 1.0 + v_i.l2q_norm()
-            sol.residuals[f"grad_J{i}"] = g.l2q_norm() / scale
+        grads = functional_gradient(prob, game, h, v1, v2, y0)
+        for i, (g, v_i) in enumerate(zip(grads, (v1, v2)), start=1):
+            sol.residuals[f"grad_J{i}"] = g.l2q_norm() / (1.0 + v_i.l2q_norm())
     return sol
 
 
-def functional_gradient(prob: CylinderProblem, game: GameSpec, i: int,
+def functional_gradient(prob: CylinderProblem, game: GameSpec,
                         h: TrajectoryField | None, v1: TrajectoryField | None,
-                        v2: TrajectoryField | None, y0: np.ndarray,
-                        y: TrajectoryField | None = None) -> TrajectoryField:
-    """Riesz representative mu_i wt v^i + p^i of D_{v^i} J_i, on O_i.
+                        v2: TrajectoryField | None, y0: np.ndarray) -> tuple:
+    """Riesz representatives mu_i wt v^i + p^i of D_{v^i} J_i on O_i.
 
-    Recomputes the forward state and follower adjoint from scratch, so
-    the result is independent of any fixed-point construction.
+    Returns the pair (i = 1, 2).  Recomputes the forward state and both
+    follower adjoints from scratch, so the result is independent of any
+    fixed-point construction.
     """
-    if i not in (1, 2):
-        raise ValueError("follower index must be 1 or 2")
-    if y is None:
-        y = solve_forward_semilinear(prob, y0, h=h, v1=v1, v2=v2)
-    targets = game.targets(prob)
+    y = solve_forward_semilinear(prob, y0, h=h, v1=v1, v2=v2)
+    p = _follower_adjoints(prob, game, y)
     wt = game.time_weight(prob)
-    ops = prob.ops_at_state(y)
-    srcs = _follower_sources(prob, game, _interior(y.values), targets, wt)
-    p = solve_backward_linear(ops, srcs[i - 1])
-    v_i = (v1 if i == 1 else v2)
-    ind = prob.indicator("O1" if i == 1 else "O2")
-    v_vals = v_i.values if v_i is not None else 0.0
-    grad = (game.mus[i - 1] * wt[:, None] * v_vals + p.values) * ind[None, :]
-    # the quadrature puts no weight on t=0, so that slice of the control
-    # does not enter J_i and its exact discrete gradient vanishes there
-    grad[0] = 0.0
-    return TrajectoryField(prob.grid, prob.mesh, grad)
+    grads = []
+    for i, v_i in enumerate((v1, v2)):
+        ind = prob.indicator(f"O{i + 1}")
+        v_vals = v_i.values if v_i is not None else 0.0
+        grad = (game.mus[i] * wt[:, None] * v_vals + p[i]) * ind[None, :]
+        # the quadrature puts no weight on t=0, so that slice of the control
+        # does not enter J_i and its exact discrete gradient vanishes there
+        grad[0] = 0.0
+        grads.append(TrajectoryField(prob.grid, prob.mesh, grad))
+    return tuple(grads)
 
 
 def _dL_transpose_apply(prob: CylinderProblem, y: np.ndarray,
@@ -293,14 +298,13 @@ def second_derivative_form(prob: CylinderProblem, game: GameSpec,
     other = vbar if vtilde is None else vtilde
     wt = game.time_weight(prob)
     ind1 = prob.indicator_interior("O1")
-    ind_d = prob.indicator_interior("Od")
     ops = prob.ops_at_state(state.y)
     src_theta = _interior(vbar.values) * ind1[None, :]
     theta = solve_forward_linear(ops, np.zeros(prob.grid.N + 1), src_theta)
     yi = _interior(state.y.values)
     ti = _interior(theta.values)
     pi = _interior(state.p1.values)
-    g_eta = (game.alpha1 * wt[:, None] * ti * ind_d
+    g_eta = (_interior(game.couplings(prob)[1][0]) * ti
              - _dL_transpose_apply(prob, yi, ti, pi))
     eta = solve_backward_linear(ops, g_eta)
     w = prob.grid.cell_volumes
@@ -360,9 +364,7 @@ def fit_mu_star(prob: CylinderProblem, game: GameSpec,
     lo, hi = np.log(bracket[0]), np.log(bracket[1])
 
     def certified(mu: float) -> bool:
-        g = GameSpec(alpha1=game.alpha1, alpha2=game.alpha2, mu1=mu, mu2=mu,
-                     target1=game.target1, target2=game.target2,
-                     jacobian_weighting=game.jacobian_weighting)
+        g = replace(game, mu1=mu, mu2=mu)
         try:
             st = nash_fixed_point(prob, g, h, y0, compute_residuals=False)
         except SweepFailureError:

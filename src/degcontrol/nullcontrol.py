@@ -6,10 +6,13 @@ The linearized optimality system is controlled by minimizing
 
 over discrete adjoint trajectories, with
 
-    b = int rho0^-2 |L* phi - a1 psi1 1_Od - a2 psi2 1_Od|^2
-      + sum_i int rho0^-2 |L psi_i + phi/mu_i 1_Oi|^2
+    b = int rho0^-2 |L* phi - t1 psi1 - t2 psi2|^2
+      + sum_i int rho0^-2 |L psi_i + c_i phi|^2
       + int_O rho1^-2 |phi|^2,
-    l = <y0, phi(0+)> + int H phi + sum_i int H_i psi_i.
+    l = <y0, phi(0+)> + int H phi + sum_i int H_i psi_i,
+
+where (c_i, t_i) = (1_Oi / (mu_i wt), alpha_i wt 1_Od) are the followers'
+control and tracking couplings, read from GameSpec.couplings.
 
 The minimizer is found by assembling the (sparse, SPD) normal operator
 over the 3*M*(N-1) space-time unknowns, whose blocks are laid out from
@@ -19,8 +22,8 @@ pivots); iterative refinement against the unshifted operator, with one
 extended-precision CSR residual per step, solves it to near roundoff.
 The controlled triple is read off the minimizer as
 
-    y = rho0^-2 (L* phi - a1 psi1 1_Od - a2 psi2 1_Od),
-    p_i = rho0^-2 (L psi_i + phi/mu_i 1_Oi),    h = -rho1^-2 phi 1_O,
+    y = rho0^-2 (L* phi - t1 psi1 - t2 psi2),
+    p_i = rho0^-2 (L psi_i + c_i phi),    h = -rho1^-2 phi 1_O,
 
 and, by stationarity, satisfies the discrete linearized system exactly
 (the transposition argument made computational).  The rho tables are the
@@ -186,13 +189,12 @@ class HUMSolver:
         self.Lstar = sp.hstack(
             [_space_time_blocks(ops.bands_t[1:], dt, n), term_col]).tocsr()
         self.Lfwd = _space_time_blocks(ops.bands[1:], dt, -n)
-        wt = game.time_weight(prob)[1:]
-        ind_d = prob.indicator_interior("Od")
-        ind_o = prob.indicator_interior("O")
-        ind_i = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
-        D_od = sp.diags(np.outer(wt, ind_d).ravel())
-        D_o = sp.diags(np.tile(ind_o, M))
-        D_oi = [sp.diags(np.tile(ind_i[i], M)) for i in (0, 1)]
+        control, tracking = game.couplings(prob)
+
+        def diag(c):  # a coupling on the unknowns of levels 1..M
+            return sp.diags(_interior(c[1:]).ravel())
+
+        D_o = sp.diags(np.tile(prob.indicator_interior("O"), M))
         wv = prob.grid.interior_volumes
         self.rho0_inv2 = weights.rho0_n ** (-2.0)
         self.rho1_inv2 = weights.rho1_n ** (-2.0)
@@ -201,11 +203,10 @@ class HUMSolver:
         size = M * n
         Z = sp.csr_matrix((size, size))
         Zt = sp.csr_matrix((size, n))  # phi^{M+1} couples only through L*
-        a1, a2 = game.alphas
-        m1, m2 = game.mus
-        self.G0 = sp.hstack([self.Lstar, -a1 * D_od, -a2 * D_od]).tocsr()
-        self.G1 = sp.hstack([D_oi[0] / m1, Zt, self.Lfwd, Z]).tocsr()
-        self.G2 = sp.hstack([D_oi[1] / m2, Zt, Z, self.Lfwd]).tocsr()
+        self.G0 = sp.hstack([self.Lstar, -diag(tracking[0]),
+                             -diag(tracking[1])]).tocsr()
+        self.G1 = sp.hstack([diag(control[0]), Zt, self.Lfwd, Z]).tocsr()
+        self.G2 = sp.hstack([diag(control[1]), Zt, Z, self.Lfwd]).tocsr()
         self.E = sp.hstack([D_o, Zt, Z, Z]).tocsr()
         B = (self.G0.T @ W0 @ self.G0 + self.G1.T @ W0 @ self.G1
              + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E).tocsc()
@@ -330,21 +331,17 @@ class HUMSolver:
 
     def _consistency(self, y, p1, p2, h, y0, H, H1, H2) -> dict:
         prob = self.prob
-        ind_o = prob.indicator_interior("O")
-        ind_i = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
-        ind_d = prob.indicator_interior("Od")
-        wt = self.game.time_weight(prob)
-        src = (_interior(h.values) * ind_o[None, :]
-               - _interior(p1.values) * ind_i[0][None, :] / self.game.mu1
-               - _interior(p2.values) * ind_i[1][None, :] / self.game.mu2)
+        tracking = self.game.couplings(prob)[1]
+        v1, v2 = self.game.controls(prob, (p1.values, p2.values))
+        src = (_interior(h.values) * prob.indicator_interior("O")[None, :]
+               + _interior(v1.values) + _interior(v2.values))
         if H is not None:
             src = src + _interior(H.values)
         y_check = solve_forward_linear(self.ops, y0, src)
         scale = 1.0 + float(np.max(np.abs(y.values)))
         out = {"y": float(np.max(np.abs(y_check.values - y.values)) / scale)}
         for i, (p, Hi) in enumerate(((p1, H1), (p2, H2)), start=1):
-            g = (self.game.alphas[i - 1] * wt[:, None]
-                 * _interior(y.values) * ind_d[None, :])
+            g = _interior(tracking[i - 1] * y.values)
             if Hi is not None:
                 g = g + _interior(Hi.values)
             p_check = solve_backward_linear(self.ops, g)
@@ -422,10 +419,10 @@ def _nonlinear_remainders(prob: CylinderProblem, game: GameSpec,
     """The remainder N(z) of the map beyond its linearization at zero.
 
     N0 = F(y, g y_x) - D1F(0,0) y - D2F(0,0) g y_x,
-    N_i = (L(y)^T - L(0)^T) p_i + alpha_i wt y_id 1_Od  (constants included).
+    N_i = (L(y)^T - L(0)^T) p_i + tracking_i y_id  (constants included),
+    with tracking_i = alpha_i wt 1_Od the game's tracking coupling.
     """
-    wt = game.time_weight(prob)[:, None]
-    ind_d = prob.indicator_interior("Od")
+    tracking = game.couplings(prob)[1]
     targets = game.targets(prob)
     zero = np.zeros(1)
     d1 = float(prob.F.D1(zero, zero)[0])
@@ -435,7 +432,7 @@ def _nonlinear_remainders(prob: CylinderProblem, game: GameSpec,
     wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
     N0 = prob.F.F(yi, wgrad) - d1 * yi - d2 * wgrad
     Ni = [band_apply(dbands, _interior(p.values))
-          + game.alphas[i] * wt * _interior(targets[i].values) * ind_d
+          + _interior(tracking[i] * targets[i].values)
           for i, p in enumerate((p1, p2))]
     return _nodal(N0), _nodal(Ni[0]), _nodal(Ni[1])
 

@@ -555,24 +555,14 @@ class EnergyReport:
     grad_energy: dict          # int int a |u_x|^2
     time_deriv: dict           # int int |u_t|^2
     flux_divergence: dict      # int int |(a u_x)_x|^2
-    rhs_budget: float
-    fitted_constant: float
-    bound_ok: bool
 
     def total(self, name: str) -> float:
         return (self.sup_l2[name] ** 2 + self.grad_energy[name]
                 + self.time_deriv[name] + self.flux_divergence[name])
 
 
-def energy_diagnostics(prob: CylinderProblem, fields: dict,
-                       rhs_budget: float = float("nan"),
-                       budget_constant: float = float("nan")) -> EnergyReport:
-    """Compute the four quadratic energy quantities for each field.
-
-    If a finite rhs_budget is given, the fitted constant
-    max_field (sup_l2^2 + grad_energy) / budget is reported and compared
-    against budget_constant (Gronwall-style bound) when that is finite.
-    """
+def energy_diagnostics(prob: CylinderProblem, fields: dict) -> EnergyReport:
+    """Compute the four quadratic energy quantities for each field."""
     grid, mesh = prob.grid, prob.mesh
     a_face = prob.deg.a(grid.faces)
     h = grid.spacings
@@ -591,15 +581,8 @@ def energy_diagnostics(prob: CylinderProblem, fields: dict,
         dtn[name] = float(dt * np.sum(wv[None, :] * ut ** 2))
         div = np.diff(dflux, axis=1) / wv[None, 1:-1]
         fluxdiv[name] = float(dt * np.sum(wv[None, 1:-1] * div[1:] ** 2))
-    fitted = float("nan")
-    ok = True
-    if np.isfinite(rhs_budget) and rhs_budget > 0:
-        fitted = max((sup_l2[k] ** 2 + grad_e[k]) / rhs_budget for k in fields)
-        if np.isfinite(budget_constant):
-            ok = fitted <= budget_constant
     return EnergyReport(sup_l2=sup_l2, grad_energy=grad_e, time_deriv=dtn,
-                        flux_divergence=fluxdiv, rhs_budget=rhs_budget,
-                        fitted_constant=fitted, bound_ok=ok)
+                        flux_divergence=fluxdiv)
 
 
 def dump_trajectory_csv(f: TrajectoryField, path) -> None:

@@ -134,7 +134,7 @@ def test_criterion_3_nash_layer(prob, prob_linear, weights, game,
     ind = prob.indicator("O1")
     d.values[:] = np.sin(np.pi * prob.grid.nodes)[None, :] * ind[None, :]
     vbase = sol.v1 + 0.01 * d
-    g = functional_gradient(prob, game, 1, h, vbase, sol.v2, y0)
+    g = functional_gradient(prob, game, h, vbase, sol.v2, y0)[0]
     eps = 1e-4
 
     def j1(v1):
@@ -272,7 +272,7 @@ def test_criterion_7_nonlinear_null_control(prob, prob_linear, weights,
         v1.values *= -prob.indicator("O1")[None, :] / (game.mu1 * wt[:, None])
         v2 = triple.p2.copy()
         v2.values *= -prob.indicator("O2")[None, :] / (game.mu2 * wt[:, None])
-        r = functional_gradient(prob, game, i, triple.h, v1, v2, base_y0)
+        r = functional_gradient(prob, game, triple.h, v1, v2, base_y0)[i - 1]
         v = v1 if i == 1 else v2
         qeq.append(float(np.max(np.abs(r.values))
                          / (1.0 + np.max(np.abs(v.values)))))

@@ -145,6 +145,19 @@ class TestRuns:
         rec2 = harness.run_scenario(config, tmp_path / "b", seed=2)
         assert rec1.report["sup_l2"] != rec2.report["sup_l2"]
 
+    def test_unweighted_followers_reach_equilibrium(self, tmp_path):
+        # without the Jacobian factor the leader's HUM system must carry
+        # the same follower map v_i = -p_i 1_Oi / (mu_i l(t)) as the Nash
+        # layer that checks it
+        config = {"grid": {"N": 32, "M": 64},
+                  "game": {"jacobian_weighting": False},
+                  "experiment": {"kind": "nonlinear-control",
+                                 "scale_factors": [1.0, 3.0]}}
+        record = harness.run_scenario(config, tmp_path, seed=0)
+        for res in record.report["scales"].values():
+            assert res["converged"]
+            assert max(res["quasi_equilibrium_residuals"]) <= 1e-9
+
     def test_emit_plot_data(self, tmp_path):
         record = harness.run_scenario(_tiny(), tmp_path, seed=0)
         outputs = harness.emit_plot_data(record, tmp_path)
@@ -211,8 +224,12 @@ class TestCLI:
          "carleman.lam: lambda=0.1 below admissible minimum"),
         ({**_tiny("diagnostics"), "carleman": {"m_floor": -1}},
          "carleman.m_floor: must be positive"),
+        ({"carleman": {"alpha_p": 0.6, "beta_p": 0.7},
+          "experiment": {"kind": "observability", "samples": 4},
+          "grid": {"N": 16, "M": 16}},
+         "carleman: [alpha', beta']=[0.6,0.7] not inside O"),
     ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
-            "budget_limit", "not-an-object", "lam", "m_floor"])
+            "budget_limit", "not-an-object", "lam", "m_floor", "bridge"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback

@@ -101,25 +101,26 @@ class TestFixedPoint:
 
 class TestGradient:
     def test_matches_central_differences(self, prob, game):
+        # both outputs of one call, each against J_i along a bump in O_i
         h = _leader(prob)
         y0 = sine_data(prob, 0.05)
-        v1 = _bump_direction(prob, "O1")
-        v1.values *= 0.01
-        v2 = prob.new_field()
-        g = functional_gradient(prob, game, 1, h, v1, v2, y0)
-        d = _bump_direction(prob, "O1")
+        v = [_bump_direction(prob, "O1"), _bump_direction(prob, "O2")]
+        for v_i in v:
+            v_i.values *= 0.01
+        grads = functional_gradient(prob, game, h, v[0], v[1], y0)
         eps = 1e-4
-        jp = evaluate_functional(
-            prob, game, 1,
-            solve_forward_semilinear(prob, y0, h=h, v1=v1 + eps * d, v2=v2),
-            v1 + eps * d)
-        jm = evaluate_functional(
-            prob, game, 1,
-            solve_forward_semilinear(prob, y0, h=h, v1=v1 - eps * d, v2=v2),
-            v1 - eps * d)
-        fd = (jp - jm) / (2 * eps)
-        directional = g.l2q_inner(d)
-        assert directional == pytest.approx(fd, rel=1e-5)
+        for i in (1, 2):
+            d = _bump_direction(prob, f"O{i}")
+
+            def j(sign):
+                w = list(v)
+                w[i - 1] = v[i - 1] + sign * eps * d
+                y = solve_forward_semilinear(prob, y0, h=h, v1=w[0], v2=w[1])
+                return evaluate_functional(prob, game, i, y, w[i - 1])
+
+            fd = (j(1.0) - j(-1.0)) / (2 * eps)
+            directional = grads[i - 1].l2q_inner(d)
+            assert directional == pytest.approx(fd, rel=1e-5)
 
     def test_parabola_for_linear_dynamics(self, prob_linear, weights):
         # with F = 0 the state map is affine in v1, so J1 along a control

@@ -47,6 +47,29 @@ def coarse():
     return prob, weights, game, HUMSolver(prob, weights, game)
 
 
+class TestCouplings:
+    def test_hum_blocks_are_the_game_couplings(self):
+        # wt = l(t) makes both couplings vary in time
+        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        game = GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
+                        jacobian_weighting=False)
+        hum = HUMSolver(prob, weights, game)
+        control, tracking = game.couplings(prob)
+        assert np.ptp(game.time_weight(prob)) > 0.1
+        M, n = prob.mesh.M, prob.grid.N - 1
+        size, off = M * n, (M + 1) * n
+        for i, G in enumerate((hum.G1, hum.G2)):
+            block = G[:, :size]
+            assert (block - sp.diags(block.diagonal())).count_nonzero() == 0
+            assert np.array_equal(block.diagonal(),
+                                  control[i][1:, 1:-1].ravel())
+            track = hum.G0[:, off + i * size:off + (i + 1) * size]
+            assert np.array_equal(track.diagonal(),
+                                  -tracking[i][1:, 1:-1].ravel())
+
+
 class TestH1aNorm:
     def test_closed_form(self):
         # u = x(1-x), a = sqrt(x):
