@@ -63,7 +63,7 @@ def main(argv=None) -> int:
 
     # import after the thread caps so the pools honor them
     from . import harness
-    from .nullcontrol import NewtonFailureError, RefinementError
+    from .nullcontrol import HUMError, NewtonFailureError
     from .solvers import StepFailureError, SweepFailureError
 
     if args.command == "list":
@@ -128,7 +128,7 @@ def main(argv=None) -> int:
         record = harness.run_scenario(config, args.out, seed=args.seed,
                                       deterministic=args.deterministic)
     except (StepFailureError, SweepFailureError, NewtonFailureError,
-            RefinementError) as exc:
+            HUMError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -22,6 +22,7 @@ class SpatialGrid:
     N: int = 64
     gamma: float = 2.0
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    cell_volumes: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.N < 4:
@@ -33,6 +34,14 @@ class SpatialGrid:
         if np.any(np.diff(x) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         object.__setattr__(self, "nodes", x)
+        # trapezoid weights for all N+1 nodes; read on every inner product
+        h = np.diff(x)
+        w = np.empty(self.N + 1)
+        w[0] = h[0] / 2
+        w[-1] = h[-1] / 2
+        w[1:-1] = (h[:-1] + h[1:]) / 2
+        w.flags.writeable = False
+        object.__setattr__(self, "cell_volumes", w)
 
     @property
     def interior(self) -> np.ndarray:
@@ -47,16 +56,6 @@ class SpatialGrid:
     def spacings(self) -> np.ndarray:
         """h_{j+1/2} = x_{j+1} - x_j, length N."""
         return np.diff(self.nodes)
-
-    @property
-    def cell_volumes(self) -> np.ndarray:
-        """Trapezoid weights for all N+1 nodes."""
-        h = self.spacings
-        w = np.empty(self.N + 1)
-        w[0] = h[0] / 2
-        w[-1] = h[-1] / 2
-        w[1:-1] = (h[:-1] + h[1:]) / 2
-        return w
 
     @property
     def interior_volumes(self) -> np.ndarray:

@@ -321,6 +321,10 @@ def validate_config(config: ScenarioConfig | dict) -> list:
             f"experiment.kind: {exp['kind']!r} not one of {', '.join(KINDS)}")
     if exp["samples"] < 1:
         issues.append("experiment.samples: must be at least 1")
+    # the observability samplers model the followers with wt = 1
+    if exp["kind"] == "observability" and not game["jacobian_weighting"]:
+        issues.append("game.jacobian_weighting: observability runs sample "
+                      "the wt = 1 system; false has no effect there")
     if exp["y0_mode"] not in ("sine", "random"):
         issues.append(f"experiment.y0_mode: unknown {exp['y0_mode']!r}")
     study = exp["study"]

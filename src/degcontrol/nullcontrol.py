@@ -15,10 +15,13 @@ where (c_i, t_i) = (1_Oi / (mu_i wt), alpha_i wt 1_Od) are the followers'
 control and tracking couplings, read from GameSpec.couplings.
 
 The minimizer is found by assembling the (sparse, SPD) normal operator
-over the 3*M*(N-1) space-time unknowns, whose blocks are laid out from
-the same level bands the marches use.  A shifted copy is factored by
-SuperLU in symmetric mode (minimum-degree ordering of A + A^T, diagonal
-pivots); iterative refinement against the unshifted operator, with one
+over the (3M+1)(N-1) space-time unknowns, whose blocks are laid out from
+the same level bands the marches use.  It couples time level m only with
+levels m-1 and m+1, so with the unknowns numbered level by level
+(level_order) it is a band matrix of lower bandwidth 3(N-1)+1.  A
+shifted copy is factored by a banded Cholesky (LAPACK dpbtrf), which
+fills nothing outside the band and needs no fill-reducing ordering;
+iterative refinement against the unshifted operator, with one
 extended-precision CSR residual per step, solves it to near roundoff.
 The controlled triple is read off the minimizer as
 
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .carleman import CarlemanWeights
 from .grids import TrajectoryField
@@ -53,6 +56,8 @@ __all__ = [
     "LinearControlProblem",
     "ControlledTriple",
     "HUMSolver",
+    "BandCholesky",
+    "HUMError",
     "RefinementError",
     "NewtonFailureError",
     "h1a_norm",
@@ -64,9 +69,18 @@ __all__ = [
 
 # largest relative residual of the refined HUM solve that is accepted
 RESIDUAL_LIMIT = 1e-6
+# largest reconstruction residual (HUMSolver._consistency) that is accepted
+RECONSTRUCTION_LIMIT = 1e-6
+# diagonal shift of the factored copy of the scaled normal operator
+SHIFT = 1e-12
 
 
-class RefinementError(RuntimeError):
+class HUMError(RuntimeError):
+    """The HUM solve failed: the factorization, the refinement or the
+    reconstruction of the controlled triple."""
+
+
+class RefinementError(HUMError):
     """The refined HUM solve failed to reach RESIDUAL_LIMIT."""
 
     def __init__(self, rel_residual: float):
@@ -163,6 +177,71 @@ def _space_time_blocks(bands: np.ndarray, dt: float,
         [-1, 0, 1, shift], shape=(size, size), format="csr")
 
 
+def level_order(M: int, n: int) -> np.ndarray:
+    """Old index of each HUM unknown, numbered level by level.
+
+    The unknowns are stored block by block, [phi^1..phi^{M+1},
+    psi1^1..psi1^M, psi2^1..psi2^M], n per level.  In the order
+    [phi^1, psi1^1, psi2^1, phi^2, ..., psi2^M, phi^{M+1}] the normal
+    operator is a band matrix of lower bandwidth 3n+1.
+    """
+    size = M * n
+    blocks = np.arange(3 * size).reshape(3, M, n)
+    blocks[1:] += n  # the psi blocks follow phi^{M+1}
+    return np.concatenate([blocks.transpose(1, 0, 2).ravel(),
+                           np.arange(size, size + n)])
+
+
+def lower_band(A: sp.spmatrix, perm: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage of the symmetric A[perm][:, perm].
+
+    Returns ab, Fortran-ordered, of shape (kd+1, size), with
+    ab[i - j, j] = A[perm[i], perm[j]] for i >= j; the bandwidth kd is
+    the largest distance of a stored entry from the diagonal.
+    """
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(perm.size)
+    coo = A.tocoo()
+    row, col = inv[coo.row], inv[coo.col]
+    low = row >= col
+    col, dist = col[low], row[low] - col[low]
+    ab = np.zeros((dist.max() + 1, A.shape[0]), order="F")
+    ab[dist, col] = coo.data[low]
+    return ab
+
+
+class BandCholesky:
+    """Cholesky factor L L^T of an SPD matrix that is a band once permuted.
+
+    Factors `ab` (lower_band storage of A[perm][:, perm]) in place with
+    LAPACK dpbtrf; `solve` takes and returns vectors in the order of A.
+    `L` is a zero-copy view of the band factor and `U` = L^T.
+    """
+
+    def __init__(self, ab: np.ndarray, perm: np.ndarray):
+        self.band, info = lapack.dpbtrf(ab, lower=1, overwrite_ab=1)
+        if info > 0:
+            raise HUMError(
+                f"HUM factorization failed: leading minor {info} of the "
+                "shifted operator is not positive definite")
+        self.perm = perm
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        x, _ = lapack.dpbtrs(self.band, rhs[self.perm], lower=1)
+        out = np.empty_like(x)
+        out[self.perm] = x
+        return out
+
+    @property
+    def L(self) -> sp.dia_array:
+        kd1, size = self.band.shape
+        return sp.dia_array((self.band, -np.arange(kd1)), shape=(size, size))
+
+    @property
+    def U(self) -> sp.dia_array:
+        return self.L.T
+
+
 class HUMSolver:
     """Assembles and factorizes the variational operator once; solves many.
 
@@ -211,7 +290,7 @@ class HUMSolver:
         B = (self.G0.T @ W0 @ self.G0 + self.G1.T @ W0 @ self.G1
              + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E).tocsc()
         # symmetric Jacobi scaling: the raw operator mixes rho scales over
-        # ten decades, which defeats plain splu in double precision
+        # ten decades, which defeats a factorization in double precision
         self.scale = np.sqrt(B.diagonal())
         Dinv = sp.diags(1.0 / self.scale)
         self.Bs = (Dinv @ B @ Dinv).tocsc()
@@ -222,14 +301,12 @@ class HUMSolver:
         # of the continuous problem; factor a shifted copy and correct by
         # iterative refinement against the true matrix (the load is in the
         # numerical range, so the refinement converges there).  The shifted
-        # copy is SPD, so it is factored in symmetric mode: diagonal pivots
-        # keep the minimum-degree ordering of A + A^T, which partial
-        # pivoting would break
-        self.shift = 1e-12
-        self.lu = spla.splu(
-            (self.Bs + self.shift * sp.identity(self.Bs.shape[0])).tocsc(),
-            permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True})
+        # copy is SPD and, numbered level by level, a band matrix
+        self.shift = SHIFT
+        perm = level_order(M, n)
+        ab = lower_band(self.Bs, perm)
+        ab[0] += self.shift
+        self.lu = BandCholesky(ab, perm)
         # extended-precision copy for refinement residuals; CSR sums each
         # row in the same order as the CSC product, at half its cost
         self._Bld = self.Bs.astype(np.longdouble).tocsr()
@@ -262,7 +339,7 @@ class HUMSolver:
             z = np.zeros_like(f)
             rel_res = 0.0
         else:
-            # shifted LU corrected by refinement with extended-precision
+            # shifted factor corrected by refinement with extended-precision
             # residuals; the residual that scores an iterate is the load
             # of the next correction.  The best iterate is kept
             fld = fs.astype(np.longdouble)
@@ -284,7 +361,13 @@ class HUMSolver:
         cg_info = {"relative_residual": rel_res, "iterations": 0,
                    "refinement_residuals": [float(r / fnorm)
                                             for r in history]}
-        return self._reconstruct(z, y0, H, H1, H2, cg_info, budget_limit)
+        triple = self._reconstruct(z, y0, H, H1, H2, cg_info, budget_limit)
+        worst = np.max(list(triple.residuals.values()))
+        if not worst <= RECONSTRUCTION_LIMIT:
+            raise HUMError(
+                f"HUM reconstruction residual {worst:.3e} above the limit "
+                f"{RECONSTRUCTION_LIMIT:.1e}")
+        return triple
 
     def _reconstruct(self, z, y0, H, H1, H2, cg_info,
                      budget_limit) -> ControlledTriple:

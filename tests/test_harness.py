@@ -228,8 +228,11 @@ class TestCLI:
           "experiment": {"kind": "observability", "samples": 4},
           "grid": {"N": 16, "M": 16}},
          "carleman: [alpha', beta']=[0.6,0.7] not inside O"),
+        ({**_tiny("observability"), "game": {"jacobian_weighting": False}},
+         "game.jacobian_weighting"),
     ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
-            "budget_limit", "not-an-object", "lam", "m_floor", "bridge"])
+            "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
+            "unweighted-observability"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback
@@ -274,3 +277,14 @@ class TestCLI:
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
         assert "HUM refinement stalled" in capsys.readouterr().err
+
+    def test_factorization_failure_exit_code(self, tmp_path, capsys,
+                                             monkeypatch):
+        # the scaled operator has a unit diagonal, so this shift leaves
+        # the factored copy indefinite
+        monkeypatch.setattr(nullcontrol, "SHIFT", -2.0)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_tiny("linear-control", y0_amplitude=0.1)))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
+        assert "HUM factorization failed" in capsys.readouterr().err

@@ -1,10 +1,14 @@
 """HUM solves, superposition, residuals and the Newton loop."""
 
+import copy
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from degcontrol import harness, nullcontrol
+from degcontrol import cli, harness, nullcontrol
 from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TrajectoryField
@@ -179,7 +183,7 @@ class _CountingMatrix:
 
 
 class TestFactorization:
-    """The symmetric-mode factorization and the refinement it feeds."""
+    """The banded Cholesky factorization and the refinement it feeds."""
 
     def test_csr_product_equals_csc(self, coarse):
         hum = coarse[3]
@@ -197,39 +201,59 @@ class TestFactorization:
         # the unrefined iterate plus ten refinement steps
         assert counter.products == 11
 
-    def test_fewer_lu_nonzeros_than_default_ordering(self, coarse):
+    @pytest.mark.parametrize("N, M", [(16, 16), (32, 64)])
+    def test_level_order_gives_band(self, N, M):
+        prob = CylinderProblem.default(N=N, M=M, F=SemilinearF.zero())
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        n = N - 1
+        perm = nullcontrol.level_order(M, n)
+        assert np.array_equal(np.sort(perm), np.arange(hum.Bs.shape[0]))
+        ab = nullcontrol.lower_band(hum.Bs, perm)
+        kd = 3 * n + 1
+        assert ab.shape == (kd + 1, hum.Bs.shape[0])
+        # every entry of the permuted operator lies inside the band, and
+        # the band storage holds each one in its place
+        P = hum.Bs[perm][:, perm]
+        assert sp.tril(P, -kd - 1).nnz == 0
+        assert np.any(P.diagonal(-kd) != 0)
+        ref = np.zeros_like(ab)
+        for d in range(kd + 1):
+            ref[d, :P.shape[0] - d] = P.diagonal(-d)
+        assert np.array_equal(ab, ref)
+
+    def test_factor_reproduces_shifted_operator(self, coarse):
         hum = coarse[3]
-        plain = nullcontrol.spla.splu(
-            (hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])).tocsc())
-        assert (hum.lu.L.nnz + hum.lu.U.nnz
-                < plain.L.nnz + plain.U.nnz)
+        A = hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])
+        f = np.random.default_rng(0).standard_normal(A.shape[0])
+        x = hum.lu.solve(f)
+        # backward residual; measured 2.6e-18
+        backward = (np.linalg.norm(f - A @ x)
+                    / (spla.norm(hum.Bs) * np.linalg.norm(x)))
+        assert backward <= 1e-15
 
-    def test_factorization_goes_through_module_splu(self, monkeypatch):
-        # wrappers of spla.splu (e.g. a profiler) must see the factorization
-        splu = nullcontrol.spla.splu
-        calls = []
+    def test_factor_surface(self, coarse):
+        # what perfbench's tracer reads: solve, L.nnz and U.nnz
+        lu = coarse[3].lu
+        kd1, size = lu.band.shape
+        stored = kd1 * size - kd1 * (kd1 - 1) // 2
+        assert lu.L.nnz == lu.U.nnz == stored
+        assert np.shares_memory(lu.L.data, lu.band)
+        assert lu.solve(np.zeros(size)).shape == (size,)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return splu(*args, **kwargs)
-
-        monkeypatch.setattr(nullcontrol.spla, "splu", counted)
-        HUMSolver(*_coarse_parts())
-        assert len(calls) == 1
-
-    def test_matches_default_splu_reference(self, coarse, monkeypatch):
+    def test_matches_default_splu_reference(self, coarse):
         prob, weights, game, hum = coarse
-        splu = nullcontrol.spla.splu
-        monkeypatch.setattr(nullcontrol.spla, "splu",
-                            lambda A, **kwargs: splu(A))
-        ref = HUMSolver(prob, weights, game)
+        ref = copy.copy(hum)
+        ref.lu = spla.splu(
+            (hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])).tocsc())
         y0 = sine_data(prob, 0.1)
         a, b = hum.solve(y0), ref.solve(y0)
 
         def rel(u, v):
             return np.linalg.norm(u - v) / np.linalg.norm(v)
 
-        # measured 1.2e-9 (y) and 3.9e-8 (h); h is the least determined
+        # measured 1.0e-9 (y) and 3.3e-8 (h); h is the least determined
         # part: ten more refinement steps move h by 1.3e-3, y by 4e-5
         assert rel(a.y.values, b.y.values) <= 1e-8
         assert rel(a.h.values, b.h.values) <= 1e-7
@@ -251,9 +275,20 @@ class TestAccuracyRange:
 
     @pytest.mark.parametrize("cap_ratio, limit", [(1e3, 1e-9), (1e4, 1e-8)])
     def test_reconstruction_within_range(self, tmp_path, cap_ratio, limit):
-        # measured 2.6e-11 at 1e3 and 1.2e-9 at 1e4; 1e5 gives 2.8e-5
+        # measured 2.6e-11 at 1e3 and 1.2e-9 at 1e4
         record = harness.run_scenario(
             {"grid": {"N": 32, "M": 64},
              "carleman": {"cap_ratio": cap_ratio},
              "experiment": {"kind": "linear-control"}}, tmp_path, seed=0)
         assert max(record.report["reconstruction"].values()) <= limit
+
+    def test_reconstruction_beyond_limit_is_solver_error(self, tmp_path,
+                                                         capsys):
+        # cap_ratio 1e5 reconstructs to 2.8e-5, above RECONSTRUCTION_LIMIT
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"grid": {"N": 32, "M": 64}, "carleman": {"cap_ratio": 1e5},
+             "experiment": {"kind": "linear-control"}}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
+        assert "HUM reconstruction residual" in capsys.readouterr().err
