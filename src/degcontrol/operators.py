@@ -16,9 +16,8 @@ duality identities hold to roundoff.  A backward step with that adjoint
 needs no factorization of its own: (I + dt W^{-1} L^T W) p = r is solved as
 W p = (I + dt L)^{-T} W r through the factors of the forward step.
 
-The scipy.sparse functions (`assemble_stiffness`, `assemble_drift`,
-`weighted_transpose`, `tridiag_csr`) are the reference the band forms are
-tested against.
+`weighted_transpose` is the scipy.sparse form of the weighted adjoint;
+the sparse reference assemblies of the band forms live with the tests.
 """
 
 from __future__ import annotations
@@ -30,31 +29,21 @@ from .geometry import DegeneracySpec
 from .grids import SpatialGrid
 
 __all__ = [
-    "assemble_stiffness",
-    "assemble_drift",
     "band_apply",
     "band_transpose",
     "band_weighted_transpose",
     "drift_bands",
     "stiffness_bands",
-    "tridiag_csr",
     "weighted_transpose",
 ]
-
-
-def tridiag_csr(bands: np.ndarray) -> sp.csr_matrix:
-    """CSR matrix of one row-aligned band triple (3, n); zeros are dropped."""
-    lo, d, up = bands
-    n = d.size
-    return sp.diags([lo[1:], d, up[:-1]], [-1, 0, 1], shape=(n, n),
-                    format="csr")
 
 
 def band_apply(bands: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Product of bands (..., 3, n) with vectors x (..., n), levelwise.
 
     Terms are summed in the order of a CSR row (sub, diagonal, super), so
-    the result equals `tridiag_csr(bands) @ x` bit for bit.
+    the result equals the CSR product of the tridiagonal matrix with x bit
+    for bit.
     """
     out = bands[..., 1, :] * x
     out[..., 1:] += bands[..., 0, 1:] * x[..., :-1]
@@ -66,7 +55,7 @@ def band_transpose(bands: np.ndarray) -> np.ndarray:
     """Bands of the plain transpose L^T.
 
     `band_apply` with these bands sums each row in the order of a CSC
-    product with L^T, so it equals `tridiag_csr(bands).T @ x` bit for bit.
+    product with L^T, so it equals that sparse product bit for bit.
     """
     out = np.zeros_like(bands)
     out[..., 0, 1:] = bands[..., 2, :-1]
@@ -92,7 +81,12 @@ def band_weighted_transpose(bands: np.ndarray,
 def stiffness_bands(grid: SpatialGrid, deg: DegeneracySpec | None,
                     scale: float = 1.0,
                     a_face: np.ndarray | None = None) -> np.ndarray:
-    """Bands (3, n) of the symmetric form matrix A; see `assemble_stiffness`."""
+    """Bands (3, n) of the symmetric form matrix A, u^T A u ~ scale * int a |u_x|^2.
+
+    The operator approximating -scale*(a u_x)_x is W^{-1} A with W the cell
+    volumes; A itself is exactly symmetric by construction.  Pass a_face to
+    override the face diffusivity (used by the a==1 Laplacian test hook).
+    """
     if scale <= 0:
         raise ValueError("scale must be positive")
     if a_face is None:
@@ -105,22 +99,13 @@ def stiffness_bands(grid: SpatialGrid, deg: DegeneracySpec | None,
     return bands
 
 
-def assemble_stiffness(grid: SpatialGrid, deg: DegeneracySpec | None, scale: float = 1.0,
-                       a_face: np.ndarray | None = None) -> sp.csr_matrix:
-    """Symmetric form matrix A (interior x interior) with u^T A u ~ scale * int a |u_x|^2.
-
-    The operator approximating -scale*(a u_x)_x is W^{-1} A with W the cell
-    volumes; A itself is exactly symmetric by construction.  Pass a_face to
-    override the face diffusivity (used by the a==1 Laplacian test hook).
-    """
-    return tridiag_csr(stiffness_bands(grid, deg, scale, a_face))
-
-
 def drift_bands(grid: SpatialGrid, coeff: np.ndarray) -> np.ndarray:
     """Bands (..., 3, n) of the upwind c(x) u_x for coeff of shape (..., n).
 
-    Vectorized over any leading (time level) axes; entrywise equal to
-    `assemble_drift` for each coefficient row.
+    Vectorized over any leading (time level) axes.  Rows with c_j >= 0
+    use the backward difference, c_j < 0 the forward one, so the operator
+    is an M-matrix contribution and vanishes on constant fields in the
+    interior.
     """
     coeff = np.asarray(coeff, dtype=float)
     n = grid.N - 1
@@ -137,36 +122,6 @@ def drift_bands(grid: SpatialGrid, coeff: np.ndarray) -> np.ndarray:
     bands[..., 0, 0] = 0.0
     bands[..., 2, -1] = 0.0
     return bands
-
-
-def assemble_drift(grid: SpatialGrid, coeff: np.ndarray) -> sp.csr_matrix:
-    """First-order upwind discretization of c(x) u_x on interior nodes.
-
-    `coeff` holds c at the N-1 interior nodes.  Rows with c_j > 0 use the
-    backward difference, c_j < 0 the forward one, so the operator is an
-    M-matrix contribution and vanishes on constant fields in the interior.
-    This row loop is the reference that `drift_bands` is tested against.
-    """
-    n = grid.N - 1
-    coeff = np.asarray(coeff, dtype=float)
-    if coeff.shape != (n,):
-        raise ValueError(f"coeff must have shape ({n},)")
-    h = grid.spacings  # h[j] = x_{j+1} - x_j
-    lower = np.zeros(n - 1)
-    diag = np.zeros(n)
-    upper = np.zeros(n - 1)
-    for j in range(n):
-        c = coeff[j]
-        if c >= 0:
-            # (u_j - u_{j-1}) / h_{j-1/2}; interior node j sits at x_{j+1}
-            diag[j] += c / h[j]
-            if j > 0:
-                lower[j - 1] -= c / h[j]
-        else:
-            diag[j] -= c / h[j + 1]
-            if j < n - 1:
-                upper[j] += c / h[j + 1]
-    return sp.diags([lower, diag, upper], [-1, 0, 1], shape=(n, n), format="csr")
 
 
 def weighted_transpose(L: sp.spmatrix, volumes: np.ndarray) -> sp.csr_matrix:

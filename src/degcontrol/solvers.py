@@ -29,13 +29,12 @@ from functools import cached_property
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .geometry import ControlGeometry, DegeneracySpec, GradientWeightSpec, MovingDomainSpec
 from .grids import SpatialGrid, TimeMesh, TrajectoryField
 from .operators import (band_apply, band_weighted_transpose, drift_bands,
-                        stiffness_bands, tridiag_csr)
+                        stiffness_bands)
 from .semilinear import SemilinearF
 
 __all__ = [
@@ -53,7 +52,6 @@ __all__ = [
     "EnergyReport",
     "energy_diagnostics",
     "central_gradient_bands",
-    "central_gradient_matrix",
 ]
 
 
@@ -91,11 +89,6 @@ def central_gradient_bands(grid: SpatialGrid) -> np.ndarray:
     bands[0, 1:] = -1.0 / denom[1:]
     bands[2, :-1] = 1.0 / denom[:-1]
     return bands
-
-
-def central_gradient_matrix(grid: SpatialGrid) -> sp.csr_matrix:
-    """CSR form of `central_gradient_bands`."""
-    return tridiag_csr(central_gradient_bands(grid))
 
 
 def _interior(values: np.ndarray) -> np.ndarray:

@@ -12,19 +12,19 @@ from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.nash import GameSpec, _dL_transpose_apply, make_default_targets
 from degcontrol.nullcontrol import (HUMSolver, _nonlinear_remainders,
                                     _space_time_blocks)
-from degcontrol.operators import (
-    assemble_drift,
-    assemble_stiffness,
-    drift_bands,
-    tridiag_csr,
-    weighted_transpose,
-)
+from degcontrol.operators import drift_bands, weighted_transpose
 from degcontrol.mms import space_order_study, time_order_study
 from degcontrol.solvers import (
     CylinderProblem,
-    central_gradient_matrix,
     solve_backward_linear,
     solve_forward_linear,
+)
+
+from sparse_reference import (
+    assemble_drift,
+    assemble_stiffness,
+    central_gradient_matrix,
+    tridiag_csr,
 )
 
 
