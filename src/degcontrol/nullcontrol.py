@@ -20,9 +20,15 @@ the same level bands the marches use.  It couples time level m only with
 levels m-1 and m+1, so with the unknowns numbered level by level
 (level_order) it is a band matrix of lower bandwidth 3(N-1)+1.  A
 shifted copy is factored by a banded Cholesky (LAPACK dpbtrf), which
-fills nothing outside the band and needs no fill-reducing ordering;
-iterative refinement against the unshifted operator, with one
-extended-precision CSR residual per step, solves it to near roundoff.
+fills nothing outside the band and needs no fill-reducing ordering.  The
+shift sits at the roundoff floor of the factor, SHIFT = 1e-15; if dpbtrf
+meets a non-positive pivot the copy is factored again at 10x, 100x and
+1000x the shift, and HUMError is raised only when all four rungs fail.
+Iterative refinement against the unshifted operator, with one
+extended-precision CSR residual per step, solves it to near roundoff.  It
+stops at the first step that fails to halve the residual, or after
+REFINEMENT_STEPS steps, and keeps the best iterate: below the shift the
+residual reaches its floor within a step or two and then grows again.
 The controlled triple is read off the minimizer as
 
     y = rho0^-2 (L* phi - t1 psi1 - t2 psi2),
@@ -71,8 +77,15 @@ __all__ = [
 RESIDUAL_LIMIT = 1e-6
 # largest reconstruction residual (HUMSolver._consistency) that is accepted
 RECONSTRUCTION_LIMIT = 1e-6
-# diagonal shift of the factored copy of the scaled normal operator
-SHIFT = 1e-12
+# diagonal shift of the factored copy of the scaled normal operator, at
+# the roundoff floor of the band factor.  A copy that dpbtrf finds
+# indefinite is rebuilt and factored again at ten times the shift, up to
+# SHIFT_RUNGS rungs in all: 1e-15, 1e-14, 1e-13 and 1e-12
+SHIFT = 1e-15
+SHIFT_RUNGS = 4
+# most refinement steps; refinement stops earlier at the first step that
+# fails to halve the residual
+REFINEMENT_STEPS = 10
 
 
 class HUMError(RuntimeError):
@@ -301,12 +314,20 @@ class HUMSolver:
         # of the continuous problem; factor a shifted copy and correct by
         # iterative refinement against the true matrix (the load is in the
         # numerical range, so the refinement converges there).  The shifted
-        # copy is SPD and, numbered level by level, a band matrix
-        self.shift = SHIFT
+        # copy is SPD and, numbered level by level, a band matrix.  dpbtrf
+        # overwrites a band it fails on, so each rung builds its own
         perm = level_order(M, n)
-        ab = lower_band(self.Bs, perm)
-        ab[0] += self.shift
-        self.lu = BandCholesky(ab, perm)
+        for self.rung in range(SHIFT_RUNGS):
+            self.shift = SHIFT * 10.0 ** self.rung
+            ab = lower_band(self.Bs, perm)
+            ab[0] += self.shift
+            try:
+                self.lu = BandCholesky(ab, perm)
+                break
+            except HUMError:
+                if self.rung == SHIFT_RUNGS - 1:
+                    raise
+            del ab  # free the failed band before the next rung builds one
         # extended-precision copy for refinement residuals; CSR sums each
         # row in the same order as the CSC product, at half its cost
         self._Bld = self.Bs.astype(np.longdouble).tocsr()
@@ -341,26 +362,32 @@ class HUMSolver:
         else:
             # shifted factor corrected by refinement with extended-precision
             # residuals; the residual that scores an iterate is the load
-            # of the next correction.  The best iterate is kept
+            # of the next correction.  Past its floor the residual grows
+            # again, so refinement stops at the first step that fails to
+            # halve it, and the best iterate is kept
             fld = fs.astype(np.longdouble)
             zl = self.lu.solve(fs).astype(np.longdouble)
             rl = fld - self._Bld @ zl
             history.append(np.linalg.norm(rl.astype(float)))
             best, best_res = zl.astype(float), history[0]
-            for _ in range(10):
+            for _ in range(REFINEMENT_STEPS):
                 zl = zl + self.lu.solve(rl.astype(float))
                 rl = fld - self._Bld @ zl
                 r = np.linalg.norm(rl.astype(float))
                 history.append(r)
                 if r < best_res:
                     best, best_res = zl.astype(float), r
+                if not r < 0.5 * history[-2]:
+                    break
             rel_res = float(best_res / fnorm)
             if rel_res > RESIDUAL_LIMIT:
                 raise RefinementError(rel_res)
             z = best / self.scale
         cg_info = {"relative_residual": rel_res, "iterations": 0,
                    "refinement_residuals": [float(r / fnorm)
-                                            for r in history]}
+                                            for r in history],
+                   "refinement_steps": max(len(history) - 1, 0),
+                   "shift": self.shift, "rung": self.rung}
         triple = self._reconstruct(z, y0, H, H1, H2, cg_info, budget_limit)
         worst = np.max(list(triple.residuals.values()))
         if not worst <= RECONSTRUCTION_LIMIT:

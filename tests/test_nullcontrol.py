@@ -182,6 +182,25 @@ class _CountingMatrix:
         return self.mat @ other
 
 
+def _stops_at_floor(trace: list) -> bool:
+    """The refinement trace ends at its first step that fails to halve the
+    residual, or after REFINEMENT_STEPS steps."""
+    halved = [b < 0.5 * a for a, b in zip(trace, trace[1:])]
+    return (len(trace) <= nullcontrol.REFINEMENT_STEPS + 1
+            and all(halved[:-1])
+            and (not halved[-1]
+                 or len(trace) == nullcontrol.REFINEMENT_STEPS + 1))
+
+
+def _splu_reference(hum: HUMSolver) -> HUMSolver:
+    """A copy of `hum` that solves with SuperLU's factor of the same
+    shifted operator."""
+    ref = copy.copy(hum)
+    ref.lu = spla.splu(
+        (hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])).tocsc())
+    return ref
+
+
 class TestFactorization:
     """The banded Cholesky factorization and the refinement it feeds."""
 
@@ -197,9 +216,12 @@ class TestFactorization:
         prob, hum = coarse[0], coarse[3]
         counter = _CountingMatrix(hum._Bld)
         monkeypatch.setattr(hum, "_Bld", counter)
-        hum.solve(sine_data(prob, 0.1))
-        # the unrefined iterate plus ten refinement steps
-        assert counter.products == 11
+        info = hum.solve(sine_data(prob, 0.1)).cg_info
+        # the unrefined iterate plus one product per refinement step, up to
+        # the first step that fails to halve the residual; measured 3
+        assert _stops_at_floor(info["refinement_residuals"])
+        assert counter.products == len(info["refinement_residuals"])
+        assert counter.products == info["refinement_steps"] + 1
 
     @pytest.mark.parametrize("N, M", [(16, 16), (32, 64)])
     def test_level_order_gives_band(self, N, M):
@@ -242,40 +264,73 @@ class TestFactorization:
         assert np.shares_memory(lu.L.data, lu.band)
         assert lu.solve(np.zeros(size)).shape == (size,)
 
-    def test_matches_default_splu_reference(self, coarse):
-        prob, weights, game, hum = coarse
-        ref = copy.copy(hum)
-        ref.lu = spla.splu(
-            (hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])).tocsc())
+    def test_matches_default_splu_reference(self, coarse, monkeypatch):
+        # the two factors agree on the solution only where the shift pins
+        # the near-null part of the minimizer: at the 1e-12 rung.  At the
+        # default shift y and h differ by 2e-6 and 7e-5 (ROADMAP defect 1)
+        prob, weights, game = coarse[:3]
+        monkeypatch.setattr(nullcontrol, "SHIFT", 1e-12)
+        hum = HUMSolver(prob, weights, game)
+        assert hum.shift == 1e-12
         y0 = sine_data(prob, 0.1)
-        a, b = hum.solve(y0), ref.solve(y0)
+        a, b = hum.solve(y0), _splu_reference(hum).solve(y0)
 
         def rel(u, v):
             return np.linalg.norm(u - v) / np.linalg.norm(v)
 
-        # measured 1.0e-9 (y) and 3.3e-8 (h); h is the least determined
-        # part: ten more refinement steps move h by 1.3e-3, y by 4e-5
+        # measured 1.6e-9 (y) and 5.2e-8 (h); h is the least determined part
         assert rel(a.y.values, b.y.values) <= 1e-8
         assert rel(a.h.values, b.h.values) <= 1e-7
+
+    def test_default_shift_matches_splu_where_determined(self, coarse):
+        # at the default shift the factors agree on what the minimizer
+        # determines: the control reaches zero, the triple solves the
+        # linearized system, and the weighted budget is the same
+        prob, hum = coarse[0], coarse[3]
+        y0 = sine_data(prob, 0.1)
+        a, b = hum.solve(y0), _splu_reference(hum).solve(y0)
+        for t in (a, b):
+            # measured 3.0e-13 and 3.3e-13
+            assert t.terminal_norm <= 1e-12
+            # measured at most 9.6e-11
+            assert max(t.residuals.values()) <= 5e-10
+        # measured 1.0e-9
+        assert b.budget_constant == pytest.approx(a.budget_constant,
+                                                  rel=1e-8)
+
+    def test_shift_ladder(self, coarse, monkeypatch):
+        prob, weights, game, hum = coarse
+        assert (hum.shift, hum.rung) == (nullcontrol.SHIFT, 0)
+        # 1e-17 and 1e-16 leave the (32,64) copy indefinite in double
+        # precision; the ladder lands on the third rung
+        monkeypatch.setattr(nullcontrol, "SHIFT", 1e-17)
+        laddered = HUMSolver(prob, weights, game)
+        assert laddered.rung == 2
+        assert laddered.shift == pytest.approx(1e-15)
+        info = laddered.solve(sine_data(prob, 0.1)).cg_info
+        assert (info["shift"], info["rung"]) == (laddered.shift, 2)
 
     def test_refinement_residuals(self, coarse):
         prob, hum = coarse[0], coarse[3]
         info = hum.solve(sine_data(prob, 0.1)).cg_info
         trace = info["refinement_residuals"]
-        assert len(trace) == 11
+        assert _stops_at_floor(trace)
+        assert info["refinement_steps"] == len(trace) - 1
         assert min(trace) == info["relative_residual"]
         # the first correction gains most
         assert trace[1] < 0.5 * trace[0]
         zero = hum.solve(np.zeros(prob.grid.N + 1)).cg_info
         assert zero["refinement_residuals"] == []
+        assert zero["refinement_steps"] == 0
 
 
 class TestAccuracyRange:
     """The reconstruction residual over carleman.cap_ratio at (32,64)."""
 
-    @pytest.mark.parametrize("cap_ratio, limit", [(1e3, 1e-9), (1e4, 1e-8)])
+    @pytest.mark.parametrize("cap_ratio, limit",
+                             [(1e3, 1e-9), (1e4, 1e-8), (1e5, 1e-7)])
     def test_reconstruction_within_range(self, tmp_path, cap_ratio, limit):
-        # measured 2.6e-11 at 1e3 and 1.2e-9 at 1e4
+        # measured 9.4e-12 at 1e3, 9.5e-10 at 1e4 and 2.5e-8 at 1e5
         record = harness.run_scenario(
             {"grid": {"N": 32, "M": 64},
              "carleman": {"cap_ratio": cap_ratio},
@@ -284,10 +339,11 @@ class TestAccuracyRange:
 
     def test_reconstruction_beyond_limit_is_solver_error(self, tmp_path,
                                                          capsys):
-        # cap_ratio 1e5 reconstructs to 2.8e-5, above RECONSTRUCTION_LIMIT
+        # cap_ratio 1e7 reconstructs to 5.7e-5, above RECONSTRUCTION_LIMIT
+        # (1e6 to 3.2e-6, which also exits 3)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(
-            {"grid": {"N": 32, "M": 64}, "carleman": {"cap_ratio": 1e5},
+            {"grid": {"N": 32, "M": 64}, "carleman": {"cap_ratio": 1e7},
              "experiment": {"kind": "linear-control"}}))
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
