@@ -221,7 +221,6 @@ class TestFactorization:
         # the first step that fails to halve the residual; measured 3
         assert _stops_at_floor(info["refinement_residuals"])
         assert counter.products == len(info["refinement_residuals"])
-        assert counter.products == info["refinement_steps"] + 1
 
     @pytest.mark.parametrize("N, M", [(16, 16), (32, 64)])
     def test_level_order_gives_band(self, N, M):
