@@ -473,25 +473,39 @@ def _gram(u: np.ndarray, weight: np.ndarray) -> np.ndarray:
         tu = band_apply(weight[:, None], u[1:])
     else:
         tu = weight[:, None] * u[1:]
-    return np.tensordot(u[1:], tu, axes=([0, 2], [0, 2]))
+    # one small product per level: tensordot would copy u and tu whole
+    return np.matmul(u[1:], tu.transpose(0, 2, 1)).sum(axis=0)
+
+
+def _forms(coef: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """c.gram.c for each coefficient row c of `coef`."""
+    return np.einsum("si,ij,sj->s", coef, gram, coef)
+
+
+def _max(values: np.ndarray) -> float:
+    return float(np.max(values)) if values.size else float("nan")
 
 
 def _ratio_report(coef: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
-                  weights: CarlemanWeights) -> dict:
+                  weights: CarlemanWeights, source=None) -> dict:
     """Ratios c.lhs.c / c.rhs.c for the coefficient rows c of `coef`; a
-    sample whose right-hand side is at most 1e-300 is skipped."""
-    num = np.einsum("si,ij,sj->s", coef, lhs, coef)
-    den = np.einsum("si,ij,sj->s", coef, rhs, coef)
-    skip = den <= 1e-300
-    ratios = num[~skip] / den[~skip]
-    return {
-        "max_ratio": float(np.max(ratios)) if ratios.size else float("nan"),
+    sample whose right-hand side is at most 1e-300 is skipped.  Given the
+    part `source` of rhs, "source_share" is the largest c.source.c /
+    c.rhs.c over the samples kept."""
+    den = _forms(coef, rhs)
+    keep = ~(den <= 1e-300)  # a NaN form is kept, so that it shows
+    ratios = _forms(coef, lhs)[keep] / den[keep]
+    report = {
+        "max_ratio": _max(ratios),
         "ratios": ratios.tolist(),
-        "skipped": int(np.count_nonzero(skip)),
+        "skipped": int(np.count_nonzero(~keep)),
         "A_reference": weights.A_reference(),
         "s": weights.s,
         "lambda": weights.lam,
     }
+    if source is not None:
+        report["source_share"] = _max(_forms(coef, source)[keep] / den[keep])
+    return report
 
 
 def _observability_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
@@ -593,9 +607,10 @@ def _gamma_bands(prob, w0: np.ndarray, wf: np.ndarray) -> np.ndarray:
 
 def _carleman_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
                      psi: np.ndarray) -> tuple:
-    """(lhs, rhs) Gram matrices of the Carleman ratio, for full adjoint
-    solutions in the column layout of `adjoint_basis`: phi (M+1, k, N-1)
-    and psi (M+1, k, 2, N-1)."""
+    """(lhs, rhs, source) Gram matrices of the Carleman ratio, for full
+    adjoint solutions in the column layout of `adjoint_basis`: phi
+    (M+1, k, N-1) and psi (M+1, k, 2, N-1).  source is the part of rhs
+    that the source slots contribute."""
     grid, mesh = prob.grid, prob.mesh
     w0, wf, w_src, w_obs = _carleman_weights(prob, weights)
     gamma = _gamma_bands(prob, w0, wf)
@@ -606,9 +621,10 @@ def _carleman_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
     modes = _source_modes(grid, mesh)
     q = len(modes)
     src = _gram(modes[:, :, 1:-1].transpose(1, 0, 2), dtw * w_src[1:, 1:-1])
+    source = np.zeros_like(rhs)
     for i in range(SINE_MODES, len(rhs), q):
-        rhs[i:i + q, i:i + q] += src
-    return lhs, rhs
+        source[i:i + q, i:i + q] = src
+    return lhs, rhs + source, source
 
 
 def empirical_carleman(prob, weights: CarlemanWeights,
@@ -623,13 +639,16 @@ def empirical_carleman(prob, weights: CarlemanWeights,
     both evaluated with the common normalization e^{-2 s Aref}.  Each
     ratio is a quotient of two Gram forms in the sample's coefficients,
     read from every column of `basis`, the `adjoint_basis(prob, mus,
-    alphas)` that is solved here when it is not given.
+    alphas)` that is solved here when it is not given.  The report's
+    "source_share" is the largest share of the source term in a
+    sample's right-hand side; the observation term dominates it unless
+    O is small.
     """
     rng = rng or np.random.default_rng(0)
     if basis is None:
         basis = adjoint_basis(prob, mus, alphas)
-    lhs, rhs = _carleman_forms(prob, weights, basis.phi, basis.psi)
+    lhs, rhs, source = _carleman_forms(prob, weights, basis.phi, basis.psi)
     # per sample: the terminal normals, then three per source slot
     coef = rng.standard_normal((samples, len(rhs)))
     coef[:, :SINE_MODES] = _damped(coef[:, :SINE_MODES])
-    return _ratio_report(coef, lhs, rhs, weights)
+    return _ratio_report(coef, lhs, rhs, weights, source)

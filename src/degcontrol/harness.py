@@ -587,6 +587,7 @@ def _run_observability(cfg, out, rng, outputs, timings):
     return {
         "observability_max_ratio": obs["max_ratio"],
         "carleman_max_ratio": car["max_ratio"],
+        "carleman_source_share": car["source_share"],
         "lambda": weights.lam,
         "comp_pesos_ok": weights.identity_report()["comp_pesos_ok"],
     }
@@ -637,6 +638,8 @@ def _run_nonlinear_control(cfg, out, rng, outputs, timings):
         except (NewtonFailureError, StepFailureError, SweepFailureError) as exc:
             results[str(factor)] = {"converged": False,
                                     "failure": type(exc).__name__}
+            if isinstance(exc, NewtonFailureError):
+                results[str(factor)]["failure_reason"] = exc.reason
             continue
         v = game.controls(prob, (triple.p1.values, triple.p2.values))
         grads = functional_gradient(prob, game, triple.h, *v, y0)

@@ -104,14 +104,20 @@ class RefinementError(HUMError):
 
 
 class NewtonFailureError(RuntimeError):
-    """Newton loop diverged or stagnated; data likely outside the local radius."""
+    """Newton loop ended without converging.
 
-    def __init__(self, history: list):
+    reason is "diverged" when a remainder delta is not finite or has not
+    fallen over three steps, the data being outside the local radius, and
+    "budget" when the loop was still contracting as its steps ran out.
+    """
+
+    def __init__(self, history: list, reason: str):
         super().__init__(
-            "Newton iteration did not converge "
-            f"(last residual {history[-1]['remainder_delta']:.3e}); "
+            f"Newton iteration did not converge ({reason}; last residual "
+            f"{history[-1]['remainder_delta']:.3e}); "
             "try smaller initial data")
         self.history = history
+        self.reason = reason
 
 
 def h1a_norm(grid, deg, row: np.ndarray) -> float:
@@ -564,6 +570,11 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
     the raw PDE residuals at large weight caps) and the terminal L2
     norm of the state is below tol_terminal.  With F identically zero
     the remainder is constant in z and the loop stops after one solve.
+    Each history record carries the step's contraction
+    delta_k / delta_{k-1} (None at the first step).  The loop raises
+    NewtonFailureError with reason "diverged" at a non-finite delta or
+    when delta_k >= delta_{k-3}, and with reason "budget" when max_newton
+    steps end without convergence.
 
     The variational operator is the one linearized at zero, so every
     step reuses one factorization: the Liusternik construction.
@@ -592,19 +603,24 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
         delta = remainder_norm(N_cur[0] - N_prev[0], N_cur[1] - N_prev[1],
                                N_cur[2] - N_prev[2])
         scale = 1.0 + remainder_norm(*N_cur)
+        d = delta / scale
+        prev = history[-1]["remainder_delta"] if history else None
         record = {
             "iteration": k + 1,
-            "remainder_delta": delta / scale,
+            "remainder_delta": d,
+            "contraction": (None if prev is None
+                            else d / prev if prev > 0 else float("nan")),
             "terminal_norm": triple.terminal_norm,
             "budget_constant": triple.budget_constant,
         }
         history.append(record)
         if not np.isfinite(delta):
-            raise NewtonFailureError(history)
-        if delta / scale <= tol_z and triple.terminal_norm <= tol_terminal:
+            raise NewtonFailureError(history, "diverged")
+        if d <= tol_z and triple.terminal_norm <= tol_terminal:
             record["converged"] = True
             return triple, history
-        if len(history) >= 3 and delta / scale > 10.0 * history[0]["remainder_delta"]:
-            raise NewtonFailureError(history)
+        # no net contraction over three steps: delta_k >= delta_{k-3}
+        if len(history) >= 4 and d >= history[-4]["remainder_delta"]:
+            raise NewtonFailureError(history, "diverged")
         N_prev = N_cur
-    raise NewtonFailureError(history)
+    raise NewtonFailureError(history, "budget")

@@ -450,7 +450,8 @@ class AdjointBlock:
 
     phi: (M+1, k, N-1) interior values; psi: (M+1, k, r, N-1), the
     follower columns psi1, psi2 (r = 2) of the full form or rho (r = 1)
-    of the reduced one.  history holds the largest update of each sweep.
+    of the reduced one.  history holds the largest update of rho in each
+    sweep.
     """
 
     phi: np.ndarray
@@ -468,14 +469,19 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     -phi_t + L* phi = Fsrc + (alpha1 psi1 + alpha2 psi2) 1_Od, phi(T)=phiT,
     psi_i_t + L psi_i = F_i - phi/mu_i 1_Oi,                   psi_i(0)=0.
 
-    The reduced form is the same sweep with one follower column
-    rho = alpha1 psi1 + alpha2 psi2 of weight 1, coupling
-    alpha1/mu1 1_O1 + alpha2/mu2 1_O2 and source alpha1 F1 + alpha2 F2.
-    phiT holds k terminal rows (k, N+1) and each source is None or an
-    array (k, M+1, N+1).  The rows are the columns of one solve per level,
-    and all of them sweep until the largest update is at most tol.
-    Raises SweepFailureError if that takes more than max_sweeps, or as
-    soon as an update is not finite.
+    phi sees the followers only through rho = alpha1 psi1 + alpha2 psi2,
+    which solves the same forward equation with source alpha1 F1 +
+    alpha2 F2 and coupling alpha1/mu1 1_O1 + alpha2/mu2 1_O2 (a follower
+    whose alpha is 0 drops out of both).  Both forms sweep (phi, rho):
+    each sweep is one backward march for phi and one forward march for
+    rho.  The full form then marches psi1 and psi2 once, as the two
+    halves of one march, from the converged phi.  phiT holds k terminal
+    rows (k, N+1) and each source is None or an array (k, M+1, N+1).  The
+    rows are the columns of one solve per level, and all of them sweep
+    until the largest update of rho is at most tol.  Raises
+    SweepFailureError if that takes more than max_sweeps, as soon as an
+    update is not finite, or if phi^0 or a follower of the full form is
+    not finite; the last history entry is then NaN.
     """
     ops = prob.linearized_ops()
     M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
@@ -493,39 +499,37 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
 
     f0, f1, f2 = source(Fsrc), source(F1), source(F2)
     ind_od, ind1, ind2 = map(prob.indicator_interior, ("Od", "O1", "O2"))
-    if reduced:
-        weights, sources = (1.0,), [alphas[0] * f1 + alphas[1] * f2]
-        couplings = [alphas[0] / mus[0] * ind1 + alphas[1] / mus[1] * ind2]
-    else:
-        weights, sources = alphas, [f1, f2]
-        couplings = [ind1 / mus[0], ind2 / mus[1]]
+    c_rho = alphas[0] / mus[0] * ind1 + alphas[1] / mus[1] * ind2
     what = "reduced adjoint coupling" if reduced else \
         "adjoint forward-backward coupling"
     phi = np.zeros((M + 1, k, n))
     phi[M] = _interior(terminal)
-    # the current follower iterate and the buffer the next one is marched in
-    cur, nxt = (np.zeros((M + 1, k, len(weights), n)) for _ in range(2))
+    # the two halves hold the current rho and the one marched next; the
+    # full form then marches psi1 and psi2 in them
+    buf = np.zeros((M + 1, 2, k, n))
+    cur, nxt = buf[:, 0], buf[:, 1]
+    # rho's source alpha1 F1 + alpha2 F2 on levels 1..M, summed through
+    # nxt, which is free until the first sweep
+    f_rho = np.zeros((M, k, n))
+    for a, f, F in zip(alphas, (f1, f2), (F1, F2)):
+        if a != 0.0 and F is not None:
+            np.multiply(f[1:], a, out=nxt[1:])
+            np.add(f_rho, nxt[1:], out=f_rho)
     history = []
     for _ in range(max_sweeps):
-        # phi source dt (f0 + sum_i w_i psi_i 1_Od) on levels 0..M-1, built
-        # in the phi buffer (phi^M keeps the terminal row); later terms go
-        # through nxt, which is free until its sources are built below
+        # phi source dt (f0 + rho 1_Od) on levels 0..M-1, built in the phi
+        # buffer; phi^M keeps the terminal row
         s = phi[:M]
-        np.multiply(cur[:M, :, 0], weights[0], out=s)
-        for i in range(1, len(weights)):
-            np.multiply(cur[:M, :, i], weights[i], out=nxt[1:, :, 0])
-            np.add(s, nxt[1:, :, 0], out=s)
-        np.multiply(s, ind_od, out=s)
+        np.multiply(cur[:M], ind_od, out=s)
         np.add(f0[:M], s, out=s)
         np.multiply(s, dt, out=s)
         ops.march_adjoint(phi, M - 1)
-        # follower sources dt (F_i - c_i phi) on levels 1..M; level 0 stays 0
-        for i, (fi, ci) in enumerate(zip(sources, couplings)):
-            s = nxt[1:, :, i]
-            np.multiply(phi[1:], ci, out=s)
-            np.subtract(fi[1:], s, out=s)
-            np.multiply(s, dt, out=s)
-        ops.march(nxt.reshape(M + 1, -1, n))
+        # rho source dt (f_rho - c_rho phi) on levels 1..M; level 0 stays 0
+        s = nxt[1:]
+        np.multiply(phi[1:], c_rho, out=s)
+        np.subtract(f_rho, s, out=s)
+        np.multiply(s, dt, out=s)
+        ops.march(nxt)
         # the update, in the old iterate's buffer; np.max propagates a NaN
         np.subtract(cur, nxt, out=cur)
         history.append(float(np.max(np.abs(cur, out=cur))))
@@ -533,8 +537,26 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
             raise SweepFailureError(history, what)
         cur, nxt = nxt, cur
         if history[-1] <= tol:
-            return AdjointBlock(phi=phi, psi=cur, history=history)
-    raise SweepFailureError(history, what)
+            break
+    else:
+        raise SweepFailureError(history, what)
+    if reduced:
+        psi = cur[:, :, None]
+    else:
+        # psi_i sources dt (F_i - phi 1_Oi / mu_i) on levels 1..M
+        for i, (fi, ci) in enumerate(((f1, ind1 / mus[0]),
+                                      (f2, ind2 / mus[1]))):
+            s = buf[1:, i]
+            np.multiply(phi[1:], ci, out=s)
+            np.subtract(fi[1:], s, out=s)
+            np.multiply(s, dt, out=s)
+        ops.march(buf.reshape(M + 1, 2 * k, n))
+        psi = buf.transpose(0, 2, 1, 3)
+    # no rho update sees phi^0 or the followers of the full form
+    if not (np.all(np.isfinite(phi[0])) and np.all(np.isfinite(psi))):
+        history.append(float("nan"))
+        raise SweepFailureError(history, what)
+    return AdjointBlock(phi=phi, psi=psi, history=history)
 
 
 # -- energy diagnostics --------------------------------------------------

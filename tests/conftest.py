@@ -49,3 +49,8 @@ def sine_data(prob, amplitude):
     y0 = amplitude * np.sin(np.pi * x)
     y0[0] = y0[-1] = 0.0
     return y0
+
+
+def rel_gap(a, b):
+    """Largest entry of a - b relative to the largest entry of b."""
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))

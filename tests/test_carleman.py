@@ -20,6 +20,8 @@ from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh
 from degcontrol.solvers import CylinderProblem, solve_adjoint_coupled
 
+from conftest import rel_gap
+
 
 class TestPsi:
     def test_left_branch_closed_form(self):
@@ -323,11 +325,14 @@ class TestGramSampling:
         ref_car, _ = _reference_carleman(prob, w, 3,
                                          np.random.default_rng(12))
         np.testing.assert_allclose(car["ratios"], ref_car, rtol=1e-8)
+        assert car["source_share"] == pytest.approx(1.0, rel=1e-12)
 
-
-def _rel(a, b):
-    """Largest entry of a - b relative to the largest entry of b."""
-    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+    def test_source_share_on_default_problem(self, prob, weights):
+        # with O in place the observation term dominates the right-hand
+        # side, but the source term still shows in the report
+        car = empirical_carleman(prob, weights, samples=50,
+                                 rng=np.random.default_rng(0))
+        assert 0.0 < car["source_share"] < 1e-4
 
 
 class TestSharedBasis:
@@ -363,7 +368,7 @@ class TestSharedBasis:
         ref = carleman._observability_forms(prob, w, red.phi,
                                             red.psi[:, :, 0])
         for form, ref_form in zip(forms, ref):
-            assert _rel(form, ref_form) <= 1e-9
+            assert rel_gap(form, ref_form) <= 1e-9
 
     def test_carleman_forms_match_per_slot_solves(self, w32):
         # the reference solves the sine modes and each slot's source modes
@@ -381,7 +386,7 @@ class TestSharedBasis:
         basis = adjoint_basis(prob)
         forms = carleman._carleman_forms(prob, w, basis.phi, basis.psi)
         for form, ref_form in zip(forms, ref):
-            assert _rel(form, ref_form) <= 1e-9
+            assert rel_gap(form, ref_form) <= 1e-9
 
     def test_observability_run_solves_once(self, tmp_path, monkeypatch):
         calls = []

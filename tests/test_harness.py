@@ -158,6 +158,17 @@ class TestRuns:
             assert res["converged"]
             assert max(res["quasi_equilibrium_residuals"]) <= 1e-9
 
+    def test_newton_failure_reason(self, tmp_path):
+        # 300x data still contracts when the Newton steps run out; the
+        # failure keeps the class name and adds the reason
+        config = {"grid": {"N": 32, "M": 64},
+                  "experiment": {"kind": "nonlinear-control",
+                                 "scale_factors": [300.0]}}
+        record = harness.run_scenario(config, tmp_path, seed=0)
+        assert record.report["scales"]["300.0"] == {
+            "converged": False, "failure": "NewtonFailureError",
+            "failure_reason": "budget"}
+
     def test_emit_plot_data(self, tmp_path):
         record = harness.run_scenario(_tiny(), tmp_path, seed=0)
         outputs = harness.emit_plot_data(record, tmp_path)

@@ -16,6 +16,7 @@ from degcontrol.nash import GameSpec, make_default_targets
 from degcontrol.nullcontrol import (
     HUMSolver,
     LinearControlProblem,
+    NewtonFailureError,
     h1a_norm,
     solve_linear_null_control,
     solve_nonlinear_null_control,
@@ -168,6 +169,42 @@ class TestNewton:
         assert len(history) <= 10
         assert triple.terminal_norm <= 1e-6
         assert all(np.isfinite(step["remainder_delta"]) for step in history)
+        assert history[0]["contraction"] is None
+        for prev, step in zip(history, history[1:]):
+            assert step["contraction"] == pytest.approx(
+                step["remainder_delta"] / prev["remainder_delta"])
+
+    @pytest.mark.parametrize("scale, reason, steps", [(300.0, "budget", 10),
+                                                      (600.0, "diverged", 4)])
+    def test_failure_reasons(self, scale, reason, steps):
+        # F = u^3 + 2 sin(w) grows, so large data leaves the local radius:
+        # at (32,64) 300x data still contracts (about 0.4 per step) when
+        # the ten steps run out, while 600x data stalls, and its fourth
+        # delta is above its first
+        zero = SemilinearF.zero().D12
+        cubic = SemilinearF(
+            F=lambda u, w: u**3 + 2.0 * np.sin(w),
+            D1=lambda u, w: 3.0 * u**2 + 0.0 * w,
+            D2=lambda u, w: 2.0 * np.cos(w) + 0.0 * u,
+            D11=lambda u, w: 6.0 * u + 0.0 * w, D12=zero, D21=zero,
+            D22=lambda u, w: -2.0 * np.sin(w) + 0.0 * u, label="cubic")
+        prob = CylinderProblem.default(N=32, M=64, F=cubic)
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        game = GameSpec(mu1=5.0, mu2=5.0)
+        game.target1, game.target2 = make_default_targets(prob,
+                                                          weights=weights)
+        with pytest.raises(NewtonFailureError) as err:
+            solve_nonlinear_null_control(prob, weights, game,
+                                         sine_data(prob, 0.01 * scale))
+        assert err.value.reason == reason
+        assert reason in str(err.value)
+        deltas = [step["remainder_delta"] for step in err.value.history]
+        assert len(deltas) == steps
+        if reason == "diverged":
+            assert deltas[-1] >= deltas[-4]
+        else:
+            assert all(d < p for p, d in zip(deltas, deltas[1:]))
 
 
 class _CountingMatrix:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+from degcontrol import carleman
+from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.grids import TrajectoryField
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
     CylinderProblem,
+    LevelOps,
     SweepFailureError,
     energy_diagnostics,
     solve_adjoint_coupled,
@@ -16,7 +19,8 @@ from degcontrol.solvers import (
     solve_linearized_coupled,
 )
 
-from conftest import sine_data
+from adjoint_reference import two_follower_sweep
+from conftest import rel_gap, sine_data
 
 
 def _duality_mismatch(prob, ops, rng):
@@ -178,6 +182,55 @@ class TestBlockedAdjoint:
         assert len(err.value.history) == 1
 
 
+class TestTwoFollowerReference:
+    """The (phi, rho) sweep and one closing march of psi1 and psi2 solve
+    the system that the two-follower reference sweep solves."""
+
+    KW = dict(mus=(2.0, 3.0), alphas=(1.3, 0.7))
+
+    def _case(self, prob):
+        phiT, srcs = _block_case(prob, 5)
+        return phiT, dict(Fsrc=srcs[0], F1=srcs[1], F2=srcs[2], **self.KW)
+
+    def test_matches_reference(self, prob_small):
+        prob = prob_small
+        phiT, data = self._case(prob)
+        block = solve_adjoint_coupled(prob, phiT, **data)
+        phi, psi, _ = two_follower_sweep(prob, phiT, **data)
+        assert np.max(np.abs(block.phi - phi)) <= 1e-10
+        assert np.max(np.abs(block.psi - psi)) <= 1e-10
+        w = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
+        a1, a2 = self.KW["alphas"]
+
+        def forms(phi, psi):  # Carleman (lhs, rhs), observability (lhs, rhs)
+            rho = a1 * psi[:, :, 0] + a2 * psi[:, :, 1]
+            return (carleman._carleman_forms(prob, w, phi, psi)[:2]
+                    + carleman._observability_forms(prob, w, phi, rho))
+
+        for got, want in zip(forms(block.phi, block.psi), forms(phi, psi)):
+            assert rel_gap(got, want) <= 1e-9
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_march_widths(self, prob_small, monkeypatch, reduced):
+        # each sweep marches k columns each way; the full form adds one
+        # march of its 2k follower columns
+        shapes = {"march": [], "march_adjoint": []}
+        for name, seen in shapes.items():
+            def recorded(ops, rows, *args, _march=getattr(LevelOps, name),
+                         _seen=seen):
+                _seen.append(rows.shape)
+                return _march(ops, rows, *args)
+            monkeypatch.setattr(LevelOps, name, recorded)
+        prob = prob_small
+        phiT, data = self._case(prob)
+        block = solve_adjoint_coupled(prob, phiT, reduced=reduced, **data)
+        k, sweeps = len(phiT), len(block.history)
+        rows = (prob.mesh.M + 1, k, prob.grid.N - 1)
+        assert shapes["march_adjoint"] == [rows] * sweeps
+        closing = [] if reduced else [(rows[0], 2 * k, rows[2])]
+        assert shapes["march"] == [rows] * sweeps + closing
+
+
 class TestSuperposition:
     """The adjoint system is linear: a column with the data a u + b v
     equals a (column u) + b (column v), to the sweep tolerance."""
@@ -221,6 +274,32 @@ class TestNonFiniteSweep:
                                   reduced=reduced)
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])
+
+    def test_silent_follower(self, prob_small):
+        # with alpha2 = 0, phi and rho do not see F2, so its NaN shows
+        # only in the closing march of psi1 and psi2
+        phiT = sine_data(prob_small, 1.0)[None]
+        kw = dict(F2=_nan_field(prob_small).values[None], alphas=(1.0, 0.0))
+        red = solve_adjoint_coupled(prob_small, phiT, reduced=True, **kw)
+        assert np.all(np.isfinite(red.phi)) and np.all(np.isfinite(red.psi))
+        with pytest.raises(SweepFailureError) as err:
+            solve_adjoint_coupled(prob_small, phiT, **kw)
+        history = err.value.history
+        assert np.isnan(history[-1])
+        assert history[:-1] == red.history
+
+    @pytest.mark.parametrize("reduced", [False, True])
+    def test_initial_level(self, prob_small, reduced):
+        # phi^0 feeds no follower source, so a NaN source on level 0 shows
+        # in no update, only in the check of phi^0
+        phiT = sine_data(prob_small, 1.0)[None]
+        Fsrc = np.zeros((1, prob_small.mesh.M + 1, prob_small.grid.N + 1))
+        Fsrc[0, 0, prob_small.grid.N // 2] = np.nan
+        with pytest.raises(SweepFailureError) as err:
+            solve_adjoint_coupled(prob_small, phiT, Fsrc=Fsrc,
+                                  reduced=reduced)
+        history = err.value.history
+        assert np.isnan(history[-1]) and np.all(np.isfinite(history[:-1]))
 
     def test_linearized(self, prob_small):
         with pytest.raises(SweepFailureError) as err:
