@@ -315,6 +315,12 @@ def validate_config(config: ScenarioConfig | dict) -> list:
             _weight_params(cfg).check_inside(tuple(wins["O"]))
         except ValueError as exc:
             issues.append(f"carleman: {exc}")
+    sv = cfg["solver"]
+    if sv["newton_max"] < 1:
+        issues.append("solver.newton_max: must be at least 1")
+    for name in ("newton_tol", "tol_terminal"):
+        if sv[name] <= 0:
+            issues.append(f"solver.{name}: must be positive")
     exp = cfg["experiment"]
     if exp["kind"] not in KINDS:
         issues.append(

@@ -15,10 +15,12 @@ where (c_i, t_i) = (1_Oi / (mu_i wt), alpha_i wt 1_Od) are the followers'
 control and tracking couplings, read from GameSpec.couplings.
 
 The minimizer is found by assembling the (sparse, SPD) normal operator
-over the (3M+1)(N-1) space-time unknowns, whose blocks are laid out from
-the same level bands the marches use.  It couples time level m only with
-levels m-1 and m+1, so with the unknowns numbered level by level
-(level_order) it is a band matrix of lower bandwidth 3(N-1)+1.  A
+over the (3M+1)(N-1) space-time unknowns.  Its blocks are CSR matrices
+assembled row by row from the same level bands the marches use: each row
+(time level, node) is a short stencil in the column order of the blocks,
+with zero entries dropped.  The normal operator couples time level m
+only with levels m-1 and m+1, so with the unknowns numbered level by
+level (level_order) it is a band matrix of lower bandwidth 3(N-1)+1.  A
 shifted copy is factored by a banded Cholesky (LAPACK dpbtrf), which
 fills nothing outside the band and needs no fill-reducing ordering.  The
 shift sits at the roundoff floor of the factor, SHIFT = 1e-15; if dpbtrf
@@ -35,13 +37,16 @@ The controlled triple is read off the minimizer as
     p_i = rho0^-2 (L psi_i + c_i phi),    h = -rho1^-2 phi 1_O,
 
 and, by stationarity, satisfies the discrete linearized system exactly
-(the transposition argument made computational).  The rho tables are the
-normalized, capped ones from the carleman module; all fitted constants
-absorb the normalization.
+(the transposition argument made computational).  Each solve checks this
+by marching the system again with the recovered controls: y forward, and
+both follower adjoints backward as the two columns of one march.  The
+rho tables are the normalized, capped ones from the carleman module; all
+fitted constants absorb the normalization.
 
 The semilinear problem is solved by the Liusternik/Newton iteration
 z_{k+1} = W(b - N(z_k)) with W the linear control solve (the right
-inverse of the map linearized at zero) and N the nonlinear remainder.
+inverse of the map linearized at zero) and N the nonlinear remainder,
+whose parts that do not depend on z are computed once per loop.
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .carleman import CarlemanWeights
 from .grids import TrajectoryField
 from .nash import GameSpec
 from .operators import band_apply
-from .solvers import CylinderProblem, _interior, solve_backward_linear, solve_forward_linear
+from .solvers import CylinderProblem, LevelOps, _interior, solve_forward_linear
 
 __all__ = [
     "LinearControlProblem",
@@ -181,19 +186,65 @@ class ControlledTriple:
     budget_exceeded: bool = False
 
 
-def _space_time_blocks(bands: np.ndarray, dt: float,
-                       shift: int) -> sp.csr_matrix:
-    """Backward-Euler space-time operator of the levels in `bands`.
+def _stencil_csr(cols: np.ndarray, vals: np.ndarray,
+                 ncols: int) -> sp.csr_matrix:
+    """CSR matrix whose row i holds vals[i, k] at column cols[i, k].
 
-    bands: (M, 3, n).  Level m puts I/dt + L_m on its diagonal block, and
-    -I/dt sits at offset `shift` (-n: y^m sees y^{m-1}; +n: p^m sees
-    p^{m+1}).  Zero entries are dropped.
+    cols, vals: (rows, K), the columns of each row ascending.  Zero
+    entries are dropped, as scipy drops them when it stacks diagonals, so
+    the arrays equal those of the same matrix assembled blockwise.
     """
-    lo, d, up = bands.transpose(1, 0, 2).reshape(3, -1)
-    size = d.size
-    return sp.diags(
-        [lo[1:], d + 1.0 / dt, up[:-1], np.full(size - abs(shift), -1.0 / dt)],
-        [-1, 0, 1, shift], shape=(size, size), format="csr")
+    keep = vals != 0
+    indptr = np.zeros(len(vals) + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(keep, axis=1), out=indptr[1:])
+    return sp.csr_matrix((vals[keep], cols[keep], indptr),
+                         shape=(len(vals), ncols))
+
+
+def _hum_blocks(prob: CylinderProblem, ops: LevelOps,
+                control: np.ndarray, tracking: np.ndarray) -> tuple:
+    """(G0, G1, G2, E), the CSR blocks of the HUM functional b.
+
+    Their columns are the unknowns [phi^1..phi^{M+1}, psi1^1..psi1^M,
+    psi2^1..psi2^M], n per level.  Row (m, r), m = 1..M, of each block
+    is a stencil read from the level bands of `ops`: G0 holds the
+    backward-Euler row of L* (I/dt + the weighted transpose of L_m, and
+    -I/dt on phi^{m+1}) and -tracking_i on psi_i^m; G_i holds control_i
+    on phi^m and the forward row of L (I/dt + L_m, and -I/dt on
+    psi_i^{m-1}); E holds 1_O on phi^m.  phi carries a free terminal
+    datum phi^{M+1}: its stationarity condition reads w . y^M = 0, i.e.
+    exact discrete null control, rather than relying on the capped weight
+    to crush y(T).
+    """
+    M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
+
+    def coupling(c):  # a coupling on the unknowns of levels 1..M
+        return _interior(c[1:]).ravel()
+
+    size = M * n
+    row = np.arange(size)
+    psi = ((M + 1) * n, (2 * M + 1) * n)  # first columns of psi1, psi2
+    ncols = psi[1] + size
+    lo, d, up = ops.bands_t[1:].transpose(1, 0, 2).reshape(3, -1)
+    G0 = _stencil_csr(
+        np.stack([row - 1, row, row + 1, row + n, psi[0] + row,
+                  psi[1] + row], axis=1),
+        np.stack([lo, d + 1.0 / dt, up, np.full(size, -1.0 / dt),
+                  -coupling(tracking[0]), -coupling(tracking[1])], axis=1),
+        ncols)
+    lo, d, up = ops.bands[1:].transpose(1, 0, 2).reshape(3, -1)
+    back = np.where(row >= n, -1.0 / dt, 0.0)  # psi^0 is not an unknown
+
+    def follower(i):
+        col = psi[i] + row
+        return _stencil_csr(
+            np.stack([row, col - n, col - 1, col, col + 1], axis=1),
+            np.stack([coupling(control[i]), back, lo, d + 1.0 / dt, up],
+                     axis=1), ncols)
+
+    E = _stencil_csr(row[:, None],
+                     np.tile(prob.indicator_interior("O"), M)[:, None], ncols)
+    return G0, follower(0), follower(1), E
 
 
 def level_order(M: int, n: int) -> np.ndarray:
@@ -277,35 +328,15 @@ class HUMSolver:
         self.ops = ops
         M, n = prob.mesh.M, prob.grid.N - 1
         dt = prob.mesh.dt
-        eye = sp.identity(n, format="csr")
-        # phi carries a free terminal datum phi^{M+1}: its stationarity
-        # condition reads w . y^M = 0, i.e. exact discrete null control,
-        # rather than relying on the capped weight to crush y(T)
-        term_col = sp.kron(
-            sp.csr_matrix((np.ones(1), (np.array([M - 1]), np.array([0]))),
-                          shape=(M, 1)), -eye / dt)
-        self.Lstar = sp.hstack(
-            [_space_time_blocks(ops.bands_t[1:], dt, n), term_col]).tocsr()
-        self.Lfwd = _space_time_blocks(ops.bands[1:], dt, -n)
-        control, tracking = game.couplings(prob)
-
-        def diag(c):  # a coupling on the unknowns of levels 1..M
-            return sp.diags(_interior(c[1:]).ravel())
-
-        D_o = sp.diags(np.tile(prob.indicator_interior("O"), M))
+        # the followers' couplings, also read by the consistency check
+        self.control, self.tracking = game.couplings(prob)
+        self.G0, self.G1, self.G2, self.E = _hum_blocks(
+            prob, ops, self.control, self.tracking)
         wv = prob.grid.interior_volumes
         self.rho0_inv2 = weights.rho0_n ** (-2.0)
         self.rho1_inv2 = weights.rho1_n ** (-2.0)
         W0 = sp.diags(dt * np.outer(self.rho0_inv2[1:], wv).ravel())
         W1 = sp.diags(dt * np.outer(self.rho1_inv2[1:], wv).ravel())
-        size = M * n
-        Z = sp.csr_matrix((size, size))
-        Zt = sp.csr_matrix((size, n))  # phi^{M+1} couples only through L*
-        self.G0 = sp.hstack([self.Lstar, -diag(tracking[0]),
-                             -diag(tracking[1])]).tocsr()
-        self.G1 = sp.hstack([diag(control[0]), Zt, self.Lfwd, Z]).tocsr()
-        self.G2 = sp.hstack([diag(control[1]), Zt, Z, self.Lfwd]).tocsr()
-        self.E = sp.hstack([D_o, Zt, Z, Z]).tocsr()
         B = (self.G0.T @ W0 @ self.G0 + self.G1.T @ W0 @ self.G1
              + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E).tocsc()
         # symmetric Jacobi scaling: the raw operator mixes rho scales over
@@ -447,24 +478,29 @@ class HUMSolver:
 
     def _consistency(self, y, p1, p2, h, y0, H, H1, H2) -> dict:
         prob = self.prob
-        tracking = self.game.couplings(prob)[1]
-        v1, v2 = self.game.controls(prob, (p1.values, p2.values))
+        # the followers play v_i = -control_i p_i
         src = (_interior(h.values) * prob.indicator_interior("O")[None, :]
-               + _interior(v1.values) + _interior(v2.values))
+               + _interior(-self.control[0] * p1.values)
+               + _interior(-self.control[1] * p2.values))
         if H is not None:
             src = src + _interior(H.values)
         y_check = solve_forward_linear(self.ops, y0, src)
         scale = 1.0 + float(np.max(np.abs(y.values)))
         out = {"y": float(np.max(np.abs(y_check.values - y.values)) / scale)}
-        for i, (p, Hi) in enumerate(((p1, H1), (p2, H2)), start=1):
-            g = _interior(tracking[i - 1] * y.values)
+        # p_i has the source tracking_i y + H_i; both march backward as the
+        # two columns of one march, each equal to its own one-column march
+        rows = np.empty((self._M + 1, 2, self._n))
+        for i, Hi in enumerate((H1, H2)):
+            rows[:, i] = _interior(self.tracking[i] * y.values)
             if Hi is not None:
-                g = g + _interior(Hi.values)
-            p_check = solve_backward_linear(self.ops, g)
+                rows[:, i] += _interior(Hi.values)
+        rows *= prob.mesh.dt
+        self.ops.march_adjoint(rows, self._M)
+        for i, p in enumerate((p1, p2)):
             pscale = 1.0 + float(np.max(np.abs(p.values)))
             # row 0 of p is not among the variational unknowns
-            out[f"p{i}"] = float(
-                np.max(np.abs(p_check.values[1:] - p.values[1:])) / pscale)
+            out[f"p{i + 1}"] = float(np.max(np.abs(
+                rows[1:, i] - _interior(p.values[1:]))) / pscale)
         return out
 
 
@@ -524,33 +560,41 @@ def verify_additional_estimates(lcp: LinearControlProblem,
     }
 
 
-def _nodal(arr: np.ndarray) -> np.ndarray:
-    """Interior rows (M+1, N-1) padded with zero boundary columns."""
-    return np.pad(arr, ((0, 0), (1, 1)))
+def _remainder_parts(prob: CylinderProblem, game: GameSpec) -> tuple:
+    """The parts of the remainder N(z) that do not depend on z.
 
-
-def _nonlinear_remainders(prob: CylinderProblem, game: GameSpec,
-                          y: TrajectoryField, p1: TrajectoryField,
-                          p2: TrajectoryField) -> tuple:
-    """The remainder N(z) of the map beyond its linearization at zero.
-
-    N0 = F(y, g y_x) - D1F(0,0) y - D2F(0,0) g y_x,
-    N_i = (L(y)^T - L(0)^T) p_i + tracking_i y_id  (constants included),
-    with tracking_i = alpha_i wt 1_Od the game's tracking coupling.
+    (D1F(0,0), D2F(0,0), the bands_t of the system linearized at zero,
+    the interior rows of tracking_i y_id stacked over i).
     """
     tracking = game.couplings(prob)[1]
     targets = game.targets(prob)
     zero = np.zeros(1)
-    d1 = float(prob.F.D1(zero, zero)[0])
-    d2 = float(prob.F.D2(zero, zero)[0])
-    dbands = prob.ops_at_state(y).bands_t - prob.linearized_ops().bands_t
+    return (float(prob.F.D1(zero, zero)[0]), float(prob.F.D2(zero, zero)[0]),
+            prob.linearized_ops().bands_t,
+            np.stack([_interior(tracking[i] * targets[i].values)
+                      for i in (0, 1)]))
+
+
+def _nonlinear_remainders(prob: CylinderProblem, parts: tuple,
+                          y: TrajectoryField, p1: TrajectoryField,
+                          p2: TrajectoryField) -> np.ndarray:
+    """The remainder N(z) of the map beyond its linearization at zero.
+
+    N0 = F(y, g y_x) - D1F(0,0) y - D2F(0,0) g y_x,
+    N_i = (L(y)^T - L(0)^T) p_i + tracking_i y_id  (constants included),
+    with tracking_i = alpha_i wt 1_Od the game's tracking coupling and
+    `parts` the game's _remainder_parts.  Returns (N0, N1, N2) as one
+    array (3, M+1, N+1) with zero boundary columns.
+    """
+    d1, d2, lin_bands_t, const = parts
+    dbands = prob.ops_at_state(y).bands_t - lin_bands_t
     yi = _interior(y.values)
     wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
-    N0 = prob.F.F(yi, wgrad) - d1 * yi - d2 * wgrad
-    Ni = [band_apply(dbands, _interior(p.values))
-          + _interior(tracking[i] * targets[i].values)
-          for i, p in enumerate((p1, p2))]
-    return _nodal(N0), _nodal(Ni[0]), _nodal(Ni[1])
+    out = np.zeros((3,) + y.values.shape)
+    out[0, :, 1:-1] = prob.F.F(yi, wgrad) - d1 * yi - d2 * wgrad
+    p = np.stack([_interior(p1.values), _interior(p2.values)])
+    np.add(band_apply(dbands, p), const, out=out[1:, :, 1:-1])
+    return out
 
 
 def solve_nonlinear_null_control(prob: CylinderProblem,
@@ -577,8 +621,11 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
     steps end without convergence.
 
     The variational operator is the one linearized at zero, so every
-    step reuses one factorization: the Liusternik construction.
+    step reuses one factorization: the Liusternik construction.  The
+    parts of the remainder that do not depend on z are computed once.
     """
+    if max_newton < 1:
+        raise ValueError(f"max_newton must be at least 1, got {max_newton}")
     y0 = np.asarray(y0, dtype=float)
     if hum is None:
         hum = HUMSolver(prob, weights, game)
@@ -589,8 +636,9 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
                              + _weighted_l2q(prob, r2, N1)
                              + _weighted_l2q(prob, r2, N2)))
 
-    z = (prob.new_field(), prob.new_field(), prob.new_field(), prob.new_field())
-    N_prev = _nonlinear_remainders(prob, game, z[0], z[1], z[2])
+    parts = _remainder_parts(prob, game)
+    zero = prob.new_field()
+    N_prev = _nonlinear_remainders(prob, parts, zero, zero, zero)
     history = []
     triple = None
     for k in range(max_newton):
@@ -598,10 +646,9 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
         H1 = TrajectoryField(prob.grid, prob.mesh, -N_prev[1])
         H2 = TrajectoryField(prob.grid, prob.mesh, -N_prev[2])
         triple = hum.solve(y0, H=H, H1=H1, H2=H2)
-        z = (triple.y, triple.p1, triple.p2, triple.h)
-        N_cur = _nonlinear_remainders(prob, game, z[0], z[1], z[2])
-        delta = remainder_norm(N_cur[0] - N_prev[0], N_cur[1] - N_prev[1],
-                               N_cur[2] - N_prev[2])
+        N_cur = _nonlinear_remainders(prob, parts, triple.y, triple.p1,
+                                      triple.p2)
+        delta = remainder_norm(*(N_cur - N_prev))
         scale = 1.0 + remainder_norm(*N_cur)
         d = delta / scale
         prev = history[-1]["remainder_delta"] if history else None

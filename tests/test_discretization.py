@@ -10,12 +10,14 @@ from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh, TrajectoryField
 from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.nash import GameSpec, _dL_transpose_apply, make_default_targets
-from degcontrol.nullcontrol import (HUMSolver, _nonlinear_remainders,
-                                    _space_time_blocks)
-from degcontrol.operators import drift_bands, weighted_transpose
+from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
+                                    _nonlinear_remainders, _remainder_parts,
+                                    level_order, lower_band)
+from degcontrol.operators import band_apply, drift_bands, weighted_transpose
 from degcontrol.mms import space_order_study, time_order_study
 from degcontrol.solvers import (
     CylinderProblem,
+    _interior,
     solve_backward_linear,
     solve_forward_linear,
 )
@@ -175,6 +177,68 @@ def _space_time_reference(mats, dt, sign):
             - shift / dt).tocsr()
 
 
+def _space_time_pair(prob, mats, mats_t):
+    """(L*, L): the backward space-time operator of the weighted
+    transposes with the block column of the free terminal datum
+    phi^{M+1} (-I/dt on the rows of level M), and the forward one."""
+    M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
+    term_col = sp.kron(
+        sp.csr_matrix((np.ones(1), (np.array([M - 1]), np.array([0]))),
+                      shape=(M, 1)), -sp.identity(n, format="csr") / dt)
+    return (sp.hstack([_space_time_reference(mats_t, dt, 1),
+                       term_col]).tocsr(),
+            _space_time_reference(mats, dt, -1))
+
+
+def _assert_space_time_columns(prob, blocks, mats, mats_t):
+    """The phi columns of G0 and the psi blocks of G1, G2 are the
+    space-time block matrices of the sparse levels."""
+    M, n = prob.mesh.M, prob.grid.N - 1
+    G0, G1, G2 = blocks[:3]
+    off, size = (M + 1) * n, M * n
+    Lstar, Lfwd = _space_time_pair(prob, mats, mats_t)
+    _assert_same_csr(G0[:, :off], Lstar)
+    _assert_same_csr(G1[:, off:off + size], Lfwd)
+    _assert_same_csr(G2[:, off + size:], Lfwd)
+
+
+def _hum_blocks_reference(prob, game):
+    """G0, G1, G2, E assembled blockwise, as scipy stacks them: the
+    space-time blocks of the sparse reference levels at zero, the
+    couplings as diagonals, and hstack."""
+    M, n = prob.mesh.M, prob.grid.N - 1
+    Lstar, Lfwd = _space_time_pair(
+        prob, *_sparse_levels(prob, prob.new_field()))
+    control, tracking = game.couplings(prob)
+
+    def diag(c):
+        return sp.diags(c[1:, 1:-1].ravel())
+
+    D_o = sp.diags(np.tile(prob.indicator_interior("O"), M))
+    Z, Zt = sp.csr_matrix((M * n, M * n)), sp.csr_matrix((M * n, n))
+    return (sp.hstack([Lstar, -diag(tracking[0]), -diag(tracking[1])]).tocsr(),
+            sp.hstack([diag(control[0]), Zt, Lfwd, Z]).tocsr(),
+            sp.hstack([diag(control[1]), Zt, Z, Lfwd]).tocsr(),
+            sp.hstack([D_o, Zt, Z, Z]).tocsr())
+
+
+def _remainders_reference(prob, game, y, p1, p2):
+    """N0, N1, N2 computed field by field and padded with np.pad."""
+    tracking = game.couplings(prob)[1]
+    targets = game.targets(prob)
+    zero = np.zeros(1)
+    d1 = float(prob.F.D1(zero, zero)[0])
+    d2 = float(prob.F.D2(zero, zero)[0])
+    dbands = prob.ops_at_state(y).bands_t - prob.linearized_ops().bands_t
+    yi = _interior(y.values)
+    wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
+    N0 = prob.F.F(yi, wgrad) - d1 * yi - d2 * wgrad
+    Ni = [band_apply(dbands, _interior(p.values))
+          + _interior(tracking[i] * targets[i].values)
+          for i, p in enumerate((p1, p2))]
+    return [np.pad(N, ((0, 0), (1, 1))) for N in (N0, *Ni)]
+
+
 def _assert_same_csr(a, b):
     for part in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(a, part), getattr(b, part)), part
@@ -200,32 +264,57 @@ class TestBandOperators:
                                   mats_t[n].toarray())
 
     def test_space_time_blocks_equal_block_diag(self, prob_small, rng):
+        # the HUM blocks read the level bands of any operator set, here
+        # those linearized at a random state
         prob = prob_small
-        dt, n = prob.mesh.dt, prob.grid.N - 1
         y = _random_state(prob, rng)
-        ops = prob.ops_at_state(y)
-        mats, mats_t = _sparse_levels(prob, y)
-        _assert_same_csr(_space_time_blocks(ops.bands[1:], dt, -n),
-                         _space_time_reference(mats, dt, -1))
-        _assert_same_csr(_space_time_blocks(ops.bands_t[1:], dt, n),
-                         _space_time_reference(mats_t, dt, 1))
+        couplings = GameSpec(mu1=5.0, mu2=5.0).couplings(prob)
+        _assert_space_time_columns(
+            prob, _hum_blocks(prob, prob.ops_at_state(y), *couplings),
+            *_sparse_levels(prob, y))
 
     def test_hum_blocks_equal_sparse_reference(self, prob_small):
         # the HUM operator is built from the system linearized at zero,
         # plus the free terminal datum of phi as one extra block column
         prob = prob_small
-        M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
         weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
                                   prob.mesh)
         hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
-        mats, mats_t = _sparse_levels(prob, prob.new_field())
-        eye = sp.identity(n, format="csr")
-        term_col = sp.kron(
-            sp.csr_matrix((np.ones(1), (np.array([M - 1]), np.array([0]))),
-                          shape=(M, 1)), -eye / dt)
-        _assert_same_csr(hum.Lfwd, _space_time_reference(mats, dt, -1))
-        _assert_same_csr(hum.Lstar, sp.hstack(
-            [_space_time_reference(mats_t, dt, 1), term_col]).tocsr())
+        _assert_space_time_columns(prob, (hum.G0, hum.G1, hum.G2),
+                                   *_sparse_levels(prob, prob.new_field()))
+
+    @pytest.mark.parametrize("N, M, game", [
+        (16, 16, GameSpec(mu1=5.0, mu2=5.0)),
+        (32, 64, GameSpec(mu1=5.0, mu2=5.0)),
+        (16, 16, GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
+                          jacobian_weighting=False)),
+    ], ids=["16x16", "32x64", "unweighted"])
+    def test_hum_build_equals_blockwise_assembly(self, N, M, game):
+        # the stencil rows give the blockwise assembly's arrays bit for
+        # bit, and so the same operator, scaling and band factor
+        prob = CylinderProblem.default(N=N, M=M)
+        n, dt = N - 1, prob.mesh.dt
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        hum = HUMSolver(prob, weights, game)
+        ref = _hum_blocks_reference(prob, game)
+        for got, want in zip((hum.G0, hum.G1, hum.G2, hum.E), ref):
+            _assert_same_csr(got, want)
+        wv = prob.grid.interior_volumes
+        W0 = sp.diags(dt * np.outer(weights.rho0_n[1:] ** -2.0, wv).ravel())
+        W1 = sp.diags(dt * np.outer(weights.rho1_n[1:] ** -2.0, wv).ravel())
+        G0, G1, G2, E = ref
+        B = (G0.T @ W0 @ G0 + G1.T @ W0 @ G1 + G2.T @ W0 @ G2
+             + E.T @ W1 @ E).tocsc()
+        scale = np.sqrt(B.diagonal())
+        Dinv = sp.diags(1.0 / scale)
+        Bs = (Dinv @ B @ Dinv).tocsc()
+        assert np.array_equal(hum.scale, scale)
+        _assert_same_csr(hum.Bs, Bs)
+        perm = level_order(M, n)
+        ab = lower_band(Bs, perm)
+        ab[0] += hum.shift
+        assert np.array_equal(hum.lu.band, BandCholesky(ab, perm).band)
 
     def test_dL_transpose_equals_levelwise_sparse(self, prob_small, rng):
         prob, F = prob_small, prob_small.F
@@ -268,7 +357,8 @@ class TestBandOperators:
         game = GameSpec(mu1=5.0, mu2=5.0)
         game.target1, game.target2 = make_default_targets(prob)
         y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
-        N0, N1, N2 = _nonlinear_remainders(prob, game, y, p1, p2)
+        N0, N1, N2 = _nonlinear_remainders(
+            prob, _remainder_parts(prob, game), y, p1, p2)
         _, lt_y = _sparse_levels(prob, y)
         _, lt_0 = _sparse_levels(prob, prob.new_field())
         zero = np.zeros(1)
@@ -287,6 +377,22 @@ class TestBandOperators:
                 ref = ((lt_y[n] - lt_0[n]) @ p.values[n, 1:-1]
                        + game.alphas[i] * wt[n] * target * ind_d)
                 assert np.allclose(Ni[n, 1:-1], ref, rtol=1e-14, atol=1e-15)
+
+    def test_nonlinear_remainders_equal_padded_reference(self, prob_small,
+                                                         rng):
+        # wt = l(t) and non-zero targets make every fixed part count
+        prob = prob_small
+        game = GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
+                        jacobian_weighting=False)
+        game.target1, game.target2 = make_default_targets(prob)
+        parts = _remainder_parts(prob, game)
+        for _ in range(2):
+            y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
+            ref = _remainders_reference(prob, game, y, p1, p2)
+            got = _nonlinear_remainders(prob, parts, y, p1, p2)
+            assert got.shape == (3,) + y.values.shape
+            for g, r in zip(got, ref):
+                assert np.array_equal(g, r)
 
 
 class TestManufacturedOrders:

@@ -20,6 +20,8 @@ def _tiny(kind="forward", **experiment):
 
 
 _WINDOWS = harness.default_config()["game"]["windows"]
+_NEWTON = {"grid": {"N": 16, "M": 16},
+           "experiment": {"kind": "nonlinear-control"}}
 
 
 class TestConfig:
@@ -241,9 +243,21 @@ class TestCLI:
          "carleman: [alpha', beta']=[0.6,0.7] not inside O"),
         ({**_tiny("observability"), "game": {"jacobian_weighting": False}},
          "game.jacobian_weighting"),
+        ({**_NEWTON, "solver": {"newton_max": 0}},
+         "solver.newton_max: must be at least 1"),
+        ({**_NEWTON, "solver": {"newton_max": -3}},
+         "solver.newton_max: must be at least 1"),
+        ({**_NEWTON, "solver": {"newton_max": 2.5}},
+         "solver.newton_max: expected an integer"),
+        ({**_NEWTON, "solver": {"newton_tol": -1}},
+         "solver.newton_tol: must be positive"),
+        ({**_NEWTON, "solver": {"tol_terminal": 0.0}},
+         "solver.tol_terminal: must be positive"),
     ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
-            "unweighted-observability"])
+            "unweighted-observability", "newton_max-zero",
+            "newton_max-negative", "newton_max-float", "newton_tol",
+            "tol_terminal"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback

@@ -23,7 +23,8 @@ from degcontrol.nullcontrol import (
     verify_additional_estimates,
 )
 from degcontrol.semilinear import SemilinearF
-from degcontrol.solvers import CylinderProblem
+from degcontrol.solvers import (CylinderProblem, solve_backward_linear,
+                                solve_forward_linear)
 
 from conftest import sine_data
 
@@ -73,6 +74,50 @@ class TestCouplings:
             track = hum.G0[:, off + i * size:off + (i + 1) * size]
             assert np.array_equal(track.diagonal(),
                                   -tracking[i][1:, 1:-1].ravel())
+
+
+def _consistency_reference(hum, triple, y0, H, H1, H2) -> dict:
+    """HUMSolver._consistency with each follower adjoint marched on its
+    own, by solve_backward_linear."""
+    prob = hum.prob
+    control, tracking = hum.game.couplings(prob)
+    y, p1, p2, h = triple.y, triple.p1, triple.p2, triple.h
+    v1, v2 = hum.game.controls(prob, (p1.values, p2.values))
+    src = (h.values[:, 1:-1] * prob.indicator_interior("O")[None, :]
+           + v1.values[:, 1:-1] + v2.values[:, 1:-1] + H.values[:, 1:-1])
+    y_check = solve_forward_linear(hum.ops, y0, src)
+    out = {"y": float(np.max(np.abs(y_check.values - y.values))
+                      / (1.0 + float(np.max(np.abs(y.values)))))}
+    for i, (p, Hi) in enumerate(((p1, H1), (p2, H2)), start=1):
+        g = (tracking[i - 1] * y.values)[:, 1:-1] + Hi.values[:, 1:-1]
+        p_check = solve_backward_linear(hum.ops, g)
+        out[f"p{i}"] = float(
+            np.max(np.abs(p_check.values[1:] - p.values[1:]))
+            / (1.0 + float(np.max(np.abs(p.values)))))
+    return out
+
+
+class TestConsistency:
+    @pytest.mark.parametrize("game", [
+        GameSpec(mu1=5.0, mu2=5.0),
+        GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
+                 jacobian_weighting=False),
+    ], ids=["weighted", "unweighted"])
+    def test_two_column_march_equals_one_column_marches(self, game):
+        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        game.target1, game.target2 = make_default_targets(prob,
+                                                          weights=weights)
+        hum = HUMSolver(prob, weights, game)
+        y0 = sine_data(prob, 0.01)
+        # loads shaped like the targets, which decay like 1/rho0
+        t1, t2 = game.target1.values, game.target2.values
+        H, H1, H2 = (TrajectoryField(prob.grid, prob.mesh, v)
+                     for v in (0.1 * t1, -0.3 * t2, 0.2 * (t1 - t2)))
+        triple = hum.solve(y0, H=H, H1=H1, H2=H2)
+        assert triple.residuals == _consistency_reference(hum, triple, y0,
+                                                          H, H1, H2)
 
 
 class TestH1aNorm:
@@ -173,6 +218,13 @@ class TestNewton:
         for prev, step in zip(history, history[1:]):
             assert step["contraction"] == pytest.approx(
                 step["remainder_delta"] / prev["remainder_delta"])
+
+    def test_no_steps_refused(self, prob_linear, weights, hum):
+        game, solver = hum
+        with pytest.raises(ValueError, match="max_newton"):
+            solve_nonlinear_null_control(
+                prob_linear, weights, game, sine_data(prob_linear, 0.01),
+                max_newton=0, hum=solver)
 
     @pytest.mark.parametrize("scale, reason, steps", [(300.0, "budget", 10),
                                                       (600.0, "diverged", 4)])

@@ -1,0 +1,54 @@
+"""tools/same_outputs.py: the output comparison of two checkouts."""
+
+import importlib.util
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "same_outputs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("same_outputs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _outputs(path: Path, report: dict, csv: str) -> Path:
+    path.mkdir()
+    (path / "report.json").write_text(json.dumps(report))
+    (path / "state.csv").write_text(csv)
+    return path
+
+
+def test_compare_ignores_timings_only(tmp_path):
+    compare = _tool().compare
+    a = _outputs(tmp_path / "a", {"report": {"x": 1.0},
+                                  "timings": {"total_s": 0.1}}, "1,2\n")
+    b = _outputs(tmp_path / "b", {"timings": {"total_s": 0.2},
+                                  "report": {"x": 1.0}}, "1,2\n")
+    c = _outputs(tmp_path / "c", {"report": {"x": 1.0 + 1e-16 * 2}},
+                 "1,2.0\n")
+    (c / "leader.csv").write_text("0\n")
+    assert compare(a, b) == []
+    assert compare(a, c) == ["only in one run: leader.csv", "report.json",
+                             "state.csv"]
+    # two runs that both failed before writing a report are not the same
+    assert compare(tmp_path / "none", tmp_path / "none") == [
+        "no report.json in either run"]
+
+
+def test_checkout_matches_itself():
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT), str(ROOT),
+         "--grid", "16", "16", "--configs", "newton-desk",
+         "linear-control-unweighted", "theorem1-small-data-64x128"],
+        capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[-1] == "3 of 3 configs identical"
+    assert all(": identical (exit 0; " in line for line in lines[:-1])
+    assert "leader.csv" in lines[0]

@@ -1,0 +1,173 @@
+"""Check that two checkouts compute the same outputs on a fixed list of runs.
+
+    python tools/same_outputs.py PARENT CHANGE [--grid N M]
+                                 [--configs NAME ...]
+
+PARENT and CHANGE are checkout roots (directories holding src/degcontrol).
+Each config runs once per checkout through the CLI (`run --seed 0`), each
+run in its own Python subprocess with PYTHONPATH=<checkout>/src and the
+BLAS thread caps (OMP_NUM_THREADS and friends) set to 1.  For every
+config the exit codes, the output file names, report.json without its
+`timings` and every CSV byte for byte are compared, and one line per
+config says `identical` or names what differs; a run that writes no
+report.json counts as a difference.  Exits 1 on any difference, 0 when
+every config is identical.
+
+--grid overrides every config's grid (a quick run); --configs picks a
+subset of CONFIGS.
+"""
+
+from __future__ import annotations
+
+import argparse
+import copy
+import json
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+# config name -> scenario overrides; a "preset" entry starts from that
+# preset of the checkout being run
+CONFIGS = {
+    "newton-desk": {
+        "grid": {"N": 32, "M": 64},
+        "experiment": {"kind": "nonlinear-control",
+                       "scale_factors": [1.0, 3.0, 300.0]},
+    },
+    "adjoint-sampling": {
+        "grid": {"N": 64, "M": 128},
+        "experiment": {"kind": "observability", "samples": 50},
+    },
+    "guard-linear-control": {
+        "grid": {"N": 32, "M": 64},
+        "experiment": {"kind": "linear-control"},
+    },
+    "guard-nash": {
+        "grid": {"N": 32, "M": 64},
+        "experiment": {"kind": "nash"},
+    },
+    "linear-control-64x128": {
+        "grid": {"N": 64, "M": 128},
+        "experiment": {"kind": "linear-control"},
+    },
+    "linear-control-unweighted": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"jacobian_weighting": False, "alpha1": 2.0, "mu2": 3.0},
+        "experiment": {"kind": "linear-control"},
+    },
+    "nonlinear-control-64x128": {
+        "grid": {"N": 64, "M": 128},
+        "experiment": {"kind": "nonlinear-control"},
+    },
+    "theorem1-small-data-64x128": {
+        "preset": "theorem1-small-data",
+        "grid": {"N": 64, "M": 128},
+    },
+}
+
+_CLI = ("import sys; from degcontrol import cli; "
+        "sys.exit(cli.main(sys.argv[1:]))")
+_THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _cli(checkout: Path, args: list,
+         cwd: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+    env.update({cap: "1" for cap in _THREAD_CAPS})
+    return subprocess.run([sys.executable, "-c", _CLI, *args], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+
+
+def scenario(checkout: Path, name: str, grid, work: Path) -> dict:
+    """The config `name` as run in `checkout`, with the grid override."""
+    spec = copy.deepcopy(CONFIGS[name])
+    preset = spec.pop("preset", None)
+    if preset is not None:
+        done = _cli(checkout, ["preset", preset], work)
+        if done.returncode != 0:
+            raise RuntimeError(f"{checkout}: preset {preset}: {done.stderr}")
+        config = json.loads(done.stdout)
+        for section, fields in spec.items():
+            config[section].update(fields)
+        spec = config
+    if grid is not None:
+        spec.setdefault("grid", {}).update({"N": grid[0], "M": grid[1]})
+    return spec
+
+
+def run(checkout: Path, name: str, grid, work: Path) -> tuple:
+    """Runs one config in one checkout; returns (exit code, output dir)."""
+    work.mkdir(parents=True)
+    path = work / "config.in.json"
+    path.write_text(json.dumps(scenario(checkout, name, grid, work)))
+    out = work / "out"
+    done = _cli(checkout, ["run", "--config", str(path), "--out", str(out),
+                           "--seed", "0"], work)
+    return done.returncode, out
+
+
+def _report_text(path: Path) -> str:
+    report = json.loads(path.read_text())
+    report.pop("timings", None)
+    return json.dumps(report, sort_keys=True)
+
+
+def compare(a: Path, b: Path) -> list:
+    """What differs between two output directories: [] when report.json
+    (minus timings) and every CSV are the same and no file is missing.
+    Runs that wrote no report.json (a failed run) compare as different."""
+    names_a = {p.name for p in a.glob("*")} if a.is_dir() else set()
+    names_b = {p.name for p in b.glob("*")} if b.is_dir() else set()
+    diffs = [f"only in one run: {name}"
+             for name in sorted(names_a ^ names_b)]
+    if "report.json" not in names_a | names_b:
+        diffs.append("no report.json in either run")
+    for name in sorted(names_a & names_b):
+        if name == "report.json":
+            same = _report_text(a / name) == _report_text(b / name)
+        elif name.endswith(".csv"):
+            same = (a / name).read_bytes() == (b / name).read_bytes()
+        else:
+            continue
+        if not same:
+            diffs.append(name)
+    return diffs
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent", type=Path)
+    parser.add_argument("change", type=Path)
+    parser.add_argument("--grid", type=int, nargs=2, metavar=("N", "M"))
+    parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS),
+                        default=list(CONFIGS))
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        differing = 0
+        for name in args.configs:
+            start = time.perf_counter()
+            code_a, out_a = run(args.parent, name, args.grid,
+                                Path(tmp, name, "parent"))
+            code_b, out_b = run(args.change, name, args.grid,
+                                Path(tmp, name, "change"))
+            diffs = compare(out_a, out_b)
+            if code_a != code_b:
+                diffs.insert(0, f"exit code {code_a} != {code_b}")
+            files = ", ".join(sorted(p.name for p in out_b.glob("*")
+                                     if p.suffix == ".csv"
+                                     or p.name == "report.json"))
+            verdict = ("identical" if not diffs
+                       else "DIFFERS: " + "; ".join(diffs))
+            print(f"{name}: {verdict} (exit {code_b}; {files}; "
+                  f"{time.perf_counter() - start:.1f} s)", flush=True)
+            differing += bool(diffs)
+    print(f"{len(args.configs) - differing} of {len(args.configs)} configs "
+          "identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
