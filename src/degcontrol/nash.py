@@ -33,6 +33,7 @@ from .grids import TrajectoryField
 from .operators import band_apply, band_transpose
 from .solvers import (
     CylinderProblem,
+    StepFailureError,
     SweepFailureError,
     _interior,
     solve_backward_linear,
@@ -203,7 +204,8 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     Alternates the semilinear forward solve (with the current follower
     controls) and the two adjoint solves with coefficients frozen at the
     new state, until the trajectory update stalls below tol.  Raises
-    SweepFailureError as soon as an update is not finite.
+    SweepFailureError as soon as an update is not finite, and
+    StepFailureError when a state march fails.
     """
     p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
     history = []
@@ -357,8 +359,9 @@ def fit_mu_star(prob: CylinderProblem, game: GameSpec,
                 rng: np.random.Generator | None = None) -> dict:
     """Bisection for the smallest mu (mu1=mu2) with a certified margin.
 
-    Each trial re-solves the Nash fixed point; Picard divergence counts
-    as not certified.  Bisection runs on log(mu).
+    Each trial re-solves the Nash fixed point; a diverging iteration
+    counts as not certified, whether its sweep or its state march fails.
+    Bisection runs on log(mu).
     """
     rng = rng or np.random.default_rng(1)
     lo, hi = np.log(bracket[0]), np.log(bracket[1])
@@ -367,7 +370,7 @@ def fit_mu_star(prob: CylinderProblem, game: GameSpec,
         g = replace(game, mu1=mu, mu2=mu)
         try:
             st = nash_fixed_point(prob, g, h, y0, compute_residuals=False)
-        except SweepFailureError:
+        except (SweepFailureError, StepFailureError):
             return False
         rep = convexity_margin(prob, g, st, probes=probes,
                                rng=np.random.default_rng(12345))

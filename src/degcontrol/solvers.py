@@ -18,8 +18,11 @@ forward/backward pair obeys the summation-by-parts identity
 to roundoff.  Gradients of the tracking functionals computed from these
 adjoints are therefore exact discrete derivatives, not approximations.
 
-Time stepping is backward Euler; the semilinear term is resolved by a
-per-step Picard loop around the frozen factorization of the base operator.
+Time stepping is backward Euler.  The semilinear state march solves the
+whole backward-Euler trajectory at once by Newton's method: the residual
+of every level is one vectorized expression, and each correction is one
+forward march through the operators linearized at the current iterate,
+whose steps I + dt L_n are exactly the blocks of the Jacobian.
 """
 
 from __future__ import annotations
@@ -56,11 +59,16 @@ __all__ = [
 
 
 class StepFailureError(RuntimeError):
-    """Inner Picard loop of a time step failed to converge."""
+    """Newton's method on the semilinear state trajectory failed.
+
+    Raised for a residual that is not finite, at the first level where
+    it is not, or when the Newton steps run out, at the level with the
+    largest residual.  residual is that level's max-norm residual.
+    """
 
     def __init__(self, time_index: int, residual: float):
         super().__init__(
-            f"step {time_index}: inner iteration stalled at residual {residual:.3e}"
+            f"semilinear march: residual {residual:.3e} at level {time_index}"
         )
         self.time_index = time_index
         self.residual = residual
@@ -101,9 +109,9 @@ class LevelOps:
     `bands[n]` holds L_n (shape (M+1, 3, N-1)); `bands_t` the bands of its
     weighted transpose.  `march` and `march_adjoint` step forward and
     backward through the same dgttrf factors, one or many columns at a
-    time, and `solve` takes one forward step; each level is factored at
-    most once.  The space-time HUM assembly reads the same bands.
-    Instances are immutable once built and shared by sweeps.
+    time; each level is factored at most once.  The space-time HUM
+    assembly reads the same bands.  Instances are immutable once built
+    and shared by sweeps.
     """
 
     def __init__(self, prob: "CylinderProblem", bands: np.ndarray):
@@ -135,10 +143,6 @@ class LevelOps:
                 raise RuntimeError(f"level {m}: I + dt L_n is singular")
             self._factors[m] = factors
         return self._factors[m]
-
-    def solve(self, m: int, rhs: np.ndarray) -> np.ndarray:
-        """(I + dt L_m)^{-1} rhs."""
-        return lapack.dgttrs(*self._factor(m), rhs)[0]
 
     def march(self, rows: np.ndarray) -> None:
         """Forward march y^m = (I + dt L_m)^{-1} (y^{m-1} + dt f^m), in place.
@@ -244,11 +248,6 @@ class CylinderProblem:
         drift = drift_bands(self.grid, -self.B_t[:, None] * self.xi[None, :])
         return self.b_t[:, None, None] * winv_a[None] + drift
 
-    @cached_property
-    def base_ops(self) -> LevelOps:
-        """Factors of (I + dt L0_n) for the semilinear stepper."""
-        return LevelOps(self, self.base_bands)
-
     def linearized_ops(self) -> LevelOps:
         """Operators of the system linearized at the zero state."""
         if self._lin_ops is None:
@@ -292,52 +291,90 @@ def _source_array(prob: CylinderProblem, h=None, v1=None, v2=None, extra=None) -
     return src
 
 
+# smallest Newton step of the semilinear march's line search, about 1e-3
+_MIN_STEP = 2.0 ** -10
+
+
+def _semilinear_residual(prob: CylinderProblem, rows: np.ndarray,
+                         src: np.ndarray) -> np.ndarray:
+    """Backward-Euler residuals of the trajectory rows, levels 1..M.
+
+    R_m = Y_m - Y_{m-1} + dt (L0_m Y_m + F(Y_m, g_m Dc Y_m) - f_m) for the
+    interior rows (M+1, N-1) and source src (M+1, N-1); shape (M, N-1).
+    """
+    y = rows[1:]
+    r = prob.F.F(y, prob.grad_weights[1:] * band_apply(prob.Dc_bands, y))
+    r += band_apply(prob.base_bands[1:], y)
+    r -= src[1:]
+    r *= prob.mesh.dt
+    r += y
+    r -= rows[:-1]
+    return r
+
+
 def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
                              h: TrajectoryField | None = None,
                              v1: TrajectoryField | None = None,
                              v2: TrajectoryField | None = None,
                              source: TrajectoryField | None = None,
-                             picard_tol: float = 1e-10,
-                             max_inner: int = 25) -> TrajectoryField:
+                             tol: float = 1e-10,
+                             max_steps: int = 100) -> TrajectoryField:
     """Backward-Euler march of the semilinear state equation.
 
-    Each step solves (I + dt L0_n) z = y^{n-1} + dt (f^n - F(z, g_n z_x))
-    by Picard around the frozen factorization, to `picard_tol` in the
-    weighted L2 norm.
+    Solves the residual equations R_m = 0 of all levels (see
+    `_semilinear_residual`) together by Newton's method, from y0 on every
+    level.  The correction of each step is one forward march through
+    `prob.ops_at_state` at the iterate.  The step is halved while the
+    max-norm residual does not fall, down to about 1e-3.  The march stops
+    when the correction, or the level sum of the max-norm residual (an
+    estimate of the next correction), is at most tol (1 + max|Y|); with
+    F = 0 that is one march.  Raises StepFailureError as soon as a
+    residual is not finite (before any march for a non-finite y0 or
+    source), or after max_steps corrections.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (prob.grid.N + 1,):
         raise ValueError("y0 must be a nodal row of length N+1")
     src = _source_array(prob, h, v1, v2, source)
-    base = prob.base_ops
-    dt = prob.mesh.dt
     out = prob.new_field()
-    out.values[0] = y0
+    out.values[:] = y0
     out.zero_boundary()
-    wv = prob.grid.interior_volumes
-    y = _interior(out.values[0]).copy()
-    for n in range(1, prob.mesh.M + 1):
-        g = prob.grad_weight(n)
-        z = y.copy()
-        converged = False
-        d = np.inf
-        for _ in range(max_inner):
-            w = g * band_apply(prob.Dc_bands, z)
-            rhs = y + dt * (src[n] - prob.F.F(z, w))
-            z_new = base.solve(n, rhs)
-            dz = z_new - z
-            d = float(np.sqrt(np.sum(wv * dz * dz)))
-            z = z_new
-            if d <= picard_tol * (1.0 + float(np.max(np.abs(z)))):
-                converged = True
+    rows = _interior(out.values)
+
+    def residual(trial):  # and the max-norm of each level's residual
+        res = _semilinear_residual(prob, trial, src)
+        levels = np.max(np.abs(res), axis=1)
+        bad = ~np.isfinite(levels)
+        if bad.any():
+            m = int(np.argmax(bad))
+            raise StepFailureError(m + 1, float(levels[m]))
+        return res, levels
+
+    def bound():
+        return tol * (1.0 + float(np.max(np.abs(rows))))
+
+    res, levels = residual(rows)
+    if float(np.sum(levels)) <= bound():
+        return out
+    corr = np.zeros_like(rows)
+    for _ in range(max_steps):
+        np.negative(res, out=corr[1:])
+        prob.ops_at_state(out).march(corr)
+        if float(np.max(np.abs(corr))) <= bound():
+            rows += corr
+            return out
+        r, step = float(np.max(levels)), 1.0
+        while True:
+            trial = rows + step * corr
+            res, levels = residual(trial)
+            if float(np.max(levels)) < r or step <= _MIN_STEP:
                 break
-        if not converged:
-            raise StepFailureError(n, d)
-        if not np.all(np.isfinite(z)):
-            raise StepFailureError(n, float("inf"))
-        out.values[n, 1:-1] = z
-        y = z
-    return out
+            step *= 0.5
+        rows[:] = trial
+        if float(np.sum(levels)) <= bound():
+            return out
+    m = int(np.argmax(levels))
+    raise StepFailureError(m + 1, float(levels[m]))
 
 
 def solve_forward_linear(ops: LevelOps, y0: np.ndarray,

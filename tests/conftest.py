@@ -51,6 +51,17 @@ def sine_data(prob, amplitude):
     return y0
 
 
+def cubic_F():
+    """F = u^3 + 2 sin(w): a nonlinearity that grows, unlike the default."""
+    zero = SemilinearF.zero().D12
+    return SemilinearF(
+        F=lambda u, w: u**3 + 2.0 * np.sin(w),
+        D1=lambda u, w: 3.0 * u**2 + 0.0 * w,
+        D2=lambda u, w: 2.0 * np.cos(w) + 0.0 * u,
+        D11=lambda u, w: 6.0 * u + 0.0 * w, D12=zero, D21=zero,
+        D22=lambda u, w: -2.0 * np.sin(w) + 0.0 * u, label="cubic")
+
+
 def rel_gap(a, b):
     """Largest entry of a - b relative to the largest entry of b."""
     return np.max(np.abs(a - b)) / np.max(np.abs(b))

@@ -294,6 +294,15 @@ class TestCLI:
         assert cli.main(["run", "--config", str(path),
                         "--out", str(tmp_path / "out")]) == cli.EXIT_BUDGET
 
+    def test_state_march_failure_exit_code(self, tmp_path, capsys):
+        # a valid amplitude whose residual overflows at the first level
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_tiny(y0_amplitude=1e308)))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
+        err = capsys.readouterr().err
+        assert "semilinear march: residual" in err and "at level 1" in err
+
     def test_refinement_failure_exit_code(self, tmp_path, capsys,
                                           monkeypatch):
         monkeypatch.setattr(nullcontrol, "RESIDUAL_LIMIT", 0.0)

@@ -1,5 +1,7 @@
 """Follower game: functionals, gradients, equilibrium and convexity."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from degcontrol.nash import (
     second_derivative_form,
 )
 from degcontrol.semilinear import SemilinearF
-from degcontrol.solvers import (CylinderProblem, SweepFailureError,
-                                solve_forward_semilinear)
+from degcontrol.solvers import (CylinderProblem, StepFailureError,
+                                SweepFailureError, solve_forward_semilinear)
 
 from conftest import sine_data
 
@@ -199,6 +201,18 @@ class TestConvexity:
                                    rng=np.random.default_rng(7))
             margins.append(rep["margin"])
         assert margins[0] < margins[1] < margins[2]
+
+    def test_fit_mu_star_with_a_failing_state_march(self):
+        # at mu = 1e-6 the follower iteration overflows, and its state
+        # march fails before its sweep sees a non-finite update
+        prob = CylinderProblem.default(N=16, M=16)
+        game = GameSpec()
+        game.target1, game.target2 = make_default_targets(prob)
+        h, y0 = prob.new_field(), sine_data(prob, 0.01)
+        with pytest.raises(StepFailureError):
+            nash_fixed_point(prob, replace(game, mu1=1e-6, mu2=1e-6), h, y0)
+        rep = fit_mu_star(prob, game, h, y0, bracket=(1e-6, 1e6), iters=3)
+        assert np.isfinite(rep["mu_star"])
 
     def test_fit_mu_star(self, prob_small, rng):
         game = GameSpec()

@@ -26,7 +26,7 @@ from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (CylinderProblem, solve_backward_linear,
                                 solve_forward_linear)
 
-from conftest import sine_data
+from conftest import cubic_F, sine_data
 
 
 @pytest.fixture(scope="module")
@@ -233,14 +233,7 @@ class TestNewton:
         # at (32,64) 300x data still contracts (about 0.4 per step) when
         # the ten steps run out, while 600x data stalls, and its fourth
         # delta is above its first
-        zero = SemilinearF.zero().D12
-        cubic = SemilinearF(
-            F=lambda u, w: u**3 + 2.0 * np.sin(w),
-            D1=lambda u, w: 3.0 * u**2 + 0.0 * w,
-            D2=lambda u, w: 2.0 * np.cos(w) + 0.0 * u,
-            D11=lambda u, w: 6.0 * u + 0.0 * w, D12=zero, D21=zero,
-            D22=lambda u, w: -2.0 * np.sin(w) + 0.0 * u, label="cubic")
-        prob = CylinderProblem.default(N=32, M=64, F=cubic)
+        prob = CylinderProblem.default(N=32, M=64, F=cubic_F())
         weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
                                   prob.mesh)
         game = GameSpec(mu1=5.0, mu2=5.0)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_outputs.py"
 
@@ -39,6 +41,27 @@ def test_compare_ignores_timings_only(tmp_path):
     # two runs that both failed before writing a report are not the same
     assert compare(tmp_path / "none", tmp_path / "none") == [
         "no report.json in either run"]
+
+
+def test_differing_files_state_their_drift(tmp_path):
+    tool = _tool()
+    header = "t,x0,x1\n"
+    a = _outputs(tmp_path / "a", {"report": {"x": [1.0, 2.0]}},
+                 header + "0,0,1.5\n1,-2e-300,4\n")
+    b = _outputs(tmp_path / "b", {"report": {"x": [1.0, 2.0]}},
+                 header + "0,0,1.5\n1,-2e-300,4.002\n")
+    assert tool.compare(a, b) == ["state.csv"]
+    assert tool.drift(a / "state.csv", b / "state.csv") == pytest.approx(
+        0.002 / 4.002, rel=1e-12)
+    assert tool.describe(a, b) == [
+        "state.csv (largest relative difference 5.0e-04)"]
+    # the report's numbers are compared too, and a count that differs
+    # cannot be paired
+    c = _outputs(tmp_path / "c", {"report": {"x": [1.0, 2.0, 3.0]}},
+                 header + "0,0,1.5\n1,-2e-300,4\n")
+    assert tool.describe(a, c) == [
+        "report.json (largest relative difference inf)"]
+    assert tool.describe(a, a) == []
 
 
 def test_checkout_matches_itself():

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from degcontrol import carleman
+from degcontrol import carleman, solvers
 from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.grids import TrajectoryField
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
     CylinderProblem,
     LevelOps,
+    StepFailureError,
     SweepFailureError,
     energy_diagnostics,
     solve_adjoint_coupled,
@@ -20,7 +21,8 @@ from degcontrol.solvers import (
 )
 
 from adjoint_reference import two_follower_sweep
-from conftest import rel_gap, sine_data
+from conftest import cubic_F, rel_gap, sine_data
+from semilinear_reference import PicardFailure, picard_march, sparse_residual
 
 
 def _duality_mismatch(prob, ops, rng):
@@ -79,6 +81,82 @@ class TestForward:
     def test_bad_initial_shape(self, prob):
         with pytest.raises(ValueError):
             solve_forward_semilinear(prob, np.zeros(3))
+
+
+def _counted(monkeypatch, owner, name) -> list:
+    """Replaces owner.name by a wrapper that appends to the returned list."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestSemilinearNewton:
+    """The state march solves the whole trajectory by Newton's method."""
+
+    def test_residual_at_roundoff(self, prob_small):
+        prob = prob_small
+        src = np.outer(np.sin(3.0 * prob.mesh.times),
+                       np.ones(prob.grid.N - 1))
+        y0 = sine_data(prob, 0.5)
+        y = solve_forward_semilinear(prob, y0, source=src)
+        newton = np.max(np.abs(sparse_residual(prob, y.values, src)))
+        picard = np.max(np.abs(sparse_residual(
+            prob, picard_march(prob, y0, src), src)))
+        assert newton <= 1e-13
+        assert 100.0 * newton <= picard
+
+    def test_linear_problem_takes_one_march(self, prob_linear, rng,
+                                            monkeypatch):
+        prob = prob_linear
+        src = rng.standard_normal((prob.mesh.M + 1, prob.grid.N - 1))
+        y0 = sine_data(prob, 0.1)
+        marches = _counted(monkeypatch, LevelOps, "march")
+        y = solve_forward_semilinear(prob, y0, source=src)
+        assert len(marches) == 1
+        ref = solve_forward_linear(prob.linearized_ops(), y0, src)
+        assert np.max(np.abs(y.values - ref.values)) <= 1e-14
+
+    @pytest.mark.parametrize("F, amplitude, halves", [
+        (SemilinearF.sinusoidal(50.0, 50.0), 1.75, True),
+        (cubic_F(), 5.0, False),
+    ])
+    def test_converges_where_picard_fails(self, F, amplitude, halves,
+                                          monkeypatch):
+        # in both, the per-step Picard iteration does not converge at
+        # step 1; the stiff reaction also halves some Newton steps
+        prob = CylinderProblem.default(N=16, M=32, F=F)
+        y0 = sine_data(prob, amplitude)
+        src = np.zeros((prob.mesh.M + 1, prob.grid.N - 1))
+        with pytest.raises(PicardFailure, match="step 1:"):
+            picard_march(prob, y0, src)
+        steps = _counted(monkeypatch, CylinderProblem, "ops_at_state")
+        residuals = _counted(monkeypatch, solvers, "_semilinear_residual")
+        y = solve_forward_semilinear(prob, y0)
+        assert np.max(np.abs(sparse_residual(prob, y.values, src))) <= 1e-13
+        # one residual per step and the initial one, plus the halvings
+        assert (len(residuals) > len(steps) + 1) == halves
+
+    def test_nonfinite_data_fails_before_any_march(self, prob_small,
+                                                   monkeypatch):
+        prob = prob_small
+        marches = _counted(monkeypatch, LevelOps, "march")
+        y0 = sine_data(prob, 0.1)
+        y0[5] = np.nan
+        with pytest.raises(StepFailureError) as err:
+            solve_forward_semilinear(prob, y0)
+        assert err.value.time_index == 1
+        src = np.zeros((prob.mesh.M + 1, prob.grid.N - 1))
+        src[7, 3] = np.inf
+        with pytest.raises(StepFailureError) as err:
+            solve_forward_semilinear(prob, sine_data(prob, 0.1), source=src)
+        assert err.value.time_index == 7
+        assert marches == []
 
 
 class TestCoupledSweeps:

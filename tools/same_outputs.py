@@ -10,8 +10,10 @@ BLAS thread caps (OMP_NUM_THREADS and friends) set to 1.  For every
 config the exit codes, the output file names, report.json without its
 `timings` and every CSV byte for byte are compared, and one line per
 config says `identical` or names what differs; a run that writes no
-report.json counts as a difference.  Exits 1 on any difference, 0 when
-every config is identical.
+report.json counts as a difference.  Each file that differs is followed
+by the largest relative difference of its numbers, position by position
+(`inf` when the two files do not hold as many numbers).  Exits 1 on any
+difference, 0 when every config is identical.
 
 --grid overrides every config's grid (a quick run); --configs picks a
 subset of CONFIGS.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -137,6 +140,55 @@ def compare(a: Path, b: Path) -> list:
     return diffs
 
 
+def _numbers(path: Path) -> list:
+    """The numbers of a report.json (without timings) or a CSV, in order."""
+    numbers = []
+    if path.name == "report.json":
+        def walk(obj):
+            if isinstance(obj, dict):
+                for key in sorted(obj):
+                    walk(obj[key])
+            elif isinstance(obj, list):
+                for item in obj:
+                    walk(item)
+            elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+                numbers.append(float(obj))
+
+        walk(json.loads(_report_text(path)))
+        return numbers
+    for token in path.read_text().replace("\n", ",").split(","):
+        try:
+            numbers.append(float(token))
+        except ValueError:  # a header name
+            pass
+    return numbers
+
+
+def drift(a: Path, b: Path) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the numbers of two files, pair
+    by pair; inf when their counts differ or one number is not finite
+    where the other is (two NaNs count as equal)."""
+    xs, ys = _numbers(a), _numbers(b)
+    if len(xs) != len(ys):
+        return math.inf
+    worst = 0.0
+    for x, y in zip(xs, ys):
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        if not (math.isfinite(x) and math.isfinite(y)):
+            return math.inf
+        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
+    return worst
+
+
+def describe(a: Path, b: Path) -> list:
+    """`compare(a, b)`, with each differing file's `drift`."""
+    return [f"{name} (largest relative difference "
+            f"{drift(a / name, b / name):.1e})"
+            if (a / name).is_file() and (b / name).is_file() else name
+            for name in compare(a, b)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
@@ -153,7 +205,7 @@ def main(argv=None) -> int:
                                 Path(tmp, name, "parent"))
             code_b, out_b = run(args.change, name, args.grid,
                                 Path(tmp, name, "change"))
-            diffs = compare(out_a, out_b)
+            diffs = describe(out_a, out_b)
             if code_a != code_b:
                 diffs.insert(0, f"exit code {code_a} != {code_b}")
             files = ", ".join(sorted(p.name for p in out_b.glob("*")
