@@ -61,9 +61,11 @@ __all__ = [
 class StepFailureError(RuntimeError):
     """Newton's method on the semilinear state trajectory failed.
 
-    Raised for a residual that is not finite, at the first level where
-    it is not, or when the Newton steps run out, at the level with the
-    largest residual.  residual is that level's max-norm residual.
+    Raised for a starting residual that is not finite, at the first
+    level where it is not; when no step lowers the first level's
+    residual below the largest one, at level 1; or when the Newton steps
+    run out, at the level with the largest residual.  residual is that
+    level's max-norm residual.
     """
 
     def __init__(self, time_index: int, residual: float):
@@ -291,7 +293,10 @@ def _source_array(prob: CylinderProblem, h=None, v1=None, v2=None, extra=None) -
     return src
 
 
-# smallest Newton step of the semilinear march's line search, about 1e-3
+# Newton on the semilinear state trajectory: the relative tolerance of
+# its stop, its step budget and its smallest line-search step (about 1e-3)
+_TOL = 1e-10
+_MAX_STEPS = 100
 _MIN_STEP = 2.0 ** -10
 
 
@@ -303,8 +308,8 @@ def _semilinear_residual(prob: CylinderProblem, rows: np.ndarray,
     interior rows (M+1, N-1) and source src (M+1, N-1); shape (M, N-1).
     """
     y = rows[1:]
-    r = prob.F.F(y, prob.grad_weights[1:] * band_apply(prob.Dc_bands, y))
-    r += band_apply(prob.base_bands[1:], y)
+    r = band_apply(prob.base_bands[1:], y)
+    r += prob.F.F(y, prob.grad_weights[1:] * band_apply(prob.Dc_bands, y))
     r -= src[1:]
     r *= prob.mesh.dt
     r += y
@@ -316,21 +321,27 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
                              h: TrajectoryField | None = None,
                              v1: TrajectoryField | None = None,
                              v2: TrajectoryField | None = None,
-                             source: TrajectoryField | None = None,
-                             tol: float = 1e-10,
-                             max_steps: int = 100) -> TrajectoryField:
+                             source: TrajectoryField | None = None
+                             ) -> TrajectoryField:
     """Backward-Euler march of the semilinear state equation.
 
     Solves the residual equations R_m = 0 of all levels (see
     `_semilinear_residual`) together by Newton's method, from y0 on every
     level.  The correction of each step is one forward march through
-    `prob.ops_at_state` at the iterate.  The step is halved while the
-    max-norm residual does not fall, down to about 1e-3.  The march stops
-    when the correction, or the level sum of the max-norm residual (an
-    estimate of the next correction), is at most tol (1 + max|Y|); with
-    F = 0 that is one march.  Raises StepFailureError as soon as a
-    residual is not finite (before any march for a non-finite y0 or
-    source), or after max_steps corrections.
+    `prob.ops_at_state` at the iterate.  A step is taken when it lowers
+    the largest max-norm level residual r.  Otherwise the levels up to
+    the first one whose new residual is not below r (the front) take it,
+    and every later level restarts from the front's new state: the
+    Jacobian's blocks are lower bidiagonal, so the leading levels have
+    converged even when the linearization at the old iterate was poor
+    further on.  When the first level is not below r the step is halved,
+    down to about 1e-3.  The march stops when the correction is at most
+    1e-10 (1 + max|Y|), or when M times the largest level residual is:
+    that bounds the level sum of the residual, an estimate of the next
+    correction, which this stop does not take; with F = 0 that is one
+    march.  Raises StepFailureError for a residual that is not finite
+    at the start (a non-finite y0 or source, before any march), for a
+    first level that no step lowers below r, or after 100 steps.
     """
     y0 = np.asarray(y0, dtype=float)
     if y0.shape != (prob.grid.N + 1,):
@@ -343,21 +354,23 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
 
     def residual(trial):  # and the max-norm of each level's residual
         res = _semilinear_residual(prob, trial, src)
-        levels = np.max(np.abs(res), axis=1)
-        bad = ~np.isfinite(levels)
-        if bad.any():
-            m = int(np.argmax(bad))
-            raise StepFailureError(m + 1, float(levels[m]))
-        return res, levels
+        return res, np.max(np.abs(res), axis=1)
 
     def bound():
-        return tol * (1.0 + float(np.max(np.abs(rows))))
+        return _TOL * (1.0 + float(np.max(np.abs(rows))))
+
+    def settled():
+        return prob.mesh.M * float(np.max(levels)) <= bound()
 
     res, levels = residual(rows)
-    if float(np.sum(levels)) <= bound():
+    bad = ~np.isfinite(levels)
+    if bad.any():
+        m = int(np.argmax(bad))
+        raise StepFailureError(m + 1, float(levels[m]))
+    if settled():
         return out
     corr = np.zeros_like(rows)
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         np.negative(res, out=corr[1:])
         prob.ops_at_state(out).march(corr)
         if float(np.max(np.abs(corr))) <= bound():
@@ -367,11 +380,19 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
         while True:
             trial = rows + step * corr
             res, levels = residual(trial)
-            if float(np.max(levels)) < r or step <= _MIN_STEP:
+            behind = ~(levels < r)  # not below r, or not finite
+            if not behind.any():
                 break
+            front = int(np.argmax(behind))
+            if front > 0:
+                trial[front + 1:] = trial[front]
+                res, levels = residual(trial)
+                break
+            if step <= _MIN_STEP:
+                raise StepFailureError(1, float(levels[0]))
             step *= 0.5
         rows[:] = trial
-        if float(np.sum(levels)) <= bound():
+        if settled():
             return out
     m = int(np.argmax(levels))
     raise StepFailureError(m + 1, float(levels[m]))

@@ -122,14 +122,15 @@ class TestSemilinearNewton:
         ref = solve_forward_linear(prob.linearized_ops(), y0, src)
         assert np.max(np.abs(y.values - ref.values)) <= 1e-14
 
-    @pytest.mark.parametrize("F, amplitude, halves", [
+    @pytest.mark.parametrize("F, amplitude, searches", [
         (SemilinearF.sinusoidal(50.0, 50.0), 1.75, True),
         (cubic_F(), 5.0, False),
     ])
-    def test_converges_where_picard_fails(self, F, amplitude, halves,
+    def test_converges_where_picard_fails(self, F, amplitude, searches,
                                           monkeypatch):
         # in both, the per-step Picard iteration does not converge at
-        # step 1; the stiff reaction also halves some Newton steps
+        # step 1; the stiff reaction also takes some Newton steps only up
+        # to a front, or halves them
         prob = CylinderProblem.default(N=16, M=32, F=F)
         y0 = sine_data(prob, amplitude)
         src = np.zeros((prob.mesh.M + 1, prob.grid.N - 1))
@@ -139,8 +140,48 @@ class TestSemilinearNewton:
         residuals = _counted(monkeypatch, solvers, "_semilinear_residual")
         y = solve_forward_semilinear(prob, y0)
         assert np.max(np.abs(sparse_residual(prob, y.values, src))) <= 1e-13
-        # one residual per step and the initial one, plus the halvings
-        assert (len(residuals) > len(steps) + 1) == halves
+        # one residual per step and the initial one, plus the restarts
+        # and halvings
+        assert (len(residuals) > len(steps) + 1) == searches
+
+    def test_stiff_case_picard_solves_is_well_inside_the_budget(
+            self, monkeypatch):
+        # kappa = 60 at (64,128) (dt kappa = 0.47), where the per-step
+        # Picard iteration still converges; the first linearization, at
+        # y0 on every level, grows like e^{kappa t} through the march
+        prob = CylinderProblem.default(
+            N=64, M=128, F=SemilinearF.sinusoidal(60.0, 60.0))
+        y0 = sine_data(prob, 10.0)
+        src = np.zeros((prob.mesh.M + 1, prob.grid.N - 1))
+        picard = picard_march(prob, y0, src)
+        steps = _counted(monkeypatch, CylinderProblem, "ops_at_state")
+        y = solve_forward_semilinear(prob, y0)
+        assert np.max(np.abs(sparse_residual(prob, y.values, src))) <= 1e-12
+        assert rel_gap(y.values, picard) <= 1e-8
+        assert 4 * len(steps) <= solvers._MAX_STEPS
+
+    def test_no_step_that_raises_the_first_level_is_taken(self):
+        # dt kappa = 1.9: the first level's Jacobian block is nearly
+        # singular, and no step down to the smallest lowers its residual
+        prob = CylinderProblem.default(
+            N=16, M=32, F=SemilinearF.sinusoidal(60.0, 60.0))
+        with pytest.raises(StepFailureError) as err:
+            solve_forward_semilinear(prob, sine_data(prob, 3.0))
+        assert err.value.time_index == 1
+        assert np.isfinite(err.value.residual)
+
+    def test_nonlinearity_returning_its_argument(self):
+        # F(u, w) = u hands back the trajectory's own rows; the residual
+        # must not write into them
+        zero = SemilinearF.zero().D12
+        F = SemilinearF(F=lambda u, w: u, D1=lambda u, w: np.ones_like(u),
+                        D2=zero, D11=zero, D12=zero, D21=zero, D22=zero)
+        prob = CylinderProblem.default(N=16, M=32, F=F)
+        y0 = sine_data(prob, 0.5)
+        y = solve_forward_semilinear(prob, y0)
+        shape = (prob.mesh.M + 1, prob.grid.N - 1)
+        ref = solve_forward_linear(prob.linearized_ops(), y0, np.zeros(shape))
+        assert rel_gap(y.values, ref.values) <= 1e-13
 
     def test_nonfinite_data_fails_before_any_march(self, prob_small,
                                                    monkeypatch):

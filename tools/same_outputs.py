@@ -69,6 +69,9 @@ CONFIGS = {
         "preset": "theorem1-small-data",
         "grid": {"N": 64, "M": 128},
     },
+    "prop2-mu-sweep": {
+        "preset": "prop2-mu-sweep",
+    },
 }
 
 _CLI = ("import sys; from degcontrol import cli; "
