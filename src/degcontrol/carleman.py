@@ -420,9 +420,9 @@ def _source_modes(grid: SpatialGrid, mesh: TimeMesh) -> np.ndarray:
     return out
 
 
-def adjoint_basis(prob, mus: tuple = (1.0, 1.0),
-                  alphas: tuple = (1.0, 1.0)):
-    """The full adjoint system solved for every basis mode in one block.
+def adjoint_basis(prob, couplings):
+    """The adjoint system of the game's `couplings` (the `solvers.Couplings`
+    of `GameSpec.couplings`) solved for every basis mode in one block.
 
     Returns the AdjointBlock whose first SINE_MODES columns have the sine
     modes as terminal rows and no sources, followed, for each slot of
@@ -447,8 +447,7 @@ def adjoint_basis(prob, mus: tuple = (1.0, 1.0),
     held[k - q:k] = modes
     sources = {slot: held[(last - i) * q:(last - i) * q + k]
                for i, slot in enumerate(SOURCE_SLOTS)}
-    return solve_adjoint_coupled(prob, phiT, mus=mus, alphas=alphas,
-                                 **sources)
+    return solve_adjoint_coupled(prob, phiT, couplings, **sources)
 
 
 def _exp_weight(logw: np.ndarray) -> np.ndarray:
@@ -528,11 +527,9 @@ def _observability_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
     return lhs, rhs
 
 
-def empirical_observability(prob, weights: CarlemanWeights,
+def empirical_observability(prob, weights: CarlemanWeights, couplings,
                             samples: int = 20,
                             rng: np.random.Generator | None = None,
-                            mus: tuple = (1.0, 1.0),
-                            alphas: tuple = (1.0, 1.0),
                             basis=None) -> dict:
     """Sampled observability ratio of the reduced adjoint system.
 
@@ -541,12 +538,14 @@ def empirical_observability(prob, weights: CarlemanWeights,
     The normalization exponent 2 s Aref is reported; ratios are only
     meaningful relative to it.  Each ratio is a quotient of two Gram
     forms in the sample's mode coefficients, read from the sine columns
-    of `basis`, the `adjoint_basis(prob, mus, alphas)` that is solved
-    here when it is not given.
+    of `basis`, the `adjoint_basis(prob, couplings)` that is solved here
+    when it is not given; rho = alpha1 psi1 + alpha2 psi2 takes the
+    couplings' alphas.
     """
     rng = rng or np.random.default_rng(0)
     if basis is None:
-        basis = adjoint_basis(prob, mus, alphas)
+        basis = adjoint_basis(prob, couplings)
+    alphas = couplings.alphas
     psi = basis.psi[:, :SINE_MODES]
     rho = alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1]
     lhs, rhs = _observability_forms(prob, weights,
@@ -627,26 +626,24 @@ def _carleman_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
     return lhs, rhs + source, source
 
 
-def empirical_carleman(prob, weights: CarlemanWeights,
+def empirical_carleman(prob, weights: CarlemanWeights, couplings,
                        samples: int = 10,
                        rng: np.random.Generator | None = None,
-                       mus: tuple = (1.0, 1.0),
-                       alphas: tuple = (1.0, 1.0),
                        basis=None) -> dict:
     """Sampled ratio of the Carleman inequality for the adjoint system.
 
     Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
     both evaluated with the common normalization e^{-2 s Aref}.  Each
     ratio is a quotient of two Gram forms in the sample's coefficients,
-    read from every column of `basis`, the `adjoint_basis(prob, mus,
-    alphas)` that is solved here when it is not given.  The report's
+    read from every column of `basis`, the `adjoint_basis(prob,
+    couplings)` that is solved here when it is not given.  The report's
     "source_share" is the largest share of the source term in a
     sample's right-hand side; the observation term dominates it unless
     O is small.
     """
     rng = rng or np.random.default_rng(0)
     if basis is None:
-        basis = adjoint_basis(prob, mus, alphas)
+        basis = adjoint_basis(prob, couplings)
     lhs, rhs, source = _carleman_forms(prob, weights, basis.phi, basis.psi)
     # per sample: the terminal normals, then three per source slot
     coef = rng.standard_normal((samples, len(rhs)))

@@ -327,10 +327,6 @@ def validate_config(config: ScenarioConfig | dict) -> list:
             f"experiment.kind: {exp['kind']!r} not one of {', '.join(KINDS)}")
     if exp["samples"] < 1:
         issues.append("experiment.samples: must be at least 1")
-    # the observability samplers model the followers with wt = 1
-    if exp["kind"] == "observability" and not game["jacobian_weighting"]:
-        issues.append("game.jacobian_weighting: observability runs sample "
-                      "the wt = 1 system; false has no effect there")
     if exp["y0_mode"] not in ("sine", "random"):
         issues.append(f"experiment.y0_mode: unknown {exp['y0_mode']!r}")
     study = exp["study"]
@@ -581,12 +577,12 @@ def _run_observability(cfg, out, rng, outputs, timings):
     game = _build_game(cfg, prob, weights)
     n = cfg["experiment"]["samples"]
     # one block solve serves both samplers
-    basis = adjoint_basis(prob, mus=game.mus, alphas=game.alphas)
-    obs = empirical_observability(prob, weights, samples=n, rng=rng,
-                                  mus=game.mus, alphas=game.alphas,
-                                  basis=basis)
-    car = empirical_carleman(prob, weights, samples=n, rng=rng,
-                             mus=game.mus, alphas=game.alphas, basis=basis)
+    couplings = game.couplings(prob)
+    basis = adjoint_basis(prob, couplings)
+    obs = empirical_observability(prob, weights, couplings, samples=n,
+                                  rng=rng, basis=basis)
+    car = empirical_carleman(prob, weights, couplings, samples=n, rng=rng,
+                             basis=basis)
     _write_csv(out / "ratios.csv", "observability,carleman",
                np.column_stack([obs["ratios"], car["ratios"]]))
     outputs.append("ratios.csv")

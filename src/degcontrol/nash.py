@@ -14,8 +14,9 @@ forward step; the quasi-equilibrium is the Picard fixed point of
     v^i = -(1/(mu_i wt)) p^i 1_{Oi}.
 
 GameSpec.couplings is the one definition of this control map and of the
-adjoint tracking weight alpha_i wt 1_{Od}; the leader's HUM system and the
-Newton remainders read the same arrays.
+adjoint tracking weight alpha_i wt 1_{Od}; the leader's HUM system, the
+Newton remainders, the coupled adjoint sweeps and the observability
+samplers read the same arrays.
 
 The second-derivative quadratic form follows the tangent/second-adjoint
 (theta, eta) system; with the exact-transpose construction it is the
@@ -32,6 +33,7 @@ import numpy as np
 from .grids import TrajectoryField
 from .operators import band_apply, band_transpose
 from .solvers import (
+    Couplings,
     CylinderProblem,
     StepFailureError,
     SweepFailureError,
@@ -95,25 +97,22 @@ class GameSpec:
             return np.ones(prob.mesh.M + 1)
         return np.atleast_1d(prob.dom.ell(prob.mesh.times))
 
-    def couplings(self, prob: CylinderProblem) -> tuple:
-        """(control, tracking), each of shape (2, M+1, N+1).
+    def couplings(self, prob: CylinderProblem) -> Couplings:
+        """The two couplings of the followers' optimality system.
 
-        The two couplings of the followers' optimality system: follower i
-        plays v^i = -control_i p^i, and its adjoint p^i has the source
-        tracking_i (y - y_id), where
+        Follower i plays v^i = -control_i p^i, and its adjoint p^i has the
+        source tracking_i (y - y_id), where
 
             control_i = 1_{Oi} / (mu_i wt),    tracking_i = alpha_i wt 1_{Od}.
         """
         wt = self.time_weight(prob)[:, None]
         ind = (prob.indicator("O1"), prob.indicator("O2"))
         control = np.stack([ind[i] / (self.mus[i] * wt) for i in (0, 1)])
-        tracking = np.stack([a * wt * prob.indicator("Od")
-                             for a in self.alphas])
-        return control, tracking
+        return Couplings(control, wt * prob.indicator("Od"), self.alphas)
 
     def controls(self, prob: CylinderProblem, p) -> list:
         """[v1, v2] with v^i = -control_i p^i, for p = (p^1, p^2) values."""
-        control = self.couplings(prob)[0]
+        control = self.couplings(prob).control
         return [TrajectoryField(prob.grid, prob.mesh, -control[i] * p[i])
                 for i in (0, 1)]
 
@@ -184,7 +183,7 @@ def _follower_adjoints(prob: CylinderProblem, game: GameSpec,
     p^i has the source tracking_i (y - y_id); the two march backward as
     the two columns of one march, each equal to its own one-column march.
     """
-    tracking = game.couplings(prob)[1]
+    tracking = game.couplings(prob).tracking
     targets = game.targets(prob)
     rows = np.stack([_interior(tracking[i] * (y.values - targets[i].values))
                      for i in (0, 1)], axis=1)
@@ -204,8 +203,10 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     Alternates the semilinear forward solve (with the current follower
     controls) and the two adjoint solves with coefficients frozen at the
     new state, until the trajectory update stalls below tol.  Raises
-    SweepFailureError as soon as an update is not finite, and
-    StepFailureError when a state march fails.
+    SweepFailureError at an update that is not finite, at sweep k >= 4
+    when delta_k >= delta_{k-3} (no net contraction over three sweeps,
+    as the Newton loop), or after max_sweeps; StepFailureError when a
+    state march fails.
     """
     p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
     history = []
@@ -221,6 +222,8 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
             raise SweepFailureError(history, "nash optimality system")
         if delta <= tol:
             break
+        if len(history) >= 4 and delta >= history[-4]:
+            raise SweepFailureError(history, "nash optimality system")
     else:
         raise SweepFailureError(history, "nash optimality system")
     # one more control update so v matches the final adjoints exactly
@@ -306,7 +309,7 @@ def second_derivative_form(prob: CylinderProblem, game: GameSpec,
     yi = _interior(state.y.values)
     ti = _interior(theta.values)
     pi = _interior(state.p1.values)
-    g_eta = (_interior(game.couplings(prob)[1][0]) * ti
+    g_eta = (_interior(game.couplings(prob).tracking[0]) * ti
              - _dL_transpose_apply(prob, yi, ti, pi))
     eta = solve_backward_linear(ops, g_eta)
     w = prob.grid.cell_volumes

@@ -329,7 +329,8 @@ class HUMSolver:
         M, n = prob.mesh.M, prob.grid.N - 1
         dt = prob.mesh.dt
         # the followers' couplings, also read by the consistency check
-        self.control, self.tracking = game.couplings(prob)
+        couplings = game.couplings(prob)
+        self.control, self.tracking = couplings.control, couplings.tracking
         self.G0, self.G1, self.G2, self.E = _hum_blocks(
             prob, ops, self.control, self.tracking)
         wv = prob.grid.interior_volumes
@@ -566,7 +567,7 @@ def _remainder_parts(prob: CylinderProblem, game: GameSpec) -> tuple:
     (D1F(0,0), D2F(0,0), the bands_t of the system linearized at zero,
     the interior rows of tracking_i y_id stacked over i).
     """
-    tracking = game.couplings(prob)[1]
+    tracking = game.couplings(prob).tracking
     targets = game.targets(prob)
     zero = np.zeros(1)
     return (float(prob.F.D1(zero, zero)[0]), float(prob.F.D2(zero, zero)[0]),

@@ -50,6 +50,7 @@ __all__ = [
     "solve_backward_linear",
     "solve_linearized_coupled",
     "solve_adjoint_coupled",
+    "Couplings",
     "LinearizedSolution",
     "AdjointBlock",
     "EnergyReport",
@@ -435,6 +436,22 @@ def solve_backward_linear(ops: LevelOps, source: np.ndarray,
     return out
 
 
+@dataclass(frozen=True)
+class Couplings:
+    """The followers' couplings, built by `nash.GameSpec.couplings`:
+    control[i] = 1_Oi / (mu_i wt) and tracking[i] = alphas[i] observed,
+    with observed = wt 1_Od; control and tracking (2, M+1, N+1), observed
+    (M+1, N+1)."""
+
+    control: np.ndarray
+    observed: np.ndarray
+    alphas: tuple
+
+    @property
+    def tracking(self) -> np.ndarray:
+        return np.stack([a * self.observed for a in self.alphas])
+
+
 @dataclass
 class LinearizedSolution:
     y: TrajectoryField
@@ -443,49 +460,36 @@ class LinearizedSolution:
     history: list
 
 
-def _field(prob: CylinderProblem, interior: np.ndarray) -> TrajectoryField:
-    """Nodal field with the interior rows (M+1, N-1) and zero boundary."""
-    out = prob.new_field()
-    out.values[:, 1:-1] = interior
-    return out
-
-
 def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
+                             couplings: Couplings,
                              h: TrajectoryField | None = None,
                              H: TrajectoryField | None = None,
                              H1: TrajectoryField | None = None,
                              H2: TrajectoryField | None = None,
-                             mus: tuple = (1.0, 1.0),
-                             alphas: tuple = (1.0, 1.0),
                              tol: float = 1e-10,
                              max_sweeps: int = 200) -> LinearizedSolution:
     """Forward-backward system linearized at zero, by trajectory Picard.
 
-    y_t + L y = h 1_O - p1/mu1 1_O1 - p2/mu2 1_O2 + H,   y(0)=y0,
-    -p_i_t + L* p_i = alpha_i y 1_Od + H_i,              p_i(T)=0.
+    y_t + L y = h 1_O - control_1 p1 - control_2 p2 + H,   y(0)=y0,
+    -p_i_t + L* p_i = tracking_i y + H_i,                  p_i(T)=0,
 
-    p1 and p2 march backward together, as the two columns of one march.
-    Raises SweepFailureError as soon as an update is not finite.
+    with the game's `couplings`.  p1 and p2 march backward together, as
+    the two columns of one march.  Raises SweepFailureError as soon as an
+    update is not finite.
     """
     ops = prob.linearized_ops()
-    ind_od = prob.indicator_interior("Od")
-    ind = [prob.indicator_interior("O1"), prob.indicator_interior("O2")]
+    control = _interior(couplings.control)
+    tracking = _interior(couplings.tracking)
     base_src = _source_array(prob, h=h, extra=H)
-    hsrc = [
-        _interior(H1.values) if H1 is not None else 0.0,
-        _interior(H2.values) if H2 is not None else 0.0,
-    ]
+    hsrc = [0.0 if Hi is None else _interior(Hi.values) for Hi in (H1, H2)]
     M = prob.mesh.M
     p = np.zeros((M + 1, 2, prob.grid.N - 1))
     history = []
     for _ in range(max_sweeps):
-        src = (base_src - p[:, 0] * (ind[0] / mus[0])
-               - p[:, 1] * (ind[1] / mus[1]))
+        src = base_src - p[:, 0] * control[0] - p[:, 1] * control[1]
         y_field = solve_forward_linear(ops, y0, src)
         yi = _interior(y_field.values)
-        rows = np.empty_like(p)
-        for i in (0, 1):
-            rows[:, i] = alphas[i] * yi * ind_od[None, :] + hsrc[i]
+        rows = np.stack([tracking[i] * yi + hsrc[i] for i in (0, 1)], axis=1)
         rows *= prob.mesh.dt
         ops.march_adjoint(rows, M)
         # np.max, unlike Python's max, propagates a NaN update
@@ -496,9 +500,9 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
             raise SweepFailureError(history,
                                     "linearized forward-backward coupling")
         if delta <= tol:
-            return LinearizedSolution(y=y_field, p1=_field(prob, p[:, 0]),
-                                      p2=_field(prob, p[:, 1]),
-                                      history=history)
+            p1, p2 = prob.new_field(), prob.new_field()
+            p1.values[:, 1:-1], p2.values[:, 1:-1] = p[:, 0], p[:, 1]
+            return LinearizedSolution(y_field, p1, p2, history)
     raise SweepFailureError(history, "linearized forward-backward coupling")
 
 
@@ -506,10 +510,9 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
 class AdjointBlock:
     """k coupled adjoint solutions, one column each, in march layout.
 
-    phi: (M+1, k, N-1) interior values; psi: (M+1, k, r, N-1), the
-    follower columns psi1, psi2 (r = 2) of the full form or rho (r = 1)
-    of the reduced one.  history holds the largest update of rho in each
-    sweep.
+    phi: (M+1, k, N-1) and psi: (M+1, k, 2, N-1) interior values, psi
+    holding the follower columns psi1, psi2.  history holds the largest
+    update of rho = alpha1 psi1 + alpha2 psi2 in each sweep.
     """
 
     phi: np.ndarray
@@ -518,28 +521,26 @@ class AdjointBlock:
 
 
 def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
-                          Fsrc=None, F1=None, F2=None,
-                          mus: tuple = (1.0, 1.0), alphas: tuple = (1.0, 1.0),
-                          tol: float = 1e-10, max_sweeps: int = 200,
-                          reduced: bool = False) -> AdjointBlock:
-    """Coupled adjoint system, full (phi, psi1, psi2) or reduced (phi, rho).
+                          couplings: Couplings, Fsrc=None, F1=None, F2=None,
+                          tol: float = 1e-10,
+                          max_sweeps: int = 200) -> AdjointBlock:
+    """Coupled adjoint system (phi, psi1, psi2) of the game's `couplings`.
 
-    -phi_t + L* phi = Fsrc + (alpha1 psi1 + alpha2 psi2) 1_Od, phi(T)=phiT,
-    psi_i_t + L psi_i = F_i - phi/mu_i 1_Oi,                   psi_i(0)=0.
+    -phi_t + L* phi = Fsrc + tracking_1 psi1 + tracking_2 psi2, phi(T)=phiT,
+    psi_i_t + L psi_i = F_i - control_i phi,                     psi_i(0)=0.
 
-    phi sees the followers only through rho = alpha1 psi1 + alpha2 psi2,
-    which solves the same forward equation with source alpha1 F1 +
-    alpha2 F2 and coupling alpha1/mu1 1_O1 + alpha2/mu2 1_O2 (a follower
-    whose alpha is 0 drops out of both).  Both forms sweep (phi, rho):
-    each sweep is one backward march for phi and one forward march for
-    rho.  The full form then marches psi1 and psi2 once, as the two
-    halves of one march, from the converged phi.  phiT holds k terminal
-    rows (k, N+1) and each source is None or an array (k, M+1, N+1).  The
-    rows are the columns of one solve per level, and all of them sweep
-    until the largest update of rho is at most tol.  Raises
-    SweepFailureError if that takes more than max_sweeps, as soon as an
-    update is not finite, or if phi^0 or a follower of the full form is
-    not finite; the last history entry is then NaN.
+    As tracking_i = alpha_i wt 1_Od, phi sees the followers only through
+    rho = alpha1 psi1 + alpha2 psi2, the solution of the same forward
+    equation with source alpha1 F1 + alpha2 F2 and coupling c_rho =
+    alpha1 control_1 + alpha2 control_2 (a follower whose alpha is 0
+    drops out of both).  Each sweep marches phi backward from
+    Fsrc + wt 1_Od rho, then rho forward; psi1 and psi2 then march once,
+    as the two halves of one march, from the converged phi.  phiT holds k
+    terminal rows (k, N+1), each source is None or an array (k, M+1, N+1),
+    and all k columns sweep in one solve per level until the largest
+    update of rho is at most tol.  Raises SweepFailureError if that takes
+    more than max_sweeps, as soon as an update is not finite, or if phi^0
+    or a follower is not finite; the last history entry is then NaN.
     """
     ops = prob.linearized_ops()
     M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
@@ -556,14 +557,16 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
         return _interior(np.asarray(F, dtype=float)).transpose(1, 0, 2)
 
     f0, f1, f2 = source(Fsrc), source(F1), source(F2)
-    ind_od, ind1, ind2 = map(prob.indicator_interior, ("Od", "O1", "O2"))
-    c_rho = alphas[0] / mus[0] * ind1 + alphas[1] / mus[1] * ind2
-    what = "reduced adjoint coupling" if reduced else \
-        "adjoint forward-backward coupling"
+    alphas = couplings.alphas
+    # the couplings as (M+1, 1, N-1), broadcast over the k columns
+    control = _interior(couplings.control)[:, :, None]
+    observed = _interior(couplings.observed)[:, None]
+    c_rho = alphas[0] * control[0] + alphas[1] * control[1]
+    what = "adjoint forward-backward coupling"
     phi = np.zeros((M + 1, k, n))
     phi[M] = _interior(terminal)
-    # the two halves hold the current rho and the one marched next; the
-    # full form then marches psi1 and psi2 in them
+    # the two halves hold the current rho and the one marched next; psi1
+    # and psi2 are then marched in them
     buf = np.zeros((M + 1, 2, k, n))
     cur, nxt = buf[:, 0], buf[:, 1]
     # rho's source alpha1 F1 + alpha2 F2 on levels 1..M, summed through
@@ -575,16 +578,16 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
             np.add(f_rho, nxt[1:], out=f_rho)
     history = []
     for _ in range(max_sweeps):
-        # phi source dt (f0 + rho 1_Od) on levels 0..M-1, built in the phi
-        # buffer; phi^M keeps the terminal row
+        # phi source dt (f0 + wt 1_Od rho) on levels 0..M-1, built in the
+        # phi buffer; phi^M keeps the terminal row
         s = phi[:M]
-        np.multiply(cur[:M], ind_od, out=s)
+        np.multiply(cur[:M], observed[:M], out=s)
         np.add(f0[:M], s, out=s)
         np.multiply(s, dt, out=s)
         ops.march_adjoint(phi, M - 1)
         # rho source dt (f_rho - c_rho phi) on levels 1..M; level 0 stays 0
         s = nxt[1:]
-        np.multiply(phi[1:], c_rho, out=s)
+        np.multiply(phi[1:], c_rho[1:], out=s)
         np.subtract(f_rho, s, out=s)
         np.multiply(s, dt, out=s)
         ops.march(nxt)
@@ -598,19 +601,15 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
             break
     else:
         raise SweepFailureError(history, what)
-    if reduced:
-        psi = cur[:, :, None]
-    else:
-        # psi_i sources dt (F_i - phi 1_Oi / mu_i) on levels 1..M
-        for i, (fi, ci) in enumerate(((f1, ind1 / mus[0]),
-                                      (f2, ind2 / mus[1]))):
-            s = buf[1:, i]
-            np.multiply(phi[1:], ci, out=s)
-            np.subtract(fi[1:], s, out=s)
-            np.multiply(s, dt, out=s)
-        ops.march(buf.reshape(M + 1, 2 * k, n))
-        psi = buf.transpose(0, 2, 1, 3)
-    # no rho update sees phi^0 or the followers of the full form
+    # psi_i sources dt (F_i - control_i phi) on levels 1..M
+    for i, fi in enumerate((f1, f2)):
+        s = buf[1:, i]
+        np.multiply(phi[1:], control[i, 1:], out=s)
+        np.subtract(fi[1:], s, out=s)
+        np.multiply(s, dt, out=s)
+    ops.march(buf.reshape(M + 1, 2 * k, n))
+    psi = buf.transpose(0, 2, 1, 3)
+    # no rho update sees phi^0 or the followers
     if not (np.all(np.isfinite(phi[0])) and np.all(np.isfinite(psi))):
         history.append(float("nan"))
         raise SweepFailureError(history, what)

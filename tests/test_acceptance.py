@@ -306,8 +306,10 @@ def test_criterion_7_nonlinear_null_control(prob, prob_linear, weights,
 
 def test_criterion_8_empirical_inequalities(prob, weights):
     rng = np.random.default_rng(5)
-    obs = empirical_observability(prob, weights, samples=20, rng=rng)
-    car = empirical_carleman(prob, weights, samples=10,
+    obs = empirical_observability(prob, weights, GameSpec().couplings(prob),
+                                  samples=20, rng=rng)
+    car = empirical_carleman(prob, weights, GameSpec().couplings(prob),
+                             samples=10,
                              rng=np.random.default_rng(5))
     assert obs["skipped"] == 0
     assert np.isfinite(obs["max_ratio"]) and np.isfinite(car["max_ratio"])
@@ -315,9 +317,11 @@ def test_criterion_8_empirical_inequalities(prob, weights):
     fine = CylinderProblem.default(N=96, M=192)
     w_fine = CarlemanWeights(CarlemanParams(), fine.deg, fine.grid,
                              fine.mesh)
-    obs_f = empirical_observability(fine, w_fine, samples=20,
+    obs_f = empirical_observability(fine, w_fine,
+                                    GameSpec().couplings(fine), samples=20,
                                     rng=np.random.default_rng(5))
-    car_f = empirical_carleman(fine, w_fine, samples=10,
+    car_f = empirical_carleman(fine, w_fine, GameSpec().couplings(fine),
+                               samples=10,
                                rng=np.random.default_rng(5))
     d_obs = abs(obs_f["max_ratio"] / obs["max_ratio"] - 1.0)
     d_car = abs(car_f["max_ratio"] / car["max_ratio"] - 1.0)

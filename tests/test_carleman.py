@@ -1,6 +1,7 @@
 """Carleman weight construction, identities and empirical inequalities."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from degcontrol.carleman import (
 )
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh
+from degcontrol.nash import GameSpec
 from degcontrol.solvers import CylinderProblem, solve_adjoint_coupled
 
+from adjoint_reference import two_follower_sweep
 from conftest import rel_gap
 
 
@@ -150,7 +153,8 @@ class TestWeights:
 class TestEmpiricalInequalities:
     def test_observability_finite(self, w64):
         prob, w = w64
-        rep = empirical_observability(prob, w, samples=8,
+        rep = empirical_observability(prob, w, GameSpec().couplings(prob),
+                                      samples=8,
                                       rng=np.random.default_rng(3))
         assert rep["skipped"] == 0
         assert np.isfinite(rep["max_ratio"])
@@ -158,7 +162,8 @@ class TestEmpiricalInequalities:
 
     def test_carleman_finite(self, w64):
         prob, w = w64
-        rep = empirical_carleman(prob, w, samples=4,
+        rep = empirical_carleman(prob, w, GameSpec().couplings(prob),
+                                 samples=4,
                                  rng=np.random.default_rng(3))
         assert rep["skipped"] == 0
         assert np.isfinite(rep["max_ratio"])
@@ -177,8 +182,9 @@ def _nodal(interior):
     return np.pad(interior, ((0, 0), (1, 1)))
 
 
-def _reference_observability(prob, w, samples, rng):
-    """One solo solve per sample; the weight exponentiated per integral.
+def _reference_observability(prob, w, couplings, samples, rng):
+    """One two-follower reference sweep per sample, with
+    rho = alpha1 psi1 + alpha2 psi2; the weight exponentiated per integral.
 
     Returns the ratios and the number of skipped samples."""
     grid, mesh = prob.grid, prob.mesh
@@ -188,9 +194,12 @@ def _reference_observability(prob, w, samples, rng):
                         ind_o)
     ratios, skipped = [], 0
     for _ in range(samples):
-        sol = solve_adjoint_coupled(
-            prob, carleman._random_smooth_row(grid, rng)[None], reduced=True)
-        phi, rho = _nodal(sol.phi[:, 0]), _nodal(sol.psi[:, 0, 0])
+        phi, psi, _ = two_follower_sweep(
+            prob, carleman._random_smooth_row(grid, rng)[None],
+            couplings.control, couplings.tracking)
+        a1, a2 = couplings.alphas
+        phi, rho = _nodal(phi[:, 0]), _nodal(a1 * psi[:, 0, 0]
+                                             + a2 * psi[:, 0, 1])
         lhs = grid.norm(phi[0]) ** 2 + grid.norm(rho[-1]) ** 2
         rhs = _q_integral(logw, phi**2, grid, mesh, ind_o) / wmass
         if rhs <= 1e-300:
@@ -239,8 +248,9 @@ def _reference_forms(prob, w):
     return gamma, source, observation
 
 
-def _reference_carleman(prob, w, samples, rng):
-    """One solo solve per sample; every weight exponentiated per integral.
+def _reference_carleman(prob, w, couplings, samples, rng):
+    """One two-follower reference sweep per sample; every weight
+    exponentiated per integral.
 
     Returns the ratios and the number of skipped samples."""
     grid, mesh = prob.grid, prob.mesh
@@ -255,11 +265,12 @@ def _reference_carleman(prob, w, samples, rng):
             srcs.append(c[0] * np.sin(np.pi * x)
                         + c[1] * np.sin(2 * np.pi * x) * t
                         + c[2] * x * (1 - x) * np.cos(t))
-        sol = solve_adjoint_coupled(prob, phiT[None], Fsrc=srcs[0][None],
-                                    F1=srcs[1][None], F2=srcs[2][None])
-        phi = _nodal(sol.phi[:, 0])
-        lhs = (gamma(phi) + gamma(_nodal(sol.psi[:, 0, 0]))
-               + gamma(_nodal(sol.psi[:, 0, 1])))
+        phi, psi, _ = two_follower_sweep(
+            prob, phiT[None], couplings.control, couplings.tracking,
+            Fsrc=srcs[0][None], F1=srcs[1][None], F2=srcs[2][None])
+        phi = _nodal(phi[:, 0])
+        lhs = (gamma(phi) + gamma(_nodal(psi[:, 0, 0]))
+               + gamma(_nodal(psi[:, 0, 1])))
         rhs = source(sum(f**2 for f in srcs)) + observation(phi)
         if rhs <= 1e-300:
             skipped += 1
@@ -300,17 +311,42 @@ class TestGramSampling:
 
     def test_ratios_match_per_sample_reference(self, w32):
         prob, w = w32
+        c = GameSpec().couplings(prob)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        obs = empirical_observability(prob, w, samples=7, rng=rng)
-        car = empirical_carleman(prob, w, samples=3, rng=rng)
-        ref_obs, obs_skipped = _reference_observability(prob, w, 7, ref_rng)
-        ref_car, car_skipped = _reference_carleman(prob, w, 3, ref_rng)
+        obs = empirical_observability(prob, w, c, samples=7, rng=rng)
+        car = empirical_carleman(prob, w, c, samples=3, rng=rng)
+        ref_obs, obs_skipped = _reference_observability(prob, w, c, 7,
+                                                        ref_rng)
+        ref_car, car_skipped = _reference_carleman(prob, w, c, 3, ref_rng)
         # the basis solutions meet the sweep tolerance, not the samples'
         # own solutions, so the ratios agree to about 1e-9, not bit for bit
         np.testing.assert_allclose(obs["ratios"], ref_obs, rtol=1e-8)
         np.testing.assert_allclose(car["ratios"], ref_car, rtol=1e-8)
         assert (obs["skipped"], car["skipped"]) == (obs_skipped, car_skipped)
         assert rng.standard_normal() == ref_rng.standard_normal()
+
+    def test_unweighted_ratios_match_per_sample_reference(self):
+        # without the Jacobian factor the couplings carry wt = l(t); the
+        # reference sweeps each sample with the game's control/tracking
+        prob = CylinderProblem.default(N=16, M=16)
+        w = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
+        game = GameSpec(alpha1=1.3, alpha2=0.7, mu1=2.0, mu2=3.0,
+                        jacobian_weighting=False)
+        c = game.couplings(prob)
+        rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        obs = empirical_observability(prob, w, c, samples=1, rng=rng)
+        car = empirical_carleman(prob, w, c, samples=1, rng=rng)
+        ref_obs, _ = _reference_observability(prob, w, c, 1, ref_rng)
+        ref_car, _ = _reference_carleman(prob, w, c, 1, ref_rng)
+        np.testing.assert_allclose(obs["ratios"], ref_obs, rtol=1e-8)
+        np.testing.assert_allclose(car["ratios"], ref_car, rtol=1e-8)
+        # and wt = l(t) is not the weighted game's wt = 1
+        weighted = replace(game, jacobian_weighting=True).couplings(prob)
+        rng = np.random.default_rng(8)
+        obs_1 = empirical_observability(prob, w, weighted, samples=1, rng=rng)
+        car_1 = empirical_carleman(prob, w, weighted, samples=1, rng=rng)
+        assert rel_gap(np.array(obs["ratios"]), np.array(obs_1["ratios"])) > 1e-3
+        assert rel_gap(np.array(car["ratios"]), np.array(car_1["ratios"])) > 1e-3
 
     def test_source_term_without_observation(self, w32, monkeypatch):
         # the observation term swamps the source term by about 1e11; with
@@ -320,9 +356,10 @@ class TestGramSampling:
         indicator = prob.indicator
         monkeypatch.setattr(prob, "indicator", lambda name: (
             0.0 * indicator(name) if name == "O" else indicator(name)))
-        car = empirical_carleman(prob, w, samples=3,
+        c = GameSpec().couplings(prob)
+        car = empirical_carleman(prob, w, c, samples=3,
                                  rng=np.random.default_rng(12))
-        ref_car, _ = _reference_carleman(prob, w, 3,
+        ref_car, _ = _reference_carleman(prob, w, c, 3,
                                          np.random.default_rng(12))
         np.testing.assert_allclose(car["ratios"], ref_car, rtol=1e-8)
         assert car["source_share"] == pytest.approx(1.0, rel=1e-12)
@@ -330,43 +367,47 @@ class TestGramSampling:
     def test_source_share_on_default_problem(self, prob, weights):
         # with O in place the observation term dominates the right-hand
         # side, but the source term still shows in the report
-        car = empirical_carleman(prob, weights, samples=50,
+        car = empirical_carleman(prob, weights, GameSpec().couplings(prob),
+                                 samples=50,
                                  rng=np.random.default_rng(0))
         assert 0.0 < car["source_share"] < 1e-4
 
 
 class TestSharedBasis:
-    """Both samplers read one full-form block solve, `adjoint_basis`."""
+    """Both samplers read one block solve, `adjoint_basis`."""
 
-    MUS, ALPHAS = (2.0, 3.0), (0.7, 1.3)
+    GAME = GameSpec(alpha1=0.7, alpha2=1.3, mu1=2.0, mu2=3.0)
 
     def test_given_basis_equals_own_solve(self, w32):
         prob, w = w32
-        basis = adjoint_basis(prob, self.MUS, self.ALPHAS)
+        c = self.GAME.couplings(prob)
+        basis = adjoint_basis(prob, c)
         for sampler in (empirical_observability, empirical_carleman):
-            reports = [sampler(prob, w, samples=6,
-                               rng=np.random.default_rng(5), mus=self.MUS,
-                               alphas=self.ALPHAS, basis=given)
+            reports = [sampler(prob, w, c, samples=6,
+                               rng=np.random.default_rng(5), basis=given)
                        for given in (basis, None)]
             assert reports[0].keys() == reports[1].keys()
             for key in reports[0]:
                 assert np.array_equal(reports[0][key], reports[1][key])
 
-    @pytest.mark.parametrize("mus, alphas", [((1.0, 1.0), (1.0, 1.0)),
-                                             (MUS, ALPHAS)])
-    def test_observability_forms_match_reduced_solve(self, w32, mus, alphas):
-        # rho = alpha1 psi1 + alpha2 psi2 of the full form is the follower
-        # of the reduced form, solved here on its own as the reference
+    @pytest.mark.parametrize("game", [GameSpec(), GAME],
+                             ids=["default", "weighted"])
+    def test_observability_forms_match_two_follower_sweep(self, w32, game):
+        # rho = alpha1 psi1 + alpha2 psi2 of the basis against the same
+        # combination of the two-follower reference sweep
         prob, w = w32
-        basis = adjoint_basis(prob, mus, alphas)
+        c = game.couplings(prob)
+        a1, a2 = c.alphas
+        basis = adjoint_basis(prob, c)
         psi = basis.psi[:, :carleman.SINE_MODES]
         forms = carleman._observability_forms(
             prob, w, basis.phi[:, :carleman.SINE_MODES],
-            alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1])
-        red = solve_adjoint_coupled(prob, carleman._sine_modes(prob.grid),
-                                    mus=mus, alphas=alphas, reduced=True)
-        ref = carleman._observability_forms(prob, w, red.phi,
-                                            red.psi[:, :, 0])
+            a1 * psi[:, :, 0] + a2 * psi[:, :, 1])
+        phi, psi, _ = two_follower_sweep(prob,
+                                         carleman._sine_modes(prob.grid),
+                                         c.control, c.tracking)
+        ref = carleman._observability_forms(
+            prob, w, phi, a1 * psi[:, :, 0] + a2 * psi[:, :, 1])
         for form, ref_form in zip(forms, ref):
             assert rel_gap(form, ref_form) <= 1e-9
 
@@ -375,15 +416,16 @@ class TestSharedBasis:
         # in four calls, and stacks their columns in the basis order
         prob, w = w32
         grid = prob.grid
+        c = GameSpec().couplings(prob)
         modes = carleman._source_modes(grid, prob.mesh)
-        blocks = [solve_adjoint_coupled(prob, carleman._sine_modes(grid))]
+        blocks = [solve_adjoint_coupled(prob, carleman._sine_modes(grid), c)]
         for slot in carleman.SOURCE_SLOTS:
             blocks.append(solve_adjoint_coupled(
-                prob, np.zeros((len(modes), grid.N + 1)), **{slot: modes}))
+                prob, np.zeros((len(modes), grid.N + 1)), c, **{slot: modes}))
         ref = carleman._carleman_forms(
             prob, w, np.concatenate([b.phi for b in blocks], axis=1),
             np.concatenate([b.psi for b in blocks], axis=1))
-        basis = adjoint_basis(prob)
+        basis = adjoint_basis(prob, c)
         forms = carleman._carleman_forms(prob, w, basis.phi, basis.psi)
         for form, ref_form in zip(forms, ref):
             assert rel_gap(form, ref_form) <= 1e-9

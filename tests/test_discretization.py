@@ -209,7 +209,8 @@ def _hum_blocks_reference(prob, game):
     M, n = prob.mesh.M, prob.grid.N - 1
     Lstar, Lfwd = _space_time_pair(
         prob, *_sparse_levels(prob, prob.new_field()))
-    control, tracking = game.couplings(prob)
+    c = game.couplings(prob)
+    control, tracking = c.control, c.tracking
 
     def diag(c):
         return sp.diags(c[1:, 1:-1].ravel())
@@ -224,7 +225,7 @@ def _hum_blocks_reference(prob, game):
 
 def _remainders_reference(prob, game, y, p1, p2):
     """N0, N1, N2 computed field by field and padded with np.pad."""
-    tracking = game.couplings(prob)[1]
+    tracking = game.couplings(prob).tracking
     targets = game.targets(prob)
     zero = np.zeros(1)
     d1 = float(prob.F.D1(zero, zero)[0])
@@ -270,7 +271,8 @@ class TestBandOperators:
         y = _random_state(prob, rng)
         couplings = GameSpec(mu1=5.0, mu2=5.0).couplings(prob)
         _assert_space_time_columns(
-            prob, _hum_blocks(prob, prob.ops_at_state(y), *couplings),
+            prob, _hum_blocks(prob, prob.ops_at_state(y), couplings.control,
+                              couplings.tracking),
             *_sparse_levels(prob, y))
 
     def test_hum_blocks_equal_sparse_reference(self, prob_small):

@@ -160,6 +160,22 @@ class TestRuns:
             assert res["converged"]
             assert max(res["quasi_equilibrium_residuals"]) <= 1e-9
 
+    def test_unweighted_observability_runs(self, tmp_path):
+        # the sampled adjoint system carries the game's couplings, so
+        # dropping the Jacobian factor (wt = l(t)) changes the ratios
+        reports = []
+        for weighting in (True, False):
+            path = tmp_path / f"{weighting}.json"
+            path.write_text(json.dumps({
+                **_tiny("observability"),
+                "game": {"jacobian_weighting": weighting}}))
+            out = tmp_path / f"out-{weighting}"
+            assert cli.main(["run", "--config", str(path),
+                             "--out", str(out)]) == cli.EXIT_OK
+            reports.append(json.loads((out / "report.json").read_text()))
+        for key in ("observability_max_ratio", "carleman_max_ratio"):
+            assert reports[0]["report"][key] != reports[1]["report"][key]
+
     def test_newton_failure_reason(self, tmp_path):
         # 300x data still contracts when the Newton steps run out; the
         # failure keeps the class name and adds the reason
@@ -241,8 +257,6 @@ class TestCLI:
           "experiment": {"kind": "observability", "samples": 4},
           "grid": {"N": 16, "M": 16}},
          "carleman: [alpha', beta']=[0.6,0.7] not inside O"),
-        ({**_tiny("observability"), "game": {"jacobian_weighting": False}},
-         "game.jacobian_weighting"),
         ({**_NEWTON, "solver": {"newton_max": 0}},
          "solver.newton_max: must be at least 1"),
         ({**_NEWTON, "solver": {"newton_max": -3}},
@@ -255,7 +269,7 @@ class TestCLI:
          "solver.tol_terminal: must be positive"),
     ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
-            "unweighted-observability", "newton_max-zero",
+            "newton_max-zero",
             "newton_max-negative", "newton_max-float", "newton_tol",
             "tol_terminal"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,

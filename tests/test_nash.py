@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from degcontrol import harness, nash
 from degcontrol.grids import TrajectoryField
 from degcontrol.nash import (
     GameSpec,
@@ -99,6 +100,37 @@ class TestFixedPoint:
                              sine_data(prob_small, 0.05))
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])
+
+
+    def test_diverging_iteration_ends_early(self, tmp_path):
+        # at mu = 1e-3 on (32,64) the updates grow from the second sweep
+        # on; with no net contraction over three sweeps the iteration
+        # stops at sweep 5 rather than after max_sweeps
+        config = {"grid": {"N": 32, "M": 64},
+                  "game": {"mu1": 1e-3, "mu2": 1e-3},
+                  "experiment": {"kind": "nash"}}
+        with pytest.raises(SweepFailureError) as err:
+            harness.run_scenario(config, tmp_path, seed=0)
+        history = err.value.history
+        assert len(history) == 5
+        assert np.all(np.isfinite(history))
+        assert history[-1] >= history[-4]
+
+    def test_stalled_iteration_ends_early(self, prob_small, monkeypatch):
+        # the rule compares sweep k with sweep k - 3: updates of 1, 0.5,
+        # 2 and 1 stop the iteration at the fourth sweep
+        deltas = iter([1.0, 0.5, 2.0, 1.0, 1e-12])
+        p = np.zeros((2, prob_small.mesh.M + 1, prob_small.grid.N + 1))
+
+        def adjoints(prob, game, y):
+            p[:] += next(deltas)
+            return p.copy()
+
+        monkeypatch.setattr(nash, "_follower_adjoints", adjoints)
+        with pytest.raises(SweepFailureError) as err:
+            nash_fixed_point(prob_small, GameSpec(), None,
+                             sine_data(prob_small, 0.05))
+        assert err.value.history == [1.0, 0.5, 2.0, 1.0]
 
 
 class TestGradient:
@@ -203,15 +235,17 @@ class TestConvexity:
         assert margins[0] < margins[1] < margins[2]
 
     def test_fit_mu_star_with_a_failing_state_march(self):
-        # at mu = 1e-6 the follower iteration overflows, and its state
-        # march fails before its sweep sees a non-finite update
+        # at mu = 1e-150 the first controls overflow, and the state march
+        # of the second sweep fails before any sweep rule sees the update
+        # (at mu = 1e-6 the updates grow, and the sweep stops at sweep 4)
         prob = CylinderProblem.default(N=16, M=16)
         game = GameSpec()
         game.target1, game.target2 = make_default_targets(prob)
         h, y0 = prob.new_field(), sine_data(prob, 0.01)
         with pytest.raises(StepFailureError):
-            nash_fixed_point(prob, replace(game, mu1=1e-6, mu2=1e-6), h, y0)
-        rep = fit_mu_star(prob, game, h, y0, bracket=(1e-6, 1e6), iters=3)
+            nash_fixed_point(prob, replace(game, mu1=1e-150, mu2=1e-150), h,
+                             y0)
+        rep = fit_mu_star(prob, game, h, y0, bracket=(1e-150, 1e6), iters=3)
         assert np.isfinite(rep["mu_star"])
 
     def test_fit_mu_star(self, prob_small, rng):

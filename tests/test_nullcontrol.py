@@ -62,7 +62,8 @@ class TestCouplings:
         game = GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
                         jacobian_weighting=False)
         hum = HUMSolver(prob, weights, game)
-        control, tracking = game.couplings(prob)
+        c = game.couplings(prob)
+        control, tracking = c.control, c.tracking
         assert np.ptp(game.time_weight(prob)) > 0.1
         M, n = prob.mesh.M, prob.grid.N - 1
         size, off = M * n, (M + 1) * n
@@ -80,7 +81,8 @@ def _consistency_reference(hum, triple, y0, H, H1, H2) -> dict:
     """HUMSolver._consistency with each follower adjoint marched on its
     own, by solve_backward_linear."""
     prob = hum.prob
-    control, tracking = hum.game.couplings(prob)
+    c = hum.game.couplings(prob)
+    control, tracking = c.control, c.tracking
     y, p1, p2, h = triple.y, triple.p1, triple.p2, triple.h
     v1, v2 = hum.game.controls(prob, (p1.values, p2.values))
     src = (h.values[:, 1:-1] * prob.indicator_interior("O")[None, :]
@@ -429,3 +431,18 @@ class TestAccuracyRange:
         assert cli.main(["run", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
         assert "HUM reconstruction residual" in capsys.readouterr().err
+
+    def test_load_that_does_not_decay_is_refused(self):
+        # the solve is accurate for loads that decay toward T, as the
+        # targets' 1/rho0 profile does; white noise in H stalls the
+        # refinement far above the limit (measured 2.0e-2 relative)
+        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        H = prob.new_field()
+        H.values[:, 1:-1] = np.random.default_rng(0).standard_normal(
+            (prob.mesh.M + 1, prob.grid.N - 1))
+        with pytest.raises(nullcontrol.RefinementError) as err:
+            hum.solve(np.zeros(prob.grid.N + 1), H=H)
+        assert err.value.rel_residual > nullcontrol.RESIDUAL_LIMIT

@@ -68,10 +68,11 @@ def test_checkout_matches_itself():
     done = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(ROOT),
          "--grid", "16", "16", "--configs", "newton-desk",
-         "linear-control-unweighted", "theorem1-small-data-64x128"],
+         "linear-control-unweighted", "observability-unweighted",
+         "theorem1-small-data-64x128"],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[-1] == "3 of 3 configs identical"
+    assert lines[-1] == "4 of 4 configs identical"
     assert all(": identical (exit 0; " in line for line in lines[:-1])
     assert "leader.csv" in lines[0]

@@ -1,11 +1,14 @@
 """Forward/backward kernels, discrete duality and coupled sweeps."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from degcontrol import carleman, solvers
 from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.grids import TrajectoryField
+from degcontrol.nash import GameSpec
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
     CylinderProblem,
@@ -200,22 +203,20 @@ class TestSemilinearNewton:
         assert marches == []
 
 
+def couplings(prob, jacobian_weighting=True):
+    """The couplings of a game with distinct weights and penalties;
+    without the Jacobian factor they vary in time, as wt = l(t)."""
+    game = GameSpec(alpha1=1.3, alpha2=0.7, mu1=2.0, mu2=3.0,
+                    jacobian_weighting=jacobian_weighting)
+    return game.couplings(prob)
+
+
 class TestCoupledSweeps:
     def test_linearized_coupled_converges(self, prob, rng):
         y0 = sine_data(prob, 0.05)
-        sol = solve_linearized_coupled(prob, y0)
+        sol = solve_linearized_coupled(prob, y0, GameSpec().couplings(prob))
         assert np.all(np.isfinite(sol.y.values))
         assert sol.history[-1] <= 1e-10
-
-    def test_adjoint_reduction_identity(self, prob, rng):
-        # the reduced variable is rho = alpha1 psi1 + alpha2 psi2
-        phiT = sine_data(prob, 1.0)[None]
-        alphas = (1.3, 0.7)
-        full = solve_adjoint_coupled(prob, phiT, alphas=alphas)
-        red = solve_adjoint_coupled(prob, phiT, alphas=alphas, reduced=True)
-        combo = alphas[0] * full.psi[:, 0, 0] + alphas[1] * full.psi[:, 0, 1]
-        scale = np.max(np.abs(combo)) + 1e-30
-        assert np.max(np.abs(red.psi[:, 0, 0] - combo)) / scale <= 1e-8
 
     def test_bad_input_shapes(self, prob_small):
         prob = prob_small
@@ -226,7 +227,7 @@ class TestCoupledSweeps:
                          (row[None], {"Fsrc": src[:, :-1]}),
                          (np.vstack([row, row]), {"F2": src})):
             with pytest.raises(ValueError):
-                solve_adjoint_coupled(prob, phiT, **kw)
+                solve_adjoint_coupled(prob, phiT, couplings(prob), **kw)
 
 
 class TestBlockedMarches:
@@ -270,20 +271,20 @@ def _block_case(prob, k):
 class TestBlockedAdjoint:
     """A block of rows solves like one-row blocks, column by column."""
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_block_matches_rows(self, prob_small, reduced):
+    @pytest.mark.parametrize("jacobian_weighting", [False, True])
+    def test_block_matches_rows(self, prob_small, jacobian_weighting):
         prob = prob_small
         k = 5
         phiT, srcs = _block_case(prob, k)
-        kw = dict(mus=(2.0, 3.0), alphas=(1.3, 0.7), reduced=reduced)
-        block = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
-                                      F2=srcs[2], **kw)
+        c = couplings(prob, jacobian_weighting)
+        block = solve_adjoint_coupled(prob, phiT, c, Fsrc=srcs[0],
+                                      F1=srcs[1], F2=srcs[2])
         sweeps = []
         for j in range(k):
-            row = solve_adjoint_coupled(prob, phiT[j:j + 1],
+            row = solve_adjoint_coupled(prob, phiT[j:j + 1], c,
                                         Fsrc=srcs[0, j:j + 1],
                                         F1=srcs[1, j:j + 1],
-                                        F2=srcs[2, j:j + 1], **kw)
+                                        F2=srcs[2, j:j + 1])
             # every column meets the absolute sweep tolerance of its row
             for got, want in ((block.phi, row.phi), (block.psi, row.psi)):
                 assert np.max(np.abs(got[:, j] - want[:, 0])) <= 1e-10, j
@@ -296,30 +297,32 @@ class TestBlockedAdjoint:
     def test_unconverged_column_raises(self, prob_small):
         phiT, srcs = _block_case(prob_small, 3)
         with pytest.raises(SweepFailureError) as err:
-            solve_adjoint_coupled(prob_small, phiT, Fsrc=srcs[0], F1=srcs[1],
-                                  F2=srcs[2], max_sweeps=1)
+            solve_adjoint_coupled(prob_small, phiT, couplings(prob_small),
+                                  Fsrc=srcs[0], F1=srcs[1], F2=srcs[2],
+                                  max_sweeps=1)
         assert len(err.value.history) == 1
 
 
 class TestTwoFollowerReference:
     """The (phi, rho) sweep and one closing march of psi1 and psi2 solve
-    the system that the two-follower reference sweep solves."""
-
-    KW = dict(mus=(2.0, 3.0), alphas=(1.3, 0.7))
+    the system that the two-follower reference sweep solves, here with
+    the time-varying couplings of wt = l(t)."""
 
     def _case(self, prob):
         phiT, srcs = _block_case(prob, 5)
-        return phiT, dict(Fsrc=srcs[0], F1=srcs[1], F2=srcs[2], **self.KW)
+        return phiT, dict(Fsrc=srcs[0], F1=srcs[1], F2=srcs[2])
 
     def test_matches_reference(self, prob_small):
         prob = prob_small
         phiT, data = self._case(prob)
-        block = solve_adjoint_coupled(prob, phiT, **data)
-        phi, psi, _ = two_follower_sweep(prob, phiT, **data)
+        c = couplings(prob, jacobian_weighting=False)
+        block = solve_adjoint_coupled(prob, phiT, c, **data)
+        phi, psi, _ = two_follower_sweep(prob, phiT, c.control, c.tracking,
+                                         **data)
         assert np.max(np.abs(block.phi - phi)) <= 1e-10
         assert np.max(np.abs(block.psi - psi)) <= 1e-10
         w = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
-        a1, a2 = self.KW["alphas"]
+        a1, a2 = c.alphas
 
         def forms(phi, psi):  # Carleman (lhs, rhs), observability (lhs, rhs)
             rho = a1 * psi[:, :, 0] + a2 * psi[:, :, 1]
@@ -329,10 +332,10 @@ class TestTwoFollowerReference:
         for got, want in zip(forms(block.phi, block.psi), forms(phi, psi)):
             assert rel_gap(got, want) <= 1e-9
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_march_widths(self, prob_small, monkeypatch, reduced):
-        # each sweep marches k columns each way; the full form adds one
-        # march of its 2k follower columns
+    @pytest.mark.parametrize("jacobian_weighting", [False, True])
+    def test_march_widths(self, prob_small, monkeypatch, jacobian_weighting):
+        # each sweep marches k columns each way, and one closing march
+        # takes the 2k follower columns
         shapes = {"march": [], "march_adjoint": []}
         for name, seen in shapes.items():
             def recorded(ops, rows, *args, _march=getattr(LevelOps, name),
@@ -342,20 +345,21 @@ class TestTwoFollowerReference:
             monkeypatch.setattr(LevelOps, name, recorded)
         prob = prob_small
         phiT, data = self._case(prob)
-        block = solve_adjoint_coupled(prob, phiT, reduced=reduced, **data)
+        block = solve_adjoint_coupled(
+            prob, phiT, couplings(prob, jacobian_weighting), **data)
         k, sweeps = len(phiT), len(block.history)
         rows = (prob.mesh.M + 1, k, prob.grid.N - 1)
         assert shapes["march_adjoint"] == [rows] * sweeps
-        closing = [] if reduced else [(rows[0], 2 * k, rows[2])]
-        assert shapes["march"] == [rows] * sweeps + closing
+        assert shapes["march"] == ([rows] * sweeps
+                                   + [(rows[0], 2 * k, rows[2])])
 
 
 class TestSuperposition:
     """The adjoint system is linear: a column with the data a u + b v
     equals a (column u) + b (column v), to the sweep tolerance."""
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_combined_column(self, prob_small, reduced):
+    @pytest.mark.parametrize("jacobian_weighting", [False, True])
+    def test_combined_column(self, prob_small, jacobian_weighting):
         prob = prob_small
         rng = np.random.default_rng(3)
         x = prob.grid.nodes
@@ -367,9 +371,9 @@ class TestSuperposition:
         phiT = np.vstack([phiT, a * phiT[0] + b * phiT[1]])
         srcs = np.concatenate([srcs, a * srcs[:, :1] + b * srcs[:, 1:]],
                               axis=1)
-        block = solve_adjoint_coupled(prob, phiT, Fsrc=srcs[0], F1=srcs[1],
-                                      F2=srcs[2], mus=(2.0, 3.0),
-                                      alphas=(1.3, 0.7), reduced=reduced)
+        block = solve_adjoint_coupled(prob, phiT,
+                                      couplings(prob, jacobian_weighting),
+                                      Fsrc=srcs[0], F1=srcs[1], F2=srcs[2])
         for u in (block.phi, block.psi):
             gap = u[:, 2] - (a * u[:, 0] + b * u[:, 1])
             assert np.max(np.abs(gap)) <= 1e-9 * np.max(np.abs(u))
@@ -385,12 +389,12 @@ def _nan_field(prob):
 class TestNonFiniteSweep:
     """A NaN source ends a coupled sweep at once with SweepFailureError."""
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_adjoint(self, prob_small, reduced):
+    @pytest.mark.parametrize("jacobian_weighting", [False, True])
+    def test_adjoint(self, prob_small, jacobian_weighting):
         with pytest.raises(SweepFailureError) as err:
             solve_adjoint_coupled(prob_small, sine_data(prob_small, 1.0)[None],
-                                  F1=_nan_field(prob_small).values[None],
-                                  reduced=reduced)
+                                  couplings(prob_small, jacobian_weighting),
+                                  F1=_nan_field(prob_small).values[None])
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])
 
@@ -398,31 +402,33 @@ class TestNonFiniteSweep:
         # with alpha2 = 0, phi and rho do not see F2, so its NaN shows
         # only in the closing march of psi1 and psi2
         phiT = sine_data(prob_small, 1.0)[None]
-        kw = dict(F2=_nan_field(prob_small).values[None], alphas=(1.0, 0.0))
-        red = solve_adjoint_coupled(prob_small, phiT, reduced=True, **kw)
-        assert np.all(np.isfinite(red.phi)) and np.all(np.isfinite(red.psi))
+        c = replace(GameSpec().couplings(prob_small), alphas=(1.0, 0.0))
+        clean = solve_adjoint_coupled(prob_small, phiT, c)
         with pytest.raises(SweepFailureError) as err:
-            solve_adjoint_coupled(prob_small, phiT, **kw)
+            solve_adjoint_coupled(prob_small, phiT, c,
+                                  F2=_nan_field(prob_small).values[None])
         history = err.value.history
         assert np.isnan(history[-1])
-        assert history[:-1] == red.history
+        assert history[:-1] == clean.history
 
-    @pytest.mark.parametrize("reduced", [False, True])
-    def test_initial_level(self, prob_small, reduced):
+    @pytest.mark.parametrize("jacobian_weighting", [False, True])
+    def test_initial_level(self, prob_small, jacobian_weighting):
         # phi^0 feeds no follower source, so a NaN source on level 0 shows
         # in no update, only in the check of phi^0
         phiT = sine_data(prob_small, 1.0)[None]
         Fsrc = np.zeros((1, prob_small.mesh.M + 1, prob_small.grid.N + 1))
         Fsrc[0, 0, prob_small.grid.N // 2] = np.nan
         with pytest.raises(SweepFailureError) as err:
-            solve_adjoint_coupled(prob_small, phiT, Fsrc=Fsrc,
-                                  reduced=reduced)
+            solve_adjoint_coupled(prob_small, phiT,
+                                  couplings(prob_small, jacobian_weighting),
+                                  Fsrc=Fsrc)
         history = err.value.history
         assert np.isnan(history[-1]) and np.all(np.isfinite(history[:-1]))
 
     def test_linearized(self, prob_small):
         with pytest.raises(SweepFailureError) as err:
             solve_linearized_coupled(prob_small, sine_data(prob_small, 0.1),
+                                     GameSpec().couplings(prob_small),
                                      H1=_nan_field(prob_small))
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])

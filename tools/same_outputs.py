@@ -44,6 +44,11 @@ CONFIGS = {
         "grid": {"N": 64, "M": 128},
         "experiment": {"kind": "observability", "samples": 50},
     },
+    "observability-unweighted": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"jacobian_weighting": False},
+        "experiment": {"kind": "observability"},
+    },
     "guard-linear-control": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "linear-control"},
