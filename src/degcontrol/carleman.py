@@ -22,7 +22,6 @@ constants reported (they are absorbed into fitted constants).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -298,14 +297,13 @@ class CarlemanWeights:
         """zeta(x,t) = tau(t) eta(x), shape (M+1, N+1); inf at t=T."""
         return self.tau[:, None] * self.eta[None, :]
 
-    def log_observation_weight(self, A_ref: float | None = None) -> np.ndarray:
+    def log_observation_weight(self) -> np.ndarray:
         """log of e^{2s(A - A_ref)} (s lam zeta)^8, the observability weight.
 
-        A_ref defaults to the maximum finite A, so the weight peaks at 1
-        in order of magnitude; the t=T row is -inf (weight zero).
+        A_ref is the maximum finite A (`A_reference`), so the weight peaks
+        at 1 in order of magnitude; the t=T row is -inf (weight zero).
         """
-        if A_ref is None:
-            A_ref = self.A_reference()
+        A_ref = self.A_reference()
         z = self.zeta()
         with np.errstate(divide="ignore", invalid="ignore"):
             logz = np.where(np.isfinite(z), np.log(np.where(z > 0, z, 1.0)), np.inf)
@@ -353,10 +351,6 @@ class CarlemanWeights:
             "norm_shifts": dict(self.norm_shifts),
             "cap_ratio": float(self.params.cap_ratio),
         }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.identity_report(), fh, indent=2)
 
     def to_csv(self, path) -> None:
         """Time tabulation of the main weights (normalized rho tables)."""

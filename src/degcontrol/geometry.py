@@ -74,7 +74,6 @@ class GradientWeightSpec:
     """
 
     b_exp: float = 2.0
-    clip_enabled: bool = True
     # filled in by `attach`, kept out of __init__
     clip_factor: float = field(default=1.0, compare=False)
     M: float = field(default=np.nan, compare=False)
@@ -83,7 +82,7 @@ class GradientWeightSpec:
         if self.b_exp <= 1.0:
             raise ValueError(f"b_exp must exceed 1, got {self.b_exp}")
 
-    def attach(self, deg: DegeneracySpec, n_check: int = 512) -> "GradientWeightSpec":
+    def attach(self, deg: DegeneracySpec) -> "GradientWeightSpec":
         """Return a copy with clip_factor and the derivative bound M computed.
 
         The largest admissible c for beta = c x**b is found in closed form:
@@ -91,11 +90,9 @@ class GradientWeightSpec:
         so c <= 1; (beta**2)' <= 2a' needs 2 b c**2 x**(2b-1) <= 2 alpha
         x**(alpha-1), worst at x=1, so c**2 <= alpha/b.
         """
-        c = 1.0
-        if self.clip_enabled:
-            c = min(1.0, np.sqrt(deg.alpha / self.b_exp))
+        c = min(1.0, np.sqrt(deg.alpha / self.b_exp))
         # verify on a node sweep and shrink if roundoff bites
-        x = np.linspace(0.0, 1.0, n_check)[1:]
+        x = np.linspace(0.0, 1.0, 512)[1:]
         for _ in range(50):
             ok = (
                 np.all((c * x**self.b_exp) ** 2 <= deg.a(x) * (1 + 1e-12))
@@ -108,12 +105,7 @@ class GradientWeightSpec:
                 break
             c *= 1.0 - 1e-12
         m_bound = float(np.max(self.b_exp * c * x ** (self.b_exp - 1.0)))
-        return GradientWeightSpec(
-            b_exp=self.b_exp,
-            clip_enabled=self.clip_enabled,
-            clip_factor=c,
-            M=m_bound,
-        )
+        return GradientWeightSpec(b_exp=self.b_exp, clip_factor=c, M=m_bound)
 
     def beta(self, x):
         """Evaluate beta(x) = clip_factor * x**b_exp, x >= 0."""
@@ -121,12 +113,6 @@ class GradientWeightSpec:
         if np.any(x < 0):
             raise ValueError("beta(x) requires x >= 0")
         return self.clip_factor * x**self.b_exp
-
-    def beta_prime(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0):
-            raise ValueError("beta'(x) requires x >= 0")
-        return self.clip_factor * self.b_exp * x ** (self.b_exp - 1.0)
 
 
 def beta_condition_report(gw: GradientWeightSpec, deg: DegeneracySpec, n: int = 512) -> dict:
@@ -230,25 +216,6 @@ class MovingDomainSpec:
         big_b = self.ell_prime(t) / l
         c_t = gw.beta(l) / l
         return b_t, big_b, c_t
-
-    def jacobian(self, t):
-        """|Jac(tau_t)| = l(t) for the 1-D rescaling."""
-        return self.ell(t)
-
-    def pullback(self, x_phys, t):
-        """Physical coordinate x' in (0, l(t)) -> cylinder coordinate x'/l(t)."""
-        x_phys = np.asarray(x_phys, dtype=float)
-        l = float(self.ell(t))
-        if np.any(x_phys < -1e-14) or np.any(x_phys > l * (1 + 1e-14)):
-            raise ValueError("sample points outside (0, l(t))")
-        return x_phys / l
-
-    def pushforward(self, x_cyl, t):
-        """Cylinder coordinate in (0,1) -> physical coordinate x * l(t)."""
-        x_cyl = np.asarray(x_cyl, dtype=float)
-        if np.any(x_cyl < -1e-14) or np.any(x_cyl > 1 + 1e-14):
-            raise ValueError("sample points outside (0,1)")
-        return x_cyl * float(self.ell(t))
 
 
 @dataclass(frozen=True)

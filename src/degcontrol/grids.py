@@ -68,10 +68,6 @@ class SpatialGrid:
     def norm(self, u: np.ndarray) -> float:
         return float(np.sqrt(max(self.inner(u, u), 0.0)))
 
-    def gradient(self, u: np.ndarray) -> np.ndarray:
-        """Face-centred differences (u_{j+1}-u_j)/h_{j+1/2}, length N."""
-        return np.diff(u) / self.spacings
-
 
 @dataclass(frozen=True)
 class TimeMesh:
@@ -145,12 +141,6 @@ class TrajectoryField:
         tw = np.full(self.mesh.M + 1, self.mesh.dt)
         tw[0] = 0.0
         return float(np.einsum("n,j,nj,nj->", tw, w, self.values, other.values))
-
-    def masked(self, indicator_row: np.ndarray) -> "TrajectoryField":
-        """Restrict to a spatial window (rowwise multiply by an indicator)."""
-        out = self.copy()
-        out.values *= indicator_row[None, :]
-        return out
 
     def __add__(self, other):
         return TrajectoryField(self.grid, self.mesh, self.values + other.values)

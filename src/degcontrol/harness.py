@@ -47,7 +47,6 @@ __all__ = [
     "preset",
     "list_presets",
     "run_scenario",
-    "emit_plot_data",
 ]
 
 SCHEMA_VERSION = 1
@@ -704,31 +703,3 @@ _RUNNERS = {
     "mms-convergence": _run_mms,
 }
 
-
-def emit_plot_data(record: RunRecord, out_dir) -> list:
-    """Writes plot-ready CSV bundles for a finished run.
-
-    Curve files produced during the run are already CSV; this adds a
-    scalar summary table so plotting tools need no JSON parsing.
-    """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    rows = []
-
-    def flatten(prefix, obj):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                flatten(f"{prefix}.{k}" if prefix else str(k), v)
-        elif isinstance(obj, (list, tuple)):
-            for i, v in enumerate(obj):
-                flatten(f"{prefix}[{i}]", v)
-        elif isinstance(obj, (int, float, bool, np.floating, np.integer)):
-            rows.append((prefix, float(obj)))
-
-    flatten("", record.report)
-    path = out / "summary.csv"
-    with open(path, "w") as fh:
-        fh.write("quantity,value\n")
-        for name, val in rows:
-            fh.write(f"{name},{val!r}\n")
-    return [str(path)]

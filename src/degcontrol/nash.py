@@ -194,23 +194,28 @@ def _follower_adjoints(prob: CylinderProblem, game: GameSpec,
     return p
 
 
+# the Picard iteration on the followers' optimality system: the largest
+# update at which it stops, and its sweep budget
+_TOL = 1e-10
+_MAX_SWEEPS = 300
+
+
 def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
                      h: TrajectoryField | None, y0: np.ndarray,
-                     tol: float = 1e-10, max_sweeps: int = 300,
                      compute_residuals: bool = True) -> NashSolution:
     """Picard iteration on the followers' optimality system.
 
     Alternates the semilinear forward solve (with the current follower
     controls) and the two adjoint solves with coefficients frozen at the
-    new state, until the trajectory update stalls below tol.  Raises
+    new state, until the trajectory update is at most _TOL.  Raises
     SweepFailureError at an update that is not finite, at sweep k >= 4
     when delta_k >= delta_{k-3} (no net contraction over three sweeps,
-    as the Newton loop), or after max_sweeps; StepFailureError when a
+    as the Newton loop), or after _MAX_SWEEPS; StepFailureError when a
     state march fails.
     """
     p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
     history = []
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         v = game.controls(prob, p)
         y = solve_forward_semilinear(prob, y0, h=h, v1=v[0], v2=v[1])
         new = _follower_adjoints(prob, game, y)
@@ -220,7 +225,7 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
         history.append(delta)
         if not np.isfinite(delta):
             raise SweepFailureError(history, "nash optimality system")
-        if delta <= tol:
+        if delta <= _TOL:
             break
         if len(history) >= 4 and delta >= history[-4]:
             raise SweepFailureError(history, "nash optimality system")
@@ -283,23 +288,16 @@ def _dL_transpose_apply(prob: CylinderProblem, y: np.ndarray,
 
 def second_derivative_form(prob: CylinderProblem, game: GameSpec,
                            state: NashSolution, vbar: TrajectoryField,
-                           vtilde: TrajectoryField | None = None,
-                           symmetrize: bool = True) -> float:
+                           vtilde: TrajectoryField | None = None) -> float:
     """<D_1^2 J_1 (vbar, vtilde)> at the given state.
 
     Solves the tangent system for theta (direction vbar in O_1) and the
     second adjoint eta backward, whose source combines the tracking term
     and the derivative of the adjoint operator along theta; then returns
     int_{O1} eta vtilde + mu_1 int wt vbar vtilde.  For vtilde=None the
-    quadratic form at vbar is returned; otherwise the bilinear form,
-    averaged over both orderings when symmetrize is set.
+    quadratic form at vbar is returned; otherwise the bilinear form in
+    the order (vbar, vtilde).
     """
-    if vtilde is not None and symmetrize:
-        ab = second_derivative_form(prob, game, state, vbar, vtilde,
-                                    symmetrize=False)
-        ba = second_derivative_form(prob, game, state, vtilde, vbar,
-                                    symmetrize=False)
-        return 0.5 * (ab + ba)
     other = vbar if vtilde is None else vtilde
     wt = game.time_weight(prob)
     ind1 = prob.indicator_interior("O1")

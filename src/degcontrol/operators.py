@@ -16,8 +16,10 @@ duality identities hold to roundoff.  A backward step with that adjoint
 needs no factorization of its own: (I + dt W^{-1} L^T W) p = r is solved as
 W p = (I + dt L)^{-T} W r through the factors of the forward step.
 
-`weighted_transpose` is the scipy.sparse form of the weighted adjoint;
-the sparse reference assemblies of the band forms live with the tests.
+`weighted_transpose` is the scipy.sparse form of the weighted adjoint,
+a reference for the band form that no code path of the package calls;
+the sparse reference assemblies of the other band forms live with the
+tests.
 """
 
 from __future__ import annotations
@@ -78,20 +80,13 @@ def band_weighted_transpose(bands: np.ndarray,
     return out
 
 
-def stiffness_bands(grid: SpatialGrid, deg: DegeneracySpec | None,
-                    scale: float = 1.0,
-                    a_face: np.ndarray | None = None) -> np.ndarray:
-    """Bands (3, n) of the symmetric form matrix A, u^T A u ~ scale * int a |u_x|^2.
+def stiffness_bands(grid: SpatialGrid, deg: DegeneracySpec) -> np.ndarray:
+    """Bands (3, n) of the symmetric form matrix A, u^T A u ~ int a |u_x|^2.
 
-    The operator approximating -scale*(a u_x)_x is W^{-1} A with W the cell
-    volumes; A itself is exactly symmetric by construction.  Pass a_face to
-    override the face diffusivity (used by the a==1 Laplacian test hook).
+    The operator approximating -(a u_x)_x is W^{-1} A with W the cell
+    volumes; A itself is exactly symmetric by construction.
     """
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    if a_face is None:
-        a_face = deg.a(grid.faces)
-    g = scale * a_face / grid.spacings  # face conductances, length N
+    g = deg.a(grid.faces) / grid.spacings  # face conductances, length N
     bands = np.zeros((3, grid.N - 1))
     bands[0, 1:] = -g[1:-1]
     bands[1] = g[:-1] + g[1:]

@@ -9,7 +9,7 @@ convexity certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -19,17 +19,11 @@ __all__ = ["SemilinearF", "fd_consistency_report"]
 Evaluator = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
-def _const(c: float) -> Evaluator:
-    return lambda u, w: np.full_like(np.asarray(u, dtype=float), c)
-
-
 @dataclass(frozen=True)
 class SemilinearF:
     """Nonlinearity F(u, w) with first and second partial derivatives.
 
     Evaluators must accept numpy arrays of equal shape and broadcast.
-    `bound` is a reported sup bound of all derivatives up to order 2 on
-    the sampling box, used only in diagnostics.
     """
 
     F: Evaluator
@@ -40,7 +34,6 @@ class SemilinearF:
     D21: Evaluator
     D22: Evaluator
     label: str = "custom"
-    bound: float = field(default=np.nan, compare=False)
 
     @classmethod
     def sinusoidal(cls, kappa1: float = 2.0, kappa2: float = 2.0) -> "SemilinearF":
@@ -58,7 +51,6 @@ class SemilinearF:
             D21=lambda u, w: np.zeros_like(np.asarray(u, dtype=float)),
             D22=lambda u, w: -kappa2 * np.sin(w) + 0.0 * u,
             label=f"sinusoidal(k1={kappa1}, k2={kappa2})",
-            bound=max(abs(kappa1), abs(kappa2)),
         )
 
     @classmethod
@@ -66,11 +58,7 @@ class SemilinearF:
         """F == 0; the linear case."""
         z = lambda u, w: np.zeros_like(np.asarray(u, dtype=float))
         return cls(F=z, D1=z, D2=z, D11=z, D12=z, D21=z, D22=z,
-                   label="zero", bound=0.0)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.label == "zero"
+                   label="zero")
 
     def derivative_bound_report(self, box: float = 4.0, n: int = 2001) -> dict:
         """Sampled sup of |F| and all derivatives on [-box, box]^2."""

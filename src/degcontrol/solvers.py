@@ -239,10 +239,6 @@ class CylinderProblem:
         """g_n = C(t_n) beta(x) at interior nodes, shape (M+1, N-1)."""
         return self.C_t[:, None] * self.beta_i[None, :]
 
-    def grad_weight(self, n: int) -> np.ndarray:
-        """g_n = C(t_n) beta(x) at interior nodes."""
-        return self.grad_weights[n]
-
     @cached_property
     def base_bands(self) -> np.ndarray:
         """Bands of L0_n = b_n W^{-1} A + upwind(-B_n x), all levels."""
@@ -413,26 +409,17 @@ def solve_forward_linear(ops: LevelOps, y0: np.ndarray,
     return out
 
 
-def solve_backward_linear(ops: LevelOps, source: np.ndarray,
-                          terminal: np.ndarray | None = None) -> TrajectoryField:
+def solve_backward_linear(ops: LevelOps, source: np.ndarray) -> TrajectoryField:
     """Reversed-time march with the weighted-transpose operators.
 
-    With terminal=None the final level is free (p^{M+1}=0 convention),
-    which is the exact adjoint of solve_forward_linear.  Passing a
-    terminal row imposes p^M = terminal instead.
+    The final level is free (p^{M+1}=0 convention), which makes this the
+    exact adjoint of solve_forward_linear.
     """
     prob = ops.prob
-    M = prob.mesh.M
     out = prob.new_field()
-    start = M
-    if terminal is not None:
-        out.values[M] = np.asarray(terminal, dtype=float)
-        out.zero_boundary()
-        start = M - 1
     rows = _interior(out.values)
-    np.multiply(prob.mesh.dt, np.asarray(source, dtype=float)[:start + 1],
-                out=rows[:start + 1])
-    ops.march_adjoint(rows, start)
+    np.multiply(prob.mesh.dt, np.asarray(source, dtype=float), out=rows)
+    ops.march_adjoint(rows, prob.mesh.M)
     return out
 
 
@@ -452,6 +439,12 @@ class Couplings:
         return np.stack([a * self.observed for a in self.alphas])
 
 
+# the coupled forward-backward sweeps: the largest update at which they
+# stop, and their sweep budget
+_SWEEP_TOL = 1e-10
+_MAX_SWEEPS = 200
+
+
 @dataclass
 class LinearizedSolution:
     y: TrajectoryField
@@ -465,17 +458,17 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
                              h: TrajectoryField | None = None,
                              H: TrajectoryField | None = None,
                              H1: TrajectoryField | None = None,
-                             H2: TrajectoryField | None = None,
-                             tol: float = 1e-10,
-                             max_sweeps: int = 200) -> LinearizedSolution:
+                             H2: TrajectoryField | None = None
+                             ) -> LinearizedSolution:
     """Forward-backward system linearized at zero, by trajectory Picard.
 
     y_t + L y = h 1_O - control_1 p1 - control_2 p2 + H,   y(0)=y0,
     -p_i_t + L* p_i = tracking_i y + H_i,                  p_i(T)=0,
 
     with the game's `couplings`.  p1 and p2 march backward together, as
-    the two columns of one march.  Raises SweepFailureError as soon as an
-    update is not finite.
+    the two columns of one march.  Sweeps until the largest update of p
+    is at most _SWEEP_TOL; raises SweepFailureError if that takes more
+    than _MAX_SWEEPS, or as soon as an update is not finite.
     """
     ops = prob.linearized_ops()
     control = _interior(couplings.control)
@@ -485,7 +478,7 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
     M = prob.mesh.M
     p = np.zeros((M + 1, 2, prob.grid.N - 1))
     history = []
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         src = base_src - p[:, 0] * control[0] - p[:, 1] * control[1]
         y_field = solve_forward_linear(ops, y0, src)
         yi = _interior(y_field.values)
@@ -499,7 +492,7 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
         if not np.isfinite(delta):
             raise SweepFailureError(history,
                                     "linearized forward-backward coupling")
-        if delta <= tol:
+        if delta <= _SWEEP_TOL:
             p1, p2 = prob.new_field(), prob.new_field()
             p1.values[:, 1:-1], p2.values[:, 1:-1] = p[:, 0], p[:, 1]
             return LinearizedSolution(y_field, p1, p2, history)
@@ -521,9 +514,8 @@ class AdjointBlock:
 
 
 def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
-                          couplings: Couplings, Fsrc=None, F1=None, F2=None,
-                          tol: float = 1e-10,
-                          max_sweeps: int = 200) -> AdjointBlock:
+                          couplings: Couplings, Fsrc=None, F1=None, F2=None
+                          ) -> AdjointBlock:
     """Coupled adjoint system (phi, psi1, psi2) of the game's `couplings`.
 
     -phi_t + L* phi = Fsrc + tracking_1 psi1 + tracking_2 psi2, phi(T)=phiT,
@@ -538,8 +530,8 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     as the two halves of one march, from the converged phi.  phiT holds k
     terminal rows (k, N+1), each source is None or an array (k, M+1, N+1),
     and all k columns sweep in one solve per level until the largest
-    update of rho is at most tol.  Raises SweepFailureError if that takes
-    more than max_sweeps, as soon as an update is not finite, or if phi^0
+    update of rho is at most _SWEEP_TOL.  Raises SweepFailureError if that
+    takes more than _MAX_SWEEPS, as soon as an update is not finite, or if phi^0
     or a follower is not finite; the last history entry is then NaN.
     """
     ops = prob.linearized_ops()
@@ -577,7 +569,7 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
             np.multiply(f[1:], a, out=nxt[1:])
             np.add(f_rho, nxt[1:], out=f_rho)
     history = []
-    for _ in range(max_sweeps):
+    for _ in range(_MAX_SWEEPS):
         # phi source dt (f0 + wt 1_Od rho) on levels 0..M-1, built in the
         # phi buffer; phi^M keeps the terminal row
         s = phi[:M]
@@ -597,7 +589,7 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
         if not np.isfinite(history[-1]):
             raise SweepFailureError(history, what)
         cur, nxt = nxt, cur
-        if history[-1] <= tol:
+        if history[-1] <= _SWEEP_TOL:
             break
     else:
         raise SweepFailureError(history, what)
@@ -621,40 +613,26 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
 
 @dataclass
 class EnergyReport:
-    """Appendix-style quadratic energy quantities per field."""
+    """Appendix-style energy quantities per field."""
 
     sup_l2: dict
     grad_energy: dict          # int int a |u_x|^2
-    time_deriv: dict           # int int |u_t|^2
-    flux_divergence: dict      # int int |(a u_x)_x|^2
-
-    def total(self, name: str) -> float:
-        return (self.sup_l2[name] ** 2 + self.grad_energy[name]
-                + self.time_deriv[name] + self.flux_divergence[name])
 
 
 def energy_diagnostics(prob: CylinderProblem, fields: dict) -> EnergyReport:
-    """Compute the four quadratic energy quantities for each field."""
-    grid, mesh = prob.grid, prob.mesh
+    """Compute the sup-in-time L2 norm and the gradient energy of each field."""
+    grid, dt = prob.grid, prob.mesh.dt
     a_face = prob.deg.a(grid.faces)
     h = grid.spacings
-    wv = grid.cell_volumes
-    dt = mesh.dt
-    sup_l2, grad_e, dtn, fluxdiv = {}, {}, {}, {}
+    sup_l2, grad_e = {}, {}
     for name, f in fields.items():
         vals = f.values
         sup_l2[name] = float(np.max([grid.norm(row) for row in vals]))
-        dflux = a_face[None, :] * np.diff(vals, axis=1) / h[None, :]
         # dt * sum_{n>=1} sum_faces a_f |du/h|^2 h, the right-endpoint rule
         grad_e[name] = float(dt * np.sum(
             a_face[None, :] * (np.diff(vals[1:], axis=1) / h[None, :]) ** 2
             * h[None, :]))
-        ut = np.diff(vals, axis=0) / dt
-        dtn[name] = float(dt * np.sum(wv[None, :] * ut ** 2))
-        div = np.diff(dflux, axis=1) / wv[None, 1:-1]
-        fluxdiv[name] = float(dt * np.sum(wv[None, 1:-1] * div[1:] ** 2))
-    return EnergyReport(sup_l2=sup_l2, grad_energy=grad_e, time_deriv=dtn,
-                        flux_divergence=fluxdiv)
+    return EnergyReport(sup_l2=sup_l2, grad_energy=grad_e)
 
 
 def dump_trajectory_csv(f: TrajectoryField, path) -> None:

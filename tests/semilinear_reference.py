@@ -35,7 +35,7 @@ def picard_march(prob, y0, src, tol=1e-10, max_inner=25):
     out[0, 1:-1] = np.asarray(y0, dtype=float)[1:-1]
     y = out[0, 1:-1].copy()
     for n in range(1, prob.mesh.M + 1):
-        g = prob.grad_weight(n)
+        g = prob.grad_weights[n]
         z = y.copy()
         for _ in range(max_inner):
             w = g * (dc @ z)
@@ -69,7 +69,7 @@ def sparse_residual(prob, values, src):
     for m in range(1, prob.mesh.M + 1):
         L0 = (prob.b_t[m] * winv_a
               + assemble_drift(grid, -prob.B_t[m] * prob.xi))
-        w = prob.grad_weight(m) * (dc @ y[m])
+        w = prob.grad_weights[m] * (dc @ y[m])
         rows.append(y[m] - y[m - 1]
                     + dt * (L0 @ y[m] + prob.F.F(y[m], w) - src[m]))
     return np.array(rows)

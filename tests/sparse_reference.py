@@ -20,14 +20,13 @@ def tridiag_csr(bands: np.ndarray) -> sp.csr_matrix:
                     format="csr")
 
 
-def assemble_stiffness(grid, deg, scale: float = 1.0,
-                       a_face: np.ndarray | None = None) -> sp.csr_matrix:
-    """Symmetric form matrix A (interior x interior) with u^T A u ~ scale * int a |u_x|^2.
+def assemble_stiffness(grid, deg) -> sp.csr_matrix:
+    """Symmetric form matrix A (interior x interior) with u^T A u ~ int a |u_x|^2.
 
-    The operator approximating -scale*(a u_x)_x is W^{-1} A with W the cell
+    The operator approximating -(a u_x)_x is W^{-1} A with W the cell
     volumes; A itself is exactly symmetric by construction.
     """
-    return tridiag_csr(stiffness_bands(grid, deg, scale, a_face))
+    return tridiag_csr(stiffness_bands(grid, deg))
 
 
 def assemble_drift(grid, coeff: np.ndarray) -> sp.csr_matrix:

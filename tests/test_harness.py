@@ -187,11 +187,6 @@ class TestRuns:
             "converged": False, "failure": "NewtonFailureError",
             "failure_reason": "budget"}
 
-    def test_emit_plot_data(self, tmp_path):
-        record = harness.run_scenario(_tiny(), tmp_path, seed=0)
-        outputs = harness.emit_plot_data(record, tmp_path)
-        assert any(str(p).endswith("summary.csv") for p in outputs)
-
 
 class TestCLI:
     def test_list(self, capsys):

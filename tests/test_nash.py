@@ -188,6 +188,8 @@ class TestSecondDerivative:
             prob.grid, prob.mesh,
             lambda x, t: np.sin(2 * np.pi * x) * (1 - t))
         d2.values *= prob.indicator("O1")[None, :]
+        # the form solves the tangent system for its first argument only,
+        # so the two orders are separate computations of one number
         q12 = second_derivative_form(prob, game, state, d1, d2)
         q21 = second_derivative_form(prob, game, state, d2, d1)
         assert q12 == pytest.approx(q21, rel=1e-8)

@@ -9,7 +9,6 @@ from degcontrol.semilinear import SemilinearF, fd_consistency_report
 class TestCatalogue:
     def test_zero_is_zero(self):
         f = SemilinearF.zero()
-        assert f.is_zero
         u = np.linspace(-1, 1, 5)
         assert np.all(f.F(u, u) == 0.0)
         assert np.all(f.D1(u, u) == 0.0)
@@ -21,9 +20,6 @@ class TestCatalogue:
                                              + 0.5 * np.sin(-0.2))
         assert f.D1(u, w)[0] == pytest.approx(2.0 * np.cos(0.3))
         assert f.D2(u, w)[0] == pytest.approx(0.5 * np.cos(-0.2))
-
-    def test_sinusoidal_not_zero(self):
-        assert not SemilinearF.sinusoidal().is_zero
 
     def test_globally_lipschitz_bound(self):
         rep = SemilinearF.sinusoidal().derivative_bound_report(box=4.0)

@@ -77,6 +77,14 @@ CONFIGS = {
     "prop2-mu-sweep": {
         "preset": "prop2-mu-sweep",
     },
+    "forward-leader": {
+        "grid": {"N": 32, "M": 64},
+        "experiment": {"kind": "forward", "h_amplitude": 0.5},
+    },
+    "diagnostics": {
+        "grid": {"N": 32, "M": 64},
+        "experiment": {"kind": "diagnostics"},
+    },
 }
 
 _CLI = ("import sys; from degcontrol import cli; "
