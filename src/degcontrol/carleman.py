@@ -34,7 +34,6 @@ __all__ = [
     "CarlemanParams",
     "CarlemanWeights",
     "build_psi",
-    "check_admissible",
     "eval_time_weights",
     "adjoint_basis",
     "empirical_observability",
@@ -62,14 +61,18 @@ class CarlemanParams:
     cap_ratio: float = 1e3
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_p < self.beta_p < 1.0):
-            raise ValueError("need 0 < alpha' < beta' < 1")
+        # every refused field in one error
+        faults = []
         if self.s <= 0:
-            raise ValueError("s must be positive")
+            faults.append("s must be positive")
+        if not (0.0 < self.alpha_p < self.beta_p < 1.0):
+            faults.append("need 0 < alpha_p < beta_p < 1")
         if self.cap_ratio < 10.0:
-            raise ValueError("cap_ratio too small to be useful")
+            faults.append("cap_ratio must be at least 10")
         if self.m_floor is not None and self.m_floor <= 0:
-            raise ValueError("m_floor must be positive")
+            faults.append("m_floor must be positive")
+        if faults:
+            raise ValueError("; ".join(faults))
 
     def check_inside(self, window: tuple) -> None:
         lo, hi = window
@@ -135,8 +138,6 @@ class PsiFunction:
 
 def build_psi(params: CarlemanParams, deg: DegeneracySpec) -> PsiFunction:
     """Construct the C^2 profile Psi; see PsiFunction."""
-    if deg.alpha >= 2.0:
-        raise ValueError("s/a(s) not integrable near 0")
     return PsiFunction(params, deg)
 
 
@@ -217,13 +218,6 @@ def _choose_lambda(params: CarlemanParams, psi_range: tuple) -> tuple:
     return lam, lambda_min
 
 
-def check_admissible(params: CarlemanParams, deg: DegeneracySpec) -> None:
-    """Raises the ValueError that building the weights for params and deg
-    raises on any grid: a profile Psi that cannot be built, or a lambda
-    below the admissible minimum."""
-    _choose_lambda(params, _psi_range(build_psi(params, deg)))
-
-
 class CarlemanWeights:
     """Tabulated weight family on a given grid/mesh.
 
@@ -248,14 +242,21 @@ class CarlemanWeights:
         self.lam, self.lambda_min = _choose_lambda(params, psi_range)
         self.s = params.s
         lam = self.lam
-        self.eta = np.exp(lam * (self.psi_inf + self.psi))
+        self.theta, self.m, self.tau = eval_time_weights(params, mesh.T, t)
+        fin = np.isfinite(self.tau)
+        # A = tau (eta - E^3) < 0 with E^3 = e^{3 lambda |Psi|_inf}; every
+        # rho is infinite once s tau E^3 overflows at the least tau
         self.log_e3 = 3.0 * lam * self.psi_inf
+        with np.errstate(over="ignore"):
+            e3 = np.exp(self.log_e3)
+            if not np.isfinite(self.s * np.min(self.tau[fin]) * e3):
+                raise ValueError(
+                    f"lambda={lam} is too large: s tau e^(3 lambda |Psi|_inf) "
+                    f"is not finite at any time (3 lambda |Psi|_inf = "
+                    f"{self.log_e3:.4g})")
+        self.eta = np.exp(lam * (self.psi_inf + self.psi))
         self.eta_max = np.exp(lam * (self.psi_inf + self.psi_max))
         self.eta_min = np.exp(lam * (self.psi_inf + self.psi_min))
-        self.theta, self.m, self.tau = eval_time_weights(params, mesh.T, t)
-        # A = tau (eta - E^3) < 0; E^3 may overflow only for huge lambda,
-        # in which case the construction is unusable anyway
-        e3 = np.exp(self.log_e3)
         self.A = self.tau[:, None] * (self.eta[None, :] - e3)
         self.A_star = self.tau * (self.eta_max - e3)
         self.A_hat = self.tau * (self.eta_min - e3)
@@ -264,7 +265,6 @@ class CarlemanWeights:
         self.zeta0 = self.eta_max / self.eta_min
         # exact logs of the rho weights; the exponential factor dominates
         # the algebraic one, so entries at t=T are +inf, not nan
-        fin = np.isfinite(self.tau)
         lz_star = np.where(fin, np.log(np.where(fin, self.zeta_star, 1.0)), np.inf)
         lz_hat = np.where(fin, np.log(np.where(fin, self.zeta_hat, 1.0)), np.inf)
         sA = np.where(fin, self.s * self.A_star, -np.inf)
@@ -296,23 +296,6 @@ class CarlemanWeights:
     def zeta(self) -> np.ndarray:
         """zeta(x,t) = tau(t) eta(x), shape (M+1, N+1); inf at t=T."""
         return self.tau[:, None] * self.eta[None, :]
-
-    def log_observation_weight(self) -> np.ndarray:
-        """log of e^{2s(A - A_ref)} (s lam zeta)^8, the observability weight.
-
-        A_ref is the maximum finite A (`A_reference`), so the weight peaks
-        at 1 in order of magnitude; the t=T row is -inf (weight zero).
-        """
-        A_ref = self.A_reference()
-        z = self.zeta()
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logz = np.where(np.isfinite(z), np.log(np.where(z > 0, z, 1.0)), np.inf)
-            out = np.where(
-                np.isfinite(self.A),
-                2 * self.s * (self.A - A_ref) + 8 * (np.log(self.s * self.lam) + logz),
-                -np.inf,
-            )
-        return out
 
     def A_reference(self) -> float:
         return float(np.max(self.A[np.isfinite(self.A)]))
@@ -481,15 +464,17 @@ def _max(values: np.ndarray) -> float:
 
 def _ratio_report(coef: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
                   weights: CarlemanWeights, source=None) -> dict:
-    """Ratios c.lhs.c / c.rhs.c for the coefficient rows c of `coef`; a
-    sample whose right-hand side is at most 1e-300 is skipped.  Given the
-    part `source` of rhs, "source_share" is the largest c.source.c /
-    c.rhs.c over the samples kept."""
+    """Ratios c.lhs.c / c.rhs.c for the coefficient rows c of `coef`, one
+    per sample; a sample whose right-hand side is at most 1e-300 is
+    skipped, its ratio NaN, and "max_ratio" is over the samples kept.
+    Given the part `source` of rhs, "source_share" is the largest
+    c.source.c / c.rhs.c over the samples kept."""
     den = _forms(coef, rhs)
     keep = ~(den <= 1e-300)  # a NaN form is kept, so that it shows
-    ratios = _forms(coef, lhs)[keep] / den[keep]
+    ratios = np.full(len(den), np.nan)
+    ratios[keep] = _forms(coef, lhs)[keep] / den[keep]
     report = {
-        "max_ratio": _max(ratios),
+        "max_ratio": _max(ratios[keep]),
         "ratios": ratios.tolist(),
         "skipped": int(np.count_nonzero(~keep)),
         "A_reference": weights.A_reference(),
@@ -506,8 +491,7 @@ def _observability_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
     """(lhs, rhs) Gram matrices of the observability ratio, for reduced
     adjoint solutions with columns phi and rho, both (M+1, k, N-1)."""
     grid, mesh = prob.grid, prob.mesh
-    w_obs = _exp_weight(weights.log_observation_weight()) \
-        * prob.indicator("O")[None, :]
+    w_obs = _carleman_weights(prob, weights)[3]
     # The weight is sharply peaked in (x, t); its raw integral scales with
     # the cell measure at the peak and is not mesh-stable.  Normalizing
     # the observation term by the weight's own mass turns it into a

@@ -54,6 +54,27 @@ def _set_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
+def _print_issues(issues) -> None:
+    for issue in issues:
+        print(f"error: {issue}", file=sys.stderr)
+
+
+def _load(harness, args):
+    """The config of --preset or --config, or None once the reason it
+    cannot be loaded is printed."""
+    try:
+        if getattr(args, "preset", None):
+            return harness.preset(args.preset)
+        return harness.ScenarioConfig.from_json(args.config)
+    except harness.ConfigError as exc:
+        _print_issues(exc.issues)
+    except KeyError as exc:
+        print(exc.args[0], file=sys.stderr)
+    except (OSError, json.JSONDecodeError) as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     if getattr(args, "deterministic", False):
@@ -86,47 +107,24 @@ def main(argv=None) -> int:
             print(text)
         return EXIT_OK
 
+    config = _load(harness, args)
+    if config is None:
+        return EXIT_CONFIG
     if args.command == "validate":
-        try:
-            config = harness.ScenarioConfig.from_json(args.config)
-        except harness.ConfigError as exc:
-            for issue in exc.issues:
-                print(f"error: {issue}", file=sys.stderr)
-            return EXIT_CONFIG
-        except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
         issues = harness.validate_config(config)
+        _print_issues(issues)
         if issues:
-            for issue in issues:
-                print(f"error: {issue}", file=sys.stderr)
             return EXIT_CONFIG
         print("config ok")
         return EXIT_OK
 
-    # run
-    try:
-        if args.preset:
-            config = harness.preset(args.preset)
-        else:
-            config = harness.ScenarioConfig.from_json(args.config)
-        issues = harness.validate_config(config)
-        if issues:
-            raise harness.ConfigError(issues)
-    except harness.ConfigError as exc:
-        for issue in exc.issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return EXIT_CONFIG
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_CONFIG
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    # run_scenario validates the config as it builds the run
     try:
         record = harness.run_scenario(config, args.out, seed=args.seed,
                                       deterministic=args.deterministic)
+    except harness.ConfigError as exc:
+        _print_issues(exc.issues)
+        return EXIT_CONFIG
     except (StepFailureError, SweepFailureError, NewtonFailureError,
             HUMError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)

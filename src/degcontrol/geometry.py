@@ -171,12 +171,15 @@ class MovingDomainSpec:
     w: float = np.pi
 
     def __post_init__(self):
+        # every refused field in one error
+        faults = [f"{name} must be positive" for name in ("T", "l0")
+                  if getattr(self, name) <= 0]
         if self.family not in _ELL_FAMILIES:
-            raise ValueError(f"unknown ell family {self.family!r}; options: {_ELL_FAMILIES}")
-        if self.T <= 0 or self.l0 <= 0:
-            raise ValueError("T and l0 must be positive")
+            faults.append(f"unknown ell family {self.family!r}; options: {_ELL_FAMILIES}")
         if self.family == "sinusoidal" and abs(self.k) >= 1:
-            raise ValueError("sinusoidal family needs |k| < 1 to keep l > 0")
+            faults.append("sinusoidal family needs |k| < 1 to keep l > 0")
+        if faults:
+            raise ValueError("; ".join(faults))
 
     def ell(self, t):
         t = np.asarray(t, dtype=float)
@@ -198,11 +201,13 @@ class MovingDomainSpec:
             return self.l0 * self.k * np.exp(self.k * t)
         return self.l0 * self.k * self.w * np.cos(self.w * t)
 
-    def validate(self, n: int = 257) -> None:
+    def validate(self, n: int = 257) -> "MovingDomainSpec":
+        """Returns self once l(t) > 0 on n points of [0,T]."""
         t = np.linspace(0.0, self.T, n)
         l = self.ell(t)
         if np.any(l <= 0):
             raise ValueError("l(t) must stay positive on [0,T]")
+        return self
 
     def coefficients(self, deg: DegeneracySpec, gw: GradientWeightSpec, t):
         """Cylinder coefficients (b(t), B(t), C(t)) at time t."""

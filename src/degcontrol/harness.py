@@ -2,10 +2,11 @@
 
 A ScenarioConfig is a nested plain dictionary with defaults for every
 field; one config plus a seed fully determines a run.  run_scenario
-dispatches on the experiment kind, writes CSV files for curves and a
-JSON report for scalars, and returns a RunRecord whose hash covers the
-canonical config so that identical (config, seed) pairs reproduce
-identical outputs.
+builds the run's problem, Carleman weights and game once, as validation
+does, then dispatches on the experiment kind, writes CSV files for
+curves and a JSON report for scalars, and returns a RunRecord whose hash
+covers the canonical config so that identical (config, seed) pairs
+reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from pathlib import Path
 import numpy as np
 
 from .carleman import (CarlemanParams, CarlemanWeights, adjoint_basis,
-                       check_admissible, empirical_carleman,
-                       empirical_observability)
-from .geometry import ControlGeometry, DegeneracySpec, MovingDomainSpec
-from .grids import TrajectoryField
+                       empirical_carleman, empirical_observability)
+from .geometry import (ControlGeometry, DegeneracySpec, GradientWeightSpec,
+                       MovingDomainSpec)
+from .grids import SpatialGrid, TimeMesh
 from .nash import (GameSpec, convexity_margin, evaluate_functional,
                    fit_mu_star, functional_gradient, make_default_targets,
                    nash_fixed_point)
@@ -51,7 +52,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-FAMILIES = ("constant", "affine", "exponential", "sinusoidal")
 KINDS = ("forward", "nash", "convexity", "observability", "linear-control",
          "nonlinear-control", "diagnostics")
 # each study runs in place of its kind's experiment, and only with that kind
@@ -233,8 +233,10 @@ def _window_type_issues(wins) -> list:
 def validate_config(config: ScenarioConfig | dict) -> list:
     """Returns the full list of offending fields (empty means valid).
 
-    Every field must first have the type of its default; the range checks
-    run only once all types are right.
+    Every field must first have the type of its default.  Then the
+    config's run is built: each spec checks its own fields, and its
+    refusal is an issue under its config section; the rules that no spec
+    owns are checked here.
     """
     if isinstance(config, ScenarioConfig):
         cfg = config.data
@@ -243,84 +245,86 @@ def validate_config(config: ScenarioConfig | dict) -> list:
             cfg = ScenarioConfig.from_dict(config).data
         except ConfigError as exc:
             return exc.issues
+    return _build_run(cfg)[0]
+
+
+def _build_run(cfg: dict) -> tuple:
+    """(issues, built): the issues of the config's fields, and the
+    (prob, weights, game) of its run, or None when there is an issue.
+
+    A spec is built once the fields it is built from pass the rules
+    here, so that every field is reported once.
+    """
     issues = _type_issues(_DEFAULTS, cfg, "")
     if issues:
-        return issues
-    g = cfg["geometry"]
-    if not 0.0 < g["alpha"] < 1.0:
-        issues.append("geometry.alpha: weak degeneracy requires 0 < alpha < 1")
-    if g["T"] <= 0:
-        issues.append("geometry.T: must be positive")
-    if g["family"] not in FAMILIES:
-        issues.append(f"geometry.family: unknown family {g['family']!r}")
+        return issues, None
+
+    def build(section, make, *args, **kwargs):
+        try:
+            return make(*args, **kwargs)
+        except ValueError as exc:
+            issues.append(f"{section}: {exc}")
+            return None
+
+    g, grid, game = cfg["geometry"], cfg["grid"], cfg["game"]
     if g["l0"] < 1.0:
         issues.append("geometry.l0: domain scale must satisfy l(t) >= 1")
-    if g["b_exp"] <= 1.0:
-        issues.append("geometry.b_exp: gradient weight exponent must exceed 1")
-    # the family's own checks, once the fields it is built from are valid
-    if g["T"] > 0 and g["l0"] >= 1.0 and g["family"] in FAMILIES:
-        try:
-            MovingDomainSpec(T=g["T"], family=g["family"], l0=g["l0"],
-                             k=g["k"], w=g["w"]).validate()
-        except ValueError as exc:
-            issues.append(f"geometry: {exc}")
-    grid = cfg["grid"]
-    if not 8 <= grid["N"] <= 1024:
-        issues.append("grid.N: supported range is [8, 1024]")
-    if not 8 <= grid["M"] <= 4096:
-        issues.append("grid.M: supported range is [8, 4096]")
-    if grid["gamma"] < 1.0:
-        issues.append("grid.gamma: grading exponent must be >= 1")
-    game = cfg["game"]
+    deg = build("geometry", DegeneracySpec, g["alpha"])
+    gw = build("geometry", GradientWeightSpec, g["b_exp"])
+    dom = build("geometry", lambda: MovingDomainSpec(
+        T=g["T"], family=g["family"], l0=g["l0"], k=g["k"],
+        w=g["w"]).validate())
+    grid_issues = [issue for bad, issue in (
+        (not 8 <= grid["N"] <= 1024, "grid.N: supported range is [8, 1024]"),
+        (not 8 <= grid["M"] <= 4096, "grid.M: supported range is [8, 4096]"),
+        (grid["gamma"] < 1.0, "grid.gamma: grading exponent must be >= 1"),
+    ) if bad]
+    issues.extend(grid_issues)
+    nodes = mesh = None
+    if not grid_issues:
+        nodes = build("grid", SpatialGrid, grid["N"], grid["gamma"])
+        if dom is not None:
+            mesh = TimeMesh(grid["M"], g["T"])
     wins = game["windows"]
     window_issues = [f"game.windows.{name}: must satisfy 0 < a < b < 1"
                      for name in WINDOWS
                      if not 0.0 < wins[name][0] < wins[name][1] < 1.0]
     issues.extend(window_issues)
-    if not window_issues:
-        try:
-            ControlGeometry(O=tuple(wins["O"]), O1=tuple(wins["O1"]),
-                            O2=tuple(wins["O2"]), Od=tuple(wins["Od"]))
-        except ValueError as exc:
-            issues.append(f"game.windows: {exc}")
-    for name in ("alpha1", "alpha2", "mu1", "mu2"):
-        if game[name] <= 0:
-            issues.append(f"game.{name}: must be positive")
+    windows = None if window_issues else build(
+        "game.windows", ControlGeometry,
+        **{name: tuple(wins[name]) for name in WINDOWS})
+    params = build("carleman", CarlemanParams, **cfg["carleman"])
+    if params is not None and windows is not None:
+        # the bridge of Psi must lie inside the leader window O
+        build("carleman", params.check_inside, windows.O)
     nl = cfg["nonlinearity"]
     if nl["label"] not in ("sinusoidal", "zero"):
         issues.append(f"nonlinearity.label: unknown label {nl['label']!r}")
-    car = cfg["carleman"]
-    carleman_issues = []
-    if car["s"] <= 0:
-        carleman_issues.append("carleman.s: must be positive")
-    if not (0.0 < car["alpha_p"] < car["beta_p"] < 1.0):
-        carleman_issues.append("carleman: need 0 < alpha_p < beta_p < 1")
-    if car["cap_ratio"] < 10.0:
-        carleman_issues.append("carleman.cap_ratio: must be at least 10")
-    if car["m_floor"] is not None and car["m_floor"] <= 0:
-        carleman_issues.append("carleman.m_floor: must be positive")
-    issues.extend(carleman_issues)
-    # a set lambda must be admissible for the profile Psi: the weights' own
-    # check, once the fields they are built from are valid
-    if (car["lam"] is not None and not carleman_issues
-            and 0.0 < g["alpha"] < 1.0):
-        try:
-            check_admissible(_weight_params(cfg), DegeneracySpec(g["alpha"]))
-        except ValueError as exc:
-            issues.append(f"carleman.lam: {exc}")
-    # the bridge of Psi must lie inside the leader window O
-    if not carleman_issues and not window_issues:
-        try:
-            _weight_params(cfg).check_inside(tuple(wins["O"]))
-        except ValueError as exc:
-            issues.append(f"carleman: {exc}")
+    prob = weights = None
+    if None not in (deg, gw, dom, windows, nodes, mesh):
+        prob = build("game.windows", CylinderProblem, deg, gw.attach(deg),
+                     dom, windows, nodes, mesh, _build_F(cfg))
+    if None not in (params, deg, nodes, mesh):
+        weights = build("carleman.lam", CarlemanWeights, params, deg, nodes,
+                        mesh)
+    spec = build("game", GameSpec, alpha1=game["alpha1"],
+                 alpha2=game["alpha2"], mu1=game["mu1"], mu2=game["mu2"],
+                 jacobian_weighting=game["jacobian_weighting"])
+    exp = cfg["experiment"]
+    if spec is not None:
+        for mu in exp["mu_grid"]:
+            build("experiment.mu_grid", replace, spec, mu1=float(mu),
+                  mu2=float(mu))
+        if (prob is not None and weights is not None
+                and game["target_amplitude"] != 0.0):
+            spec.target1, spec.target2 = make_default_targets(
+                prob, weights=weights, amplitude=game["target_amplitude"])
     sv = cfg["solver"]
     if sv["newton_max"] < 1:
         issues.append("solver.newton_max: must be at least 1")
     for name in ("newton_tol", "tol_terminal"):
         if sv[name] <= 0:
             issues.append(f"solver.{name}: must be positive")
-    exp = cfg["experiment"]
     if exp["kind"] not in KINDS:
         issues.append(
             f"experiment.kind: {exp['kind']!r} not one of {', '.join(KINDS)}")
@@ -335,7 +339,7 @@ def validate_config(config: ScenarioConfig | dict) -> list:
     elif study is not None and STUDIES[study] != exp["kind"]:
         issues.append(f"experiment.study: {study!r} runs with kind "
                       f"{STUDIES[study]!r}, not {exp['kind']!r}")
-    return issues
+    return issues, None if issues else (prob, weights, spec)
 
 
 _PRESETS = {
@@ -400,59 +404,23 @@ class RunRecord:
 
 def _build_F(cfg: dict) -> SemilinearF:
     nl = cfg["nonlinearity"]
-    if nl["label"] == "zero":
+    # the linear-control experiment runs the F = 0 problem, whatever the label
+    if nl["label"] == "zero" or cfg["experiment"]["kind"] == "linear-control":
         return SemilinearF.zero()
     return SemilinearF.sinusoidal(nl["kappa1"], nl["kappa2"])
-
-
-def _build_problem(cfg: dict) -> CylinderProblem:
-    g, grid, game = cfg["geometry"], cfg["grid"], cfg["game"]
-    wins = game["windows"]
-    windows = ControlGeometry(O=tuple(wins["O"]), O1=tuple(wins["O1"]),
-                              O2=tuple(wins["O2"]), Od=tuple(wins["Od"]))
-    return CylinderProblem.default(
-        N=int(grid["N"]), M=int(grid["M"]), alpha=g["alpha"], T=g["T"],
-        gamma=grid["gamma"], b_exp=g["b_exp"], family=g["family"],
-        l0=g["l0"], k=g["k"], w=g["w"], windows=windows, F=_build_F(cfg))
-
-
-def _weight_params(cfg: dict) -> CarlemanParams:
-    car = cfg["carleman"]
-    return CarlemanParams(s=car["s"], lam=car["lam"], alpha_p=car["alpha_p"],
-                          beta_p=car["beta_p"], m_floor=car["m_floor"],
-                          cap_ratio=car["cap_ratio"])
-
-
-def _build_weights(cfg: dict, prob: CylinderProblem) -> CarlemanWeights:
-    return CarlemanWeights(_weight_params(cfg), prob.deg, prob.grid,
-                           prob.mesh)
-
-
-def _build_game(cfg: dict, prob: CylinderProblem,
-                weights: CarlemanWeights | None = None) -> GameSpec:
-    g = cfg["game"]
-    game = GameSpec(alpha1=g["alpha1"], alpha2=g["alpha2"],
-                    mu1=g["mu1"], mu2=g["mu2"],
-                    jacobian_weighting=g["jacobian_weighting"])
-    if g["target_amplitude"] != 0.0:
-        game.target1, game.target2 = make_default_targets(
-            prob, weights=weights, amplitude=g["target_amplitude"])
-    return game
 
 
 def _initial_data(cfg: dict, prob: CylinderProblem,
                   rng: np.random.Generator) -> np.ndarray:
     exp = cfg["experiment"]
     x = prob.grid.nodes
-    if exp["y0_mode"] == "sine":
-        y0 = exp["y0_amplitude"] * np.sin(np.pi * x)
-    elif exp["y0_mode"] == "random":
+    if exp["y0_mode"] == "random":
         modes = np.arange(1, 6)
         coeff = rng.standard_normal(modes.size) / modes
         y0 = exp["y0_amplitude"] * (
             np.sin(np.pi * np.outer(x, modes)) @ coeff)
     else:
-        raise ConfigError([f"experiment.y0_mode: unknown {exp['y0_mode']!r}"])
+        y0 = exp["y0_amplitude"] * np.sin(np.pi * x)
     y0[0] = y0[-1] = 0.0
     return y0
 
@@ -464,24 +432,26 @@ def _write_csv(path: Path, header: str, rows: np.ndarray) -> None:
 
 def run_scenario(config: ScenarioConfig | dict, out_dir, seed: int = 0,
                  deterministic: bool = True) -> RunRecord:
-    """Runs one experiment, writes its artifacts, returns the record."""
+    """Runs one experiment, writes its artifacts, returns the record.
+
+    Raises ConfigError, before out_dir is made, for the issues of
+    `validate_config`."""
     if not isinstance(config, ScenarioConfig):
         config = ScenarioConfig.from_dict(config)
-    issues = validate_config(config)
+    cfg = config.data
+    t_start = time.perf_counter()
+    issues, built = _build_run(cfg)
     if issues:
         raise ConfigError(issues)
-    cfg = config.data
     kind = cfg["experiment"]["kind"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
-    timings: dict = {}
     outputs: list = []
-    t_start = time.perf_counter()
     runner = _RUNNERS[kind if cfg["experiment"]["study"] is None
                       else cfg["experiment"]["study"]]
-    report = runner(cfg, out, rng, outputs, timings)
-    timings["total_s"] = round(time.perf_counter() - t_start, 3)
+    report = runner(cfg, *built, out, rng, outputs)
+    timings = {"total_s": round(time.perf_counter() - t_start, 3)}
     record = RunRecord(config_hash=config.canonical_hash(), seed=seed,
                        kind=kind, timings=timings, report=report,
                        outputs=outputs, deterministic=deterministic)
@@ -491,8 +461,7 @@ def run_scenario(config: ScenarioConfig | dict, out_dir, seed: int = 0,
     return record
 
 
-def _run_forward(cfg, out, rng, outputs, timings):
-    prob = _build_problem(cfg)
+def _run_forward(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
     h = None
     if cfg["experiment"]["h_amplitude"] != 0.0:
@@ -512,10 +481,7 @@ def _run_forward(cfg, out, rng, outputs, timings):
     }
 
 
-def _run_nash(cfg, out, rng, outputs, timings):
-    prob = _build_problem(cfg)
-    weights = _build_weights(cfg, prob)
-    game = _build_game(cfg, prob, weights)
+def _run_nash(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
     h = prob.new_field()
     h.values[:] = (cfg["experiment"]["h_amplitude"]
@@ -546,10 +512,7 @@ def _run_nash(cfg, out, rng, outputs, timings):
     }
 
 
-def _run_convexity(cfg, out, rng, outputs, timings):
-    prob = _build_problem(cfg)
-    weights = _build_weights(cfg, prob)
-    game = _build_game(cfg, prob, weights)
+def _run_convexity(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
     h = prob.new_field()
     margins = []
@@ -570,10 +533,7 @@ def _run_convexity(cfg, out, rng, outputs, timings):
     }
 
 
-def _run_observability(cfg, out, rng, outputs, timings):
-    prob = _build_problem(cfg)
-    weights = _build_weights(cfg, prob)
-    game = _build_game(cfg, prob, weights)
+def _run_observability(cfg, prob, weights, game, out, rng, outputs):
     n = cfg["experiment"]["samples"]
     # one block solve serves both samplers
     couplings = game.couplings(prob)
@@ -594,12 +554,7 @@ def _run_observability(cfg, out, rng, outputs, timings):
     }
 
 
-def _run_linear_control(cfg, out, rng, outputs, timings):
-    cfg = copy.deepcopy(cfg)
-    cfg["nonlinearity"]["label"] = "zero"
-    prob = _build_problem(cfg)
-    weights = _build_weights(cfg, prob)
-    game = _build_game(cfg, prob, weights)
+def _run_linear_control(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
     lcp = LinearControlProblem(prob, weights, game, y0)
     limit = cfg["experiment"]["budget_limit"]
@@ -621,10 +576,7 @@ def _run_linear_control(cfg, out, rng, outputs, timings):
     }
 
 
-def _run_nonlinear_control(cfg, out, rng, outputs, timings):
-    prob = _build_problem(cfg)
-    weights = _build_weights(cfg, prob)
-    game = _build_game(cfg, prob, weights)
+def _run_nonlinear_control(cfg, prob, weights, game, out, rng, outputs):
     sv = cfg["solver"]
     base_y0 = _initial_data(cfg, prob, rng)
     hum = HUMSolver(prob, weights, game)
@@ -661,9 +613,7 @@ def _run_nonlinear_control(cfg, out, rng, outputs, timings):
     return {"scales": results}
 
 
-def _run_diagnostics(cfg, out, rng, outputs, timings):
-    prob = _build_problem(cfg)
-    weights = _build_weights(cfg, prob)
+def _run_diagnostics(cfg, prob, weights, game, out, rng, outputs):
     report = weights.identity_report()
     weights.to_csv(out / "weights.csv")
     outputs.append("weights.csv")
@@ -679,7 +629,7 @@ def _run_diagnostics(cfg, out, rng, outputs, timings):
     }
 
 
-def _run_mms(cfg, out, rng, outputs, timings):
+def _run_mms(cfg, prob, weights, game, out, rng, outputs):
     """Manufactured-solution refinement study; reports both slopes."""
     from .mms import space_order_study, time_order_study
     tstudy = time_order_study()

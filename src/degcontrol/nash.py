@@ -75,9 +75,12 @@ class GameSpec:
     jacobian_weighting: bool = True
 
     def __post_init__(self):
-        for name in ("alpha1", "alpha2", "mu1", "mu2"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # every refused field in one error
+        faults = [f"{name} must be positive, got {getattr(self, name)}"
+                  for name in ("alpha1", "alpha2", "mu1", "mu2")
+                  if getattr(self, name) <= 0]
+        if faults:
+            raise ValueError("; ".join(faults))
 
     @property
     def alphas(self) -> tuple:

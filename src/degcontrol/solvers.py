@@ -183,14 +183,14 @@ class CylinderProblem:
     """Bundle of all static data for one discrete cylinder problem.
 
     Holds the geometry specs, grid/mesh, nonlinearity and the cached
-    per-level base operators L0_n = b_n W^{-1}A + upwind(-B_n x).
+    per-level base operators L0_n = b_n W^{-1}A + upwind(-B_n x).  gw
+    must be attached to deg, and every window must hold an interior node
+    of the grid.
     """
 
     def __init__(self, deg: DegeneracySpec, gw: GradientWeightSpec,
                  dom: MovingDomainSpec, windows: ControlGeometry,
                  grid: SpatialGrid, mesh: TimeMesh, F: SemilinearF):
-        if not np.isfinite(gw.M):
-            gw = gw.attach(deg)
         if abs(dom.T - mesh.T) > 1e-14:
             raise ValueError("moving-domain horizon and time mesh disagree on T")
         self.deg, self.gw, self.dom, self.windows = deg, gw, dom, windows
@@ -204,6 +204,11 @@ class CylinderProblem:
         self.Dc_bands = central_gradient_bands(grid)
         self._lin_ops = None
         self._ind = {}
+        empty = [f"window {name}={getattr(windows, name)} holds no interior "
+                 f"node of the grid" for name in ("O", "O1", "O2", "Od")
+                 if not self.indicator_interior(name).any()]
+        if empty:
+            raise ValueError("; ".join(empty))
 
     @classmethod
     def default(cls, N: int = 64, M: int = 128, alpha: float = 0.5,
@@ -250,13 +255,7 @@ class CylinderProblem:
     def linearized_ops(self) -> LevelOps:
         """Operators of the system linearized at the zero state."""
         if self._lin_ops is None:
-            shape = (self.mesh.M + 1, self.grid.N - 1)
-            zero = np.zeros(1)
-            d1 = float(self.F.D1(zero, zero)[0])
-            d2 = float(self.F.D2(zero, zero)[0])
-            reaction = np.full(shape, d1)
-            self._lin_ops = LevelOps.build(self, reaction,
-                                           d2 * self.grad_weights)
+            self._lin_ops = self.ops_at_state(self.new_field())
         return self._lin_ops
 
     def ops_at_state(self, y: TrajectoryField) -> LevelOps:

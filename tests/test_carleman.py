@@ -137,6 +137,14 @@ class TestWeights:
             CarlemanWeights(CarlemanParams(lam=0.5 * w.lambda_min),
                             prob.deg, prob.grid, prob.mesh)
 
+    def test_overflowing_lambda_rejected(self, w64):
+        # e^{3 lambda |Psi|_inf} overflows, so every rho would be infinite
+        prob, _ = w64
+        with pytest.raises(ValueError, match=r"lambda=1000000.0 is too "
+                           r"large: .* is not finite"):
+            CarlemanWeights(CarlemanParams(lam=1e6), prob.deg, prob.grid,
+                            prob.mesh)
+
     def test_tables_normalized_and_capped(self, w64):
         _, w = w64
         for table in (w.rho0_n, w.rho1_n, w.rho2_n, w.rho_hat_n):
@@ -186,12 +194,11 @@ def _reference_observability(prob, w, couplings, samples, rng):
     """One two-follower reference sweep per sample, with
     rho = alpha1 psi1 + alpha2 psi2; the weight exponentiated per integral.
 
-    Returns the ratios and the number of skipped samples."""
+    Returns the ratios, NaN for a skipped sample, and the number of
+    skipped samples."""
     grid, mesh = prob.grid, prob.mesh
-    logw = w.log_observation_weight()
-    ind_o = prob.indicator("O")
-    wmass = _q_integral(logw, np.ones((mesh.M + 1, grid.N + 1)), grid, mesh,
-                        ind_o)
+    _, _, observation = _reference_forms(prob, w)
+    wmass = observation(np.ones((mesh.M + 1, grid.N + 1)))
     ratios, skipped = [], 0
     for _ in range(samples):
         phi, psi, _ = two_follower_sweep(
@@ -201,9 +208,10 @@ def _reference_observability(prob, w, couplings, samples, rng):
         phi, rho = _nodal(phi[:, 0]), _nodal(a1 * psi[:, 0, 0]
                                              + a2 * psi[:, 0, 1])
         lhs = grid.norm(phi[0]) ** 2 + grid.norm(rho[-1]) ** 2
-        rhs = _q_integral(logw, phi**2, grid, mesh, ind_o) / wmass
+        rhs = observation(phi) / wmass
         if rhs <= 1e-300:
             skipped += 1
+            ratios.append(np.nan)
             continue
         ratios.append(lhs / rhs)
     return ratios, skipped
@@ -252,7 +260,8 @@ def _reference_carleman(prob, w, couplings, samples, rng):
     """One two-follower reference sweep per sample; every weight
     exponentiated per integral.
 
-    Returns the ratios and the number of skipped samples."""
+    Returns the ratios, NaN for a skipped sample, and the number of
+    skipped samples."""
     grid, mesh = prob.grid, prob.mesh
     gamma, source, observation = _reference_forms(prob, w)
     x, t = grid.nodes[None, :], mesh.times[:, None]
@@ -274,6 +283,7 @@ def _reference_carleman(prob, w, couplings, samples, rng):
         rhs = source(sum(f**2 for f in srcs)) + observation(phi)
         if rhs <= 1e-300:
             skipped += 1
+            ratios.append(np.nan)
             continue
         ratios.append(lhs / rhs)
     return ratios, skipped

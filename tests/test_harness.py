@@ -22,6 +22,7 @@ def _tiny(kind="forward", **experiment):
 _WINDOWS = harness.default_config()["game"]["windows"]
 _NEWTON = {"grid": {"N": 16, "M": 16},
            "experiment": {"kind": "nonlinear-control"}}
+_COARSE = {"N": 8, "M": 8}
 
 
 class TestConfig:
@@ -51,6 +52,12 @@ class TestConfig:
         assert len(issues) >= 2
         assert any("alpha" in s for s in issues)
         assert any("disjoint" in s for s in issues)
+
+    def test_every_refused_carleman_field_reported(self):
+        issues = harness.validate_config(
+            {"carleman": {"s": 0.0, "m_floor": -1.0}})
+        assert any("s must be positive" in s for s in issues)
+        assert any("m_floor must be positive" in s for s in issues)
 
     def test_hash_stable_under_key_order(self):
         a = harness.ScenarioConfig.from_dict(
@@ -247,7 +254,7 @@ class TestCLI:
         ({**_tiny("diagnostics"), "carleman": {"lam": 0.1}},
          "carleman.lam: lambda=0.1 below admissible minimum"),
         ({**_tiny("diagnostics"), "carleman": {"m_floor": -1}},
-         "carleman.m_floor: must be positive"),
+         "carleman: m_floor must be positive"),
         ({"carleman": {"alpha_p": 0.6, "beta_p": 0.7},
           "experiment": {"kind": "observability", "samples": 4},
           "grid": {"N": 16, "M": 16}},
@@ -262,11 +269,27 @@ class TestCLI:
          "solver.newton_tol: must be positive"),
         ({**_NEWTON, "solver": {"tol_terminal": 0.0}},
          "solver.tol_terminal: must be positive"),
+        # each spec's own refusal, under its section
+        ({"grid": {**_COARSE, "gamma": 400.0}},
+         "grid: grid nodes must be strictly increasing"),
+        *[({"grid": _COARSE,
+            "experiment": {"kind": "convexity", "mu_grid": [mu]}},
+           f"experiment.mu_grid: mu1 must be positive, got {mu}")
+          for mu in (0.0, -1.0)],
+        *[({"grid": _COARSE, "carleman": {"lam": 1e6},
+            "experiment": {"kind": kind}},
+           "carleman.lam: lambda=1000000.0 is too large")
+          for kind in harness.KINDS],
+        ({"grid": {**_COARSE, "gamma": 60.0},
+          "experiment": {"kind": "convexity"}},
+         "game.windows: window O=(0.3, 0.5) holds no interior node"),
     ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
             "newton_max-zero",
             "newton_max-negative", "newton_max-float", "newton_tol",
-            "tol_terminal"])
+            "tol_terminal", "gamma-400", "mu_grid-zero", "mu_grid-negative",
+            *[f"lam-overflow-{kind}" for kind in harness.KINDS],
+            "window-without-node"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback
@@ -278,6 +301,22 @@ class TestCLI:
         assert cli.main(args) == cli.EXIT_CONFIG
         assert f"error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_skipped_samples_keep_their_rows(self, tmp_path):
+        # with this floor the Carleman sampler skips every sample and the
+        # observability sampler keeps NaN ratios; ratios.csv holds one row
+        # per sample either way
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({
+            "grid": _COARSE, "carleman": {"m_floor": 1e300},
+            "experiment": {"kind": "observability", "samples": 2}}))
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(out)]) == cli.EXIT_OK
+        rows = np.loadtxt(out / "ratios.csv", delimiter=",", skiprows=1)
+        assert rows.shape == (2, 2)
+        assert np.all(np.isnan(rows[:, 1]))
 
     def test_admissible_lambda_validates(self, tmp_path):
         path = tmp_path / "c.json"

@@ -45,6 +45,14 @@ def _duality_mismatch(prob, ops, rng):
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs))
 
 
+class TestProblem:
+    def test_window_without_a_node_rejected(self):
+        # at gamma 60 every interior node of the 8-cell grid lies below 0.3
+        with pytest.raises(ValueError, match=r"window O1=\(0.55, 0.7\) "
+                           r"holds no interior node"):
+            CylinderProblem.default(N=8, M=8, gamma=60.0)
+
+
 class TestDuality:
     def test_five_random_pairs(self, prob, rng):
         ops = prob.linearized_ops()
