@@ -22,7 +22,7 @@ constants reported (they are absorbed into fitted constants).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,9 +33,11 @@ from .operators import band_apply
 __all__ = [
     "CarlemanParams",
     "CarlemanWeights",
-    "build_psi",
+    "PsiFunction",
     "eval_time_weights",
     "adjoint_basis",
+    "weight_tables",
+    "log_observation_peak",
     "empirical_observability",
     "empirical_carleman",
 ]
@@ -136,11 +138,6 @@ class PsiFunction:
         return d1 / self.L, d2 / self.L**2
 
 
-def build_psi(params: CarlemanParams, deg: DegeneracySpec) -> PsiFunction:
-    """Construct the C^2 profile Psi; see PsiFunction."""
-    return PsiFunction(params, deg)
-
-
 def eval_time_weights(params: CarlemanParams, T: float, t):
     """Return (theta, m, tau) at times t.
 
@@ -233,7 +230,7 @@ class CarlemanWeights:
         self.deg = deg
         self.grid = grid
         self.mesh = mesh
-        self.psi_fn = build_psi(params, deg)
+        self.psi_fn = PsiFunction(params, deg)
         x = grid.nodes
         t = mesh.times
         self.psi = self.psi_fn(x)
@@ -405,26 +402,37 @@ def adjoint_basis(prob, couplings):
     modes as terminal rows and no sources, followed, for each slot of
     SOURCE_SLOTS in turn, by one column per source mode with a zero
     terminal row and that mode in this slot only.
+
+    rho's source is alpha1 F1 + alpha2 F2, so the (phi, rho) of an F1
+    or F2 column is alpha_i / a times that of the same mode fed to rho at
+    a, the alpha of largest magnitude, and every scaled column meets the
+    sweep tolerance when the swept one does.  So (phi, rho) sweeps only
+    the sine, Fsrc and rho-source columns, with each source held only on
+    its own columns; phi is scaled into the F1 and F2 slots, and psi1 and
+    psi2 march once over every column.
     """
-    from .solvers import solve_adjoint_coupled
+    from .solvers import march_followers, sweep_adjoint
 
     grid, mesh = prob.grid, prob.mesh
-    modes = _source_modes(grid, mesh)
-    q = len(modes)
-    k = SINE_MODES + len(SOURCE_SLOTS) * q
-    phiT = np.zeros((k, grid.N + 1))
-    phiT[:SINE_MODES] = _sine_modes(grid)
-    # Each slot's sources are a window of k rows into one zero buffer that
-    # holds the modes once, at the rows of the last slot; the window of
-    # slot i starts (last - i) q rows in, so the modes fall on its own
-    # columns.  Three separate zero-padded arrays would take twice the
-    # memory.
-    last = len(SOURCE_SLOTS) - 1
-    held = np.zeros((k + last * q, mesh.M + 1, grid.N + 1))
-    held[k - q:k] = modes
-    sources = {slot: held[(last - i) * q:(last - i) * q + k]
-               for i, slot in enumerate(SOURCE_SLOTS)}
-    return solve_adjoint_coupled(prob, phiT, couplings, **sources)
+    # the source modes' interior rows in march layout (M+1, q, N-1)
+    modes = np.ascontiguousarray(
+        _source_modes(grid, mesh)[:, :, 1:-1].transpose(1, 0, 2))
+    q = modes.shape[1]
+    # the first columns of the Fsrc, F1 and F2 slots
+    s0, s1, s2 = (SINE_MODES + i * q for i in range(len(SOURCE_SLOTS)))
+    phi = np.zeros((mesh.M + 1, s2 + q, grid.N - 1))
+    phi[-1, :s0] = _sine_modes(grid)[:, 1:-1]
+    # with both alphas 0 rho has no source, and the swept columns scale to 0
+    a = max(couplings.alphas, key=abs) or 1.0
+    history = sweep_adjoint(prob, phi[:, :s2], couplings,
+                            f0=(slice(s0, s1), modes),
+                            f_rho=(slice(s1, s2), a * modes))
+    a1, a2 = couplings.alphas
+    np.multiply(phi[:, s1:s2], a2 / a, out=phi[:, s2:])
+    phi[:, s1:s2] *= a1 / a
+    return march_followers(prob, phi, couplings, history,
+                           f1=(slice(s1, s2), modes),
+                           f2=(slice(s2, s2 + q), modes))
 
 
 def _exp_weight(logw: np.ndarray) -> np.ndarray:
@@ -487,11 +495,15 @@ def _ratio_report(coef: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
 
 
 def _observability_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
-                         rho: np.ndarray) -> tuple:
+                         rho: np.ndarray, tables=None) -> tuple:
     """(lhs, rhs) Gram matrices of the observability ratio, for reduced
-    adjoint solutions with columns phi and rho, both (M+1, k, N-1)."""
+    adjoint solutions with columns phi and rho, both (M+1, k, N-1);
+    tables are the `weight_tables(prob, weights)`, made here when not
+    given."""
     grid, mesh = prob.grid, prob.mesh
-    w_obs = _carleman_weights(prob, weights)[3]
+    if tables is None:
+        tables = weight_tables(prob, weights)
+    w_obs = tables[3]
     # The weight is sharply peaked in (x, t); its raw integral scales with
     # the cell measure at the peak and is not mesh-stable.  Normalizing
     # the observation term by the weight's own mass turns it into a
@@ -508,7 +520,7 @@ def _observability_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
 def empirical_observability(prob, weights: CarlemanWeights, couplings,
                             samples: int = 20,
                             rng: np.random.Generator | None = None,
-                            basis=None) -> dict:
+                            basis=None, tables=None) -> dict:
     """Sampled observability ratio of the reduced adjoint system.
 
     For random terminal data and zero sources, returns max over samples of
@@ -518,7 +530,8 @@ def empirical_observability(prob, weights: CarlemanWeights, couplings,
     forms in the sample's mode coefficients, read from the sine columns
     of `basis`, the `adjoint_basis(prob, couplings)` that is solved here
     when it is not given; rho = alpha1 psi1 + alpha2 psi2 takes the
-    couplings' alphas.
+    couplings' alphas.  tables are the `weight_tables(prob, weights)`,
+    made here when not given.
     """
     rng = rng or np.random.default_rng(0)
     if basis is None:
@@ -527,13 +540,13 @@ def empirical_observability(prob, weights: CarlemanWeights, couplings,
     psi = basis.psi[:, :SINE_MODES]
     rho = alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1]
     lhs, rhs = _observability_forms(prob, weights,
-                                    basis.phi[:, :SINE_MODES], rho)
+                                    basis.phi[:, :SINE_MODES], rho, tables)
     coef = _damped(rng.standard_normal((samples, SINE_MODES)))
     return _ratio_report(coef, lhs, rhs, weights)
 
 
-def _carleman_weights(prob, weights: CarlemanWeights) -> tuple:
-    """The Carleman weights of `empirical_carleman`, exponentiated once.
+def weight_tables(prob, weights: CarlemanWeights) -> tuple:
+    """The weights of both samplers' forms, exponentiated once.
 
     Returns (w0, wf, w_src, w_obs): the zero-order weight
     e^{2s(A-Aref)} (s lam zeta)^2; the gradient weight at faces, with
@@ -564,6 +577,23 @@ def _carleman_weights(prob, weights: CarlemanWeights) -> tuple:
             _exp_weight(log_obs) * prob.indicator("O")[None, :])
 
 
+def log_observation_peak(prob, weights: CarlemanWeights) -> float:
+    """log of the largest term dt w_j w_obs of the observation weight's
+    mass (see `_observability_forms`): over O on levels 1..M, from the
+    log tables with no exponential; -inf when O holds no finite term.
+    Below log(tiny) that mass is 0 or subnormal."""
+    on = prob.indicator("O") > 0
+    fin = np.isfinite(weights.tau[1:])
+    log_z = (np.log(weights.tau[1:][fin])[:, None]
+             + weights.lam * (weights.psi_inf + weights.psi[on]))
+    log_w = (2 * weights.s * (weights.A[1:][fin][:, on]
+                              - weights.A_reference())
+             + 8 * (np.log(weights.s * weights.lam) + log_z))
+    terms = (np.minimum(log_w, 700.0)
+             + np.log(prob.mesh.dt * prob.grid.cell_volumes[on]))
+    return float(np.max(terms)) if terms.size else -np.inf
+
+
 def _gamma_bands(prob, w0: np.ndarray, wf: np.ndarray) -> np.ndarray:
     """Bands (M, 3, N-1) of the Gamma form on levels 1..M.
 
@@ -583,13 +613,16 @@ def _gamma_bands(prob, w0: np.ndarray, wf: np.ndarray) -> np.ndarray:
 
 
 def _carleman_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
-                     psi: np.ndarray) -> tuple:
+                     psi: np.ndarray, tables=None) -> tuple:
     """(lhs, rhs, source) Gram matrices of the Carleman ratio, for full
     adjoint solutions in the column layout of `adjoint_basis`: phi
     (M+1, k, N-1) and psi (M+1, k, 2, N-1).  source is the part of rhs
-    that the source slots contribute."""
+    that the source slots contribute.  tables are the
+    `weight_tables(prob, weights)`, made here when not given."""
     grid, mesh = prob.grid, prob.mesh
-    w0, wf, w_src, w_obs = _carleman_weights(prob, weights)
+    if tables is None:
+        tables = weight_tables(prob, weights)
+    w0, wf, w_src, w_obs = tables
     gamma = _gamma_bands(prob, w0, wf)
     lhs = sum(_gram(u, gamma) for u in (phi, psi[:, :, 0], psi[:, :, 1]))
     dtw = mesh.dt * grid.interior_volumes
@@ -607,14 +640,15 @@ def _carleman_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
 def empirical_carleman(prob, weights: CarlemanWeights, couplings,
                        samples: int = 10,
                        rng: np.random.Generator | None = None,
-                       basis=None) -> dict:
+                       basis=None, tables=None) -> dict:
     """Sampled ratio of the Carleman inequality for the adjoint system.
 
     Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
     both evaluated with the common normalization e^{-2 s Aref}.  Each
     ratio is a quotient of two Gram forms in the sample's coefficients,
     read from every column of `basis`, the `adjoint_basis(prob,
-    couplings)` that is solved here when it is not given.  The report's
+    couplings)` that is solved here when it is not given, with the
+    `weight_tables(prob, weights)` in tables, likewise.  The report's
     "source_share" is the largest share of the source term in a
     sample's right-hand side; the observation term dominates it unless
     O is small.
@@ -622,7 +656,8 @@ def empirical_carleman(prob, weights: CarlemanWeights, couplings,
     rng = rng or np.random.default_rng(0)
     if basis is None:
         basis = adjoint_basis(prob, couplings)
-    lhs, rhs, source = _carleman_forms(prob, weights, basis.phi, basis.psi)
+    lhs, rhs, source = _carleman_forms(prob, weights, basis.phi, basis.psi,
+                                       tables)
     # per sample: the terminal normals, then three per source slot
     coef = rng.standard_normal((samples, len(rhs)))
     coef[:, :SINE_MODES] = _damped(coef[:, :SINE_MODES])

@@ -22,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from .carleman import (CarlemanParams, CarlemanWeights, adjoint_basis,
-                       empirical_carleman, empirical_observability)
+                       empirical_carleman, empirical_observability,
+                       log_observation_peak, weight_tables)
 from .geometry import (ControlGeometry, DegeneracySpec, GradientWeightSpec,
                        MovingDomainSpec)
 from .grids import SpatialGrid, TimeMesh
@@ -57,6 +58,8 @@ KINDS = ("forward", "nash", "convexity", "observability", "linear-control",
 # each study runs in place of its kind's experiment, and only with that kind
 STUDIES = {"mms-convergence": "diagnostics"}
 WINDOWS = ("O", "O1", "O2", "Od")
+# below this a mass of positive terms is 0 or subnormal
+_LOG_TINY = math.log(np.finfo(float).tiny)
 
 _DEFAULTS = {
     "schema_version": SCHEMA_VERSION,
@@ -267,8 +270,6 @@ def _build_run(cfg: dict) -> tuple:
             return None
 
     g, grid, game = cfg["geometry"], cfg["grid"], cfg["game"]
-    if g["l0"] < 1.0:
-        issues.append("geometry.l0: domain scale must satisfy l(t) >= 1")
     deg = build("geometry", DegeneracySpec, g["alpha"])
     gw = build("geometry", GradientWeightSpec, g["b_exp"])
     dom = build("geometry", lambda: MovingDomainSpec(
@@ -283,8 +284,17 @@ def _build_run(cfg: dict) -> tuple:
     nodes = mesh = None
     if not grid_issues:
         nodes = build("grid", SpatialGrid, grid["N"], grid["gamma"])
-        if dom is not None:
+    if dom is not None:
+        if 8 <= grid["M"] <= 4096:
             mesh = TimeMesh(grid["M"], g["T"])
+        # the paper's l(t) >= 1, over the mesh times (l0 without a mesh)
+        times = mesh.times if mesh is not None else np.zeros(1)
+        ell = dom.ell(times)
+        least = int(np.argmin(ell))
+        if ell[least] < 1.0:
+            issues.append(f"geometry: l(t) must be at least 1 on [0,T]; "
+                          f"its least value is {ell[least]:.6g}, at "
+                          f"t = {times[least]:.6g}")
     wins = game["windows"]
     window_issues = [f"game.windows.{name}: must satisfy 0 < a < b < 1"
                      for name in WINDOWS
@@ -307,10 +317,16 @@ def _build_run(cfg: dict) -> tuple:
     if None not in (params, deg, nodes, mesh):
         weights = build("carleman.lam", CarlemanWeights, params, deg, nodes,
                         mesh)
+    exp = cfg["experiment"]
+    if exp["kind"] == "observability" and None not in (prob, weights):
+        peak = log_observation_peak(prob, weights)
+        if peak < _LOG_TINY:
+            issues.append(f"carleman.m_floor: the observation weight has no "
+                          f"mass on O at this grid (its largest term is "
+                          f"e^{peak:.4g})")
     spec = build("game", GameSpec, alpha1=game["alpha1"],
                  alpha2=game["alpha2"], mu1=game["mu1"], mu2=game["mu2"],
                  jacobian_weighting=game["jacobian_weighting"])
-    exp = cfg["experiment"]
     if spec is not None:
         for mu in exp["mu_grid"]:
             build("experiment.mu_grid", replace, spec, mu1=float(mu),
@@ -535,13 +551,14 @@ def _run_convexity(cfg, prob, weights, game, out, rng, outputs):
 
 def _run_observability(cfg, prob, weights, game, out, rng, outputs):
     n = cfg["experiment"]["samples"]
-    # one block solve serves both samplers
+    # one block solve and one set of weight tables serve both samplers
     couplings = game.couplings(prob)
-    basis = adjoint_basis(prob, couplings)
+    shared = {"basis": adjoint_basis(prob, couplings),
+              "tables": weight_tables(prob, weights)}
     obs = empirical_observability(prob, weights, couplings, samples=n,
-                                  rng=rng, basis=basis)
+                                  rng=rng, **shared)
     car = empirical_carleman(prob, weights, couplings, samples=n, rng=rng,
-                             basis=basis)
+                             **shared)
     _write_csv(out / "ratios.csv", "observability,carleman",
                np.column_stack([obs["ratios"], car["ratios"]]))
     outputs.append("ratios.csv")

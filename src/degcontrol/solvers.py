@@ -50,6 +50,8 @@ __all__ = [
     "solve_backward_linear",
     "solve_linearized_coupled",
     "solve_adjoint_coupled",
+    "sweep_adjoint",
+    "march_followers",
     "Couplings",
     "LinearizedSolution",
     "AdjointBlock",
@@ -512,6 +514,117 @@ class AdjointBlock:
     history: list
 
 
+_ADJOINT = "adjoint forward-backward coupling"
+
+
+def _span(coupling: np.ndarray) -> slice:
+    """The interior nodes, first to last, at which the coupling
+    (M+1, N-1) is nonzero on some level; it is zero off them."""
+    nodes = np.flatnonzero(np.any(coupling != 0.0, axis=0))
+    return slice(nodes[0], nodes[-1] + 1) if nodes.size else slice(0, 0)
+
+
+def _levels(src, levels: slice):
+    """A column source (cols, rows) restricted to the levels; None stays."""
+    return None if src is None else (src[0], src[1][levels])
+
+
+def _coupled_source(out: np.ndarray, src, coupling: np.ndarray,
+                    span: slice, x: np.ndarray, dt: float) -> None:
+    """out = dt (f + coupling x), with the coupling applied on its span.
+
+    out, x: (L, k, N-1); coupling: its values on the span, (L, 1, width).
+    src is None or (cols, f), f (L, len(cols), N-1) the source f of the
+    columns cols, a slice; the other columns have none.  Off the span
+    out is dt f, the bits of dt (f + 0 x) for finite x.
+    """
+    if src is None:
+        out.fill(0.0)
+    else:
+        cols, f = src
+        out[:, :cols.start] = 0.0
+        out[:, cols.stop:] = 0.0
+        np.multiply(f, dt, out=out[:, cols])
+    on = out[..., span]
+    np.multiply(x[..., span], coupling, out=on)
+    if src is not None:
+        np.add(f[..., span], on[:, cols], out=on[:, cols])
+    np.multiply(on, dt, out=on)
+
+
+def sweep_adjoint(prob: CylinderProblem, phi: np.ndarray,
+                  couplings: Couplings, f0=None, f_rho=None) -> list:
+    """Sweeps phi and rho = alpha1 psi1 + alpha2 psi2 of the coupled
+    adjoint system (see `solve_adjoint_coupled`) until the largest update
+    of rho is at most _SWEEP_TOL; returns the history of updates.
+
+    phi: (M+1, k, N-1), each phi[m] C-contiguous, holding the terminal
+    rows at level M; it is solved in place.  f0 and f_rho, the sources of
+    phi and rho, are None or (cols, rows): rows (M+1, len(cols), N-1) in
+    march layout, the source of the columns cols (a slice), and the
+    other columns have none.  Each sweep marches phi backward from
+    f0 + wt 1_Od rho, then rho forward from f_rho - c_rho phi, with
+    c_rho = alpha1 control_1 + alpha2 control_2; each coupling is applied
+    on the nodes of its windows only.  Raises SweepFailureError if that
+    takes more than _MAX_SWEEPS, or as soon as an update is not finite.
+    """
+    ops = prob.linearized_ops()
+    M, dt = prob.mesh.M, prob.mesh.dt
+    observed = _interior(couplings.observed)
+    control = _interior(couplings.control)
+    c_rho = couplings.alphas[0] * control[0] + couplings.alphas[1] * control[1]
+    obs_span, rho_span = _span(observed), _span(c_rho)
+    # levels 0..M-1 of the phi source, 1..M of rho's; rho's coupling is
+    # negated, as f + (-c) x is the same bits as f - c x
+    obs = observed[:M, None, obs_span]
+    neg_c_rho = -c_rho[1:, None, rho_span]
+    f0, f_rho = _levels(f0, slice(None, M)), _levels(f_rho, slice(1, None))
+    # the current rho and the one marched next; level 0 stays 0
+    cur, nxt = np.zeros(phi.shape), np.zeros(phi.shape)
+    history = []
+    for _ in range(_MAX_SWEEPS):
+        _coupled_source(phi[:M], f0, obs, obs_span, cur[:M], dt)
+        ops.march_adjoint(phi, M - 1)
+        _coupled_source(nxt[1:], f_rho, neg_c_rho, rho_span, phi[1:], dt)
+        ops.march(nxt)
+        # the update, in the old iterate's array; np.max propagates a NaN
+        np.subtract(cur, nxt, out=cur)
+        history.append(float(np.max(np.abs(cur, out=cur))))
+        if not np.isfinite(history[-1]):
+            raise SweepFailureError(history, _ADJOINT)
+        cur, nxt = nxt, cur
+        if history[-1] <= _SWEEP_TOL:
+            return history
+    raise SweepFailureError(history, _ADJOINT)
+
+
+def march_followers(prob: CylinderProblem, phi: np.ndarray,
+                    couplings: Couplings, history: list, f1=None,
+                    f2=None) -> AdjointBlock:
+    """The AdjointBlock of the swept phi: psi_i marched from
+    F_i - control_i phi, psi1 and psi2 as the two halves of one march.
+
+    phi (M+1, k, N-1) and history are those of `sweep_adjoint`, and
+    f1, f2 the followers' sources in its (cols, rows) form.  Raises
+    SweepFailureError, with NaN appended to history, if phi^0 or a
+    follower is not finite: no rho update sees them.
+    """
+    M, dt = prob.mesh.M, prob.mesh.dt
+    k, n = phi.shape[1:]
+    psi = np.zeros((M + 1, 2, k, n))
+    control = _interior(couplings.control)
+    for i, fi in enumerate((f1, f2)):
+        span = _span(control[i])
+        _coupled_source(psi[1:, i], _levels(fi, slice(1, None)),
+                        -control[i, 1:, None, span], span, phi[1:], dt)
+    prob.linearized_ops().march(psi.reshape(M + 1, 2 * k, n))
+    psi = psi.transpose(0, 2, 1, 3)
+    if not (np.all(np.isfinite(phi[0])) and np.all(np.isfinite(psi))):
+        history.append(float("nan"))
+        raise SweepFailureError(history, _ADJOINT)
+    return AdjointBlock(phi=phi, psi=psi, history=history)
+
+
 def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
                           couplings: Couplings, Fsrc=None, F1=None, F2=None
                           ) -> AdjointBlock:
@@ -524,87 +637,37 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     rho = alpha1 psi1 + alpha2 psi2, the solution of the same forward
     equation with source alpha1 F1 + alpha2 F2 and coupling c_rho =
     alpha1 control_1 + alpha2 control_2 (a follower whose alpha is 0
-    drops out of both).  Each sweep marches phi backward from
-    Fsrc + wt 1_Od rho, then rho forward; psi1 and psi2 then march once,
-    as the two halves of one march, from the converged phi.  phiT holds k
-    terminal rows (k, N+1), each source is None or an array (k, M+1, N+1),
-    and all k columns sweep in one solve per level until the largest
-    update of rho is at most _SWEEP_TOL.  Raises SweepFailureError if that
-    takes more than _MAX_SWEEPS, as soon as an update is not finite, or if phi^0
-    or a follower is not finite; the last history entry is then NaN.
+    drops out of both).  `sweep_adjoint` sweeps phi and rho, then
+    `march_followers` marches psi1 and psi2 once from the converged phi.
+    phiT holds k terminal rows (k, N+1), each source is None or an array
+    (k, M+1, N+1), and all k columns sweep in one solve per level until
+    the largest update of rho is at most _SWEEP_TOL.  Raises
+    SweepFailureError if that takes more than _MAX_SWEEPS, as soon as an
+    update is not finite, or if phi^0 or a follower is not finite; the
+    last history entry is then NaN.
     """
-    ops = prob.linearized_ops()
-    M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
+    M, n = prob.mesh.M, prob.grid.N - 1
     terminal = np.asarray(phiT, dtype=float)
     if terminal.ndim != 2 or terminal.shape[1] != n + 2:
         raise ValueError("phiT must be a block of terminal rows (k, N+1)")
     k = len(terminal)
 
-    def source(F):  # march layout (M+1, k, N-1); None gives a zero view
+    def source(F):  # (cols, rows) of all k columns in march layout
         if F is None:
-            return np.broadcast_to(0.0, (M + 1, k, n))
+            return None
         if np.shape(F) != (k, M + 1, n + 2):
             raise ValueError(f"sources must have shape {(k, M + 1, n + 2)}")
-        return _interior(np.asarray(F, dtype=float)).transpose(1, 0, 2)
+        return slice(0, k), _interior(np.asarray(F, dtype=float)).transpose(
+            1, 0, 2)
 
     f0, f1, f2 = source(Fsrc), source(F1), source(F2)
-    alphas = couplings.alphas
-    # the couplings as (M+1, 1, N-1), broadcast over the k columns
-    control = _interior(couplings.control)[:, :, None]
-    observed = _interior(couplings.observed)[:, None]
-    c_rho = alphas[0] * control[0] + alphas[1] * control[1]
-    what = "adjoint forward-backward coupling"
+    terms = [a * f[1] for a, f in zip(couplings.alphas, (f1, f2))
+             if a != 0.0 and f is not None]
+    f_rho = (slice(0, k), sum(terms)) if terms else None
     phi = np.zeros((M + 1, k, n))
     phi[M] = _interior(terminal)
-    # the two halves hold the current rho and the one marched next; psi1
-    # and psi2 are then marched in them
-    buf = np.zeros((M + 1, 2, k, n))
-    cur, nxt = buf[:, 0], buf[:, 1]
-    # rho's source alpha1 F1 + alpha2 F2 on levels 1..M, summed through
-    # nxt, which is free until the first sweep
-    f_rho = np.zeros((M, k, n))
-    for a, f, F in zip(alphas, (f1, f2), (F1, F2)):
-        if a != 0.0 and F is not None:
-            np.multiply(f[1:], a, out=nxt[1:])
-            np.add(f_rho, nxt[1:], out=f_rho)
-    history = []
-    for _ in range(_MAX_SWEEPS):
-        # phi source dt (f0 + wt 1_Od rho) on levels 0..M-1, built in the
-        # phi buffer; phi^M keeps the terminal row
-        s = phi[:M]
-        np.multiply(cur[:M], observed[:M], out=s)
-        np.add(f0[:M], s, out=s)
-        np.multiply(s, dt, out=s)
-        ops.march_adjoint(phi, M - 1)
-        # rho source dt (f_rho - c_rho phi) on levels 1..M; level 0 stays 0
-        s = nxt[1:]
-        np.multiply(phi[1:], c_rho[1:], out=s)
-        np.subtract(f_rho, s, out=s)
-        np.multiply(s, dt, out=s)
-        ops.march(nxt)
-        # the update, in the old iterate's buffer; np.max propagates a NaN
-        np.subtract(cur, nxt, out=cur)
-        history.append(float(np.max(np.abs(cur, out=cur))))
-        if not np.isfinite(history[-1]):
-            raise SweepFailureError(history, what)
-        cur, nxt = nxt, cur
-        if history[-1] <= _SWEEP_TOL:
-            break
-    else:
-        raise SweepFailureError(history, what)
-    # psi_i sources dt (F_i - control_i phi) on levels 1..M
-    for i, fi in enumerate((f1, f2)):
-        s = buf[1:, i]
-        np.multiply(phi[1:], control[i, 1:], out=s)
-        np.subtract(fi[1:], s, out=s)
-        np.multiply(s, dt, out=s)
-    ops.march(buf.reshape(M + 1, 2 * k, n))
-    psi = buf.transpose(0, 2, 1, 3)
-    # no rho update sees phi^0 or the followers
-    if not (np.all(np.isfinite(phi[0])) and np.all(np.isfinite(psi))):
-        history.append(float("nan"))
-        raise SweepFailureError(history, what)
-    return AdjointBlock(phi=phi, psi=psi, history=history)
+    history = sweep_adjoint(prob, phi, couplings, f0, f_rho)
+    return march_followers(prob, phi, couplings, history, f1, f2)
 
 
 # -- energy diagnostics --------------------------------------------------

@@ -12,13 +12,11 @@ from degcontrol.carleman import (
     CarlemanWeights,
     PsiFunction,
     adjoint_basis,
-    build_psi,
     empirical_carleman,
     empirical_observability,
     eval_time_weights,
 )
 from degcontrol.geometry import DegeneracySpec
-from degcontrol.grids import SpatialGrid, TimeMesh
 from degcontrol.nash import GameSpec
 from degcontrol.solvers import CylinderProblem, solve_adjoint_coupled
 
@@ -29,14 +27,14 @@ from conftest import rel_gap
 class TestPsi:
     def test_left_branch_closed_form(self):
         # for x < alpha_p: Psi(x) = x^{2-alpha}/(2-alpha)
-        psi = build_psi(CarlemanParams(), DegeneracySpec(alpha=0.5))
+        psi = PsiFunction(CarlemanParams(), DegeneracySpec(alpha=0.5))
         assert psi(0.04) == pytest.approx(0.04**1.5 / 1.5, rel=1e-12)
 
     def test_right_branch_closed_form(self):
         # for x > beta_p: Psi decreases like the mirrored primitive,
         # anchored so Psi(beta_p) matches the bridge
         params = CarlemanParams()
-        psi = build_psi(params, DegeneracySpec(alpha=0.5))
+        psi = PsiFunction(params, DegeneracySpec(alpha=0.5))
         x = np.array([0.5, 0.7, 0.9])
         vals = psi(x)
         assert np.all(np.diff(vals) < 0)
@@ -44,7 +42,7 @@ class TestPsi:
     def test_shape(self):
         # increasing up to the bridge, decreasing past it
         params = CarlemanParams()
-        psi = build_psi(params, DegeneracySpec(alpha=0.5))
+        psi = PsiFunction(params, DegeneracySpec(alpha=0.5))
         left = psi(np.linspace(1e-6, params.alpha_p, 101))
         right = psi(np.linspace(params.beta_p, 1.0, 101))
         assert np.all(np.diff(left) > 0)
@@ -56,7 +54,7 @@ class TestPsi:
         # analytic branch derivatives at both joints
         params = CarlemanParams()
         deg = DegeneracySpec(alpha=0.5)
-        psi = build_psi(params, deg)
+        psi = PsiFunction(params, deg)
         al, be = params.alpha_p, params.beta_p
         d1, d2 = psi.bridge_derivatives(np.array([al, be]))
         # left branch: Psi' = x^{1-alpha}, Psi'' = (1-alpha)x^{-alpha}
@@ -303,7 +301,7 @@ class TestGramForms:
         prob, w = w32
         grid, mesh = prob.grid, prob.mesh
         gamma, _, observation = _reference_forms(prob, w)
-        w0, wf, _, w_obs = carleman._carleman_weights(prob, w)
+        w0, wf, _, w_obs = carleman.weight_tables(prob, w)
         rng = np.random.default_rng(4)
         cols = rng.standard_normal((mesh.M + 1, 5, grid.N - 1))
         g_gamma = carleman._gram(cols, carleman._gamma_bands(prob, w0, wf))
@@ -318,6 +316,19 @@ class TestGramForms:
 
 class TestGramSampling:
     """Gram-form sampling gives the per-sample ratios and rng stream."""
+
+    def test_skipped_sample_keeps_its_row(self, w32):
+        # a sample whose right-hand form is 0 is skipped: its ratio is NaN
+        # in its own row, and the maximum is over the samples kept
+        w = w32[1]
+        coef, lhs = np.eye(3), np.diag([2.0, 3.0, 4.0])
+        rep = carleman._ratio_report(coef, lhs, np.diag([1.0, 0.0, 2.0]), w)
+        assert len(rep["ratios"]) == 3 and np.isnan(rep["ratios"][1])
+        assert (rep["ratios"][0], rep["ratios"][2]) == (2.0, 2.0)
+        assert (rep["skipped"], rep["max_ratio"]) == (1, 2.0)
+        rep = carleman._ratio_report(coef, lhs, np.zeros((3, 3)), w)
+        assert np.all(np.isnan(rep["ratios"])) and len(rep["ratios"]) == 3
+        assert rep["skipped"] == 3 and np.isnan(rep["max_ratio"])
 
     def test_ratios_match_per_sample_reference(self, w32):
         prob, w = w32
@@ -383,6 +394,57 @@ class TestGramSampling:
         assert 0.0 < car["source_share"] < 1e-4
 
 
+def _fourteen_column_block(prob, couplings):
+    """The basis as one `solve_adjoint_coupled` block of every column:
+    the sine terminals, then each slot's source modes, zero-padded."""
+    grid = prob.grid
+    modes = carleman._source_modes(grid, prob.mesh)
+    q, s0 = len(modes), carleman.SINE_MODES
+    k = s0 + len(carleman.SOURCE_SLOTS) * q
+    phiT = np.zeros((k, grid.N + 1))
+    phiT[:s0] = carleman._sine_modes(grid)
+    sources = {}
+    for i, slot in enumerate(carleman.SOURCE_SLOTS):
+        sources[slot] = np.zeros((k,) + modes.shape[1:])
+        sources[slot][s0 + i * q:s0 + (i + 1) * q] = modes
+    return solve_adjoint_coupled(prob, phiT, couplings, **sources)
+
+
+class TestBasisColumns:
+    """`adjoint_basis` sweeps the F1 and F2 slots as one scaled column
+    per mode, and its couplings on their windows only; it equals the
+    14-column block."""
+
+    @staticmethod
+    def _couplings(prob, alphas, jacobian_weighting):
+        game = GameSpec(mu1=2.0, mu2=3.0,
+                        jacobian_weighting=jacobian_weighting)
+        return replace(game.couplings(prob), alphas=alphas)
+
+    @pytest.mark.parametrize("jacobian_weighting", [True, False])
+    @pytest.mark.parametrize("alphas", [(1.0, 1.0), (2.0, 0.5), (1.0, 0.0)])
+    def test_bit_for_bit(self, w32, alphas, jacobian_weighting):
+        # the slot scales are 1, a power of 2 or 0, all exact
+        prob = w32[0]
+        c = self._couplings(prob, alphas, jacobian_weighting)
+        basis = adjoint_basis(prob, c)
+        ref = _fourteen_column_block(prob, c)
+        assert np.array_equal(basis.phi, ref.phi)
+        assert np.array_equal(basis.psi, ref.psi)
+        assert basis.history == ref.history
+
+    def test_scaled_slot_at_roundoff(self, w32):
+        prob = w32[0]
+        c = self._couplings(prob, (0.7, 0.3), True)
+        basis = adjoint_basis(prob, c)
+        ref = _fourteen_column_block(prob, c)
+        for got, want in ((basis.phi, ref.phi), (basis.psi, ref.psi)):
+            for j in range(got.shape[1]):
+                assert rel_gap(got[:, j], want[:, j]) <= 1e-13, j
+        assert len(basis.history) == len(ref.history)
+        np.testing.assert_allclose(basis.history, ref.history, rtol=1e-12)
+
+
 class TestSharedBasis:
     """Both samplers read one block solve, `adjoint_basis`."""
 
@@ -441,14 +503,15 @@ class TestSharedBasis:
             assert rel_gap(form, ref_form) <= 1e-9
 
     def test_observability_run_solves_once(self, tmp_path, monkeypatch):
+        # the basis makes the run's one block sweep, by `sweep_adjoint`
         calls = []
-        solve = solvers.solve_adjoint_coupled
+        sweep = solvers.sweep_adjoint
 
         def counted(*args, **kwargs):
             calls.append(1)
-            return solve(*args, **kwargs)
+            return sweep(*args, **kwargs)
 
-        monkeypatch.setattr(solvers, "solve_adjoint_coupled", counted)
+        monkeypatch.setattr(solvers, "sweep_adjoint", counted)
         path = tmp_path / "c.json"
         path.write_text(json.dumps({
             "grid": {"N": 16, "M": 16},

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from degcontrol import cli, harness, nullcontrol
@@ -76,6 +75,19 @@ class TestConfig:
         config = harness.ScenarioConfig.from_dict({"geometry": geometry})
         issues = harness.validate_config(config)
         assert any(word in s for s in issues)
+
+    @pytest.mark.parametrize("geometry, least", [
+        ({"k": -0.5}, "its least value is 0.5, at t = 1"),
+        ({"family": "exponential", "k": -0.2, "T": 2.0},
+         "its least value is 0.67032, at t = 2"),
+        ({"l0": 0.5, "k": 1.0}, "its least value is 0.5, at t = 0"),
+    ], ids=["affine", "exponential", "l0"])
+    def test_domain_scale_checked_over_the_run(self, geometry, least):
+        # the hypothesis l(t) >= 1 holds on the whole time mesh, not only
+        # at t = 0
+        issues = harness.validate_config({"geometry": geometry})
+        assert issues == ["geometry: l(t) must be at least 1 on [0,T]; "
+                          + least]
 
     @pytest.mark.parametrize("base, changed", [
         ({"l0": 1.0}, {"l0": 2.0}),
@@ -283,13 +295,17 @@ class TestCLI:
         ({"grid": {**_COARSE, "gamma": 60.0},
           "experiment": {"kind": "convexity"}},
          "game.windows: window O=(0.3, 0.5) holds no interior node"),
+        ({"grid": _COARSE, "geometry": {"k": -0.5}},
+         "geometry: l(t) must be at least 1 on [0,T]"),
+        ({"grid": _COARSE, "geometry": {"family": "exponential", "k": -0.1}},
+         "geometry: l(t) must be at least 1 on [0,T]"),
     ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
             "newton_max-zero",
             "newton_max-negative", "newton_max-float", "newton_tol",
             "tol_terminal", "gamma-400", "mu_grid-zero", "mu_grid-negative",
             *[f"lam-overflow-{kind}" for kind in harness.KINDS],
-            "window-without-node"])
+            "window-without-node", "ell-affine", "ell-exponential"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback
@@ -302,21 +318,25 @@ class TestCLI:
         assert f"error: {field}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_skipped_samples_keep_their_rows(self, tmp_path):
-        # with this floor the Carleman sampler skips every sample and the
-        # observability sampler keeps NaN ratios; ratios.csv holds one row
-        # per sample either way
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_massless_observation_weight_is_config_error(self, tmp_path,
+                                                         capsys, command):
+        # with this floor the observation weight underflows to 0 on O, so
+        # the observability ratio would divide by a zero mass
+        config = {"grid": _COARSE, "carleman": {"m_floor": 1e300},
+                  "experiment": {"kind": "observability", "samples": 2}}
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({
-            "grid": _COARSE, "carleman": {"m_floor": 1e300},
-            "experiment": {"kind": "observability", "samples": 2}}))
-        out = tmp_path / "out"
-        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
-        assert cli.main(["run", "--config", str(path),
-                         "--out", str(out)]) == cli.EXIT_OK
-        rows = np.loadtxt(out / "ratios.csv", delimiter=",", skiprows=1)
-        assert rows.shape == (2, 2)
-        assert np.all(np.isnan(rows[:, 1]))
+        path.write_text(json.dumps(config))
+        args = [command, "--config", str(path)]
+        if command == "run":
+            args += ["--out", str(tmp_path / "out")]
+        assert cli.main(args) == cli.EXIT_CONFIG
+        assert ("error: carleman.m_floor: the observation weight has no mass"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+        # the weight belongs to the observability run only
+        config["experiment"]["kind"] = "diagnostics"
+        assert harness.validate_config(config) == []
 
     def test_admissible_lambda_validates(self, tmp_path):
         path = tmp_path / "c.json"

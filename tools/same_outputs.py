@@ -44,6 +44,11 @@ CONFIGS = {
         "grid": {"N": 64, "M": 128},
         "experiment": {"kind": "observability", "samples": 50},
     },
+    "observability-alphas": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"alpha1": 0.7, "alpha2": 0.3},
+        "experiment": {"kind": "observability"},
+    },
     "observability-unweighted": {
         "grid": {"N": 32, "M": 64},
         "game": {"jacobian_weighting": False},
