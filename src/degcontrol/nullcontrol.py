@@ -18,19 +18,21 @@ The minimizer is found by assembling the (sparse, SPD) normal operator
 over the (3M+1)(N-1) space-time unknowns.  Its blocks are CSR matrices
 assembled row by row from the same level bands the marches use: each row
 (time level, node) is a short stencil in the column order of the blocks,
-with zero entries dropped.  The normal operator couples time level m
-only with levels m-1 and m+1, so with the unknowns numbered level by
-level (level_order) it is a band matrix of lower bandwidth 3(N-1)+1.  A
-shifted copy is factored by a banded Cholesky (LAPACK dpbtrf), which
-fills nothing outside the band and needs no fill-reducing ordering.  The
-shift sits at the roundoff floor of the factor, SHIFT = 1e-15; if dpbtrf
-meets a non-positive pivot the copy is factored again at 10x, 100x and
-1000x the shift, and HUMError is raised only when all four rungs fail.
-Iterative refinement against the unshifted operator, with one
-extended-precision CSR residual per step, solves it to near roundoff.  It
-stops at the first step that fails to halve the residual, or after
-REFINEMENT_STEPS steps, and keeps the best iterate: below the shift the
-residual reaches its floor within a step or two and then grows again.
+with zero entries dropped.  Their Gram products are summed into one CSR
+matrix, Jacobi-scaled in place on its data.  The normal operator couples
+time level m only with levels m-1 and m+1, so with the unknowns numbered
+level by level (level_order) it is a band matrix of lower bandwidth
+3(N-1)+1.  A shifted copy is factored by a banded Cholesky (LAPACK
+dpbtrf), which fills nothing outside the band and needs no
+fill-reducing ordering.  The shift sits at the roundoff floor of the
+factor, SHIFT = 1e-15; if dpbtrf meets a non-positive pivot the copy
+is factored again at 10x, 100x and 1000x the shift, and HUMError is
+raised only when all four rungs fail.
+One step of iterative refinement against the unshifted operator, with
+extended-precision CSR residuals, corrects the shifted solve, and the
+better of the two iterates is kept: the first correction cuts the
+residual by 1.5-28x, and a second one would cut it by only 1.03-1.45x,
+the floor of fixed-precision refinement with a perturbed factor.
 The controlled triple is read off the minimizer as
 
     y = rho0^-2 (L* phi - t1 psi1 - t2 psi2),
@@ -88,9 +90,6 @@ RECONSTRUCTION_LIMIT = 1e-6
 # SHIFT_RUNGS rungs in all: 1e-15, 1e-14, 1e-13 and 1e-12
 SHIFT = 1e-15
 SHIFT_RUNGS = 4
-# most refinement steps; refinement stops earlier at the first step that
-# fails to halve the residual
-REFINEMENT_STEPS = 10
 
 
 class HUMError(RuntimeError):
@@ -262,8 +261,8 @@ def level_order(M: int, n: int) -> np.ndarray:
                            np.arange(size, size + n)])
 
 
-def lower_band(A: sp.spmatrix, perm: np.ndarray) -> np.ndarray:
-    """LAPACK lower band storage of the symmetric A[perm][:, perm].
+def lower_band(A: sp.csr_matrix, perm: np.ndarray) -> np.ndarray:
+    """LAPACK lower band storage of the symmetric CSR A[perm][:, perm].
 
     Returns ab, Fortran-ordered, of shape (kd+1, size), with
     ab[i - j, j] = A[perm[i], perm[j]] for i >= j; the bandwidth kd is
@@ -271,12 +270,12 @@ def lower_band(A: sp.spmatrix, perm: np.ndarray) -> np.ndarray:
     """
     inv = np.empty_like(perm)
     inv[perm] = np.arange(perm.size)
-    coo = A.tocoo()
-    row, col = inv[coo.row], inv[coo.col]
+    row = np.repeat(inv, np.diff(A.indptr))
+    col = inv[A.indices]
     low = row >= col
     col, dist = col[low], row[low] - col[low]
     ab = np.zeros((dist.max() + 1, A.shape[0]), order="F")
-    ab[dist, col] = coo.data[low]
+    ab[dist, col] = A.data[low]
     return ab
 
 
@@ -339,15 +338,16 @@ class HUMSolver:
         W0 = sp.diags(dt * np.outer(self.rho0_inv2[1:], wv).ravel())
         W1 = sp.diags(dt * np.outer(self.rho1_inv2[1:], wv).ravel())
         B = (self.G0.T @ W0 @ self.G0 + self.G1.T @ W0 @ self.G1
-             + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E).tocsc()
+             + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E).tocsr()
+        B.sort_indices()
         # symmetric Jacobi scaling: the raw operator mixes rho scales over
-        # ten decades, which defeats a factorization in double precision
+        # ten decades, which defeats a factorization in double precision.
+        # Scaled in place, rows then columns: the bits of Dinv @ B @ Dinv
         self.scale = np.sqrt(B.diagonal())
-        Dinv = sp.diags(1.0 / self.scale)
-        self.Bs = (Dinv @ B @ Dinv).tocsc()
-        # only the scaled operator is read from here on; free the unscaled
-        # copy before the factorization, the memory peak of the build
-        del B
+        dinv = 1.0 / self.scale
+        B.data *= np.repeat(dinv, np.diff(B.indptr))
+        B.data *= dinv[B.indices]
+        self.Bs = B
         # the normal operator inherits the exponentially weak observability
         # of the continuous problem; factor a shifted copy and correct by
         # iterative refinement against the true matrix (the load is in the
@@ -366,9 +366,8 @@ class HUMSolver:
                 if self.rung == SHIFT_RUNGS - 1:
                     raise
             del ab  # free the failed band before the next rung builds one
-        # extended-precision copy for refinement residuals; CSR sums each
-        # row in the same order as the CSC product, at half its cost
-        self._Bld = self.Bs.astype(np.longdouble).tocsr()
+        # extended-precision copy for the refinement residuals
+        self._Bld = self.Bs.astype(np.longdouble)
         self._n, self._M = n, M
 
     def _rhs(self, y0: np.ndarray, H, H1, H2) -> np.ndarray:
@@ -398,25 +397,22 @@ class HUMSolver:
             z = np.zeros_like(f)
             rel_res = 0.0
         else:
-            # shifted factor corrected by refinement with extended-precision
-            # residuals; the residual that scores an iterate is the load
-            # of the next correction.  Past its floor the residual grows
-            # again, so refinement stops at the first step that fails to
-            # halve it, and the best iterate is kept
+            # shifted factor corrected once by refinement with
+            # extended-precision residuals; a second correction would gain
+            # at most 1.45x (README), so the better of the two iterates is
+            # kept
             fld = fs.astype(np.longdouble)
-            zl = self.lu.solve(fs).astype(np.longdouble)
+            first = self.lu.solve(fs)
+            zl = first.astype(np.longdouble)
             rl = fld - self._Bld @ zl
             history.append(np.linalg.norm(rl.astype(float)))
-            best, best_res = zl.astype(float), history[0]
-            for _ in range(REFINEMENT_STEPS):
-                zl = zl + self.lu.solve(rl.astype(float))
-                rl = fld - self._Bld @ zl
-                r = np.linalg.norm(rl.astype(float))
-                history.append(r)
-                if r < best_res:
-                    best, best_res = zl.astype(float), r
-                if not r < 0.5 * history[-2]:
-                    break
+            zl += self.lu.solve(rl.astype(float))
+            rl = fld - self._Bld @ zl
+            history.append(np.linalg.norm(rl.astype(float)))
+            if history[1] < history[0]:
+                best, best_res = zl.astype(float), history[1]
+            else:
+                best, best_res = first, history[0]
             rel_res = float(best_res / fnorm)
             if rel_res > RESIDUAL_LIMIT:
                 raise RefinementError(rel_res)

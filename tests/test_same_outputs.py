@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,8 @@ def test_differing_files_state_their_drift(tmp_path):
     assert tool.drift(a / "state.csv", b / "state.csv") == pytest.approx(
         0.002 / 4.002, rel=1e-12)
     assert tool.describe(a, b) == [
-        "state.csv (largest relative difference 5.0e-04)"]
+        "state.csv (largest relative difference 5.0e-04, 5.0e-04 of the "
+        "parent's scale)"]
     # the report's numbers are compared too, and a count that differs
     # cannot be paired
     c = _outputs(tmp_path / "c", {"report": {"x": [1.0, 2.0, 3.0]}},
@@ -76,3 +78,26 @@ def test_checkout_matches_itself():
     assert lines[-1] == "4 of 4 configs identical"
     assert all(": identical (exit 0; " in line for line in lines[:-1])
     assert "leader.csv" in lines[0]
+
+
+def test_scaled_drift_sets_moves_against_the_parents_scale(tmp_path):
+    tool = _tool()
+    header = "t,x0,x1\n"
+    a = _outputs(tmp_path / "a", {}, header + "0,1e-3,2\n1,0,3\n")
+    # a value that leaves zero is a relative difference of 1; against the
+    # largest value of the columns that moved, 3 (t never moves), the
+    # drift is the largest difference, 3e-3, over 3
+    b = _outputs(tmp_path / "b", {}, header + "0,1e-3,2.003\n1,1e-20,3\n")
+    assert tool.drift(a / "state.csv", b / "state.csv") == 1.0
+    assert tool.scaled_drift(a / "state.csv", b / "state.csv") == (
+        pytest.approx(1e-3, rel=1e-9))
+    assert tool.describe(a, b) == [
+        "state.csv (largest relative difference 1.0e+00, 1.0e-03 of the "
+        "parent's scale)"]
+    assert tool.scaled_drift(a / "state.csv", a / "state.csv") == 0.0
+    # files whose columns cannot be paired, or that disagree on whether a
+    # number is finite, have no finite drift
+    c = _outputs(tmp_path / "c", {}, "t,x0\n0,1e-3\n1,0\n")
+    d = _outputs(tmp_path / "d", {}, header + "0,1e-3,2\n1,0,inf\n")
+    assert tool.scaled_drift(a / "state.csv", c / "state.csv") == math.inf
+    assert tool.scaled_drift(a / "state.csv", d / "state.csv") == math.inf

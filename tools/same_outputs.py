@@ -12,8 +12,12 @@ config the exit codes, the output file names, report.json without its
 config says `identical` or names what differs; a run that writes no
 report.json counts as a difference.  Each file that differs is followed
 by the largest relative difference of its numbers, position by position
-(`inf` when the two files do not hold as many numbers).  Exits 1 on any
-difference, 0 when every config is identical.
+(`inf` when the two files do not hold as many numbers).  A CSV adds its
+drift on the parent's scale: the largest difference divided by the
+largest magnitude in the parent's columns that moved, so that a value
+near zero does not make a small move look large, and a column that never
+moves, such as the time `t`, sets no scale.  Exits 1 on any difference,
+0 when every config is identical.
 
 --grid overrides every config's grid (a quick run); --configs picks a
 subset of CONFIGS.
@@ -177,35 +181,77 @@ def _numbers(path: Path) -> list:
 
         walk(json.loads(_report_text(path)))
         return numbers
-    for token in path.read_text().replace("\n", ",").split(","):
+    return [x for row in _rows(path) for x in row]
+
+
+def _rows(path: Path) -> list:
+    """The rows of a CSV as lists of numbers, without its header."""
+    rows = []
+    for line in path.read_text().splitlines():
         try:
-            numbers.append(float(token))
-        except ValueError:  # a header name
+            rows.append([float(token) for token in line.split(",")])
+        except ValueError:  # the header
             pass
-    return numbers
+    return rows
 
 
-def drift(a: Path, b: Path) -> float:
-    """Largest |x - y| / max(|x|, |y|) over the numbers of two files, pair
-    by pair; inf when their counts differ or one number is not finite
-    where the other is (two NaNs count as equal)."""
-    xs, ys = _numbers(a), _numbers(b)
+def _moved(xs: list, ys: list) -> list | None:
+    """The pairs (x, y) of two equally long number lists that differ;
+    None when the lists cannot be paired: their lengths differ, or one
+    number is not finite where the other is (two NaNs count as equal)."""
     if len(xs) != len(ys):
-        return math.inf
-    worst = 0.0
+        return None
+    pairs = []
     for x, y in zip(xs, ys):
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         if not (math.isfinite(x) and math.isfinite(y)):
+            return None
+        pairs.append((x, y))
+    return pairs
+
+
+def drift(a: Path, b: Path) -> float:
+    """Largest |x - y| / max(|x|, |y|) over the numbers of two files, pair
+    by pair; inf when they cannot be paired (see `_moved`)."""
+    pairs = _moved(_numbers(a), _numbers(b))
+    if pairs is None:
+        return math.inf
+    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs),
+               default=0.0)
+
+
+def scaled_drift(a: Path, b: Path) -> float:
+    """Largest |x - y| over two CSVs, divided by the largest finite |x| of
+    a, the parent, in the columns where some number moved; inf when the
+    files cannot be paired column by column (see `_moved`)."""
+    cols_a, cols_b = (list(zip(*_rows(path))) for path in (a, b))
+    if len(cols_a) != len(cols_b):
+        return math.inf
+    worst = scale = 0.0
+    for xs, ys in zip(cols_a, cols_b):
+        pairs = _moved(xs, ys)
+        if pairs is None:
             return math.inf
-        worst = max(worst, abs(x - y) / max(abs(x), abs(y)))
-    return worst
+        if pairs:
+            worst = max(worst, max(abs(x - y) for x, y in pairs))
+            scale = max(scale, max(abs(x) for x in xs if math.isfinite(x)))
+    if worst == 0.0:
+        return 0.0
+    return worst / scale if scale > 0.0 else math.inf
+
+
+def _drift_note(a: Path, b: Path) -> str:
+    note = f"largest relative difference {drift(a, b):.1e}"
+    if a.suffix == ".csv":
+        note += f", {scaled_drift(a, b):.1e} of the parent's scale"
+    return note
 
 
 def describe(a: Path, b: Path) -> list:
-    """`compare(a, b)`, with each differing file's `drift`."""
-    return [f"{name} (largest relative difference "
-            f"{drift(a / name, b / name):.1e})"
+    """`compare(a, b)`, with each differing file's `drift`, and for a CSV
+    its `scaled_drift`."""
+    return [f"{name} ({_drift_note(a / name, b / name)})"
             if (a / name).is_file() and (b / name).is_file() else name
             for name in compare(a, b)]
 
