@@ -14,7 +14,7 @@ import numpy as np
 
 from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.nash import GameSpec, make_default_targets
-from degcontrol.nullcontrol import HUMSolver, LinearControlProblem
+from degcontrol.nullcontrol import HUMSolver
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import CylinderProblem, dump_trajectory_csv
 
@@ -33,7 +33,6 @@ print("assembling and factorizing the HUM operator ...")
 hum = HUMSolver(prob, weights, game)
 triple = hum.solve(y0)
 
-lcp = LinearControlProblem(prob, weights, game, y0)
 print(f"|y0|            = {prob.grid.norm(y0):.6f}")
 print(f"|y(T)|          = {triple.terminal_norm:.3e}")
 print(f"kappa0          = {triple.kappa0:.4g}")

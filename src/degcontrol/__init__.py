@@ -26,8 +26,7 @@ _SOURCES = {
                 "solve_adjoint_coupled"),
     "carleman": ("CarlemanParams", "CarlemanWeights"),
     "nash": ("GameSpec", "NashSolution", "nash_fixed_point"),
-    "nullcontrol": ("LinearControlProblem", "ControlledTriple",
-                    "solve_linear_null_control",
+    "nullcontrol": ("HUMSolver", "ControlledTriple",
                     "solve_nonlinear_null_control"),
     "harness": ("ScenarioConfig", "preset", "run_scenario",
                 "validate_config"),

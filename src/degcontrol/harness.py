@@ -30,8 +30,7 @@ from .grids import SpatialGrid, TimeMesh
 from .nash import (GameSpec, convexity_margin, evaluate_functional,
                    fit_mu_star, functional_gradient, make_default_targets,
                    nash_fixed_point)
-from .nullcontrol import (HUMSolver, LinearControlProblem, NewtonFailureError,
-                          solve_linear_null_control,
+from .nullcontrol import (HUMSolver, NewtonFailureError,
                           solve_nonlinear_null_control,
                           verify_additional_estimates)
 from .semilinear import SemilinearF
@@ -573,11 +572,9 @@ def _run_observability(cfg, prob, weights, game, out, rng, outputs):
 
 def _run_linear_control(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
-    lcp = LinearControlProblem(prob, weights, game, y0)
+    triple = HUMSolver(prob, weights, game).solve(y0)
+    est = verify_additional_estimates(prob, weights, triple)
     limit = cfg["experiment"]["budget_limit"]
-    triple = solve_linear_null_control(
-        lcp, budget_limit=np.inf if limit is None else float(limit))
-    est = verify_additional_estimates(lcp, triple)
     dump_trajectory_csv(triple.y, out / "state.csv")
     dump_trajectory_csv(triple.h, out / "leader.csv")
     outputs.extend(["state.csv", "leader.csv"])
@@ -585,7 +582,8 @@ def _run_linear_control(cfg, prob, weights, game, out, rng, outputs):
         "terminal_l2": triple.terminal_norm,
         "y0_l2": prob.grid.norm(y0),
         "budget_constant": triple.budget_constant,
-        "budget_exceeded": triple.budget_exceeded,
+        "budget_exceeded": (limit is not None
+                            and triple.budget_constant > limit),
         "kappa0": triple.kappa0,
         "reconstruction": triple.residuals,
         "additional_estimates": {k: est[k] for k in

@@ -38,6 +38,7 @@ from .solvers import (
     StepFailureError,
     SweepFailureError,
     _interior,
+    follower_adjoints,
     solve_backward_linear,
     solve_forward_linear,
     solve_forward_semilinear,
@@ -181,20 +182,12 @@ class NashSolution:
 
 def _follower_adjoints(prob: CylinderProblem, game: GameSpec,
                        y: TrajectoryField) -> np.ndarray:
-    """Both follower adjoints at the state y, shape (2, M+1, N+1).
-
-    p^i has the source tracking_i (y - y_id); the two march backward as
-    the two columns of one march, each equal to its own one-column march.
-    """
+    """Both follower adjoints at the state y, shape (2, M+1, N+1): the
+    `follower_adjoints` of the sources tracking_i (y - y_id)."""
     tracking = game.couplings(prob).tracking
     targets = game.targets(prob)
-    rows = np.stack([_interior(tracking[i] * (y.values - targets[i].values))
-                     for i in (0, 1)], axis=1)
-    rows *= prob.mesh.dt
-    prob.ops_at_state(y).march_adjoint(rows, prob.mesh.M)
-    p = np.zeros((2,) + y.values.shape)
-    p[:, :, 1:-1] = rows.transpose(1, 0, 2)
-    return p
+    return follower_adjoints(prob.ops_at_state(y), np.stack(
+        [tracking[i] * (y.values - targets[i].values) for i in (0, 1)]))
 
 
 # the Picard iteration on the followers' optimality system: the largest

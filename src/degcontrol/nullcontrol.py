@@ -33,7 +33,10 @@ extended-precision CSR residuals, corrects the shifted solve, and the
 better of the two iterates is kept: the first correction cuts the
 residual by 1.5-28x, and a second one would cut it by only 1.03-1.45x,
 the floor of fixed-precision refinement with a perturbed factor.
-The controlled triple is read off the minimizer as
+HUMSolver(prob, weights, game).solve(y0, load) is the linear control
+map: it takes the initial data y0 and the load (H, H1, H2), one array
+(3, M+1, N+1), to the controlled triple, which is read off the
+minimizer as
 
     y = rho0^-2 (L* phi - t1 psi1 - t2 psi2),
     p_i = rho0^-2 (L psi_i + c_i phi),    h = -rho1^-2 phi 1_O,
@@ -41,14 +44,17 @@ The controlled triple is read off the minimizer as
 and, by stationarity, satisfies the discrete linearized system exactly
 (the transposition argument made computational).  Each solve checks this
 by marching the system again with the recovered controls: y forward, and
-both follower adjoints backward as the two columns of one march.  The
+both follower adjoints backward as the two columns of one march
+(`solvers.follower_adjoints`, which the Nash layer marches too).  The
 rho tables are the normalized, capped ones from the carleman module; all
-fitted constants absorb the normalization.
+fitted constants absorb the normalization.  A budget limit is the
+caller's to compare with the triple's `budget_constant`.
 
 The semilinear problem is solved by the Liusternik/Newton iteration
 z_{k+1} = W(b - N(z_k)) with W the linear control solve (the right
 inverse of the map linearized at zero) and N the nonlinear remainder,
-whose parts that do not depend on z are computed once per loop.
+whose parts that do not depend on z are computed once per loop; -N is
+the load of the next solve.
 """
 
 from __future__ import annotations
@@ -63,10 +69,10 @@ from .carleman import CarlemanWeights
 from .grids import TrajectoryField
 from .nash import GameSpec
 from .operators import band_apply
-from .solvers import CylinderProblem, LevelOps, _interior, solve_forward_linear
+from .solvers import (CylinderProblem, LevelOps, _interior, follower_adjoints,
+                      solve_forward_linear)
 
 __all__ = [
-    "LinearControlProblem",
     "ControlledTriple",
     "HUMSolver",
     "BandCholesky",
@@ -74,7 +80,6 @@ __all__ = [
     "RefinementError",
     "NewtonFailureError",
     "h1a_norm",
-    "solve_linear_null_control",
     "verify_additional_estimates",
     "solve_nonlinear_null_control",
 ]
@@ -133,33 +138,6 @@ def h1a_norm(grid, deg, row: np.ndarray) -> float:
     return float(np.sqrt(grid.inner(row, row) + np.sum(a_face * grad**2 * h)))
 
 
-@dataclass
-class LinearControlProblem:
-    """Data of one Theorem-4 style linear control solve."""
-
-    prob: CylinderProblem
-    weights: CarlemanWeights
-    game: GameSpec
-    y0: np.ndarray
-    H: TrajectoryField | None = None
-    H1: TrajectoryField | None = None
-    H2: TrajectoryField | None = None
-
-    def kappa0(self) -> float:
-        """|rho2 H|^2 + |rho2 H1|^2 + |rho2 H2|^2 + |y0|^2 (normalized rho2)."""
-        total = self.prob.grid.inner(self.y0, self.y0)
-        r2 = self.weights.rho2_n
-        for f in (self.H, self.H1, self.H2):
-            if f is not None:
-                total += _weighted_l2q(self.prob, r2**2, f.values)
-        return float(total)
-
-    def kappa1(self) -> float:
-        """kappa0 with the initial trace measured in H^1_a instead of L^2."""
-        return (self.kappa0() - self.prob.grid.inner(self.y0, self.y0)
-                + h1a_norm(self.prob.grid, self.prob.deg, self.y0) ** 2)
-
-
 def _weighted_l2q(prob: CylinderProblem, tfactor: np.ndarray,
                   vals: np.ndarray) -> float:
     """sum_{n>=1} dt tfactor_n sum_j w_j vals_nj^2."""
@@ -168,9 +146,20 @@ def _weighted_l2q(prob: CylinderProblem, tfactor: np.ndarray,
                                           vals[1:] ** 2))
 
 
+def _kappa0(prob: CylinderProblem, weights: CarlemanWeights,
+            y0: np.ndarray, load: np.ndarray) -> float:
+    """|y0|^2 + |rho2 H|^2 + |rho2 H1|^2 + |rho2 H2|^2 (normalized rho2),
+    load = (H, H1, H2)."""
+    total = prob.grid.inner(y0, y0)
+    r2 = weights.rho2_n
+    for f in load:
+        total += _weighted_l2q(prob, r2**2, f)
+    return float(total)
+
+
 @dataclass
 class ControlledTriple:
-    """Output of a linear null-control solve."""
+    """Output of a linear null-control solve, `HUMSolver.solve`."""
 
     h: TrajectoryField
     y: TrajectoryField
@@ -182,7 +171,6 @@ class ControlledTriple:
     terminal_norm: float
     residuals: dict
     cg_info: dict
-    budget_exceeded: bool = False
 
 
 def _stencil_csr(cols: np.ndarray, vals: np.ndarray,
@@ -315,7 +303,8 @@ class HUMSolver:
     """Assembles and factorizes the variational operator once; solves many.
 
     The operator is built from the system linearized at zero, so the
-    frozen-at-zero Newton loop reuses a single factorization.
+    frozen-at-zero Newton loop reuses a single factorization.  `solve`
+    is the linear control map (y0, H, H1, H2) -> controlled triple.
     """
 
     def __init__(self, prob: CylinderProblem, weights: CarlemanWeights,
@@ -370,7 +359,7 @@ class HUMSolver:
         self._Bld = self.Bs.astype(np.longdouble)
         self._n, self._M = n, M
 
-    def _rhs(self, y0: np.ndarray, H, H1, H2) -> np.ndarray:
+    def _rhs(self, y0: np.ndarray, load: np.ndarray) -> np.ndarray:
         prob = self.prob
         M, n = self._M, self._n
         dt = prob.mesh.dt
@@ -378,18 +367,20 @@ class HUMSolver:
         off = (M + 1) * n  # phi block includes the free terminal datum
         f = np.zeros(off + 2 * M * n)
         fp = f[:M * n].reshape(M, n)
-        if H is not None:
-            fp += dt * wv[None, :] * _interior(H.values)[1:]
-        fp[0] += wv * _interior(np.asarray(y0, dtype=float))
-        for k, Hi in enumerate((H1, H2)):
-            if Hi is not None:
-                f[off + k * M * n:off + (k + 1) * M * n] += (
-                    dt * wv[None, :] * _interior(Hi.values)[1:]).ravel()
+        fp += dt * wv[None, :] * _interior(load[0])[1:]
+        fp[0] += wv * _interior(y0)
+        f[off:] += (dt * wv[None, :] * _interior(load[1:])[:, 1:]).ravel()
         return f
 
-    def solve(self, y0: np.ndarray, H=None, H1=None, H2=None,
-              budget_limit: float = float("inf")) -> ControlledTriple:
-        f = self._rhs(y0, H, H1, H2)
+    def solve(self, y0: np.ndarray,
+              load: np.ndarray | None = None) -> ControlledTriple:
+        """The controlled triple of the initial data y0 (N+1) and the
+        load (H, H1, H2) of the state and the two follower adjoints, one
+        array (3, M+1, N+1); None is a zero load."""
+        y0 = np.asarray(y0, dtype=float)
+        if load is None:
+            load = np.zeros((3, self._M + 1, self._n + 2))
+        f = self._rhs(y0, load)
         fs = f / self.scale
         fnorm = np.linalg.norm(fs)
         history = []
@@ -420,9 +411,8 @@ class HUMSolver:
         cg_info = {"relative_residual": rel_res, "iterations": 0,
                    "refinement_residuals": [float(r / fnorm)
                                             for r in history],
-                   "refinement_steps": max(len(history) - 1, 0),
                    "shift": self.shift, "rung": self.rung}
-        triple = self._reconstruct(z, y0, H, H1, H2, cg_info, budget_limit)
+        triple = self._reconstruct(z, y0, load, cg_info)
         worst = np.max(list(triple.residuals.values()))
         if not worst <= RECONSTRUCTION_LIMIT:
             raise HUMError(
@@ -430,8 +420,7 @@ class HUMSolver:
                 f"{RECONSTRUCTION_LIMIT:.1e}")
         return triple
 
-    def _reconstruct(self, z, y0, H, H1, H2, cg_info,
-                     budget_limit) -> ControlledTriple:
+    def _reconstruct(self, z, y0, load, cg_info) -> ControlledTriple:
         prob = self.prob
         M, n = self._M, self._n
         grid, mesh = prob.grid, prob.mesh
@@ -446,7 +435,7 @@ class HUMSolver:
         p1 = to_field(r0 * (self.G1 @ z).reshape(M, n))
         p2 = to_field(r0 * (self.G2 @ z).reshape(M, n))
         h = to_field(-self.rho1_inv2[1:, None] * (self.E @ z).reshape(M, n))
-        y.values[0] = np.asarray(y0, dtype=float)
+        y.values[0] = y0
         y.zero_boundary()
         # weighted budget with the normalized tables
         w = self.weights
@@ -456,76 +445,57 @@ class HUMSolver:
             "rho0_p2": _weighted_l2q(prob, w.rho0_n**2, p2.values),
             "rho1_h": _weighted_l2q(prob, w.rho1_n**2, h.values),
         }
-        kappa0 = LinearControlProblem(prob, w, self.game, np.asarray(y0, float),
-                                      H, H1, H2).kappa0()
+        kappa0 = _kappa0(prob, w, y0, load)
         total = sum(norms.values())
         budget_c = total / kappa0 if kappa0 > 0 else 0.0
         # consistency: re-solve the linearized system with the recovered
         # control and compare (stationarity made computational)
-        residuals = self._consistency(y, p1, p2, h, y0, H, H1, H2)
-        triple = ControlledTriple(
+        residuals = self._consistency(y, p1, p2, h, y0, load)
+        return ControlledTriple(
             h=h, y=y, p1=p1, p2=p2, weighted_norms=norms, kappa0=kappa0,
             budget_constant=budget_c,
             terminal_norm=grid.norm(y.values[-1]),
             residuals=residuals,
             cg_info=cg_info,
-            budget_exceeded=bool(budget_c > budget_limit),
         )
-        return triple
 
-    def _consistency(self, y, p1, p2, h, y0, H, H1, H2) -> dict:
+    def _consistency(self, y, p1, p2, h, y0, load) -> dict:
         prob = self.prob
         # the followers play v_i = -control_i p_i
         src = (_interior(h.values) * prob.indicator_interior("O")[None, :]
                + _interior(-self.control[0] * p1.values)
-               + _interior(-self.control[1] * p2.values))
-        if H is not None:
-            src = src + _interior(H.values)
+               + _interior(-self.control[1] * p2.values)
+               + _interior(load[0]))
         y_check = solve_forward_linear(self.ops, y0, src)
         scale = 1.0 + float(np.max(np.abs(y.values)))
         out = {"y": float(np.max(np.abs(y_check.values - y.values)) / scale)}
-        # p_i has the source tracking_i y + H_i; both march backward as the
-        # two columns of one march, each equal to its own one-column march
-        rows = np.empty((self._M + 1, 2, self._n))
-        for i, Hi in enumerate((H1, H2)):
-            rows[:, i] = _interior(self.tracking[i] * y.values)
-            if Hi is not None:
-                rows[:, i] += _interior(Hi.values)
-        rows *= prob.mesh.dt
-        self.ops.march_adjoint(rows, self._M)
-        for i, p in enumerate((p1, p2)):
-            pscale = 1.0 + float(np.max(np.abs(p.values)))
+        # p_i has the source tracking_i y + H_i
+        p = follower_adjoints(self.ops, self.tracking * y.values + load[1:])
+        for i, p_i in enumerate((p1, p2)):
+            pscale = 1.0 + float(np.max(np.abs(p_i.values)))
             # row 0 of p is not among the variational unknowns
             out[f"p{i + 1}"] = float(np.max(np.abs(
-                rows[1:, i] - _interior(p.values[1:]))) / pscale)
+                p[i, 1:] - p_i.values[1:])) / pscale)
         return out
 
 
-def solve_linear_null_control(lcp: LinearControlProblem,
-                              hum: HUMSolver | None = None,
-                              budget_limit: float = float("inf")) -> ControlledTriple:
-    """One-shot linear control solve (builds the operator if not given)."""
-    if hum is None:
-        hum = HUMSolver(lcp.prob, lcp.weights, lcp.game)
-    return hum.solve(lcp.y0, lcp.H, lcp.H1, lcp.H2, budget_limit=budget_limit)
-
-
-def verify_additional_estimates(lcp: LinearControlProblem,
+def verify_additional_estimates(prob: CylinderProblem,
+                                weights: CarlemanWeights,
                                 triple: ControlledTriple) -> dict:
     """Weighted bundles of the additional estimates and fitted constants.
 
     Bundle 1: sup_t rho_hat^2 |u|^2 and int rho_hat^2 a |u_x|^2 against
     kappa0; bundle 2: sup_t rho1^2 |sqrt(a) u_x|^2 and
-    int rho1^2 (|u_t|^2 + |(a u_x)_x|^2) against kappa1.
+    int rho1^2 (|u_t|^2 + |(a u_x)_x|^2) against kappa1, which is kappa0
+    with the initial trace measured in H^1_a instead of L^2.
     """
-    prob, w = lcp.prob, lcp.weights
     grid, mesh = prob.grid, prob.mesh
     a_face = prob.deg.a(grid.faces)
     hsp = grid.spacings
     wv = grid.cell_volumes
     dt = mesh.dt
-    rh2 = w.rho_hat_n**2
-    r12 = w.rho1_n**2
+    rh2 = weights.rho_hat_n**2
+    r12 = weights.rho1_n**2
     sup_rh, int_rh_a, sup_r1, int_r1 = 0.0, 0.0, 0.0, 0.0
     for u in (triple.y, triple.p1, triple.p2):
         vals = u.values
@@ -541,7 +511,9 @@ def verify_additional_estimates(lcp: LinearControlProblem,
         div = np.diff(dflux, axis=1) / wv[None, 1:-1]
         divsq = np.sum(wv[None, 1:-1] * div**2, axis=1)
         int_r1 += float(dt * np.sum(r12[1:] * (utsq + divsq[1:])))
-    k0, k1 = lcp.kappa0(), lcp.kappa1()
+    y0 = triple.y.values[0]
+    k0 = triple.kappa0
+    k1 = k0 - grid.inner(y0, y0) + h1a_norm(grid, prob.deg, y0) ** 2
     bundle1 = sup_rh + int_rh_a
     bundle2 = sup_r1 + int_r1
     return {
@@ -639,10 +611,7 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
     history = []
     triple = None
     for k in range(max_newton):
-        H = TrajectoryField(prob.grid, prob.mesh, -N_prev[0])
-        H1 = TrajectoryField(prob.grid, prob.mesh, -N_prev[1])
-        H2 = TrajectoryField(prob.grid, prob.mesh, -N_prev[2])
-        triple = hum.solve(y0, H=H, H1=H1, H2=H2)
+        triple = hum.solve(y0, -N_prev)
         N_cur = _nonlinear_remainders(prob, parts, triple.y, triple.p1,
                                       triple.p2)
         delta = remainder_norm(*(N_cur - N_prev))

@@ -48,6 +48,7 @@ __all__ = [
     "solve_forward_semilinear",
     "solve_forward_linear",
     "solve_backward_linear",
+    "follower_adjoints",
     "solve_linearized_coupled",
     "solve_adjoint_coupled",
     "sweep_adjoint",
@@ -275,7 +276,8 @@ class CylinderProblem:
 
 
 def _source_array(prob: CylinderProblem, h=None, v1=None, v2=None, extra=None) -> np.ndarray:
-    """Combine controls (masked to their windows) and a free source.
+    """Combine controls (masked to their windows) and a free source, the
+    interior rows `extra` (M+1, N-1).
 
     Returns the interior source array of shape (M+1, N-1).
     """
@@ -284,10 +286,7 @@ def _source_array(prob: CylinderProblem, h=None, v1=None, v2=None, extra=None) -
         if f is not None:
             src += _interior(f.values) * prob.indicator_interior(win)[None, :]
     if extra is not None:
-        vals = extra.values if hasattr(extra, "values") else np.asarray(extra)
-        if vals.shape[1] == prob.grid.N + 1:
-            vals = _interior(vals)
-        src += vals
+        src += extra
     return src
 
 
@@ -319,9 +318,12 @@ def solve_forward_semilinear(prob: CylinderProblem, y0: np.ndarray,
                              h: TrajectoryField | None = None,
                              v1: TrajectoryField | None = None,
                              v2: TrajectoryField | None = None,
-                             source: TrajectoryField | None = None
+                             source: np.ndarray | None = None
                              ) -> TrajectoryField:
     """Backward-Euler march of the semilinear state equation.
+
+    source, if given, holds the interior rows (M+1, N-1) of a free
+    source added to the window-masked controls.
 
     Solves the residual equations R_m = 0 of all levels (see
     `_semilinear_residual`) together by Newton's method, from y0 on every
@@ -424,6 +426,24 @@ def solve_backward_linear(ops: LevelOps, source: np.ndarray) -> TrajectoryField:
     return out
 
 
+def follower_adjoints(ops: LevelOps, sources: np.ndarray) -> np.ndarray:
+    """Both follower adjoints -p_i_t + L* p_i = sources[i], p_i^{M+1} = 0.
+
+    sources: (2, M+1, N+1).  Returns (p1, p2) as one array (2, M+1, N+1)
+    with zero boundary columns.  The two march backward as the two
+    columns of one march, each equal to its own `solve_backward_linear`
+    bit for bit.
+    """
+    prob = ops.prob
+    M = prob.mesh.M
+    rows = np.multiply(prob.mesh.dt, _interior(sources).transpose(1, 0, 2),
+                       out=np.empty((M + 1, 2, prob.grid.N - 1)))
+    ops.march_adjoint(rows, M)
+    p = np.zeros(np.shape(sources))
+    p[..., 1:-1] = rows.transpose(1, 0, 2)
+    return p
+
+
 @dataclass(frozen=True)
 class Couplings:
     """The followers' couplings, built by `nash.GameSpec.couplings`:
@@ -466,36 +486,34 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
     y_t + L y = h 1_O - control_1 p1 - control_2 p2 + H,   y(0)=y0,
     -p_i_t + L* p_i = tracking_i y + H_i,                  p_i(T)=0,
 
-    with the game's `couplings`.  p1 and p2 march backward together, as
-    the two columns of one march.  Sweeps until the largest update of p
-    is at most _SWEEP_TOL; raises SweepFailureError if that takes more
-    than _MAX_SWEEPS, or as soon as an update is not finite.
+    with the game's `couplings`; p1 and p2 are `follower_adjoints`.
+    Sweeps until the largest update of p is at most _SWEEP_TOL; raises
+    SweepFailureError if that takes more than _MAX_SWEEPS, or as soon as
+    an update is not finite.
     """
     ops = prob.linearized_ops()
     control = _interior(couplings.control)
-    tracking = _interior(couplings.tracking)
-    base_src = _source_array(prob, h=h, extra=H)
-    hsrc = [0.0 if Hi is None else _interior(Hi.values) for Hi in (H1, H2)]
-    M = prob.mesh.M
-    p = np.zeros((M + 1, 2, prob.grid.N - 1))
+    base_src = _source_array(prob, h=h,
+                             extra=None if H is None else _interior(H.values))
+    hsrc = np.stack([np.zeros_like(couplings.observed) if Hi is None
+                     else Hi.values for Hi in (H1, H2)])
+    p = np.zeros_like(hsrc)
     history = []
     for _ in range(_MAX_SWEEPS):
-        src = base_src - p[:, 0] * control[0] - p[:, 1] * control[1]
+        src = (base_src - _interior(p[0]) * control[0]
+               - _interior(p[1]) * control[1])
         y_field = solve_forward_linear(ops, y0, src)
-        yi = _interior(y_field.values)
-        rows = np.stack([tracking[i] * yi + hsrc[i] for i in (0, 1)], axis=1)
-        rows *= prob.mesh.dt
-        ops.march_adjoint(rows, M)
+        new = follower_adjoints(ops, couplings.tracking * y_field.values
+                                + hsrc)
         # np.max, unlike Python's max, propagates a NaN update
-        delta = float(np.max(np.abs(rows - p)))
-        p = rows
+        delta = float(np.max(np.abs(new - p)))
+        p = new
         history.append(delta)
         if not np.isfinite(delta):
             raise SweepFailureError(history,
                                     "linearized forward-backward coupling")
         if delta <= _SWEEP_TOL:
-            p1, p2 = prob.new_field(), prob.new_field()
-            p1.values[:, 1:-1], p2.values[:, 1:-1] = p[:, 0], p[:, 1]
+            p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
             return LinearizedSolution(y_field, p1, p2, history)
     raise SweepFailureError(history, "linearized forward-backward coupling")
 

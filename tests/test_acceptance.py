@@ -28,7 +28,6 @@ from degcontrol.nash import (
 )
 from degcontrol.nullcontrol import (
     HUMSolver,
-    LinearControlProblem,
     NewtonFailureError,
     solve_nonlinear_null_control,
     verify_additional_estimates,
@@ -54,9 +53,10 @@ def linear_setup(prob_linear, weights):
                                                       weights=weights)
     hum = HUMSolver(prob_linear, weights, game)
     y0 = sine_data(prob_linear, 0.1)
-    lcp = LinearControlProblem(prob_linear, weights, game, y0)
     triple = hum.solve(y0)
-    return {"game": game, "hum": hum, "lcp": lcp, "triple": triple}
+    return {"game": game, "hum": hum, "y0": y0, "triple": triple,
+            "estimates": verify_additional_estimates(prob_linear, weights,
+                                                     triple)}
 
 
 @pytest.fixture(scope="module")
@@ -66,11 +66,9 @@ def linear_refined():
                               prob.mesh)
     game = GameSpec(mu1=5.0, mu2=5.0)
     game.target1, game.target2 = make_default_targets(prob, weights=weights)
-    hum = HUMSolver(prob, weights, game)
-    y0 = sine_data(prob, 0.1)
-    lcp = LinearControlProblem(prob, weights, game, y0)
-    triple = hum.solve(y0)
-    return {"lcp": lcp, "triple": triple}
+    triple = HUMSolver(prob, weights, game).solve(sine_data(prob, 0.1))
+    return {"triple": triple,
+            "estimates": verify_additional_estimates(prob, weights, triple)}
 
 
 @pytest.fixture(scope="module")
@@ -208,8 +206,8 @@ def test_criterion_4_convexity_certificate(prob, prob_linear, weights, game,
 
 def test_criterion_5_linear_null_control(prob_linear, linear_setup,
                                          linear_refined):
-    lcp, triple = linear_setup["lcp"], linear_setup["triple"]
-    y0_norm = prob_linear.grid.norm(lcp.y0)
+    y0, triple = linear_setup["y0"], linear_setup["triple"]
+    y0_norm = prob_linear.grid.norm(y0)
     assert triple.terminal_norm <= 1e-3 * y0_norm
 
     # weighted budget with a refinement-stable constant
@@ -224,7 +222,7 @@ def test_criterion_5_linear_null_control(prob_linear, linear_setup,
     x = prob_linear.grid.nodes
     yb = 0.05 * np.sin(2 * np.pi * x)
     tb = hum.solve(yb)
-    tab = hum.solve(lcp.y0 + yb)
+    tab = hum.solve(y0 + yb)
     gap = TrajectoryField(prob_linear.grid, prob_linear.mesh,
                           tab.y.values - triple.y.values - tb.y.values)
     sup = gap.l2q_norm() / (1.0 + triple.y.l2q_norm() + tb.y.l2q_norm())
@@ -237,11 +235,9 @@ def test_criterion_5_linear_null_control(prob_linear, linear_setup,
 
 
 def test_criterion_6_additional_estimates(linear_setup, linear_refined):
-    rep = verify_additional_estimates(linear_setup["lcp"],
-                                      linear_setup["triple"])
+    rep = linear_setup["estimates"]
     assert rep["all_finite"]
-    rep_f = verify_additional_estimates(linear_refined["lcp"],
-                                        linear_refined["triple"])
+    rep_f = linear_refined["estimates"]
     drift5 = abs(rep_f["C_prop5"] / rep["C_prop5"] - 1.0)
     drift6 = abs(rep_f["C_prop6"] / rep["C_prop6"] - 1.0)
     assert drift5 <= 0.3

@@ -356,11 +356,17 @@ class TestCLI:
         assert out.stdout.strip() == "False"
 
     def test_budget_violation_exit_code(self, tmp_path):
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(
-            _tiny("linear-control", y0_amplitude=0.1, budget_limit=1e-12)))
-        assert cli.main(["run", "--config", str(path),
-                        "--out", str(tmp_path / "out")]) == cli.EXIT_BUDGET
+        def run(name, **limit):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(
+                _tiny("linear-control", y0_amplitude=0.1, **limit)))
+            code = cli.main(["run", "--config", str(path),
+                             "--out", str(tmp_path / name)])
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            return code, report["report"]["budget_exceeded"]
+
+        assert run("over", budget_limit=1e-12) == (cli.EXIT_BUDGET, True)
+        assert run("default") == (cli.EXIT_OK, False)
 
     def test_state_march_failure_exit_code(self, tmp_path, capsys):
         # a valid amplitude whose residual overflows at the first level

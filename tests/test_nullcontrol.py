@@ -15,10 +15,8 @@ from degcontrol.grids import SpatialGrid, TrajectoryField
 from degcontrol.nash import GameSpec, make_default_targets
 from degcontrol.nullcontrol import (
     HUMSolver,
-    LinearControlProblem,
     NewtonFailureError,
     h1a_norm,
-    solve_linear_null_control,
     solve_nonlinear_null_control,
     verify_additional_estimates,
 )
@@ -77,7 +75,7 @@ class TestCouplings:
                                   -tracking[i][1:, 1:-1].ravel())
 
 
-def _consistency_reference(hum, triple, y0, H, H1, H2) -> dict:
+def _consistency_reference(hum, triple, y0, load) -> dict:
     """HUMSolver._consistency with each follower adjoint marched on its
     own, by solve_backward_linear."""
     prob = hum.prob
@@ -86,12 +84,12 @@ def _consistency_reference(hum, triple, y0, H, H1, H2) -> dict:
     y, p1, p2, h = triple.y, triple.p1, triple.p2, triple.h
     v1, v2 = hum.game.controls(prob, (p1.values, p2.values))
     src = (h.values[:, 1:-1] * prob.indicator_interior("O")[None, :]
-           + v1.values[:, 1:-1] + v2.values[:, 1:-1] + H.values[:, 1:-1])
+           + v1.values[:, 1:-1] + v2.values[:, 1:-1] + load[0, :, 1:-1])
     y_check = solve_forward_linear(hum.ops, y0, src)
     out = {"y": float(np.max(np.abs(y_check.values - y.values))
                       / (1.0 + float(np.max(np.abs(y.values)))))}
-    for i, (p, Hi) in enumerate(((p1, H1), (p2, H2)), start=1):
-        g = (tracking[i - 1] * y.values)[:, 1:-1] + Hi.values[:, 1:-1]
+    for i, p in enumerate((p1, p2), start=1):
+        g = (tracking[i - 1] * y.values)[:, 1:-1] + load[i, :, 1:-1]
         p_check = solve_backward_linear(hum.ops, g)
         out[f"p{i}"] = float(
             np.max(np.abs(p_check.values[1:] - p.values[1:]))
@@ -115,11 +113,10 @@ class TestConsistency:
         y0 = sine_data(prob, 0.01)
         # loads shaped like the targets, which decay like 1/rho0
         t1, t2 = game.target1.values, game.target2.values
-        H, H1, H2 = (TrajectoryField(prob.grid, prob.mesh, v)
-                     for v in (0.1 * t1, -0.3 * t2, 0.2 * (t1 - t2)))
-        triple = hum.solve(y0, H=H, H1=H1, H2=H2)
+        load = np.stack([0.1 * t1, -0.3 * t2, 0.2 * (t1 - t2)])
+        triple = hum.solve(y0, load)
         assert triple.residuals == _consistency_reference(hum, triple, y0,
-                                                          H, H1, H2)
+                                                          load)
 
 
 class TestH1aNorm:
@@ -173,27 +170,22 @@ class TestLinearControl:
         triple = solver.solve(sine_data(prob_linear, 0.1))
         assert np.isfinite(triple.budget_constant)
         assert triple.budget_constant > 0
-        assert not triple.budget_exceeded
 
-    def test_budget_limit_flag(self, prob_linear, hum):
-        game, solver = hum
-        triple = solver.solve(sine_data(prob_linear, 0.1),
-                              budget_limit=1e-12)
-        assert triple.budget_exceeded
-
-    def test_one_shot_wrapper(self, prob_linear, weights, hum):
-        game, solver = hum
-        lcp = LinearControlProblem(prob_linear, weights, game,
-                                   sine_data(prob_linear, 0.1))
-        triple = solve_linear_null_control(lcp, hum=solver)
-        assert triple.terminal_norm <= 1e-3 * prob_linear.grid.norm(lcp.y0)
+    def test_zero_load_is_no_load(self, coarse):
+        prob, hum = coarse[0], coarse[3]
+        y0 = sine_data(prob, 0.1)
+        a = hum.solve(y0)
+        b = hum.solve(y0, np.zeros((3, prob.mesh.M + 1, prob.grid.N + 1)))
+        for name in ("y", "h", "p1", "p2"):
+            assert np.array_equal(getattr(a, name).values,
+                                  getattr(b, name).values)
+        assert a.residuals == b.residuals
+        assert (a.kappa0, a.budget_constant) == (b.kappa0, b.budget_constant)
 
     def test_additional_estimates(self, prob_linear, weights, hum):
         game, solver = hum
-        lcp = LinearControlProblem(prob_linear, weights, game,
-                                   sine_data(prob_linear, 0.1))
-        triple = solver.solve(lcp.y0)
-        rep = verify_additional_estimates(lcp, triple)
+        triple = solver.solve(sine_data(prob_linear, 0.1))
+        rep = verify_additional_estimates(prob_linear, weights, triple)
         assert rep["all_finite"]
         assert rep["C_prop5"] > 0 and rep["C_prop6"] > 0
 
@@ -394,12 +386,10 @@ class TestFactorization:
         info = hum.solve(sine_data(prob, 0.1)).cg_info
         trace = info["refinement_residuals"]
         assert _one_correction(info)
-        assert info["refinement_steps"] == 1
         # the correction gains; measured 3.0x
         assert trace[1] < 0.5 * trace[0]
         zero = hum.solve(np.zeros(prob.grid.N + 1)).cg_info
         assert zero["refinement_residuals"] == []
-        assert zero["refinement_steps"] == 0
 
 
 class TestAccuracyRange:
@@ -443,9 +433,9 @@ class TestAccuracyRange:
         weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
                                   prob.mesh)
         hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
-        H = prob.new_field()
-        H.values[:, 1:-1] = np.random.default_rng(0).standard_normal(
+        load = np.zeros((3, prob.mesh.M + 1, prob.grid.N + 1))
+        load[0, :, 1:-1] = np.random.default_rng(0).standard_normal(
             (prob.mesh.M + 1, prob.grid.N - 1))
         with pytest.raises(nullcontrol.RefinementError) as err:
-            hum.solve(np.zeros(prob.grid.N + 1), H=H)
+            hum.solve(np.zeros(prob.grid.N + 1), load)
         assert err.value.rel_residual > nullcontrol.RESIDUAL_LIMIT

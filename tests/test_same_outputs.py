@@ -66,6 +66,30 @@ def test_differing_files_state_their_drift(tmp_path):
     assert tool.describe(a, a) == []
 
 
+def test_report_drift_names_its_key(tmp_path):
+    tool = _tool()
+    csv = "t,x0\n0,1\n"
+    report = {"report": {"scales": {"1.0": {"terminal_l2": 1e-13,
+                                            "budget_constant": 2.0},
+                                    "3.0": {"converged": False}},
+                         "residuals": [1.0, 4.0]},
+              "seed": 0, "timings": {"total_s": 0.1}}
+    a = _outputs(tmp_path / "a", report, csv)
+    moved = json.loads(json.dumps(report))
+    moved["report"]["scales"]["1.0"]["terminal_l2"] = 1.3e-13
+    moved["report"]["residuals"][1] = 4.4
+    b = _outputs(tmp_path / "b", moved, csv)
+    # the move at the roundoff floor is the largest relative one
+    assert tool.describe(a, b) == [
+        "report.json (largest relative difference 2.3e-01 at "
+        "report.scales.1.0.terminal_l2)"]
+    moved["report"]["scales"]["1.0"]["terminal_l2"] = 1e-13
+    (b / "report.json").write_text(json.dumps(moved))
+    assert tool.describe(a, b) == [
+        "report.json (largest relative difference 9.1e-02 at "
+        "report.residuals.1)"]
+
+
 def test_checkout_matches_itself():
     done = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(ROOT),

@@ -16,6 +16,7 @@ from degcontrol.solvers import (
     StepFailureError,
     SweepFailureError,
     energy_diagnostics,
+    follower_adjoints,
     solve_adjoint_coupled,
     solve_backward_linear,
     solve_forward_linear,
@@ -440,6 +441,21 @@ class TestNonFiniteSweep:
                                      H1=_nan_field(prob_small))
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])
+
+
+class TestFollowerAdjoints:
+    def test_equal_one_column_marches(self, prob, game):
+        # at a state with F != 0 the operators vary from level to level
+        y = solve_forward_semilinear(prob, sine_data(prob, 0.5))
+        ops = prob.ops_at_state(y)
+        tracking = game.couplings(prob).tracking
+        sources = np.stack([tracking[i] * (y.values - t.values)
+                            for i, t in enumerate(game.targets(prob))])
+        p = follower_adjoints(ops, sources)
+        assert np.any(p != 0.0)
+        for i in (0, 1):
+            ref = solve_backward_linear(ops, sources[i][:, 1:-1])
+            assert np.array_equal(p[i], ref.values)
 
 
 class TestEnergy:

@@ -12,7 +12,9 @@ config the exit codes, the output file names, report.json without its
 config says `identical` or names what differs; a run that writes no
 report.json counts as a difference.  Each file that differs is followed
 by the largest relative difference of its numbers, position by position
-(`inf` when the two files do not hold as many numbers).  A CSV adds its
+(`inf` when the two files do not hold as many numbers); for report.json
+it names the key where that difference is, as in `at
+report.scales.1.0.terminal_l2` (list items by position).  A CSV adds its
 drift on the parent's scale: the largest difference divided by the
 largest magnitude in the parent's columns that moved, so that a value
 near zero does not make a small move look large, and a column that never
@@ -61,6 +63,10 @@ CONFIGS = {
     "guard-linear-control": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "linear-control"},
+    },
+    "linear-control-budget": {
+        "grid": {"N": 32, "M": 64},
+        "experiment": {"kind": "linear-control", "budget_limit": 1e-12},
     },
     "guard-nash": {
         "grid": {"N": 32, "M": 64},
@@ -166,22 +172,25 @@ def compare(a: Path, b: Path) -> list:
 
 
 def _numbers(path: Path) -> list:
-    """The numbers of a report.json (without timings) or a CSV, in order."""
+    """The (key, number) pairs of a report.json (without timings), or of
+    a CSV with key None, in order.  A report number's key is its path of
+    dictionary keys and list positions, joined by dots."""
+    if path.name != "report.json":
+        return [(None, x) for row in _rows(path) for x in row]
     numbers = []
-    if path.name == "report.json":
-        def walk(obj):
-            if isinstance(obj, dict):
-                for key in sorted(obj):
-                    walk(obj[key])
-            elif isinstance(obj, list):
-                for item in obj:
-                    walk(item)
-            elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
-                numbers.append(float(obj))
 
-        walk(json.loads(_report_text(path)))
-        return numbers
-    return [x for row in _rows(path) for x in row]
+    def walk(obj, key):
+        if isinstance(obj, dict):
+            for name in sorted(obj):
+                walk(obj[name], f"{key}.{name}" if key else name)
+        elif isinstance(obj, list):
+            for i, item in enumerate(obj):
+                walk(item, f"{key}.{i}")
+        elif isinstance(obj, (int, float)) and not isinstance(obj, bool):
+            numbers.append((key, float(obj)))
+
+    walk(json.loads(_report_text(path)), "")
+    return numbers
 
 
 def _rows(path: Path) -> list:
@@ -196,29 +205,39 @@ def _rows(path: Path) -> list:
 
 
 def _moved(xs: list, ys: list) -> list | None:
-    """The pairs (x, y) of two equally long number lists that differ;
-    None when the lists cannot be paired: their lengths differ, or one
-    number is not finite where the other is (two NaNs count as equal)."""
+    """The positions at which two equally long number lists differ; None
+    when the lists cannot be paired: their lengths differ, or one number
+    is not finite where the other is (two NaNs count as equal)."""
     if len(xs) != len(ys):
         return None
-    pairs = []
-    for x, y in zip(xs, ys):
+    moved = []
+    for i, (x, y) in enumerate(zip(xs, ys)):
         if x == y or (math.isnan(x) and math.isnan(y)):
             continue
         if not (math.isfinite(x) and math.isfinite(y)):
             return None
-        pairs.append((x, y))
-    return pairs
+        moved.append(i)
+    return moved
+
+
+def _largest(a: Path, b: Path) -> tuple:
+    """(largest |x - y| / max(|x|, |y|) over the numbers of two files,
+    pair by pair, the key of a's number where it is); (inf, None) when
+    they cannot be paired (see `_moved`), (0.0, None) when none moved."""
+    keyed = _numbers(a)
+    xs, ys = [x for _, x in keyed], [y for _, y in _numbers(b)]
+    moved = _moved(xs, ys)
+    if moved is None:
+        return math.inf, None
+    rel = [(abs(xs[i] - ys[i]) / max(abs(xs[i]), abs(ys[i])), keyed[i][0])
+           for i in moved]
+    return max(rel, key=lambda r: r[0], default=(0.0, None))
 
 
 def drift(a: Path, b: Path) -> float:
     """Largest |x - y| / max(|x|, |y|) over the numbers of two files, pair
     by pair; inf when they cannot be paired (see `_moved`)."""
-    pairs = _moved(_numbers(a), _numbers(b))
-    if pairs is None:
-        return math.inf
-    return max((abs(x - y) / max(abs(x), abs(y)) for x, y in pairs),
-               default=0.0)
+    return _largest(a, b)[0]
 
 
 def scaled_drift(a: Path, b: Path) -> float:
@@ -230,11 +249,11 @@ def scaled_drift(a: Path, b: Path) -> float:
         return math.inf
     worst = scale = 0.0
     for xs, ys in zip(cols_a, cols_b):
-        pairs = _moved(xs, ys)
-        if pairs is None:
+        moved = _moved(xs, ys)
+        if moved is None:
             return math.inf
-        if pairs:
-            worst = max(worst, max(abs(x - y) for x, y in pairs))
+        if moved:
+            worst = max(worst, max(abs(xs[i] - ys[i]) for i in moved))
             scale = max(scale, max(abs(x) for x in xs if math.isfinite(x)))
     if worst == 0.0:
         return 0.0
@@ -242,15 +261,18 @@ def scaled_drift(a: Path, b: Path) -> float:
 
 
 def _drift_note(a: Path, b: Path) -> str:
-    note = f"largest relative difference {drift(a, b):.1e}"
+    largest, key = _largest(a, b)
+    note = f"largest relative difference {largest:.1e}"
+    if key is not None:
+        note += f" at {key}"
     if a.suffix == ".csv":
         note += f", {scaled_drift(a, b):.1e} of the parent's scale"
     return note
 
 
 def describe(a: Path, b: Path) -> list:
-    """`compare(a, b)`, with each differing file's `drift`, and for a CSV
-    its `scaled_drift`."""
+    """`compare(a, b)`, with each differing file's `drift`, for
+    report.json the key where it is, and for a CSV its `scaled_drift`."""
     return [f"{name} ({_drift_note(a / name, b / name)})"
             if (a / name).is_file() and (b / name).is_file() else name
             for name in compare(a, b)]
