@@ -28,7 +28,6 @@ import numpy as np
 
 from .geometry import DegeneracySpec
 from .grids import SpatialGrid, TimeMesh
-from .operators import band_apply
 
 __all__ = [
     "CarlemanParams",
@@ -36,7 +35,7 @@ __all__ = [
     "PsiFunction",
     "eval_time_weights",
     "adjoint_basis",
-    "weight_tables",
+    "weight_roots",
     "log_observation_peak",
     "empirical_observability",
     "empirical_carleman",
@@ -435,30 +434,68 @@ def adjoint_basis(prob, couplings):
                            f2=(slice(s2, s2 + q), modes))
 
 
-def _exp_weight(logw: np.ndarray) -> np.ndarray:
-    """e^{logw}, capped at e^700, with the non-finite (t=T) entries 0."""
-    return np.where(np.isfinite(logw), np.exp(np.minimum(logw, 700.0)), 0.0)
+def weight_roots(prob, weights: CarlemanWeights) -> tuple:
+    """Square roots of the forms' weights on levels 1..M, with the
+    quadrature folded in.
 
-
-def _weighted_q_integral(weight: np.ndarray, fields_sq: np.ndarray,
-                         grid: SpatialGrid, mesh: TimeMesh) -> float:
-    """sum_n dt sum_j w_j weight fields_sq over levels 1..M."""
-    vals = weight * fields_sq
-    return float(mesh.dt * np.einsum("j,nj->", grid.cell_volumes, vals[1:]))
-
-
-def _gram(u: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Gram matrix sum_{m=1..M} <u_a^m, T_m u_b^m> of the columns of u.
-
-    u: (M+1, k, N-1) interior rows in march layout.  weight: T_m for
-    m = 1..M, as bands (M, 3, N-1) or as a diagonal (M, N-1).
+    The weight of power p is w_p = e^{2s(A-Aref)} (s lam zeta)^p, and
+    each root is e^{log(w)/2}, with log(w) capped at 700 (0 at t = T,
+    where A = -inf).  Returns (r0, rf, r_src, r_obs): w_2 times
+    dt w_j b^2 at the interior nodes (M, N-1); at the faces (M, N), the
+    geometric mean of w_1 at the face's two nodes times dt b^2 a / h_f;
+    w_4 (the source weight) and w_8 masked to O (the observation
+    weight), both times dt w_j at the interior nodes.  A form is then
+    the Gram matrix of weighted columns.
     """
-    if weight.ndim == 3:
-        tu = band_apply(weight[:, None], u[1:])
-    else:
-        tu = weight[:, None] * u[1:]
-    # one small product per level: tensordot would copy u and tu whole
-    return np.matmul(u[1:], tu.transpose(0, 2, 1)).sum(axis=0)
+    grid, dt = prob.grid, prob.mesh.dt
+    A = weights.A[1:]
+    log2sA = 2 * weights.s * (A - weights.A_reference())
+    lsz = (np.log(weights.s * weights.lam)
+           + np.log(np.where(np.isfinite(A), weights.zeta()[1:], 1.0)))
+    lw1 = log2sA + lsz
+
+    def root(logw):
+        return np.exp(0.5 * np.minimum(logw, 700.0))
+
+    node = np.sqrt(dt * grid.interior_volumes)
+    b = prob.b_t[1:, None]
+    face = np.sqrt(dt * prob.deg.a(grid.faces) / grid.spacings)
+    return (node * b * root(log2sA + 2 * lsz)[:, 1:-1],
+            face * b * root(0.5 * (lw1[:, :-1] + lw1[:, 1:])),
+            node * root(log2sA + 4 * lsz)[:, 1:-1],
+            node * root(log2sA + 8 * lsz)[:, 1:-1]
+            * prob.indicator_interior("O"))
+
+
+def _weighted(u: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The columns of u (M+1, k, m), in march layout, on levels 1..M
+    times root (M, m), laid out (k, M, m)."""
+    v = u[1:].transpose(1, 0, 2)
+    return np.multiply(v, root, out=np.empty(v.shape))
+
+
+def _gamma_columns(u: np.ndarray, roots: tuple) -> np.ndarray:
+    """The Gamma columns [u r0, (D u) rf] of a field u (M+1, k, N-1),
+    laid out (k, M, 2N-1); D u are the face differences of the interior
+    values, whose boundary values are zero."""
+    r0, rf = roots[:2]
+    v = u[1:].transpose(1, 0, 2)
+    n = v.shape[-1]
+    cols = np.empty(v.shape[:2] + (2 * n + 1,))
+    np.multiply(v, r0, out=cols[..., :n])
+    du = cols[..., n:]
+    du[..., 0] = v[..., 0]
+    np.subtract(v[..., 1:], v[..., :-1], out=du[..., 1:-1])
+    np.negative(v[..., -1], out=du[..., -1])
+    du *= rf
+    return cols
+
+
+def _gram(cols: np.ndarray) -> np.ndarray:
+    """Gram matrix X X^T of the k columns laid out (k, M, m): one
+    symmetric product (BLAS syrk), exactly symmetric."""
+    x = cols.reshape(len(cols), -1)
+    return x @ x.T
 
 
 def _forms(coef: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -494,33 +531,27 @@ def _ratio_report(coef: np.ndarray, lhs: np.ndarray, rhs: np.ndarray,
     return report
 
 
-def _observability_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
-                         rho: np.ndarray, tables=None) -> tuple:
+def _observability_forms(prob, phi: np.ndarray, rho: np.ndarray,
+                         roots: tuple) -> tuple:
     """(lhs, rhs) Gram matrices of the observability ratio, for reduced
-    adjoint solutions with columns phi and rho, both (M+1, k, N-1);
-    tables are the `weight_tables(prob, weights)`, made here when not
-    given."""
-    grid, mesh = prob.grid, prob.mesh
-    if tables is None:
-        tables = weight_tables(prob, weights)
-    w_obs = tables[3]
+    adjoint solutions with columns phi and rho, both (M+1, k, N-1), and
+    the `weight_roots(prob, weights)` in roots."""
+    r_obs = roots[3]
     # The weight is sharply peaked in (x, t); its raw integral scales with
     # the cell measure at the peak and is not mesh-stable.  Normalizing
     # the observation term by the weight's own mass turns it into a
     # weighted average of |phi|^2 over O, which converges under
     # refinement; the mass is absorbed into the fitted constant.
-    wmass = _weighted_q_integral(w_obs, np.ones((mesh.M + 1, grid.N + 1)),
-                                 grid, mesh)
-    vol = grid.interior_volumes
-    lhs = sum((u * vol) @ u.T for u in (phi[0], rho[-1]))
-    rhs = _gram(phi, mesh.dt * vol * w_obs[1:, 1:-1]) / wmass
-    return lhs, rhs
+    wmass = _gram(r_obs[None])[0, 0]
+    # |phi(0)|^2 + |rho(T)|^2 as two "levels" of one column each
+    ends = np.stack([phi[0], rho[-1]], axis=1)
+    ends *= np.sqrt(prob.grid.interior_volumes)
+    return _gram(ends), _gram(_weighted(phi, r_obs)) / wmass
 
 
 def empirical_observability(prob, weights: CarlemanWeights, couplings,
-                            samples: int = 20,
-                            rng: np.random.Generator | None = None,
-                            basis=None, tables=None) -> dict:
+                            basis, roots: tuple, samples: int = 20,
+                            rng: np.random.Generator | None = None) -> dict:
     """Sampled observability ratio of the reduced adjoint system.
 
     For random terminal data and zero sources, returns max over samples of
@@ -528,53 +559,18 @@ def empirical_observability(prob, weights: CarlemanWeights, couplings,
     The normalization exponent 2 s Aref is reported; ratios are only
     meaningful relative to it.  Each ratio is a quotient of two Gram
     forms in the sample's mode coefficients, read from the sine columns
-    of `basis`, the `adjoint_basis(prob, couplings)` that is solved here
-    when it is not given; rho = alpha1 psi1 + alpha2 psi2 takes the
-    couplings' alphas.  tables are the `weight_tables(prob, weights)`,
-    made here when not given.
+    of `basis`, the `adjoint_basis(prob, couplings)`, with the
+    `weight_roots(prob, weights)` in roots; rho = alpha1 psi1 +
+    alpha2 psi2 takes the couplings' alphas.
     """
     rng = rng or np.random.default_rng(0)
-    if basis is None:
-        basis = adjoint_basis(prob, couplings)
     alphas = couplings.alphas
     psi = basis.psi[:, :SINE_MODES]
     rho = alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1]
-    lhs, rhs = _observability_forms(prob, weights,
-                                    basis.phi[:, :SINE_MODES], rho, tables)
+    lhs, rhs = _observability_forms(prob, basis.phi[:, :SINE_MODES], rho,
+                                    roots)
     coef = _damped(rng.standard_normal((samples, SINE_MODES)))
     return _ratio_report(coef, lhs, rhs, weights)
-
-
-def weight_tables(prob, weights: CarlemanWeights) -> tuple:
-    """The weights of both samplers' forms, exponentiated once.
-
-    Returns (w0, wf, w_src, w_obs): the zero-order weight
-    e^{2s(A-Aref)} (s lam zeta)^2; the gradient weight at faces, with
-    b^2 a folded in; the source weight (power 4); and the observation
-    weight (power 8) masked to O.
-    """
-    grid = prob.grid
-    A_ref = weights.A_reference()
-    z = weights.zeta()
-    fin = np.isfinite(weights.A)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logz = np.where(np.isfinite(z), np.log(np.where(z > 0, z, 1.0)), np.inf)
-        log2sA = np.where(fin, 2 * weights.s * (weights.A - A_ref), -np.inf)
-        slam = weights.s * weights.lam
-        log_src = np.where(fin, log2sA + 4 * (np.log(slam) + logz), -np.inf)
-        log_obs = np.where(fin, log2sA + 8 * (np.log(slam) + logz), -np.inf)
-        lw0 = np.where(fin, log2sA + 2 * (np.log(slam) + logz), -np.inf)
-        lwf = np.where(
-            fin[:, :-1] & fin[:, 1:],
-            0.5 * (lw0[:, :-1] + lw0[:, 1:])
-            - (np.log(slam) + 0.5 * (logz[:, :-1] + logz[:, 1:])),
-            -np.inf,
-        )
-        wf = np.where(np.isfinite(lwf),
-                      np.exp(np.minimum(lwf, 700.0)) * prob.b_t[:, None]**2
-                      * prob.deg.a(grid.faces)[None, :], 0.0)
-    return (_exp_weight(lw0), wf, _exp_weight(log_src),
-            _exp_weight(log_obs) * prob.indicator("O")[None, :])
 
 
 def log_observation_peak(prob, weights: CarlemanWeights) -> float:
@@ -594,70 +590,48 @@ def log_observation_peak(prob, weights: CarlemanWeights) -> float:
     return float(np.max(terms)) if terms.size else -np.inf
 
 
-def _gamma_bands(prob, w0: np.ndarray, wf: np.ndarray) -> np.ndarray:
-    """Bands (M, 3, N-1) of the Gamma form on levels 1..M.
-
-    Gamma(u) = sum_m dt [sum_j w_j w0 b^2 |u_j|^2 + sum_f h_f wf |u_x|^2]
-    is sum_m <u^m, T_m u^m> with the tridiagonal
-    T_m = diag(dt w w0 b^2) + D^T diag(dt wf / h) D, D the face differences
-    of the interior values (the boundary values are zero).
-    """
-    grid, dt = prob.grid, prob.mesh.dt
-    g = dt * wf[1:] / grid.spacings
-    bands = np.zeros((prob.mesh.M, 3, grid.N - 1))
-    bands[:, 0, 1:] = -g[:, 1:-1]
-    bands[:, 1] = (g[:, :-1] + g[:, 1:] + dt * grid.interior_volumes
-                   * w0[1:, 1:-1] * prob.b_t[1:, None]**2)
-    bands[:, 2, :-1] = -g[:, 1:-1]
-    return bands
-
-
-def _carleman_forms(prob, weights: CarlemanWeights, phi: np.ndarray,
-                     psi: np.ndarray, tables=None) -> tuple:
+def _carleman_forms(prob, phi: np.ndarray, psi: np.ndarray,
+                    roots: tuple) -> tuple:
     """(lhs, rhs, source) Gram matrices of the Carleman ratio, for full
     adjoint solutions in the column layout of `adjoint_basis`: phi
-    (M+1, k, N-1) and psi (M+1, k, 2, N-1).  source is the part of rhs
-    that the source slots contribute.  tables are the
-    `weight_tables(prob, weights)`, made here when not given."""
-    grid, mesh = prob.grid, prob.mesh
-    if tables is None:
-        tables = weight_tables(prob, weights)
-    w0, wf, w_src, w_obs = tables
-    gamma = _gamma_bands(prob, w0, wf)
-    lhs = sum(_gram(u, gamma) for u in (phi, psi[:, :, 0], psi[:, :, 1]))
-    dtw = mesh.dt * grid.interior_volumes
-    rhs = _gram(phi, dtw * w_obs[1:, 1:-1])
+    (M+1, k, N-1) and psi (M+1, k, 2, N-1), with the
+    `weight_roots(prob, weights)` in roots.  source is the part of rhs
+    that the source slots contribute.
+
+    Gamma(u) = sum_m dt b^2 [sum_j w_j w_2 |u_j|^2 + sum_f h_f a w_1 |u_x|^2]
+    (w_1 at a face the geometric mean of its nodes', u_x = (D u) / h_f)
+    is the Gram form of u's columns [u r0, (D u) rf]; each field's
+    columns are built in turn, so only one is held at a time."""
+    _, _, r_src, r_obs = roots
+    lhs = sum(_gram(_gamma_columns(u, roots))
+              for u in (phi, psi[:, :, 0], psi[:, :, 1]))
+    rhs = _gram(_weighted(phi, r_obs))
     # each slot's source term: the Gram matrix of the source modes
-    modes = _source_modes(grid, mesh)
+    modes = _source_modes(prob.grid, prob.mesh)
     q = len(modes)
-    src = _gram(modes[:, :, 1:-1].transpose(1, 0, 2), dtw * w_src[1:, 1:-1])
+    src = _gram(modes[:, 1:, 1:-1] * r_src)
     source = np.zeros_like(rhs)
     for i in range(SINE_MODES, len(rhs), q):
         source[i:i + q, i:i + q] = src
     return lhs, rhs + source, source
 
 
-def empirical_carleman(prob, weights: CarlemanWeights, couplings,
-                       samples: int = 10,
-                       rng: np.random.Generator | None = None,
-                       basis=None, tables=None) -> dict:
+def empirical_carleman(prob, weights: CarlemanWeights, basis,
+                       roots: tuple, samples: int = 10,
+                       rng: np.random.Generator | None = None) -> dict:
     """Sampled ratio of the Carleman inequality for the adjoint system.
 
     Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
     both evaluated with the common normalization e^{-2 s Aref}.  Each
     ratio is a quotient of two Gram forms in the sample's coefficients,
-    read from every column of `basis`, the `adjoint_basis(prob,
-    couplings)` that is solved here when it is not given, with the
-    `weight_tables(prob, weights)` in tables, likewise.  The report's
-    "source_share" is the largest share of the source term in a
-    sample's right-hand side; the observation term dominates it unless
-    O is small.
+    read from every column of `basis`, the game's `adjoint_basis`, with
+    the `weight_roots(prob, weights)` in roots.  The
+    report's "source_share" is the largest share of the source term in
+    a sample's right-hand side; the observation term dominates it
+    unless O is small.
     """
     rng = rng or np.random.default_rng(0)
-    if basis is None:
-        basis = adjoint_basis(prob, couplings)
-    lhs, rhs, source = _carleman_forms(prob, weights, basis.phi, basis.psi,
-                                       tables)
+    lhs, rhs, source = _carleman_forms(prob, basis.phi, basis.psi, roots)
     # per sample: the terminal normals, then three per source slot
     coef = rng.standard_normal((samples, len(rhs)))
     coef[:, :SINE_MODES] = _damped(coef[:, :SINE_MODES])

@@ -23,7 +23,7 @@ import numpy as np
 
 from .carleman import (CarlemanParams, CarlemanWeights, adjoint_basis,
                        empirical_carleman, empirical_observability,
-                       log_observation_peak, weight_tables)
+                       log_observation_peak, weight_roots)
 from .geometry import (ControlGeometry, DegeneracySpec, GradientWeightSpec,
                        MovingDomainSpec)
 from .grids import SpatialGrid, TimeMesh
@@ -550,14 +550,12 @@ def _run_convexity(cfg, prob, weights, game, out, rng, outputs):
 
 def _run_observability(cfg, prob, weights, game, out, rng, outputs):
     n = cfg["experiment"]["samples"]
-    # one block solve and one set of weight tables serve both samplers
+    # one block solve and one set of weight roots serve both samplers
     couplings = game.couplings(prob)
-    shared = {"basis": adjoint_basis(prob, couplings),
-              "tables": weight_tables(prob, weights)}
-    obs = empirical_observability(prob, weights, couplings, samples=n,
-                                  rng=rng, **shared)
-    car = empirical_carleman(prob, weights, couplings, samples=n, rng=rng,
-                             **shared)
+    shared = (adjoint_basis(prob, couplings), weight_roots(prob, weights))
+    obs = empirical_observability(prob, weights, couplings, *shared,
+                                  samples=n, rng=rng)
+    car = empirical_carleman(prob, weights, *shared, samples=n, rng=rng)
     _write_csv(out / "ratios.csv", "observability,carleman",
                np.column_stack([obs["ratios"], car["ratios"]]))
     outputs.append("ratios.csv")

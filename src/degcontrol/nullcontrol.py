@@ -376,8 +376,11 @@ class HUMSolver:
               load: np.ndarray | None = None) -> ControlledTriple:
         """The controlled triple of the initial data y0 (N+1) and the
         load (H, H1, H2) of the state and the two follower adjoints, one
-        array (3, M+1, N+1); None is a zero load."""
-        y0 = np.asarray(y0, dtype=float)
+        array (3, M+1, N+1); None is a zero load.  The state vanishes on
+        the boundary, so y0's two boundary values are taken as 0, in
+        kappa0 too."""
+        y0 = np.array(y0, dtype=float)
+        y0[[0, -1]] = 0.0
         if load is None:
             load = np.zeros((3, self._M + 1, self._n + 2))
         f = self._rhs(y0, load)

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from degcontrol.carleman import CarlemanParams, CarlemanWeights
+from degcontrol.carleman import (CarlemanParams, CarlemanWeights,
+                                 adjoint_basis, weight_roots)
 from degcontrol.nash import GameSpec, make_default_targets
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import CylinderProblem
@@ -42,6 +43,13 @@ def game(prob, weights):
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+def sampler_inputs(prob, weights, couplings):
+    """(basis, roots): the `adjoint_basis` of the couplings and the
+    `weight_roots` of the weights, which the samplers and the form
+    builders read."""
+    return adjoint_basis(prob, couplings), weight_roots(prob, weights)
 
 
 def sine_data(prob, amplitude):

@@ -40,7 +40,7 @@ from degcontrol.solvers import (
     solve_forward_semilinear,
 )
 
-from conftest import sine_data
+from conftest import sampler_inputs, sine_data
 
 
 # -- shared heavy objects ------------------------------------------------
@@ -302,10 +302,11 @@ def test_criterion_7_nonlinear_null_control(prob, prob_linear, weights,
 
 def test_criterion_8_empirical_inequalities(prob, weights):
     rng = np.random.default_rng(5)
-    obs = empirical_observability(prob, weights, GameSpec().couplings(prob),
-                                  samples=20, rng=rng)
-    car = empirical_carleman(prob, weights, GameSpec().couplings(prob),
-                             samples=10,
+    c = GameSpec().couplings(prob)
+    inputs = sampler_inputs(prob, weights, c)
+    obs = empirical_observability(prob, weights, c, *inputs, samples=20,
+                                  rng=rng)
+    car = empirical_carleman(prob, weights, *inputs, samples=10,
                              rng=np.random.default_rng(5))
     assert obs["skipped"] == 0
     assert np.isfinite(obs["max_ratio"]) and np.isfinite(car["max_ratio"])
@@ -313,11 +314,11 @@ def test_criterion_8_empirical_inequalities(prob, weights):
     fine = CylinderProblem.default(N=96, M=192)
     w_fine = CarlemanWeights(CarlemanParams(), fine.deg, fine.grid,
                              fine.mesh)
-    obs_f = empirical_observability(fine, w_fine,
-                                    GameSpec().couplings(fine), samples=20,
-                                    rng=np.random.default_rng(5))
-    car_f = empirical_carleman(fine, w_fine, GameSpec().couplings(fine),
-                               samples=10,
+    c_fine = GameSpec().couplings(fine)
+    inputs = sampler_inputs(fine, w_fine, c_fine)
+    obs_f = empirical_observability(fine, w_fine, c_fine, *inputs,
+                                    samples=20, rng=np.random.default_rng(5))
+    car_f = empirical_carleman(fine, w_fine, *inputs, samples=10,
                                rng=np.random.default_rng(5))
     d_obs = abs(obs_f["max_ratio"] / obs["max_ratio"] - 1.0)
     d_car = abs(car_f["max_ratio"] / car["max_ratio"] - 1.0)

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from degcontrol.nash import GameSpec
 from degcontrol.solvers import CylinderProblem, solve_adjoint_coupled
 
 from adjoint_reference import two_follower_sweep
-from conftest import rel_gap
+from conftest import rel_gap, sampler_inputs
 
 
 class TestPsi:
@@ -159,8 +160,9 @@ class TestWeights:
 class TestEmpiricalInequalities:
     def test_observability_finite(self, w64):
         prob, w = w64
-        rep = empirical_observability(prob, w, GameSpec().couplings(prob),
-                                      samples=8,
+        c = GameSpec().couplings(prob)
+        rep = empirical_observability(prob, w, c,
+                                      *sampler_inputs(prob, w, c), samples=8,
                                       rng=np.random.default_rng(3))
         assert rep["skipped"] == 0
         assert np.isfinite(rep["max_ratio"])
@@ -168,9 +170,9 @@ class TestEmpiricalInequalities:
 
     def test_carleman_finite(self, w64):
         prob, w = w64
-        rep = empirical_carleman(prob, w, GameSpec().couplings(prob),
-                                 samples=4,
-                                 rng=np.random.default_rng(3))
+        c = GameSpec().couplings(prob)
+        rep = empirical_carleman(prob, w, *sampler_inputs(prob, w, c),
+                                 samples=4, rng=np.random.default_rng(3))
         assert rep["skipped"] == 0
         assert np.isfinite(rep["max_ratio"])
 
@@ -215,11 +217,10 @@ def _reference_observability(prob, w, couplings, samples, rng):
     return ratios, skipped
 
 
-def _reference_forms(prob, w):
-    """The Carleman integrals on nodal fields (M+1, N+1), every weight
-    exponentiated per integral: gamma(u), the source term of a sum of
-    squares, and the observation term of phi."""
-    grid, mesh = prob.grid, prob.mesh
+def _reference_logs(prob, w):
+    """The log weights (lw0, lwf, log_src, log_obs) of the Carleman
+    integrals on all levels: zero order, gradient at the faces (without
+    b^2 a), source and observation (without the mask of O)."""
     z = w.zeta()
     fin = np.isfinite(w.A)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -232,6 +233,15 @@ def _reference_forms(prob, w):
         lwf = np.where(fin[:, :-1] & fin[:, 1:],
                        0.5 * (lw0[:, :-1] + lw0[:, 1:])
                        - (lsl + 0.5 * (logz[:, :-1] + logz[:, 1:])), -np.inf)
+    return lw0, lwf, log_src, log_obs
+
+
+def _reference_forms(prob, w):
+    """The Carleman integrals on nodal fields (M+1, N+1), every weight
+    exponentiated per integral: gamma(u), the source term of a sum of
+    squares, and the observation term of phi."""
+    grid, mesh = prob.grid, prob.mesh
+    lw0, lwf, log_src, log_obs = _reference_logs(prob, w)
     b_sq = prob.b_t**2
     a_face = prob.deg.a(grid.faces)
     h = grid.spacings
@@ -294,19 +304,62 @@ def w32():
                                  prob.mesh)
 
 
+def _exp_table(logw):
+    """e^{logw}, capped at e^700, with the non-finite entries 0."""
+    return np.where(np.isfinite(logw), np.exp(np.minimum(logw, 700.0)), 0.0)
+
+
+def _band_reference(prob, w, cols):
+    """Gram matrices (gamma, observation) of the columns cols
+    (M+1, k, N-1) summed level by level, sum_m u_m^T T_m u_m, with
+    tridiagonal T_m = diag(dt w w0 b^2) + D^T diag(dt wf / h) D for the
+    Gamma form (D the face differences, boundary values zero) and the
+    diagonal T_m = diag(dt w w_obs 1_O) for the observation form."""
+    grid, mesh = prob.grid, prob.mesh
+    lw0, lwf, _, log_obs = _reference_logs(prob, w)
+    b_sq = prob.b_t[1:, None] ** 2
+    g = (mesh.dt * _exp_table(lwf[1:]) * b_sq * prob.deg.a(grid.faces)
+         / grid.spacings)
+    dtw = mesh.dt * grid.interior_volumes
+    n = grid.N - 1
+    i = np.arange(n)
+    bands = np.zeros((mesh.M, n, n))
+    bands[:, i, i] = (g[:, :-1] + g[:, 1:]
+                      + dtw * _exp_table(lw0[1:, 1:-1]) * b_sq)
+    bands[:, i[1:], i[:-1]] = bands[:, i[:-1], i[1:]] = -g[:, 1:-1]
+    diag = np.zeros_like(bands)
+    diag[:, i, i] = (dtw * _exp_table(log_obs[1:, 1:-1])
+                     * prob.indicator_interior("O"))
+    u = cols[1:]
+    return tuple(np.einsum("mkn,mnp,mlp->kl", u, t, u) for t in (bands, diag))
+
+
 class TestGramForms:
-    """The Gram forms equal the integral formulas on random fields."""
+    """The Gram forms of the weighted columns equal the per-level band
+    forms and the integral formulas on random fields."""
 
     def test_gamma_and_observation_forms(self, w32):
         prob, w = w32
         grid, mesh = prob.grid, prob.mesh
         gamma, _, observation = _reference_forms(prob, w)
-        w0, wf, _, w_obs = carleman.weight_tables(prob, w)
+        roots = carleman.weight_roots(prob, w)
         rng = np.random.default_rng(4)
         cols = rng.standard_normal((mesh.M + 1, 5, grid.N - 1))
-        g_gamma = carleman._gram(cols, carleman._gamma_bands(prob, w0, wf))
-        g_obs = carleman._gram(
-            cols, mesh.dt * grid.interior_volumes * w_obs[1:, 1:-1])
+        g_gamma = carleman._gram(carleman._gamma_columns(cols, roots))
+        g_obs = carleman._gram(carleman._weighted(cols, roots[3]))
+        for g, ref in zip((g_gamma, g_obs), _band_reference(prob, w, cols)):
+            assert np.all(np.abs(g - ref) <= 1e-13 * np.abs(ref))
+            assert np.array_equal(g, g.T)
+            assert np.min(np.linalg.eigvalsh(g)) >= -1e-13 * np.max(np.abs(g))
+        # the weights vanish at the boundary faces (below 1e-29 of their
+        # peak), so unit roots check that D u takes the boundary values
+        # as zero: T = I + D^T D = tridiag(-1, 3, -1)
+        n = grid.N - 1
+        unit = (np.ones((mesh.M, n)), np.ones((mesh.M, n + 1)))
+        t = 3 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
+        ref = np.einsum("mkn,np,mlp->kl", cols[1:], t, cols[1:])
+        g = carleman._gram(carleman._gamma_columns(cols, unit))
+        assert np.all(np.abs(g - ref) <= 1e-13 * np.abs(ref))
         for c in np.vstack([np.eye(5), rng.standard_normal((3, 5))]):
             u = np.zeros((mesh.M + 1, grid.N + 1))
             u[:, 1:-1] = np.einsum("mkn,k->mn", cols, c)
@@ -334,8 +387,9 @@ class TestGramSampling:
         prob, w = w32
         c = GameSpec().couplings(prob)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-        obs = empirical_observability(prob, w, c, samples=7, rng=rng)
-        car = empirical_carleman(prob, w, c, samples=3, rng=rng)
+        inputs = sampler_inputs(prob, w, c)
+        obs = empirical_observability(prob, w, c, *inputs, samples=7, rng=rng)
+        car = empirical_carleman(prob, w, *inputs, samples=3, rng=rng)
         ref_obs, obs_skipped = _reference_observability(prob, w, c, 7,
                                                         ref_rng)
         ref_car, car_skipped = _reference_carleman(prob, w, c, 3, ref_rng)
@@ -355,8 +409,9 @@ class TestGramSampling:
                         jacobian_weighting=False)
         c = game.couplings(prob)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
-        obs = empirical_observability(prob, w, c, samples=1, rng=rng)
-        car = empirical_carleman(prob, w, c, samples=1, rng=rng)
+        inputs = sampler_inputs(prob, w, c)
+        obs = empirical_observability(prob, w, c, *inputs, samples=1, rng=rng)
+        car = empirical_carleman(prob, w, *inputs, samples=1, rng=rng)
         ref_obs, _ = _reference_observability(prob, w, c, 1, ref_rng)
         ref_car, _ = _reference_carleman(prob, w, c, 1, ref_rng)
         np.testing.assert_allclose(obs["ratios"], ref_obs, rtol=1e-8)
@@ -364,8 +419,10 @@ class TestGramSampling:
         # and wt = l(t) is not the weighted game's wt = 1
         weighted = replace(game, jacobian_weighting=True).couplings(prob)
         rng = np.random.default_rng(8)
-        obs_1 = empirical_observability(prob, w, weighted, samples=1, rng=rng)
-        car_1 = empirical_carleman(prob, w, weighted, samples=1, rng=rng)
+        inputs = sampler_inputs(prob, w, weighted)
+        obs_1 = empirical_observability(prob, w, weighted, *inputs, samples=1,
+                                        rng=rng)
+        car_1 = empirical_carleman(prob, w, *inputs, samples=1, rng=rng)
         assert rel_gap(np.array(obs["ratios"]), np.array(obs_1["ratios"])) > 1e-3
         assert rel_gap(np.array(car["ratios"]), np.array(car_1["ratios"])) > 1e-3
 
@@ -378,8 +435,8 @@ class TestGramSampling:
         monkeypatch.setattr(prob, "indicator", lambda name: (
             0.0 * indicator(name) if name == "O" else indicator(name)))
         c = GameSpec().couplings(prob)
-        car = empirical_carleman(prob, w, c, samples=3,
-                                 rng=np.random.default_rng(12))
+        car = empirical_carleman(prob, w, *sampler_inputs(prob, w, c),
+                                 samples=3, rng=np.random.default_rng(12))
         ref_car, _ = _reference_carleman(prob, w, c, 3,
                                          np.random.default_rng(12))
         np.testing.assert_allclose(car["ratios"], ref_car, rtol=1e-8)
@@ -388,9 +445,10 @@ class TestGramSampling:
     def test_source_share_on_default_problem(self, prob, weights):
         # with O in place the observation term dominates the right-hand
         # side, but the source term still shows in the report
-        car = empirical_carleman(prob, weights, GameSpec().couplings(prob),
-                                 samples=50,
-                                 rng=np.random.default_rng(0))
+        c = GameSpec().couplings(prob)
+        car = empirical_carleman(prob, weights,
+                                 *sampler_inputs(prob, weights, c),
+                                 samples=50, rng=np.random.default_rng(0))
         assert 0.0 < car["source_share"] < 1e-4
 
 
@@ -451,16 +509,23 @@ class TestSharedBasis:
     GAME = GameSpec(alpha1=0.7, alpha2=1.3, mu1=2.0, mu2=3.0)
 
     def test_given_basis_equals_own_solve(self, w32):
+        # the samplers only read the basis and roots they are given, so
+        # one pair serves both: each report equals the one from a pair
+        # made for that sampler alone, and the shared pair is unchanged
         prob, w = w32
         c = self.GAME.couplings(prob)
-        basis = adjoint_basis(prob, c)
-        for sampler in (empirical_observability, empirical_carleman):
-            reports = [sampler(prob, w, c, samples=6,
-                               rng=np.random.default_rng(5), basis=given)
-                       for given in (basis, None)]
+        basis, roots = shared = sampler_inputs(prob, w, c)
+        kept = [basis.phi.copy(), basis.psi.copy(), *map(np.copy, roots)]
+        for sampler in (partial(empirical_observability, prob, w, c),
+                        partial(empirical_carleman, prob, w)):
+            reports = [sampler(*given, samples=6,
+                               rng=np.random.default_rng(5))
+                       for given in (shared, sampler_inputs(prob, w, c))]
             assert reports[0].keys() == reports[1].keys()
             for key in reports[0]:
                 assert np.array_equal(reports[0][key], reports[1][key])
+        for now, before in zip([basis.phi, basis.psi, *roots], kept):
+            assert np.array_equal(now, before)
 
     @pytest.mark.parametrize("game", [GameSpec(), GAME],
                              ids=["default", "weighted"])
@@ -470,16 +535,16 @@ class TestSharedBasis:
         prob, w = w32
         c = game.couplings(prob)
         a1, a2 = c.alphas
-        basis = adjoint_basis(prob, c)
+        basis, roots = sampler_inputs(prob, w, c)
         psi = basis.psi[:, :carleman.SINE_MODES]
         forms = carleman._observability_forms(
-            prob, w, basis.phi[:, :carleman.SINE_MODES],
-            a1 * psi[:, :, 0] + a2 * psi[:, :, 1])
+            prob, basis.phi[:, :carleman.SINE_MODES],
+            a1 * psi[:, :, 0] + a2 * psi[:, :, 1], roots)
         phi, psi, _ = two_follower_sweep(prob,
                                          carleman._sine_modes(prob.grid),
                                          c.control, c.tracking)
         ref = carleman._observability_forms(
-            prob, w, phi, a1 * psi[:, :, 0] + a2 * psi[:, :, 1])
+            prob, phi, a1 * psi[:, :, 0] + a2 * psi[:, :, 1], roots)
         for form, ref_form in zip(forms, ref):
             assert rel_gap(form, ref_form) <= 1e-9
 
@@ -494,11 +559,11 @@ class TestSharedBasis:
         for slot in carleman.SOURCE_SLOTS:
             blocks.append(solve_adjoint_coupled(
                 prob, np.zeros((len(modes), grid.N + 1)), c, **{slot: modes}))
+        basis, roots = sampler_inputs(prob, w, c)
         ref = carleman._carleman_forms(
-            prob, w, np.concatenate([b.phi for b in blocks], axis=1),
-            np.concatenate([b.psi for b in blocks], axis=1))
-        basis = adjoint_basis(prob, c)
-        forms = carleman._carleman_forms(prob, w, basis.phi, basis.psi)
+            prob, np.concatenate([b.phi for b in blocks], axis=1),
+            np.concatenate([b.psi for b in blocks], axis=1), roots)
+        forms = carleman._carleman_forms(prob, basis.phi, basis.psi, roots)
         for form, ref_form in zip(forms, ref):
             assert rel_gap(form, ref_form) <= 1e-9
 

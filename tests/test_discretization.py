@@ -15,11 +15,13 @@ from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
                                     level_order, lower_band)
 from degcontrol.operators import band_apply, drift_bands, weighted_transpose
 from degcontrol.mms import space_order_study, time_order_study
+from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
     CylinderProblem,
     _interior,
     solve_backward_linear,
     solve_forward_linear,
+    solve_forward_semilinear,
 )
 
 from sparse_reference import (
@@ -398,7 +400,47 @@ class TestBandOperators:
                 assert np.array_equal(g, r)
 
 
+def _moving_domain_error(family: str, N: int, Ms=(512, 1024)) -> float:
+    """Interior L2 error on [0.25, 0.9] at t = T of the exact solution
+    Y(xi, t) = e^{-t} sin(pi xi / l(t)) on (0, l(t)), F = 0, pulled back
+    to the cylinder by xi = l(t) x; the time error is removed by
+    Richardson extrapolation over the two M of Ms (M2 = 2 M1)."""
+    finals = []
+    for M in Ms:
+        prob = CylinderProblem.default(N=N, M=M, family=family,
+                                       F=SemilinearF.zero())
+        al = prob.deg.alpha
+        t = prob.mesh.times[:, None]
+        l, dl = prob.dom.ell(t), prob.dom.ell_prime(t)
+        xi = l * prob.grid.interior[None, :]
+        arg = np.pi * xi / l
+        # Y_t - (xi^alpha Y_xi)_xi in physical variables, by hand
+        y_t = -np.sin(arg) - np.pi * xi * dl / l**2 * np.cos(arg)
+        flux_xi = np.pi / l * (al * xi ** (al - 1.0) * np.cos(arg)
+                               - xi**al * np.pi / l * np.sin(arg))
+        source = np.exp(-t) * (y_t - flux_xi)
+        y = solve_forward_semilinear(prob, np.sin(np.pi * prob.grid.nodes),
+                                     source=source)
+        finals.append(y.values[-1])
+    x, T = prob.grid.nodes, prob.mesh.T
+    l_T = prob.dom.ell(T)
+    exact = np.exp(-T) * np.sin(np.pi * (l_T * x) / l_T)  # Y(l(T) x, T)
+    err = 2.0 * finals[1] - finals[0] - exact
+    on = (x >= 0.25) & (x <= 0.9)
+    return float(np.sqrt(np.sum(prob.grid.cell_volumes[on] * err[on] ** 2)))
+
+
 class TestManufacturedOrders:
+    @pytest.mark.parametrize("family, lo, hi", [
+        ("constant", 1.8, np.inf),
+        # the upwind drift -B x y_x is first order once the domain moves
+        # (0.95 measured at N = 32, 64, 128 on the default k = 0.25)
+        ("affine", 0.8, 1.3),
+    ], ids=["constant", "affine"])
+    def test_moving_domain_exact_solution(self, family, lo, hi):
+        e32, e64 = (_moving_domain_error(family, N) for N in (32, 64))
+        assert lo <= np.log2(e32 / e64) <= hi
+
     def test_time_first_order(self):
         study = time_order_study(N=128, Ms=(16, 32, 64), M_ref=512)
         assert study["slope"] == pytest.approx(1.0, abs=0.15)

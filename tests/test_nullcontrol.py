@@ -182,6 +182,23 @@ class TestLinearControl:
         assert a.residuals == b.residuals
         assert (a.kappa0, a.budget_constant) == (b.kappa0, b.budget_constant)
 
+    def test_boundary_values_of_y0_are_not_data(self):
+        # the state vanishes on the boundary, so y0[0] = 1 is the same
+        # data as y0[0] = 0: the same triple, and kappa0 measures it alike
+        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
+        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                                  prob.mesh)
+        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        y0 = sine_data(prob, 0.1)
+        a = hum.solve(y0)
+        y0[0] = 1.0
+        b = hum.solve(y0)
+        assert y0[0] == 1.0  # the caller's array is left as it was
+        for name in ("y", "h", "p1", "p2"):
+            assert np.array_equal(getattr(a, name).values,
+                                  getattr(b, name).values)
+        assert (a.kappa0, a.budget_constant) == (b.kappa0, b.budget_constant)
+
     def test_additional_estimates(self, prob_linear, weights, hum):
         game, solver = hum
         triple = solver.solve(sine_data(prob_linear, 0.1))

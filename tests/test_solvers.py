@@ -25,7 +25,7 @@ from degcontrol.solvers import (
 )
 
 from adjoint_reference import two_follower_sweep
-from conftest import cubic_F, rel_gap, sine_data
+from conftest import cubic_F, rel_gap, sampler_inputs, sine_data
 from semilinear_reference import PicardFailure, picard_march, sparse_residual
 
 
@@ -332,11 +332,12 @@ class TestTwoFollowerReference:
         assert np.max(np.abs(block.psi - psi)) <= 1e-10
         w = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
         a1, a2 = c.alphas
+        _, roots = sampler_inputs(prob, w, c)
 
         def forms(phi, psi):  # Carleman (lhs, rhs), observability (lhs, rhs)
             rho = a1 * psi[:, :, 0] + a2 * psi[:, :, 1]
-            return (carleman._carleman_forms(prob, w, phi, psi)[:2]
-                    + carleman._observability_forms(prob, w, phi, rho))
+            return (carleman._carleman_forms(prob, phi, psi, roots)[:2]
+                    + carleman._observability_forms(prob, phi, rho, roots))
 
         for got, want in zip(forms(block.phi, block.psi), forms(phi, psi)):
             assert rel_gap(got, want) <= 1e-9
