@@ -234,6 +234,13 @@ def _hum_blocks(prob: CylinderProblem, ops: LevelOps,
     return G0, follower(0), follower(1), E
 
 
+def _gram_term(G: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
+    """G^T diag(w) G for CSR G, with the bits of G.T @ sp.diags(w) @ G."""
+    X = G.copy()
+    X.data *= np.repeat(w, np.diff(G.indptr))
+    return X.T.tocsr() @ G
+
+
 def level_order(M: int, n: int) -> np.ndarray:
     """Old index of each HUM unknown, numbered level by level.
 
@@ -324,10 +331,10 @@ class HUMSolver:
         wv = prob.grid.interior_volumes
         self.rho0_inv2 = weights.rho0_n ** (-2.0)
         self.rho1_inv2 = weights.rho1_n ** (-2.0)
-        W0 = sp.diags(dt * np.outer(self.rho0_inv2[1:], wv).ravel())
-        W1 = sp.diags(dt * np.outer(self.rho1_inv2[1:], wv).ravel())
-        B = (self.G0.T @ W0 @ self.G0 + self.G1.T @ W0 @ self.G1
-             + self.G2.T @ W0 @ self.G2 + self.E.T @ W1 @ self.E).tocsr()
+        w0 = dt * np.outer(self.rho0_inv2[1:], wv).ravel()
+        w1 = dt * np.outer(self.rho1_inv2[1:], wv).ravel()
+        B = (_gram_term(self.G0, w0) + _gram_term(self.G1, w0)
+             + _gram_term(self.G2, w0) + _gram_term(self.E, w1)).tocsr()
         B.sort_indices()
         # symmetric Jacobi scaling: the raw operator mixes rho scales over
         # ten decades, which defeats a factorization in double precision.
@@ -355,8 +362,10 @@ class HUMSolver:
                 if self.rung == SHIFT_RUNGS - 1:
                     raise
             del ab  # free the failed band before the next rung builds one
-        # extended-precision copy for the refinement residuals
-        self._Bld = self.Bs.astype(np.longdouble)
+        # extended-precision values on the index arrays of Bs, for the
+        # refinement residuals
+        self._Bld = sp.csr_matrix((B.data.astype(np.longdouble), B.indices,
+                                   B.indptr), shape=B.shape)
         self._n, self._M = n, M
 
     def _rhs(self, y0: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -398,11 +407,11 @@ class HUMSolver:
             fld = fs.astype(np.longdouble)
             first = self.lu.solve(fs)
             zl = first.astype(np.longdouble)
-            rl = fld - self._Bld @ zl
-            history.append(np.linalg.norm(rl.astype(float)))
-            zl += self.lu.solve(rl.astype(float))
-            rl = fld - self._Bld @ zl
-            history.append(np.linalg.norm(rl.astype(float)))
+            r = (fld - self._Bld @ zl).astype(float)
+            history.append(np.linalg.norm(r))
+            zl += self.lu.solve(r)
+            r = (fld - self._Bld @ zl).astype(float)
+            history.append(np.linalg.norm(r))
             if history[1] < history[0]:
                 best, best_res = zl.astype(float), history[1]
             else:

@@ -7,10 +7,11 @@ All systems derive from the primal operator
 with g_n = C(t_n) beta(x) and Dc the central gradient.  Every L_n is
 tridiagonal; `LevelOps` keeps the operators of all levels as one band
 array of shape (M+1, 3, N-1) (see `operators` for the layout), assembled
-vectorized over levels.  Each implicit step matrix I + dt L_n is factored
-once, on first use, by LAPACK dgttrf.  Backward problems use the weighted
-transpose W^{-1} L_n^T W of the exact forward operator, solved through
-the same factors transposed (dgttrs with trans="T"), so every
+vectorized over levels.  On first use the implicit step matrices
+I + dt L_n of all levels are factored by one LAPACK dgttrf call on their
+block-diagonal stack.  Backward problems use the weighted transpose
+W^{-1} L_n^T W of the exact forward operator, solved through the same
+factors transposed (dgttrs with trans="T"), so every
 forward/backward pair obeys the summation-by-parts identity
 
     sum_n dt <f^n, p^n>_W + <y^0, p^1>_W = sum_n dt <g^n, y^n>_W
@@ -115,16 +116,15 @@ class LevelOps:
     `bands[n]` holds L_n (shape (M+1, 3, N-1)); `bands_t` the bands of its
     weighted transpose.  `march` and `march_adjoint` step forward and
     backward through the same dgttrf factors, one or many columns at a
-    time; each level is factored at most once.  The space-time HUM
-    assembly reads the same bands.  Instances are immutable once built
-    and shared by sweeps.
+    time; the first march factors all levels in one dgttrf call.  The
+    space-time HUM assembly reads the same bands.  Instances are
+    immutable once built and shared by sweeps.
     """
 
     def __init__(self, prob: "CylinderProblem", bands: np.ndarray):
         self.prob = prob
         self.bands = bands
         self._wv = prob.grid.interior_volumes
-        self._factors = [None] * len(bands)
 
     @classmethod
     def build(cls, prob: "CylinderProblem", reaction: np.ndarray,
@@ -139,16 +139,25 @@ class LevelOps:
     def bands_t(self) -> np.ndarray:
         return band_weighted_transpose(self.bands, self._wv)
 
-    def _factor(self, m: int) -> list:
-        if self._factors[m] is None:
-            dt = self.prob.mesh.dt
-            lo, d, up = self.bands[m]
-            *factors, info = lapack.dgttrf(dt * lo[1:], 1.0 + dt * d,
-                                           dt * up[:-1])
-            if info > 0:
-                raise RuntimeError(f"level {m}: I + dt L_n is singular")
-            self._factors[m] = factors
-        return self._factors[m]
+    @cached_property
+    def _factors(self) -> list:
+        # one dgttrf on the stacked levels: the zero band corners decouple
+        # them, so no elimination step or row interchange crosses a level,
+        # and each level's slice (pivots made level-local) holds the bits
+        # of its own call
+        dt = self.prob.mesh.dt
+        L, _, n = self.bands.shape
+        lo, d, up = self.bands.transpose(1, 0, 2)
+        dl, d, du, du2, ipiv, info = lapack.dgttrf(
+            (dt * lo).ravel()[1:], (1.0 + dt * d).ravel(),
+            (dt * up).ravel()[:-1])
+        if info > 0:
+            raise RuntimeError(
+                f"level {(info - 1) // n}: I + dt L_n is singular")
+        ipiv = ipiv.reshape(L, n) - n * np.arange(L, dtype=ipiv.dtype)[:, None]
+        return [(dl[s:s + n - 1], d[s:s + n], du[s:s + n - 1],
+                 du2[s:s + n - 2], ipiv[m])
+                for m, s in enumerate(range(0, L * n, n))]
 
     def march(self, rows: np.ndarray) -> None:
         """Forward march y^m = (I + dt L_m)^{-1} (y^{m-1} + dt f^m), in place.
@@ -159,10 +168,11 @@ class LevelOps:
         call per level, which runs the one-column recurrence on each, so
         every column equals its own one-column march bit for bit.
         """
+        factors = self._factors
         for m in range(1, len(rows)):
             b = rows[m]
             np.add(rows[m - 1], b, out=b)
-            lapack.dgttrs(*self._factor(m), b.T, overwrite_b=1)
+            lapack.dgttrs(*factors[m], b.T, overwrite_b=1)
 
     def march_adjoint(self, rows: np.ndarray, start: int) -> None:
         """Backward march with the weighted transposes, in place.
@@ -172,13 +182,13 @@ class LevelOps:
         rows[m] holds dt g^m for m <= start, and rows[start+1] the
         terminal row when start < M.  Layout as in `march`.
         """
-        wv = self._wv
+        wv, factors = self._wv, self._factors
         last = len(rows) - 1
         for m in range(start, -1, -1):
             b = rows[m]
             np.add(b, rows[m + 1] if m < last else 0.0, out=b)
             np.multiply(wv, b, out=b)
-            lapack.dgttrs(*self._factor(m), b.T, trans="T", overwrite_b=1)
+            lapack.dgttrs(*factors[m], b.T, trans="T", overwrite_b=1)
             np.divide(b, wv, out=b)
 
 

@@ -40,7 +40,7 @@ def picard_march(prob, y0, src, tol=1e-10, max_inner=25):
         for _ in range(max_inner):
             w = g * (dc @ z)
             rhs = y + dt * (src[n] - prob.F.F(z, w))
-            z_new = lapack.dgttrs(*base._factor(n), rhs)[0]
+            z_new = lapack.dgttrs(*base._factors[n], rhs)[0]
             dz = z_new - z
             d = float(np.sqrt(np.sum(wv * dz * dz)))
             z = z_new

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from degcontrol import carleman, solvers
 from degcontrol.carleman import CarlemanParams, CarlemanWeights
@@ -263,6 +264,70 @@ class TestBlockedMarches:
         for j, col in enumerate(cols):
             ops.march_adjoint(col, m0)
             assert np.array_equal(rows[:, j], col)
+
+
+def _level_factors(ops):
+    """One dgttrf call per level of I + dt L_n."""
+    dt = ops.prob.mesh.dt
+    out = []
+    for lo, d, up in ops.bands:
+        *factors, info = lapack.dgttrf(dt * lo[1:], 1.0 + dt * d, dt * up[:-1])
+        assert info == 0
+        out.append(factors)
+    return out
+
+
+class TestStackedFactor:
+    """One dgttrf on the stacked levels gives each level's own factors."""
+
+    @staticmethod
+    def _check(ops, rng):
+        ref = _level_factors(ops)
+        assert len(ops._factors) == len(ref)
+        for got, want in zip(ops._factors, ref):
+            assert len(got) == len(want) == 5
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+        rows = rng.standard_normal((len(ref), 3, ops.bands.shape[-1]))
+        want = rows.copy()
+        ops.march(rows)
+        for m in range(1, len(want)):
+            b = want[m]
+            np.add(want[m - 1], b, out=b)
+            lapack.dgttrs(*ref[m], b.T, overwrite_b=1)
+        assert np.array_equal(rows, want)
+        return ref
+
+    def test_random_bands_with_row_interchanges(self, rng):
+        prob = CylinderProblem.default(N=16, M=16)
+        bands = 40.0 * rng.standard_normal(prob.base_bands.shape)
+        bands[:, 0, 0] = bands[:, 2, -1] = 0.0
+        ref = self._check(LevelOps(prob, bands), rng)
+        n = bands.shape[-1]
+        # every level pivots, so the slices must carry level-local pivots
+        assert all(np.any(f[4] != np.arange(1, n + 1)) for f in ref)
+
+    def test_linearized_ops(self, rng):
+        self._check(CylinderProblem.default(N=32, M=64).linearized_ops(), rng)
+
+    @pytest.mark.parametrize("level", [0, 5, 16])
+    def test_singular_level_is_named(self, level):
+        prob = CylinderProblem.default(N=16, M=16)
+        bands = prob.base_bands.copy()
+        bands[level, :, 3] = bands[level, 0, 4] = bands[level, 2, 2] = 0.0
+        bands[level, 1, 3] = -1.0 / prob.mesh.dt  # row and column 3 vanish
+        assert 1.0 + prob.mesh.dt * bands[level, 1, 3] == 0.0
+        with pytest.raises(RuntimeError,
+                           match=rf"^level {level}: I \+ dt L_n is singular"):
+            LevelOps(prob, bands)._factors
+
+    def test_transposed_bands_factor_nothing(self, prob_small):
+        y = TrajectoryField.from_function(
+            prob_small.grid, prob_small.mesh,
+            lambda x, t: 0.2 * np.sin(np.pi * x) * (1 + t))
+        ops = prob_small.ops_at_state(y)
+        ops.bands_t
+        assert "_factors" not in ops.__dict__
 
 
 def _block_case(prob, k):
