@@ -31,7 +31,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .grids import TrajectoryField
-from .operators import band_apply, band_transpose
+from .operators import band_apply
 from .solvers import (
     Couplings,
     CylinderProblem,
@@ -277,9 +277,7 @@ def _dL_transpose_apply(prob: CylinderProblem, y: np.ndarray,
     F = prob.F
     r = F.D11(y, w_arg) * theta + F.D12(y, w_arg) * dth
     q = F.D21(y, w_arg) * theta + F.D22(y, w_arg) * dth
-    wv = prob.grid.interior_volumes
-    dct = band_transpose(prob.Dc_bands)
-    return r * p + band_apply(dct, q * g * wv * p) / wv
+    return prob.coefficient_adjoint(r, q * g, p)
 
 
 def second_derivative_form(prob: CylinderProblem, game: GameSpec,

@@ -544,14 +544,13 @@ def verify_additional_estimates(prob: CylinderProblem,
 def _remainder_parts(prob: CylinderProblem, game: GameSpec) -> tuple:
     """The parts of the remainder N(z) that do not depend on z.
 
-    (D1F(0,0), D2F(0,0), the bands_t of the system linearized at zero,
-    the interior rows of tracking_i y_id stacked over i).
+    (D1F(0,0), D2F(0,0), the interior rows of tracking_i y_id stacked
+    over i).
     """
     tracking = game.couplings(prob).tracking
     targets = game.targets(prob)
     zero = np.zeros(1)
     return (float(prob.F.D1(zero, zero)[0]), float(prob.F.D2(zero, zero)[0]),
-            prob.linearized_ops().bands_t,
             np.stack([_interior(tracking[i] * targets[i].values)
                       for i in (0, 1)]))
 
@@ -561,20 +560,28 @@ def _nonlinear_remainders(prob: CylinderProblem, parts: tuple,
                           p2: TrajectoryField) -> np.ndarray:
     """The remainder N(z) of the map beyond its linearization at zero.
 
-    N0 = F(y, g y_x) - D1F(0,0) y - D2F(0,0) g y_x,
-    N_i = (L(y)^T - L(0)^T) p_i + tracking_i y_id  (constants included),
+    N0 = F(y, w) - D1F(0,0) y - D2F(0,0) w, with w = g Dc y,
+    N_i = (L(y)^* - L(0)^*) p_i + tracking_i y_id  (constants included),
     with tracking_i = alpha_i wt 1_Od the game's tracking coupling and
-    `parts` the game's _remainder_parts.  Returns (N0, N1, N2) as one
-    array (3, M+1, N+1) with zero boundary columns.
+    `parts` the game's _remainder_parts.  L(y) - L(0) = diag(r) +
+    diag(c) Dc is formed from the change in the coefficients,
+    r = D1F(y, w) - D1F(0,0) and c = (D2F(y, w) - D2F(0,0)) g, and its
+    weighted transpose is applied by `CylinderProblem.coefficient_adjoint`:
+    no operator set is built and no two operators are subtracted, so the
+    adjoint part carries no cancellation against the base operator.
+    Returns (N0, N1, N2) as one array (3, M+1, N+1) with zero boundary
+    columns.
     """
-    d1, d2, lin_bands_t, const = parts
-    dbands = prob.ops_at_state(y).bands_t - lin_bands_t
+    d1, d2, const = parts
+    F, g = prob.F, prob.grad_weights
     yi = _interior(y.values)
-    wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
+    wgrad = g * band_apply(prob.Dc_bands, yi)
     out = np.zeros((3,) + y.values.shape)
-    out[0, :, 1:-1] = prob.F.F(yi, wgrad) - d1 * yi - d2 * wgrad
+    out[0, :, 1:-1] = F.F(yi, wgrad) - d1 * yi - d2 * wgrad
     p = np.stack([_interior(p1.values), _interior(p2.values)])
-    np.add(band_apply(dbands, p), const, out=out[1:, :, 1:-1])
+    r = F.D1(yi, wgrad) - d1
+    c = (F.D2(yi, wgrad) - d2) * g
+    np.add(prob.coefficient_adjoint(r, c, p), const, out=out[1:, :, 1:-1])
     return out
 
 

@@ -14,7 +14,9 @@ Adjoints are exact transposes with respect to the cell-volume inner
 product, W^{-1} L^T W, which is what makes the discrete forward/backward
 duality identities hold to roundoff.  A backward step with that adjoint
 needs no factorization of its own: (I + dt W^{-1} L^T W) p = r is solved as
-W p = (I + dt L)^{-T} W r through the factors of the forward step.
+W p = (I + dt L)^{-T} W r through the factors of the forward step.  A
+backward march therefore runs on q = W p: its rows are scaled by W once
+and unscaled once, and no level forms the weighted transpose.
 
 `weighted_transpose` is the scipy.sparse form of the weighted adjoint,
 a reference for the band form that no code path of the package calls;

@@ -37,8 +37,8 @@ from scipy.linalg import lapack
 
 from .geometry import ControlGeometry, DegeneracySpec, GradientWeightSpec, MovingDomainSpec
 from .grids import SpatialGrid, TimeMesh, TrajectoryField
-from .operators import (band_apply, band_weighted_transpose, drift_bands,
-                        stiffness_bands)
+from .operators import (band_apply, band_transpose, band_weighted_transpose,
+                        drift_bands, stiffness_bands)
 from .semilinear import SemilinearF
 
 __all__ = [
@@ -116,9 +116,11 @@ class LevelOps:
     `bands[n]` holds L_n (shape (M+1, 3, N-1)); `bands_t` the bands of its
     weighted transpose.  `march` and `march_adjoint` step forward and
     backward through the same dgttrf factors, one or many columns at a
-    time; the first march factors all levels in one dgttrf call.  The
-    space-time HUM assembly reads the same bands.  Instances are
-    immutable once built and shared by sweeps.
+    time; the first march factors all levels in one dgttrf call.
+    `march_adjoint` never forms the weighted transpose: it marches W p,
+    with one W scaling per march.  The space-time HUM assembly reads
+    `bands` and `bands_t`.  Instances are immutable once built and
+    shared by sweeps.
     """
 
     def __init__(self, prob: "CylinderProblem", bands: np.ndarray):
@@ -180,16 +182,25 @@ class LevelOps:
         p^m = (I + dt W^{-1} L_m^T W)^{-1} (p^{m+1} + dt g^m) for m = start
         down to 0, by the transposed factors; p^{M+1} = 0.  On entry
         rows[m] holds dt g^m for m <= start, and rows[start+1] the
-        terminal row when start < M.  Layout as in `march`.
+        terminal row when start < M; the terminal row is left as it is.
+        Layout as in `march`.
+
+        The march runs on q = W p: the live rows are scaled by W once,
+        q^m = (I + dt L_m)^{-T} (q^{m+1} + W dt g^m) needs only an add
+        and a dgttrs per level, and the rows are unscaled once at the end.
+        The terminal row is added to rows[start] before the scaling.
         """
-        wv, factors = self._wv, self._factors
-        last = len(rows) - 1
+        factors = self._factors
+        if start < len(rows) - 1:
+            np.add(rows[start], rows[start + 1], out=rows[start])
+        live = rows[:start + 1]
+        np.multiply(live, self._wv, out=live)
         for m in range(start, -1, -1):
             b = rows[m]
-            np.add(b, rows[m + 1] if m < last else 0.0, out=b)
-            np.multiply(wv, b, out=b)
+            if m < start:
+                np.add(b, rows[m + 1], out=b)
             lapack.dgttrs(*factors[m], b.T, trans="T", overwrite_b=1)
-            np.divide(b, wv, out=b)
+        np.divide(live, self._wv, out=live)
 
 
 class CylinderProblem:
@@ -264,6 +275,24 @@ class CylinderProblem:
             self.grid, self.deg)
         drift = drift_bands(self.grid, -self.B_t[:, None] * self.xi[None, :])
         return self.b_t[:, None, None] * winv_a[None] + drift
+
+    @cached_property
+    def Dc_bands_t(self) -> np.ndarray:
+        """Bands of the plain transpose Dc^T of the central gradient."""
+        return band_transpose(self.Dc_bands)
+
+    def coefficient_adjoint(self, r: np.ndarray, c: np.ndarray,
+                            p: np.ndarray) -> np.ndarray:
+        """W^{-1} (diag(r_n) + diag(c_n) Dc)^T W p_n on every level.
+
+        Evaluated as r p + W^{-1} Dc^T (c W p), with no operator formed:
+        the weighted transpose of a change of the coefficients of L_n
+        (reaction r and gradient coefficient c), applied without
+        subtracting two full operators.  r, c: (M+1, N-1); p: (..., M+1,
+        N-1).
+        """
+        wv = self.grid.interior_volumes
+        return r * p + band_apply(self.Dc_bands_t, c * wv * p) / wv
 
     def linearized_ops(self) -> LevelOps:
         """Operators of the system linearized at the zero state."""

@@ -13,7 +13,8 @@ from degcontrol.nash import GameSpec, _dL_transpose_apply, make_default_targets
 from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
                                     _nonlinear_remainders, _remainder_parts,
                                     level_order, lower_band)
-from degcontrol.operators import band_apply, drift_bands, weighted_transpose
+from degcontrol.operators import (band_apply, band_transpose, drift_bands,
+                                  weighted_transpose)
 from degcontrol.mms import space_order_study, time_order_study
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
@@ -226,19 +227,27 @@ def _hum_blocks_reference(prob, game):
 
 
 def _remainders_reference(prob, game, y, p1, p2):
-    """N0, N1, N2 computed field by field and padded with np.pad."""
+    """N0, N1, N2 computed field by field and padded with np.pad; the
+    adjoint parts from the change in the coefficients, r p + W^{-1}
+    Dc^T (c W p)."""
     tracking = game.couplings(prob).tracking
     targets = game.targets(prob)
     zero = np.zeros(1)
     d1 = float(prob.F.D1(zero, zero)[0])
     d2 = float(prob.F.D2(zero, zero)[0])
-    dbands = prob.ops_at_state(y).bands_t - prob.linearized_ops().bands_t
     yi = _interior(y.values)
-    wgrad = prob.grad_weights * band_apply(prob.Dc_bands, yi)
+    g = prob.grad_weights
+    wgrad = g * band_apply(prob.Dc_bands, yi)
     N0 = prob.F.F(yi, wgrad) - d1 * yi - d2 * wgrad
-    Ni = [band_apply(dbands, _interior(p.values))
-          + _interior(tracking[i] * targets[i].values)
-          for i, p in enumerate((p1, p2))]
+    r = prob.F.D1(yi, wgrad) - d1
+    c = (prob.F.D2(yi, wgrad) - d2) * g
+    wv = prob.grid.interior_volumes
+    dct = band_transpose(prob.Dc_bands)
+    Ni = []
+    for i, p in enumerate((p1, p2)):
+        pi = _interior(p.values)
+        Ni.append(r * pi + band_apply(dct, c * wv * pi) / wv
+                  + _interior(tracking[i] * targets[i].values))
     return [np.pad(N, ((0, 0), (1, 1))) for N in (N0, *Ni)]
 
 
@@ -367,22 +376,26 @@ class TestBandOperators:
         y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
         N0, N1, N2 = _nonlinear_remainders(
             prob, _remainder_parts(prob, game), y, p1, p2)
-        _, lt_y = _sparse_levels(prob, y)
-        _, lt_0 = _sparse_levels(prob, prob.new_field())
         zero = np.zeros(1)
         d1 = float(prob.F.D1(zero, zero)[0])
         d2 = float(prob.F.D2(zero, zero)[0])
         Dc = central_gradient_matrix(prob.grid)
+        wv = prob.grid.interior_volumes
         ind_d = prob.indicator_interior("Od")
         wt = game.time_weight(prob)
         for n in range(prob.mesh.M + 1):
             yi = y.values[n, 1:-1]
-            w = prob.C_t[n] * prob.beta_i * (Dc @ yi)
+            g = prob.C_t[n] * prob.beta_i
+            w = g * (Dc @ yi)
             ref0 = prob.F.F(yi, w) - d1 * yi - d2 * w
             assert np.allclose(N0[n, 1:-1], ref0, rtol=1e-14, atol=1e-15)
+            # L(y) - L(0) = diag(r) + diag(c) Dc, from the coefficients
+            dL = (sp.diags(prob.F.D1(yi, w) - d1)
+                  + sp.diags((prob.F.D2(yi, w) - d2) * g) @ Dc)
+            dLt = weighted_transpose(dL.tocsr(), wv)
             for i, (p, Ni) in enumerate(((p1, N1), (p2, N2))):
                 target = game.targets(prob)[i].values[n, 1:-1]
-                ref = ((lt_y[n] - lt_0[n]) @ p.values[n, 1:-1]
+                ref = (dLt @ p.values[n, 1:-1]
                        + game.alphas[i] * wt[n] * target * ind_d)
                 assert np.allclose(Ni[n, 1:-1], ref, rtol=1e-14, atol=1e-15)
 
@@ -401,6 +414,46 @@ class TestBandOperators:
             assert got.shape == (3,) + y.values.shape
             for g, r in zip(got, ref):
                 assert np.array_equal(g, r)
+
+
+    def test_nonlinear_remainders_build_no_operators(self, prob_small, rng,
+                                                     monkeypatch):
+        prob = prob_small
+        game = GameSpec(mu1=5.0, mu2=5.0)
+        parts = _remainder_parts(prob, game)
+
+        def refuse(self, y):
+            raise AssertionError("ops_at_state reached")
+        monkeypatch.setattr(CylinderProblem, "ops_at_state", refuse)
+        y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
+        assert np.all(np.isfinite(_nonlinear_remainders(prob, parts, y, p1,
+                                                        p2)))
+
+    def test_nonlinear_remainders_adjoint_part_long_double(self, rng):
+        # small states are where the change of the coefficients is small
+        # against the operator.  Relative errors at amplitude 1e-2, five
+        # draws: 3.6e-14 to 5.8e-14 from the coefficient change, 1.7e-10 to
+        # 2.9e-10 from subtracting the two weighted transposes
+        prob = CylinderProblem.default(N=32, M=64)
+        parts = _remainder_parts(prob, GameSpec(mu1=5.0, mu2=5.0))
+        ld, F = np.longdouble, prob.F
+        wv = prob.grid.interior_volumes.astype(ld)
+        dct = band_transpose(prob.Dc_bands).astype(ld)
+        g = prob.grad_weights.astype(ld)
+        zero = np.zeros(1, dtype=ld)
+        for _ in range(3):
+            y, p1, p2 = (_random_state(prob, rng, amplitude=1e-2)
+                         for _ in range(3))
+            # no targets, so N1 and N2 are the adjoint parts alone
+            got = _nonlinear_remainders(prob, parts, y, p1, p2)[1:, :, 1:-1]
+            yi = _interior(y.values).astype(ld)
+            w = g * band_apply(prob.Dc_bands.astype(ld), yi)
+            r = F.D1(yi, w) - F.D1(zero, zero)
+            c = (F.D2(yi, w) - F.D2(zero, zero)) * g
+            p = np.stack([_interior(p1.values), _interior(p2.values)]).astype(ld)
+            ref = r * p + band_apply(dct, c * wv * p) / wv
+            assert float(np.max(np.abs(got - ref))
+                         / np.max(np.abs(ref))) <= 1e-12
 
 
 def _moving_domain_error(family: str, N: int, Ms=(512, 1024)) -> float:

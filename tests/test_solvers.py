@@ -266,6 +266,44 @@ class TestBlockedMarches:
             assert np.array_equal(rows[:, j], col)
 
 
+    def test_adjoint_scales_once(self, rng, monkeypatch):
+        # the march runs on W p: one scaling and one unscaling per call,
+        # the terminal row untouched, and the columns within roundoff of
+        # a march that scales and unscales every level
+        prob = CylinderProblem.default(N=16, M=16)
+        ops = prob.ops_at_state(TrajectoryField.from_function(
+            prob.grid, prob.mesh, lambda x, t: 0.2 * np.sin(np.pi * x) * (1 + t)))
+        M, wv = prob.mesh.M, prob.grid.interior_volumes
+        rows = rng.standard_normal((M + 1, 3, prob.grid.N - 1))
+        want, terminal = rows.copy(), rows[M].copy()
+        calls = {"multiply": 0, "divide": 0}
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                fn = getattr(np, name)
+                if name not in calls:
+                    return fn
+
+                def counted(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return counted
+
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "np", CountingNumpy())
+            ops.march_adjoint(rows, M - 1)
+        assert calls == {"multiply": 1, "divide": 1}
+        assert np.array_equal(rows[M], terminal)
+        for m in range(M - 1, -1, -1):
+            b = want[m]
+            np.add(b, want[m + 1], out=b)
+            np.multiply(wv, b, out=b)
+            lapack.dgttrs(*ops._factors[m], b.T, trans="T", overwrite_b=1)
+            np.divide(b, wv, out=b)
+        for j in range(3):
+            assert rel_gap(rows[:, j], want[:, j]) <= 1e-15
+
+
 def _level_factors(ops):
     """One dgttrf call per level of I + dt L_n."""
     dt = ops.prob.mesh.dt

@@ -81,6 +81,14 @@ CONFIGS = {
         "game": {"jacobian_weighting": False, "alpha1": 2.0, "mu2": 3.0},
         "experiment": {"kind": "linear-control"},
     },
+    # the only nonlinear run with wt = l(t) in the constant part of the
+    # Newton remainder
+    "nonlinear-control-unweighted": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"jacobian_weighting": False, "alpha1": 2.0, "mu2": 3.0},
+        "experiment": {"kind": "nonlinear-control",
+                       "scale_factors": [1.0, 3.0]},
+    },
     "nonlinear-control-64x128": {
         "grid": {"N": 64, "M": 128},
         "experiment": {"kind": "nonlinear-control"},
