@@ -23,7 +23,7 @@ out = Path(__file__).parent
 prob = CylinderProblem.default(N=64, M=128, F=SemilinearF.zero())
 weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
 game = GameSpec(mu1=5.0, mu2=5.0)
-game.target1, game.target2 = make_default_targets(prob, weights=weights)
+game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
 
 x = prob.grid.nodes
 y0 = 0.1 * np.sin(np.pi * x)

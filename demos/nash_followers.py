@@ -11,6 +11,7 @@ Run:  python3 demos/nash_followers.py
 
 import numpy as np
 
+from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.grids import TrajectoryField
 from degcontrol.nash import (
     GameSpec,
@@ -22,8 +23,9 @@ from degcontrol.nash import (
 from degcontrol.solvers import CylinderProblem, solve_forward_semilinear
 
 prob = CylinderProblem.default(N=64, M=128)
+weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
 game = GameSpec(mu1=5.0, mu2=5.0)
-game.target1, game.target2 = make_default_targets(prob)
+game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
 
 x = prob.grid.nodes
 y0 = 0.05 * np.sin(np.pi * x)
@@ -36,8 +38,7 @@ print(f"sweeps to convergence : {len(sol.history)}")
 print(f"grad J1 residual      : {sol.residuals['grad_J1']:.3e}")
 print(f"grad J2 residual      : {sol.residuals['grad_J2']:.3e}")
 
-rep = convexity_margin(prob, game, sol, probes=6,
-                       rng=np.random.default_rng(0))
+rep = convexity_margin(prob, game, sol, np.random.default_rng(0))
 print(f"convexity margin      : {rep['margin']:.4f} "
       f"(mu = {game.mu1}, certified = {rep['certified']})")
 

@@ -24,7 +24,7 @@ prob = CylinderProblem.default(N=64, M=128)  # default sinusoidal F
 weights = CarlemanParams()
 weights = CarlemanWeights(weights, prob.deg, prob.grid, prob.mesh)
 game = GameSpec(mu1=5.0, mu2=5.0)
-game.target1, game.target2 = make_default_targets(prob, weights=weights)
+game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
 
 x = prob.grid.nodes
 base = 0.01 * np.sin(np.pi * x)
@@ -37,7 +37,7 @@ for factor in (1.0, 3.0, 300.0):
     print(f"\nscale factor {factor:g}:")
     try:
         triple, history = solve_nonlinear_null_control(
-            prob, weights, game, factor * base, hum=hum)
+            hum, factor * base, tol_z=1e-9, tol_terminal=1e-6, max_newton=10)
     except NewtonFailureError as exc:
         print(f"  no convergence after {len(exc.history)} Newton steps, "
               f"reason: {exc.reason}")

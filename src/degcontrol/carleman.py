@@ -550,8 +550,8 @@ def _observability_forms(prob, phi: np.ndarray, rho: np.ndarray,
 
 
 def empirical_observability(prob, weights: CarlemanWeights, couplings,
-                            basis, roots: tuple, samples: int = 20,
-                            rng: np.random.Generator | None = None) -> dict:
+                            basis, roots: tuple, samples: int,
+                            rng: np.random.Generator) -> dict:
     """Sampled observability ratio of the reduced adjoint system.
 
     For random terminal data and zero sources, returns max over samples of
@@ -561,9 +561,9 @@ def empirical_observability(prob, weights: CarlemanWeights, couplings,
     forms in the sample's mode coefficients, read from the sine columns
     of `basis`, the `adjoint_basis(prob, couplings)`, with the
     `weight_roots(prob, weights)` in roots; rho = alpha1 psi1 +
-    alpha2 psi2 takes the couplings' alphas.
+    alpha2 psi2 takes the couplings' alphas.  The `samples` coefficient
+    vectors are drawn from rng.
     """
-    rng = rng or np.random.default_rng(0)
     alphas = couplings.alphas
     psi = basis.psi[:, :SINE_MODES]
     rho = alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1]
@@ -617,8 +617,8 @@ def _carleman_forms(prob, phi: np.ndarray, psi: np.ndarray,
 
 
 def empirical_carleman(prob, weights: CarlemanWeights, basis,
-                       roots: tuple, samples: int = 10,
-                       rng: np.random.Generator | None = None) -> dict:
+                       roots: tuple, samples: int,
+                       rng: np.random.Generator) -> dict:
     """Sampled ratio of the Carleman inequality for the adjoint system.
 
     Gamma(phi,psi1,psi2) vs the source + observation right-hand side,
@@ -628,9 +628,9 @@ def empirical_carleman(prob, weights: CarlemanWeights, basis,
     the `weight_roots(prob, weights)` in roots.  The
     report's "source_share" is the largest share of the source term in
     a sample's right-hand side; the observation term dominates it
-    unless O is small.
+    unless O is small.  The `samples` coefficient vectors are drawn
+    from rng.
     """
-    rng = rng or np.random.default_rng(0)
     lhs, rhs, source = _carleman_forms(prob, basis.phi, basis.psi, roots)
     # per sample: the terminal normals, then three per source slot
     coef = rng.standard_normal((samples, len(rhs)))

@@ -1,12 +1,14 @@
 """Scenario configuration, presets, and reproducible experiment runs.
 
 A ScenarioConfig is a nested plain dictionary with defaults for every
-field; one config plus a seed fully determines a run.  run_scenario
-builds the run's problem, Carleman weights and game once, as validation
-does, then dispatches on the experiment kind, writes CSV files for
-curves and a JSON report for scalars, and returns a RunRecord whose hash
-covers the canonical config so that identical (config, seed) pairs
-reproduce identical outputs.
+field; one config plus a seed fully determines a run, and its
+schema_version must be SCHEMA_VERSION.  run_scenario builds the run's
+problem, Carleman weights and game once, as validation does, then runs
+the one runner of its experiment kind (KINDS lists them, the
+`mms-convergence` study among them), writes CSV files for curves and a
+JSON report for scalars, and returns a RunRecord whose hash covers the
+canonical config so that identical (config, seed) pairs reproduce
+identical outputs.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-KINDS = ("forward", "nash", "convexity", "observability", "linear-control",
-         "nonlinear-control", "diagnostics")
-# each study runs in place of its kind's experiment, and only with that kind
-STUDIES = {"mms-convergence": "diagnostics"}
 WINDOWS = ("O", "O1", "O2", "Od")
 # below this a mass of positive terms is 0 or subnormal
 _LOG_TINY = math.log(np.finfo(float).tiny)
@@ -109,7 +107,6 @@ _DEFAULTS = {
         "scale_factors": [1.0],
         "mu_grid": [1.0, 5.0, 25.0, 125.0],
         "budget_limit": None,
-        "study": None,
     },
 }
 
@@ -195,7 +192,7 @@ _TYPES = {
 }
 # the type of a field whose default is None, when it is set
 _OPTIONAL = {"carleman.lam": float, "carleman.m_floor": float,
-             "experiment.budget_limit": float, "experiment.study": str}
+             "experiment.budget_limit": float}
 
 
 def _type_issues(base: dict, cfg: dict, path: str) -> list:
@@ -260,6 +257,10 @@ def _build_run(cfg: dict) -> tuple:
     issues = _type_issues(_DEFAULTS, cfg, "")
     if issues:
         return issues, None
+    if cfg["schema_version"] != SCHEMA_VERSION:
+        issues.append(f"schema_version: must be {SCHEMA_VERSION}, the "
+                      f"version this package reads, got "
+                      f"{cfg['schema_version']!r}")
 
     def build(section, make, *args, **kwargs):
         try:
@@ -333,7 +334,7 @@ def _build_run(cfg: dict) -> tuple:
         if (prob is not None and weights is not None
                 and game["target_amplitude"] != 0.0):
             spec.target1, spec.target2 = make_default_targets(
-                prob, weights=weights, amplitude=game["target_amplitude"])
+                prob, weights, game["target_amplitude"])
     sv = cfg["solver"]
     if sv["newton_max"] < 1:
         issues.append("solver.newton_max: must be at least 1")
@@ -347,13 +348,6 @@ def _build_run(cfg: dict) -> tuple:
         issues.append("experiment.samples: must be at least 1")
     if exp["y0_mode"] not in ("sine", "random"):
         issues.append(f"experiment.y0_mode: unknown {exp['y0_mode']!r}")
-    study = exp["study"]
-    if study is not None and study not in STUDIES:
-        issues.append(f"experiment.study: unknown study {study!r}; "
-                      f"known: {', '.join(STUDIES)}")
-    elif study is not None and STUDIES[study] != exp["kind"]:
-        issues.append(f"experiment.study: {study!r} runs with kind "
-                      f"{STUDIES[study]!r}, not {exp['kind']!r}")
     return issues, None if issues else (prob, weights, spec)
 
 
@@ -370,10 +364,9 @@ _PRESETS = {
         "experiment": {"kind": "observability", "samples": 20},
     },
     "mms-convergence": {
-        "experiment": {"kind": "diagnostics", "study": "mms-convergence"},
+        "experiment": {"kind": "mms-convergence"},
     },
 }
-_PRESET_ALIASES = {"small-sine": "theorem1-small-data"}
 
 
 def list_presets() -> list:
@@ -381,11 +374,10 @@ def list_presets() -> list:
 
 
 def preset(name: str) -> ScenarioConfig:
-    key = _PRESET_ALIASES.get(name, name)
-    if key not in _PRESETS:
+    if name not in _PRESETS:
         raise KeyError(
             f"unknown preset {name!r}; available: {', '.join(list_presets())}")
-    return ScenarioConfig.from_dict(copy.deepcopy(_PRESETS[key]))
+    return ScenarioConfig.from_dict(copy.deepcopy(_PRESETS[name]))
 
 
 @dataclass
@@ -463,9 +455,7 @@ def run_scenario(config: ScenarioConfig | dict, out_dir, seed: int = 0,
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
     outputs: list = []
-    runner = _RUNNERS[kind if cfg["experiment"]["study"] is None
-                      else cfg["experiment"]["study"]]
-    report = runner(cfg, *built, out, rng, outputs)
+    report = _RUNNERS[kind](cfg, *built, out, rng, outputs)
     timings = {"total_s": round(time.perf_counter() - t_start, 3)}
     record = RunRecord(config_hash=config.canonical_hash(), seed=seed,
                        kind=kind, timings=timings, report=report,
@@ -533,10 +523,10 @@ def _run_convexity(cfg, prob, weights, game, out, rng, outputs):
     margins = []
     for mu in cfg["experiment"]["mu_grid"]:
         game = replace(game, mu1=float(mu), mu2=float(mu))
-        state = nash_fixed_point(prob, game, h, y0)
-        m = convexity_margin(prob, game, state, probes=4, rng=rng)
+        state = nash_fixed_point(prob, game, h, y0, compute_residuals=False)
+        m = convexity_margin(prob, game, state, rng)
         margins.append((mu, m["margin"], m["certified"]))
-    fit = fit_mu_star(prob, game, h, y0, rng=rng)
+    fit = fit_mu_star(prob, game, h, y0)
     _write_csv(out / "margins.csv", "mu,margin,certified",
                np.array([(a, b, float(c)) for a, b, c in margins]))
     outputs.append("margins.csv")
@@ -598,9 +588,8 @@ def _run_nonlinear_control(cfg, prob, weights, game, out, rng, outputs):
         y0 = factor * base_y0
         try:
             triple, history = solve_nonlinear_null_control(
-                prob, weights, game, y0,
-                tol_z=sv["newton_tol"], tol_terminal=sv["tol_terminal"],
-                max_newton=int(sv["newton_max"]), hum=hum)
+                hum, y0, sv["newton_tol"], sv["tol_terminal"],
+                sv["newton_max"])
         except (NewtonFailureError, StepFailureError, SweepFailureError) as exc:
             results[str(factor)] = {"converged": False,
                                     "failure": type(exc).__name__}
@@ -665,4 +654,5 @@ _RUNNERS = {
     "diagnostics": _run_diagnostics,
     "mms-convergence": _run_mms,
 }
+KINDS = tuple(_RUNNERS)
 

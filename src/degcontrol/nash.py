@@ -121,9 +121,10 @@ class GameSpec:
                 for i in (0, 1)]
 
 
-def make_default_targets(prob: CylinderProblem, weights=None,
-                         amplitude: float = 1.0) -> tuple:
-    """Smooth bumps in Od with a time profile decaying like 1/rho0.
+def make_default_targets(prob: CylinderProblem, weights,
+                         amplitude: float) -> tuple:
+    """Smooth bumps in Od of peak `amplitude`, with a time profile
+    decaying like 1/rho0 of the Carleman `weights`.
 
     The profile keeps rho0 * y_id bounded on the mesh, the discrete
     stand-in for the square-summability hypothesis on rho y_id.
@@ -136,11 +137,8 @@ def make_default_targets(prob: CylinderProblem, weights=None,
         bump = np.where(np.abs(r) < 1.0,
                         np.exp(-1.0 / np.maximum(1.0 - r**2, 1e-300)), 0.0)
     bump *= amplitude * np.e  # peak value = amplitude
-    if weights is not None:
-        profile = np.exp(-(np.minimum(weights.log_rho0, 1e6)
-                           - weights.norm_shifts["rho0"]))
-    else:
-        profile = (1.0 - prob.mesh.times / prob.mesh.T) ** 4
+    profile = np.exp(-(np.minimum(weights.log_rho0, 1e6)
+                       - weights.norm_shifts["rho0"]))
     vals = profile[:, None] * bump[None, :]
     t1 = TrajectoryField(prob.grid, prob.mesh, vals)
     t2 = TrajectoryField(prob.grid, prob.mesh, 0.5 * vals)
@@ -326,17 +324,23 @@ def _random_probe(prob: CylinderProblem, rng: np.random.Generator) -> Trajectory
     return TrajectoryField(prob.grid, prob.mesh, vals * ind[None, :])
 
 
+# random probe directions per convexity margin
+_PROBES = 4
+# fit_mu_star's bracket of mu and its number of bisection steps
+_MU_BRACKET = (1e-2, 1e6)
+_MU_ITERS = 14
+
+
 def convexity_margin(prob: CylinderProblem, game: GameSpec,
-                     state: NashSolution, probes: int = 8,
-                     rng: np.random.Generator | None = None) -> dict:
-    """Min of the normalized quadratic form over random probe directions.
+                     state: NashSolution, rng: np.random.Generator) -> dict:
+    """Min of the normalized quadratic form over _PROBES random probe
+    directions drawn from rng.
 
     certified=True iff the minimum is positive, which upgrades the
     quasi-equilibrium to a genuine local Nash equilibrium in v^1.
     """
-    rng = rng or np.random.default_rng(0)
     margins = []
-    for _ in range(probes):
+    for _ in range(_PROBES):
         vbar = _random_probe(prob, rng)
         nrm2 = vbar.l2q_inner(vbar)
         if nrm2 <= 1e-300:
@@ -344,21 +348,20 @@ def convexity_margin(prob: CylinderProblem, game: GameSpec,
         margins.append(second_derivative_form(prob, game, state, vbar) / nrm2)
     m = float(np.min(margins))
     return {"margin": m, "certified": bool(m > 0.0),
-            "margins": [float(v) for v in margins], "probes": probes}
+            "margins": [float(v) for v in margins], "probes": _PROBES}
 
 
 def fit_mu_star(prob: CylinderProblem, game: GameSpec,
-                h: TrajectoryField | None, y0: np.ndarray,
-                bracket: tuple = (1e-2, 1e6), iters: int = 14,
-                probes: int = 4,
-                rng: np.random.Generator | None = None) -> dict:
-    """Bisection for the smallest mu (mu1=mu2) with a certified margin.
+                h: TrajectoryField | None, y0: np.ndarray) -> dict:
+    """Bisection for the smallest mu (mu1=mu2) in _MU_BRACKET with a
+    certified margin, in _MU_ITERS steps.
 
-    Each trial re-solves the Nash fixed point; a diverging iteration
-    counts as not certified, whether its sweep or its state march fails.
-    Bisection runs on log(mu).
+    Each trial re-solves the Nash fixed point and draws its probes from
+    one fixed seed; a diverging iteration counts as not certified,
+    whether its sweep or its state march fails.  Bisection runs on
+    log(mu).
     """
-    rng = rng or np.random.default_rng(1)
+    bracket = _MU_BRACKET
     lo, hi = np.log(bracket[0]), np.log(bracket[1])
 
     def certified(mu: float) -> bool:
@@ -367,18 +370,18 @@ def fit_mu_star(prob: CylinderProblem, game: GameSpec,
             st = nash_fixed_point(prob, g, h, y0, compute_residuals=False)
         except (SweepFailureError, StepFailureError):
             return False
-        rep = convexity_margin(prob, g, st, probes=probes,
-                               rng=np.random.default_rng(12345))
+        rep = convexity_margin(prob, g, st, np.random.default_rng(12345))
         return rep["certified"]
 
     if not certified(np.exp(hi)):
         return {"mu_star": float("inf"), "bracket": bracket, "iters": 0}
     if certified(np.exp(lo)):
         return {"mu_star": float(bracket[0]), "bracket": bracket, "iters": 0}
-    for _ in range(iters):
+    for _ in range(_MU_ITERS):
         mid = 0.5 * (lo + hi)
         if certified(np.exp(mid)):
             hi = mid
         else:
             lo = mid
-    return {"mu_star": float(np.exp(hi)), "bracket": bracket, "iters": iters}
+    return {"mu_star": float(np.exp(hi)), "bracket": bracket,
+            "iters": _MU_ITERS}

@@ -54,7 +54,9 @@ The semilinear problem is solved by the Liusternik/Newton iteration
 z_{k+1} = W(b - N(z_k)) with W the linear control solve (the right
 inverse of the map linearized at zero) and N the nonlinear remainder,
 whose parts that do not depend on z are computed once per loop; -N is
-the load of the next solve.
+the load of the next solve.  solve_nonlinear_null_control(hum, y0,
+tol_z, tol_terminal, max_newton) runs it on the HUMSolver it is given,
+whose problem, weights and game define the remainder too.
 """
 
 from __future__ import annotations
@@ -585,15 +587,12 @@ def _nonlinear_remainders(prob: CylinderProblem, parts: tuple,
     return out
 
 
-def solve_nonlinear_null_control(prob: CylinderProblem,
-                                 weights: CarlemanWeights,
-                                 game: GameSpec, y0: np.ndarray,
-                                 tol_z: float = 1e-9,
-                                 tol_terminal: float = 1e-6,
-                                 max_newton: int = 10,
-                                 hum: HUMSolver | None = None) -> tuple:
+def solve_nonlinear_null_control(hum: HUMSolver, y0: np.ndarray,
+                                 tol_z: float, tol_terminal: float,
+                                 max_newton: int) -> tuple:
     """Newton-Kantorovich loop z_{k+1} = W(b - N(z_k)) for the semilinear
-    optimality system; returns (ControlledTriple, history).
+    optimality system of hum's problem, weights and game; returns
+    (ControlledTriple, history).
 
     Convergence is declared when the rho2-weighted relative change of
     the nonlinear remainder N between consecutive iterates falls below
@@ -609,14 +608,13 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
     steps end without convergence.
 
     The variational operator is the one linearized at zero, so every
-    step reuses one factorization: the Liusternik construction.  The
-    parts of the remainder that do not depend on z are computed once.
+    step reuses hum's one factorization: the Liusternik construction.
+    The parts of the remainder that do not depend on z are computed once.
     """
     if max_newton < 1:
         raise ValueError(f"max_newton must be at least 1, got {max_newton}")
+    prob, weights = hum.prob, hum.weights
     y0 = np.asarray(y0, dtype=float)
-    if hum is None:
-        hum = HUMSolver(prob, weights, game)
 
     def remainder_norm(N0, N1, N2):
         r2 = weights.rho2_n**2
@@ -624,7 +622,7 @@ def solve_nonlinear_null_control(prob: CylinderProblem,
                              + _weighted_l2q(prob, r2, N1)
                              + _weighted_l2q(prob, r2, N2)))
 
-    parts = _remainder_parts(prob, game)
+    parts = _remainder_parts(prob, hum.game)
     zero = prob.new_field()
     N_prev = _nonlinear_remainders(prob, parts, zero, zero, zero)
     history = []

@@ -5,9 +5,17 @@ import pytest
 
 from degcontrol.carleman import (CarlemanParams, CarlemanWeights,
                                  adjoint_basis, weight_roots)
+from degcontrol.harness import default_config
 from degcontrol.nash import GameSpec, make_default_targets
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import CylinderProblem
+
+
+# the Newton settings of a run with the default solver section:
+# (tol_z, tol_terminal, max_newton) of solve_nonlinear_null_control
+_SOLVER = default_config()["solver"]
+NEWTON = (_SOLVER["newton_tol"], _SOLVER["tol_terminal"],
+          _SOLVER["newton_max"])
 
 
 @pytest.fixture(scope="session")
@@ -36,7 +44,7 @@ def weights(prob):
 @pytest.fixture(scope="session")
 def game(prob, weights):
     g = GameSpec(mu1=5.0, mu2=5.0)
-    g.target1, g.target2 = make_default_targets(prob, weights=weights)
+    g.target1, g.target2 = make_default_targets(prob, weights, 1.0)
     return g
 
 
@@ -50,6 +58,14 @@ def sampler_inputs(prob, weights, couplings):
     `weight_roots` of the weights, which the samplers and the form
     builders read."""
     return adjoint_basis(prob, couplings), weight_roots(prob, weights)
+
+
+def default_targets(prob):
+    """The targets of amplitude 1 under prob's default Carleman weights,
+    as a run with the default carleman and game sections builds them."""
+    weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
+                              prob.mesh)
+    return make_default_targets(prob, weights, 1.0)
 
 
 def sine_data(prob, amplitude):

@@ -8,6 +8,7 @@ module-scoped so the whole gate stays within the per-criterion budget.
 import numpy as np
 import pytest
 
+from degcontrol import nash
 from degcontrol.carleman import (
     CarlemanParams,
     CarlemanWeights,
@@ -40,7 +41,7 @@ from degcontrol.solvers import (
     solve_forward_semilinear,
 )
 
-from conftest import sampler_inputs, sine_data
+from conftest import NEWTON, sampler_inputs, sine_data
 
 
 # -- shared heavy objects ------------------------------------------------
@@ -49,8 +50,8 @@ from conftest import sampler_inputs, sine_data
 @pytest.fixture(scope="module")
 def linear_setup(prob_linear, weights):
     game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob_linear,
-                                                      weights=weights)
+    game.target1, game.target2 = make_default_targets(
+        prob_linear, weights, 1.0)
     hum = HUMSolver(prob_linear, weights, game)
     y0 = sine_data(prob_linear, 0.1)
     triple = hum.solve(y0)
@@ -65,7 +66,7 @@ def linear_refined():
     weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
                               prob.mesh)
     game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob, weights=weights)
+    game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
     triple = HUMSolver(prob, weights, game).solve(sine_data(prob, 0.1))
     return {"triple": triple,
             "estimates": verify_additional_estimates(prob, weights, triple)}
@@ -145,8 +146,8 @@ def test_criterion_3_nash_layer(prob, prob_linear, weights, game,
 
     # F = 0: J1 along a control line is an exact parabola
     game_l = GameSpec(mu1=5.0, mu2=5.0)
-    game_l.target1, game_l.target2 = make_default_targets(prob_linear,
-                                                          weights=weights)
+    game_l.target1, game_l.target2 = make_default_targets(
+        prob_linear, weights, 1.0)
     dl = prob_linear.new_field()
     dl.values[:] = d.values
     v2 = prob_linear.new_field()
@@ -165,22 +166,23 @@ def test_criterion_3_nash_layer(prob, prob_linear, weights, game,
 
 
 def test_criterion_4_convexity_certificate(prob, prob_linear, weights, game,
-                                           nash_state, rng):
+                                           nash_state, rng, monkeypatch):
     h, y0, sol = nash_state
     # fitted mu*: margins certified above it for the default F
-    fit = fit_mu_star(prob, game, h, y0, iters=8, probes=3,
-                      rng=np.random.default_rng(11))
+    fit = fit_mu_star(prob, game, h, y0)
     assert np.isfinite(fit["mu_star"])
-    rep = convexity_margin(prob, game, sol, probes=6, rng=rng)
+    # six probe directions per margin below, more than a run draws
+    monkeypatch.setattr(nash, "_PROBES", 6)
+    rep = convexity_margin(prob, game, sol, rng)
     assert rep["certified"]
     assert game.mu1 > fit["mu_star"]
 
     # margin >= mu for F = 0
     game_l = GameSpec(mu1=5.0, mu2=5.0)
-    game_l.target1, game_l.target2 = make_default_targets(prob_linear,
-                                                          weights=weights)
+    game_l.target1, game_l.target2 = make_default_targets(
+        prob_linear, weights, 1.0)
     sol_l = nash_fixed_point(prob_linear, game_l, h, y0)
-    rep_l = convexity_margin(prob_linear, game_l, sol_l, probes=6, rng=rng)
+    rep_l = convexity_margin(prob_linear, game_l, sol_l, rng)
     assert rep_l["margin"] >= game_l.mu1 * (1 - 1e-10)
 
     # second-derivative form vs finite-difference Hessian
@@ -249,14 +251,13 @@ def test_criterion_6_additional_estimates(linear_setup, linear_refined):
 def test_criterion_7_nonlinear_null_control(prob, prob_linear, weights,
                                             linear_setup):
     game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob, weights=weights)
+    game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
     hum = HUMSolver(prob, weights, game)
     base_y0 = sine_data(prob, 0.01)
     lines = []
 
     # small data: fast convergence with tiny residuals
-    triple, history = solve_nonlinear_null_control(prob, weights, game,
-                                                   base_y0, hum=hum)
+    triple, history = solve_nonlinear_null_control(hum, base_y0, *NEWTON)
     assert len(history) <= 10
     assert triple.terminal_norm <= 1e-6
     wt = game.time_weight(prob)
@@ -278,21 +279,18 @@ def test_criterion_7_nonlinear_null_control(prob, prob_linear, weights,
 
     # F = 0 converges in exactly one step
     _, hist0 = solve_nonlinear_null_control(
-        prob_linear, weights, linear_setup["game"],
-        sine_data(prob_linear, 0.01), hum=linear_setup["hum"])
+        linear_setup["hum"], sine_data(prob_linear, 0.01), *NEWTON)
     assert len(hist0) == 1
     lines.append("F = 0: exactly 1 Newton step")
 
     # 3x data still converges
-    _, hist3 = solve_nonlinear_null_control(prob, weights, game,
-                                            3.0 * base_y0, hum=hum)
+    _, hist3 = solve_nonlinear_null_control(hum, 3.0 * base_y0, *NEWTON)
     lines.append(f"3x data: converged in {len(hist3)} steps")
 
     # 300x data detectably fails: at this grid the loop still contracts
     # when its steps run out, so the reason is the step budget
     with pytest.raises(NewtonFailureError) as err:
-        solve_nonlinear_null_control(prob, weights, game, 300.0 * base_y0,
-                                     hum=hum)
+        solve_nonlinear_null_control(hum, 300.0 * base_y0, *NEWTON)
     assert err.value.reason == "budget"
     assert all(r["contraction"] < 1.0 for r in err.value.history[1:])
     lines.append(f"300x data: no convergence in {len(err.value.history)} "

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh, TrajectoryField
 from degcontrol.carleman import CarlemanParams, CarlemanWeights
-from degcontrol.nash import GameSpec, _dL_transpose_apply, make_default_targets
+from degcontrol.nash import GameSpec, _dL_transpose_apply
 from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
                                     _nonlinear_remainders, _remainder_parts,
                                     level_order, lower_band)
@@ -25,6 +25,7 @@ from degcontrol.solvers import (
     solve_forward_semilinear,
 )
 
+from conftest import default_targets
 from sparse_reference import (
     assemble_drift,
     assemble_stiffness,
@@ -372,7 +373,7 @@ class TestBandOperators:
     def test_nonlinear_remainders_match_sparse(self, prob_small, rng):
         prob = prob_small
         game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob)
+        game.target1, game.target2 = default_targets(prob)
         y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
         N0, N1, N2 = _nonlinear_remainders(
             prob, _remainder_parts(prob, game), y, p1, p2)
@@ -405,7 +406,7 @@ class TestBandOperators:
         prob = prob_small
         game = GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
                         jacobian_weighting=False)
-        game.target1, game.target2 = make_default_targets(prob)
+        game.target1, game.target2 = default_targets(prob)
         parts = _remainder_parts(prob, game)
         for _ in range(2):
             y, p1, p2 = (_random_state(prob, rng) for _ in range(3))

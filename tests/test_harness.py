@@ -133,10 +133,17 @@ class TestPresets:
         for name in harness.list_presets():
             assert harness.validate_config(harness.preset(name)) == []
 
-    def test_alias(self):
-        a = harness.preset("small-sine")
-        b = harness.preset("theorem1-small-data")
-        assert a.canonical_hash() == b.canonical_hash()
+    def test_mms_convergence_is_a_kind(self, tmp_path):
+        # the preset is an experiment kind with its own runner
+        assert "mms-convergence" in harness.KINDS
+        config = harness.preset("mms-convergence")
+        assert config["experiment"]["kind"] == "mms-convergence"
+        record = harness.run_scenario(config, tmp_path, seed=0)
+        assert record.kind == "mms-convergence"
+        assert record.report["time_slope"] == pytest.approx(1.0, abs=0.15)
+        assert record.report["space_slope"] == pytest.approx(2.0, abs=0.3)
+        assert record.outputs == ["mms_time.csv", "mms_space.csv",
+                                  "report.json"]
 
     def test_unknown_preset(self):
         with pytest.raises(KeyError, match="theorem1-small-data"):
@@ -254,8 +261,12 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("config, field", [
-        (_tiny(study="bogus"), "experiment.study"),
-        (_tiny(study="mms-convergence"), "experiment.study"),
+        # the old form of the mms-convergence preset
+        (_tiny("diagnostics", study="mms-convergence"),
+         "unknown field experiment.study"),
+        ({**_tiny(), "schema_version": 7},
+         "schema_version: must be 1, the version this package reads, got 7"),
+        ({**_tiny(), "schema_version": -3}, "schema_version: must be 1"),
         (_tiny(samples=2.5), "experiment.samples"),
         (_tiny(scale_factors=3), "experiment.scale_factors"),
         ({"grid": {"N": "abc"}}, "grid.N"),
@@ -299,7 +310,8 @@ class TestCLI:
          "geometry: l(t) must be at least 1 on [0,T]"),
         ({"grid": _COARSE, "geometry": {"family": "exponential", "k": -0.1}},
          "geometry: l(t) must be at least 1 on [0,T]"),
-    ], ids=["study", "study-kind", "samples", "scale_factors", "N", "window",
+    ], ids=["study", "schema_version", "schema_version-negative", "samples",
+            "scale_factors", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
             "newton_max-zero",
             "newton_max-negative", "newton_max-float", "newton_tol",

@@ -21,7 +21,7 @@ from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (CylinderProblem, StepFailureError,
                                 SweepFailureError, solve_forward_semilinear)
 
-from conftest import sine_data
+from conftest import default_targets, sine_data
 
 
 def _leader(prob, scale=0.05):
@@ -44,7 +44,7 @@ def _bump_direction(prob, window="O1"):
 class TestFunctional:
     def test_perfect_tracking_is_zero(self, prob):
         game = GameSpec()
-        game.target1, game.target2 = make_default_targets(prob)
+        game.target1, game.target2 = default_targets(prob)
         zero_v = prob.new_field()
         assert evaluate_functional(prob, game, 1, game.target1, zero_v) == 0.0
 
@@ -81,8 +81,8 @@ class TestFixedPoint:
 
     def test_large_mu_decouples(self, prob, weights):
         game = GameSpec(mu1=1e12, mu2=1e12)
-        game.target1, game.target2 = make_default_targets(prob,
-                                                          weights=weights)
+        game.target1, game.target2 = make_default_targets(
+            prob, weights, 1.0)
         y0 = sine_data(prob, 0.05)
         h = _leader(prob)
         sol = nash_fixed_point(prob, game, h, y0)
@@ -161,8 +161,8 @@ class TestGradient:
         # line is an exact quadratic: a 3-point parabola reproduces a
         # 4th sample to roundoff
         game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob_linear,
-                                                          weights=weights)
+        game.target1, game.target2 = make_default_targets(
+            prob_linear, weights, 1.0)
         y0 = sine_data(prob_linear, 0.05)
         h = _leader(prob_linear)
         d = _bump_direction(prob_linear, "O1")
@@ -212,14 +212,17 @@ class TestSecondDerivative:
 
 
 class TestConvexity:
-    def test_margin_at_least_mu_for_linear(self, prob_linear, weights, rng):
+    def test_margin_at_least_mu_for_linear(self, prob_linear, weights, rng,
+                                           monkeypatch):
+        # six probe directions, more than a run draws
+        monkeypatch.setattr(nash, "_PROBES", 6)
         game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob_linear,
-                                                          weights=weights)
+        game.target1, game.target2 = make_default_targets(
+            prob_linear, weights, 1.0)
         state = nash_fixed_point(prob_linear, game,
                                  _leader(prob_linear),
                                  sine_data(prob_linear, 0.05))
-        rep = convexity_margin(prob_linear, game, state, probes=6, rng=rng)
+        rep = convexity_margin(prob_linear, game, state, rng)
         assert rep["certified"]
         assert rep["margin"] >= game.mu1 * (1 - 1e-10)
 
@@ -229,32 +232,33 @@ class TestConvexity:
         margins = []
         for mu in (1.0, 5.0, 25.0):
             game = GameSpec(mu1=mu, mu2=mu)
-            game.target1, game.target2 = make_default_targets(prob_small)
+            game.target1, game.target2 = default_targets(prob_small)
             state = nash_fixed_point(prob_small, game, h, y0)
-            rep = convexity_margin(prob_small, game, state, probes=4,
-                                   rng=np.random.default_rng(7))
+            rep = convexity_margin(prob_small, game, state,
+                                   np.random.default_rng(7))
             margins.append(rep["margin"])
         assert margins[0] < margins[1] < margins[2]
 
-    def test_fit_mu_star_with_a_failing_state_march(self):
+    def test_fit_mu_star_with_a_failing_state_march(self, monkeypatch):
         # at mu = 1e-150 the first controls overflow, and the state march
         # of the second sweep fails before any sweep rule sees the update
         # (at mu = 1e-6 the updates grow, and the sweep stops at sweep 4)
         prob = CylinderProblem.default(N=16, M=16)
         game = GameSpec()
-        game.target1, game.target2 = make_default_targets(prob)
+        game.target1, game.target2 = default_targets(prob)
         h, y0 = prob.new_field(), sine_data(prob, 0.01)
         with pytest.raises(StepFailureError):
             nash_fixed_point(prob, replace(game, mu1=1e-150, mu2=1e-150), h,
                              y0)
-        rep = fit_mu_star(prob, game, h, y0, bracket=(1e-150, 1e6), iters=3)
+        monkeypatch.setattr(nash, "_MU_BRACKET", (1e-150, 1e6))
+        monkeypatch.setattr(nash, "_MU_ITERS", 3)
+        rep = fit_mu_star(prob, game, h, y0)
         assert np.isfinite(rep["mu_star"])
 
-    def test_fit_mu_star(self, prob_small, rng):
+    def test_fit_mu_star(self, prob_small):
         game = GameSpec()
-        game.target1, game.target2 = make_default_targets(prob_small)
+        game.target1, game.target2 = default_targets(prob_small)
         rep = fit_mu_star(prob_small, game, _leader(prob_small),
-                          sine_data(prob_small, 0.02), iters=8, probes=3,
-                          rng=rng)
+                          sine_data(prob_small, 0.02))
         assert np.isfinite(rep["mu_star"])
         assert rep["bracket"][0] <= rep["mu_star"] <= rep["bracket"][1]

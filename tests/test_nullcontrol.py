@@ -24,14 +24,14 @@ from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (CylinderProblem, solve_backward_linear,
                                 solve_forward_linear)
 
-from conftest import cubic_F, sine_data
+from conftest import NEWTON, cubic_F, sine_data
 
 
 @pytest.fixture(scope="module")
 def hum(prob_linear, weights):
     game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob_linear,
-                                                      weights=weights)
+    game.target1, game.target2 = make_default_targets(
+        prob_linear, weights, 1.0)
     return game, HUMSolver(prob_linear, weights, game)
 
 
@@ -40,7 +40,7 @@ def _coarse_parts():
     weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
                               prob.mesh)
     game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob, weights=weights)
+    game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
     return prob, weights, game
 
 
@@ -107,8 +107,7 @@ class TestConsistency:
         prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
         weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
                                   prob.mesh)
-        game.target1, game.target2 = make_default_targets(prob,
-                                                          weights=weights)
+        game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
         hum = HUMSolver(prob, weights, game)
         y0 = sine_data(prob, 0.01)
         # loads shaped like the targets, which decay like 1/rho0
@@ -208,20 +207,18 @@ class TestLinearControl:
 
 
 class TestNewton:
-    def test_linear_case_single_step(self, prob_linear, weights, hum):
-        game, solver = hum
+    def test_linear_case_single_step(self, prob_linear, hum):
+        _, solver = hum
         triple, history = solve_nonlinear_null_control(
-            prob_linear, weights, game, sine_data(prob_linear, 0.01),
-            hum=solver)
+            solver, sine_data(prob_linear, 0.01), *NEWTON)
         assert len(history) == 1
         assert triple.terminal_norm <= 1e-6
 
     def test_small_data_converges(self, prob, weights):
         game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob,
-                                                          weights=weights)
+        game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
         triple, history = solve_nonlinear_null_control(
-            prob, weights, game, sine_data(prob, 0.01))
+            HUMSolver(prob, weights, game), sine_data(prob, 0.01), *NEWTON)
         assert len(history) <= 10
         assert triple.terminal_norm <= 1e-6
         assert all(np.isfinite(step["remainder_delta"]) for step in history)
@@ -230,12 +227,11 @@ class TestNewton:
             assert step["contraction"] == pytest.approx(
                 step["remainder_delta"] / prev["remainder_delta"])
 
-    def test_no_steps_refused(self, prob_linear, weights, hum):
-        game, solver = hum
+    def test_no_steps_refused(self, prob_linear, hum):
+        _, solver = hum
         with pytest.raises(ValueError, match="max_newton"):
             solve_nonlinear_null_control(
-                prob_linear, weights, game, sine_data(prob_linear, 0.01),
-                max_newton=0, hum=solver)
+                solver, sine_data(prob_linear, 0.01), *NEWTON[:2], 0)
 
     @pytest.mark.parametrize("scale, reason, steps", [(300.0, "budget", 10),
                                                       (600.0, "diverged", 4)])
@@ -248,11 +244,11 @@ class TestNewton:
         weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
                                   prob.mesh)
         game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob,
-                                                          weights=weights)
+        game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
         with pytest.raises(NewtonFailureError) as err:
-            solve_nonlinear_null_control(prob, weights, game,
-                                         sine_data(prob, 0.01 * scale))
+            solve_nonlinear_null_control(HUMSolver(prob, weights, game),
+                                         sine_data(prob, 0.01 * scale),
+                                         *NEWTON)
         assert err.value.reason == reason
         assert reason in str(err.value)
         deltas = [step["remainder_delta"] for step in err.value.history]
@@ -411,7 +407,7 @@ class TestFactorization:
 
 class TestAccuracyRange:
     """The reconstruction residual over carleman.cap_ratio at (32,64), and
-    at the default ratio one grid finer."""
+    at the default ratio and at 1e4 one grid finer."""
 
     @pytest.mark.parametrize("cap_ratio, limit",
                              [(1e3, 1e-9), (1e4, 1e-8), (1e5, 1e-7)])
@@ -429,6 +425,14 @@ class TestAccuracyRange:
             {"grid": {"N": 64, "M": 128},
              "experiment": {"kind": "linear-control"}}, tmp_path, seed=0)
         assert max(record.report["reconstruction"].values()) <= 1e-9
+
+    def test_reconstruction_at_64x128_cap_1e4(self, tmp_path):
+        # the passing edge of the accuracy map (README) one grid finer:
+        # measured 1.40e-8, below RECONSTRUCTION_LIMIT (1e-6)
+        record = harness.run_scenario(
+            {"grid": {"N": 64, "M": 128}, "carleman": {"cap_ratio": 1e4},
+             "experiment": {"kind": "linear-control"}}, tmp_path, seed=0)
+        assert max(record.report["reconstruction"].values()) <= 1e-7
 
     def test_reconstruction_beyond_limit_is_solver_error(self, tmp_path,
                                                          capsys):
