@@ -12,18 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from degcontrol.carleman import CarlemanParams, CarlemanWeights
-from degcontrol.nash import GameSpec, make_default_targets
+from degcontrol.harness import build_run
 from degcontrol.nullcontrol import HUMSolver
-from degcontrol.semilinear import SemilinearF
-from degcontrol.solvers import CylinderProblem, dump_trajectory_csv
+from degcontrol.solvers import dump_trajectory_csv
 
 out = Path(__file__).parent
 
-prob = CylinderProblem.default(N=64, M=128, F=SemilinearF.zero())
-weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
-game = GameSpec(mu1=5.0, mu2=5.0)
-game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+prob, weights, game = build_run({"nonlinearity": {"label": "zero"}})
 
 x = prob.grid.nodes
 y0 = 0.1 * np.sin(np.pi * x)

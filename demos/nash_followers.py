@@ -11,21 +11,13 @@ Run:  python3 demos/nash_followers.py
 
 import numpy as np
 
-from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.grids import TrajectoryField
-from degcontrol.nash import (
-    GameSpec,
-    convexity_margin,
-    evaluate_functional,
-    make_default_targets,
-    nash_fixed_point,
-)
-from degcontrol.solvers import CylinderProblem, solve_forward_semilinear
+from degcontrol.harness import build_run
+from degcontrol.nash import (convexity_margin, evaluate_functional,
+                             nash_fixed_point)
+from degcontrol.solvers import solve_forward_semilinear
 
-prob = CylinderProblem.default(N=64, M=128)
-weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
-game = GameSpec(mu1=5.0, mu2=5.0)
-game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+prob, _, game = build_run({})
 
 x = prob.grid.nodes
 y0 = 0.05 * np.sin(np.pi * x)

@@ -11,20 +11,15 @@ Run:  python3 demos/newton_locality.py
 
 import numpy as np
 
-from degcontrol.carleman import CarlemanParams, CarlemanWeights
-from degcontrol.nash import GameSpec, make_default_targets
+from degcontrol.harness import build_run, default_config
 from degcontrol.nullcontrol import (
     HUMSolver,
     NewtonFailureError,
     solve_nonlinear_null_control,
 )
-from degcontrol.solvers import CylinderProblem
 
-prob = CylinderProblem.default(N=64, M=128)  # default sinusoidal F
-weights = CarlemanParams()
-weights = CarlemanWeights(weights, prob.deg, prob.grid, prob.mesh)
-game = GameSpec(mu1=5.0, mu2=5.0)
-game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+prob, weights, game = build_run({})  # default sinusoidal F
+solver = default_config()["solver"]
 
 x = prob.grid.nodes
 base = 0.01 * np.sin(np.pi * x)
@@ -37,7 +32,8 @@ for factor in (1.0, 3.0, 300.0):
     print(f"\nscale factor {factor:g}:")
     try:
         triple, history = solve_nonlinear_null_control(
-            hum, factor * base, tol_z=1e-9, tol_terminal=1e-6, max_newton=10)
+            hum, factor * base, solver["newton_tol"], solver["tol_terminal"],
+            solver["newton_max"])
     except NewtonFailureError as exc:
         print(f"  no convergence after {len(exc.history)} Newton steps, "
               f"reason: {exc.reason}")

@@ -28,7 +28,7 @@ _SOURCES = {
     "nash": ("GameSpec", "NashSolution", "nash_fixed_point"),
     "nullcontrol": ("HUMSolver", "ControlledTriple",
                     "solve_nonlinear_null_control"),
-    "harness": ("ScenarioConfig", "preset", "run_scenario",
+    "harness": ("ScenarioConfig", "build_run", "preset", "run_scenario",
                 "validate_config"),
 }
 _MODULE_OF = {name: mod for mod, names in _SOURCES.items() for name in names}

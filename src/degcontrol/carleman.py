@@ -54,12 +54,12 @@ class CarlemanParams:
     cap_ratio bounds the dynamic range of the normalized rho tables.
     """
 
-    s: float = 2.0
-    lam: float | None = None
-    alpha_p: float = 0.35
-    beta_p: float = 0.45
-    m_floor: float | None = None
-    cap_ratio: float = 1e3
+    s: float
+    lam: float | None
+    alpha_p: float
+    beta_p: float
+    m_floor: float | None
+    cap_ratio: float
 
     def __post_init__(self):
         # every refused field in one error

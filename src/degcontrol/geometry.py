@@ -73,7 +73,7 @@ class GradientWeightSpec:
     constant c <= 1 making all conditions hold nodewise (clipping).
     """
 
-    b_exp: float = 2.0
+    b_exp: float
     # filled in by `attach`, kept out of __init__
     clip_factor: float = field(default=1.0, compare=False)
     M: float = field(default=np.nan, compare=False)
@@ -164,11 +164,11 @@ class MovingDomainSpec:
     differentiation of user input is ever needed.
     """
 
-    T: float = 1.0
-    family: str = "affine"
-    l0: float = 1.0
-    k: float = 0.25
-    w: float = np.pi
+    T: float
+    family: str
+    l0: float
+    k: float
+    w: float
 
     def __post_init__(self):
         # every refused field in one error
@@ -231,10 +231,10 @@ class ControlGeometry:
     and Od the single shared observation window, which must meet O.
     """
 
-    O: tuple = (0.3, 0.5)
-    O1: tuple = (0.55, 0.7)
-    O2: tuple = (0.75, 0.9)
-    Od: tuple = (0.4, 0.6)
+    O: tuple
+    O1: tuple
+    O2: tuple
+    Od: tuple
 
     def __post_init__(self):
         for name in ("O", "O1", "O2", "Od"):

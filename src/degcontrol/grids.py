@@ -19,8 +19,8 @@ __all__ = ["SpatialGrid", "TimeMesh", "TrajectoryField"]
 class SpatialGrid:
     """Graded grid on [0,1] with N+1 nodes, x_0 = 0 and x_N = 1."""
 
-    N: int = 64
-    gamma: float = 2.0
+    N: int
+    gamma: float
     nodes: np.ndarray = field(init=False, repr=False, compare=False)
     cell_volumes: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -73,8 +73,8 @@ class SpatialGrid:
 class TimeMesh:
     """Uniform time mesh on [0,T] with M steps."""
 
-    M: int = 128
-    T: float = 1.0
+    M: int
+    T: float
 
     def __post_init__(self):
         if self.M < 2:

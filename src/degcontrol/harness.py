@@ -2,13 +2,13 @@
 
 A ScenarioConfig is a nested plain dictionary with defaults for every
 field; one config plus a seed fully determines a run, and its
-schema_version must be SCHEMA_VERSION.  run_scenario builds the run's
-problem, Carleman weights and game once, as validation does, then runs
-the one runner of its experiment kind (KINDS lists them, the
-`mms-convergence` study among them), writes CSV files for curves and a
-JSON report for scalars, and returns a RunRecord whose hash covers the
-canonical config so that identical (config, seed) pairs reproduce
-identical outputs.
+schema_version must be SCHEMA_VERSION.  build_run builds every problem,
+with its Carleman weights and game, from a config; validation and
+run_scenario both call it.  run_scenario then runs the one runner of
+its experiment kind (KINDS lists them, the `mms-convergence` study among
+them), writes CSV files for curves and a JSON report for scalars, and
+returns a RunRecord whose hash covers the canonical config so that
+identical (config, seed) pairs reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ __all__ = [
     "ConfigError",
     "default_config",
     "validate_config",
+    "build_run",
     "preset",
     "list_presets",
     "run_scenario",
@@ -230,33 +231,33 @@ def _window_type_issues(wins) -> list:
 
 
 def validate_config(config: ScenarioConfig | dict) -> list:
-    """Returns the full list of offending fields (empty means valid).
+    """Returns the full list of offending fields (empty means valid): the
+    issues that `build_run` raises."""
+    try:
+        build_run(config)
+    except ConfigError as exc:
+        return exc.issues
+    return []
 
-    Every field must first have the type of its default.  Then the
-    config's run is built: each spec checks its own fields, and its
-    refusal is an issue under its config section; the rules that no spec
-    owns are checked here.
+
+def build_run(config: ScenarioConfig | dict) -> tuple:
+    """(prob, weights, game): the problem, Carleman weights and game that
+    the run of `config`, a ScenarioConfig or its overrides of the
+    defaults, runs on.  The one builder of a problem.
+
+    Raises ConfigError with every offending field.  Every field must
+    first have the type of its default.  Then the run is built: each spec
+    checks its own fields, and its refusal is an issue under its config
+    section; the rules that no spec owns are checked here.  A spec is
+    built once the fields it is built from pass the rules here, so that
+    every field is reported once.
     """
-    if isinstance(config, ScenarioConfig):
-        cfg = config.data
-    else:
-        try:
-            cfg = ScenarioConfig.from_dict(config).data
-        except ConfigError as exc:
-            return exc.issues
-    return _build_run(cfg)[0]
-
-
-def _build_run(cfg: dict) -> tuple:
-    """(issues, built): the issues of the config's fields, and the
-    (prob, weights, game) of its run, or None when there is an issue.
-
-    A spec is built once the fields it is built from pass the rules
-    here, so that every field is reported once.
-    """
+    if not isinstance(config, ScenarioConfig):
+        config = ScenarioConfig.from_dict(config)
+    cfg = config.data
     issues = _type_issues(_DEFAULTS, cfg, "")
     if issues:
-        return issues, None
+        raise ConfigError(issues)
     if cfg["schema_version"] != SCHEMA_VERSION:
         issues.append(f"schema_version: must be {SCHEMA_VERSION}, the "
                       f"version this package reads, got "
@@ -348,7 +349,9 @@ def _build_run(cfg: dict) -> tuple:
         issues.append("experiment.samples: must be at least 1")
     if exp["y0_mode"] not in ("sine", "random"):
         issues.append(f"experiment.y0_mode: unknown {exp['y0_mode']!r}")
-    return issues, None if issues else (prob, weights, spec)
+    if issues:
+        raise ConfigError(issues)
+    return prob, weights, spec
 
 
 _PRESETS = {
@@ -442,14 +445,12 @@ def run_scenario(config: ScenarioConfig | dict, out_dir, seed: int = 0,
     """Runs one experiment, writes its artifacts, returns the record.
 
     Raises ConfigError, before out_dir is made, for the issues of
-    `validate_config`."""
+    `build_run`."""
     if not isinstance(config, ScenarioConfig):
         config = ScenarioConfig.from_dict(config)
     cfg = config.data
     t_start = time.perf_counter()
-    issues, built = _build_run(cfg)
-    if issues:
-        raise ConfigError(issues)
+    built = build_run(config)
     kind = cfg["experiment"]["kind"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)

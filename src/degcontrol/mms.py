@@ -18,15 +18,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .semilinear import SemilinearF
+from .harness import build_run
 from .solvers import CylinderProblem, solve_forward_semilinear
 
 __all__ = ["manufactured_source", "time_order_study", "space_order_study"]
 
 
 def _problem(N: int, M: int, alpha: float) -> CylinderProblem:
-    return CylinderProblem.default(N=N, M=M, alpha=alpha, family="constant",
-                                   F=SemilinearF.zero())
+    return build_run({"grid": {"N": N, "M": M},
+                      "geometry": {"alpha": alpha, "family": "constant"},
+                      "nonlinearity": {"label": "zero"}})[0]
 
 
 def manufactured_source(prob: CylinderProblem, decay: float) -> np.ndarray:

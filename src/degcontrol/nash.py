@@ -67,13 +67,13 @@ class GameSpec:
     integrals.
     """
 
-    alpha1: float = 1.0
-    alpha2: float = 1.0
-    mu1: float = 1.0
-    mu2: float = 1.0
+    alpha1: float
+    alpha2: float
+    mu1: float
+    mu2: float
+    jacobian_weighting: bool
     target1: TrajectoryField | None = None
     target2: TrajectoryField | None = None
-    jacobian_weighting: bool = True
 
     def __post_init__(self):
         # every refused field in one error

@@ -36,8 +36,8 @@ class SemilinearF:
     label: str = "custom"
 
     @classmethod
-    def sinusoidal(cls, kappa1: float = 2.0, kappa2: float = 2.0) -> "SemilinearF":
-        """F(u,w) = kappa1 sin(u) + kappa2 sin(w); the default nonlinearity.
+    def sinusoidal(cls, kappa1: float, kappa2: float) -> "SemilinearF":
+        """F(u,w) = kappa1 sin(u) + kappa2 sin(w); the config's default label.
 
         C^2 with globally bounded derivatives and F(0,0)=0, and it
         exercises both arguments of F.

@@ -235,22 +235,15 @@ class CylinderProblem:
             raise ValueError("; ".join(empty))
 
     @classmethod
-    def default(cls, N: int = 64, M: int = 128, alpha: float = 0.5,
-                T: float = 1.0, gamma: float = 2.0, b_exp: float = 2.0,
-                family: str = "affine", l0: float = 1.0, k: float = 0.25,
-                w: float = np.pi, windows: ControlGeometry | None = None,
-                F: SemilinearF | None = None) -> "CylinderProblem":
-        deg = DegeneracySpec(alpha=alpha)
-        gw = GradientWeightSpec(b_exp=b_exp).attach(deg)
-        dom = MovingDomainSpec(T=T, family=family, l0=l0, k=k, w=w)
-        dom.validate()
-        return cls(
-            deg=deg, gw=gw, dom=dom,
-            windows=windows or ControlGeometry(),
-            grid=SpatialGrid(N=N, gamma=gamma),
-            mesh=TimeMesh(M=M, T=T),
-            F=F if F is not None else SemilinearF.sinusoidal(),
-        )
+    def default(cls, N: int, M: int) -> "CylinderProblem":
+        """The default config's problem on grid (N, M).
+
+        Stays only for `perfbench/worker.py` until the benchmark no
+        longer calls it (ROADMAP direction 12); every other problem is
+        built by `harness.build_run`.
+        """
+        from .harness import build_run
+        return build_run({"grid": {"N": N, "M": M}})[0]
 
     # -- static pieces -------------------------------------------------
 

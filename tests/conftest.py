@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from degcontrol.carleman import (CarlemanParams, CarlemanWeights,
-                                 adjoint_basis, weight_roots)
-from degcontrol.harness import default_config
-from degcontrol.nash import GameSpec, make_default_targets
+from degcontrol.carleman import adjoint_basis, weight_roots
+from degcontrol.harness import build_run, default_config
+from degcontrol.nash import GameSpec
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import CylinderProblem
 
@@ -17,35 +16,65 @@ _SOLVER = default_config()["solver"]
 NEWTON = (_SOLVER["newton_tol"], _SOLVER["tol_terminal"],
           _SOLVER["newton_max"])
 
+# the config section of the F = 0 problem
+LINEAR = {"nonlinearity": {"label": "zero"}}
+# the game section of a game without targets
+NO_TARGETS = {"target_amplitude": 0.0}
+# a game with unit weights and penalties, the Jacobian factor and no
+# targets; a copy by `dataclasses.replace` sets other fields
+UNIT_GAME = GameSpec(alpha1=1.0, alpha2=1.0, mu1=1.0, mu2=1.0,
+                     jacobian_weighting=True)
+
+
+def build(N, M, **sections):
+    """(prob, weights, game) of the default config on grid (N, M), with
+    the fields of `sections` set, as `build_run` builds them."""
+    return build_run({"grid": {"N": N, "M": M}, **sections})
+
+
+def with_F(prob, F):
+    """prob with the nonlinearity F, which no config names."""
+    return CylinderProblem(prob.deg, prob.gw, prob.dom, prob.windows,
+                           prob.grid, prob.mesh, F)
+
 
 @pytest.fixture(scope="session")
-def prob():
-    """Default desk-scale semilinear problem."""
-    return CylinderProblem.default(N=64, M=128)
+def desk():
+    """(prob, weights, game) of the default config: the desk-scale
+    semilinear run, N=64 and M=128, with targets of amplitude 1."""
+    return build_run({})
 
 
 @pytest.fixture(scope="session")
-def prob_linear():
-    """Same scale with F == 0."""
-    return CylinderProblem.default(N=64, M=128, F=SemilinearF.zero())
+def prob(desk):
+    return desk[0]
+
+
+@pytest.fixture(scope="session")
+def weights(desk):
+    return desk[1]
+
+
+@pytest.fixture(scope="session")
+def game(desk):
+    return desk[2]
+
+
+@pytest.fixture(scope="session")
+def linear():
+    """(prob, weights, game) of the desk-scale run with F == 0."""
+    return build_run(LINEAR)
+
+
+@pytest.fixture(scope="session")
+def prob_linear(linear):
+    return linear[0]
 
 
 @pytest.fixture(scope="session")
 def prob_small():
     """Cheap problem for iteration-heavy tests."""
-    return CylinderProblem.default(N=32, M=48)
-
-
-@pytest.fixture(scope="session")
-def weights(prob):
-    return CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
-
-
-@pytest.fixture(scope="session")
-def game(prob, weights):
-    g = GameSpec(mu1=5.0, mu2=5.0)
-    g.target1, g.target2 = make_default_targets(prob, weights, 1.0)
-    return g
+    return build(32, 48)[0]
 
 
 @pytest.fixture()
@@ -58,14 +87,6 @@ def sampler_inputs(prob, weights, couplings):
     `weight_roots` of the weights, which the samplers and the form
     builders read."""
     return adjoint_basis(prob, couplings), weight_roots(prob, weights)
-
-
-def default_targets(prob):
-    """The targets of amplitude 1 under prob's default Carleman weights,
-    as a run with the default carleman and game sections builds them."""
-    weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                              prob.mesh)
-    return make_default_targets(prob, weights, 1.0)
 
 
 def sine_data(prob, amplitude):

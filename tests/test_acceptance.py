@@ -9,21 +9,14 @@ import numpy as np
 import pytest
 
 from degcontrol import nash
-from degcontrol.carleman import (
-    CarlemanParams,
-    CarlemanWeights,
-    empirical_carleman,
-    empirical_observability,
-)
+from degcontrol.carleman import empirical_carleman, empirical_observability
 from degcontrol.grids import TrajectoryField
 from degcontrol.mms import space_order_study, time_order_study
 from degcontrol.nash import (
-    GameSpec,
     convexity_margin,
     evaluate_functional,
     fit_mu_star,
     functional_gradient,
-    make_default_targets,
     nash_fixed_point,
     second_derivative_form,
 )
@@ -33,25 +26,22 @@ from degcontrol.nullcontrol import (
     solve_nonlinear_null_control,
     verify_additional_estimates,
 )
-from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
-    CylinderProblem,
     solve_backward_linear,
     solve_forward_linear,
     solve_forward_semilinear,
 )
 
-from conftest import NEWTON, sampler_inputs, sine_data
+from conftest import (LINEAR, NEWTON, UNIT_GAME, build, sampler_inputs,
+                      sine_data)
 
 
 # -- shared heavy objects ------------------------------------------------
 
 
 @pytest.fixture(scope="module")
-def linear_setup(prob_linear, weights):
-    game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(
-        prob_linear, weights, 1.0)
+def linear_setup(linear):
+    prob_linear, weights, game = linear
     hum = HUMSolver(prob_linear, weights, game)
     y0 = sine_data(prob_linear, 0.1)
     triple = hum.solve(y0)
@@ -62,11 +52,7 @@ def linear_setup(prob_linear, weights):
 
 @pytest.fixture(scope="module")
 def linear_refined():
-    prob = CylinderProblem.default(N=96, M=192, F=SemilinearF.zero())
-    weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                              prob.mesh)
-    game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+    prob, weights, game = build(96, 192, **LINEAR)
     triple = HUMSolver(prob, weights, game).solve(sine_data(prob, 0.1))
     return {"triple": triple,
             "estimates": verify_additional_estimates(prob, weights, triple)}
@@ -121,8 +107,7 @@ def test_criterion_2_discrete_duality(prob, rng):
     _report([f"worst duality mismatch over 5 pairs {worst:.2e}"])
 
 
-def test_criterion_3_nash_layer(prob, prob_linear, weights, game,
-                                nash_state):
+def test_criterion_3_nash_layer(prob, linear, game, nash_state):
     h, y0, sol = nash_state
     res = max(sol.residuals["grad_J1"], sol.residuals["grad_J2"])
     assert res <= 1e-6
@@ -145,9 +130,7 @@ def test_criterion_3_nash_layer(prob, prob_linear, weights, game,
     assert rel <= 1e-5
 
     # F = 0: J1 along a control line is an exact parabola
-    game_l = GameSpec(mu1=5.0, mu2=5.0)
-    game_l.target1, game_l.target2 = make_default_targets(
-        prob_linear, weights, 1.0)
+    prob_linear, _, game_l = linear
     dl = prob_linear.new_field()
     dl.values[:] = d.values
     v2 = prob_linear.new_field()
@@ -165,8 +148,8 @@ def test_criterion_3_nash_layer(prob, prob_linear, weights, game,
              f"parabola residual (F = 0) {parabola:.2e}"])
 
 
-def test_criterion_4_convexity_certificate(prob, prob_linear, weights, game,
-                                           nash_state, rng, monkeypatch):
+def test_criterion_4_convexity_certificate(prob, linear, game, nash_state,
+                                           rng, monkeypatch):
     h, y0, sol = nash_state
     # fitted mu*: margins certified above it for the default F
     fit = fit_mu_star(prob, game, h, y0)
@@ -178,9 +161,7 @@ def test_criterion_4_convexity_certificate(prob, prob_linear, weights, game,
     assert game.mu1 > fit["mu_star"]
 
     # margin >= mu for F = 0
-    game_l = GameSpec(mu1=5.0, mu2=5.0)
-    game_l.target1, game_l.target2 = make_default_targets(
-        prob_linear, weights, 1.0)
+    prob_linear, _, game_l = linear
     sol_l = nash_fixed_point(prob_linear, game_l, h, y0)
     rep_l = convexity_margin(prob_linear, game_l, sol_l, rng)
     assert rep_l["margin"] >= game_l.mu1 * (1 - 1e-10)
@@ -249,9 +230,7 @@ def test_criterion_6_additional_estimates(linear_setup, linear_refined):
 
 
 def test_criterion_7_nonlinear_null_control(prob, prob_linear, weights,
-                                            linear_setup):
-    game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+                                            game, linear_setup):
     hum = HUMSolver(prob, weights, game)
     base_y0 = sine_data(prob, 0.01)
     lines = []
@@ -300,7 +279,7 @@ def test_criterion_7_nonlinear_null_control(prob, prob_linear, weights,
 
 def test_criterion_8_empirical_inequalities(prob, weights):
     rng = np.random.default_rng(5)
-    c = GameSpec().couplings(prob)
+    c = UNIT_GAME.couplings(prob)
     inputs = sampler_inputs(prob, weights, c)
     obs = empirical_observability(prob, weights, c, *inputs, samples=20,
                                   rng=rng)
@@ -309,10 +288,8 @@ def test_criterion_8_empirical_inequalities(prob, weights):
     assert obs["skipped"] == 0
     assert np.isfinite(obs["max_ratio"]) and np.isfinite(car["max_ratio"])
 
-    fine = CylinderProblem.default(N=96, M=192)
-    w_fine = CarlemanWeights(CarlemanParams(), fine.deg, fine.grid,
-                             fine.mesh)
-    c_fine = GameSpec().couplings(fine)
+    fine, w_fine, _ = build(96, 192)
+    c_fine = UNIT_GAME.couplings(fine)
     inputs = sampler_inputs(fine, w_fine, c_fine)
     obs_f = empirical_observability(fine, w_fine, c_fine, *inputs,
                                     samples=20, rng=np.random.default_rng(5))

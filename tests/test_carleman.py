@@ -18,23 +18,27 @@ from degcontrol.carleman import (
     eval_time_weights,
 )
 from degcontrol.geometry import DegeneracySpec
+from degcontrol.harness import default_config
 from degcontrol.nash import GameSpec
-from degcontrol.solvers import CylinderProblem, solve_adjoint_coupled
+from degcontrol.solvers import solve_adjoint_coupled
 
 from adjoint_reference import two_follower_sweep
-from conftest import rel_gap, sampler_inputs
+from conftest import UNIT_GAME, build, rel_gap, sampler_inputs
+
+# the default config's weight parameters
+PARAMS = CarlemanParams(**default_config()["carleman"])
 
 
 class TestPsi:
     def test_left_branch_closed_form(self):
         # for x < alpha_p: Psi(x) = x^{2-alpha}/(2-alpha)
-        psi = PsiFunction(CarlemanParams(), DegeneracySpec(alpha=0.5))
+        psi = PsiFunction(PARAMS, DegeneracySpec(alpha=0.5))
         assert psi(0.04) == pytest.approx(0.04**1.5 / 1.5, rel=1e-12)
 
     def test_right_branch_closed_form(self):
         # for x > beta_p: Psi decreases like the mirrored primitive,
         # anchored so Psi(beta_p) matches the bridge
-        params = CarlemanParams()
+        params = PARAMS
         psi = PsiFunction(params, DegeneracySpec(alpha=0.5))
         x = np.array([0.5, 0.7, 0.9])
         vals = psi(x)
@@ -42,7 +46,7 @@ class TestPsi:
 
     def test_shape(self):
         # increasing up to the bridge, decreasing past it
-        params = CarlemanParams()
+        params = PARAMS
         psi = PsiFunction(params, DegeneracySpec(alpha=0.5))
         left = psi(np.linspace(1e-6, params.alpha_p, 101))
         right = psi(np.linspace(params.beta_p, 1.0, 101))
@@ -53,7 +57,7 @@ class TestPsi:
     def test_c2_at_bridge_joints(self):
         # first and second derivatives of the quintic bridge match the
         # analytic branch derivatives at both joints
-        params = CarlemanParams()
+        params = PARAMS
         deg = DegeneracySpec(alpha=0.5)
         psi = PsiFunction(params, deg)
         al, be = params.alpha_p, params.beta_p
@@ -67,18 +71,18 @@ class TestPsi:
 
     def test_bridge_window_validated(self):
         with pytest.raises(ValueError):
-            CarlemanParams(alpha_p=0.6, beta_p=0.4)
+            replace(PARAMS, alpha_p=0.6, beta_p=0.4)
 
 
 class TestTimeWeights:
     def test_theta_midpoint(self):
-        theta, m, tau = eval_time_weights(CarlemanParams(), 1.0,
+        theta, m, tau = eval_time_weights(PARAMS, 1.0,
                                           np.array([0.5]))
         # theta = 1/(t(T-t))^4 = 256 at t = T/2
         assert theta[0] == pytest.approx(256.0, rel=1e-12)
 
     def test_m_branches(self):
-        params = CarlemanParams()
+        params = PARAMS
         theta, m, tau = eval_time_weights(params, 1.0,
                                           np.array([0.0, 0.75]))
         # floor value (T/2)^8 on the early branch
@@ -87,7 +91,7 @@ class TestTimeWeights:
         assert m[1] == pytest.approx((0.75 * 0.25) ** 4, rel=1e-12)
 
     def test_m_c1_at_junction(self):
-        params = CarlemanParams()
+        params = PARAMS
         eps = 1e-7
         t = np.array([0.5 - eps, 0.5 + eps])
         _, m, _ = eval_time_weights(params, 1.0, t)
@@ -95,14 +99,12 @@ class TestTimeWeights:
 
     def test_outside_horizon_rejected(self):
         with pytest.raises(ValueError):
-            eval_time_weights(CarlemanParams(), 1.0, np.array([1.5]))
+            eval_time_weights(PARAMS, 1.0, np.array([1.5]))
 
 
 @pytest.fixture(scope="module")
-def w64():
-    prob = CylinderProblem.default(N=64, M=128)
-    return prob, CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                 prob.mesh)
+def w64(desk):
+    return desk[:2]
 
 
 class TestWeights:
@@ -133,7 +135,7 @@ class TestWeights:
     def test_manual_lambda_below_min_rejected(self, w64):
         prob, w = w64
         with pytest.raises(ValueError):
-            CarlemanWeights(CarlemanParams(lam=0.5 * w.lambda_min),
+            CarlemanWeights(replace(PARAMS, lam=0.5 * w.lambda_min),
                             prob.deg, prob.grid, prob.mesh)
 
     def test_overflowing_lambda_rejected(self, w64):
@@ -141,7 +143,7 @@ class TestWeights:
         prob, _ = w64
         with pytest.raises(ValueError, match=r"lambda=1000000.0 is too "
                            r"large: .* is not finite"):
-            CarlemanWeights(CarlemanParams(lam=1e6), prob.deg, prob.grid,
+            CarlemanWeights(replace(PARAMS, lam=1e6), prob.deg, prob.grid,
                             prob.mesh)
 
     def test_tables_normalized_and_capped(self, w64):
@@ -160,7 +162,7 @@ class TestWeights:
 class TestEmpiricalInequalities:
     def test_observability_finite(self, w64):
         prob, w = w64
-        c = GameSpec().couplings(prob)
+        c = UNIT_GAME.couplings(prob)
         rep = empirical_observability(prob, w, c,
                                       *sampler_inputs(prob, w, c), samples=8,
                                       rng=np.random.default_rng(3))
@@ -170,7 +172,7 @@ class TestEmpiricalInequalities:
 
     def test_carleman_finite(self, w64):
         prob, w = w64
-        c = GameSpec().couplings(prob)
+        c = UNIT_GAME.couplings(prob)
         rep = empirical_carleman(prob, w, *sampler_inputs(prob, w, c),
                                  samples=4, rng=np.random.default_rng(3))
         assert rep["skipped"] == 0
@@ -299,9 +301,7 @@ def _reference_carleman(prob, w, couplings, samples, rng):
 
 @pytest.fixture(scope="module")
 def w32():
-    prob = CylinderProblem.default(N=32, M=64)
-    return prob, CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                 prob.mesh)
+    return build(32, 64)[:2]
 
 
 def _exp_table(logw):
@@ -385,7 +385,7 @@ class TestGramSampling:
 
     def test_ratios_match_per_sample_reference(self, w32):
         prob, w = w32
-        c = GameSpec().couplings(prob)
+        c = UNIT_GAME.couplings(prob)
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
         inputs = sampler_inputs(prob, w, c)
         obs = empirical_observability(prob, w, c, *inputs, samples=7, rng=rng)
@@ -403,10 +403,9 @@ class TestGramSampling:
     def test_unweighted_ratios_match_per_sample_reference(self):
         # without the Jacobian factor the couplings carry wt = l(t); the
         # reference sweeps each sample with the game's control/tracking
-        prob = CylinderProblem.default(N=16, M=16)
-        w = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
-        game = GameSpec(alpha1=1.3, alpha2=0.7, mu1=2.0, mu2=3.0,
-                        jacobian_weighting=False)
+        prob, w, game = build(16, 16, game={
+            "alpha1": 1.3, "alpha2": 0.7, "mu1": 2.0, "mu2": 3.0,
+            "jacobian_weighting": False, "target_amplitude": 0.0})
         c = game.couplings(prob)
         rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
         inputs = sampler_inputs(prob, w, c)
@@ -430,11 +429,11 @@ class TestGramSampling:
         # the observation term swamps the source term by about 1e11; with
         # the window O emptied only the source term is left
         _, w = w32
-        prob = CylinderProblem.default(N=32, M=64)
+        prob = build(32, 64)[0]
         indicator = prob.indicator
         monkeypatch.setattr(prob, "indicator", lambda name: (
             0.0 * indicator(name) if name == "O" else indicator(name)))
-        c = GameSpec().couplings(prob)
+        c = UNIT_GAME.couplings(prob)
         car = empirical_carleman(prob, w, *sampler_inputs(prob, w, c),
                                  samples=3, rng=np.random.default_rng(12))
         ref_car, _ = _reference_carleman(prob, w, c, 3,
@@ -445,7 +444,7 @@ class TestGramSampling:
     def test_source_share_on_default_problem(self, prob, weights):
         # with O in place the observation term dominates the right-hand
         # side, but the source term still shows in the report
-        c = GameSpec().couplings(prob)
+        c = UNIT_GAME.couplings(prob)
         car = empirical_carleman(prob, weights,
                                  *sampler_inputs(prob, weights, c),
                                  samples=50, rng=np.random.default_rng(0))
@@ -475,7 +474,7 @@ class TestBasisColumns:
 
     @staticmethod
     def _couplings(prob, alphas, jacobian_weighting):
-        game = GameSpec(mu1=2.0, mu2=3.0,
+        game = GameSpec(alpha1=1.0, alpha2=1.0, mu1=2.0, mu2=3.0,
                         jacobian_weighting=jacobian_weighting)
         return replace(game.couplings(prob), alphas=alphas)
 
@@ -506,7 +505,8 @@ class TestBasisColumns:
 class TestSharedBasis:
     """Both samplers read one block solve, `adjoint_basis`."""
 
-    GAME = GameSpec(alpha1=0.7, alpha2=1.3, mu1=2.0, mu2=3.0)
+    GAME = GameSpec(alpha1=0.7, alpha2=1.3, mu1=2.0, mu2=3.0,
+                    jacobian_weighting=True)
 
     def test_given_basis_equals_own_solve(self, w32):
         # the samplers only read the basis and roots they are given, so
@@ -527,7 +527,7 @@ class TestSharedBasis:
         for now, before in zip([basis.phi, basis.psi, *roots], kept):
             assert np.array_equal(now, before)
 
-    @pytest.mark.parametrize("game", [GameSpec(), GAME],
+    @pytest.mark.parametrize("game", [UNIT_GAME, GAME],
                              ids=["default", "weighted"])
     def test_observability_forms_match_two_follower_sweep(self, w32, game):
         # rho = alpha1 psi1 + alpha2 psi2 of the basis against the same
@@ -553,7 +553,7 @@ class TestSharedBasis:
         # in four calls, and stacks their columns in the basis order
         prob, w = w32
         grid = prob.grid
-        c = GameSpec().couplings(prob)
+        c = UNIT_GAME.couplings(prob)
         modes = carleman._source_modes(grid, prob.mesh)
         blocks = [solve_adjoint_coupled(prob, carleman._sine_modes(grid), c)]
         for slot in carleman.SOURCE_SLOTS:

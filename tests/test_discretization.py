@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh, TrajectoryField
-from degcontrol.carleman import CarlemanParams, CarlemanWeights
-from degcontrol.nash import GameSpec, _dL_transpose_apply
+from degcontrol.nash import _dL_transpose_apply
 from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
                                     _nonlinear_remainders, _remainder_parts,
                                     level_order, lower_band)
 from degcontrol.operators import (band_apply, band_transpose, drift_bands,
                                   weighted_transpose)
 from degcontrol.mms import space_order_study, time_order_study
-from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
     CylinderProblem,
     _interior,
@@ -25,7 +23,7 @@ from degcontrol.solvers import (
     solve_forward_semilinear,
 )
 
-from conftest import default_targets
+from conftest import LINEAR, NO_TARGETS, build
 from sparse_reference import (
     assemble_drift,
     assemble_stiffness,
@@ -51,7 +49,7 @@ class TestSpatialGrid:
 
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
-            SpatialGrid(N=2)
+            SpatialGrid(N=2, gamma=2.0)
 
     @given(st.integers(4, 64), st.floats(0.5, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -74,21 +72,21 @@ class TestTimeMesh:
 
 class TestTrajectoryField:
     def test_shape_checked(self):
-        g, m = SpatialGrid(N=8), TimeMesh(M=4, T=1.0)
+        g, m = SpatialGrid(N=8, gamma=2.0), TimeMesh(M=4, T=1.0)
         with pytest.raises(ValueError):
             TrajectoryField(g, m, np.zeros((3, 9)))
 
     def test_right_endpoint_quadrature(self):
         # constant field 1: the right-endpoint rule integrates exactly,
         # sum_{n>=1} dt * 1 = T
-        g, m = SpatialGrid(N=16), TimeMesh(M=10, T=1.0)
+        g, m = SpatialGrid(N=16, gamma=2.0), TimeMesh(M=10, T=1.0)
         f = TrajectoryField(g, m, np.ones((11, 17)))
         assert f.l2q_norm() ** 2 == pytest.approx(1.0, rel=1e-13)
 
     def test_quadrature_refinement(self):
         # a time-constant integrand is integrated exactly at every M, so
         # the value must not move under time refinement
-        g = SpatialGrid(N=16)
+        g = SpatialGrid(N=16, gamma=2.0)
         x = g.nodes
         vals = []
         for M in (16, 64, 256):
@@ -98,12 +96,12 @@ class TestTrajectoryField:
         assert vals[0] == pytest.approx(vals[2], rel=1e-12)
 
     def test_from_function(self):
-        g, m = SpatialGrid(N=8), TimeMesh(M=4, T=1.0)
+        g, m = SpatialGrid(N=8, gamma=2.0), TimeMesh(M=4, T=1.0)
         f = TrajectoryField.from_function(g, m, lambda x, t: x * t)
         assert f.values[2, 3] == pytest.approx(g.nodes[3] * m.times[2])
 
     def test_inner_bilinear(self):
-        g, m = SpatialGrid(N=8), TimeMesh(M=4, T=1.0)
+        g, m = SpatialGrid(N=8, gamma=2.0), TimeMesh(M=4, T=1.0)
         rng = np.random.default_rng(0)
         a = TrajectoryField(g, m, rng.standard_normal((5, 9)))
         b = TrajectoryField(g, m, rng.standard_normal((5, 9)))
@@ -276,40 +274,36 @@ class TestBandOperators:
             assert np.array_equal(tridiag_csr(ops.bands_t[n]).toarray(),
                                   mats_t[n].toarray())
 
-    def test_space_time_blocks_equal_block_diag(self, prob_small, rng):
+    def test_space_time_blocks_equal_block_diag(self, prob_small, game, rng):
         # the HUM blocks read the level bands of any operator set, here
         # those linearized at a random state
         prob = prob_small
         y = _random_state(prob, rng)
-        couplings = GameSpec(mu1=5.0, mu2=5.0).couplings(prob)
+        couplings = game.couplings(prob)
         _assert_space_time_columns(
             prob, _hum_blocks(prob, prob.ops_at_state(y), couplings.control,
                               couplings.tracking),
             *_sparse_levels(prob, y))
 
-    def test_hum_blocks_equal_sparse_reference(self, prob_small):
+    def test_hum_blocks_equal_sparse_reference(self):
         # the HUM operator is built from the system linearized at zero,
         # plus the free terminal datum of phi as one extra block column
-        prob = prob_small
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
-        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        prob, weights, game = build(32, 48, game=NO_TARGETS)
+        hum = HUMSolver(prob, weights, game)
         _assert_space_time_columns(prob, (hum.G0, hum.G1, hum.G2),
                                    *_sparse_levels(prob, prob.new_field()))
 
     @pytest.mark.parametrize("N, M, game", [
-        (16, 16, GameSpec(mu1=5.0, mu2=5.0)),
-        (32, 64, GameSpec(mu1=5.0, mu2=5.0)),
-        (16, 16, GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
-                          jacobian_weighting=False)),
+        (16, 16, NO_TARGETS),
+        (32, 64, NO_TARGETS),
+        (16, 16, {"alpha1": 2.0, "alpha2": 3.0, "mu2": 7.0,
+                  "jacobian_weighting": False, **NO_TARGETS}),
     ], ids=["16x16", "32x64", "unweighted"])
     def test_hum_build_equals_blockwise_assembly(self, N, M, game):
         # the stencil rows give the blockwise assembly's arrays bit for
         # bit, and so the same operator, scaling and band factor
-        prob = CylinderProblem.default(N=N, M=M)
+        prob, weights, game = build(N, M, game=game)
         n, dt = N - 1, prob.mesh.dt
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
         hum = HUMSolver(prob, weights, game)
         ref = _hum_blocks_reference(prob, game)
         for got, want in zip((hum.G0, hum.G1, hum.G2, hum.E), ref):
@@ -355,7 +349,7 @@ class TestBandOperators:
         # sum dt <f,p> + <y0,p^1> = sum dt <g,y>, relative to the sum of
         # the magnitudes of its terms, for the forward march and the
         # backward march through the transposed forward factors
-        prob = CylinderProblem.default(N=N, M=M)
+        prob = build(N, M)[0]
         dt, wv = prob.mesh.dt, prob.grid.interior_volumes
         for ops in (prob.linearized_ops(),
                     prob.ops_at_state(_random_state(prob, rng))):
@@ -370,10 +364,8 @@ class TestBandOperators:
             assert mismatch <= 1e-15 * sum(float(np.sum(np.abs(t)))
                                            for t in terms)
 
-    def test_nonlinear_remainders_match_sparse(self, prob_small, rng):
-        prob = prob_small
-        game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = default_targets(prob)
+    def test_nonlinear_remainders_match_sparse(self, rng):
+        prob, _, game = build(32, 48)
         y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
         N0, N1, N2 = _nonlinear_remainders(
             prob, _remainder_parts(prob, game), y, p1, p2)
@@ -400,13 +392,11 @@ class TestBandOperators:
                        + game.alphas[i] * wt[n] * target * ind_d)
                 assert np.allclose(Ni[n, 1:-1], ref, rtol=1e-14, atol=1e-15)
 
-    def test_nonlinear_remainders_equal_padded_reference(self, prob_small,
-                                                         rng):
+    def test_nonlinear_remainders_equal_padded_reference(self, rng):
         # wt = l(t) and non-zero targets make every fixed part count
-        prob = prob_small
-        game = GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
-                        jacobian_weighting=False)
-        game.target1, game.target2 = default_targets(prob)
+        prob, _, game = build(32, 48, game={
+            "alpha1": 2.0, "alpha2": 3.0, "mu2": 7.0,
+            "jacobian_weighting": False})
         parts = _remainder_parts(prob, game)
         for _ in range(2):
             y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
@@ -417,10 +407,8 @@ class TestBandOperators:
                 assert np.array_equal(g, r)
 
 
-    def test_nonlinear_remainders_build_no_operators(self, prob_small, rng,
-                                                     monkeypatch):
-        prob = prob_small
-        game = GameSpec(mu1=5.0, mu2=5.0)
+    def test_nonlinear_remainders_build_no_operators(self, rng, monkeypatch):
+        prob, _, game = build(32, 48, game=NO_TARGETS)
         parts = _remainder_parts(prob, game)
 
         def refuse(self, y):
@@ -435,8 +423,8 @@ class TestBandOperators:
         # against the operator.  Relative errors at amplitude 1e-2, five
         # draws: 3.6e-14 to 5.8e-14 from the coefficient change, 1.7e-10 to
         # 2.9e-10 from subtracting the two weighted transposes
-        prob = CylinderProblem.default(N=32, M=64)
-        parts = _remainder_parts(prob, GameSpec(mu1=5.0, mu2=5.0))
+        prob, _, game = build(32, 64, game=NO_TARGETS)
+        parts = _remainder_parts(prob, game)
         ld, F = np.longdouble, prob.F
         wv = prob.grid.interior_volumes.astype(ld)
         dct = band_transpose(prob.Dc_bands).astype(ld)
@@ -464,8 +452,7 @@ def _moving_domain_error(family: str, N: int, Ms=(512, 1024)) -> float:
     Richardson extrapolation over the two M of Ms (M2 = 2 M1)."""
     finals = []
     for M in Ms:
-        prob = CylinderProblem.default(N=N, M=M, family=family,
-                                       F=SemilinearF.zero())
+        prob = build(N, M, geometry={"family": family}, **LINEAR)[0]
         al = prob.deg.alpha
         t = prob.mesh.times[:, None]
         l, dl = prob.dom.ell(t), prob.dom.ell_prime(t)

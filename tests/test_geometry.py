@@ -12,6 +12,10 @@ from degcontrol.geometry import (
     MovingDomainSpec,
     beta_condition_report,
 )
+from degcontrol.harness import default_config
+
+# the config's default windows
+WINDOWS = {k: tuple(v) for k, v in default_config()["game"]["windows"].items()}
 
 
 class TestDegeneracy:
@@ -83,7 +87,7 @@ class TestGradientWeight:
 
 class TestMovingDomain:
     def test_affine_values(self):
-        dom = MovingDomainSpec(T=1.0, family="affine", k=0.25)
+        dom = MovingDomainSpec(T=1.0, family="affine", l0=1.0, k=0.25, w=np.pi)
         assert dom.ell(0.0) == 1.0
         assert dom.ell(1.0) == 1.25
         assert dom.ell_prime(0.5) == pytest.approx(0.25)
@@ -92,7 +96,7 @@ class TestMovingDomain:
                              [("constant", 0.0), ("affine", 0.25),
                               ("exponential", 0.2), ("sinusoidal", 0.3)])
     def test_ell_prime_consistent(self, family, k):
-        dom = MovingDomainSpec(T=1.0, family=family, k=k)
+        dom = MovingDomainSpec(T=1.0, family=family, l0=1.0, k=k, w=np.pi)
         dom.validate()
         t = np.linspace(0.05, 0.95, 9)
         eps = 1e-6
@@ -101,12 +105,13 @@ class TestMovingDomain:
 
     def test_sinusoidal_amplitude_limit(self):
         with pytest.raises(ValueError):
-            MovingDomainSpec(T=1.0, family="sinusoidal", k=1.0).validate()
+            MovingDomainSpec(T=1.0, family="sinusoidal", l0=1.0, k=1.0,
+                             w=np.pi).validate()
 
     def test_coefficients_formulas(self):
         deg = DegeneracySpec(alpha=0.5)
         gw = GradientWeightSpec(b_exp=2.0).attach(deg)
-        dom = MovingDomainSpec(T=1.0, family="affine", k=0.25)
+        dom = MovingDomainSpec(T=1.0, family="affine", l0=1.0, k=0.25, w=np.pi)
         t = 0.5
         b, B, C = dom.coefficients(deg, gw, t)
         ell = dom.ell(t)
@@ -117,25 +122,25 @@ class TestMovingDomain:
     def test_time_outside_horizon_rejected(self):
         deg = DegeneracySpec(alpha=0.5)
         gw = GradientWeightSpec(b_exp=2.0).attach(deg)
-        dom = MovingDomainSpec(T=1.0, family="affine", k=0.25)
+        dom = MovingDomainSpec(T=1.0, family="affine", l0=1.0, k=0.25, w=np.pi)
         with pytest.raises(ValueError):
             dom.coefficients(deg, gw, 1.5)
 
 
 class TestControlGeometry:
     def test_defaults_valid(self):
-        ControlGeometry()
+        ControlGeometry(**WINDOWS)
 
     def test_follower_window_must_avoid_o(self):
         with pytest.raises(ValueError, match="disjoint"):
-            ControlGeometry(O=(0.3, 0.5), O1=(0.4, 0.6))
+            ControlGeometry(**{**WINDOWS, "O1": (0.4, 0.6)})
 
     def test_od_must_meet_o(self):
         with pytest.raises(ValueError, match="intersect"):
-            ControlGeometry(Od=(0.05, 0.1))
+            ControlGeometry(**{**WINDOWS, "Od": (0.05, 0.1)})
 
     def test_indicator_open_interval(self):
-        geo = ControlGeometry()
+        geo = ControlGeometry(**WINDOWS)
         x = np.array([0.3, 0.4, 0.5])
         ind = geo.indicator("O", x)
         assert list(ind) == [0.0, 1.0, 0.0]

@@ -4,10 +4,13 @@ import json
 import os
 import subprocess
 import sys
+from operator import attrgetter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import degcontrol
 from degcontrol import cli, harness, nullcontrol
 
 
@@ -126,6 +129,50 @@ class TestConfig:
         config.to_json(path)
         again = harness.ScenarioConfig.from_json(path)
         assert again.canonical_hash() == config.canonical_hash()
+
+
+class TestBuildRun:
+    def test_every_issue_in_one_error(self):
+        with pytest.raises(harness.ConfigError) as err:
+            harness.build_run({"grid": {"N": 4}, "geometry": {"alpha": 1.5}})
+        assert err.value.issues == [
+            "geometry: alpha must lie in (0,1), got 1.5",
+            "grid.N: supported range is [8, 1024]"]
+
+    def test_returns_the_run_s_triple(self, tmp_path, monkeypatch):
+        config = {"grid": {"N": 16, "M": 16}, "game": {"mu2": 3.0}}
+        seen = []
+
+        def runner(cfg, prob, weights, game, out, rng, outputs):
+            seen.append((prob, weights, game))
+            return {}
+
+        monkeypatch.setitem(harness._RUNNERS, "forward", runner)
+        harness.run_scenario(config, tmp_path)
+        (run_prob, run_weights, run_game), = seen
+        prob, weights, game = harness.build_run(config)
+        assert np.array_equal(prob.linearized_ops().bands,
+                              run_prob.linearized_ops().bands)
+        assert np.array_equal(weights.log_rho0, run_weights.log_rho0)
+        assert (game.alphas, game.mus) == (run_game.alphas, run_game.mus)
+        for target, run_target in zip(game.targets(prob),
+                                      run_game.targets(run_prob)):
+            assert np.array_equal(target.values, run_target.values)
+
+    def test_default_problem_is_the_config_s(self):
+        # perfbench's duality check measures CylinderProblem.default
+        probs = (degcontrol.CylinderProblem.default(32, 64),
+                 harness.build_run({"grid": {"N": 32, "M": 64}})[0])
+        assert np.array_equal(*(p.linearized_ops().bands for p in probs))
+
+    @pytest.mark.parametrize("make", [
+        "GradientWeightSpec", "MovingDomainSpec", "SpatialGrid", "TimeMesh",
+        "ControlGeometry", "GameSpec", "CarlemanParams",
+        "SemilinearF.sinusoidal"])
+    def test_specs_take_no_config_defaults(self, make):
+        # the config holds these values; a spec has no second copy
+        with pytest.raises(TypeError):
+            attrgetter(make)(degcontrol)()
 
 
 class TestPresets:

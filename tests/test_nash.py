@@ -8,20 +8,20 @@ import pytest
 from degcontrol import harness, nash
 from degcontrol.grids import TrajectoryField
 from degcontrol.nash import (
-    GameSpec,
     convexity_margin,
     evaluate_functional,
     fit_mu_star,
     functional_gradient,
-    make_default_targets,
     nash_fixed_point,
     second_derivative_form,
 )
-from degcontrol.semilinear import SemilinearF
-from degcontrol.solvers import (CylinderProblem, StepFailureError,
-                                SweepFailureError, solve_forward_semilinear)
+from degcontrol.solvers import (StepFailureError, SweepFailureError,
+                                solve_forward_semilinear)
 
-from conftest import default_targets, sine_data
+from conftest import UNIT_GAME, build, sine_data
+
+# the game section of unit penalties
+MU1 = {"mu1": 1.0, "mu2": 1.0}
 
 
 def _leader(prob, scale=0.05):
@@ -43,15 +43,14 @@ def _bump_direction(prob, window="O1"):
 
 class TestFunctional:
     def test_perfect_tracking_is_zero(self, prob):
-        game = GameSpec()
-        game.target1, game.target2 = default_targets(prob)
+        game = harness.build_run({"game": MU1})[2]
         zero_v = prob.new_field()
         assert evaluate_functional(prob, game, 1, game.target1, zero_v) == 0.0
 
     def test_constant_mismatch_closed_form(self, prob):
         # |y - target| = 1 on Od, alpha = 2, v = 0: J = |Od|_h * T with
         # |Od|_h the discrete measure of the window
-        game = GameSpec(alpha1=2.0)
+        game = replace(UNIT_GAME, alpha1=2.0)
         y = TrajectoryField(prob.grid, prob.mesh,
                             np.ones((prob.mesh.M + 1, prob.grid.N + 1)))
         ind = prob.indicator("Od")
@@ -62,7 +61,7 @@ class TestFunctional:
 
     def test_index_validated(self, prob):
         with pytest.raises(ValueError):
-            evaluate_functional(prob, GameSpec(), 3, prob.new_field(),
+            evaluate_functional(prob, UNIT_GAME, 3, prob.new_field(),
                                 prob.new_field())
 
 
@@ -74,15 +73,13 @@ class TestFixedPoint:
         assert sol.residuals["grad_J2"] <= 1e-6
 
     def test_trivial_data_gives_zero(self, prob):
-        game = GameSpec()  # zero targets
-        sol = nash_fixed_point(prob, game, None, np.zeros(prob.grid.N + 1))
+        # zero targets
+        sol = nash_fixed_point(prob, UNIT_GAME, None, np.zeros(prob.grid.N + 1))
         assert np.max(np.abs(sol.y.values)) == 0.0
         assert np.max(np.abs(sol.v1.values)) == 0.0
 
-    def test_large_mu_decouples(self, prob, weights):
-        game = GameSpec(mu1=1e12, mu2=1e12)
-        game.target1, game.target2 = make_default_targets(
-            prob, weights, 1.0)
+    def test_large_mu_decouples(self, prob, game):
+        game = replace(game, mu1=1e12, mu2=1e12)
         y0 = sine_data(prob, 0.05)
         h = _leader(prob)
         sol = nash_fixed_point(prob, game, h, y0)
@@ -96,7 +93,7 @@ class TestFixedPoint:
         target = prob_small.new_field()
         target.values[prob_small.mesh.M // 2, prob_small.grid.N // 2] = np.nan
         with pytest.raises(SweepFailureError) as err:
-            nash_fixed_point(prob_small, GameSpec(target1=target), None,
+            nash_fixed_point(prob_small, replace(UNIT_GAME, target1=target), None,
                              sine_data(prob_small, 0.05))
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])
@@ -128,7 +125,7 @@ class TestFixedPoint:
 
         monkeypatch.setattr(nash, "_follower_adjoints", adjoints)
         with pytest.raises(SweepFailureError) as err:
-            nash_fixed_point(prob_small, GameSpec(), None,
+            nash_fixed_point(prob_small, UNIT_GAME, None,
                              sine_data(prob_small, 0.05))
         assert err.value.history == [1.0, 0.5, 2.0, 1.0]
 
@@ -156,13 +153,11 @@ class TestGradient:
             directional = grads[i - 1].l2q_inner(d)
             assert directional == pytest.approx(fd, rel=1e-5)
 
-    def test_parabola_for_linear_dynamics(self, prob_linear, weights):
+    def test_parabola_for_linear_dynamics(self, linear):
         # with F = 0 the state map is affine in v1, so J1 along a control
         # line is an exact quadratic: a 3-point parabola reproduces a
         # 4th sample to roundoff
-        game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(
-            prob_linear, weights, 1.0)
+        prob_linear, _, game = linear
         y0 = sine_data(prob_linear, 0.05)
         h = _leader(prob_linear)
         d = _bump_direction(prob_linear, "O1")
@@ -212,13 +207,10 @@ class TestSecondDerivative:
 
 
 class TestConvexity:
-    def test_margin_at_least_mu_for_linear(self, prob_linear, weights, rng,
-                                           monkeypatch):
+    def test_margin_at_least_mu_for_linear(self, linear, rng, monkeypatch):
         # six probe directions, more than a run draws
         monkeypatch.setattr(nash, "_PROBES", 6)
-        game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(
-            prob_linear, weights, 1.0)
+        prob_linear, _, game = linear
         state = nash_fixed_point(prob_linear, game,
                                  _leader(prob_linear),
                                  sine_data(prob_linear, 0.05))
@@ -226,13 +218,13 @@ class TestConvexity:
         assert rep["certified"]
         assert rep["margin"] >= game.mu1 * (1 - 1e-10)
 
-    def test_margin_grows_with_mu(self, prob_small, rng):
+    def test_margin_grows_with_mu(self):
+        prob_small, _, default_game = build(32, 48)
         h = _leader(prob_small)
         y0 = sine_data(prob_small, 0.02)
         margins = []
         for mu in (1.0, 5.0, 25.0):
-            game = GameSpec(mu1=mu, mu2=mu)
-            game.target1, game.target2 = default_targets(prob_small)
+            game = replace(default_game, mu1=mu, mu2=mu)
             state = nash_fixed_point(prob_small, game, h, y0)
             rep = convexity_margin(prob_small, game, state,
                                    np.random.default_rng(7))
@@ -243,9 +235,7 @@ class TestConvexity:
         # at mu = 1e-150 the first controls overflow, and the state march
         # of the second sweep fails before any sweep rule sees the update
         # (at mu = 1e-6 the updates grow, and the sweep stops at sweep 4)
-        prob = CylinderProblem.default(N=16, M=16)
-        game = GameSpec()
-        game.target1, game.target2 = default_targets(prob)
+        prob, _, game = build(16, 16, game=MU1)
         h, y0 = prob.new_field(), sine_data(prob, 0.01)
         with pytest.raises(StepFailureError):
             nash_fixed_point(prob, replace(game, mu1=1e-150, mu2=1e-150), h,
@@ -255,9 +245,8 @@ class TestConvexity:
         rep = fit_mu_star(prob, game, h, y0)
         assert np.isfinite(rep["mu_star"])
 
-    def test_fit_mu_star(self, prob_small):
-        game = GameSpec()
-        game.target1, game.target2 = default_targets(prob_small)
+    def test_fit_mu_star(self):
+        prob_small, _, game = build(32, 48, game=MU1)
         rep = fit_mu_star(prob_small, game, _leader(prob_small),
                           sine_data(prob_small, 0.02))
         assert np.isfinite(rep["mu_star"])

@@ -9,10 +9,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from degcontrol import cli, harness, nullcontrol
-from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TrajectoryField
-from degcontrol.nash import GameSpec, make_default_targets
 from degcontrol.nullcontrol import (
     HUMSolver,
     NewtonFailureError,
@@ -20,45 +18,31 @@ from degcontrol.nullcontrol import (
     solve_nonlinear_null_control,
     verify_additional_estimates,
 )
-from degcontrol.semilinear import SemilinearF
-from degcontrol.solvers import (CylinderProblem, solve_backward_linear,
-                                solve_forward_linear)
+from degcontrol.solvers import solve_backward_linear, solve_forward_linear
 
-from conftest import NEWTON, cubic_F, sine_data
+from conftest import (LINEAR, NEWTON, NO_TARGETS, build, cubic_F, sine_data,
+                      with_F)
 
 
 @pytest.fixture(scope="module")
-def hum(prob_linear, weights):
-    game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(
-        prob_linear, weights, 1.0)
-    return game, HUMSolver(prob_linear, weights, game)
-
-
-def _coarse_parts():
-    prob = CylinderProblem.default(N=32, M=64, F=SemilinearF.zero())
-    weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                              prob.mesh)
-    game = GameSpec(mu1=5.0, mu2=5.0)
-    game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
-    return prob, weights, game
+def hum(linear):
+    prob, weights, game = linear
+    return game, HUMSolver(prob, weights, game)
 
 
 @pytest.fixture(scope="module")
 def coarse():
     """(32,64) linear problem, its parts and one HUM solver."""
-    prob, weights, game = _coarse_parts()
+    prob, weights, game = build(32, 64, **LINEAR)
     return prob, weights, game, HUMSolver(prob, weights, game)
 
 
 class TestCouplings:
     def test_hum_blocks_are_the_game_couplings(self):
         # wt = l(t) makes both couplings vary in time
-        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
-        game = GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
-                        jacobian_weighting=False)
+        prob, weights, game = build(16, 16, **LINEAR, game={
+            "alpha1": 2.0, "alpha2": 3.0, "mu2": 7.0,
+            "jacobian_weighting": False, **NO_TARGETS})
         hum = HUMSolver(prob, weights, game)
         c = game.couplings(prob)
         control, tracking = c.control, c.tracking
@@ -99,15 +83,12 @@ def _consistency_reference(hum, triple, y0, load) -> dict:
 
 class TestConsistency:
     @pytest.mark.parametrize("game", [
-        GameSpec(mu1=5.0, mu2=5.0),
-        GameSpec(alpha1=2.0, alpha2=3.0, mu1=5.0, mu2=7.0,
-                 jacobian_weighting=False),
+        {},
+        {"alpha1": 2.0, "alpha2": 3.0, "mu2": 7.0,
+         "jacobian_weighting": False},
     ], ids=["weighted", "unweighted"])
     def test_two_column_march_equals_one_column_marches(self, game):
-        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
-        game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+        prob, weights, game = build(16, 16, **LINEAR, game=game)
         hum = HUMSolver(prob, weights, game)
         y0 = sine_data(prob, 0.01)
         # loads shaped like the targets, which decay like 1/rho0
@@ -184,10 +165,8 @@ class TestLinearControl:
     def test_boundary_values_of_y0_are_not_data(self):
         # the state vanishes on the boundary, so y0[0] = 1 is the same
         # data as y0[0] = 0: the same triple, and kappa0 measures it alike
-        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
-        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        prob, weights, game = build(16, 16, **LINEAR, game=NO_TARGETS)
+        hum = HUMSolver(prob, weights, game)
         y0 = sine_data(prob, 0.1)
         a = hum.solve(y0)
         y0[0] = 1.0
@@ -214,9 +193,7 @@ class TestNewton:
         assert len(history) == 1
         assert triple.terminal_norm <= 1e-6
 
-    def test_small_data_converges(self, prob, weights):
-        game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+    def test_small_data_converges(self, prob, weights, game):
         triple, history = solve_nonlinear_null_control(
             HUMSolver(prob, weights, game), sine_data(prob, 0.01), *NEWTON)
         assert len(history) <= 10
@@ -240,11 +217,8 @@ class TestNewton:
         # at (32,64) 300x data still contracts (about 0.4 per step) when
         # the ten steps run out, while 600x data stalls, and its fourth
         # delta is above its first
-        prob = CylinderProblem.default(N=32, M=64, F=cubic_F())
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
-        game = GameSpec(mu1=5.0, mu2=5.0)
-        game.target1, game.target2 = make_default_targets(prob, weights, 1.0)
+        prob, weights, game = build(32, 64)
+        prob = with_F(prob, cubic_F())
         with pytest.raises(NewtonFailureError) as err:
             solve_nonlinear_null_control(HUMSolver(prob, weights, game),
                                          sine_data(prob, 0.01 * scale),
@@ -309,10 +283,8 @@ class TestFactorization:
 
     @pytest.mark.parametrize("N, M", [(16, 16), (32, 64)])
     def test_level_order_gives_band(self, N, M):
-        prob = CylinderProblem.default(N=N, M=M, F=SemilinearF.zero())
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
-        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        prob, weights, game = build(N, M, **LINEAR, game=NO_TARGETS)
+        hum = HUMSolver(prob, weights, game)
         n = N - 1
         perm = nullcontrol.level_order(M, n)
         assert np.array_equal(np.sort(perm), np.arange(hum.Bs.shape[0]))
@@ -450,10 +422,8 @@ class TestAccuracyRange:
         # the solve is accurate for loads that decay toward T, as the
         # targets' 1/rho0 profile does; white noise in H stalls the
         # refinement far above the limit (measured 2.0e-2 relative)
-        prob = CylinderProblem.default(N=16, M=16, F=SemilinearF.zero())
-        weights = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid,
-                                  prob.mesh)
-        hum = HUMSolver(prob, weights, GameSpec(mu1=5.0, mu2=5.0))
+        prob, weights, game = build(16, 16, **LINEAR, game=NO_TARGETS)
+        hum = HUMSolver(prob, weights, game)
         load = np.zeros((3, prob.mesh.M + 1, prob.grid.N + 1))
         load[0, :, 1:-1] = np.random.default_rng(0).standard_normal(
             (prob.mesh.M + 1, prob.grid.N - 1))

@@ -22,19 +22,20 @@ class TestCatalogue:
         assert f.D2(u, w)[0] == pytest.approx(0.5 * np.cos(-0.2))
 
     def test_globally_lipschitz_bound(self):
-        rep = SemilinearF.sinusoidal().derivative_bound_report(box=4.0)
+        rep = SemilinearF.sinusoidal(2.0, 2.0).derivative_bound_report(box=4.0)
         assert all(np.isfinite(v) for v in rep.values())
 
 
 class TestDerivativeConsistency:
-    @pytest.mark.parametrize("maker", [SemilinearF.sinusoidal,
-                                       SemilinearF.zero])
-    def test_fd_consistency(self, maker, rng):
-        rep = fd_consistency_report(maker(), rng)
+    @pytest.mark.parametrize("f", [SemilinearF.sinusoidal(2.0, 2.0),
+                                   SemilinearF.zero()],
+                             ids=["sinusoidal", "zero"])
+    def test_fd_consistency(self, f, rng):
+        rep = fd_consistency_report(f, rng)
         assert rep["max"] <= 1e-6
 
     def test_second_derivatives(self, rng):
-        f = SemilinearF.sinusoidal()
+        f = SemilinearF.sinusoidal(2.0, 2.0)
         u = rng.standard_normal(16)
         w = rng.standard_normal(16)
         eps = 1e-6

@@ -7,8 +7,8 @@ import pytest
 from scipy.linalg import lapack
 
 from degcontrol import carleman, solvers
-from degcontrol.carleman import CarlemanParams, CarlemanWeights
 from degcontrol.grids import TrajectoryField
+from degcontrol.harness import build_run
 from degcontrol.nash import GameSpec
 from degcontrol.semilinear import SemilinearF
 from degcontrol.solvers import (
@@ -26,7 +26,8 @@ from degcontrol.solvers import (
 )
 
 from adjoint_reference import two_follower_sweep
-from conftest import cubic_F, rel_gap, sampler_inputs, sine_data
+from conftest import (UNIT_GAME, build, cubic_F, rel_gap, sampler_inputs,
+                      sine_data, with_F)
 from semilinear_reference import PicardFailure, picard_march, sparse_residual
 
 
@@ -52,7 +53,7 @@ class TestProblem:
         # at gamma 60 every interior node of the 8-cell grid lies below 0.3
         with pytest.raises(ValueError, match=r"window O1=\(0.55, 0.7\) "
                            r"holds no interior node"):
-            CylinderProblem.default(N=8, M=8, gamma=60.0)
+            build_run({"grid": {"N": 8, "M": 8, "gamma": 60.0}})
 
 
 class TestDuality:
@@ -144,7 +145,7 @@ class TestSemilinearNewton:
         # in both, the per-step Picard iteration does not converge at
         # step 1; the stiff reaction also takes some Newton steps only up
         # to a front, or halves them
-        prob = CylinderProblem.default(N=16, M=32, F=F)
+        prob = with_F(build(16, 32)[0], F)
         y0 = sine_data(prob, amplitude)
         src = np.zeros((prob.mesh.M + 1, prob.grid.N - 1))
         with pytest.raises(PicardFailure, match="step 1:"):
@@ -162,8 +163,7 @@ class TestSemilinearNewton:
         # kappa = 60 at (64,128) (dt kappa = 0.47), where the per-step
         # Picard iteration still converges; the first linearization, at
         # y0 on every level, grows like e^{kappa t} through the march
-        prob = CylinderProblem.default(
-            N=64, M=128, F=SemilinearF.sinusoidal(60.0, 60.0))
+        prob = build(64, 128, nonlinearity={"kappa1": 60.0, "kappa2": 60.0})[0]
         y0 = sine_data(prob, 10.0)
         src = np.zeros((prob.mesh.M + 1, prob.grid.N - 1))
         picard = picard_march(prob, y0, src)
@@ -176,8 +176,7 @@ class TestSemilinearNewton:
     def test_no_step_that_raises_the_first_level_is_taken(self):
         # dt kappa = 1.9: the first level's Jacobian block is nearly
         # singular, and no step down to the smallest lowers its residual
-        prob = CylinderProblem.default(
-            N=16, M=32, F=SemilinearF.sinusoidal(60.0, 60.0))
+        prob = build(16, 32, nonlinearity={"kappa1": 60.0, "kappa2": 60.0})[0]
         with pytest.raises(StepFailureError) as err:
             solve_forward_semilinear(prob, sine_data(prob, 3.0))
         assert err.value.time_index == 1
@@ -189,7 +188,7 @@ class TestSemilinearNewton:
         zero = SemilinearF.zero().D12
         F = SemilinearF(F=lambda u, w: u, D1=lambda u, w: np.ones_like(u),
                         D2=zero, D11=zero, D12=zero, D21=zero, D22=zero)
-        prob = CylinderProblem.default(N=16, M=32, F=F)
+        prob = with_F(build(16, 32)[0], F)
         y0 = sine_data(prob, 0.5)
         y = solve_forward_semilinear(prob, y0)
         shape = (prob.mesh.M + 1, prob.grid.N - 1)
@@ -224,7 +223,7 @@ def couplings(prob, jacobian_weighting=True):
 class TestCoupledSweeps:
     def test_linearized_coupled_converges(self, prob, rng):
         y0 = sine_data(prob, 0.05)
-        sol = solve_linearized_coupled(prob, y0, GameSpec().couplings(prob))
+        sol = solve_linearized_coupled(prob, y0, UNIT_GAME.couplings(prob))
         assert np.all(np.isfinite(sol.y.values))
         assert sol.history[-1] <= 1e-10
 
@@ -270,7 +269,7 @@ class TestBlockedMarches:
         # the march runs on W p: one scaling and one unscaling per call,
         # the terminal row untouched, and the columns within roundoff of
         # a march that scales and unscales every level
-        prob = CylinderProblem.default(N=16, M=16)
+        prob = build(16, 16)[0]
         ops = prob.ops_at_state(TrajectoryField.from_function(
             prob.grid, prob.mesh, lambda x, t: 0.2 * np.sin(np.pi * x) * (1 + t)))
         M, wv = prob.mesh.M, prob.grid.interior_volumes
@@ -337,7 +336,7 @@ class TestStackedFactor:
         return ref
 
     def test_random_bands_with_row_interchanges(self, rng):
-        prob = CylinderProblem.default(N=16, M=16)
+        prob = build(16, 16)[0]
         bands = 40.0 * rng.standard_normal(prob.base_bands.shape)
         bands[:, 0, 0] = bands[:, 2, -1] = 0.0
         ref = self._check(LevelOps(prob, bands), rng)
@@ -346,11 +345,11 @@ class TestStackedFactor:
         assert all(np.any(f[4] != np.arange(1, n + 1)) for f in ref)
 
     def test_linearized_ops(self, rng):
-        self._check(CylinderProblem.default(N=32, M=64).linearized_ops(), rng)
+        self._check(build(32, 64)[0].linearized_ops(), rng)
 
     @pytest.mark.parametrize("level", [0, 5, 16])
     def test_singular_level_is_named(self, level):
-        prob = CylinderProblem.default(N=16, M=16)
+        prob = build(16, 16)[0]
         bands = prob.base_bands.copy()
         bands[level, :, 3] = bands[level, 0, 4] = bands[level, 2, 2] = 0.0
         bands[level, 1, 3] = -1.0 / prob.mesh.dt  # row and column 3 vanish
@@ -424,8 +423,8 @@ class TestTwoFollowerReference:
         phiT, srcs = _block_case(prob, 5)
         return phiT, dict(Fsrc=srcs[0], F1=srcs[1], F2=srcs[2])
 
-    def test_matches_reference(self, prob_small):
-        prob = prob_small
+    def test_matches_reference(self):
+        prob, w, _ = build(32, 48)
         phiT, data = self._case(prob)
         c = couplings(prob, jacobian_weighting=False)
         block = solve_adjoint_coupled(prob, phiT, c, **data)
@@ -433,7 +432,6 @@ class TestTwoFollowerReference:
                                          **data)
         assert np.max(np.abs(block.phi - phi)) <= 1e-10
         assert np.max(np.abs(block.psi - psi)) <= 1e-10
-        w = CarlemanWeights(CarlemanParams(), prob.deg, prob.grid, prob.mesh)
         a1, a2 = c.alphas
         _, roots = sampler_inputs(prob, w, c)
 
@@ -515,7 +513,7 @@ class TestNonFiniteSweep:
         # with alpha2 = 0, phi and rho do not see F2, so its NaN shows
         # only in the closing march of psi1 and psi2
         phiT = sine_data(prob_small, 1.0)[None]
-        c = replace(GameSpec().couplings(prob_small), alphas=(1.0, 0.0))
+        c = replace(UNIT_GAME.couplings(prob_small), alphas=(1.0, 0.0))
         clean = solve_adjoint_coupled(prob_small, phiT, c)
         with pytest.raises(SweepFailureError) as err:
             solve_adjoint_coupled(prob_small, phiT, c,
@@ -541,7 +539,7 @@ class TestNonFiniteSweep:
     def test_linearized(self, prob_small):
         with pytest.raises(SweepFailureError) as err:
             solve_linearized_coupled(prob_small, sine_data(prob_small, 0.1),
-                                     GameSpec().couplings(prob_small),
+                                     UNIT_GAME.couplings(prob_small),
                                      H1=_nan_field(prob_small))
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])

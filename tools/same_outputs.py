@@ -108,6 +108,9 @@ CONFIGS = {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "diagnostics"},
     },
+    "mms-convergence": {
+        "preset": "mms-convergence",
+    },
 }
 
 _CLI = ("import sys; from degcontrol import cli; "
