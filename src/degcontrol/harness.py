@@ -29,6 +29,7 @@ from .carleman import (CarlemanParams, CarlemanWeights, adjoint_basis,
 from .geometry import (ControlGeometry, DegeneracySpec, GradientWeightSpec,
                        MovingDomainSpec)
 from .grids import SpatialGrid, TimeMesh
+from .mms import space_order_study, time_order_study
 from .nash import (GameSpec, convexity_margin, evaluate_functional,
                    fit_mu_star, functional_gradient, make_default_targets,
                    nash_fixed_point)
@@ -367,6 +368,7 @@ _PRESETS = {
         "experiment": {"kind": "observability", "samples": 20},
     },
     "mms-convergence": {
+        "geometry": {"family": "constant"},
         "experiment": {"kind": "mms-convergence"},
     },
 }
@@ -414,8 +416,10 @@ class RunRecord:
 
 def _build_F(cfg: dict) -> SemilinearF:
     nl = cfg["nonlinearity"]
-    # the linear-control experiment runs the F = 0 problem, whatever the label
-    if nl["label"] == "zero" or cfg["experiment"]["kind"] == "linear-control":
+    # the linear-control and mms-convergence experiments run the F = 0
+    # problem, whatever the label
+    if nl["label"] == "zero" or cfg["experiment"]["kind"] in (
+            "linear-control", "mms-convergence"):
         return SemilinearF.zero()
     return SemilinearF.sinusoidal(nl["kappa1"], nl["kappa2"])
 
@@ -633,10 +637,9 @@ def _run_diagnostics(cfg, prob, weights, game, out, rng, outputs):
 
 
 def _run_mms(cfg, prob, weights, game, out, rng, outputs):
-    """Manufactured-solution refinement study; reports both slopes."""
-    from .mms import space_order_study, time_order_study
-    tstudy = time_order_study()
-    sstudy = space_order_study()
+    """Manufactured-solution studies of the run's problem; both slopes."""
+    tstudy = time_order_study(prob)
+    sstudy = space_order_study(prob)
     _write_csv(out / "mms_time.csv", "M,error",
                np.column_stack([tstudy["M"], tstudy["errors"]]))
     _write_csv(out / "mms_space.csv", "N,error",

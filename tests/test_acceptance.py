@@ -11,6 +11,7 @@ import pytest
 from degcontrol import nash
 from degcontrol.carleman import empirical_carleman, empirical_observability
 from degcontrol.grids import TrajectoryField
+from degcontrol.harness import build_run, preset
 from degcontrol.mms import space_order_study, time_order_study
 from degcontrol.nash import (
     convexity_margin,
@@ -305,8 +306,10 @@ def test_criterion_8_empirical_inequalities(prob, weights):
 
 
 def test_criterion_9_discretization_orders():
-    tstudy = time_order_study()
-    sstudy = space_order_study()
+    # the preset's problem: the constant domain on the default grid
+    prob = build_run(preset("mms-convergence"))[0]
+    tstudy = time_order_study(prob)
+    sstudy = space_order_study(prob)
     assert tstudy["slope"] == pytest.approx(1.0, abs=0.15)
     assert sstudy["slope"] == pytest.approx(2.0, abs=0.3)
     _report([f"time slope {tstudy['slope']:.4f} (target 1.0 +/- 0.15)",

@@ -14,7 +14,8 @@ from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
                                     level_order, lower_band)
 from degcontrol.operators import (band_apply, band_transpose, drift_bands,
                                   weighted_transpose)
-from degcontrol.mms import space_order_study, time_order_study
+from degcontrol.mms import (manufactured_source, space_order_study,
+                            time_order_study)
 from degcontrol.solvers import (
     CylinderProblem,
     _interior,
@@ -453,18 +454,8 @@ def _moving_domain_error(family: str, N: int, Ms=(512, 1024)) -> float:
     finals = []
     for M in Ms:
         prob = build(N, M, geometry={"family": family}, **LINEAR)[0]
-        al = prob.deg.alpha
-        t = prob.mesh.times[:, None]
-        l, dl = prob.dom.ell(t), prob.dom.ell_prime(t)
-        xi = l * prob.grid.interior[None, :]
-        arg = np.pi * xi / l
-        # Y_t - (xi^alpha Y_xi)_xi in physical variables, by hand
-        y_t = -np.sin(arg) - np.pi * xi * dl / l**2 * np.cos(arg)
-        flux_xi = np.pi / l * (al * xi ** (al - 1.0) * np.cos(arg)
-                               - xi**al * np.pi / l * np.sin(arg))
-        source = np.exp(-t) * (y_t - flux_xi)
         y = solve_forward_semilinear(prob, np.sin(np.pi * prob.grid.nodes),
-                                     source=source)
+                                     source=manufactured_source(prob, 1.0))
         finals.append(y.values[-1])
     x, T = prob.grid.nodes, prob.mesh.T
     l_T = prob.dom.ell(T)
@@ -472,6 +463,9 @@ def _moving_domain_error(family: str, N: int, Ms=(512, 1024)) -> float:
     err = 2.0 * finals[1] - finals[0] - exact
     on = (x >= 0.25) & (x <= 0.9)
     return float(np.sqrt(np.sum(prob.grid.cell_volumes[on] * err[on] ** 2)))
+
+
+CONSTANT = {"family": "constant"}
 
 
 class TestManufacturedOrders:
@@ -486,9 +480,13 @@ class TestManufacturedOrders:
         assert lo <= np.log2(e32 / e64) <= hi
 
     def test_time_first_order(self):
-        study = time_order_study(N=128, Ms=(16, 32, 64), M_ref=512)
+        # M = 16, 32, 64 at N = 128 against M = 512
+        study = time_order_study(build(128, 64, geometry=CONSTANT,
+                                       **LINEAR)[0])
         assert study["slope"] == pytest.approx(1.0, abs=0.15)
 
     def test_space_second_order(self):
-        study = space_order_study(Ns=(32, 64, 128), M=64)
+        # N = 32, 64, 128 at M = 64
+        study = space_order_study(build(32, 64, geometry=CONSTANT,
+                                        **LINEAR)[0])
         assert study["slope"] == pytest.approx(2.0, abs=0.3)

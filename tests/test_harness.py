@@ -197,6 +197,58 @@ class TestPresets:
             harness.preset("no-such-preset")
 
 
+_KIND_MMS = {"experiment": {"kind": "mms-convergence"}}
+_MMS = {"grid": {"N": 16, "M": 16}, **_KIND_MMS}
+
+
+def _mms_csvs(config, out) -> tuple:
+    harness.run_scenario(config, out, seed=0)
+    return tuple((out / name).read_bytes()
+                 for name in ("mms_time.csv", "mms_space.csv"))
+
+
+class TestMmsConvergence:
+    def test_affine_domain_states_drift_order(self, tmp_path):
+        # on the default (affine) domain the upwind drift -B x y_x makes
+        # the space order 1 (0.981 measured at the default grid)
+        record = harness.run_scenario(_KIND_MMS, tmp_path, seed=0)
+        assert 0.8 <= record.report["space_slope"] <= 1.3
+        assert record.report["time_slope"] == pytest.approx(1.0, abs=0.15)
+
+    @pytest.mark.parametrize("section, fields", [
+        ("geometry", {"alpha": 0.9}),
+        ("geometry", {"family": "constant"}),
+        ("geometry", {"k": 0.5}),
+        ("geometry", {"l0": 1.5}),
+        ("geometry", {"T": 2.0}),
+        ("grid", {"N": 32}),
+        ("grid", {"M": 32}),
+        ("grid", {"gamma": 1.5}),
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(v))
+    def test_every_field_moves_the_run(self, tmp_path, section, fields):
+        changed = {**_MMS, section: {**_MMS.get(section, {}), **fields}}
+        base = _mms_csvs(_MMS, tmp_path / "base")
+        moved = _mms_csvs(changed, tmp_path / "changed")
+        assert all(a != b for a, b in zip(base, moved))
+
+    def test_config_is_not_ignored(self, tmp_path):
+        # a small grid, alpha 0.9 and the constant family once wrote the
+        # default config's CSVs byte for byte
+        config = {**_MMS, "geometry": {"alpha": 0.9, "family": "constant"}}
+        assert all(a != b for a, b in zip(
+            _mms_csvs(config, tmp_path / "small"),
+            _mms_csvs(_KIND_MMS, tmp_path / "default")))
+
+    def test_smallest_grid_runs(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": _COARSE, **_KIND_MMS}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert all(np.isfinite(report["report"][key])
+                   for key in ("time_slope", "space_slope"))
+
+
 class TestRuns:
     def test_forward_zero_data(self, tmp_path):
         record = harness.run_scenario(

@@ -111,6 +111,10 @@ CONFIGS = {
     "mms-convergence": {
         "preset": "mms-convergence",
     },
+    # the default (affine) domain, where the upwind drift is first order
+    "mms-affine": {
+        "experiment": {"kind": "mms-convergence"},
+    },
 }
 
 _CLI = ("import sys; from degcontrol import cli; "
