@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["SpatialGrid", "TimeMesh", "TrajectoryField"]
+__all__ = ["SpatialGrid", "TimeMesh", "TrajectoryField", "integral_q"]
 
 
 @dataclass(frozen=True)
@@ -61,12 +61,20 @@ class SpatialGrid:
     def interior_volumes(self) -> np.ndarray:
         return self.cell_volumes[1:-1]
 
-    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        """Discrete L2(0,1) inner product of nodal fields (length N+1)."""
-        return float(np.sum(self.cell_volumes * u * v))
+    def inner(self, u: np.ndarray, v: np.ndarray):
+        """Discrete L2(0,1) inner product of nodal fields (length N+1) over
+        the last axis: one number per row."""
+        return np.sum(self.cell_volumes * u * v, axis=-1)
 
-    def norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(max(self.inner(u, u), 0.0)))
+    def norm(self, u: np.ndarray):
+        return np.sqrt(np.maximum(self.inner(u, u), 0.0))
+
+    def face_energy(self, a: np.ndarray, u: np.ndarray):
+        """The H^1_a face energy sum_j a_{j+1/2} (u_{j+1} - u_j)^2 /
+        h_{j+1/2}, the discrete |sqrt(a) u_x|^2, of nodal fields u over
+        the last axis; a holds the diffusion at the N faces."""
+        h = self.spacings
+        return np.sum(a * (np.diff(u, axis=-1) / h) ** 2 * h, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -131,16 +139,8 @@ class TrajectoryField:
         return float(np.sqrt(max(self.l2q_inner(self), 0.0)))
 
     def l2q_inner(self, other: "TrajectoryField") -> float:
-        """Discrete L2(Q) inner product.
-
-        Time quadrature is the right-endpoint rule (weight dt on levels
-        1..M, none on level 0), matching the backward-Euler pairing used by
-        the duality identities; space uses the cell volumes.
-        """
-        w = self.grid.cell_volumes
-        tw = np.full(self.mesh.M + 1, self.mesh.dt)
-        tw[0] = 0.0
-        return float(np.einsum("n,j,nj,nj->", tw, w, self.values, other.values))
+        """Discrete L2(Q) inner product, by `integral_q`."""
+        return integral_q(self.grid, self.mesh, self.values * other.values)
 
     def __add__(self, other):
         return TrajectoryField(self.grid, self.mesh, self.values + other.values)
@@ -152,3 +152,19 @@ class TrajectoryField:
         return TrajectoryField(self.grid, self.mesh, self.values * c)
 
     __rmul__ = __mul__
+
+
+def integral_q(grid: SpatialGrid, mesh: TimeMesh, values: np.ndarray,
+               time_weight: np.ndarray | None = None) -> float:
+    """Discrete int_Q time_weight(t) u dx dt of nodal values u (M+1, N+1),
+    time_weight (M+1) 1 when None.
+
+    The time rule is the right endpoint (weight dt on levels 1..M, none on
+    level 0), the backward-Euler pairing of the duality identities, which
+    makes the gradients of the functionals built on it exact; space uses
+    the cell volumes.
+    """
+    if time_weight is None:
+        time_weight = np.ones(mesh.M + 1)
+    return float(mesh.dt * np.einsum("n,j,nj->", time_weight[1:],
+                                     grid.cell_volumes, values[1:]))

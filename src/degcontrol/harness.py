@@ -348,6 +348,11 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
             f"experiment.kind: {exp['kind']!r} not one of {', '.join(KINDS)}")
     if exp["samples"] < 1:
         issues.append("experiment.samples: must be at least 1")
+    factors = exp["scale_factors"]
+    repeated = sorted({f for f in factors if factors.count(f) > 1})
+    if repeated:
+        issues.append(f"experiment.scale_factors: each factor runs once; "
+                      f"repeated: {', '.join(map(repr, repeated))}")
     if exp["y0_mode"] not in ("sine", "random"):
         issues.append(f"experiment.y0_mode: unknown {exp['y0_mode']!r}")
     if issues:

@@ -30,14 +30,14 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .grids import TrajectoryField
-from .operators import band_apply
+from .grids import TrajectoryField, integral_q
 from .solvers import (
     Couplings,
     CylinderProblem,
     StepFailureError,
     SweepFailureError,
     _interior,
+    _source_array,
     follower_adjoints,
     solve_backward_linear,
     solve_forward_linear,
@@ -154,14 +154,11 @@ def evaluate_functional(prob: CylinderProblem, game: GameSpec, i: int,
     mu = game.mus[i - 1]
     target = game.targets(prob)[i - 1]
     wt = game.time_weight(prob)
-    w = prob.grid.cell_volumes
-    dt = prob.mesh.dt
     ind_d = prob.indicator("Od")
     ind_i = prob.indicator("O1" if i == 1 else "O2")
-    mis = (y.values - target.values) ** 2 * ind_d[None, :]
-    track = dt * np.einsum("n,j,nj->", wt[1:], w, mis[1:])
-    pen = dt * np.einsum("n,j,nj->", wt[1:], w,
-                         (v_i.values[1:] ** 2) * ind_i[None, :])
+    track = integral_q(prob.grid, prob.mesh,
+                       (y.values - target.values) ** 2 * ind_d, wt)
+    pen = integral_q(prob.grid, prob.mesh, v_i.values ** 2 * ind_i, wt)
     return float(0.5 * alpha * track + 0.5 * mu * pen)
 
 
@@ -269,13 +266,12 @@ def _dL_transpose_apply(prob: CylinderProblem, y: np.ndarray,
     q = D21 theta + D22 (g_n Dc theta), all derivative coefficients
     evaluated at (y, g_n Dc y).
     """
-    g = prob.grad_weights
-    w_arg = g * band_apply(prob.Dc_bands, y)
-    dth = g * band_apply(prob.Dc_bands, theta)
+    w_arg = prob.gradient_argument(y)
+    dth = prob.gradient_argument(theta)
     F = prob.F
     r = F.D11(y, w_arg) * theta + F.D12(y, w_arg) * dth
     q = F.D21(y, w_arg) * theta + F.D22(y, w_arg) * dth
-    return prob.coefficient_adjoint(r, q * g, p)
+    return prob.coefficient_adjoint(r, q * prob.grad_weights, p)
 
 
 def second_derivative_form(prob: CylinderProblem, game: GameSpec,
@@ -292,23 +288,20 @@ def second_derivative_form(prob: CylinderProblem, game: GameSpec,
     """
     other = vbar if vtilde is None else vtilde
     wt = game.time_weight(prob)
-    ind1 = prob.indicator_interior("O1")
     ops = prob.ops_at_state(state.y)
-    src_theta = _interior(vbar.values) * ind1[None, :]
-    theta = solve_forward_linear(ops, np.zeros(prob.grid.N + 1), src_theta)
+    theta = solve_forward_linear(ops, np.zeros(prob.grid.N + 1),
+                                 _source_array(prob, v1=vbar))
     yi = _interior(state.y.values)
     ti = _interior(theta.values)
     pi = _interior(state.p1.values)
     g_eta = (_interior(game.couplings(prob).tracking[0]) * ti
              - _dL_transpose_apply(prob, yi, ti, pi))
     eta = solve_backward_linear(ops, g_eta)
-    w = prob.grid.cell_volumes
-    dt = prob.mesh.dt
     ind1_full = prob.indicator("O1")
-    cross = dt * np.einsum("j,nj->", w, (eta.values * other.values
-                                         * ind1_full[None, :])[1:])
-    quad = dt * np.einsum("n,j,nj->", wt[1:], w,
-                          (vbar.values * other.values * ind1_full[None, :])[1:])
+    cross = integral_q(prob.grid, prob.mesh,
+                       eta.values * other.values * ind1_full)
+    quad = integral_q(prob.grid, prob.mesh,
+                      vbar.values * other.values * ind1_full, wt)
     return float(cross + game.mu1 * quad)
 
 

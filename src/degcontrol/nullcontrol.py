@@ -68,11 +68,10 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .carleman import CarlemanWeights
-from .grids import TrajectoryField
+from .grids import TrajectoryField, integral_q
 from .nash import GameSpec
-from .operators import band_apply
-from .solvers import (CylinderProblem, LevelOps, _interior, follower_adjoints,
-                      solve_forward_linear)
+from .solvers import (CylinderProblem, LevelOps, _interior, _source_array,
+                      follower_adjoints, solve_forward_linear)
 
 __all__ = [
     "ControlledTriple",
@@ -134,29 +133,8 @@ class NewtonFailureError(RuntimeError):
 def h1a_norm(grid, deg, row: np.ndarray) -> float:
     """Discrete H^1_a norm: (|u|^2 + |sqrt(a) u_x|^2)^(1/2), face-centered a."""
     row = np.asarray(row, dtype=float)
-    a_face = deg.a(grid.faces)
-    h = grid.spacings
-    grad = np.diff(row) / h
-    return float(np.sqrt(grid.inner(row, row) + np.sum(a_face * grad**2 * h)))
-
-
-def _weighted_l2q(prob: CylinderProblem, tfactor: np.ndarray,
-                  vals: np.ndarray) -> float:
-    """sum_{n>=1} dt tfactor_n sum_j w_j vals_nj^2."""
-    w = prob.grid.cell_volumes
-    return float(prob.mesh.dt * np.einsum("n,j,nj->", tfactor[1:], w,
-                                          vals[1:] ** 2))
-
-
-def _kappa0(prob: CylinderProblem, weights: CarlemanWeights,
-            y0: np.ndarray, load: np.ndarray) -> float:
-    """|y0|^2 + |rho2 H|^2 + |rho2 H1|^2 + |rho2 H2|^2 (normalized rho2),
-    load = (H, H1, H2)."""
-    total = prob.grid.inner(y0, y0)
-    r2 = weights.rho2_n
-    for f in load:
-        total += _weighted_l2q(prob, r2**2, f)
-    return float(total)
+    return float(np.sqrt(grid.inner(row, row)
+                         + grid.face_energy(deg.a(grid.faces), row)))
 
 
 @dataclass
@@ -192,7 +170,7 @@ def _stencil_csr(cols: np.ndarray, vals: np.ndarray,
 
 def _hum_blocks(prob: CylinderProblem, ops: LevelOps,
                 control: np.ndarray, tracking: np.ndarray) -> tuple:
-    """(G0, G1, G2, E), the CSR blocks of the HUM functional b.
+    """(G0, G1, G2), the CSR blocks of the HUM functional b.
 
     Their columns are the unknowns [phi^1..phi^{M+1}, psi1^1..psi1^M,
     psi2^1..psi2^M], n per level.  Row (m, r), m = 1..M, of each block
@@ -200,10 +178,11 @@ def _hum_blocks(prob: CylinderProblem, ops: LevelOps,
     backward-Euler row of L* (I/dt + the weighted transpose of L_m, and
     -I/dt on phi^{m+1}) and -tracking_i on psi_i^m; G_i holds control_i
     on phi^m and the forward row of L (I/dt + L_m, and -I/dt on
-    psi_i^{m-1}); E holds 1_O on phi^m.  phi carries a free terminal
-    datum phi^{M+1}: its stationarity condition reads w . y^M = 0, i.e.
-    exact discrete null control, rather than relying on the capped weight
-    to crush y(T).
+    psi_i^{m-1}); the leader's block E, 1_O on phi^m, is a diagonal mask
+    that `HUMSolver` applies without forming it.  phi carries a free
+    terminal datum phi^{M+1}: its stationarity condition reads
+    w . y^M = 0, i.e. exact discrete null control, rather than relying on
+    the capped weight to crush y(T).
     """
     M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
 
@@ -231,9 +210,7 @@ def _hum_blocks(prob: CylinderProblem, ops: LevelOps,
             np.stack([coupling(control[i]), back, lo, d + 1.0 / dt, up],
                      axis=1), ncols)
 
-    E = _stencil_csr(row[:, None],
-                     np.tile(prob.indicator_interior("O"), M)[:, None], ncols)
-    return G0, follower(0), follower(1), E
+    return G0, follower(0), follower(1)
 
 
 def _gram_term(G: sp.csr_matrix, w: np.ndarray) -> sp.csr_matrix:
@@ -325,18 +302,21 @@ class HUMSolver:
         self.ops = ops
         M, n = prob.mesh.M, prob.grid.N - 1
         dt = prob.mesh.dt
-        # the followers' couplings, also read by the consistency check
+        # the followers' couplings; the consistency check reads tracking
         couplings = game.couplings(prob)
-        self.control, self.tracking = couplings.control, couplings.tracking
-        self.G0, self.G1, self.G2, self.E = _hum_blocks(
-            prob, ops, self.control, self.tracking)
+        self.tracking = couplings.tracking
+        self.G0, self.G1, self.G2 = _hum_blocks(
+            prob, ops, couplings.control, self.tracking)
         wv = prob.grid.interior_volumes
         self.rho0_inv2 = weights.rho0_n ** (-2.0)
         self.rho1_inv2 = weights.rho1_n ** (-2.0)
         w0 = dt * np.outer(self.rho0_inv2[1:], wv).ravel()
         w1 = dt * np.outer(self.rho1_inv2[1:], wv).ravel()
+        # the leader's term E^T diag(w1) E, E = 1_O on phi^1..phi^M
+        leader = np.zeros(self.G0.shape[1])
+        leader[:M * n] = w1 * np.tile(prob.indicator_interior("O"), M)
         B = (_gram_term(self.G0, w0) + _gram_term(self.G1, w0)
-             + _gram_term(self.G2, w0) + _gram_term(self.E, w1)).tocsr()
+             + _gram_term(self.G2, w0) + sp.diags(leader)).tocsr()
         B.sort_indices()
         # symmetric Jacobi scaling: the raw operator mixes rho scales over
         # ten decades, which defeats a factorization in double precision.
@@ -389,7 +369,9 @@ class HUMSolver:
         load (H, H1, H2) of the state and the two follower adjoints, one
         array (3, M+1, N+1); None is a zero load.  The state vanishes on
         the boundary, so y0's two boundary values are taken as 0, in
-        kappa0 too."""
+        kappa0 too.  A load must decay toward T like the targets' 1/rho0
+        profile: a white-noise load stalls the refinement far above
+        RESIDUAL_LIMIT and raises RefinementError."""
         y0 = np.array(y0, dtype=float)
         y0[[0, -1]] = 0.0
         if load is None:
@@ -448,18 +430,23 @@ class HUMSolver:
         y = to_field(r0 * (self.G0 @ z).reshape(M, n))
         p1 = to_field(r0 * (self.G1 @ z).reshape(M, n))
         p2 = to_field(r0 * (self.G2 @ z).reshape(M, n))
-        h = to_field(-self.rho1_inv2[1:, None] * (self.E @ z).reshape(M, n))
+        # E z: phi^1..phi^M masked to O
+        h = to_field(-self.rho1_inv2[1:, None] * np.where(
+            prob.indicator_interior("O"), z[:M * n].reshape(M, n), 0.0))
         y.values[0] = y0
         y.zero_boundary()
         # weighted budget with the normalized tables
         w = self.weights
         norms = {
-            "rho0_y": _weighted_l2q(prob, w.rho0_n**2, y.values),
-            "rho0_p1": _weighted_l2q(prob, w.rho0_n**2, p1.values),
-            "rho0_p2": _weighted_l2q(prob, w.rho0_n**2, p2.values),
-            "rho1_h": _weighted_l2q(prob, w.rho1_n**2, h.values),
+            "rho0_y": integral_q(grid, mesh, y.values**2, w.rho0_n**2),
+            "rho0_p1": integral_q(grid, mesh, p1.values**2, w.rho0_n**2),
+            "rho0_p2": integral_q(grid, mesh, p2.values**2, w.rho0_n**2),
+            "rho1_h": integral_q(grid, mesh, h.values**2, w.rho1_n**2),
         }
-        kappa0 = _kappa0(prob, w, y0, load)
+        # |y0|^2 + |rho2 H|^2 + |rho2 H1|^2 + |rho2 H2|^2, load (H, H1, H2)
+        kappa0 = float(grid.inner(y0, y0))
+        for f in load:
+            kappa0 += integral_q(grid, mesh, f**2, w.rho2_n**2)
         total = sum(norms.values())
         budget_c = total / kappa0 if kappa0 > 0 else 0.0
         # consistency: re-solve the linearized system with the recovered
@@ -476,10 +463,8 @@ class HUMSolver:
     def _consistency(self, y, p1, p2, h, y0, load) -> dict:
         prob = self.prob
         # the followers play v_i = -control_i p_i
-        src = (_interior(h.values) * prob.indicator_interior("O")[None, :]
-               + _interior(-self.control[0] * p1.values)
-               + _interior(-self.control[1] * p2.values)
-               + _interior(load[0]))
+        v1, v2 = self.game.controls(prob, (p1.values, p2.values))
+        src = _source_array(prob, h, v1, v2, _interior(load[0]))
         y_check = solve_forward_linear(self.ops, y0, src)
         scale = 1.0 + float(np.max(np.abs(y.values)))
         out = {"y": float(np.max(np.abs(y_check.values - y.values)) / scale)}
@@ -513,10 +498,8 @@ def verify_additional_estimates(prob: CylinderProblem,
     sup_rh, int_rh_a, sup_r1, int_r1 = 0.0, 0.0, 0.0, 0.0
     for u in (triple.y, triple.p1, triple.p2):
         vals = u.values
-        l2rows = np.array([grid.inner(r, r) for r in vals])
-        sup_rh = max(sup_rh, float(np.max(rh2 * l2rows)))
-        gsq = np.sum(a_face[None, :] * (np.diff(vals, axis=1) / hsp[None, :]) ** 2
-                     * hsp[None, :], axis=1)
+        sup_rh = max(sup_rh, float(np.max(rh2 * grid.inner(vals, vals))))
+        gsq = grid.face_energy(a_face, vals)
         int_rh_a += float(dt * np.sum(rh2[1:] * gsq[1:]))
         sup_r1 = max(sup_r1, float(np.max(r12 * gsq)))
         ut = np.diff(vals, axis=0) / dt
@@ -577,7 +560,7 @@ def _nonlinear_remainders(prob: CylinderProblem, parts: tuple,
     d1, d2, const = parts
     F, g = prob.F, prob.grad_weights
     yi = _interior(y.values)
-    wgrad = g * band_apply(prob.Dc_bands, yi)
+    wgrad = prob.gradient_argument(yi)
     out = np.zeros((3,) + y.values.shape)
     out[0, :, 1:-1] = F.F(yi, wgrad) - d1 * yi - d2 * wgrad
     p = np.stack([_interior(p1.values), _interior(p2.values)])
@@ -616,11 +599,10 @@ def solve_nonlinear_null_control(hum: HUMSolver, y0: np.ndarray,
     prob, weights = hum.prob, hum.weights
     y0 = np.asarray(y0, dtype=float)
 
-    def remainder_norm(N0, N1, N2):
+    def remainder_norm(N):
         r2 = weights.rho2_n**2
-        return float(np.sqrt(_weighted_l2q(prob, r2, N0)
-                             + _weighted_l2q(prob, r2, N1)
-                             + _weighted_l2q(prob, r2, N2)))
+        return float(np.sqrt(sum(integral_q(prob.grid, prob.mesh, N_i**2, r2)
+                                 for N_i in N)))
 
     parts = _remainder_parts(prob, hum.game)
     zero = prob.new_field()
@@ -631,8 +613,8 @@ def solve_nonlinear_null_control(hum: HUMSolver, y0: np.ndarray,
         triple = hum.solve(y0, -N_prev)
         N_cur = _nonlinear_remainders(prob, parts, triple.y, triple.p1,
                                       triple.p2)
-        delta = remainder_norm(*(N_cur - N_prev))
-        scale = 1.0 + remainder_norm(*N_cur)
+        delta = remainder_norm(N_cur - N_prev)
+        scale = 1.0 + remainder_norm(N_cur)
         d = delta / scale
         prev = history[-1]["remainder_delta"] if history else None
         record = {

@@ -293,12 +293,17 @@ class CylinderProblem:
             self._lin_ops = self.ops_at_state(self.new_field())
         return self._lin_ops
 
+    def gradient_argument(self, rows: np.ndarray) -> np.ndarray:
+        """w_n = g_n Dc y_n on every level, the gradient argument of F, for
+        the interior rows (..., M+1, N-1) of a trajectory."""
+        return self.grad_weights * band_apply(self.Dc_bands, rows)
+
     def ops_at_state(self, y: TrajectoryField) -> LevelOps:
         """Operators of the equation linearized at the trajectory y."""
         yi = _interior(y.values)
-        g = self.grad_weights
-        w = g * band_apply(self.Dc_bands, yi)
-        return LevelOps.build(self, self.F.D1(yi, w), self.F.D2(yi, w) * g)
+        w = self.gradient_argument(yi)
+        return LevelOps.build(self, self.F.D1(yi, w),
+                              self.F.D2(yi, w) * self.grad_weights)
 
     def new_field(self) -> TrajectoryField:
         return TrajectoryField(self.grid, self.mesh)
@@ -338,7 +343,7 @@ def _semilinear_residual(prob: CylinderProblem, rows: np.ndarray,
     """
     y = rows[1:]
     r = band_apply(prob.base_bands[1:], y)
-    r += prob.F.F(y, prob.grad_weights[1:] * band_apply(prob.Dc_bands, y))
+    r += prob.F.F(y, prob.gradient_argument(rows)[1:])
     r -= src[1:]
     r *= prob.mesh.dt
     r += y
@@ -735,15 +740,12 @@ def energy_diagnostics(prob: CylinderProblem, fields: dict) -> EnergyReport:
     """Compute the sup-in-time L2 norm and the gradient energy of each field."""
     grid, dt = prob.grid, prob.mesh.dt
     a_face = prob.deg.a(grid.faces)
-    h = grid.spacings
     sup_l2, grad_e = {}, {}
     for name, f in fields.items():
-        vals = f.values
-        sup_l2[name] = float(np.max([grid.norm(row) for row in vals]))
-        # dt * sum_{n>=1} sum_faces a_f |du/h|^2 h, the right-endpoint rule
-        grad_e[name] = float(dt * np.sum(
-            a_face[None, :] * (np.diff(vals[1:], axis=1) / h[None, :]) ** 2
-            * h[None, :]))
+        sup_l2[name] = float(np.max(grid.norm(f.values)))
+        # dt * sum_{n>=1} of the face energy, the right-endpoint rule
+        grad_e[name] = float(dt * np.sum(grid.face_energy(a_face,
+                                                          f.values[1:])))
     return EnergyReport(sup_l2=sup_l2, grad_energy=grad_e)
 
 

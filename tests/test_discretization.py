@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degcontrol.geometry import DegeneracySpec
-from degcontrol.grids import SpatialGrid, TimeMesh, TrajectoryField
+from degcontrol.grids import SpatialGrid, TimeMesh, TrajectoryField, integral_q
 from degcontrol.nash import _dL_transpose_apply
 from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
                                     _nonlinear_remainders, _remainder_parts,
-                                    level_order, lower_band)
+                                    h1a_norm, level_order, lower_band)
 from degcontrol.operators import (band_apply, band_transpose, drift_bands,
                                   weighted_transpose)
 from degcontrol.mms import (manufactured_source, space_order_study,
@@ -51,6 +51,30 @@ class TestSpatialGrid:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             SpatialGrid(N=2, gamma=2.0)
+
+    def test_inner_reduces_the_last_axis(self, rng):
+        g = SpatialGrid(N=32, gamma=2.0)
+        u, v = rng.standard_normal((2, 5, 33))
+        rows = g.inner(u, v)
+        assert rows.shape == (5,)
+        for n in range(5):
+            assert rows[n] == g.inner(u[n], v[n])
+            assert g.norm(u)[n] == g.norm(u[n])
+
+    def test_face_energy_rows(self):
+        # rows u = c x(1-x), a = sqrt(x): int a u'^2 = 22 c^2 / 105 and
+        # int u^2 = c^2 / 30, so the squared H^1_a norm is 17 c^2 / 70
+        grid = SpatialGrid(N=256, gamma=2.0)
+        deg = DegeneracySpec(alpha=0.5)
+        c = np.array([1.0, -2.0, 0.5])
+        u = c[:, None] * (grid.nodes * (1.0 - grid.nodes))
+        energy = grid.face_energy(deg.a(grid.faces), u)
+        assert energy == pytest.approx(22.0 * c**2 / 105.0, rel=1e-2)
+        assert grid.inner(u, u) + energy == pytest.approx(
+            17.0 * c**2 / 70.0, rel=1e-2)
+        for row, e in zip(u, energy):
+            assert h1a_norm(grid, deg, row) ** 2 == pytest.approx(
+                grid.inner(row, row) + e, rel=1e-14)
 
     @given(st.integers(4, 64), st.floats(0.5, 3.0))
     @settings(max_examples=25, deadline=None)
@@ -100,6 +124,22 @@ class TestTrajectoryField:
         g, m = SpatialGrid(N=8, gamma=2.0), TimeMesh(M=4, T=1.0)
         f = TrajectoryField.from_function(g, m, lambda x, t: x * t)
         assert f.values[2, 3] == pytest.approx(g.nodes[3] * m.times[2])
+
+    @pytest.mark.parametrize("N, M", [(8, 4), (32, 64)])
+    def test_integral_is_the_right_endpoint_sum(self, N, M, rng):
+        # int_Q u v = sum_{n>=1} dt <u_n, v_n>: level 0 carries no weight
+        g, m = SpatialGrid(N=N, gamma=2.0), TimeMesh(M=M, T=1.0)
+        u, v = rng.standard_normal((2, M + 1, N + 1))
+        want = sum(m.dt * g.inner(u[n], v[n]) for n in range(1, M + 1))
+        assert integral_q(g, m, u * v) == pytest.approx(want, rel=1e-13)
+        u[0] = 1e6
+        assert integral_q(g, m, u * v) == pytest.approx(want, rel=1e-13)
+        wt = rng.random(M + 1)
+        want = sum(m.dt * wt[n] * g.inner(u[n], v[n])
+                   for n in range(1, M + 1))
+        assert integral_q(g, m, u * v, wt) == pytest.approx(want, rel=1e-13)
+        a, b = TrajectoryField(g, m, u), TrajectoryField(g, m, v)
+        assert a.l2q_inner(b) == integral_q(g, m, u * v)
 
     def test_inner_bilinear(self):
         g, m = SpatialGrid(N=8, gamma=2.0), TimeMesh(M=4, T=1.0)
@@ -307,8 +347,15 @@ class TestBandOperators:
         n, dt = N - 1, prob.mesh.dt
         hum = HUMSolver(prob, weights, game)
         ref = _hum_blocks_reference(prob, game)
-        for got, want in zip((hum.G0, hum.G1, hum.G2, hum.E), ref):
+        for got, want in zip((hum.G0, hum.G1, hum.G2), ref):
             _assert_same_csr(got, want)
+        # the leader's block E is the 0/1 mask of O on phi^1..phi^M, which
+        # the solver applies as a mask: E z is z masked, bit for bit
+        E, size = ref[3], M * n
+        mask = np.tile(prob.indicator_interior("O"), M)
+        assert set(np.unique(mask)) == {0.0, 1.0}
+        z = np.random.default_rng(0).standard_normal(E.shape[1])
+        assert np.array_equal(E @ z, np.where(mask, z[:size], 0.0))
         wv = prob.grid.interior_volumes
         W0 = sp.diags(dt * np.outer(weights.rho0_n[1:] ** -2.0, wv).ravel())
         W1 = sp.diags(dt * np.outer(weights.rho1_n[1:] ** -2.0, wv).ravel())
@@ -344,6 +391,15 @@ class TestBandOperators:
             q = F.D21(y[n], w) * theta[n] + F.D22(y[n], w) * dth
             ref = r * p[n] + (Dc.T @ (q * g * wv * p[n])) / wv
             assert np.array_equal(got[n], ref)
+
+    def test_gradient_argument_is_g_Dc_y(self, prob_small, rng):
+        prob = prob_small
+        y = _random_state(prob, rng).values[:, 1:-1]
+        got = prob.gradient_argument(y)
+        Dc = central_gradient_matrix(prob.grid)
+        for n in range(prob.mesh.M + 1):
+            assert np.array_equal(got[n],
+                                  prob.C_t[n] * prob.beta_i * (Dc @ y[n]))
 
     @pytest.mark.parametrize("N, M", [(32, 64), (64, 128)])
     def test_summation_by_parts(self, N, M, rng):

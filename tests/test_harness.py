@@ -368,6 +368,9 @@ class TestCLI:
         ({**_tiny(), "schema_version": -3}, "schema_version: must be 1"),
         (_tiny(samples=2.5), "experiment.samples"),
         (_tiny(scale_factors=3), "experiment.scale_factors"),
+        ({**_NEWTON, "experiment": {"kind": "nonlinear-control",
+                                    "scale_factors": [1.0, 1.0, 2.0]}},
+         "experiment.scale_factors: each factor runs once; repeated: 1.0"),
         ({"grid": {"N": "abc"}}, "grid.N"),
         ({**_tiny(), "game": {"windows": {**_WINDOWS, "O": [0.3]}}},
          "game.windows.O"),
@@ -410,7 +413,7 @@ class TestCLI:
         ({"grid": _COARSE, "geometry": {"family": "exponential", "k": -0.1}},
          "geometry: l(t) must be at least 1 on [0,T]"),
     ], ids=["study", "schema_version", "schema_version-negative", "samples",
-            "scale_factors", "N", "window",
+            "scale_factors", "scale_factors-repeated", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
             "newton_max-zero",
             "newton_max-negative", "newton_max-float", "newton_tol",

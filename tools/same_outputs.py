@@ -22,7 +22,9 @@ moves, such as the time `t`, sets no scale.  Exits 1 on any difference,
 0 when every config is identical.
 
 --grid overrides every config's grid (a quick run); --configs picks a
-subset of CONFIGS.
+subset of CONFIGS.  The benchmark's workloads and its guards take their
+configs from perfbench/workloads.py of this tool's checkout, so that the
+check runs exactly what the benchmark runs.
 """
 
 from __future__ import annotations
@@ -38,18 +40,20 @@ import tempfile
 import time
 from pathlib import Path
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from perfbench.workloads import WORKLOADS, guard_config  # noqa: E402
+
+
+def _guard(guard: str, workload: str) -> dict:
+    """The config of a guard as the benchmark runs it beside `workload`."""
+    return guard_config(guard, WORKLOADS[workload]["config"]["grid"])
+
+
 # config name -> scenario overrides; a "preset" entry starts from that
 # preset of the checkout being run
 CONFIGS = {
-    "newton-desk": {
-        "grid": {"N": 32, "M": 64},
-        "experiment": {"kind": "nonlinear-control",
-                       "scale_factors": [1.0, 3.0, 300.0]},
-    },
-    "adjoint-sampling": {
-        "grid": {"N": 64, "M": 128},
-        "experiment": {"kind": "observability", "samples": 50},
-    },
+    "newton-desk": WORKLOADS["newton-desk"]["config"],
+    "adjoint-sampling": WORKLOADS["adjoint-sampling"]["config"],
     "observability-alphas": {
         "grid": {"N": 32, "M": 64},
         "game": {"alpha1": 0.7, "alpha2": 0.3},
@@ -60,18 +64,12 @@ CONFIGS = {
         "game": {"jacobian_weighting": False},
         "experiment": {"kind": "observability"},
     },
-    "guard-linear-control": {
-        "grid": {"N": 32, "M": 64},
-        "experiment": {"kind": "linear-control"},
-    },
+    "guard-linear-control": _guard("linear-control", "newton-desk"),
     "linear-control-budget": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "linear-control", "budget_limit": 1e-12},
     },
-    "guard-nash": {
-        "grid": {"N": 32, "M": 64},
-        "experiment": {"kind": "nash"},
-    },
+    "guard-nash": _guard("nash", "adjoint-sampling"),
     "linear-control-64x128": {
         "grid": {"N": 64, "M": 128},
         "experiment": {"kind": "linear-control"},
