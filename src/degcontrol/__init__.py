@@ -21,7 +21,7 @@ _SOURCES = {
                  "MovingDomainSpec", "beta_condition_report"),
     "grids": ("SpatialGrid", "TimeMesh", "TrajectoryField"),
     "semilinear": ("SemilinearF",),
-    "solvers": ("CylinderProblem", "EnergyReport", "energy_diagnostics",
+    "solvers": ("CylinderProblem", "energy_diagnostics",
                 "solve_forward_semilinear", "solve_linearized_coupled",
                 "solve_adjoint_coupled"),
     "carleman": ("CarlemanParams", "CarlemanWeights"),

@@ -32,9 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="output directory (default: runs/latest)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--threads", type=int, default=None,
-                     help="cap BLAS thread pools")
-    run.add_argument("--deterministic", action="store_true",
-                     help="single-threaded, fully seeded execution")
+                     metavar="N", help="cap the BLAS thread pools at N")
 
     val = sub.add_parser("validate", help="validate a config file")
     val.add_argument("--config", metavar="PATH", required=True)
@@ -77,10 +75,13 @@ def _load(harness, args):
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if getattr(args, "deterministic", False):
-        _set_threads(1)
-    elif getattr(args, "threads", None):
-        _set_threads(args.threads)
+    threads = getattr(args, "threads", None)
+    if threads is not None:
+        if threads < 1:
+            print(f"error: --threads must be at least 1, got {threads}",
+                  file=sys.stderr)
+            return EXIT_CONFIG
+        _set_threads(threads)
 
     # import after the thread caps so the pools honor them
     from . import harness
@@ -120,8 +121,7 @@ def main(argv=None) -> int:
 
     # run_scenario validates the config as it builds the run
     try:
-        record = harness.run_scenario(config, args.out, seed=args.seed,
-                                      deterministic=args.deterministic)
+        record = harness.run_scenario(config, args.out, seed=args.seed)
     except harness.ConfigError as exc:
         _print_issues(exc.issues)
         return EXIT_CONFIG

@@ -4,11 +4,14 @@ A ScenarioConfig is a nested plain dictionary with defaults for every
 field; one config plus a seed fully determines a run, and its
 schema_version must be SCHEMA_VERSION.  build_run builds every problem,
 with its Carleman weights and game, from a config; validation and
-run_scenario both call it.  run_scenario then runs the one runner of
-its experiment kind (KINDS lists them, the `mms-convergence` study among
-them), writes CSV files for curves and a JSON report for scalars, and
-returns a RunRecord whose hash covers the canonical config so that
-identical (config, seed) pairs reproduce identical outputs.
+run_scenario both call it, and then refuse a field that differs from
+its default but that the run of the config's kind does not read
+(accepted_fields).
+run_scenario then runs the one runner of its experiment kind (KINDS
+lists them, the `mms-convergence` study among them), writes CSV files
+for curves and a JSON report for scalars, and returns a RunRecord whose
+hash covers the canonical config so that identical (config, seed) pairs
+reproduce identical outputs.
 """
 
 from __future__ import annotations
@@ -111,6 +114,104 @@ _DEFAULTS = {
         "budget_limit": None,
     },
 }
+
+
+# The config fields that each kind's run reads: those its runner reads,
+# and those of the problem, weights and game it runs on that the
+# runner's calls touch.  `accepted_fields` turns an entry into what
+# validation accepts for a config.
+_DOMAIN = ("geometry.alpha", "geometry.family", "geometry.l0", "geometry.k",
+           "geometry.w", "geometry.T", "grid.N", "grid.gamma", "grid.M")
+# F, and the gradient weight, which acts only through F's argument
+_F = ("geometry.b_exp", "nonlinearity.label", "nonlinearity.kappa1",
+      "nonlinearity.kappa2")
+# the kinds that run the F = 0 problem, whatever the label; every other
+# kind reads F, which READS leaves out
+F_ZERO_KINDS = ("linear-control", "mms-convergence")
+_Y0 = ("experiment.y0_amplitude", "experiment.y0_mode")
+# the followers' couplings, but for their penalties
+_FOLLOWERS = ("game.windows.O1", "game.windows.O2", "game.windows.Od",
+              "game.alpha1", "game.alpha2", "game.jacobian_weighting")
+_MUS = ("game.mu1", "game.mu2")
+# the Carleman weights' log tables; cap_ratio caps only their normalized
+# copies, which the HUM system and the weights' CSV read
+_WEIGHTS = ("carleman.s", "carleman.lam", "carleman.alpha_p",
+            "carleman.beta_p", "carleman.m_floor")
+_HUM = ("game.windows.O", *_FOLLOWERS, *_MUS, *_WEIGHTS,
+        "carleman.cap_ratio")
+READS = {
+    "forward": (*_DOMAIN, *_Y0, "experiment.h_amplitude", "game.windows.O"),
+    "nash": (*_DOMAIN, *_Y0, "experiment.h_amplitude", "game.windows.O",
+             *_FOLLOWERS, *_MUS, "game.target_amplitude", *_WEIGHTS),
+    # mu_grid sets both penalties
+    "convexity": (*_DOMAIN, *_Y0, "experiment.mu_grid", *_FOLLOWERS,
+                  "game.target_amplitude", *_WEIGHTS),
+    "observability": (*_DOMAIN, "experiment.samples", "game.windows.O",
+                      *_FOLLOWERS, *_MUS, *_WEIGHTS),
+    "linear-control": (*_DOMAIN, *_Y0, "experiment.budget_limit", *_HUM),
+    "nonlinear-control": (*_DOMAIN, *_Y0, "experiment.scale_factors",
+                          *_HUM, "game.target_amplitude", "solver.newton_tol",
+                          "solver.newton_max", "solver.tol_terminal"),
+    "diagnostics": (*_DOMAIN, *_Y0, *_WEIGHTS, "carleman.cap_ratio"),
+    # the problem it refines, without its weights or game
+    "mms-convergence": _DOMAIN,
+}
+# build_run ties these fields together: O1 and O2 lie apart from O, Od
+# meets O and [alpha_p, beta_p] lies inside O
+_LINKED = ("game.windows.O", "game.windows.O1", "game.windows.O2",
+           "game.windows.Od", "carleman.alpha_p", "carleman.beta_p")
+
+
+def accepted_fields(cfg: dict) -> set:
+    """The fields that validation accepts set apart from their defaults
+    in `cfg`, a well-typed config of a known kind: the fields its run
+    reads (its kind's entry of READS, F's unless the kind is one of
+    F_ZERO_KINDS, schema_version and the kind, less the fields that the
+    config's other values leave unused), and, once the run reads one
+    field of _LINKED, all of them, so that a linked field can move with
+    the fields build_run ties it to."""
+    kind = cfg["experiment"]["kind"]
+    fields = {"schema_version", "experiment.kind", *READS[kind]}
+    if kind not in F_ZERO_KINDS:
+        fields.update(_F)
+    family = cfg["geometry"]["family"]
+    if family == "constant":  # l(t) = l0
+        fields.discard("geometry.k")
+    if family != "sinusoidal":  # w is the sinusoid's frequency
+        fields.discard("geometry.w")
+    if kind in ("forward", "nash") and cfg["experiment"]["h_amplitude"] == 0:
+        # there O is only the support of the leader's source h
+        fields.discard("game.windows.O")
+    if kind in ("nash", "convexity") and cfg["game"]["target_amplitude"] == 0:
+        # the weights reach these runs only through the targets' profile
+        fields.difference_update(_WEIGHTS)
+    if not fields.isdisjoint(_LINKED):
+        fields.update(_LINKED)
+    return fields
+
+
+def _flat(tree: dict, path: str = "") -> dict:
+    """{dotted field name: value} of a config, the windows included and a
+    window given as a tuple read as the list that JSON gives."""
+    out = {}
+    for key, val in tree.items():
+        here = f"{path}.{key}" if path else key
+        if isinstance(val, dict):
+            out.update(_flat(val, here))
+        else:
+            out[here] = list(val) if isinstance(val, tuple) else val
+    return out
+
+
+def _unread_issues(cfg: dict) -> list:
+    """The fields, set apart from their defaults, that the run of `cfg`
+    (a config that `build_run` builds) does not read."""
+    kind = cfg["experiment"]["kind"]
+    accepted, values = accepted_fields(cfg), _flat(cfg)
+    return [f"{name}: a {kind} run does not read this field; leave it at "
+            f"its default {default!r}"
+            for name, default in _flat(_DEFAULTS).items()
+            if name not in accepted and values[name] != default]
 
 
 class ConfigError(ValueError):
@@ -233,12 +334,16 @@ def _window_type_issues(wins) -> list:
 
 def validate_config(config: ScenarioConfig | dict) -> list:
     """Returns the full list of offending fields (empty means valid): the
-    issues that `build_run` raises."""
+    issues that `build_run` raises or, once it builds the run, each field
+    that differs from its default and that the run of the config's kind
+    does not read (`accepted_fields`)."""
     try:
+        if not isinstance(config, ScenarioConfig):
+            config = ScenarioConfig.from_dict(config)
         build_run(config)
     except ConfigError as exc:
         return exc.issues
-    return []
+    return _unread_issues(config.data)
 
 
 def build_run(config: ScenarioConfig | dict) -> tuple:
@@ -400,7 +505,6 @@ class RunRecord:
     timings: dict
     report: dict
     outputs: list
-    deterministic: bool = True
 
     def to_json(self, path=None) -> str:
         payload = {
@@ -408,7 +512,6 @@ class RunRecord:
             "config_hash": self.config_hash,
             "seed": self.seed,
             "kind": self.kind,
-            "deterministic": self.deterministic,
             "timings": self.timings,
             "report": self.report,
             "outputs": self.outputs,
@@ -421,10 +524,7 @@ class RunRecord:
 
 def _build_F(cfg: dict) -> SemilinearF:
     nl = cfg["nonlinearity"]
-    # the linear-control and mms-convergence experiments run the F = 0
-    # problem, whatever the label
-    if nl["label"] == "zero" or cfg["experiment"]["kind"] in (
-            "linear-control", "mms-convergence"):
+    if nl["label"] == "zero" or cfg["experiment"]["kind"] in F_ZERO_KINDS:
         return SemilinearF.zero()
     return SemilinearF.sinusoidal(nl["kappa1"], nl["kappa2"])
 
@@ -449,17 +549,20 @@ def _write_csv(path: Path, header: str, rows: np.ndarray) -> None:
                comments="")
 
 
-def run_scenario(config: ScenarioConfig | dict, out_dir, seed: int = 0,
-                 deterministic: bool = True) -> RunRecord:
+def run_scenario(config: ScenarioConfig | dict, out_dir,
+                 seed: int = 0) -> RunRecord:
     """Runs one experiment, writes its artifacts, returns the record.
 
     Raises ConfigError, before out_dir is made, for the issues of
-    `build_run`."""
+    `validate_config`."""
     if not isinstance(config, ScenarioConfig):
         config = ScenarioConfig.from_dict(config)
     cfg = config.data
     t_start = time.perf_counter()
     built = build_run(config)
+    unread = _unread_issues(cfg)
+    if unread:
+        raise ConfigError(unread)
     kind = cfg["experiment"]["kind"]
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -469,7 +572,7 @@ def run_scenario(config: ScenarioConfig | dict, out_dir, seed: int = 0,
     timings = {"total_s": round(time.perf_counter() - t_start, 3)}
     record = RunRecord(config_hash=config.canonical_hash(), seed=seed,
                        kind=kind, timings=timings, report=report,
-                       outputs=outputs, deterministic=deterministic)
+                       outputs=outputs)
     record.to_json(out / "report.json")
     outputs.append("report.json")
     config.to_json(out / "config.json")
@@ -486,13 +589,13 @@ def _run_forward(cfg, prob, weights, game, out, rng, outputs):
     y = solve_forward_semilinear(prob, y0, h=h)
     dump_trajectory_csv(y, out / "state.csv")
     outputs.append("state.csv")
-    diag = energy_diagnostics(prob, {"y": y})
+    sup_l2, grad_energy = energy_diagnostics(prob, y)
     return {
         "y0_l2": prob.grid.norm(y0),
         "terminal_l2": prob.grid.norm(y.values[-1]),
         "l2q": y.l2q_norm(),
-        "sup_l2": diag.sup_l2["y"],
-        "grad_energy": diag.grad_energy["y"],
+        "sup_l2": sup_l2,
+        "grad_energy": grad_energy,
     }
 
 
@@ -631,13 +734,13 @@ def _run_diagnostics(cfg, prob, weights, game, out, rng, outputs):
     outputs.append("weights.csv")
     y0 = _initial_data(cfg, prob, rng)
     y = solve_forward_semilinear(prob, y0)
-    diag = energy_diagnostics(prob, {"y": y})
+    sup_l2, grad_energy = energy_diagnostics(prob, y)
     return {
         "weight_identities": {k: report[k] for k in
                               ("identity_log_rel", "comp_pesos_ok",
                                "lambda", "zeta0")},
-        "sup_l2": diag.sup_l2["y"],
-        "grad_energy": diag.grad_energy["y"],
+        "sup_l2": sup_l2,
+        "grad_energy": grad_energy,
     }
 
 

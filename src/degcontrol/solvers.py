@@ -57,7 +57,6 @@ __all__ = [
     "Couplings",
     "LinearizedSolution",
     "AdjointBlock",
-    "EnergyReport",
     "energy_diagnostics",
     "central_gradient_bands",
 ]
@@ -728,25 +727,15 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
 # -- energy diagnostics --------------------------------------------------
 
 
-@dataclass
-class EnergyReport:
-    """Appendix-style energy quantities per field."""
-
-    sup_l2: dict
-    grad_energy: dict          # int int a |u_x|^2
-
-
-def energy_diagnostics(prob: CylinderProblem, fields: dict) -> EnergyReport:
-    """Compute the sup-in-time L2 norm and the gradient energy of each field."""
-    grid, dt = prob.grid, prob.mesh.dt
-    a_face = prob.deg.a(grid.faces)
-    sup_l2, grad_e = {}, {}
-    for name, f in fields.items():
-        sup_l2[name] = float(np.max(grid.norm(f.values)))
-        # dt * sum_{n>=1} of the face energy, the right-endpoint rule
-        grad_e[name] = float(dt * np.sum(grid.face_energy(a_face,
-                                                          f.values[1:])))
-    return EnergyReport(sup_l2=sup_l2, grad_energy=grad_e)
+def energy_diagnostics(prob: CylinderProblem,
+                       y: TrajectoryField) -> tuple:
+    """(sup_t |y(t)|_L2, int int a |y_x|^2) of the field y."""
+    grid = prob.grid
+    sup_l2 = float(np.max(grid.norm(y.values)))
+    # dt * sum_{n>=1} of the face energy, the right-endpoint rule
+    grad_energy = float(prob.mesh.dt * np.sum(
+        grid.face_energy(prob.deg.a(grid.faces), y.values[1:])))
+    return sup_l2, grad_energy
 
 
 def dump_trajectory_csv(f: TrajectoryField, path) -> None:

@@ -140,14 +140,15 @@ class TestBuildRun:
             "grid.N: supported range is [8, 1024]"]
 
     def test_returns_the_run_s_triple(self, tmp_path, monkeypatch):
-        config = {"grid": {"N": 16, "M": 16}, "game": {"mu2": 3.0}}
+        config = {"grid": {"N": 16, "M": 16}, "game": {"mu2": 3.0},
+                  "experiment": {"kind": "nash"}}
         seen = []
 
         def runner(cfg, prob, weights, game, out, rng, outputs):
             seen.append((prob, weights, game))
             return {}
 
-        monkeypatch.setitem(harness._RUNNERS, "forward", runner)
+        monkeypatch.setitem(harness._RUNNERS, "nash", runner)
         harness.run_scenario(config, tmp_path)
         (run_prob, run_weights, run_game), = seen
         prob, weights, game = harness.build_run(config)
@@ -173,6 +174,131 @@ class TestBuildRun:
         # the config holds these values; a spec has no second copy
         with pytest.raises(TypeError):
             attrgetter(make)(degcontrol)()
+
+
+# a valid value apart from its default for every field that some run
+# leaves unread
+_PERTURBED = {
+    "geometry.b_exp": 3.0, "geometry.k": 0.5, "geometry.w": 2.0,
+    "game.windows.O": [0.2, 0.52], "game.windows.O1": [0.6, 0.7],
+    "game.windows.O2": [0.7, 0.8], "game.windows.Od": [0.35, 0.65],
+    "game.alpha1": 2.0, "game.alpha2": 0.5, "game.mu1": 2.0,
+    "game.mu2": 3.0, "game.target_amplitude": 0.5,
+    "game.jacobian_weighting": False,
+    "nonlinearity.label": "zero", "nonlinearity.kappa1": 3.0,
+    "nonlinearity.kappa2": 1.0,
+    "carleman.s": 3.0, "carleman.lam": 0.9, "carleman.alpha_p": 0.32,
+    "carleman.beta_p": 0.47, "carleman.m_floor": 1e-3,
+    "carleman.cap_ratio": 1e4,
+    "solver.newton_tol": 1e-3, "solver.newton_max": 1,
+    "solver.tol_terminal": 1e-2,
+    "experiment.y0_amplitude": 0.02, "experiment.y0_mode": "random",
+    "experiment.h_amplitude": 0.5, "experiment.samples": 3,
+    "experiment.scale_factors": [1.0, 2.0],
+    "experiment.mu_grid": [2.0, 10.0], "experiment.budget_limit": 1.0,
+}
+_FIELDS = set(harness._flat(harness.default_config()))
+# the windows and the bridge moved together off their defaults, as
+# build_run's rules require: O1 and O2 apart from O, Od meeting O and
+# [alpha_p, beta_p] inside O
+_MOVED = {"game": {"windows": {"O": [0.55, 0.8], "O1": [0.1, 0.2],
+                               "O2": [0.85, 0.95], "Od": [0.5, 0.7]}},
+          "carleman": {"alpha_p": 0.6, "beta_p": 0.7}}
+
+
+def _with(config, name, value):
+    """A copy of the overrides `config` with the field `name` set."""
+    config = json.loads(json.dumps(config))
+    section, *path, key = name.split(".")
+    if path == ["windows"]:
+        config.setdefault(section, {})["windows"] = {**_WINDOWS, key: value}
+    else:
+        config.setdefault(section, {})[key] = value
+    return config
+
+
+def _outputs(config, out) -> tuple:
+    """The report without timings and hash, and every CSV, of a run."""
+    harness.run_scenario(config, out, seed=0)
+    report = json.loads((out / "report.json").read_text())
+    del report["timings"], report["config_hash"]
+    return report, {p.name: p.read_bytes() for p in out.glob("*.csv")}
+
+
+def _read(config) -> set:
+    return harness.accepted_fields(harness.ScenarioConfig.from_dict(config).data)
+
+
+class TestReads:
+    def test_table_names_config_fields(self):
+        assert set(harness.READS) == set(harness.KINDS)
+        for fields in harness.READS.values():
+            assert set(fields) <= _FIELDS
+        assert _FIELDS - set(_PERTURBED) <= set.intersection(
+            *(_read({"experiment": {"kind": kind}})
+              for kind in harness.KINDS))
+
+    @pytest.mark.parametrize("kind, condition", [
+        *[(kind, {}) for kind in harness.KINDS],
+        *[(kind, {"geometry": {"family": "constant"}})
+          for kind in harness.KINDS],
+        *[(kind, {"game": {"target_amplitude": 0.0}})
+          for kind in ("nash", "convexity")],
+    ], ids=lambda v: v if isinstance(v, str) else "-".join(
+        f"{key}-{val}" for sec in v.values() for key, val in sec.items())
+       or "defaults")
+    def test_unread_fields_leave_the_run_unchanged(self, tmp_path,
+                                                    monkeypatch, kind,
+                                                    condition):
+        # every field the table refuses, set one at a time with the
+        # refusal bypassed, writes the outputs of the base run byte for
+        # byte; under a condition, the fields it takes out of the table
+        plain = {"grid": {"N": 16, "M": 16}, "experiment": {"kind": kind}}
+        base = {**plain, **condition}
+        unread = (_read(plain) if condition else _FIELDS) - _read(base)
+        assert unread
+        for name in sorted(unread):
+            changed = _with(base, name, _PERTURBED[name])
+            issues = harness.validate_config(changed)
+            assert len(issues) == 1
+            assert issues[0].startswith(
+                f"{name}: a {kind} run does not read this field")
+        monkeypatch.setattr(harness, "_unread_issues", lambda cfg: [])
+        expected = _outputs(base, tmp_path / "base")
+        for name in sorted(unread):
+            changed = _with(base, name, _PERTURBED[name])
+            assert _outputs(changed, tmp_path / name) == expected, name
+
+    @pytest.mark.parametrize("kind, experiment", [
+        ("diagnostics", {}), ("forward", {"h_amplitude": 0.5}),
+        ("nash", {})])
+    def test_linked_fields_move_together(self, kind, experiment):
+        # the kind reads one of the windows or the bridge, so it accepts
+        # the others, which build_run's rules tie to it
+        config = {"grid": {"N": 16, "M": 16}, **_MOVED,
+                  "experiment": {"kind": kind, **experiment}}
+        assert harness.validate_config(config) == []
+
+    def test_moved_bridge_moves_the_weights(self, tmp_path):
+        base = {"grid": {"N": 16, "M": 16},
+                "experiment": {"kind": "diagnostics"}}
+        harness.run_scenario(base, tmp_path / "base")
+        harness.run_scenario({**base, **_MOVED}, tmp_path / "moved")
+        assert ((tmp_path / "base" / "weights.csv").read_bytes()
+                != (tmp_path / "moved" / "weights.csv").read_bytes())
+
+    def test_builder_takes_unread_fields(self):
+        # tests build problems of the default (forward) kind with game
+        # and Carleman overrides
+        config = {"grid": _COARSE, "game": {"mu1": 2.0},
+                  "carleman": {"s": 3.0}}
+        prob, weights, game = harness.build_run(config)
+        assert (game.mu1, weights.s) == (2.0, 3.0)
+        assert harness.validate_config(config) == [
+            "game.mu1: a forward run does not read this field; leave it "
+            "at its default 5.0",
+            "carleman.s: a forward run does not read this field; leave it "
+            "at its default 2.0"]
 
 
 class TestPresets:
@@ -412,6 +538,10 @@ class TestCLI:
          "geometry: l(t) must be at least 1 on [0,T]"),
         ({"grid": _COARSE, "geometry": {"family": "exponential", "k": -0.1}},
          "geometry: l(t) must be at least 1 on [0,T]"),
+        # a field that the run of its kind does not read
+        ({"grid": _COARSE, "solver": {"newton_max": 3},
+          "experiment": {"kind": "linear-control"}},
+         "solver.newton_max: a linear-control run does not read this field"),
     ], ids=["study", "schema_version", "schema_version-negative", "samples",
             "scale_factors", "scale_factors-repeated", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
@@ -419,7 +549,8 @@ class TestCLI:
             "newton_max-negative", "newton_max-float", "newton_tol",
             "tol_terminal", "gamma-400", "mu_grid-zero", "mu_grid-negative",
             *[f"lam-overflow-{kind}" for kind in harness.KINDS],
-            "window-without-node", "ell-affine", "ell-exponential"])
+            "window-without-node", "ell-affine", "ell-exponential",
+            "unread-field"])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback
@@ -430,6 +561,17 @@ class TestCLI:
             args += ["--out", str(tmp_path / "out")]
         assert cli.main(args) == cli.EXIT_CONFIG
         assert f"error: {field}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_thread_cap_below_one_is_config_error(self, tmp_path, capsys,
+                                                  monkeypatch, threads):
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        assert cli.main(["run", "--preset", "mms-convergence",
+                         "--threads", threads,
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_CONFIG
+        assert "--threads must be at least 1" in capsys.readouterr().err
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["validate", "run"])
@@ -449,7 +591,7 @@ class TestCLI:
                 in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
         # the weight belongs to the observability run only
-        config["experiment"]["kind"] = "diagnostics"
+        config["experiment"] = {"kind": "diagnostics"}
         assert harness.validate_config(config) == []
 
     def test_admissible_lambda_validates(self, tmp_path):
@@ -459,7 +601,7 @@ class TestCLI:
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
 
     def test_cli_import_leaves_blas_unloaded(self):
-        # --threads/--deterministic set the BLAS caps inside main(), which
+        # --threads sets the BLAS caps inside main(), which
         # only works if importing the CLI has not loaded numpy yet
         src = str(Path(cli.__file__).resolve().parents[1])
         out = subprocess.run(

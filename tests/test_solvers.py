@@ -563,13 +563,13 @@ class TestFollowerAdjoints:
 class TestEnergy:
     def test_diagnostics_finite(self, prob):
         y = solve_forward_semilinear(prob, sine_data(prob, 0.1))
-        rep = energy_diagnostics(prob, {"y": y})
-        assert np.isfinite(rep.sup_l2["y"])
-        assert np.isfinite(rep.grad_energy["y"])
-        assert rep.grad_energy["y"] > 0
+        sup_l2, grad_energy = energy_diagnostics(prob, y)
+        assert np.isfinite(sup_l2)
+        assert np.isfinite(grad_energy)
+        assert grad_energy > 0
 
     def test_sup_matches_norm(self, prob):
         y = solve_forward_semilinear(prob, sine_data(prob, 0.1))
-        rep = energy_diagnostics(prob, {"y": y})
+        sup_l2, _ = energy_diagnostics(prob, y)
         sup = max(prob.grid.norm(row) for row in y.values)
-        assert rep.sup_l2["y"] == pytest.approx(sup)
+        assert sup_l2 == pytest.approx(sup)
