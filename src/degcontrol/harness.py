@@ -40,9 +40,8 @@ from .nullcontrol import (HUMSolver, NewtonFailureError,
                           solve_nonlinear_null_control,
                           verify_additional_estimates)
 from .semilinear import SemilinearF
-from .solvers import (CylinderProblem, StepFailureError, SweepFailureError,
-                      dump_trajectory_csv, energy_diagnostics,
-                      solve_forward_semilinear)
+from .solvers import (CylinderProblem, dump_trajectory_csv,
+                      energy_diagnostics, solve_forward_semilinear)
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -122,9 +121,9 @@ _DEFAULTS = {
 # validation accepts for a config.
 _DOMAIN = ("geometry.alpha", "geometry.family", "geometry.l0", "geometry.k",
            "geometry.w", "geometry.T", "grid.N", "grid.gamma", "grid.M")
-# F, and the gradient weight, which acts only through F's argument
-_F = ("geometry.b_exp", "nonlinearity.label", "nonlinearity.kappa1",
-      "nonlinearity.kappa2")
+# F's parameters, and the gradient weight, which acts only through F's
+# argument; the label `zero` makes F = 0 at any of them
+_F = ("geometry.b_exp", "nonlinearity.kappa1", "nonlinearity.kappa2")
 # the kinds that run the F = 0 problem, whatever the label; every other
 # kind reads F, which READS leaves out
 F_ZERO_KINDS = ("linear-control", "mms-convergence")
@@ -162,6 +161,12 @@ _LINKED = ("game.windows.O", "game.windows.O1", "game.windows.O2",
            "game.windows.Od", "carleman.alpha_p", "carleman.beta_p")
 
 
+def _domain(g: dict) -> MovingDomainSpec:
+    """The moving domain of a config's geometry section."""
+    return MovingDomainSpec(T=g["T"], family=g["family"], l0=g["l0"],
+                            k=g["k"], w=g["w"])
+
+
 def accepted_fields(cfg: dict) -> set:
     """The fields that validation accepts set apart from their defaults
     in `cfg`, a well-typed config of a known kind: the fields its run
@@ -173,12 +178,18 @@ def accepted_fields(cfg: dict) -> set:
     kind = cfg["experiment"]["kind"]
     fields = {"schema_version", "experiment.kind", *READS[kind]}
     if kind not in F_ZERO_KINDS:
-        fields.update(_F)
-    family = cfg["geometry"]["family"]
-    if family == "constant":  # l(t) = l0
+        fields.add("nonlinearity.label")
+        if cfg["nonlinearity"]["label"] != "zero":
+            fields.update(_F)
+    g = cfg["geometry"]
+    if g["family"] == "constant":  # l(t) = l0
         fields.discard("geometry.k")
-    if family != "sinusoidal":  # w is the sinusoid's frequency
+    if g["family"] != "sinusoidal":  # w is the sinusoid's frequency
         fields.discard("geometry.w")
+    times = TimeMesh(cfg["grid"]["M"], g["T"]).times
+    if np.all(_domain(g).ell(times) == 1.0):
+        # the followers' time weight is l(t) = 1 with or without it
+        fields.discard("game.jacobian_weighting")
     if kind in ("forward", "nash") and cfg["experiment"]["h_amplitude"] == 0:
         # there O is only the support of the leader's source h
         fields.discard("game.windows.O")
@@ -379,9 +390,7 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
     g, grid, game = cfg["geometry"], cfg["grid"], cfg["game"]
     deg = build("geometry", DegeneracySpec, g["alpha"])
     gw = build("geometry", GradientWeightSpec, g["b_exp"])
-    dom = build("geometry", lambda: MovingDomainSpec(
-        T=g["T"], family=g["family"], l0=g["l0"], k=g["k"],
-        w=g["w"]).validate())
+    dom = build("geometry", lambda: _domain(g).validate())
     grid_issues = [issue for bad, issue in (
         (not 8 <= grid["N"] <= 1024, "grid.N: supported range is [8, 1024]"),
         (not 8 <= grid["M"] <= 4096, "grid.M: supported range is [8, 4096]"),
@@ -703,11 +712,10 @@ def _run_nonlinear_control(cfg, prob, weights, game, out, rng, outputs):
             triple, history = solve_nonlinear_null_control(
                 hum, y0, sv["newton_tol"], sv["tol_terminal"],
                 sv["newton_max"])
-        except (NewtonFailureError, StepFailureError, SweepFailureError) as exc:
+        except NewtonFailureError as exc:
             results[str(factor)] = {"converged": False,
-                                    "failure": type(exc).__name__}
-            if isinstance(exc, NewtonFailureError):
-                results[str(factor)]["failure_reason"] = exc.reason
+                                    "failure": type(exc).__name__,
+                                    "failure_reason": exc.reason}
             continue
         v = game.controls(prob, (triple.p1.values, triple.p2.values))
         grads = functional_gradient(prob, game, triple.h, *v, y0)

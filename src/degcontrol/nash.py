@@ -127,7 +127,9 @@ def make_default_targets(prob: CylinderProblem, weights,
     decaying like 1/rho0 of the Carleman `weights`.
 
     The profile keeps rho0 * y_id bounded on the mesh, the discrete
-    stand-in for the square-summability hypothesis on rho y_id.
+    stand-in for the square-summability hypothesis on rho y_id.  It is
+    rho0's normalized inverse, exp(shift - log rho0) with the shift the
+    least finite log, so it lies in [0, 1] and is 0 at t = T.
     """
     lo, hi = prob.windows.Od
     c, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
@@ -137,8 +139,7 @@ def make_default_targets(prob: CylinderProblem, weights,
         bump = np.where(np.abs(r) < 1.0,
                         np.exp(-1.0 / np.maximum(1.0 - r**2, 1e-300)), 0.0)
     bump *= amplitude * np.e  # peak value = amplitude
-    profile = np.exp(-(np.minimum(weights.log_rho0, 1e6)
-                       - weights.norm_shifts["rho0"]))
+    profile = np.exp(weights.norm_shifts["rho0"] - weights.log_rho0)
     vals = profile[:, None] * bump[None, :]
     t1 = TrajectoryField(prob.grid, prob.mesh, vals)
     t2 = TrajectoryField(prob.grid, prob.mesh, 0.5 * vals)

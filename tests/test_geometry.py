@@ -77,6 +77,17 @@ class TestGradientWeight:
         assert rep["beta_prime_bounded"]
         assert np.isfinite(rep["M"])
 
+    def test_closed_form_clip_meets_the_conditions(self):
+        # the closed form c = min(1, sqrt(alpha/b)) holds both conditions
+        # at the nodes of the check as it is, with no shrinking
+        for alpha in np.linspace(0.01, 0.99, 25):
+            deg = DegeneracySpec(alpha=alpha)
+            for b_exp in 1.0 + np.geomspace(1e-4, 19.0, 25):
+                gw = GradientWeightSpec(b_exp=b_exp).attach(deg)
+                assert gw.clip_factor == min(1.0, np.sqrt(alpha / b_exp))
+                assert beta_condition_report(gw, deg)["all_ok"], (alpha,
+                                                                  b_exp)
+
     def test_unclipped_weight_violates(self):
         # the raw x^b weight, before the clip, fails (beta^2)' <= 2a'
         deg = DegeneracySpec(alpha=0.5)

@@ -229,6 +229,21 @@ def _read(config) -> set:
     return harness.accepted_fields(harness.ScenarioConfig.from_dict(config).data)
 
 
+# the kinds that run the config's F
+_F_KINDS = [kind for kind in harness.KINDS if kind not in harness.F_ZERO_KINDS]
+# the kinds whose followers' time weight is the Jacobian weighting's
+_WEIGHTED_KINDS = ("nash", "convexity", "observability", "linear-control",
+                   "nonlinear-control")
+# the cases that refuse a field its run leaves unread: F's parameters
+# (harness._F) when F = 0, and the Jacobian weighting where l(t) is 1 at every time
+_INERT = [
+    *[(kind, {"nonlinearity": {"label": "zero"}}, name)
+      for kind in _F_KINDS for name in harness._F],
+    *[(kind, {"geometry": {"family": "constant"}}, "game.jacobian_weighting")
+      for kind in _WEIGHTED_KINDS],
+]
+
+
 class TestReads:
     def test_table_names_config_fields(self):
         assert set(harness.READS) == set(harness.KINDS)
@@ -244,6 +259,7 @@ class TestReads:
           for kind in harness.KINDS],
         *[(kind, {"game": {"target_amplitude": 0.0}})
           for kind in ("nash", "convexity")],
+        *[(kind, {"nonlinearity": {"label": "zero"}}) for kind in _F_KINDS],
     ], ids=lambda v: v if isinstance(v, str) else "-".join(
         f"{key}-{val}" for sec in v.values() for key, val in sec.items())
        or "defaults")
@@ -268,6 +284,31 @@ class TestReads:
         for name in sorted(unread):
             changed = _with(base, name, _PERTURBED[name])
             assert _outputs(changed, tmp_path / name) == expected, name
+
+    @pytest.mark.parametrize("kind", _F_KINDS)
+    def test_zero_label_is_accepted(self, kind):
+        config = {"grid": {"N": 16, "M": 16},
+                  "nonlinearity": {"label": "zero"},
+                  "experiment": {"kind": kind}}
+        assert harness.validate_config(config) == []
+        assert not set(harness._F) & _read(config)
+
+    @pytest.mark.parametrize("kind", _WEIGHTED_KINDS)
+    @pytest.mark.parametrize("geometry, read", [
+        ({"family": "constant"}, False), ({"k": 0.0}, False),
+        ({"family": "constant", "l0": 2.0}, True), ({}, True)],
+        ids=["constant", "affine-k0", "constant-l0-2", "affine"])
+    def test_jacobian_weighting_needs_a_moving_time_weight(self, kind,
+                                                           geometry, read):
+        # the field is read where l(t) differs from 1 at some mesh time
+        config = {"grid": {"N": 16, "M": 16}, "geometry": geometry,
+                  "game": {"jacobian_weighting": False},
+                  "experiment": {"kind": kind}}
+        issues = harness.validate_config(config)
+        assert ("game.jacobian_weighting" in _read(config)) == read
+        assert issues == ([] if read else [
+            f"game.jacobian_weighting: a {kind} run does not read this "
+            f"field; leave it at its default True"])
 
     @pytest.mark.parametrize("kind, experiment", [
         ("diagnostics", {}), ("forward", {"h_amplitude": 0.5}),
@@ -542,6 +583,10 @@ class TestCLI:
         ({"grid": _COARSE, "solver": {"newton_max": 3},
           "experiment": {"kind": "linear-control"}},
          "solver.newton_max: a linear-control run does not read this field"),
+        *[(_with({"grid": {"N": 16, "M": 16}, **condition,
+                  "experiment": {"kind": kind}}, name, _PERTURBED[name]),
+           f"{name}: a {kind} run does not read this field")
+          for kind, condition, name in _INERT],
     ], ids=["study", "schema_version", "schema_version-negative", "samples",
             "scale_factors", "scale_factors-repeated", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
@@ -550,7 +595,8 @@ class TestCLI:
             "tol_terminal", "gamma-400", "mu_grid-zero", "mu_grid-negative",
             *[f"lam-overflow-{kind}" for kind in harness.KINDS],
             "window-without-node", "ell-affine", "ell-exponential",
-            "unread-field"])
+            "unread-field",
+            *[f"unread-{kind}-{name}" for kind, _, name in _INERT]])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback

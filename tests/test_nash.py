@@ -1,11 +1,13 @@
 """Follower game: functionals, gradients, equilibrium and convexity."""
 
+import json
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from degcontrol import harness, nash
+from degcontrol import cli, harness, nash
 from degcontrol.grids import TrajectoryField
 from degcontrol.nash import (
     convexity_margin,
@@ -39,6 +41,31 @@ def _bump_direction(prob, window="O1"):
                                       lambda x, t: np.ones_like(x))
     f.values *= (vals * ind)[None, :]
     return f
+
+
+class TestTargets:
+    @pytest.mark.parametrize("T", [0.01, 0.1, 1.0, 100.0])
+    def test_targets_are_finite_at_every_horizon(self, T):
+        # the 1/rho0 profile lies in (0, 1] however many decades rho0
+        # spans, and computing it overflows nowhere
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            game = harness.build_run({"grid": {"N": 16, "M": 16},
+                                      "geometry": {"T": T},
+                                      "experiment": {"kind": "nash"}})[2]
+        for target in (game.target1, game.target2):
+            assert np.all(np.isfinite(target.values))
+        assert np.max(game.target1.values) <= 1.0
+
+    def test_short_horizon_nash_run(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": {"N": 16, "M": 16},
+                                    "geometry": {"T": 0.1},
+                                    "experiment": {"kind": "nash"}}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert max(report["report"]["residuals"].values()) < 1e-12
 
 
 class TestFunctional:

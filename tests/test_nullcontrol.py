@@ -37,6 +37,27 @@ def coarse():
     return prob, weights, game, HUMSolver(prob, weights, game)
 
 
+@pytest.fixture
+def refinements(monkeypatch):
+    """The refinement traces of every HUM solve the test makes."""
+    traces = []
+    solve = HUMSolver.solve
+
+    def recording(self, *args, **kwargs):
+        triple = solve(self, *args, **kwargs)
+        traces.append(triple.cg_info["refinement_residuals"])
+        return triple
+
+    monkeypatch.setattr(HUMSolver, "solve", recording)
+    return traces
+
+
+def _corrections_gain(traces: list) -> bool:
+    """Some solves ran, and in each the correction lowered the residual
+    of the unrefined iterate, so the corrected iterate is the better."""
+    return bool(traces) and all(len(t) == 2 and t[1] < t[0] for t in traces)
+
+
 class TestCouplings:
     def test_hum_blocks_are_the_game_couplings(self):
         # wt = l(t) makes both couplings vary in time
@@ -204,6 +225,17 @@ class TestNewton:
             assert step["contraction"] == pytest.approx(
                 step["remainder_delta"] / prev["remainder_delta"])
 
+    def test_newton_desk_corrections_gain(self, tmp_path, refinements):
+        # the benchmark's newton-desk run: 15 HUM solves over its three
+        # scales, the last of which does not converge
+        harness.run_scenario(
+            {"grid": {"N": 32, "M": 64},
+             "experiment": {"kind": "nonlinear-control",
+                            "scale_factors": [1.0, 3.0, 300.0]}},
+            tmp_path, seed=0)
+        assert len(refinements) == 15
+        assert _corrections_gain(refinements)
+
     def test_no_steps_refused(self, prob_linear, hum):
         _, solver = hum
         with pytest.raises(ValueError, match="max_newton"):
@@ -247,9 +279,9 @@ class _CountingMatrix:
 
 def _one_correction(info: dict) -> bool:
     """The refinement trace holds the unrefined iterate and one
-    correction, and the solve kept the better of the two."""
+    correction, and the solve kept the corrected iterate."""
     trace = info["refinement_residuals"]
-    return len(trace) == 2 and min(trace) == info["relative_residual"]
+    return len(trace) == 2 and trace[1] == info["relative_residual"]
 
 
 def _splu_reference(hum: HUMSolver) -> HUMSolver:
@@ -383,28 +415,32 @@ class TestAccuracyRange:
 
     @pytest.mark.parametrize("cap_ratio, limit",
                              [(1e3, 1e-9), (1e4, 1e-8), (1e5, 1e-7)])
-    def test_reconstruction_within_range(self, tmp_path, cap_ratio, limit):
+    def test_reconstruction_within_range(self, tmp_path, refinements,
+                                         cap_ratio, limit):
         # measured 1.03e-11 at 1e3, 9.15e-10 at 1e4 and 2.97e-8 at 1e5
         record = harness.run_scenario(
             {"grid": {"N": 32, "M": 64},
              "carleman": {"cap_ratio": cap_ratio},
              "experiment": {"kind": "linear-control"}}, tmp_path, seed=0)
         assert max(record.report["reconstruction"].values()) <= limit
+        assert _corrections_gain(refinements)
 
-    def test_reconstruction_at_64x128(self, tmp_path):
+    def test_reconstruction_at_64x128(self, tmp_path, refinements):
         # measured 1.62e-10 at the default cap ratio, 1e3
         record = harness.run_scenario(
             {"grid": {"N": 64, "M": 128},
              "experiment": {"kind": "linear-control"}}, tmp_path, seed=0)
         assert max(record.report["reconstruction"].values()) <= 1e-9
+        assert _corrections_gain(refinements)
 
-    def test_reconstruction_at_64x128_cap_1e4(self, tmp_path):
+    def test_reconstruction_at_64x128_cap_1e4(self, tmp_path, refinements):
         # the passing edge of the accuracy map (README) one grid finer:
         # measured 1.40e-8, below RECONSTRUCTION_LIMIT (1e-6)
         record = harness.run_scenario(
             {"grid": {"N": 64, "M": 128}, "carleman": {"cap_ratio": 1e4},
              "experiment": {"kind": "linear-control"}}, tmp_path, seed=0)
         assert max(record.report["reconstruction"].values()) <= 1e-7
+        assert _corrections_gain(refinements)
 
     def test_reconstruction_beyond_limit_is_solver_error(self, tmp_path,
                                                          capsys):

@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from degcontrol import harness
+
 ROOT = Path(__file__).resolve().parents[1]
 TOOL = ROOT / "tools" / "same_outputs.py"
 
@@ -125,3 +127,14 @@ def test_scaled_drift_sets_moves_against_the_parents_scale(tmp_path):
     d = _outputs(tmp_path / "d", {}, header + "0,1e-3,2\n1,0,inf\n")
     assert tool.scaled_drift(a / "state.csv", c / "state.csv") == math.inf
     assert tool.scaled_drift(a / "state.csv", d / "state.csv") == math.inf
+
+
+def test_every_config_validates():
+    # a config that validation refused would compare two refusals
+    for name, spec in _tool().CONFIGS.items():
+        spec = json.loads(json.dumps(spec))
+        preset = spec.pop("preset", None)
+        config = harness.preset(preset).data if preset else {}
+        for section, fields in spec.items():
+            config.setdefault(section, {}).update(fields)
+        assert harness.validate_config(config) == [], name

@@ -98,6 +98,13 @@ CONFIGS = {
     "prop2-mu-sweep": {
         "preset": "prop2-mu-sweep",
     },
+    # a short horizon, where the targets' 1/rho0 profile spans the most
+    # decades
+    "nash-short-horizon": {
+        "grid": {"N": 16, "M": 16},
+        "geometry": {"T": 0.1},
+        "experiment": {"kind": "nash"},
+    },
     "forward-leader": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "forward", "h_amplitude": 0.5},
