@@ -127,6 +127,18 @@ _F = ("geometry.b_exp", "nonlinearity.kappa1", "nonlinearity.kappa2")
 # the kinds that run the F = 0 problem, whatever the label; every other
 # kind reads F, which READS leaves out
 F_ZERO_KINDS = ("linear-control", "mms-convergence")
+# the kinds whose subject is F, which build_run refuses under the label
+# `zero`, and why
+_NEEDS_F = {
+    "convexity": "a convexity run measures Prop 2's follower convexity, "
+                 "which F's second derivatives can break; with F = 0 the "
+                 "followers' problem is linear-quadratic and the margin "
+                 "does not depend on y0 or the targets",
+    "nonlinear-control": "a nonlinear-control run is Theorem 1's Newton "
+                         "loop on F; with F = 0 the loop's remainder is "
+                         "constant and its tolerance and step budget go "
+                         "unread",
+}
 _Y0 = ("experiment.y0_amplitude", "experiment.y0_mode")
 # the followers' couplings, but for their penalties
 _FOLLOWERS = ("game.windows.O1", "game.windows.O2", "game.windows.Od",
@@ -140,8 +152,9 @@ _HUM = ("game.windows.O", *_FOLLOWERS, *_MUS, *_WEIGHTS,
         "carleman.cap_ratio")
 READS = {
     "forward": (*_DOMAIN, *_Y0, "experiment.h_amplitude", "game.windows.O"),
-    "nash": (*_DOMAIN, *_Y0, "experiment.h_amplitude", "game.windows.O",
-             *_FOLLOWERS, *_MUS, "game.target_amplitude", *_WEIGHTS),
+    # O only as the support of h; the follower windows' ties accept it
+    "nash": (*_DOMAIN, *_Y0, "experiment.h_amplitude", *_FOLLOWERS, *_MUS,
+             "game.target_amplitude", *_WEIGHTS),
     # mu_grid sets both penalties
     "convexity": (*_DOMAIN, *_Y0, "experiment.mu_grid", *_FOLLOWERS,
                   "game.target_amplitude", *_WEIGHTS),
@@ -159,12 +172,6 @@ READS = {
 # meets O and [alpha_p, beta_p] lies inside O
 _LINKED = ("game.windows.O", "game.windows.O1", "game.windows.O2",
            "game.windows.Od", "carleman.alpha_p", "carleman.beta_p")
-
-
-def _domain(g: dict) -> MovingDomainSpec:
-    """The moving domain of a config's geometry section."""
-    return MovingDomainSpec(T=g["T"], family=g["family"], l0=g["l0"],
-                            k=g["k"], w=g["w"])
 
 
 def accepted_fields(cfg: dict) -> set:
@@ -186,11 +193,10 @@ def accepted_fields(cfg: dict) -> set:
         fields.discard("geometry.k")
     if g["family"] != "sinusoidal":  # w is the sinusoid's frequency
         fields.discard("geometry.w")
-    times = TimeMesh(cfg["grid"]["M"], g["T"]).times
-    if np.all(_domain(g).ell(times) == 1.0):
+    if g["family"] == "constant" and g["l0"] == 1.0:
         # the followers' time weight is l(t) = 1 with or without it
         fields.discard("game.jacobian_weighting")
-    if kind in ("forward", "nash") and cfg["experiment"]["h_amplitude"] == 0:
+    if kind == "forward" and cfg["experiment"]["h_amplitude"] == 0:
         # there O is only the support of the leader's source h
         fields.discard("game.windows.O")
     if kind in ("nash", "convexity") and cfg["game"]["target_amplitude"] == 0:
@@ -390,7 +396,9 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
     g, grid, game = cfg["geometry"], cfg["grid"], cfg["game"]
     deg = build("geometry", DegeneracySpec, g["alpha"])
     gw = build("geometry", GradientWeightSpec, g["b_exp"])
-    dom = build("geometry", lambda: _domain(g).validate())
+    dom = build("geometry", lambda: MovingDomainSpec(
+        T=g["T"], family=g["family"], l0=g["l0"], k=g["k"],
+        w=g["w"]).validate())
     grid_issues = [issue for bad, issue in (
         (not 8 <= grid["N"] <= 1024, "grid.N: supported range is [8, 1024]"),
         (not 8 <= grid["M"] <= 4096, "grid.M: supported range is [8, 4096]"),
@@ -411,6 +419,14 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
             issues.append(f"geometry: l(t) must be at least 1 on [0,T]; "
                           f"its least value is {ell[least]:.6g}, at "
                           f"t = {times[least]:.6g}")
+        # the coefficients read l and l' at the mesh times
+        if (mesh is not None and dom.family != "constant"
+                and np.all(ell == dom.l0)
+                and np.all(dom.l0 + dom.ell_prime(times) == dom.l0)):
+            issues.append(f"geometry: l(t) is l0 and l'(t) is below its "
+                          f"roundoff at every time of the mesh, so this "
+                          f"{dom.family} domain does not move; use family "
+                          f"constant")
     wins = game["windows"]
     window_issues = [f"game.windows.{name}: must satisfy 0 < a < b < 1"
                      for name in WINDOWS
@@ -423,9 +439,12 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
     if params is not None and windows is not None:
         # the bridge of Psi must lie inside the leader window O
         build("carleman", params.check_inside, windows.O)
-    nl = cfg["nonlinearity"]
+    nl, kind = cfg["nonlinearity"], cfg["experiment"]["kind"]
     if nl["label"] not in ("sinusoidal", "zero"):
         issues.append(f"nonlinearity.label: unknown label {nl['label']!r}")
+    elif nl["label"] == "zero" and kind in _NEEDS_F:
+        issues.append(f"nonlinearity.label: {_NEEDS_F[kind]}; use label "
+                      f"sinusoidal")
     prob = weights = None
     if None not in (deg, gw, dom, windows, nodes, mesh):
         prob = build("game.windows", CylinderProblem, deg, gw.attach(deg),
@@ -434,7 +453,7 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
         weights = build("carleman.lam", CarlemanWeights, params, deg, nodes,
                         mesh)
     exp = cfg["experiment"]
-    if exp["kind"] == "observability" and None not in (prob, weights):
+    if kind == "observability" and None not in (prob, weights):
         peak = log_observation_peak(prob, weights)
         if peak < _LOG_TINY:
             issues.append(f"carleman.m_floor: the observation weight has no "
@@ -457,9 +476,9 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
     for name in ("newton_tol", "tol_terminal"):
         if sv[name] <= 0:
             issues.append(f"solver.{name}: must be positive")
-    if exp["kind"] not in KINDS:
+    if kind not in KINDS:
         issues.append(
-            f"experiment.kind: {exp['kind']!r} not one of {', '.join(KINDS)}")
+            f"experiment.kind: {kind!r} not one of {', '.join(KINDS)}")
     if exp["samples"] < 1:
         issues.append("experiment.samples: must be at least 1")
     factors = exp["scale_factors"]

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from operator import attrgetter
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -96,6 +97,9 @@ class TestConfig:
         ({"l0": 1.0}, {"l0": 2.0}),
         ({"family": "sinusoidal", "k": 0.3, "w": 1.0},
          {"family": "sinusoidal", "k": 0.3, "w": 3.0}),
+        # l(t) = l0 at the 48 mesh times, but l'(t) is not 0 there
+        ({"family": "constant"},
+         {"family": "sinusoidal", "k": 1e-3, "w": 48 * np.pi}),
     ])
     def test_domain_fields_change_the_run(self, tmp_path, base, changed):
         reports = []
@@ -177,10 +181,10 @@ class TestBuildRun:
 
 
 # a valid value apart from its default for every field that some run
-# leaves unread
+# leaves unread, one that changes the outputs of the runs that read it
 _PERTURBED = {
     "geometry.b_exp": 3.0, "geometry.k": 0.5, "geometry.w": 2.0,
-    "game.windows.O": [0.2, 0.52], "game.windows.O1": [0.6, 0.7],
+    "game.windows.O": [0.34, 0.5], "game.windows.O1": [0.6, 0.7],
     "game.windows.O2": [0.7, 0.8], "game.windows.Od": [0.35, 0.65],
     "game.alpha1": 2.0, "game.alpha2": 0.5, "game.mu1": 2.0,
     "game.mu2": 3.0, "game.target_amplitude": 0.5,
@@ -191,7 +195,7 @@ _PERTURBED = {
     "carleman.beta_p": 0.47, "carleman.m_floor": 1e-3,
     "carleman.cap_ratio": 1e4,
     "solver.newton_tol": 1e-3, "solver.newton_max": 1,
-    "solver.tol_terminal": 1e-2,
+    "solver.tol_terminal": 1e-14,
     "experiment.y0_amplitude": 0.02, "experiment.y0_mode": "random",
     "experiment.h_amplitude": 0.5, "experiment.samples": 3,
     "experiment.scale_factors": [1.0, 2.0],
@@ -229,19 +233,37 @@ def _read(config) -> set:
     return harness.accepted_fields(harness.ScenarioConfig.from_dict(config).data)
 
 
-# the kinds that run the config's F
-_F_KINDS = [kind for kind in harness.KINDS if kind not in harness.F_ZERO_KINDS]
+# the kinds that accept the label `zero`: they run the config's F, and
+# their subject is not F itself
+_ZERO_KINDS = [kind for kind in harness.KINDS
+               if kind not in (*harness.F_ZERO_KINDS, *harness._NEEDS_F)]
 # the kinds whose followers' time weight is the Jacobian weighting's
 _WEIGHTED_KINDS = ("nash", "convexity", "observability", "linear-control",
                    "nonlinear-control")
-# the cases that refuse a field its run leaves unread: F's parameters
-# (harness._F) when F = 0, and the Jacobian weighting where l(t) is 1 at every time
-_INERT = [
-    *[(kind, {"nonlinearity": {"label": "zero"}}, name)
-      for kind in _F_KINDS for name in harness._F],
-    *[(kind, {"geometry": {"family": "constant"}}, "game.jacobian_weighting")
-      for kind in _WEIGHTED_KINDS],
-]
+_CONSTANT = {"geometry": {"family": "constant"}}
+_LABEL_ZERO = {"nonlinearity": {"label": "zero"}}
+_SINUSOIDAL = {"geometry": {"family": "sinusoidal"}}
+
+
+def _base(kind, condition):
+    return {"grid": {"N": 32, "M": 64}, **condition,
+            "experiment": {"kind": kind}}
+
+
+def _set_alone(base) -> list:
+    """The fields that the reverse check sets alone on `base`: those the
+    table accepts, but for the base's own values and the fields accepted
+    only because build_run ties them to one the run reads (_LINKED)."""
+    values = harness._flat(harness.ScenarioConfig.from_dict(base).data)
+    with mock.patch.object(harness, "_LINKED", ()):
+        read = _read(base)
+    return sorted(name for name in read & set(_PERTURBED)
+                  if _PERTURBED[name] != values[name])
+
+
+def _condition_id(condition):
+    return "-".join(f"{key}-{val}" for sec in condition.values()
+                    for key, val in sec.items()) or "defaults"
 
 
 class TestReads:
@@ -255,14 +277,11 @@ class TestReads:
 
     @pytest.mark.parametrize("kind, condition", [
         *[(kind, {}) for kind in harness.KINDS],
-        *[(kind, {"geometry": {"family": "constant"}})
-          for kind in harness.KINDS],
+        *[(kind, _CONSTANT) for kind in harness.KINDS],
         *[(kind, {"game": {"target_amplitude": 0.0}})
           for kind in ("nash", "convexity")],
-        *[(kind, {"nonlinearity": {"label": "zero"}}) for kind in _F_KINDS],
-    ], ids=lambda v: v if isinstance(v, str) else "-".join(
-        f"{key}-{val}" for sec in v.values() for key, val in sec.items())
-       or "defaults")
+        *[(kind, _LABEL_ZERO) for kind in _ZERO_KINDS],
+    ], ids=lambda v: v if isinstance(v, str) else _condition_id(v))
     def test_unread_fields_leave_the_run_unchanged(self, tmp_path,
                                                     monkeypatch, kind,
                                                     condition):
@@ -285,22 +304,49 @@ class TestReads:
             changed = _with(base, name, _PERTURBED[name])
             assert _outputs(changed, tmp_path / name) == expected, name
 
-    @pytest.mark.parametrize("kind", _F_KINDS)
+    @pytest.mark.parametrize("kind, condition", [
+        (kind, condition) for kind in harness.KINDS
+        for condition in ({}, _CONSTANT, _SINUSOIDAL, _LABEL_ZERO)
+        if (kind in _ZERO_KINDS or condition is not _LABEL_ZERO)
+        and _set_alone(_base(kind, condition))],
+        ids=lambda v: v if isinstance(v, str) else _condition_id(v))
+    def test_accepted_fields_change_the_run(self, tmp_path, kind, condition):
+        # every field the table accepts, set alone to its _PERTURBED
+        # value, changes the report or a CSV of the base run at (32,64)
+        base = _base(kind, condition)
+        expected = _outputs(base, tmp_path / "base")
+        refused, inert = [], []
+        for name in _set_alone(base):
+            try:
+                outputs = _outputs(_with(base, name, _PERTURBED[name]),
+                                   tmp_path / name)
+            except harness.ConfigError:
+                refused.append(name)
+                continue
+            if outputs == expected:
+                inert.append(name)
+        assert inert == []
+        # build_run refuses the label `zero` for a kind whose subject is F
+        assert refused == (["nonlinearity.label"]
+                           if kind in harness._NEEDS_F else [])
+
+    @pytest.mark.parametrize("kind", _ZERO_KINDS)
     def test_zero_label_is_accepted(self, kind):
-        config = {"grid": {"N": 16, "M": 16},
-                  "nonlinearity": {"label": "zero"},
+        config = {"grid": {"N": 16, "M": 16}, **_LABEL_ZERO,
                   "experiment": {"kind": kind}}
         assert harness.validate_config(config) == []
         assert not set(harness._F) & _read(config)
 
     @pytest.mark.parametrize("kind", _WEIGHTED_KINDS)
     @pytest.mark.parametrize("geometry, read", [
-        ({"family": "constant"}, False), ({"k": 0.0}, False),
+        ({"family": "constant"}, False),
         ({"family": "constant", "l0": 2.0}, True), ({}, True)],
-        ids=["constant", "affine-k0", "constant-l0-2", "affine"])
+        ids=["constant", "constant-l0-2", "affine"])
     def test_jacobian_weighting_needs_a_moving_time_weight(self, kind,
                                                            geometry, read):
-        # the field is read where l(t) differs from 1 at some mesh time
+        # the field is read where l(t) differs from 1 at some mesh time:
+        # on every domain but the constant one at l0 1, since build_run
+        # refuses a moving family that does not move at the mesh times
         config = {"grid": {"N": 16, "M": 16}, "geometry": geometry,
                   "game": {"jacobian_weighting": False},
                   "experiment": {"kind": kind}}
@@ -480,6 +526,28 @@ class TestRuns:
             "failure_reason": "budget"}
 
 
+def _unread_case(kind) -> tuple:
+    """A config of `kind` that sets one field its run does not read, and
+    the issue that names it."""
+    base = {"grid": _COARSE, "experiment": {"kind": kind}}
+    name = min(_FIELDS - _read(base))
+    return (_with(base, name, _PERTURBED[name]),
+            f"{name}: a {kind} run does not read this field")
+
+
+def _assert_config_error(tmp_path, capsys, command, config, text):
+    """`command` exits 2 on `config` with `text` on stderr, and writes no
+    output directory."""
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    args = [command, "--config", str(path)]
+    if command == "run":
+        args += ["--out", str(tmp_path / "out")]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert text in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 class TestCLI:
     def test_list(self, capsys):
         assert cli.main(["list"]) == cli.EXIT_OK
@@ -583,10 +651,8 @@ class TestCLI:
         ({"grid": _COARSE, "solver": {"newton_max": 3},
           "experiment": {"kind": "linear-control"}},
          "solver.newton_max: a linear-control run does not read this field"),
-        *[(_with({"grid": {"N": 16, "M": 16}, **condition,
-                  "experiment": {"kind": kind}}, name, _PERTURBED[name]),
-           f"{name}: a {kind} run does not read this field")
-          for kind, condition, name in _INERT],
+        # one such field per kind; TestReads checks the others
+        *map(_unread_case, harness.KINDS),
     ], ids=["study", "schema_version", "schema_version-negative", "samples",
             "scale_factors", "scale_factors-repeated", "N", "window",
             "budget_limit", "not-an-object", "lam", "m_floor", "bridge",
@@ -595,19 +661,32 @@ class TestCLI:
             "tol_terminal", "gamma-400", "mu_grid-zero", "mu_grid-negative",
             *[f"lam-overflow-{kind}" for kind in harness.KINDS],
             "window-without-node", "ell-affine", "ell-exponential",
-            "unread-field",
-            *[f"unread-{kind}-{name}" for kind, _, name in _INERT]])
+            "unread-field", *[f"unread-{kind}" for kind in harness.KINDS]])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
         # refused by validation, so neither command reaches a traceback
-        path = tmp_path / "c.json"
-        path.write_text(json.dumps(config))
-        args = [command, "--config", str(path)]
-        if command == "run":
-            args += ["--out", str(tmp_path / "out")]
-        assert cli.main(args) == cli.EXIT_CONFIG
-        assert f"error: {field}" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        _assert_config_error(tmp_path, capsys, command, config,
+                             f"error: {field}")
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("config, spelling", [
+        *[({"geometry": {"family": family, "k": 0.0}}, "use family constant")
+          for family in ("affine", "exponential", "sinusoidal")],
+        ({"geometry": {"family": "sinusoidal", "w": 0.0}},
+         "use family constant"),
+        ({"geometry": {"family": "exponential", "k": 1e-300}},
+         "use family constant"),
+        *[({**_LABEL_ZERO, "experiment": {"kind": kind}},
+           "use label sinusoidal") for kind in harness._NEEDS_F],
+    ], ids=["affine-k0", "exponential-k0", "sinusoidal-k0", "sinusoidal-w0",
+            "exponential-k1e-300", *[f"label-zero-{kind}"
+                                     for kind in harness._NEEDS_F]])
+    def test_disguised_run_is_config_error(self, tmp_path, capsys, command,
+                                           config, spelling):
+        # a spelling of another run: a moving family that does not move
+        # at the mesh times, or F = 0 for a kind whose subject is F
+        _assert_config_error(tmp_path, capsys, command,
+                             {"grid": _COARSE, **config}, spelling)
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_cap_below_one_is_config_error(self, tmp_path, capsys,
