@@ -1,9 +1,10 @@
 """Steer the linear degenerate equation to zero at time T.
 
-Builds the default desk-scale problem with F = 0, solves the weighted
-variational (HUM) problem for the leader control h, and prints the
-terminal norm, the weighted budget and the reconstruction residuals.
-Writes the controlled state and the control to CSV next to this script.
+Builds the problem of a default `linear-control` run (the desk-scale
+problem with F = 0), solves the weighted variational (HUM) problem for
+the leader control h, and prints the terminal norm, the weighted budget
+and the reconstruction residuals.  Writes the controlled state and the
+control to CSV next to this script.
 
 Run:  python3 demos/linear_null_control.py
 """
@@ -18,7 +19,7 @@ from degcontrol.solvers import dump_trajectory_csv
 
 out = Path(__file__).parent
 
-prob, weights, game = build_run({"nonlinearity": {"label": "zero"}})
+prob, weights, game = build_run({"experiment": {"kind": "linear-control"}})
 
 x = prob.grid.nodes
 y0 = 0.1 * np.sin(np.pi * x)

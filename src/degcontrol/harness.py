@@ -121,14 +121,14 @@ _DEFAULTS = {
 # validation accepts for a config.
 _DOMAIN = ("geometry.alpha", "geometry.family", "geometry.l0", "geometry.k",
            "geometry.w", "geometry.T", "grid.N", "grid.gamma", "grid.M")
-# F's parameters, and the gradient weight, which acts only through F's
-# argument; the label `zero` makes F = 0 at any of them
-_F = ("geometry.b_exp", "nonlinearity.kappa1", "nonlinearity.kappa2")
-# the kinds that run the F = 0 problem, whatever the label; every other
+# F's label and parameters, and the gradient weight, which acts only
+# through F's argument; F = 0 is kappa1 = kappa2 = 0
+_F = ("nonlinearity.label", "nonlinearity.kappa1", "nonlinearity.kappa2",
+      "geometry.b_exp")
+# the kinds that run the F = 0 problem, whatever the kappas; every other
 # kind reads F, which READS leaves out
 F_ZERO_KINDS = ("linear-control", "mms-convergence")
-# the kinds whose subject is F, which build_run refuses under the label
-# `zero`, and why
+# the kinds whose subject is F, which build_run refuses at F = 0, and why
 _NEEDS_F = {
     "convexity": "a convexity run measures Prop 2's follower convexity, "
                  "which F's second derivatives can break; with F = 0 the "
@@ -185,9 +185,10 @@ def accepted_fields(cfg: dict) -> set:
     kind = cfg["experiment"]["kind"]
     fields = {"schema_version", "experiment.kind", *READS[kind]}
     if kind not in F_ZERO_KINDS:
-        fields.add("nonlinearity.label")
-        if cfg["nonlinearity"]["label"] != "zero":
-            fields.update(_F)
+        fields.update(_F)
+    if cfg["nonlinearity"]["kappa2"] == 0:
+        # the gradient weight reaches a run only through kappa2 sin(w)
+        fields.discard("geometry.b_exp")
     g = cfg["geometry"]
     if g["family"] == "constant":  # l(t) = l0
         fields.discard("geometry.k")
@@ -440,11 +441,13 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
         # the bridge of Psi must lie inside the leader window O
         build("carleman", params.check_inside, windows.O)
     nl, kind = cfg["nonlinearity"], cfg["experiment"]["kind"]
-    if nl["label"] not in ("sinusoidal", "zero"):
-        issues.append(f"nonlinearity.label: unknown label {nl['label']!r}")
-    elif nl["label"] == "zero" and kind in _NEEDS_F:
-        issues.append(f"nonlinearity.label: {_NEEDS_F[kind]}; use label "
-                      f"sinusoidal")
+    if nl["label"] != "sinusoidal":
+        issues.append(f"nonlinearity.label: unknown label {nl['label']!r}; "
+                      f"the one label is sinusoidal, and F = 0 is kappa1 = "
+                      f"kappa2 = 0")
+    if kind in _NEEDS_F and nl["kappa1"] == nl["kappa2"] == 0:
+        issues.append(f"nonlinearity: {_NEEDS_F[kind]}; set kappa1 or "
+                      f"kappa2 apart from 0")
     prob = weights = None
     if None not in (deg, gw, dom, windows, nodes, mesh):
         prob = build("game.windows", CylinderProblem, deg, gw.attach(deg),
@@ -551,9 +554,9 @@ class RunRecord:
 
 
 def _build_F(cfg: dict) -> SemilinearF:
+    if cfg["experiment"]["kind"] in F_ZERO_KINDS:
+        return SemilinearF.sinusoidal(0.0, 0.0)
     nl = cfg["nonlinearity"]
-    if nl["label"] == "zero" or cfg["experiment"]["kind"] in F_ZERO_KINDS:
-        return SemilinearF.zero()
     return SemilinearF.sinusoidal(nl["kappa1"], nl["kappa2"])
 
 
@@ -662,8 +665,8 @@ def _run_convexity(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
     h = prob.new_field()
     margins = []
-    for mu in cfg["experiment"]["mu_grid"]:
-        game = replace(game, mu1=float(mu), mu2=float(mu))
+    for mu in map(float, cfg["experiment"]["mu_grid"]):
+        game = replace(game, mu1=mu, mu2=mu)
         state = nash_fixed_point(prob, game, h, y0, compute_residuals=False)
         m = convexity_margin(prob, game, state, rng)
         margins.append((mu, m["margin"], m["certified"]))
@@ -725,7 +728,8 @@ def _run_nonlinear_control(cfg, prob, weights, game, out, rng, outputs):
     base_y0 = _initial_data(cfg, prob, rng)
     hum = HUMSolver(prob, weights, game)
     results = {}
-    for factor in cfg["experiment"]["scale_factors"]:
+    # the report keys a factor as a float however the config spells it
+    for factor in map(float, cfg["experiment"]["scale_factors"]):
         y0 = factor * base_y0
         try:
             triple, history = solve_nonlinear_null_control(

@@ -33,11 +33,11 @@ class SemilinearF:
     D12: Evaluator
     D21: Evaluator
     D22: Evaluator
-    label: str = "custom"
 
     @classmethod
     def sinusoidal(cls, kappa1: float, kappa2: float) -> "SemilinearF":
-        """F(u,w) = kappa1 sin(u) + kappa2 sin(w); the config's default label.
+        """F(u,w) = kappa1 sin(u) + kappa2 sin(w), the config's label
+        `sinusoidal`; kappa1 = kappa2 = 0 is the linear case F = 0.
 
         C^2 with globally bounded derivatives and F(0,0)=0, and it
         exercises both arguments of F.
@@ -50,15 +50,7 @@ class SemilinearF:
             D12=lambda u, w: np.zeros_like(np.asarray(u, dtype=float)),
             D21=lambda u, w: np.zeros_like(np.asarray(u, dtype=float)),
             D22=lambda u, w: -kappa2 * np.sin(w) + 0.0 * u,
-            label=f"sinusoidal(k1={kappa1}, k2={kappa2})",
         )
-
-    @classmethod
-    def zero(cls) -> "SemilinearF":
-        """F == 0; the linear case."""
-        z = lambda u, w: np.zeros_like(np.asarray(u, dtype=float))
-        return cls(F=z, D1=z, D2=z, D11=z, D12=z, D21=z, D22=z,
-                   label="zero")
 
     def derivative_bound_report(self, box: float = 4.0, n: int = 2001) -> dict:
         """Sampled sup of |F| and all derivatives on [-box, box]^2."""

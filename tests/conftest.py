@@ -17,7 +17,7 @@ NEWTON = (_SOLVER["newton_tol"], _SOLVER["tol_terminal"],
           _SOLVER["newton_max"])
 
 # the config section of the F = 0 problem
-LINEAR = {"nonlinearity": {"label": "zero"}}
+LINEAR = {"nonlinearity": {"kappa1": 0.0, "kappa2": 0.0}}
 # the game section of a game without targets
 NO_TARGETS = {"target_amplitude": 0.0}
 # a game with unit weights and penalties, the Jacobian factor and no
@@ -98,13 +98,13 @@ def sine_data(prob, amplitude):
 
 def cubic_F():
     """F = u^3 + 2 sin(w): a nonlinearity that grows, unlike the default."""
-    zero = SemilinearF.zero().D12
+    zero = SemilinearF.sinusoidal(0.0, 0.0).D12
     return SemilinearF(
         F=lambda u, w: u**3 + 2.0 * np.sin(w),
         D1=lambda u, w: 3.0 * u**2 + 0.0 * w,
         D2=lambda u, w: 2.0 * np.cos(w) + 0.0 * u,
         D11=lambda u, w: 6.0 * u + 0.0 * w, D12=zero, D21=zero,
-        D22=lambda u, w: -2.0 * np.sin(w) + 0.0 * u, label="cubic")
+        D22=lambda u, w: -2.0 * np.sin(w) + 0.0 * u)
 
 
 def rel_gap(a, b):

@@ -189,8 +189,7 @@ _PERTURBED = {
     "game.alpha1": 2.0, "game.alpha2": 0.5, "game.mu1": 2.0,
     "game.mu2": 3.0, "game.target_amplitude": 0.5,
     "game.jacobian_weighting": False,
-    "nonlinearity.label": "zero", "nonlinearity.kappa1": 3.0,
-    "nonlinearity.kappa2": 1.0,
+    "nonlinearity.kappa1": 3.0, "nonlinearity.kappa2": 1.0,
     "carleman.s": 3.0, "carleman.lam": 0.9, "carleman.alpha_p": 0.32,
     "carleman.beta_p": 0.47, "carleman.m_floor": 1e-3,
     "carleman.cap_ratio": 1e4,
@@ -233,15 +232,19 @@ def _read(config) -> set:
     return harness.accepted_fields(harness.ScenarioConfig.from_dict(config).data)
 
 
-# the kinds that accept the label `zero`: they run the config's F, and
-# their subject is not F itself
-_ZERO_KINDS = [kind for kind in harness.KINDS
-               if kind not in (*harness.F_ZERO_KINDS, *harness._NEEDS_F)]
+# the kinds that run the config's F
+_F_KINDS = [kind for kind in harness.KINDS
+            if kind not in harness.F_ZERO_KINDS]
+# the kinds that accept F = 0: they run the config's F, and their subject
+# is not F itself
+_ZERO_KINDS = [kind for kind in _F_KINDS if kind not in harness._NEEDS_F]
 # the kinds whose followers' time weight is the Jacobian weighting's
 _WEIGHTED_KINDS = ("nash", "convexity", "observability", "linear-control",
                    "nonlinear-control")
 _CONSTANT = {"geometry": {"family": "constant"}}
-_LABEL_ZERO = {"nonlinearity": {"label": "zero"}}
+_KAPPAS_ZERO = {"nonlinearity": {"kappa1": 0.0, "kappa2": 0.0}}
+# F without its gradient term, so without the gradient weight
+_KAPPA2_ZERO = {"nonlinearity": {"kappa2": 0.0}}
 _SINUSOIDAL = {"geometry": {"family": "sinusoidal"}}
 
 
@@ -252,16 +255,15 @@ def _base(kind, condition):
 
 def _set_alone(base) -> list:
     """The fields that the reverse check sets alone on `base`: those the
-    table accepts, but for the base's own values and the fields accepted
-    only because build_run ties them to one the run reads (_LINKED)."""
-    values = harness._flat(harness.ScenarioConfig.from_dict(base).data)
+    table accepts, but for the fields accepted only because build_run
+    ties them to one the run reads (_LINKED)."""
     with mock.patch.object(harness, "_LINKED", ()):
-        read = _read(base)
-    return sorted(name for name in read & set(_PERTURBED)
-                  if _PERTURBED[name] != values[name])
+        return sorted(_read(base) & set(_PERTURBED))
 
 
 def _condition_id(condition):
+    if condition == _KAPPAS_ZERO:  # F = 0
+        return "kappas-zero"
     return "-".join(f"{key}-{val}" for sec in condition.values()
                     for key, val in sec.items()) or "defaults"
 
@@ -271,16 +273,19 @@ class TestReads:
         assert set(harness.READS) == set(harness.KINDS)
         for fields in harness.READS.values():
             assert set(fields) <= _FIELDS
-        assert _FIELDS - set(_PERTURBED) <= set.intersection(
-            *(_read({"experiment": {"kind": kind}})
-              for kind in harness.KINDS))
+        # a field without a _PERTURBED value is read by every kind, but
+        # for the label, which has no second value to set
+        assert _FIELDS - set(_PERTURBED) - {"nonlinearity.label"} <= (
+            set.intersection(*(_read({"experiment": {"kind": kind}})
+                               for kind in harness.KINDS)))
 
     @pytest.mark.parametrize("kind, condition", [
         *[(kind, {}) for kind in harness.KINDS],
         *[(kind, _CONSTANT) for kind in harness.KINDS],
         *[(kind, {"game": {"target_amplitude": 0.0}})
           for kind in ("nash", "convexity")],
-        *[(kind, _LABEL_ZERO) for kind in _ZERO_KINDS],
+        *[(kind, _KAPPAS_ZERO) for kind in _ZERO_KINDS],
+        *[(kind, _KAPPA2_ZERO) for kind in _F_KINDS],
     ], ids=lambda v: v if isinstance(v, str) else _condition_id(v))
     def test_unread_fields_leave_the_run_unchanged(self, tmp_path,
                                                     monkeypatch, kind,
@@ -290,7 +295,8 @@ class TestReads:
         # byte; under a condition, the fields it takes out of the table
         plain = {"grid": {"N": 16, "M": 16}, "experiment": {"kind": kind}}
         base = {**plain, **condition}
-        unread = (_read(plain) if condition else _FIELDS) - _read(base)
+        unread = ((_read(plain) if condition else set(_PERTURBED))
+                  - _read(base))
         assert unread
         for name in sorted(unread):
             changed = _with(base, name, _PERTURBED[name])
@@ -306,8 +312,10 @@ class TestReads:
 
     @pytest.mark.parametrize("kind, condition", [
         (kind, condition) for kind in harness.KINDS
-        for condition in ({}, _CONSTANT, _SINUSOIDAL, _LABEL_ZERO)
-        if (kind in _ZERO_KINDS or condition is not _LABEL_ZERO)
+        for condition in ({}, _CONSTANT, _SINUSOIDAL, _KAPPAS_ZERO,
+                          _KAPPA2_ZERO)
+        if (kind in _ZERO_KINDS or condition is not _KAPPAS_ZERO)
+        and (kind in _F_KINDS or condition is not _KAPPA2_ZERO)
         and _set_alone(_base(kind, condition))],
         ids=lambda v: v if isinstance(v, str) else _condition_id(v))
     def test_accepted_fields_change_the_run(self, tmp_path, kind, condition):
@@ -315,27 +323,18 @@ class TestReads:
         # value, changes the report or a CSV of the base run at (32,64)
         base = _base(kind, condition)
         expected = _outputs(base, tmp_path / "base")
-        refused, inert = [], []
-        for name in _set_alone(base):
-            try:
-                outputs = _outputs(_with(base, name, _PERTURBED[name]),
-                                   tmp_path / name)
-            except harness.ConfigError:
-                refused.append(name)
-                continue
-            if outputs == expected:
-                inert.append(name)
+        inert = [name for name in _set_alone(base)
+                 if _outputs(_with(base, name, _PERTURBED[name]),
+                             tmp_path / name) == expected]
         assert inert == []
-        # build_run refuses the label `zero` for a kind whose subject is F
-        assert refused == (["nonlinearity.label"]
-                           if kind in harness._NEEDS_F else [])
 
     @pytest.mark.parametrize("kind", _ZERO_KINDS)
-    def test_zero_label_is_accepted(self, kind):
-        config = {"grid": {"N": 16, "M": 16}, **_LABEL_ZERO,
+    def test_zero_kappas_are_accepted(self, kind):
+        # F = 0 reads the kappas, but not the gradient weight
+        config = {"grid": {"N": 16, "M": 16}, **_KAPPAS_ZERO,
                   "experiment": {"kind": kind}}
         assert harness.validate_config(config) == []
-        assert not set(harness._F) & _read(config)
+        assert set(harness._F) - _read(config) == {"geometry.b_exp"}
 
     @pytest.mark.parametrize("kind", _WEIGHTED_KINDS)
     @pytest.mark.parametrize("geometry, read", [
@@ -514,6 +513,24 @@ class TestRuns:
         for key in ("observability_max_ratio", "carleman_max_ratio"):
             assert reports[0]["report"][key] != reports[1]["report"][key]
 
+    @pytest.mark.parametrize("kind, field, numbers", [
+        ("nonlinear-control", "scale_factors", [1, 3]),
+        ("convexity", "mu_grid", [1, 5])], ids=["scale_factors", "mu_grid"])
+    def test_integers_in_a_list_run_as_floats(self, tmp_path, kind, field,
+                                               numbers):
+        # the report keys the scales and echoes the mus as floats, so an
+        # integer spelling writes the outputs of the float one; the report
+        # is compared as text, where 1 and 1.0 differ
+        outputs = []
+        for name, spelling in (("int", numbers),
+                               ("float", [float(x) for x in numbers])):
+            report, csvs = _outputs(
+                {"grid": {"N": 16, "M": 16},
+                 "experiment": {"kind": kind, field: spelling}},
+                tmp_path / name)
+            outputs.append((json.dumps(report, sort_keys=True), csvs))
+        assert outputs[0] == outputs[1]
+
     def test_newton_failure_reason(self, tmp_path):
         # 300x data still contracts when the Newton steps run out; the
         # failure keeps the class name and adds the reason
@@ -530,7 +547,7 @@ def _unread_case(kind) -> tuple:
     """A config of `kind` that sets one field its run does not read, and
     the issue that names it."""
     base = {"grid": _COARSE, "experiment": {"kind": kind}}
-    name = min(_FIELDS - _read(base))
+    name = min(set(_PERTURBED) - _read(base))
     return (_with(base, name, _PERTURBED[name]),
             f"{name}: a {kind} run does not read this field")
 
@@ -676,17 +693,35 @@ class TestCLI:
          "use family constant"),
         ({"geometry": {"family": "exponential", "k": 1e-300}},
          "use family constant"),
-        *[({**_LABEL_ZERO, "experiment": {"kind": kind}},
-           "use label sinusoidal") for kind in harness._NEEDS_F],
+        *[({"nonlinearity": {"label": "zero"}, "experiment": {"kind": kind}},
+           "error: nonlinearity.label: unknown label 'zero'; the one label "
+           "is sinusoidal, and F = 0 is kappa1 = kappa2 = 0")
+          for kind in harness.KINDS],
+        *[({**_KAPPAS_ZERO, "experiment": {"kind": kind}},
+           f"error: nonlinearity: {reason}; set kappa1 or kappa2 apart "
+           f"from 0") for kind, reason in harness._NEEDS_F.items()],
     ], ids=["affine-k0", "exponential-k0", "sinusoidal-k0", "sinusoidal-w0",
-            "exponential-k1e-300", *[f"label-zero-{kind}"
-                                     for kind in harness._NEEDS_F]])
+            "exponential-k1e-300",
+            *[f"label-zero-{kind}" for kind in harness.KINDS],
+            *[f"kappas-zero-{kind}" for kind in harness._NEEDS_F]])
     def test_disguised_run_is_config_error(self, tmp_path, capsys, command,
                                            config, spelling):
         # a spelling of another run: a moving family that does not move
-        # at the mesh times, or F = 0 for a kind whose subject is F
+        # at the mesh times, the label `zero` that F = 0 once had, or
+        # F = 0 for a kind whose subject is F
         _assert_config_error(tmp_path, capsys, command,
                              {"grid": _COARSE, **config}, spelling)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("kind", _F_KINDS)
+    def test_gradient_weight_without_kappa2_is_config_error(
+            self, tmp_path, capsys, command, kind):
+        # the gradient weight acts only through kappa2 sin(w)
+        config = {"grid": _COARSE, "geometry": {"b_exp": 3.0},
+                  **_KAPPA2_ZERO, "experiment": {"kind": kind}}
+        _assert_config_error(tmp_path, capsys, command, config,
+                             f"error: geometry.b_exp: a {kind} run does not "
+                             f"read this field")
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_cap_below_one_is_config_error(self, tmp_path, capsys,

@@ -129,12 +129,32 @@ def test_scaled_drift_sets_moves_against_the_parents_scale(tmp_path):
     assert tool.scaled_drift(a / "state.csv", d / "state.csv") == math.inf
 
 
-def test_every_config_validates():
-    # a config that validation refused would compare two refusals
+def _configs() -> dict:
+    """{name: the full config it runs} over the tool's CONFIGS."""
+    configs = {}
     for name, spec in _tool().CONFIGS.items():
         spec = json.loads(json.dumps(spec))
         preset = spec.pop("preset", None)
-        config = harness.preset(preset).data if preset else {}
+        config = (harness.preset(preset).data if preset
+                  else harness.default_config())
         for section, fields in spec.items():
-            config.setdefault(section, {}).update(fields)
+            config[section].update(fields)
+        configs[name] = config
+    return configs
+
+
+def test_every_config_validates():
+    # a config that validation refused would compare two refusals
+    for name, config in _configs().items():
         assert harness.validate_config(config) == [], name
+
+
+def test_one_config_runs_f_zero_on_a_kind_that_reads_f():
+    # nash-f-zero holds the kappas' spelling of F = 0 to its outputs; the
+    # other configs run the default F or a kind that runs F = 0 anyway
+    configs = _configs()
+    assert len(configs) == 19
+    assert [name for name, config in configs.items()
+            if config["experiment"]["kind"] not in harness.F_ZERO_KINDS
+            and config["nonlinearity"]["kappa1"] == 0.0
+            and config["nonlinearity"]["kappa2"] == 0.0] == ["nash-f-zero"]

@@ -8,10 +8,11 @@ from degcontrol.semilinear import SemilinearF, fd_consistency_report
 
 class TestCatalogue:
     def test_zero_is_zero(self):
-        f = SemilinearF.zero()
+        # F = 0 is the sinusoidal term at kappa1 = kappa2 = 0
+        f = SemilinearF.sinusoidal(0.0, 0.0)
         u = np.linspace(-1, 1, 5)
-        assert np.all(f.F(u, u) == 0.0)
-        assert np.all(f.D1(u, u) == 0.0)
+        for name in ("F", "D1", "D2", "D11", "D12", "D21", "D22"):
+            assert np.all(getattr(f, name)(u, u[::-1]) == 0.0), name
 
     def test_sinusoidal_values(self):
         f = SemilinearF.sinusoidal(kappa1=2.0, kappa2=0.5)
@@ -28,7 +29,7 @@ class TestCatalogue:
 
 class TestDerivativeConsistency:
     @pytest.mark.parametrize("f", [SemilinearF.sinusoidal(2.0, 2.0),
-                                   SemilinearF.zero()],
+                                   SemilinearF.sinusoidal(0.0, 0.0)],
                              ids=["sinusoidal", "zero"])
     def test_fd_consistency(self, f, rng):
         rep = fd_consistency_report(f, rng)

@@ -185,7 +185,7 @@ class TestSemilinearNewton:
     def test_nonlinearity_returning_its_argument(self):
         # F(u, w) = u hands back the trajectory's own rows; the residual
         # must not write into them
-        zero = SemilinearF.zero().D12
+        zero = SemilinearF.sinusoidal(0.0, 0.0).D12
         F = SemilinearF(F=lambda u, w: u, D1=lambda u, w: np.ones_like(u),
                         D2=zero, D11=zero, D12=zero, D21=zero, D22=zero)
         prob = with_F(build(16, 32)[0], F)

@@ -105,6 +105,12 @@ CONFIGS = {
         "geometry": {"T": 0.1},
         "experiment": {"kind": "nash"},
     },
+    # the one F = 0 run of a kind that reads F
+    "nash-f-zero": {
+        "grid": {"N": 32, "M": 64},
+        "nonlinearity": {"kappa1": 0.0, "kappa2": 0.0},
+        "experiment": {"kind": "nash"},
+    },
     "forward-leader": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "forward", "h_amplitude": 0.5},
