@@ -238,7 +238,7 @@ class CarlemanWeights:
         self.lam, self.lambda_min = _choose_lambda(params, psi_range)
         self.s = params.s
         lam = self.lam
-        self.theta, self.m, self.tau = eval_time_weights(params, mesh.T, t)
+        _, self.m, self.tau = eval_time_weights(params, mesh.T, t)
         fin = np.isfinite(self.tau)
         # A = tau (eta - E^3) < 0 with E^3 = e^{3 lambda |Psi|_inf}; every
         # rho is infinite once s tau E^3 overflows at the least tau
@@ -404,8 +404,8 @@ def adjoint_basis(prob, couplings):
 
     rho's source is alpha1 F1 + alpha2 F2, so the (phi, rho) of an F1
     or F2 column is alpha_i / a times that of the same mode fed to rho at
-    a, the alpha of largest magnitude, and every scaled column meets the
-    sweep tolerance when the swept one does.  So (phi, rho) sweeps only
+    a, the larger alpha, and every scaled column meets the sweep
+    tolerance when the swept one does.  So (phi, rho) sweeps only
     the sine, Fsrc and rho-source columns, with each source held only on
     its own columns; phi is scaled into the F1 and F2 slots, and psi1 and
     psi2 march once over every column.
@@ -421,8 +421,7 @@ def adjoint_basis(prob, couplings):
     s0, s1, s2 = (SINE_MODES + i * q for i in range(len(SOURCE_SLOTS)))
     phi = np.zeros((mesh.M + 1, s2 + q, grid.N - 1))
     phi[-1, :s0] = _sine_modes(grid)[:, 1:-1]
-    # with both alphas 0 rho has no source, and the swept columns scale to 0
-    a = max(couplings.alphas, key=abs) or 1.0
+    a = max(couplings.alphas)
     history = sweep_adjoint(prob, phi[:, :s2], couplings,
                             f0=(slice(s0, s1), modes),
                             f_rho=(slice(s1, s2), a * modes))

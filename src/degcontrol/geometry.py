@@ -12,8 +12,7 @@ All objects here are immutable value types; solver modules share them freely.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,61 +68,58 @@ class GradientWeightSpec:
         beta**2 <= a,   (beta**2)' <= 2 a',   beta' <= M (finite).
 
     For a = x**alpha with alpha < 1 the raw beta = x**b violates the
-    derivative condition away from the origin, so we scale by the largest
-    constant c <= 1 making all conditions hold nodewise (clipping).
+    derivative condition away from the origin, so beta is scaled by the
+    largest constant c <= 1 making all conditions hold nodewise (clipping);
+    c depends on the degeneracy a, so beta is evaluated with it.
     """
 
     b_exp: float
-    # filled in by `attach`, kept out of __init__
-    clip_factor: float = field(default=1.0, compare=False)
-    M: float = field(default=np.nan, compare=False)
 
     def __post_init__(self):
         if self.b_exp <= 1.0:
             raise ValueError(f"b_exp must exceed 1, got {self.b_exp}")
 
-    def attach(self, deg: DegeneracySpec) -> "GradientWeightSpec":
-        """Return a copy with clip_factor and the derivative bound M computed.
+    def clip_factor(self, deg: DegeneracySpec) -> float:
+        """The largest admissible c for beta = c x**b, in closed form.
 
-        The largest admissible c for beta = c x**b is found in closed form:
         beta**2 <= a needs c**2 x**(2b) <= x**alpha on (0,1], worst at x=1,
         so c <= 1; (beta**2)' <= 2a' needs 2 b c**2 x**(2b-1) <= 2 alpha
         x**(alpha-1), worst at x=1, so c**2 <= alpha/b.
         `beta_condition_report` checks both at the nodes.
         """
-        c = min(1.0, np.sqrt(deg.alpha / self.b_exp))
-        x = np.linspace(0.0, 1.0, 512)[1:]
-        m_bound = float(np.max(self.b_exp * c * x ** (self.b_exp - 1.0)))
-        return GradientWeightSpec(b_exp=self.b_exp, clip_factor=c, M=m_bound)
+        return min(1.0, np.sqrt(deg.alpha / self.b_exp))
 
-    def beta(self, x):
-        """Evaluate beta(x) = clip_factor * x**b_exp, x >= 0."""
+    def beta(self, x, deg: DegeneracySpec):
+        """Evaluate beta(x) = clip_factor(deg) * x**b_exp, x >= 0."""
         x = np.asarray(x, dtype=float)
         if np.any(x < 0):
             raise ValueError("beta(x) requires x >= 0")
-        return self.clip_factor * x**self.b_exp
+        return self.clip_factor(deg) * x**self.b_exp
 
 
 def beta_condition_report(gw: GradientWeightSpec, deg: DegeneracySpec, n: int = 512) -> dict:
     """Nodewise check of the three gradient-weight conditions.
 
-    Returns a dict with boolean verdicts and the largest violation margin
+    Returns a dict with boolean verdicts, the clip factor, the derivative
+    bound M = max beta' over the nodes, and the largest violation margin
     of the raw (unclipped) beta for reference.
     """
     x = np.linspace(0.0, 1.0, n)[1:]
-    b = gw.beta(x)
+    c = gw.clip_factor(deg)
+    b = gw.beta(x, deg)
     raw = x**gw.b_exp
+    m_bound = float(np.max(gw.b_exp * c * x ** (gw.b_exp - 1.0)))
     report = {
         "beta_sq_le_a": bool(np.all(b**2 <= deg.a(x) * (1 + 1e-12))),
         "beta_sq_prime_le_2a_prime": bool(
             np.all(
-                2 * gw.b_exp * gw.clip_factor**2 * x ** (2 * gw.b_exp - 1)
+                2 * gw.b_exp * c**2 * x ** (2 * gw.b_exp - 1)
                 <= 2 * deg.a_prime(x) * (1 + 1e-12)
             )
         ),
-        "beta_prime_bounded": np.isfinite(gw.M),
-        "M": float(gw.M),
-        "clip_factor": float(gw.clip_factor),
+        "beta_prime_bounded": np.isfinite(m_bound),
+        "M": m_bound,
+        "clip_factor": float(c),
         "raw_violation_margin": float(
             np.max(2 * gw.b_exp * raw**2 / x - 2 * deg.a_prime(x) * x**0)
         ),
@@ -150,7 +146,9 @@ class MovingDomainSpec:
       sinusoidal   l(t) = l0 * (1 + k sin(w t)),  |k| < 1
 
     Each family has an analytic derivative, so no numerical
-    differentiation of user input is ever needed.
+    differentiation of user input is ever needed.  l(t) > 0 on [0,T] is
+    checked at t = 0 and t = T: the constant, affine and exponential
+    families are monotone, and the sinusoid stays positive by |k| < 1.
     """
 
     T: float
@@ -169,6 +167,8 @@ class MovingDomainSpec:
             faults.append("sinusoidal family needs |k| < 1 to keep l > 0")
         if faults:
             raise ValueError("; ".join(faults))
+        if np.any(self.ell([0.0, self.T]) <= 0):
+            raise ValueError("l(t) must stay positive on [0,T]")
 
     def ell(self, t):
         t = np.asarray(t, dtype=float)
@@ -190,25 +190,15 @@ class MovingDomainSpec:
             return self.l0 * self.k * np.exp(self.k * t)
         return self.l0 * self.k * self.w * np.cos(self.w * t)
 
-    def validate(self, n: int = 257) -> "MovingDomainSpec":
-        """Returns self once l(t) > 0 on n points of [0,T]."""
-        t = np.linspace(0.0, self.T, n)
-        l = self.ell(t)
-        if np.any(l <= 0):
-            raise ValueError("l(t) must stay positive on [0,T]")
-        return self
-
     def coefficients(self, deg: DegeneracySpec, gw: GradientWeightSpec, t):
         """Cylinder coefficients (b(t), B(t), C(t)) at time t."""
         t = np.asarray(t, dtype=float)
         if np.any(t < -1e-14) or np.any(t > self.T + 1e-14):
             raise ValueError("t outside [0,T]")
         l = self.ell(t)
-        if np.any(l <= 0):
-            raise ValueError("l(t) <= 0: invalid moving domain")
         b_t = deg.a(l) / l**2
         big_b = self.ell_prime(t) / l
-        c_t = gw.beta(l) / l
+        c_t = gw.beta(l, deg) / l
         return b_t, big_b, c_t
 
 

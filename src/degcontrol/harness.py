@@ -397,9 +397,8 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
     g, grid, game = cfg["geometry"], cfg["grid"], cfg["game"]
     deg = build("geometry", DegeneracySpec, g["alpha"])
     gw = build("geometry", GradientWeightSpec, g["b_exp"])
-    dom = build("geometry", lambda: MovingDomainSpec(
-        T=g["T"], family=g["family"], l0=g["l0"], k=g["k"],
-        w=g["w"]).validate())
+    dom = build("geometry", MovingDomainSpec, T=g["T"], family=g["family"],
+                l0=g["l0"], k=g["k"], w=g["w"])
     grid_issues = [issue for bad, issue in (
         (not 8 <= grid["N"] <= 1024, "grid.N: supported range is [8, 1024]"),
         (not 8 <= grid["M"] <= 4096, "grid.M: supported range is [8, 4096]"),
@@ -409,9 +408,9 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
     nodes = mesh = None
     if not grid_issues:
         nodes = build("grid", SpatialGrid, grid["N"], grid["gamma"])
+    if 8 <= grid["M"] <= 4096 and g["T"] > 0:
+        mesh = TimeMesh(grid["M"], g["T"])
     if dom is not None:
-        if 8 <= grid["M"] <= 4096:
-            mesh = TimeMesh(grid["M"], g["T"])
         # the paper's l(t) >= 1, over the mesh times (l0 without a mesh)
         times = mesh.times if mesh is not None else np.zeros(1)
         ell = dom.ell(times)
@@ -450,8 +449,8 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
                       f"kappa2 apart from 0")
     prob = weights = None
     if None not in (deg, gw, dom, windows, nodes, mesh):
-        prob = build("game.windows", CylinderProblem, deg, gw.attach(deg),
-                     dom, windows, nodes, mesh, _build_F(cfg))
+        prob = build("game.windows", CylinderProblem, deg, gw, dom, windows,
+                     nodes, mesh, _build_F(cfg))
     if None not in (params, deg, nodes, mesh):
         weights = build("carleman.lam", CarlemanWeights, params, deg, nodes,
                         mesh)
@@ -462,17 +461,19 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
             issues.append(f"carleman.m_floor: the observation weight has no "
                           f"mass on O at this grid (its largest term is "
                           f"e^{peak:.4g})")
+    target1 = target2 = None
+    if (prob is not None and weights is not None
+            and game["target_amplitude"] != 0.0):
+        target1, target2 = make_default_targets(prob, weights,
+                                                game["target_amplitude"])
     spec = build("game", GameSpec, alpha1=game["alpha1"],
                  alpha2=game["alpha2"], mu1=game["mu1"], mu2=game["mu2"],
-                 jacobian_weighting=game["jacobian_weighting"])
+                 jacobian_weighting=game["jacobian_weighting"],
+                 target1=target1, target2=target2)
     if spec is not None:
         for mu in exp["mu_grid"]:
             build("experiment.mu_grid", replace, spec, mu1=float(mu),
                   mu2=float(mu))
-        if (prob is not None and weights is not None
-                and game["target_amplitude"] != 0.0):
-            spec.target1, spec.target2 = make_default_targets(
-                prob, weights, game["target_amplitude"])
     sv = cfg["solver"]
     if sv["newton_max"] < 1:
         issues.append("solver.newton_max: must be at least 1")

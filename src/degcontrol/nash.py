@@ -57,7 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class GameSpec:
     """Weights, penalties and targets of the two-follower game.
 

@@ -206,9 +206,8 @@ class CylinderProblem:
     """Bundle of all static data for one discrete cylinder problem.
 
     Holds the geometry specs, grid/mesh, nonlinearity and the cached
-    per-level base operators L0_n = b_n W^{-1}A + upwind(-B_n x).  gw
-    must be attached to deg, and every window must hold an interior node
-    of the grid.
+    per-level base operators L0_n = b_n W^{-1}A + upwind(-B_n x).  Every
+    window must hold an interior node of the grid.
     """
 
     def __init__(self, deg: DegeneracySpec, gw: GradientWeightSpec,
@@ -223,7 +222,7 @@ class CylinderProblem:
         self.b_t = np.atleast_1d(b)
         self.B_t = np.atleast_1d(B)
         self.C_t = np.atleast_1d(C)
-        self.beta_i = gw.beta(self.xi)
+        self.beta_i = gw.beta(self.xi, deg)
         self.Dc_bands = central_gradient_bands(grid)
         self._lin_ops = None
         self._ind = {}
@@ -690,9 +689,9 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     As tracking_i = alpha_i wt 1_Od, phi sees the followers only through
     rho = alpha1 psi1 + alpha2 psi2, the solution of the same forward
     equation with source alpha1 F1 + alpha2 F2 and coupling c_rho =
-    alpha1 control_1 + alpha2 control_2 (a follower whose alpha is 0
-    drops out of both).  `sweep_adjoint` sweeps phi and rho, then
-    `march_followers` marches psi1 and psi2 once from the converged phi.
+    alpha1 control_1 + alpha2 control_2.  `sweep_adjoint` sweeps phi and
+    rho, then `march_followers` marches psi1 and psi2 once from the
+    converged phi.
     phiT holds k terminal rows (k, N+1), each source is None or an array
     (k, M+1, N+1), and all k columns sweep in one solve per level until
     the largest update of rho is at most _SWEEP_TOL.  Raises
@@ -716,7 +715,7 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
 
     f0, f1, f2 = source(Fsrc), source(F1), source(F2)
     terms = [a * f[1] for a, f in zip(couplings.alphas, (f1, f2))
-             if a != 0.0 and f is not None]
+             if f is not None]
     f_rho = (slice(0, k), sum(terms)) if terms else None
     phi = np.zeros((M + 1, k, n))
     phi[M] = _interior(terminal)

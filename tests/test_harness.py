@@ -143,6 +143,32 @@ class TestBuildRun:
             "geometry: alpha must lie in (0,1), got 1.5",
             "grid.N: supported range is [8, 1024]"]
 
+    @pytest.mark.parametrize("geometry, issue", [
+        ({"family": "bogus"},
+         "geometry: unknown ell family 'bogus'; options: ('constant', "
+         "'affine', 'exponential', 'sinusoidal')"),
+        ({"family": "affine", "k": -2.0},
+         "geometry: l(t) must stay positive on [0,T]"),
+    ], ids=["family", "positive"])
+    def test_refused_domain_keeps_the_mesh_issues(self, geometry, issue):
+        # the time mesh needs only grid.M and T, so the Carleman weights
+        # are still built and checked beside a refused domain
+        assert harness.validate_config(
+            {"geometry": geometry, "carleman": {"lam": 0.001}}) == [
+            issue, "carleman.lam: lambda=0.001 below admissible minimum "
+                   "0.6175"]
+
+    def test_negative_horizon_reported_once(self):
+        assert harness.validate_config({"geometry": {"T": -1.0}}) == [
+            "geometry: T must be positive"]
+
+    def test_alpha_and_b_exp_both_reported(self):
+        # the gradient weight is built from b_exp alone
+        assert harness.validate_config(
+            {"geometry": {"alpha": 1.5, "b_exp": 0.5}}) == [
+            "geometry: alpha must lie in (0,1), got 1.5",
+            "geometry: b_exp must exceed 1, got 0.5"]
+
     def test_returns_the_run_s_triple(self, tmp_path, monkeypatch):
         config = {"grid": {"N": 16, "M": 16}, "game": {"mu2": 3.0},
                   "experiment": {"kind": "nash"}}

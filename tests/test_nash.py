@@ -2,7 +2,7 @@
 
 import json
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -56,6 +56,25 @@ class TestTargets:
         for target in (game.target1, game.target2):
             assert np.all(np.isfinite(target.values))
         assert np.max(game.target1.values) <= 1.0
+
+    def test_game_is_built_with_its_targets(self):
+        # build_run passes the targets to the spec it builds; a zero
+        # amplitude builds none, which the game reads as zero targets
+        config = {"grid": {"N": 16, "M": 16}, "experiment": {"kind": "nash"}}
+        prob, weights, game = harness.build_run(config)
+        expected = nash.make_default_targets(prob, weights, 1.0)
+        for got, want in zip((game.target1, game.target2), expected):
+            assert np.array_equal(got.values, want.values)
+        config["game"] = {"target_amplitude": 0.0}
+        prob, _, game = harness.build_run(config)
+        assert game.target1 is None and game.target2 is None
+        assert all(not np.any(t.values) for t in game.targets(prob))
+
+    def test_game_is_frozen(self):
+        with pytest.raises(FrozenInstanceError):
+            UNIT_GAME.mu1 = 2.0
+        with pytest.raises(FrozenInstanceError):
+            UNIT_GAME.target1 = None
 
     def test_short_horizon_nash_run(self, tmp_path):
         path = tmp_path / "c.json"

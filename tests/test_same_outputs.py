@@ -153,8 +153,17 @@ def test_one_config_runs_f_zero_on_a_kind_that_reads_f():
     # nash-f-zero holds the kappas' spelling of F = 0 to its outputs; the
     # other configs run the default F or a kind that runs F = 0 anyway
     configs = _configs()
-    assert len(configs) == 19
+    assert len(configs) == 21
     assert [name for name, config in configs.items()
             if config["experiment"]["kind"] not in harness.F_ZERO_KINDS
             and config["nonlinearity"]["kappa1"] == 0.0
             and config["nonlinearity"]["kappa2"] == 0.0] == ["nash-f-zero"]
+
+
+def test_every_family_and_a_second_gradient_weight_run():
+    # the domain check and the gradient weight's clip see each family,
+    # and a b_exp apart from the default 2
+    configs = _configs().values()
+    families = {config["geometry"]["family"] for config in configs}
+    assert families == {"constant", "affine", "exponential", "sinusoidal"}
+    assert any(config["geometry"]["b_exp"] != 2.0 for config in configs)

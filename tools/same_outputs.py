@@ -115,6 +115,18 @@ CONFIGS = {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "forward", "h_amplitude": 0.5},
     },
+    # the one run on the sinusoidal family
+    "forward-sinusoidal": {
+        "grid": {"N": 32, "M": 64},
+        "geometry": {"family": "sinusoidal", "l0": 1.5, "k": 0.3, "w": 6.0},
+        "experiment": {"kind": "forward"},
+    },
+    # the one run on the exponential family, and with b_exp apart from 2
+    "nash-exponential": {
+        "grid": {"N": 32, "M": 64},
+        "geometry": {"family": "exponential", "k": 0.2, "b_exp": 3.0},
+        "experiment": {"kind": "nash"},
+    },
     "diagnostics": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "diagnostics"},
