@@ -25,9 +25,8 @@ level by level (level_order) it is a band matrix of lower bandwidth
 3(N-1)+1.  A shifted copy is factored by a banded Cholesky (LAPACK
 dpbtrf), which fills nothing outside the band and needs no
 fill-reducing ordering.  The shift sits at the roundoff floor of the
-factor, SHIFT = 1e-15; if dpbtrf meets a non-positive pivot the copy
-is factored again at 10x, 100x and 1000x the shift, and HUMError is
-raised only when all four rungs fail.
+factor, SHIFT = 1e-15; if dpbtrf meets a non-positive pivot, HUMError
+is raised.
 One step of iterative refinement against the unshifted operator, with
 extended-precision CSR residuals, corrects the shifted solve, and the
 corrected iterate is the solution: the correction cuts the residual by
@@ -91,11 +90,8 @@ RESIDUAL_LIMIT = 1e-6
 # largest reconstruction residual (HUMSolver._consistency) that is accepted
 RECONSTRUCTION_LIMIT = 1e-6
 # diagonal shift of the factored copy of the scaled normal operator, at
-# the roundoff floor of the band factor.  A copy that dpbtrf finds
-# indefinite is rebuilt and factored again at ten times the shift, up to
-# SHIFT_RUNGS rungs in all: 1e-15, 1e-14, 1e-13 and 1e-12
+# the roundoff floor of the band factor
 SHIFT = 1e-15
-SHIFT_RUNGS = 4
 
 
 class HUMError(RuntimeError):
@@ -330,20 +326,11 @@ class HUMSolver:
         # of the continuous problem; factor a shifted copy and correct by
         # iterative refinement against the true matrix (the load is in the
         # numerical range, so the refinement converges there).  The shifted
-        # copy is SPD and, numbered level by level, a band matrix.  dpbtrf
-        # overwrites a band it fails on, so each rung builds its own
+        # copy is SPD and, numbered level by level, a band matrix
         perm = level_order(M, n)
-        for self.rung in range(SHIFT_RUNGS):
-            self.shift = SHIFT * 10.0 ** self.rung
-            ab = lower_band(self.Bs, perm)
-            ab[0] += self.shift
-            try:
-                self.lu = BandCholesky(ab, perm)
-                break
-            except HUMError:
-                if self.rung == SHIFT_RUNGS - 1:
-                    raise
-            del ab  # free the failed band before the next rung builds one
+        ab = lower_band(self.Bs, perm)
+        ab[0] += SHIFT
+        self.lu = BandCholesky(ab, perm)
         # extended-precision values on the index arrays of Bs, for the
         # refinement residuals
         self._Bld = sp.csr_matrix((B.data.astype(np.longdouble), B.indices,
@@ -401,8 +388,7 @@ class HUMSolver:
             z = zl.astype(float) / self.scale
         cg_info = {"relative_residual": rel_res, "iterations": 0,
                    "refinement_residuals": [float(r / fnorm)
-                                            for r in history],
-                   "shift": self.shift, "rung": self.rung}
+                                            for r in history]}
         triple = self._reconstruct(z, y0, load, cg_info)
         worst = np.max(list(triple.residuals.values()))
         if not worst <= RECONSTRUCTION_LIMIT:

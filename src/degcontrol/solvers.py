@@ -574,7 +574,7 @@ def _span(coupling: np.ndarray) -> slice:
     """The interior nodes, first to last, at which the coupling
     (M+1, N-1) is nonzero on some level; it is zero off them."""
     nodes = np.flatnonzero(np.any(coupling != 0.0, axis=0))
-    return slice(nodes[0], nodes[-1] + 1) if nodes.size else slice(0, 0)
+    return slice(nodes[0], nodes[-1] + 1)
 
 
 def _levels(src, levels: slice):

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from degcontrol.geometry import DegeneracySpec
 from degcontrol.grids import SpatialGrid, TimeMesh, TrajectoryField, integral_q
 from degcontrol.nash import _dL_transpose_apply
-from degcontrol.nullcontrol import (BandCholesky, HUMSolver, _hum_blocks,
-                                    _nonlinear_remainders, _remainder_parts,
-                                    h1a_norm, level_order, lower_band)
+from degcontrol.nullcontrol import (SHIFT, BandCholesky, HUMSolver,
+                                    _hum_blocks, _nonlinear_remainders,
+                                    _remainder_parts, h1a_norm, level_order,
+                                    lower_band)
 from degcontrol.operators import (band_apply, band_transpose, drift_bands,
                                   weighted_transpose)
 from degcontrol.mms import (manufactured_source, space_order_study,
@@ -373,7 +374,7 @@ class TestBandOperators:
         assert np.shares_memory(hum._Bld.indices, hum.Bs.indices)
         perm = level_order(M, n)
         ab = lower_band(Bs, perm)
-        ab[0] += hum.shift
+        ab[0] += SHIFT
         assert np.array_equal(hum.lu.band, BandCholesky(ab, perm).band)
 
     def test_dL_transpose_equals_levelwise_sparse(self, prob_small, rng):

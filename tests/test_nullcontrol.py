@@ -1,6 +1,7 @@
 """HUM solves, superposition, residuals and the Newton loop."""
 
 import copy
+import itertools
 import json
 
 import numpy as np
@@ -289,7 +290,7 @@ def _splu_reference(hum: HUMSolver) -> HUMSolver:
     shifted operator."""
     ref = copy.copy(hum)
     ref.lu = spla.splu(
-        (hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])).tocsc())
+        (hum.Bs + nullcontrol.SHIFT * sp.identity(hum.Bs.shape[0])).tocsc())
     return ref
 
 
@@ -335,7 +336,7 @@ class TestFactorization:
 
     def test_factor_reproduces_shifted_operator(self, coarse):
         hum = coarse[3]
-        A = hum.Bs + hum.shift * sp.identity(hum.Bs.shape[0])
+        A = hum.Bs + nullcontrol.SHIFT * sp.identity(hum.Bs.shape[0])
         f = np.random.default_rng(0).standard_normal(A.shape[0])
         x = hum.lu.solve(f)
         # backward residual; measured 2.6e-18
@@ -354,12 +355,12 @@ class TestFactorization:
 
     def test_matches_default_splu_reference(self, coarse, monkeypatch):
         # the two factors agree on the solution only where the shift pins
-        # the near-null part of the minimizer: at the 1e-12 rung.  At the
-        # default shift y and h differ by 2e-6 and 6e-5 (ROADMAP defect 1)
+        # the near-null part of the minimizer: at a shift of 1e-12.  At
+        # the default shift y and h differ by 2e-6 and 6e-5 (ROADMAP
+        # defect 1)
         prob, weights, game = coarse[:3]
         monkeypatch.setattr(nullcontrol, "SHIFT", 1e-12)
         hum = HUMSolver(prob, weights, game)
-        assert hum.shift == 1e-12
         y0 = sine_data(prob, 0.1)
         a, b = hum.solve(y0), _splu_reference(hum).solve(y0)
 
@@ -386,17 +387,29 @@ class TestFactorization:
         assert b.budget_constant == pytest.approx(a.budget_constant,
                                                   rel=1e-8)
 
-    def test_shift_ladder(self, coarse, monkeypatch):
+    def test_indefinite_shift_raises(self, coarse, monkeypatch):
         prob, weights, game, hum = coarse
-        assert (hum.shift, hum.rung) == (nullcontrol.SHIFT, 0)
-        # 1e-17 and 1e-16 leave the (32,64) copy indefinite in double
-        # precision; the ladder lands on the third rung
+        info = hum.solve(sine_data(prob, 0.1)).cg_info
+        assert set(info) == {"relative_residual", "iterations",
+                             "refinement_residuals"}
+        # 1e-17 leaves the (32,64) copy indefinite in double precision,
+        # and the build factors once
         monkeypatch.setattr(nullcontrol, "SHIFT", 1e-17)
-        laddered = HUMSolver(prob, weights, game)
-        assert laddered.rung == 2
-        assert laddered.shift == pytest.approx(1e-15)
-        info = laddered.solve(sine_data(prob, 0.1)).cg_info
-        assert (info["shift"], info["rung"]) == (laddered.shift, 2)
+        with pytest.raises(nullcontrol.HUMError,
+                           match="HUM factorization failed"):
+            HUMSolver(prob, weights, game)
+
+    def test_small_builds_factor_at_shift(self):
+        # every build of this sweep factors at SHIFT, the short horizons
+        # whose solves fail included (README)
+        for T, alpha, cap_ratio, family in itertools.product(
+                (0.1, 0.25, 1.0, 4.0), (0.2, 0.9), (1e3, 1e7),
+                ("affine", "constant")):
+            prob, weights, game = build(
+                16, 16, geometry={"T": T, "alpha": alpha, "family": family},
+                carleman={"cap_ratio": cap_ratio},
+                experiment={"kind": "linear-control"})
+            HUMSolver(prob, weights, game)
 
     def test_refinement_residuals(self, coarse):
         prob, hum = coarse[0], coarse[3]

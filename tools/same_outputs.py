@@ -74,6 +74,13 @@ CONFIGS = {
         "grid": {"N": 64, "M": 128},
         "experiment": {"kind": "linear-control"},
     },
+    # the shortest horizon at which the default alpha's solve passes at
+    # this grid, where the weights span the most decades
+    "linear-control-short-horizon": {
+        "grid": {"N": 32, "M": 64},
+        "geometry": {"T": 0.25},
+        "experiment": {"kind": "linear-control"},
+    },
     "linear-control-unweighted": {
         "grid": {"N": 32, "M": 64},
         "game": {"jacobian_weighting": False, "alpha1": 2.0, "mu2": 3.0},
