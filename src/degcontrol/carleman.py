@@ -75,12 +75,6 @@ class CarlemanParams:
         if faults:
             raise ValueError("; ".join(faults))
 
-    def check_inside(self, window: tuple) -> None:
-        lo, hi = window
-        if not (lo < self.alpha_p and self.beta_p < hi):
-            raise ValueError(
-                f"[alpha', beta']=[{self.alpha_p},{self.beta_p}] not inside O={window}")
-
 
 class PsiFunction:
     """C^2 spatial profile Psi on [0,1].
@@ -433,6 +427,17 @@ def adjoint_basis(prob, couplings):
                            f2=(slice(s2, s2 + q), modes))
 
 
+def _log_weight(weights: CarlemanWeights) -> tuple:
+    """(2s(A-Aref), log(s lam zeta)) on levels 1..M, shape (M, N+1): the
+    log of the forms' weight of power p is the first plus p times the
+    second, -inf at t = T (where A = -inf)."""
+    A = weights.A[1:]
+    log2sA = 2 * weights.s * (A - weights.A_reference())
+    lsz = (np.log(weights.s * weights.lam)
+           + np.log(np.where(np.isfinite(A), weights.zeta()[1:], 1.0)))
+    return log2sA, lsz
+
+
 def weight_roots(prob, weights: CarlemanWeights) -> tuple:
     """Square roots of the forms' weights on levels 1..M, with the
     quadrature folded in.
@@ -447,10 +452,7 @@ def weight_roots(prob, weights: CarlemanWeights) -> tuple:
     the Gram matrix of weighted columns.
     """
     grid, dt = prob.grid, prob.mesh.dt
-    A = weights.A[1:]
-    log2sA = 2 * weights.s * (A - weights.A_reference())
-    lsz = (np.log(weights.s * weights.lam)
-           + np.log(np.where(np.isfinite(A), weights.zeta()[1:], 1.0)))
+    log2sA, lsz = _log_weight(weights)
     lw1 = log2sA + lsz
 
     def root(logw):
@@ -573,18 +575,14 @@ def empirical_observability(prob, weights: CarlemanWeights, couplings,
 
 
 def log_observation_peak(prob, weights: CarlemanWeights) -> float:
-    """log of the largest term dt w_j w_obs of the observation weight's
+    """log of the largest term dt w_j w_8 of the observation weight's
     mass (see `_observability_forms`): over O on levels 1..M, from the
-    log tables with no exponential; -inf when O holds no finite term.
-    Below log(tiny) that mass is 0 or subnormal."""
+    `_log_weight` that `weight_roots` reads, with no exponential; -inf
+    when O holds no finite term.  Below log(tiny) that mass is 0 or
+    subnormal."""
     on = prob.indicator("O") > 0
-    fin = np.isfinite(weights.tau[1:])
-    log_z = (np.log(weights.tau[1:][fin])[:, None]
-             + weights.lam * (weights.psi_inf + weights.psi[on]))
-    log_w = (2 * weights.s * (weights.A[1:][fin][:, on]
-                              - weights.A_reference())
-             + 8 * (np.log(weights.s * weights.lam) + log_z))
-    terms = (np.minimum(log_w, 700.0)
+    log2sA, lsz = _log_weight(weights)
+    terms = (np.minimum(log2sA[:, on] + 8 * lsz[:, on], 700.0)
              + np.log(prob.mesh.dt * prob.grid.cell_volumes[on]))
     return float(np.max(terms)) if terms.size else -np.inf
 

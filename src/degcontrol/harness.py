@@ -6,7 +6,8 @@ schema_version must be SCHEMA_VERSION.  build_run builds every problem,
 with its Carleman weights and game, from a config; validation and
 run_scenario both call it, and then refuse a field that differs from
 its default but that the run of the config's kind does not read
-(accepted_fields).
+(accepted_fields).  The source paper's ties to the leader window O
+(TIES) bind only the runs that read both fields of a tie.
 run_scenario then runs the one runner of its experiment kind (KINDS
 lists them, the `mms-convergence` study among them), writes CSV files
 for curves and a JSON report for scalars, and returns a RunRecord whose
@@ -151,10 +152,10 @@ _WEIGHTS = ("carleman.s", "carleman.lam", "carleman.alpha_p",
 _HUM = ("game.windows.O", *_FOLLOWERS, *_MUS, *_WEIGHTS,
         "carleman.cap_ratio")
 READS = {
+    # O as the support of the leader's source h
     "forward": (*_DOMAIN, *_Y0, "experiment.h_amplitude", "game.windows.O"),
-    # O only as the support of h; the follower windows' ties accept it
-    "nash": (*_DOMAIN, *_Y0, "experiment.h_amplitude", *_FOLLOWERS, *_MUS,
-             "game.target_amplitude", *_WEIGHTS),
+    "nash": (*_DOMAIN, *_Y0, "experiment.h_amplitude", "game.windows.O",
+             *_FOLLOWERS, *_MUS, "game.target_amplitude", *_WEIGHTS),
     # mu_grid sets both penalties
     "convexity": (*_DOMAIN, *_Y0, "experiment.mu_grid", *_FOLLOWERS,
                   "game.target_amplitude", *_WEIGHTS),
@@ -168,10 +169,25 @@ READS = {
     # the problem it refines, without its weights or game
     "mms-convergence": _DOMAIN,
 }
-# build_run ties these fields together: O1 and O2 lie apart from O, Od
-# meets O and [alpha_p, beta_p] lies inside O
-_LINKED = ("game.windows.O", "game.windows.O1", "game.windows.O2",
-           "game.windows.Od", "carleman.alpha_p", "carleman.beta_p")
+
+
+def _overlap(w, o) -> bool:
+    return max(w[0], o[0]) < min(w[1], o[1])
+
+
+# The source paper's ties to the leader window O: (field, the rule its
+# interval w keeps with O, the issue when it does not), checked only in
+# a run that reads the field and O.  carleman.alpha_p's interval is the
+# bridge [alpha_p, beta_p], whose two fields a run reads together.
+TIES = (
+    *[(f"game.windows.{name}", lambda w, o: not _overlap(w, o),
+       f"game.windows: follower window {name} must be disjoint from O")
+      for name in ("O1", "O2")],
+    ("game.windows.Od", _overlap,
+     "game.windows: observation window Od must intersect O"),
+    ("carleman.alpha_p", lambda w, o: o[0] < w[0] and w[1] < o[1],
+     "carleman: [alpha', beta']=[{w[0]},{w[1]}] not inside O={o}"),
+)
 
 
 def accepted_fields(cfg: dict) -> set:
@@ -179,9 +195,7 @@ def accepted_fields(cfg: dict) -> set:
     in `cfg`, a well-typed config of a known kind: the fields its run
     reads (its kind's entry of READS, F's unless the kind is one of
     F_ZERO_KINDS, schema_version and the kind, less the fields that the
-    config's other values leave unused), and, once the run reads one
-    field of _LINKED, all of them, so that a linked field can move with
-    the fields build_run ties it to."""
+    config's other values leave unused)."""
     kind = cfg["experiment"]["kind"]
     fields = {"schema_version", "experiment.kind", *READS[kind]}
     if kind not in F_ZERO_KINDS:
@@ -197,14 +211,12 @@ def accepted_fields(cfg: dict) -> set:
     if g["family"] == "constant" and g["l0"] == 1.0:
         # the followers' time weight is l(t) = 1 with or without it
         fields.discard("game.jacobian_weighting")
-    if kind == "forward" and cfg["experiment"]["h_amplitude"] == 0:
+    if kind in ("forward", "nash") and cfg["experiment"]["h_amplitude"] == 0:
         # there O is only the support of the leader's source h
         fields.discard("game.windows.O")
     if kind in ("nash", "convexity") and cfg["game"]["target_amplitude"] == 0:
         # the weights reach these runs only through the targets' profile
         fields.difference_update(_WEIGHTS)
-    if not fields.isdisjoint(_LINKED):
-        fields.update(_LINKED)
     return fields
 
 
@@ -251,7 +263,7 @@ def _merge(base: dict, override: dict, path: str, issues: list) -> dict:
         if key not in base:
             issues.append(f"unknown field {here}")
             continue
-        if isinstance(base[key], dict) and not here.endswith("windows"):
+        if isinstance(base[key], dict):
             if not isinstance(val, dict):
                 issues.append(f"{here}: expected a section, got {type(val).__name__}")
                 continue
@@ -310,10 +322,14 @@ _TYPES = {
     str: ("a string", lambda v: isinstance(v, str)),
     list: ("a non-empty list of finite numbers",
            lambda v: isinstance(v, list) and v and all(map(_is_number, v))),
+    tuple: ("a pair [a, b] of numbers", lambda v: isinstance(
+        v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))),
 }
-# the type of a field whose default is None, when it is set
-_OPTIONAL = {"carleman.lam": float, "carleman.m_floor": float,
-             "experiment.budget_limit": float}
+# the type of a field that is not its default's: a window is a pair, and
+# a field whose default is None has this type when it is set
+_FIELD_TYPES = {"carleman.lam": float, "carleman.m_floor": float,
+                "experiment.budget_limit": float,
+                **{f"game.windows.{name}": tuple for name in WINDOWS}}
 
 
 def _type_issues(base: dict, cfg: dict, path: str) -> list:
@@ -322,31 +338,12 @@ def _type_issues(base: dict, cfg: dict, path: str) -> list:
     for key, default in base.items():
         here = f"{path}.{key}" if path else key
         val = cfg[key]
-        if here == "game.windows":
-            issues.extend(_window_type_issues(val))
-        elif isinstance(default, dict):
+        if isinstance(default, dict):
             issues.extend(_type_issues(default, val, here))
         elif default is not None or val is not None:
-            name, ok = _TYPES[type(default) if default is not None
-                              else _OPTIONAL[here]]
+            name, ok = _TYPES[_FIELD_TYPES.get(here, type(default))]
             if not ok(val):
                 issues.append(f"{here}: expected {name}, got {val!r}")
-    return issues
-
-
-def _window_type_issues(wins) -> list:
-    if not isinstance(wins, dict):
-        return ["game.windows: expected a section of windows"]
-    issues = [f"game.windows.{name}: unknown window"
-              for name in wins if name not in WINDOWS]
-    for name in WINDOWS:
-        if name not in wins:
-            issues.append(f"game.windows.{name}: missing")
-        elif not (isinstance(wins[name], (list, tuple))
-                  and len(wins[name]) == 2
-                  and all(map(_is_number, wins[name]))):
-            issues.append(f"game.windows.{name}: expected a pair [a, b] of "
-                          f"numbers, got {wins[name]!r}")
     return issues
 
 
@@ -427,19 +424,21 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
                           f"roundoff at every time of the mesh, so this "
                           f"{dom.family} domain does not move; use family "
                           f"constant")
-    wins = game["windows"]
-    window_issues = [f"game.windows.{name}: must satisfy 0 < a < b < 1"
-                     for name in WINDOWS
-                     if not 0.0 < wins[name][0] < wins[name][1] < 1.0]
-    issues.extend(window_issues)
-    windows = None if window_issues else build(
-        "game.windows", ControlGeometry,
-        **{name: tuple(wins[name]) for name in WINDOWS})
+    windows = build("game.windows", ControlGeometry,
+                    **{name: tuple(game["windows"][name]) for name in WINDOWS})
     params = build("carleman", CarlemanParams, **cfg["carleman"])
-    if params is not None and windows is not None:
-        # the bridge of Psi must lie inside the leader window O
-        build("carleman", params.check_inside, windows.O)
     nl, kind = cfg["nonlinearity"], cfg["experiment"]["kind"]
+    if windows is not None and kind in KINDS:
+        # the ties of the built windows, and the bridge's once it is built
+        read, o = accepted_fields(cfg), windows.O
+        spans = {f"game.windows.{name}": getattr(windows, name)
+                 for name in WINDOWS}
+        if params is not None:
+            spans["carleman.alpha_p"] = (params.alpha_p, params.beta_p)
+        issues.extend(issue.format(w=spans[name], o=o)
+                      for name, holds, issue in TIES
+                      if {name, "game.windows.O"} <= read and name in spans
+                      and not holds(spans[name], o))
     if nl["label"] != "sinusoidal":
         issues.append(f"nonlinearity.label: unknown label {nl['label']!r}; "
                       f"the one label is sinusoidal, and F = 0 is kappa1 = "
@@ -462,8 +461,7 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
                           f"mass on O at this grid (its largest term is "
                           f"e^{peak:.4g})")
     target1 = target2 = None
-    if (prob is not None and weights is not None
-            and game["target_amplitude"] != 0.0):
+    if None not in (prob, weights) and game["target_amplitude"] != 0.0:
         target1, target2 = make_default_targets(prob, weights,
                                                 game["target_amplitude"])
     spec = build("game", GameSpec, alpha1=game["alpha1"],

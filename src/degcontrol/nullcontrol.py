@@ -298,11 +298,12 @@ class HUMSolver:
         self.ops = ops
         M, n = prob.mesh.M, prob.grid.N - 1
         dt = prob.mesh.dt
-        # the followers' couplings; the consistency check reads tracking
+        # the followers' couplings, kept for the consistency check and
+        # the Newton remainder
         couplings = game.couplings(prob)
-        self.tracking = couplings.tracking
+        self.control, self.tracking = couplings.control, couplings.tracking
         self.G0, self.G1, self.G2 = _hum_blocks(
-            prob, ops, couplings.control, self.tracking)
+            prob, ops, self.control, self.tracking)
         wv = prob.grid.interior_volumes
         self.rho0_inv2 = weights.rho0_n ** (-2.0)
         self.rho1_inv2 = weights.rho1_n ** (-2.0)
@@ -444,7 +445,9 @@ class HUMSolver:
     def _consistency(self, y, p1, p2, h, y0, load) -> dict:
         prob = self.prob
         # the followers play v_i = -control_i p_i
-        v1, v2 = self.game.controls(prob, (p1.values, p2.values))
+        v1, v2 = (TrajectoryField(prob.grid, prob.mesh,
+                                  -self.control[i] * p_i.values)
+                  for i, p_i in enumerate((p1, p2)))
         src = _source_array(prob, h, v1, v2, _interior(load[0]))
         y_check = solve_forward_linear(self.ops, y0, src)
         scale = 1.0 + float(np.max(np.abs(y.values)))
@@ -507,14 +510,15 @@ def verify_additional_estimates(prob: CylinderProblem,
     }
 
 
-def _remainder_parts(prob: CylinderProblem, game: GameSpec) -> tuple:
-    """The parts of the remainder N(z) that do not depend on z.
+def _remainder_parts(hum: HUMSolver) -> tuple:
+    """The parts of the remainder N(z) that do not depend on z, for hum's
+    problem and game.
 
     (D1F(0,0), D2F(0,0), the interior rows of tracking_i y_id stacked
-    over i).
+    over i), with hum's tracking couplings.
     """
-    tracking = game.couplings(prob).tracking
-    targets = game.targets(prob)
+    prob, tracking = hum.prob, hum.tracking
+    targets = hum.game.targets(prob)
     zero = np.zeros(1)
     return (float(prob.F.D1(zero, zero)[0]), float(prob.F.D2(zero, zero)[0]),
             np.stack([_interior(tracking[i] * targets[i].values)
@@ -585,7 +589,7 @@ def solve_nonlinear_null_control(hum: HUMSolver, y0: np.ndarray,
         return float(np.sqrt(sum(integral_q(prob.grid, prob.mesh, N_i**2, r2)
                                  for N_i in N)))
 
-    parts = _remainder_parts(prob, hum.game)
+    parts = _remainder_parts(hum)
     zero = prob.new_field()
     N_prev = _nonlinear_remainders(prob, parts, zero, zero, zero)
     history = []

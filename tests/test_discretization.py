@@ -423,10 +423,10 @@ class TestBandOperators:
                                            for t in terms)
 
     def test_nonlinear_remainders_match_sparse(self, rng):
-        prob, _, game = build(32, 48)
+        prob, weights, game = build(32, 48)
         y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
         N0, N1, N2 = _nonlinear_remainders(
-            prob, _remainder_parts(prob, game), y, p1, p2)
+            prob, _remainder_parts(HUMSolver(prob, weights, game)), y, p1, p2)
         zero = np.zeros(1)
         d1 = float(prob.F.D1(zero, zero)[0])
         d2 = float(prob.F.D2(zero, zero)[0])
@@ -452,10 +452,10 @@ class TestBandOperators:
 
     def test_nonlinear_remainders_equal_padded_reference(self, rng):
         # wt = l(t) and non-zero targets make every fixed part count
-        prob, _, game = build(32, 48, game={
+        prob, weights, game = build(32, 48, game={
             "alpha1": 2.0, "alpha2": 3.0, "mu2": 7.0,
             "jacobian_weighting": False})
-        parts = _remainder_parts(prob, game)
+        parts = _remainder_parts(HUMSolver(prob, weights, game))
         for _ in range(2):
             y, p1, p2 = (_random_state(prob, rng) for _ in range(3))
             ref = _remainders_reference(prob, game, y, p1, p2)
@@ -466,8 +466,8 @@ class TestBandOperators:
 
 
     def test_nonlinear_remainders_build_no_operators(self, rng, monkeypatch):
-        prob, _, game = build(32, 48, game=NO_TARGETS)
-        parts = _remainder_parts(prob, game)
+        prob, weights, game = build(32, 48, game=NO_TARGETS)
+        parts = _remainder_parts(HUMSolver(prob, weights, game))
 
         def refuse(self, y):
             raise AssertionError("ops_at_state reached")
@@ -481,8 +481,8 @@ class TestBandOperators:
         # against the operator.  Relative errors at amplitude 1e-2, five
         # draws: 3.6e-14 to 5.8e-14 from the coefficient change, 1.7e-10 to
         # 2.9e-10 from subtracting the two weighted transposes
-        prob, _, game = build(32, 64, game=NO_TARGETS)
-        parts = _remainder_parts(prob, game)
+        prob, weights, game = build(32, 64, game=NO_TARGETS)
+        parts = _remainder_parts(HUMSolver(prob, weights, game))
         ld, F = np.longdouble, prob.F
         wv = prob.grid.interior_volumes.astype(ld)
         dct = band_transpose(prob.Dc_bands).astype(ld)

@@ -12,10 +12,18 @@ from degcontrol.geometry import (
     MovingDomainSpec,
     beta_condition_report,
 )
-from degcontrol.harness import default_config
+from degcontrol.harness import default_config, validate_config
 
 # the config's default windows
 WINDOWS = {k: tuple(v) for k, v in default_config()["game"]["windows"].items()}
+
+
+def _observability_issues(windows: dict) -> list:
+    """The validation issues of an observability run, which reads every
+    window, with `windows` set."""
+    return validate_config({"grid": {"N": 16, "M": 16},
+                            "game": {"windows": windows},
+                            "experiment": {"kind": "observability"}})
 
 
 class TestDegeneracy:
@@ -212,13 +220,25 @@ class TestControlGeometry:
     def test_defaults_valid(self):
         ControlGeometry(**WINDOWS)
 
+    def test_every_window_outside_the_unit_interval_refused(self):
+        # in one error
+        with pytest.raises(ValueError) as err:
+            ControlGeometry(**{**WINDOWS, "O": (0.0, 0.5), "Od": (0.6, 0.4)})
+        assert str(err.value) == (
+            "window O=(0.0, 0.5) must satisfy 0 < a < b < 1; "
+            "window Od=(0.6, 0.4) must satisfy 0 < a < b < 1")
+
     def test_follower_window_must_avoid_o(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            ControlGeometry(**{**WINDOWS, "O1": (0.4, 0.6)})
+        # a tie that binds the runs reading O and O1, such as an
+        # observability run; the spec takes the windows apart from them
+        ControlGeometry(**{**WINDOWS, "O1": (0.4, 0.6)})
+        assert ("game.windows: follower window O1 must be disjoint from O"
+                in _observability_issues({"O1": [0.4, 0.6]}))
 
     def test_od_must_meet_o(self):
-        with pytest.raises(ValueError, match="intersect"):
-            ControlGeometry(**{**WINDOWS, "Od": (0.05, 0.1)})
+        ControlGeometry(**{**WINDOWS, "Od": (0.05, 0.1)})
+        assert ("game.windows: observation window Od must intersect O"
+                in _observability_issues({"Od": [0.05, 0.1]}))
 
     def test_indicator_open_interval(self):
         geo = ControlGeometry(**WINDOWS)

@@ -6,7 +6,6 @@ import subprocess
 import sys
 from operator import attrgetter
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +21,8 @@ def _tiny(kind="forward", **experiment):
     }
 
 
-_WINDOWS = harness.default_config()["game"]["windows"]
+# O1 overlapping the default O
+_OVERLAP = {"game": {"windows": {"O1": [0.4, 0.6]}}}
 _NEWTON = {"grid": {"N": 16, "M": 16},
            "experiment": {"kind": "nonlinear-control"}}
 _COARSE = {"N": 8, "M": 8}
@@ -38,19 +38,17 @@ class TestConfig:
             harness.ScenarioConfig.from_dict({"grid": {"nonsense": 3}})
 
     def test_window_overlap_rejected(self):
-        # the windows section is replaced as a unit, so all four entries
-        # are given; O1 overlapping O must be refused
+        # the windows merge field by field; an observability run reads O
+        # and O1, so O1 overlapping O must be refused
         config = harness.ScenarioConfig.from_dict(
-            {"game": {"windows": {"O": [0.3, 0.5], "O1": [0.4, 0.6],
-                                  "O2": [0.75, 0.9], "Od": [0.4, 0.6]}}})
+            {**_OVERLAP, "experiment": {"kind": "observability"}})
         issues = harness.validate_config(config)
         assert any("disjoint" in s for s in issues)
 
     def test_all_issues_reported(self):
         config = harness.ScenarioConfig.from_dict(
-            {"geometry": {"alpha": 2.0},
-             "game": {"windows": {"O": [0.3, 0.5], "O1": [0.4, 0.6],
-                                  "O2": [0.75, 0.9], "Od": [0.4, 0.6]}}})
+            {"geometry": {"alpha": 2.0}, **_OVERLAP,
+             "experiment": {"kind": "observability"}})
         issues = harness.validate_config(config)
         assert len(issues) >= 2
         assert any("alpha" in s for s in issues)
@@ -227,8 +225,8 @@ _PERTURBED = {
     "experiment.mu_grid": [2.0, 10.0], "experiment.budget_limit": 1.0,
 }
 _FIELDS = set(harness._flat(harness.default_config()))
-# the windows and the bridge moved together off their defaults, as
-# build_run's rules require: O1 and O2 apart from O, Od meeting O and
+# the windows and the bridge moved together off their defaults, keeping
+# the ties of harness.TIES: O1 and O2 apart from O, Od meeting O and
 # [alpha_p, beta_p] inside O
 _MOVED = {"game": {"windows": {"O": [0.55, 0.8], "O1": [0.1, 0.2],
                                "O2": [0.85, 0.95], "Od": [0.5, 0.7]}},
@@ -238,11 +236,11 @@ _MOVED = {"game": {"windows": {"O": [0.55, 0.8], "O1": [0.1, 0.2],
 def _with(config, name, value):
     """A copy of the overrides `config` with the field `name` set."""
     config = json.loads(json.dumps(config))
-    section, *path, key = name.split(".")
-    if path == ["windows"]:
-        config.setdefault(section, {})["windows"] = {**_WINDOWS, key: value}
-    else:
-        config.setdefault(section, {})[key] = value
+    *path, key = name.split(".")
+    section = config
+    for part in path:
+        section = section.setdefault(part, {})
+    section[key] = value
     return config
 
 
@@ -272,19 +270,29 @@ _KAPPAS_ZERO = {"nonlinearity": {"kappa1": 0.0, "kappa2": 0.0}}
 # F without its gradient term, so without the gradient weight
 _KAPPA2_ZERO = {"nonlinearity": {"kappa2": 0.0}}
 _SINUSOIDAL = {"geometry": {"family": "sinusoidal"}}
+# a leader source, so that forward and nash runs read O
+_LEADER = {"experiment": {"h_amplitude": 0.5}}
 
 
-def _base(kind, condition):
-    return {"grid": {"N": 32, "M": 64}, **condition,
-            "experiment": {"kind": kind}}
+def _base(kind, condition, grid=(32, 64)):
+    return {"grid": {"N": grid[0], "M": grid[1]}, **condition,
+            "experiment": {**condition.get("experiment", {}), "kind": kind}}
 
 
-def _set_alone(base) -> list:
-    """The fields that the reverse check sets alone on `base`: those the
-    table accepts, but for the fields accepted only because build_run
-    ties them to one the run reads (_LINKED)."""
-    with mock.patch.object(harness, "_LINKED", ()):
-        return sorted(_read(base) & set(_PERTURBED))
+# the runs that read O and every field tied to it
+_TIED_RUNS = [("observability", {}), ("linear-control", {}),
+              ("nonlinear-control", {}), ("nash", _LEADER)]
+# one config per tie of harness.TIES that breaks it at the default O, and
+# the issue that names it
+_BROKEN_TIES = [
+    (_OVERLAP, "game.windows: follower window O1 must be disjoint from O"),
+    ({"game": {"windows": {"O2": [0.45, 0.9]}}},
+     "game.windows: follower window O2 must be disjoint from O"),
+    ({"game": {"windows": {"Od": [0.6, 0.7]}}},
+     "game.windows: observation window Od must intersect O"),
+    ({"carleman": {"alpha_p": 0.6, "beta_p": 0.7}},
+     "carleman: [alpha', beta']=[0.6,0.7] not inside O=(0.3, 0.5)"),
+]
 
 
 def _condition_id(condition):
@@ -307,6 +315,7 @@ class TestReads:
 
     @pytest.mark.parametrize("kind, condition", [
         *[(kind, {}) for kind in harness.KINDS],
+        *[(kind, _LEADER) for kind in ("forward", "nash")],
         *[(kind, _CONSTANT) for kind in harness.KINDS],
         *[(kind, {"game": {"target_amplitude": 0.0}})
           for kind in ("nash", "convexity")],
@@ -318,11 +327,12 @@ class TestReads:
                                                     condition):
         # every field the table refuses, set one at a time with the
         # refusal bypassed, writes the outputs of the base run byte for
-        # byte; under a condition, the fields it takes out of the table
-        plain = {"grid": {"N": 16, "M": 16}, "experiment": {"kind": kind}}
-        base = {**plain, **condition}
-        unread = ((_read(plain) if condition else set(_PERTURBED))
-                  - _read(base))
+        # byte; under a condition that takes fields out of the table,
+        # those fields
+        plain = _base(kind, {}, grid=(16, 16))
+        base = _base(kind, condition, grid=(16, 16))
+        unread = ((_read(plain) if condition not in ({}, _LEADER)
+                   else set(_PERTURBED)) - _read(base))
         assert unread
         for name in sorted(unread):
             changed = _with(base, name, _PERTURBED[name])
@@ -337,21 +347,28 @@ class TestReads:
             assert _outputs(changed, tmp_path / name) == expected, name
 
     @pytest.mark.parametrize("kind, condition", [
-        (kind, condition) for kind in harness.KINDS
-        for condition in ({}, _CONSTANT, _SINUSOIDAL, _KAPPAS_ZERO,
-                          _KAPPA2_ZERO)
-        if (kind in _ZERO_KINDS or condition is not _KAPPAS_ZERO)
-        and (kind in _F_KINDS or condition is not _KAPPA2_ZERO)
-        and _set_alone(_base(kind, condition))],
+        *[(kind, condition) for kind in harness.KINDS
+          for condition in ({}, _CONSTANT, _SINUSOIDAL, _KAPPAS_ZERO,
+                            _KAPPA2_ZERO)
+          if (kind in _ZERO_KINDS or condition is not _KAPPAS_ZERO)
+          and (kind in _F_KINDS or condition is not _KAPPA2_ZERO)
+          and _read(_base(kind, condition)) & set(_PERTURBED)],
+        *[(kind, _LEADER) for kind in ("forward", "nash")]],
         ids=lambda v: v if isinstance(v, str) else _condition_id(v))
     def test_accepted_fields_change_the_run(self, tmp_path, kind, condition):
         # every field the table accepts, set alone to its _PERTURBED
-        # value, changes the report or a CSV of the base run at (32,64)
+        # value (to its default where the base holds that value already),
+        # changes the report or a CSV of the base run at (32,64)
         base = _base(kind, condition)
+        values = harness._flat(harness.ScenarioConfig.from_dict(base).data)
+        defaults = harness._flat(harness.default_config())
         expected = _outputs(base, tmp_path / "base")
-        inert = [name for name in _set_alone(base)
-                 if _outputs(_with(base, name, _PERTURBED[name]),
-                             tmp_path / name) == expected]
+        inert = []
+        for name in sorted(_read(base) & set(_PERTURBED)):
+            value = (defaults[name] if values[name] == _PERTURBED[name]
+                     else _PERTURBED[name])
+            if _outputs(_with(base, name, value), tmp_path / name) == expected:
+                inert.append(name)
         assert inert == []
 
     @pytest.mark.parametrize("kind", _ZERO_KINDS)
@@ -381,21 +398,38 @@ class TestReads:
             f"game.jacobian_weighting: a {kind} run does not read this "
             f"field; leave it at its default True"])
 
-    @pytest.mark.parametrize("kind, experiment", [
-        ("diagnostics", {}), ("forward", {"h_amplitude": 0.5}),
-        ("nash", {})])
-    def test_linked_fields_move_together(self, kind, experiment):
-        # the kind reads one of the windows or the bridge, so it accepts
-        # the others, which build_run's rules tie to it
-        config = {"grid": {"N": 16, "M": 16}, **_MOVED,
-                  "experiment": {"kind": kind, **experiment}}
-        assert harness.validate_config(config) == []
+    @pytest.mark.parametrize("kind, condition", _TIED_RUNS,
+                             ids=lambda v: v if isinstance(v, str)
+                             else _condition_id(v))
+    def test_window_tie_binds_a_run_that_reads_both_fields(self, kind,
+                                                           condition):
+        # the run reads O, the follower and observation windows and the
+        # bridge: it takes them moved together, and refuses each broken
+        # tie
+        base = _base(kind, condition, grid=(16, 16))
+        assert harness.validate_config({**base, **_MOVED}) == []
+        for broken, issue in _BROKEN_TIES:
+            assert issue in harness.validate_config({**base, **broken})
+
+    @pytest.mark.parametrize("kind, condition, broken", [
+        ("diagnostics", {}, _BROKEN_TIES[3][0]),
+        ("forward", _LEADER, {"game": {"windows": {"O": [0.55, 0.8]}}}),
+        ("nash", {}, _OVERLAP), ("convexity", {}, _OVERLAP)],
+        ids=["diagnostics-bridge", "forward-O", "nash-O1", "convexity-O1"])
+    def test_window_tie_binds_no_run_that_reads_one_field(self, kind,
+                                                          condition, broken):
+        # diagnostics reads the bridge but no window, forward at
+        # h_amplitude 0.5 reads O alone, and nash at h_amplitude 0 and
+        # convexity read the follower windows but not O
+        base = _base(kind, condition, grid=(16, 16))
+        assert harness.validate_config({**base, **broken}) == []
 
     def test_moved_bridge_moves_the_weights(self, tmp_path):
         base = {"grid": {"N": 16, "M": 16},
                 "experiment": {"kind": "diagnostics"}}
         harness.run_scenario(base, tmp_path / "base")
-        harness.run_scenario({**base, **_MOVED}, tmp_path / "moved")
+        harness.run_scenario({**base, "carleman": _MOVED["carleman"]},
+                             tmp_path / "moved")
         assert ((tmp_path / "base" / "weights.csv").read_bytes()
                 != (tmp_path / "moved" / "weights.csv").read_bytes())
 
@@ -578,6 +612,18 @@ def _unread_case(kind) -> tuple:
             f"{name}: a {kind} run does not read this field")
 
 
+# (kind, condition, field): a window or the bridge that the run does not
+# read, though it reads a field tied to it
+_UNTIED = [
+    *[("forward", _LEADER, name) for name in (
+        "game.windows.O1", "game.windows.O2", "game.windows.Od",
+        "carleman.alpha_p", "carleman.beta_p")],
+    ("nash", {}, "game.windows.O"), ("convexity", {}, "game.windows.O"),
+    *[("diagnostics", {}, f"game.windows.{name}")
+      for name in harness.WINDOWS],
+]
+
+
 def _assert_config_error(tmp_path, capsys, command, config, text):
     """`command` exits 2 on `config` with `text` on stderr, and writes no
     output directory."""
@@ -609,9 +655,8 @@ class TestCLI:
     def test_validate_bad_config(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(
-            {"geometry": {"alpha": 2.0},
-             "game": {"windows": {"O": [0.3, 0.5], "O1": [0.4, 0.6],
-                                  "O2": [0.75, 0.9], "Od": [0.4, 0.6]}}}))
+            {"geometry": {"alpha": 2.0}, **_OVERLAP,
+             "experiment": {"kind": "observability"}}))
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert "alpha" in err and "disjoint" in err
@@ -650,7 +695,7 @@ class TestCLI:
                                     "scale_factors": [1.0, 1.0, 2.0]}},
          "experiment.scale_factors: each factor runs once; repeated: 1.0"),
         ({"grid": {"N": "abc"}}, "grid.N"),
-        ({**_tiny(), "game": {"windows": {**_WINDOWS, "O": [0.3]}}},
+        ({**_tiny(), "game": {"windows": {"O": [0.3]}}},
          "game.windows.O"),
         (_tiny("linear-control", budget_limit="x"), "experiment.budget_limit"),
         ([1], "config"),
@@ -737,6 +782,18 @@ class TestCLI:
         # F = 0 for a kind whose subject is F
         _assert_config_error(tmp_path, capsys, command,
                              {"grid": _COARSE, **config}, spelling)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("kind, condition, name", _UNTIED, ids=[
+        f"{kind}-{name}" for kind, _, name in _UNTIED])
+    def test_field_tied_to_an_unread_field_is_config_error(
+            self, tmp_path, capsys, command, kind, condition, name):
+        # a window or the bridge that the run does not read, set alone
+        config = _with(_base(kind, condition, grid=(16, 16)), name,
+                       _PERTURBED[name])
+        _assert_config_error(tmp_path, capsys, command, config,
+                             f"error: {name}: a {kind} run does not read "
+                             f"this field")
 
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("kind", _F_KINDS)

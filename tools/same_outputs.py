@@ -134,6 +134,20 @@ CONFIGS = {
         "geometry": {"family": "exponential", "k": 0.2, "b_exp": 3.0},
         "experiment": {"kind": "nash"},
     },
+    # the one run with the windows and the bridge moved, all four windows
+    # given
+    "observability-moved-windows": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"windows": {"O": [0.55, 0.8], "O1": [0.1, 0.2],
+                             "O2": [0.85, 0.95], "Od": [0.5, 0.7]}},
+        "carleman": {"alpha_p": 0.6, "beta_p": 0.7},
+        "experiment": {"kind": "observability"},
+    },
+    # the one nash run with a leader source
+    "nash-leader-source": {
+        "grid": {"N": 32, "M": 64},
+        "experiment": {"kind": "nash", "h_amplitude": 0.5},
+    },
     "diagnostics": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "diagnostics"},
