@@ -7,7 +7,8 @@ with its Carleman weights and game, from a config; validation and
 run_scenario both call it, and then refuse a field that differs from
 its default but that the run of the config's kind does not read
 (accepted_fields).  The source paper's ties to the leader window O
-(TIES) bind only the runs that read both fields of a tie.
+(TIES) bind only the runs that read both fields of a tie, and a window
+must hold an interior node of the grid only in the runs that read it.
 run_scenario then runs the one runner of its experiment kind (KINDS
 lists them, the `mms-convergence` study among them), writes CSV files
 for curves and a JSON report for scalars, and returns a RunRecord whose
@@ -32,7 +33,7 @@ from .carleman import (CarlemanParams, CarlemanWeights, adjoint_basis,
                        log_observation_peak, weight_roots)
 from .geometry import (ControlGeometry, DegeneracySpec, GradientWeightSpec,
                        MovingDomainSpec)
-from .grids import SpatialGrid, TimeMesh
+from .grids import SpatialGrid, TimeMesh, TrajectoryField
 from .mms import space_order_study, time_order_study
 from .nash import (GameSpec, convexity_margin, evaluate_functional,
                    fit_mu_star, functional_gradient, make_default_targets,
@@ -428,9 +429,11 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
                     **{name: tuple(game["windows"][name]) for name in WINDOWS})
     params = build("carleman", CarlemanParams, **cfg["carleman"])
     nl, kind = cfg["nonlinearity"], cfg["experiment"]["kind"]
-    if windows is not None and kind in KINDS:
+    # the window rules bind only the windows the run reads
+    read = accepted_fields(cfg) if kind in KINDS else set()
+    if windows is not None:
         # the ties of the built windows, and the bridge's once it is built
-        read, o = accepted_fields(cfg), windows.O
+        o = windows.O
         spans = {f"game.windows.{name}": getattr(windows, name)
                  for name in WINDOWS}
         if params is not None:
@@ -447,9 +450,15 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
         issues.append(f"nonlinearity: {_NEEDS_F[kind]}; set kappa1 or "
                       f"kappa2 apart from 0")
     prob = weights = None
-    if None not in (deg, gw, dom, windows, nodes, mesh):
-        prob = build("game.windows", CylinderProblem, deg, gw, dom, windows,
-                     nodes, mesh, _build_F(cfg))
+    empty = [f"window {name}={getattr(windows, name)} holds no interior "
+             f"node of the grid" for name in WINDOWS
+             if None not in (windows, nodes) and f"game.windows.{name}" in read
+             and not windows.indicator(name, nodes.interior).any()]
+    if empty:
+        issues.append("game.windows: " + "; ".join(empty))
+    elif None not in (deg, gw, dom, windows, nodes, mesh):
+        prob = CylinderProblem(deg, gw, dom, windows, nodes, mesh,
+                               _build_F(cfg))
     if None not in (params, deg, nodes, mesh):
         weights = build("carleman.lam", CarlemanWeights, params, deg, nodes,
                         mesh)
@@ -609,14 +618,16 @@ def run_scenario(config: ScenarioConfig | dict, out_dir,
     return record
 
 
+def _leader_source(cfg: dict, prob: CylinderProblem):
+    """The leader's source h_amplitude sin(pi x); None at amplitude 0."""
+    a = cfg["experiment"]["h_amplitude"]
+    return None if a == 0.0 else TrajectoryField.from_function(
+        prob.grid, prob.mesh, lambda x, t: a * np.sin(np.pi * x))
+
+
 def _run_forward(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
-    h = None
-    if cfg["experiment"]["h_amplitude"] != 0.0:
-        h = prob.new_field()
-        h.values[:] = (cfg["experiment"]["h_amplitude"]
-                       * np.sin(np.pi * prob.grid.nodes)[None, :])
-    y = solve_forward_semilinear(prob, y0, h=h)
+    y = solve_forward_semilinear(prob, y0, h=_leader_source(cfg, prob))
     dump_trajectory_csv(y, out / "state.csv")
     outputs.append("state.csv")
     sup_l2, grad_energy = energy_diagnostics(prob, y)
@@ -631,9 +642,7 @@ def _run_forward(cfg, prob, weights, game, out, rng, outputs):
 
 def _run_nash(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
-    h = prob.new_field()
-    h.values[:] = (cfg["experiment"]["h_amplitude"]
-                   * np.sin(np.pi * prob.grid.nodes)[None, :])
+    h = _leader_source(cfg, prob)
     sol = nash_fixed_point(prob, game, h, y0)
     for name in ("v1", "v2"):
         dump_trajectory_csv(getattr(sol, name), out / f"{name}.csv")
@@ -662,14 +671,13 @@ def _run_nash(cfg, prob, weights, game, out, rng, outputs):
 
 def _run_convexity(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
-    h = prob.new_field()
     margins = []
     for mu in map(float, cfg["experiment"]["mu_grid"]):
         game = replace(game, mu1=mu, mu2=mu)
-        state = nash_fixed_point(prob, game, h, y0, compute_residuals=False)
+        state = nash_fixed_point(prob, game, None, y0, compute_residuals=False)
         m = convexity_margin(prob, game, state, rng)
         margins.append((mu, m["margin"], m["certified"]))
-    fit = fit_mu_star(prob, game, h, y0)
+    fit = fit_mu_star(prob, game, None, y0)
     _write_csv(out / "margins.csv", "mu,margin,certified",
                np.array([(a, b, float(c)) for a, b, c in margins]))
     outputs.append("margins.csv")
@@ -739,7 +747,7 @@ def _run_nonlinear_control(cfg, prob, weights, game, out, rng, outputs):
                                     "failure": type(exc).__name__,
                                     "failure_reason": exc.reason}
             continue
-        v = game.controls(prob, (triple.p1.values, triple.p2.values))
+        v = hum.couplings.controls(prob, (triple.p1.values, triple.p2.values))
         grads = functional_gradient(prob, game, triple.h, *v, y0)
         qeq = [float(np.max(np.abs(g.values))
                      / (1.0 + np.max(np.abs(v_i.values))))

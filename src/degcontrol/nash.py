@@ -13,10 +13,10 @@ forward step; the quasi-equilibrium is the Picard fixed point of
 
     v^i = -(1/(mu_i wt)) p^i 1_{Oi}.
 
-GameSpec.couplings is the one definition of this control map and of the
-adjoint tracking weight alpha_i wt 1_{Od}; the leader's HUM system, the
-Newton remainders, the coupled adjoint sweeps and the observability
-samplers read the same arrays.
+GameSpec.couplings builds this map (`Couplings.controls`) and the adjoint
+tracking weight alpha_i wt 1_{Od} once per solve: the Nash fixed point
+(its NashSolution carries them to the second-derivative form), the
+gradients, the leader's HUM solver and the observability samplers.
 
 The second-derivative quadratic form follows the tangent/second-adjoint
 (theta, eta) system; with the exact-transpose construction it is the
@@ -114,12 +114,6 @@ class GameSpec:
         control = np.stack([ind[i] / (self.mus[i] * wt) for i in (0, 1)])
         return Couplings(control, wt * prob.indicator("Od"), self.alphas)
 
-    def controls(self, prob: CylinderProblem, p) -> list:
-        """[v1, v2] with v^i = -control_i p^i, for p = (p^1, p^2) values."""
-        control = self.couplings(prob).control
-        return [TrajectoryField(prob.grid, prob.mesh, -control[i] * p[i])
-                for i in (0, 1)]
-
 
 def make_default_targets(prob: CylinderProblem, weights,
                          amplitude: float) -> tuple:
@@ -165,25 +159,25 @@ def evaluate_functional(prob: CylinderProblem, game: GameSpec, i: int,
 
 @dataclass
 class NashSolution:
-    """Quasi-equilibrium state: v^i = -(1/(mu_i wt)) p^i on O_i by construction."""
+    """A quasi-equilibrium (v^i = -control_i p^i) and its couplings."""
 
     y: TrajectoryField
     p1: TrajectoryField
     p2: TrajectoryField
     v1: TrajectoryField
     v2: TrajectoryField
+    couplings: Couplings
     history: list = dc_field(default_factory=list)
     residuals: dict = dc_field(default_factory=dict)
 
 
-def _follower_adjoints(prob: CylinderProblem, game: GameSpec,
-                       y: TrajectoryField) -> np.ndarray:
+def _follower_adjoints(prob: CylinderProblem, couplings: Couplings,
+                       targets: tuple, y: TrajectoryField) -> np.ndarray:
     """Both follower adjoints at the state y, shape (2, M+1, N+1): the
     `follower_adjoints` of the sources tracking_i (y - y_id)."""
-    tracking = game.couplings(prob).tracking
-    targets = game.targets(prob)
     return follower_adjoints(prob.ops_at_state(y), np.stack(
-        [tracking[i] * (y.values - targets[i].values) for i in (0, 1)]))
+        [couplings.tracking[i] * (y.values - targets[i].values)
+         for i in (0, 1)]))
 
 
 # the Picard iteration on the followers' optimality system: the largest
@@ -205,12 +199,13 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     as the Newton loop), or after _MAX_SWEEPS; StepFailureError when a
     state march fails.
     """
+    couplings, targets = game.couplings(prob), game.targets(prob)
     p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
     history = []
     for _ in range(_MAX_SWEEPS):
-        v = game.controls(prob, p)
+        v = couplings.controls(prob, p)
         y = solve_forward_semilinear(prob, y0, h=h, v1=v[0], v2=v[1])
-        new = _follower_adjoints(prob, game, y)
+        new = _follower_adjoints(prob, couplings, targets, y)
         # np.max, unlike Python's max, propagates a NaN update
         delta = float(np.max(np.abs(new - p)))
         p = new
@@ -224,9 +219,9 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     else:
         raise SweepFailureError(history, "nash optimality system")
     # one more control update so v matches the final adjoints exactly
-    v1, v2 = game.controls(prob, p)
+    v1, v2 = couplings.controls(prob, p)
     p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
-    sol = NashSolution(y=y, p1=p1, p2=p2, v1=v1, v2=v2, history=history)
+    sol = NashSolution(y, p1, p2, v1, v2, couplings, history)
     if compute_residuals:
         grads = functional_gradient(prob, game, h, v1, v2, y0)
         for i, (g, v_i) in enumerate(zip(grads, (v1, v2)), start=1):
@@ -244,7 +239,7 @@ def functional_gradient(prob: CylinderProblem, game: GameSpec,
     fixed-point construction.
     """
     y = solve_forward_semilinear(prob, y0, h=h, v1=v1, v2=v2)
-    p = _follower_adjoints(prob, game, y)
+    p = _follower_adjoints(prob, game.couplings(prob), game.targets(prob), y)
     wt = game.time_weight(prob)
     grads = []
     for i, v_i in enumerate((v1, v2)):
@@ -295,7 +290,7 @@ def second_derivative_form(prob: CylinderProblem, game: GameSpec,
     yi = _interior(state.y.values)
     ti = _interior(theta.values)
     pi = _interior(state.p1.values)
-    g_eta = (_interior(game.couplings(prob).tracking[0]) * ti
+    g_eta = (_interior(state.couplings.tracking[0]) * ti
              - _dL_transpose_apply(prob, yi, ti, pi))
     eta = solve_backward_linear(ops, g_eta)
     ind1_full = prob.indicator("O1")

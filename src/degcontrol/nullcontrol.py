@@ -12,7 +12,7 @@ over discrete adjoint trajectories, with
     l = <y0, phi(0+)> + int H phi + sum_i int H_i psi_i,
 
 where (c_i, t_i) = (1_Oi / (mu_i wt), alpha_i wt 1_Od) are the followers'
-control and tracking couplings, read from GameSpec.couplings.
+control and tracking couplings, built once, `HUMSolver.couplings`.
 
 The minimizer is found by assembling the (sparse, SPD) normal operator
 over the (3M+1)(N-1) space-time unknowns.  Its blocks are CSR matrices
@@ -69,8 +69,8 @@ from scipy.linalg import lapack
 from .carleman import CarlemanWeights
 from .grids import TrajectoryField, integral_q
 from .nash import GameSpec
-from .solvers import (CylinderProblem, LevelOps, _interior, _source_array,
-                      follower_adjoints, solve_forward_linear)
+from .solvers import (Couplings, CylinderProblem, LevelOps, _interior,
+                      _source_array, follower_adjoints, solve_forward_linear)
 
 __all__ = [
     "ControlledTriple",
@@ -165,7 +165,7 @@ def _stencil_csr(cols: np.ndarray, vals: np.ndarray,
 
 
 def _hum_blocks(prob: CylinderProblem, ops: LevelOps,
-                control: np.ndarray, tracking: np.ndarray) -> tuple:
+                couplings: Couplings) -> tuple:
     """(G0, G1, G2), the CSR blocks of the HUM functional b.
 
     Their columns are the unknowns [phi^1..phi^{M+1}, psi1^1..psi1^M,
@@ -181,6 +181,7 @@ def _hum_blocks(prob: CylinderProblem, ops: LevelOps,
     the capped weight to crush y(T).
     """
     M, n, dt = prob.mesh.M, prob.grid.N - 1, prob.mesh.dt
+    control, tracking = couplings.control, couplings.tracking
 
     def coupling(c):  # a coupling on the unknowns of levels 1..M
         return _interior(c[1:]).ravel()
@@ -298,12 +299,9 @@ class HUMSolver:
         self.ops = ops
         M, n = prob.mesh.M, prob.grid.N - 1
         dt = prob.mesh.dt
-        # the followers' couplings, kept for the consistency check and
-        # the Newton remainder
-        couplings = game.couplings(prob)
-        self.control, self.tracking = couplings.control, couplings.tracking
-        self.G0, self.G1, self.G2 = _hum_blocks(
-            prob, ops, self.control, self.tracking)
+        # the followers' couplings, read by every solve and the Newton loop
+        self.couplings = game.couplings(prob)
+        self.G0, self.G1, self.G2 = _hum_blocks(prob, ops, self.couplings)
         wv = prob.grid.interior_volumes
         self.rho0_inv2 = weights.rho0_n ** (-2.0)
         self.rho1_inv2 = weights.rho1_n ** (-2.0)
@@ -443,17 +441,15 @@ class HUMSolver:
         )
 
     def _consistency(self, y, p1, p2, h, y0, load) -> dict:
-        prob = self.prob
-        # the followers play v_i = -control_i p_i
-        v1, v2 = (TrajectoryField(prob.grid, prob.mesh,
-                                  -self.control[i] * p_i.values)
-                  for i, p_i in enumerate((p1, p2)))
+        prob, couplings = self.prob, self.couplings
+        v1, v2 = couplings.controls(prob, (p1.values, p2.values))
         src = _source_array(prob, h, v1, v2, _interior(load[0]))
         y_check = solve_forward_linear(self.ops, y0, src)
         scale = 1.0 + float(np.max(np.abs(y.values)))
         out = {"y": float(np.max(np.abs(y_check.values - y.values)) / scale)}
         # p_i has the source tracking_i y + H_i
-        p = follower_adjoints(self.ops, self.tracking * y.values + load[1:])
+        p = follower_adjoints(self.ops,
+                              couplings.tracking * y.values + load[1:])
         for i, p_i in enumerate((p1, p2)):
             pscale = 1.0 + float(np.max(np.abs(p_i.values)))
             # row 0 of p is not among the variational unknowns
@@ -517,7 +513,7 @@ def _remainder_parts(hum: HUMSolver) -> tuple:
     (D1F(0,0), D2F(0,0), the interior rows of tracking_i y_id stacked
     over i), with hum's tracking couplings.
     """
-    prob, tracking = hum.prob, hum.tracking
+    prob, tracking = hum.prob, hum.couplings.tracking
     targets = hum.game.targets(prob)
     zero = np.zeros(1)
     return (float(prob.F.D1(zero, zero)[0]), float(prob.F.D2(zero, zero)[0]),

@@ -206,8 +206,7 @@ class CylinderProblem:
     """Bundle of all static data for one discrete cylinder problem.
 
     Holds the geometry specs, grid/mesh, nonlinearity and the cached
-    per-level base operators L0_n = b_n W^{-1}A + upwind(-B_n x).  Every
-    window must hold an interior node of the grid.
+    per-level base operators L0_n = b_n W^{-1}A + upwind(-B_n x).
     """
 
     def __init__(self, deg: DegeneracySpec, gw: GradientWeightSpec,
@@ -226,11 +225,6 @@ class CylinderProblem:
         self.Dc_bands = central_gradient_bands(grid)
         self._lin_ops = None
         self._ind = {}
-        empty = [f"window {name}={getattr(windows, name)} holds no interior "
-                 f"node of the grid" for name in ("O", "O1", "O2", "Od")
-                 if not self.indicator_interior(name).any()]
-        if empty:
-            raise ValueError("; ".join(empty))
 
     @classmethod
     def default(cls, N: int, M: int) -> "CylinderProblem":
@@ -481,18 +475,23 @@ def follower_adjoints(ops: LevelOps, sources: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Couplings:
-    """The followers' couplings, built by `nash.GameSpec.couplings`:
-    control[i] = 1_Oi / (mu_i wt) and tracking[i] = alphas[i] observed,
-    with observed = wt 1_Od; control and tracking (2, M+1, N+1), observed
-    (M+1, N+1)."""
+    """The followers' couplings, built once per solve by
+    `nash.GameSpec.couplings`: control[i] = 1_Oi / (mu_i wt) and
+    tracking[i] = alphas[i] observed, with observed = wt 1_Od; control and
+    tracking (2, M+1, N+1), observed (M+1, N+1)."""
 
     control: np.ndarray
     observed: np.ndarray
     alphas: tuple
 
-    @property
+    @cached_property
     def tracking(self) -> np.ndarray:
         return np.stack([a * self.observed for a in self.alphas])
+
+    def controls(self, prob: CylinderProblem, p) -> list:
+        """[v1, v2] with v^i = -control_i p^i, for p = (p^1, p^2) values."""
+        return [TrajectoryField(prob.grid, prob.mesh, -self.control[i] * p[i])
+                for i in (0, 1)]
 
 
 # the coupled forward-backward sweeps: the largest update at which they
@@ -527,16 +526,13 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
     an update is not finite.
     """
     ops = prob.linearized_ops()
-    control = _interior(couplings.control)
-    base_src = _source_array(prob, h=h,
-                             extra=None if H is None else _interior(H.values))
+    extra = None if H is None else _interior(H.values)
     hsrc = np.stack([np.zeros_like(couplings.observed) if Hi is None
                      else Hi.values for Hi in (H1, H2)])
     p = np.zeros_like(hsrc)
     history = []
     for _ in range(_MAX_SWEEPS):
-        src = (base_src - _interior(p[0]) * control[0]
-               - _interior(p[1]) * control[1])
+        src = _source_array(prob, h, *couplings.controls(prob, p), extra)
         y_field = solve_forward_linear(ops, y0, src)
         new = follower_adjoints(ops, couplings.tracking * y_field.values
                                 + hsrc)
@@ -572,7 +568,8 @@ _ADJOINT = "adjoint forward-backward coupling"
 
 def _span(coupling: np.ndarray) -> slice:
     """The interior nodes, first to last, at which the coupling
-    (M+1, N-1) is nonzero on some level; it is zero off them."""
+    (M+1, N-1) is nonzero on some level; it is zero off them.  A run
+    that reaches it reads the coupling's windows, so they hold a node."""
     nodes = np.flatnonzero(np.any(coupling != 0.0, axis=0))
     return slice(nodes[0], nodes[-1] + 1)
 

@@ -321,10 +321,9 @@ class TestBandOperators:
         # those linearized at a random state
         prob = prob_small
         y = _random_state(prob, rng)
-        couplings = game.couplings(prob)
         _assert_space_time_columns(
-            prob, _hum_blocks(prob, prob.ops_at_state(y), couplings.control,
-                              couplings.tracking),
+            prob, _hum_blocks(prob, prob.ops_at_state(y),
+                              game.couplings(prob)),
             *_sparse_levels(prob, y))
 
     def test_hum_blocks_equal_sparse_reference(self):

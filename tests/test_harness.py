@@ -275,8 +275,13 @@ _LEADER = {"experiment": {"h_amplitude": 0.5}}
 
 
 def _base(kind, condition, grid=(32, 64)):
-    return {"grid": {"N": grid[0], "M": grid[1]}, **condition,
+    return {"grid": dict(zip(("N", "M", "gamma"), grid)), **condition,
             "experiment": {**condition.get("experiment", {}), "kind": kind}}
+
+
+# the 8-cell grid at gamma 60, whose interior nodes all lie below 0.3, so
+# that no window holds one
+_GAMMA_60 = (8, 8, 60.0)
 
 
 # the runs that read O and every field tied to it
@@ -423,6 +428,24 @@ class TestReads:
         # convexity read the follower windows but not O
         base = _base(kind, condition, grid=(16, 16))
         assert harness.validate_config({**base, **broken}) == []
+
+    @pytest.mark.parametrize("kind, condition", [
+        *[(kind, {}) for kind in harness.KINDS],
+        *[(kind, _LEADER) for kind in ("forward", "nash")],
+        ("mms-convergence", _CONSTANT)],
+        ids=lambda v: v if isinstance(v, str) else _condition_id(v))
+    def test_window_without_a_node_binds_the_runs_that_read_it(self, kind,
+                                                               condition):
+        # at gamma 60 no window holds an interior node of the 8-cell
+        # grid: a run is refused for the windows it reads, in one issue,
+        # and a run that reads none validates
+        config = _base(kind, condition, grid=_GAMMA_60)
+        windows = harness.default_config()["game"]["windows"]
+        read = [f"window {name}={tuple(windows[name])} holds no interior "
+                f"node of the grid" for name in harness.WINDOWS
+                if f"game.windows.{name}" in _read(config)]
+        assert harness.validate_config(config) == (
+            ["game.windows: " + "; ".join(read)] if read else [])
 
     def test_moved_bridge_moves_the_weights(self, tmp_path):
         base = {"grid": {"N": 16, "M": 16},
@@ -729,7 +752,7 @@ class TestCLI:
            "carleman.lam: lambda=1000000.0 is too large")
           for kind in harness.KINDS],
         ({"grid": {**_COARSE, "gamma": 60.0},
-          "experiment": {"kind": "convexity"}},
+          "experiment": {"kind": "linear-control"}},
          "game.windows: window O=(0.3, 0.5) holds no interior node"),
         ({"grid": _COARSE, "geometry": {"k": -0.5}},
          "geometry: l(t) must be at least 1 on [0,T]"),
@@ -805,6 +828,24 @@ class TestCLI:
         _assert_config_error(tmp_path, capsys, command, config,
                              f"error: geometry.b_exp: a {kind} run does not "
                              f"read this field")
+
+    @pytest.mark.parametrize("condition, code", [
+        ({}, cli.EXIT_OK),
+        # the study refines the grid to 4N nodes at gamma 60, where the
+        # manufactured source's march fails: a solver error, not a refusal
+        ({**_CONSTANT, "experiment": {"kind": "mms-convergence"}},
+         cli.EXIT_SOLVER)], ids=["forward", "mms-convergence-constant"])
+    def test_run_that_reads_no_window_needs_no_node(self, tmp_path, condition,
+                                                     code):
+        # a forward run at h_amplitude 0 and an mms-convergence run read
+        # no window, so validation takes windows that hold no node
+        config = _base("forward", {}, grid=_GAMMA_60)
+        config.update(condition)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == code
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_cap_below_one_is_config_error(self, tmp_path, capsys,

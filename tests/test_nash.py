@@ -165,7 +165,7 @@ class TestFixedPoint:
         deltas = iter([1.0, 0.5, 2.0, 1.0, 1e-12])
         p = np.zeros((2, prob_small.mesh.M + 1, prob_small.grid.N + 1))
 
-        def adjoints(prob, game, y):
+        def adjoints(prob, couplings, targets, y):
             p[:] += next(deltas)
             return p.copy()
 

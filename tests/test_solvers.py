@@ -48,10 +48,12 @@ def _duality_mismatch(prob, ops, rng):
 
 class TestProblem:
     def test_window_without_a_node_rejected(self):
-        # at gamma 60 every interior node of the 8-cell grid lies below 0.3
+        # at gamma 60 every interior node of the 8-cell grid lies below
+        # 0.3; a nash run reads O1
         with pytest.raises(ValueError, match=r"window O1=\(0.55, 0.7\) "
                            r"holds no interior node"):
-            build_run({"grid": {"N": 8, "M": 8, "gamma": 60.0}})
+            build_run({"grid": {"N": 8, "M": 8, "gamma": 60.0},
+                       "experiment": {"kind": "nash"}})
 
 
 class TestDuality:

@@ -148,6 +148,19 @@ CONFIGS = {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "nash", "h_amplitude": 0.5},
     },
+    # the one run where GameSpec.targets returns zero fields
+    "nash-no-targets": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"target_amplitude": 0.0},
+        "experiment": {"kind": "nash"},
+    },
+    # the one convexity run with wt = l(t), in the Nash solves and the
+    # second-derivative form
+    "convexity-unweighted": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"jacobian_weighting": False},
+        "experiment": {"kind": "convexity"},
+    },
     "diagnostics": {
         "grid": {"N": 32, "M": 64},
         "experiment": {"kind": "diagnostics"},
