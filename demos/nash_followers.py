@@ -14,7 +14,7 @@ import numpy as np
 from degcontrol.grids import TrajectoryField
 from degcontrol.harness import build_run
 from degcontrol.nash import (convexity_margin, evaluate_functional,
-                             nash_fixed_point)
+                             functional_gradient, nash_fixed_point)
 from degcontrol.solvers import solve_forward_semilinear
 
 prob, _, game = build_run({})
@@ -27,8 +27,10 @@ h = TrajectoryField.from_function(
 
 sol = nash_fixed_point(prob, game, h, y0)
 print(f"sweeps to convergence : {len(sol.history)}")
-print(f"grad J1 residual      : {sol.residuals['grad_J1']:.3e}")
-print(f"grad J2 residual      : {sol.residuals['grad_J2']:.3e}")
+grads = functional_gradient(prob, game, h, sol.v1, sol.v2, y0)
+for i, (g, v) in enumerate(zip(grads, (sol.v1, sol.v2)), start=1):
+    residual = g.l2q_norm() / (1.0 + v.l2q_norm())
+    print(f"grad J{i} residual      : {residual:.3e}")
 
 rep = convexity_margin(prob, game, sol, np.random.default_rng(0))
 print(f"convexity margin      : {rep['margin']:.4f} "

@@ -34,7 +34,7 @@ from .carleman import (CarlemanParams, CarlemanWeights, adjoint_basis,
 from .geometry import (ControlGeometry, DegeneracySpec, GradientWeightSpec,
                        MovingDomainSpec)
 from .grids import SpatialGrid, TimeMesh, TrajectoryField
-from .mms import space_order_study, time_order_study
+from .mms import _HI, _LO, space_order_study, time_order_study
 from .nash import (GameSpec, convexity_margin, evaluate_functional,
                    fit_mu_star, functional_gradient, make_default_targets,
                    nash_fixed_point)
@@ -446,9 +446,25 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
         issues.append(f"nonlinearity.label: unknown label {nl['label']!r}; "
                       f"the one label is sinusoidal, and F = 0 is kappa1 = "
                       f"kappa2 = 0")
-    if kind in _NEEDS_F and nl["kappa1"] == nl["kappa2"] == 0:
+    # F = 0 in disguise: each kappa is 0 or, on the mesh, so small that
+    # its step dt |kappa| is below the roundoff of 1
+    if kind in _NEEDS_F and all(
+            k == 0 or (mesh is not None and 1.0 + mesh.dt * abs(k) == 1.0)
+            for k in (nl["kappa1"], nl["kappa2"])):
+        bound = "" if mesh is None else (
+            f"; at dt = {mesh.dt:.6g} a |kappa| up to about "
+            f"{2.0 ** -53 / mesh.dt:.3g} is 0 to roundoff")
         issues.append(f"nonlinearity: {_NEEDS_F[kind]}; set kappa1 or "
-                      f"kappa2 apart from 0")
+                      f"kappa2 apart from 0{bound}")
+    # the manufactured-solution studies measure their errors on the nodes
+    # in mms's window; the run's grid is their coarsest, and each finer
+    # grid holds its nodes
+    if (kind == "mms-convergence" and nodes is not None
+            and not np.any((nodes.nodes >= _LO) & (nodes.nodes <= _HI))):
+        issues.append(f"grid: no node lies in the manufactured-solution "
+                      f"error window [{_LO}, {_HI}], so the studies' "
+                      f"errors vanish and their slopes are not defined; "
+                      f"lower grid.gamma or raise grid.N")
     prob = weights = None
     empty = [f"window {name}={getattr(windows, name)} holds no interior "
              f"node of the grid" for name in WINDOWS
@@ -644,6 +660,11 @@ def _run_nash(cfg, prob, weights, game, out, rng, outputs):
     y0 = _initial_data(cfg, prob, rng)
     h = _leader_source(cfg, prob)
     sol = nash_fixed_point(prob, game, h, y0)
+    # the gradients of J_1, J_2 at the equilibrium, relative to 1 + |v^i|
+    grads = functional_gradient(prob, game, h, sol.v1, sol.v2, y0)
+    residuals = {f"grad_J{i}": g.l2q_norm() / (1.0 + v.l2q_norm())
+                 for i, (g, v) in enumerate(zip(grads, (sol.v1, sol.v2)),
+                                            start=1)}
     for name in ("v1", "v2"):
         dump_trajectory_csv(getattr(sol, name), out / f"{name}.csv")
         outputs.append(f"{name}.csv")
@@ -663,7 +684,7 @@ def _run_nash(cfg, prob, weights, game, out, rng, outputs):
     outputs.append("j_landscape.csv")
     return {
         "sweeps": len(sol.history),
-        "residuals": sol.residuals,
+        "residuals": residuals,
         "J1": J1,
         "J2": J2,
     }
@@ -674,7 +695,7 @@ def _run_convexity(cfg, prob, weights, game, out, rng, outputs):
     margins = []
     for mu in map(float, cfg["experiment"]["mu_grid"]):
         game = replace(game, mu1=mu, mu2=mu)
-        state = nash_fixed_point(prob, game, None, y0, compute_residuals=False)
+        state = nash_fixed_point(prob, game, None, y0)
         m = convexity_margin(prob, game, state, rng)
         margins.append((mu, m["margin"], m["certified"]))
     fit = fit_mu_star(prob, game, None, y0)

@@ -16,7 +16,10 @@ forward step; the quasi-equilibrium is the Picard fixed point of
 GameSpec.couplings builds this map (`Couplings.controls`) and the adjoint
 tracking weight alpha_i wt 1_{Od} once per solve: the Nash fixed point
 (its NashSolution carries them to the second-derivative form), the
-gradients, the leader's HUM solver and the observability samplers.
+gradients, the leader's HUM solver and the observability samplers.  The
+NashSolution also carries the operators I + dt L(y), factored, that the
+fixed point's last sweep built at its state y, so the second-derivative
+form marches through them and builds nothing.
 
 The second-derivative quadratic form follows the tangent/second-adjoint
 (theta, eta) system; with the exact-transpose construction it is the
@@ -34,8 +37,10 @@ from .grids import TrajectoryField, integral_q
 from .solvers import (
     Couplings,
     CylinderProblem,
+    LevelOps,
     StepFailureError,
     SweepFailureError,
+    _SWEEP_TOL,
     _interior,
     _source_array,
     follower_adjoints,
@@ -159,7 +164,9 @@ def evaluate_functional(prob: CylinderProblem, game: GameSpec, i: int,
 
 @dataclass
 class NashSolution:
-    """A quasi-equilibrium (v^i = -control_i p^i) and its couplings."""
+    """A quasi-equilibrium (v^i = -control_i p^i), its couplings, and the
+    operators `ops` linearized at its state y, as the last sweep
+    factored them."""
 
     y: TrajectoryField
     p1: TrajectoryField
@@ -167,37 +174,37 @@ class NashSolution:
     v1: TrajectoryField
     v2: TrajectoryField
     couplings: Couplings
+    ops: LevelOps
     history: list = dc_field(default_factory=list)
-    residuals: dict = dc_field(default_factory=dict)
 
 
-def _follower_adjoints(prob: CylinderProblem, couplings: Couplings,
+def _follower_adjoints(ops: LevelOps, couplings: Couplings,
                        targets: tuple, y: TrajectoryField) -> np.ndarray:
     """Both follower adjoints at the state y, shape (2, M+1, N+1): the
-    `follower_adjoints` of the sources tracking_i (y - y_id)."""
-    return follower_adjoints(prob.ops_at_state(y), np.stack(
+    `follower_adjoints` of the sources tracking_i (y - y_id), marched
+    through `ops`, the operators linearized at y."""
+    return follower_adjoints(ops, np.stack(
         [couplings.tracking[i] * (y.values - targets[i].values)
          for i in (0, 1)]))
 
 
-# the Picard iteration on the followers' optimality system: the largest
-# update at which it stops, and its sweep budget
-_TOL = 1e-10
+# the Picard iteration's sweep budget on the followers' optimality system
 _MAX_SWEEPS = 300
 
 
 def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
-                     h: TrajectoryField | None, y0: np.ndarray,
-                     compute_residuals: bool = True) -> NashSolution:
+                     h: TrajectoryField | None, y0: np.ndarray) -> NashSolution:
     """Picard iteration on the followers' optimality system.
 
     Alternates the semilinear forward solve (with the current follower
     controls) and the two adjoint solves with coefficients frozen at the
-    new state, until the trajectory update is at most _TOL.  Raises
-    SweepFailureError at an update that is not finite, at sweep k >= 4
-    when delta_k >= delta_{k-3} (no net contraction over three sweeps,
-    as the Newton loop), or after _MAX_SWEEPS; StepFailureError when a
-    state march fails.
+    new state, until the trajectory update is at most `_SWEEP_TOL`, the
+    stop of every Picard sweep in `solvers`.  The solution keeps the last
+    sweep's operators, built at its state.  Raises SweepFailureError at
+    an update that is not finite, at sweep k >= 4 when delta_k >=
+    delta_{k-3} (no net contraction over three sweeps, as the Newton
+    loop), or after _MAX_SWEEPS; StepFailureError when a state march
+    fails.
     """
     couplings, targets = game.couplings(prob), game.targets(prob)
     p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
@@ -205,14 +212,15 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     for _ in range(_MAX_SWEEPS):
         v = couplings.controls(prob, p)
         y = solve_forward_semilinear(prob, y0, h=h, v1=v[0], v2=v[1])
-        new = _follower_adjoints(prob, couplings, targets, y)
+        ops = prob.ops_at_state(y)
+        new = _follower_adjoints(ops, couplings, targets, y)
         # np.max, unlike Python's max, propagates a NaN update
         delta = float(np.max(np.abs(new - p)))
         p = new
         history.append(delta)
         if not np.isfinite(delta):
             raise SweepFailureError(history, "nash optimality system")
-        if delta <= _TOL:
+        if delta <= _SWEEP_TOL:
             break
         if len(history) >= 4 and delta >= history[-4]:
             raise SweepFailureError(history, "nash optimality system")
@@ -221,12 +229,7 @@ def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
     # one more control update so v matches the final adjoints exactly
     v1, v2 = couplings.controls(prob, p)
     p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
-    sol = NashSolution(y, p1, p2, v1, v2, couplings, history)
-    if compute_residuals:
-        grads = functional_gradient(prob, game, h, v1, v2, y0)
-        for i, (g, v_i) in enumerate(zip(grads, (v1, v2)), start=1):
-            sol.residuals[f"grad_J{i}"] = g.l2q_norm() / (1.0 + v_i.l2q_norm())
-    return sol
+    return NashSolution(y, p1, p2, v1, v2, couplings, ops, history)
 
 
 def functional_gradient(prob: CylinderProblem, game: GameSpec,
@@ -239,7 +242,8 @@ def functional_gradient(prob: CylinderProblem, game: GameSpec,
     fixed-point construction.
     """
     y = solve_forward_semilinear(prob, y0, h=h, v1=v1, v2=v2)
-    p = _follower_adjoints(prob, game.couplings(prob), game.targets(prob), y)
+    p = _follower_adjoints(prob.ops_at_state(y), game.couplings(prob),
+                           game.targets(prob), y)
     wt = game.time_weight(prob)
     grads = []
     for i, v_i in enumerate((v1, v2)):
@@ -276,7 +280,8 @@ def second_derivative_form(prob: CylinderProblem, game: GameSpec,
     """<D_1^2 J_1 (vbar, vtilde)> at the given state.
 
     Solves the tangent system for theta (direction vbar in O_1) and the
-    second adjoint eta backward, whose source combines the tracking term
+    second adjoint eta backward, both through the state's operators
+    `state.ops`, the second adjoint's source combining the tracking term
     and the derivative of the adjoint operator along theta; then returns
     int_{O1} eta vtilde + mu_1 int wt vbar vtilde.  For vtilde=None the
     quadratic form at vbar is returned; otherwise the bilinear form in
@@ -284,15 +289,14 @@ def second_derivative_form(prob: CylinderProblem, game: GameSpec,
     """
     other = vbar if vtilde is None else vtilde
     wt = game.time_weight(prob)
-    ops = prob.ops_at_state(state.y)
-    theta = solve_forward_linear(ops, np.zeros(prob.grid.N + 1),
+    theta = solve_forward_linear(state.ops, np.zeros(prob.grid.N + 1),
                                  _source_array(prob, v1=vbar))
     yi = _interior(state.y.values)
     ti = _interior(theta.values)
     pi = _interior(state.p1.values)
     g_eta = (_interior(state.couplings.tracking[0]) * ti
              - _dL_transpose_apply(prob, yi, ti, pi))
-    eta = solve_backward_linear(ops, g_eta)
+    eta = solve_backward_linear(state.ops, g_eta)
     ind1_full = prob.indicator("O1")
     cross = integral_q(prob.grid, prob.mesh,
                        eta.values * other.values * ind1_full)
@@ -354,7 +358,7 @@ def fit_mu_star(prob: CylinderProblem, game: GameSpec,
     def certified(mu: float) -> bool:
         g = replace(game, mu1=mu, mu2=mu)
         try:
-            st = nash_fixed_point(prob, g, h, y0, compute_residuals=False)
+            st = nash_fixed_point(prob, g, h, y0)
         except (SweepFailureError, StepFailureError):
             return False
         rep = convexity_margin(prob, g, st, np.random.default_rng(12345))

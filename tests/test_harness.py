@@ -279,9 +279,10 @@ def _base(kind, condition, grid=(32, 64)):
             "experiment": {**condition.get("experiment", {}), "kind": kind}}
 
 
-# the 8-cell grid at gamma 60, whose interior nodes all lie below 0.3, so
-# that no window holds one
-_GAMMA_60 = (8, 8, 60.0)
+# the 8-cell grid at gamma 10, whose interior nodes all lie below 0.3, so
+# that no window holds one; its last, 0.263, lies in the manufactured-
+# solution error window [0.25, 0.9]
+_GAMMA_10 = (8, 8, 10.0)
 
 
 # the runs that read O and every field tied to it
@@ -384,6 +385,39 @@ class TestReads:
         assert harness.validate_config(config) == []
         assert set(harness._F) - _read(config) == {"geometry.b_exp"}
 
+    @pytest.mark.parametrize("kind", harness._NEEDS_F)
+    def test_kappa_below_roundoff_is_f_zero(self, tmp_path, monkeypatch,
+                                            kind):
+        # a kappa whose step dt |kappa| is below the roundoff of 1 is
+        # refused as F = 0; with the refusal bypassed, kappa2 1e-300
+        # writes the outputs of F = 0 byte for byte
+        base = _base(kind, _KAPPAS_ZERO)
+        dt = harness.build_run(_base(kind, {}))[0].mesh.dt
+        least = 2.0 ** -53 / dt
+        while 1.0 + dt * least == 1.0:
+            least = np.nextafter(least, np.inf)
+        refused = float(np.nextafter(least, 0.0))
+        for name in ("nonlinearity.kappa1", "nonlinearity.kappa2"):
+            for kappa in (refused, -refused):
+                issues = harness.validate_config(_with(base, name, kappa))
+                assert len(issues) == 1
+                assert issues[0].startswith(
+                    f"nonlinearity: {harness._NEEDS_F[kind]}")
+            assert harness.validate_config(
+                _with(base, name, float(least))) == []
+        monkeypatch.setattr(harness, "_NEEDS_F", {})
+        expected = _outputs(base, tmp_path / "zero")
+        assert _outputs(_with(base, "nonlinearity.kappa2", 1e-300),
+                        tmp_path / "tiny") == expected
+        if kind == "nonlinear-control":
+            # the smallest accepted kappa moves the Newton loop's outputs;
+            # a convexity run's margins, mu plus a term of order kappa,
+            # keep their bits up to kappa1 near 1e-13 and kappa2 near
+            # 2e-12 at (32,64) (ROADMAP defect 4)
+            for name in ("nonlinearity.kappa1", "nonlinearity.kappa2"):
+                assert _outputs(_with(base, name, float(least)),
+                                tmp_path / name) != expected
+
     @pytest.mark.parametrize("kind", _WEIGHTED_KINDS)
     @pytest.mark.parametrize("geometry, read", [
         ({"family": "constant"}, False),
@@ -436,10 +470,10 @@ class TestReads:
         ids=lambda v: v if isinstance(v, str) else _condition_id(v))
     def test_window_without_a_node_binds_the_runs_that_read_it(self, kind,
                                                                condition):
-        # at gamma 60 no window holds an interior node of the 8-cell
+        # at gamma 10 no window holds an interior node of the 8-cell
         # grid: a run is refused for the windows it reads, in one issue,
         # and a run that reads none validates
-        config = _base(kind, condition, grid=_GAMMA_60)
+        config = _base(kind, condition, grid=_GAMMA_10)
         windows = harness.default_config()["game"]["windows"]
         read = [f"window {name}={tuple(windows[name])} holds no interior "
                 f"node of the grid" for name in harness.WINDOWS
@@ -754,6 +788,12 @@ class TestCLI:
         ({"grid": {**_COARSE, "gamma": 60.0},
           "experiment": {"kind": "linear-control"}},
          "game.windows: window O=(0.3, 0.5) holds no interior node"),
+        # the grading leaves mms's error window without a node, where
+        # both slopes would be NaN
+        ({"grid": {**_COARSE, "gamma": 12.0}, **_CONSTANT,
+          "experiment": {"kind": "mms-convergence"}},
+         "grid: no node lies in the manufactured-solution error window "
+         "[0.25, 0.9]"),
         ({"grid": _COARSE, "geometry": {"k": -0.5}},
          "geometry: l(t) must be at least 1 on [0,T]"),
         ({"grid": _COARSE, "geometry": {"family": "exponential", "k": -0.1}},
@@ -771,7 +811,8 @@ class TestCLI:
             "newton_max-negative", "newton_max-float", "newton_tol",
             "tol_terminal", "gamma-400", "mu_grid-zero", "mu_grid-negative",
             *[f"lam-overflow-{kind}" for kind in harness.KINDS],
-            "window-without-node", "ell-affine", "ell-exponential",
+            "window-without-node", "mms-window-without-node", "ell-affine",
+            "ell-exponential",
             "unread-field", *[f"unread-{kind}" for kind in harness.KINDS]])
     def test_malformed_config_is_config_error(self, tmp_path, capsys,
                                               command, config, field):
@@ -794,10 +835,19 @@ class TestCLI:
         *[({**_KAPPAS_ZERO, "experiment": {"kind": kind}},
            f"error: nonlinearity: {reason}; set kappa1 or kappa2 apart "
            f"from 0") for kind, reason in harness._NEEDS_F.items()],
+        # kappas whose step dt |kappa| at dt 1/8 is below the roundoff of 1
+        *[({"nonlinearity": kappas, "experiment": {"kind": kind}},
+           f"error: nonlinearity: {reason}; set kappa1 or kappa2 apart "
+           f"from 0; at dt = 0.125 a |kappa| up to about 8.88e-16 is 0 to "
+           f"roundoff") for kind, reason in harness._NEEDS_F.items()
+          for kappas in ({"kappa1": 0.0, "kappa2": 1e-300},
+                         {"kappa1": -8e-16, "kappa2": 1e-300})],
     ], ids=["affine-k0", "exponential-k0", "sinusoidal-k0", "sinusoidal-w0",
             "exponential-k1e-300",
             *[f"label-zero-{kind}" for kind in harness.KINDS],
-            *[f"kappas-zero-{kind}" for kind in harness._NEEDS_F]])
+            *[f"kappas-zero-{kind}" for kind in harness._NEEDS_F],
+            *[f"{spelling}-{kind}" for kind in harness._NEEDS_F
+              for spelling in ("kappa2-1e-300", "kappas-below-roundoff")]])
     def test_disguised_run_is_config_error(self, tmp_path, capsys, command,
                                            config, spelling):
         # a spelling of another run: a moving family that does not move
@@ -829,23 +879,19 @@ class TestCLI:
                              f"error: geometry.b_exp: a {kind} run does not "
                              f"read this field")
 
-    @pytest.mark.parametrize("condition, code", [
-        ({}, cli.EXIT_OK),
-        # the study refines the grid to 4N nodes at gamma 60, where the
-        # manufactured source's march fails: a solver error, not a refusal
-        ({**_CONSTANT, "experiment": {"kind": "mms-convergence"}},
-         cli.EXIT_SOLVER)], ids=["forward", "mms-convergence-constant"])
-    def test_run_that_reads_no_window_needs_no_node(self, tmp_path, condition,
-                                                     code):
+    @pytest.mark.parametrize("condition", [
+        {}, {**_CONSTANT, "experiment": {"kind": "mms-convergence"}}],
+        ids=["forward", "mms-convergence-constant"])
+    def test_run_that_reads_no_window_needs_no_node(self, tmp_path, condition):
         # a forward run at h_amplitude 0 and an mms-convergence run read
         # no window, so validation takes windows that hold no node
-        config = _base("forward", {}, grid=_GAMMA_60)
+        config = _base("forward", {}, grid=_GAMMA_10)
         config.update(condition)
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
         assert cli.main(["validate", "--config", str(path)]) == cli.EXIT_OK
         assert cli.main(["run", "--config", str(path),
-                         "--out", str(tmp_path / "out")]) == code
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_thread_cap_below_one_is_config_error(self, tmp_path, capsys,

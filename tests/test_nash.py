@@ -17,8 +17,8 @@ from degcontrol.nash import (
     nash_fixed_point,
     second_derivative_form,
 )
-from degcontrol.solvers import (StepFailureError, SweepFailureError,
-                                solve_forward_semilinear)
+from degcontrol.solvers import (CylinderProblem, StepFailureError,
+                                SweepFailureError, solve_forward_semilinear)
 
 from conftest import UNIT_GAME, build, sine_data
 
@@ -113,10 +113,11 @@ class TestFunctional:
 
 class TestFixedPoint:
     def test_residuals_small(self, prob, game):
-        sol = nash_fixed_point(prob, game, _leader(prob),
-                               sine_data(prob, 0.05))
-        assert sol.residuals["grad_J1"] <= 1e-6
-        assert sol.residuals["grad_J2"] <= 1e-6
+        h, y0 = _leader(prob), sine_data(prob, 0.05)
+        sol = nash_fixed_point(prob, game, h, y0)
+        grads = functional_gradient(prob, game, h, sol.v1, sol.v2, y0)
+        for g, v in zip(grads, (sol.v1, sol.v2)):
+            assert g.l2q_norm() / (1.0 + v.l2q_norm()) <= 1e-6
 
     def test_trivial_data_gives_zero(self, prob):
         # zero targets
@@ -165,7 +166,7 @@ class TestFixedPoint:
         deltas = iter([1.0, 0.5, 2.0, 1.0, 1e-12])
         p = np.zeros((2, prob_small.mesh.M + 1, prob_small.grid.N + 1))
 
-        def adjoints(prob, couplings, targets, y):
+        def adjoints(ops, couplings, targets, y):
             p[:] += next(deltas)
             return p.copy()
 
@@ -234,6 +235,31 @@ class TestSecondDerivative:
         q12 = second_derivative_form(prob, game, state, d1, d2)
         q21 = second_derivative_form(prob, game, state, d2, d1)
         assert q12 == pytest.approx(q21, rel=1e-8)
+
+    def test_marches_through_the_state_s_operators(self, prob, game,
+                                                    monkeypatch):
+        # the forms and the margin build no operator: with ops_at_state
+        # refused they give, bit for bit, what operators built afresh at
+        # the state give
+        state = nash_fixed_point(prob, game, _leader(prob),
+                                 sine_data(prob, 0.05))
+        d1 = _bump_direction(prob, "O1")
+        d2 = _bump_direction(prob, "O1")
+        d2.values *= np.sin(np.pi * prob.mesh.times)[:, None]
+
+        def values(st):
+            return (second_derivative_form(prob, game, st, d1),
+                    second_derivative_form(prob, game, st, d1, d2),
+                    convexity_margin(prob, game, st,
+                                     np.random.default_rng(3)))
+
+        expected = values(replace(state, ops=prob.ops_at_state(state.y)))
+
+        def refused(self, y):
+            raise AssertionError("an operator was built")
+
+        monkeypatch.setattr(CylinderProblem, "ops_at_state", refused)
+        assert values(state) == expected
 
     def test_matches_fd_hessian(self, prob, game):
         h = _leader(prob)

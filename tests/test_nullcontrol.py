@@ -101,8 +101,7 @@ class TestHierarchy:
             triple, _ = solve_nonlinear_null_control(hum, y0, *NEWTON)
         else:
             triple = hum.solve(y0)
-        played = nash_fixed_point(prob, game, triple.h, y0,
-                                  compute_residuals=False)
+        played = nash_fixed_point(prob, game, triple.h, y0)
         assert len(played.history) <= 5
         assert np.max(np.abs(played.y.values - triple.y.values)) <= 1e-10
 
