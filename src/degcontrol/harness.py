@@ -191,6 +191,20 @@ TIES = (
 )
 
 
+def _mesh(cfg: dict) -> TimeMesh | None:
+    """The run's time mesh; None where grid.M or geometry.T is refused."""
+    M, T = cfg["grid"]["M"], cfg["geometry"]["T"]
+    return TimeMesh(M, T) if 8 <= M <= 4096 and T > 0 else None
+
+
+def _zero_to_roundoff(cfg: dict, *kappas: str) -> bool:
+    """Whether F's `kappas` all act as 0: each is 0 or, on the run's mesh,
+    so small that its step dt |kappa| is below the roundoff of 1."""
+    mesh = _mesh(cfg)
+    return all(k == 0 or (mesh is not None and 1.0 + mesh.dt * abs(k) == 1.0)
+               for k in (cfg["nonlinearity"][name] for name in kappas))
+
+
 def accepted_fields(cfg: dict) -> set:
     """The fields that validation accepts set apart from their defaults
     in `cfg`, a well-typed config of a known kind: the fields its run
@@ -201,7 +215,7 @@ def accepted_fields(cfg: dict) -> set:
     fields = {"schema_version", "experiment.kind", *READS[kind]}
     if kind not in F_ZERO_KINDS:
         fields.update(_F)
-    if cfg["nonlinearity"]["kappa2"] == 0:
+    if _zero_to_roundoff(cfg, "kappa2"):
         # the gradient weight reaches a run only through kappa2 sin(w)
         fields.discard("geometry.b_exp")
     g = cfg["geometry"]
@@ -403,11 +417,9 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
         (grid["gamma"] < 1.0, "grid.gamma: grading exponent must be >= 1"),
     ) if bad]
     issues.extend(grid_issues)
-    nodes = mesh = None
+    nodes, mesh = None, _mesh(cfg)
     if not grid_issues:
         nodes = build("grid", SpatialGrid, grid["N"], grid["gamma"])
-    if 8 <= grid["M"] <= 4096 and g["T"] > 0:
-        mesh = TimeMesh(grid["M"], g["T"])
     if dom is not None:
         # the paper's l(t) >= 1, over the mesh times (l0 without a mesh)
         times = mesh.times if mesh is not None else np.zeros(1)
@@ -446,11 +458,8 @@ def build_run(config: ScenarioConfig | dict) -> tuple:
         issues.append(f"nonlinearity.label: unknown label {nl['label']!r}; "
                       f"the one label is sinusoidal, and F = 0 is kappa1 = "
                       f"kappa2 = 0")
-    # F = 0 in disguise: each kappa is 0 or, on the mesh, so small that
-    # its step dt |kappa| is below the roundoff of 1
-    if kind in _NEEDS_F and all(
-            k == 0 or (mesh is not None and 1.0 + mesh.dt * abs(k) == 1.0)
-            for k in (nl["kappa1"], nl["kappa2"])):
+    # F = 0 in disguise
+    if kind in _NEEDS_F and _zero_to_roundoff(cfg, "kappa1", "kappa2"):
         bound = "" if mesh is None else (
             f"; at dt = {mesh.dt:.6g} a |kappa| up to about "
             f"{2.0 ** -53 / mesh.dt:.3g} is 0 to roundoff")

@@ -40,9 +40,9 @@ from .solvers import (
     LevelOps,
     StepFailureError,
     SweepFailureError,
-    _SWEEP_TOL,
     _interior,
     _source_array,
+    _sweep_converged,
     follower_adjoints,
     solve_backward_linear,
     solve_forward_linear,
@@ -188,44 +188,30 @@ def _follower_adjoints(ops: LevelOps, couplings: Couplings,
          for i in (0, 1)]))
 
 
-# the Picard iteration's sweep budget on the followers' optimality system
-_MAX_SWEEPS = 300
-
-
 def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
                      h: TrajectoryField | None, y0: np.ndarray) -> NashSolution:
     """Picard iteration on the followers' optimality system.
 
     Alternates the semilinear forward solve (with the current follower
     controls) and the two adjoint solves with coefficients frozen at the
-    new state, until the trajectory update is at most `_SWEEP_TOL`, the
-    stop of every Picard sweep in `solvers`.  The solution keeps the last
-    sweep's operators, built at its state.  Raises SweepFailureError at
-    an update that is not finite, at sweep k >= 4 when delta_k >=
-    delta_{k-3} (no net contraction over three sweeps, as the Newton
-    loop), or after _MAX_SWEEPS; StepFailureError when a state march
-    fails.
+    new state, on the trajectory update, until `solvers._sweep_converged`,
+    the stop of every Picard sweep, which raises SweepFailureError.  The
+    solution keeps the last sweep's operators, built at its state.
+    Raises StepFailureError when a state march fails.
     """
     couplings, targets = game.couplings(prob), game.targets(prob)
     p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
     history = []
-    for _ in range(_MAX_SWEEPS):
+    while True:
         v = couplings.controls(prob, p)
         y = solve_forward_semilinear(prob, y0, h=h, v1=v[0], v2=v[1])
         ops = prob.ops_at_state(y)
         new = _follower_adjoints(ops, couplings, targets, y)
         # np.max, unlike Python's max, propagates a NaN update
-        delta = float(np.max(np.abs(new - p)))
+        history.append(float(np.max(np.abs(new - p))))
         p = new
-        history.append(delta)
-        if not np.isfinite(delta):
-            raise SweepFailureError(history, "nash optimality system")
-        if delta <= _SWEEP_TOL:
+        if _sweep_converged(history, "nash optimality system"):
             break
-        if len(history) >= 4 and delta >= history[-4]:
-            raise SweepFailureError(history, "nash optimality system")
-    else:
-        raise SweepFailureError(history, "nash optimality system")
     # one more control update so v matches the final adjoints exactly
     v1, v2 = couplings.controls(prob, p)
     p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)

@@ -70,7 +70,8 @@ from .carleman import CarlemanWeights
 from .grids import TrajectoryField, integral_q
 from .nash import GameSpec
 from .solvers import (Couplings, CylinderProblem, LevelOps, _interior,
-                      _source_array, follower_adjoints, solve_forward_linear)
+                      _source_array, _stalled, follower_adjoints,
+                      solve_forward_linear)
 
 __all__ = [
     "ControlledTriple",
@@ -568,8 +569,8 @@ def solve_nonlinear_null_control(hum: HUMSolver, y0: np.ndarray,
     Each history record carries the step's contraction
     delta_k / delta_{k-1} (None at the first step).  The loop raises
     NewtonFailureError with reason "diverged" at a non-finite delta or
-    when delta_k >= delta_{k-3}, and with reason "budget" when max_newton
-    steps end without convergence.
+    a stall (`solvers._stalled`: delta_k >= delta_{k-3}), and with reason
+    "budget" when max_newton steps end without convergence.
 
     The variational operator is the one linearized at zero, so every
     step reuses hum's one factorization: the Liusternik construction.
@@ -612,8 +613,7 @@ def solve_nonlinear_null_control(hum: HUMSolver, y0: np.ndarray,
         if d <= tol_z and triple.terminal_norm <= tol_terminal:
             record["converged"] = True
             return triple, history
-        # no net contraction over three steps: delta_k >= delta_{k-3}
-        if len(history) >= 4 and d >= history[-4]["remainder_delta"]:
+        if _stalled([r["remainder_delta"] for r in history]):
             raise NewtonFailureError(history, "diverged")
         N_prev = N_cur
     raise NewtonFailureError(history, "budget")

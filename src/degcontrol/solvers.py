@@ -494,10 +494,28 @@ class Couplings:
                 for i in (0, 1)]
 
 
-# the coupled forward-backward sweeps: the largest update at which they
-# stop, and their sweep budget
+# every Picard sweep's stop: the largest update at which it stops, and
+# its sweep budget
 _SWEEP_TOL = 1e-10
-_MAX_SWEEPS = 200
+_MAX_SWEEPS = 300
+
+
+def _stalled(updates) -> bool:
+    """No net contraction over three steps: update k >= update k-3."""
+    return len(updates) >= 4 and updates[-1] >= updates[-4]
+
+
+def _sweep_converged(history: list, what: str) -> bool:
+    """Whether the Picard sweep `what`, whose updates are `history`, has
+    converged: its last update is at most _SWEEP_TOL.  Raises
+    SweepFailureError at an update that is not finite, at a stall, or
+    after _MAX_SWEEPS sweeps."""
+    if history[-1] <= _SWEEP_TOL:
+        return True
+    if (not np.isfinite(history[-1]) or _stalled(history)
+            or len(history) >= _MAX_SWEEPS):
+        raise SweepFailureError(history, what)
+    return False
 
 
 @dataclass
@@ -521,9 +539,7 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
     -p_i_t + L* p_i = tracking_i y + H_i,                  p_i(T)=0,
 
     with the game's `couplings`; p1 and p2 are `follower_adjoints`.
-    Sweeps until the largest update of p is at most _SWEEP_TOL; raises
-    SweepFailureError if that takes more than _MAX_SWEEPS, or as soon as
-    an update is not finite.
+    Sweeps on the largest update of p until `_sweep_converged`.
     """
     ops = prob.linearized_ops()
     extra = None if H is None else _interior(H.values)
@@ -531,22 +547,17 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
                      else Hi.values for Hi in (H1, H2)])
     p = np.zeros_like(hsrc)
     history = []
-    for _ in range(_MAX_SWEEPS):
+    while True:
         src = _source_array(prob, h, *couplings.controls(prob, p), extra)
         y_field = solve_forward_linear(ops, y0, src)
         new = follower_adjoints(ops, couplings.tracking * y_field.values
                                 + hsrc)
         # np.max, unlike Python's max, propagates a NaN update
-        delta = float(np.max(np.abs(new - p)))
+        history.append(float(np.max(np.abs(new - p))))
         p = new
-        history.append(delta)
-        if not np.isfinite(delta):
-            raise SweepFailureError(history,
-                                    "linearized forward-backward coupling")
-        if delta <= _SWEEP_TOL:
+        if _sweep_converged(history, "linearized forward-backward coupling"):
             p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
             return LinearizedSolution(y_field, p1, p2, history)
-    raise SweepFailureError(history, "linearized forward-backward coupling")
 
 
 @dataclass
@@ -605,8 +616,8 @@ def _coupled_source(out: np.ndarray, src, coupling: np.ndarray,
 def sweep_adjoint(prob: CylinderProblem, phi: np.ndarray,
                   couplings: Couplings, f0=None, f_rho=None) -> list:
     """Sweeps phi and rho = alpha1 psi1 + alpha2 psi2 of the coupled
-    adjoint system (see `solve_adjoint_coupled`) until the largest update
-    of rho is at most _SWEEP_TOL; returns the history of updates.
+    adjoint system (see `solve_adjoint_coupled`) on the largest update of
+    rho until `_sweep_converged`; returns the history of updates.
 
     phi: (M+1, k, N-1), each phi[m] C-contiguous, holding the terminal
     rows at level M; it is solved in place.  f0 and f_rho, the sources of
@@ -615,8 +626,7 @@ def sweep_adjoint(prob: CylinderProblem, phi: np.ndarray,
     other columns have none.  Each sweep marches phi backward from
     f0 + wt 1_Od rho, then rho forward from f_rho - c_rho phi, with
     c_rho = alpha1 control_1 + alpha2 control_2; each coupling is applied
-    on the nodes of its windows only.  Raises SweepFailureError if that
-    takes more than _MAX_SWEEPS, or as soon as an update is not finite.
+    on the nodes of its windows only.
     """
     ops = prob.linearized_ops()
     M, dt = prob.mesh.M, prob.mesh.dt
@@ -632,7 +642,7 @@ def sweep_adjoint(prob: CylinderProblem, phi: np.ndarray,
     # the current rho and the one marched next; level 0 stays 0
     cur, nxt = np.zeros(phi.shape), np.zeros(phi.shape)
     history = []
-    for _ in range(_MAX_SWEEPS):
+    while True:
         _coupled_source(phi[:M], f0, obs, obs_span, cur[:M], dt)
         ops.march_adjoint(phi, M - 1)
         _coupled_source(nxt[1:], f_rho, neg_c_rho, rho_span, phi[1:], dt)
@@ -640,12 +650,9 @@ def sweep_adjoint(prob: CylinderProblem, phi: np.ndarray,
         # the update, in the old iterate's array; np.max propagates a NaN
         np.subtract(cur, nxt, out=cur)
         history.append(float(np.max(np.abs(cur, out=cur))))
-        if not np.isfinite(history[-1]):
-            raise SweepFailureError(history, _ADJOINT)
         cur, nxt = nxt, cur
-        if history[-1] <= _SWEEP_TOL:
+        if _sweep_converged(history, _ADJOINT):
             return history
-    raise SweepFailureError(history, _ADJOINT)
 
 
 def march_followers(prob: CylinderProblem, phi: np.ndarray,
@@ -690,11 +697,9 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     rho, then `march_followers` marches psi1 and psi2 once from the
     converged phi.
     phiT holds k terminal rows (k, N+1), each source is None or an array
-    (k, M+1, N+1), and all k columns sweep in one solve per level until
-    the largest update of rho is at most _SWEEP_TOL.  Raises
-    SweepFailureError if that takes more than _MAX_SWEEPS, as soon as an
-    update is not finite, or if phi^0 or a follower is not finite; the
-    last history entry is then NaN.
+    (k, M+1, N+1), and all k columns sweep in one solve per level.
+    Raises SweepFailureError as `_sweep_converged` does, or, with NaN
+    the last history entry, if phi^0 or a follower is not finite.
     """
     M, n = prob.mesh.M, prob.grid.N - 1
     terminal = np.asarray(phiT, dtype=float)

@@ -405,6 +405,15 @@ class TestReads:
                     f"nonlinearity: {harness._NEEDS_F[kind]}")
             assert harness.validate_config(
                 _with(base, name, float(least))) == []
+        # the gradient weight goes with kappa2's term; without a valid
+        # mesh only kappa2 = 0 drops it
+        plain = _base(kind, {})
+        assert "geometry.b_exp" not in _read(
+            _with(plain, "nonlinearity.kappa2", refused))
+        assert "geometry.b_exp" in _read(
+            _with(plain, "nonlinearity.kappa2", float(least)))
+        assert "geometry.b_exp" in _read(_with(
+            _with(plain, "nonlinearity.kappa2", refused), "grid.M", 4))
         monkeypatch.setattr(harness, "_NEEDS_F", {})
         expected = _outputs(base, tmp_path / "zero")
         assert _outputs(_with(base, "nonlinearity.kappa2", 1e-300),
@@ -872,12 +881,15 @@ class TestCLI:
     @pytest.mark.parametrize("kind", _F_KINDS)
     def test_gradient_weight_without_kappa2_is_config_error(
             self, tmp_path, capsys, command, kind):
-        # the gradient weight acts only through kappa2 sin(w)
-        config = {"grid": _COARSE, "geometry": {"b_exp": 3.0},
-                  **_KAPPA2_ZERO, "experiment": {"kind": kind}}
-        _assert_config_error(tmp_path, capsys, command, config,
-                             f"error: geometry.b_exp: a {kind} run does not "
-                             f"read this field")
+        # the gradient weight acts only through kappa2 sin(w), and a
+        # kappa2 of 1e-300 is 0 to roundoff at the mesh
+        for kappa2 in (0.0, 1e-300):
+            config = {"grid": _COARSE, "geometry": {"b_exp": 3.0},
+                      "nonlinearity": {"kappa2": kappa2},
+                      "experiment": {"kind": kind}}
+            _assert_config_error(tmp_path, capsys, command, config,
+                                 f"error: geometry.b_exp: a {kind} run does "
+                                 f"not read this field")
 
     @pytest.mark.parametrize("condition", [
         {}, {**_CONSTANT, "experiment": {"kind": "mms-convergence"}}],

@@ -1,10 +1,12 @@
 """Forward/backward kernels, discrete duality and coupled sweeps."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from degcontrol import carleman, solvers
+from degcontrol import carleman, cli, harness, solvers
 from degcontrol.grids import TrajectoryField
 from degcontrol.harness import build_run
 from degcontrol.nash import GameSpec
@@ -545,6 +547,53 @@ class TestNonFiniteSweep:
                                      H1=_nan_field(prob_small))
         assert len(err.value.history) == 1
         assert np.isnan(err.value.history[0])
+
+
+def _observability(mu) -> dict:
+    return {"grid": {"N": 32, "M": 64}, "game": {"mu1": mu, "mu2": mu},
+            "experiment": {"kind": "observability"}}
+
+
+class TestSweepStop:
+    """Every Picard sweep stops on the one rule: an update of at most
+    _SWEEP_TOL, no net contraction over three sweeps, or the one budget
+    of _MAX_SWEEPS sweeps."""
+
+    def test_diverging_adjoint_sweep_ends_early(self, tmp_path):
+        # at mu = 1e-3 on (32,64) the adjoint sweep's updates grow from
+        # the second sweep on, so it stops at sweep 4 rather than run to
+        # the budget, where 200 sweeps reach an update near 1e52
+        with pytest.raises(SweepFailureError) as err:
+            harness.run_scenario(_observability(1e-3), tmp_path, seed=0)
+        history = err.value.history
+        assert len(history) == 4
+        assert np.all(np.isfinite(history))
+        assert history[-1] >= history[-4]
+
+    def test_stalled_linearized_sweep_ends_early(self, prob_small,
+                                                 monkeypatch):
+        # updates of 1, 0.5, 2 and 1 stop the sweep at the fourth, as in
+        # the Nash loop
+        deltas = iter([1.0, 0.5, 2.0, 1.0, 1e-12])
+        p = np.zeros((2, prob_small.mesh.M + 1, prob_small.grid.N + 1))
+
+        def adjoints(ops, sources):
+            p[:] += next(deltas)
+            return p.copy()
+
+        monkeypatch.setattr(solvers, "follower_adjoints", adjoints)
+        with pytest.raises(SweepFailureError) as err:
+            solve_linearized_coupled(prob_small, sine_data(prob_small, 0.1),
+                                     UNIT_GAME.couplings(prob_small))
+        assert err.value.history == [1.0, 0.5, 2.0, 1.0]
+
+    def test_slow_adjoint_sweep_converges_within_budget(self, tmp_path):
+        # at mu = 0.002 on (32,64) the adjoint sweep contracts slowly and
+        # converges after more than 200 sweeps, within the one budget
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(_observability(0.002)))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_OK
 
 
 class TestFollowerAdjoints:

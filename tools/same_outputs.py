@@ -112,6 +112,18 @@ CONFIGS = {
         "geometry": {"T": 0.1},
         "experiment": {"kind": "nash"},
     },
+    # the long Picard sweeps: small penalties, where the Nash loop takes
+    # 34 sweeps and the adjoint sweep 15
+    "nash-small-mu": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"mu1": 3e-3, "mu2": 3e-3},
+        "experiment": {"kind": "nash"},
+    },
+    "observability-small-mu": {
+        "grid": {"N": 32, "M": 64},
+        "game": {"mu1": 0.01, "mu2": 0.01},
+        "experiment": {"kind": "observability"},
+    },
     # the one F = 0 run of a kind that reads F
     "nash-f-zero": {
         "grid": {"N": 32, "M": 64},
