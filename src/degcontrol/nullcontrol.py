@@ -240,8 +240,8 @@ def lower_band(A: sp.csr_matrix, perm: np.ndarray) -> np.ndarray:
     ab[i - j, j] = A[perm[i], perm[j]] for i >= j; the bandwidth kd is
     the largest distance of a stored entry from the diagonal.
     """
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(perm.size)
+    inv = np.empty(perm.size, dtype=A.indices.dtype)
+    inv[perm] = np.arange(perm.size, dtype=inv.dtype)
     row = np.repeat(inv, np.diff(A.indptr))
     col = inv[A.indices]
     low = row >= col
@@ -321,20 +321,18 @@ class HUMSolver:
         dinv = 1.0 / self.scale
         B.data *= np.repeat(dinv, np.diff(B.indptr))
         B.data *= dinv[B.indices]
-        self.Bs = B
         # the normal operator inherits the exponentially weak observability
         # of the continuous problem; factor a shifted copy and correct by
         # iterative refinement against the true matrix (the load is in the
         # numerical range, so the refinement converges there).  The shifted
         # copy is SPD and, numbered level by level, a band matrix
         perm = level_order(M, n)
-        ab = lower_band(self.Bs, perm)
+        ab = lower_band(B, perm)
         ab[0] += SHIFT
         self.lu = BandCholesky(ab, perm)
-        # extended-precision values on the index arrays of Bs, for the
-        # refinement residuals
-        self._Bld = sp.csr_matrix((B.data.astype(np.longdouble), B.indices,
-                                   B.indptr), shape=B.shape)
+        # held once, in extended precision for the refinement residuals
+        B.data = B.data.astype(np.longdouble)
+        self.Bs = B
         self._n, self._M = n, M
 
     def _rhs(self, y0: np.ndarray, load: np.ndarray) -> np.ndarray:
@@ -377,10 +375,10 @@ class HUMSolver:
             # would gain at most 1.45x (README)
             fld = fs.astype(np.longdouble)
             zl = self.lu.solve(fs).astype(np.longdouble)
-            r = (fld - self._Bld @ zl).astype(float)
+            r = (fld - self.Bs @ zl).astype(float)
             history.append(np.linalg.norm(r))
             zl += self.lu.solve(r)
-            r = (fld - self._Bld @ zl).astype(float)
+            r = (fld - self.Bs @ zl).astype(float)
             history.append(np.linalg.norm(r))
             rel_res = float(history[1] / fnorm)
             if rel_res > RESIDUAL_LIMIT:

@@ -3,6 +3,7 @@
 import copy
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,8 +315,9 @@ def _splu_reference(hum: HUMSolver) -> HUMSolver:
     """A copy of `hum` that solves with SuperLU's factor of the same
     shifted operator."""
     ref = copy.copy(hum)
-    ref.lu = spla.splu(
-        (hum.Bs + nullcontrol.SHIFT * sp.identity(hum.Bs.shape[0])).tocsc())
+    # SuperLU has no long-double type
+    ref.lu = spla.splu((hum.Bs.astype(float) + nullcontrol.SHIFT
+                        * sp.identity(hum.Bs.shape[0])).tocsc())
     return ref
 
 
@@ -324,20 +326,35 @@ class TestFactorization:
 
     def test_csr_product_equals_csc(self, coarse):
         hum = coarse[3]
-        assert hum._Bld.format == "csr"
+        assert hum.Bs.format == "csr"
         v = np.random.default_rng(0).standard_normal(
             hum.Bs.shape[0]).astype(np.longdouble)
-        assert np.array_equal(hum._Bld @ v,
+        assert np.array_equal(hum.Bs @ v,
                               hum.Bs.tocsc().astype(np.longdouble) @ v)
 
     def test_one_product_per_refinement_step(self, coarse, monkeypatch):
         prob, hum = coarse[0], coarse[3]
-        counter = _CountingMatrix(hum._Bld)
-        monkeypatch.setattr(hum, "_Bld", counter)
+        counter = _CountingMatrix(hum.Bs)
+        monkeypatch.setattr(hum, "Bs", counter)
         info = hum.solve(sine_data(prob, 0.1)).cg_info
         # one product scores the unrefined iterate, one the corrected one
         assert _one_correction(info)
         assert counter.products == 2
+
+    def test_operator_held_once_in_long_double(self):
+        prob, weights, game = build(32, 64, **LINEAR)
+        prob.linearized_ops()  # cached on prob, not held by the HUM
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            hum = HUMSolver(prob, weights, game)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert hum.Bs.data.dtype == np.longdouble
+        # beside the band, measured 1.92 MiB; a float64 copy of the
+        # operator beside the long-double one held 2.46 MiB
+        assert held - hum.lu.band.nbytes <= 2.1 * 2 ** 20
 
     @pytest.mark.parametrize("N, M", [(16, 16), (32, 64)])
     def test_level_order_gives_band(self, N, M):

@@ -153,7 +153,7 @@ def test_one_config_runs_f_zero_on_a_kind_that_reads_f():
     # nash-f-zero holds the kappas' spelling of F = 0 to its outputs; the
     # other configs run the default F or a kind that runs F = 0 anyway
     configs = _configs()
-    assert len(configs) == 28
+    assert len(configs) == 29
     assert [name for name, config in configs.items()
             if config["experiment"]["kind"] not in harness.F_ZERO_KINDS
             and config["nonlinearity"]["kappa1"] == 0.0

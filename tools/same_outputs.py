@@ -74,6 +74,12 @@ CONFIGS = {
         "grid": {"N": 64, "M": 128},
         "experiment": {"kind": "linear-control"},
     },
+    # an operator of 1.19M stored entries, where the band is filled at
+    # scale
+    "linear-control-128x256": {
+        "grid": {"N": 128, "M": 256},
+        "experiment": {"kind": "linear-control"},
+    },
     # the shortest horizon at which the default alpha's solve passes at
     # this grid, where the weights span the most decades
     "linear-control-short-horizon": {
