@@ -468,19 +468,19 @@ def weight_roots(prob, weights: CarlemanWeights) -> tuple:
             * prob.indicator_interior("O"))
 
 
-def _weighted(u: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The columns of u (M+1, k, m), in march layout, on levels 1..M
-    times root (M, m), laid out (k, M, m)."""
-    v = u[1:].transpose(1, 0, 2)
+def _weighted(v: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The columns v (L, k, m) of L time levels, in march layout, times
+    root (L, m), laid out (k, L, m)."""
+    v = v.transpose(1, 0, 2)
     return np.multiply(v, root, out=np.empty(v.shape))
 
 
-def _gamma_columns(u: np.ndarray, roots: tuple) -> np.ndarray:
-    """The Gamma columns [u r0, (D u) rf] of a field u (M+1, k, N-1),
-    laid out (k, M, 2N-1); D u are the face differences of the interior
-    values, whose boundary values are zero."""
-    r0, rf = roots[:2]
-    v = u[1:].transpose(1, 0, 2)
+def _gamma_columns(v: np.ndarray, r0: np.ndarray,
+                   rf: np.ndarray) -> np.ndarray:
+    """The Gamma columns [v r0, (D v) rf] of a field's values v
+    (L, k, N-1) on L time levels, laid out (k, L, 2N-1); D v are the face
+    differences of the interior values, whose boundary values are zero."""
+    v = v.transpose(1, 0, 2)
     n = v.shape[-1]
     cols = np.empty(v.shape[:2] + (2 * n + 1,))
     np.multiply(v, r0, out=cols[..., :n])
@@ -493,10 +493,31 @@ def _gamma_columns(u: np.ndarray, roots: tuple) -> np.ndarray:
 
 
 def _gram(cols: np.ndarray) -> np.ndarray:
-    """Gram matrix X X^T of the k columns laid out (k, M, m): one
+    """Gram matrix X X^T of the k columns laid out (k, L, m): one
     symmetric product (BLAS syrk), exactly symmetric."""
     x = cols.reshape(len(cols), -1)
     return x @ x.T
+
+
+# a Gram form's columns are built in blocks of whole time levels that
+# hold about this many bytes
+BLOCK_BYTES = 1 << 18
+
+
+def _level_gram(columns, v: np.ndarray, *roots: np.ndarray) -> np.ndarray:
+    """Gram matrix sum_b X_b X_b^T of the columns that `columns` lays out
+    from a block of levels of v (L, k, ...) and of each root (L, m_i),
+    summed over blocks of whole levels of about BLOCK_BYTES of columns
+    (each level holds k * sum m_i numbers).  Each block's product is one
+    `_gram`, so the sum is exactly symmetric."""
+    k = v.shape[1]
+    step = max(1, BLOCK_BYTES // (k * sum(r.shape[-1] for r in roots)
+                                  * v.itemsize))
+    out = np.zeros((k, k))
+    for i in range(0, len(v), step):
+        out += _gram(columns(v[i:i + step],
+                             *(r[i:i + step] for r in roots)))
+    return out
 
 
 def _forms(coef: np.ndarray, gram: np.ndarray) -> np.ndarray:
@@ -547,7 +568,7 @@ def _observability_forms(prob, phi: np.ndarray, rho: np.ndarray,
     # |phi(0)|^2 + |rho(T)|^2 as two "levels" of one column each
     ends = np.stack([phi[0], rho[-1]], axis=1)
     ends *= np.sqrt(prob.grid.interior_volumes)
-    return _gram(ends), _gram(_weighted(phi, r_obs)) / wmass
+    return _gram(ends), _level_gram(_weighted, phi[1:], r_obs) / wmass
 
 
 def empirical_observability(prob, weights: CarlemanWeights, couplings,
@@ -567,7 +588,8 @@ def empirical_observability(prob, weights: CarlemanWeights, couplings,
     """
     alphas = couplings.alphas
     psi = basis.psi[:, :SINE_MODES]
-    rho = alphas[0] * psi[:, :, 0] + alphas[1] * psi[:, :, 1]
+    rho = alphas[0] * psi[:, :, 0]
+    rho += alphas[1] * psi[:, :, 1]
     lhs, rhs = _observability_forms(prob, basis.phi[:, :SINE_MODES], rho,
                                     roots)
     coef = _damped(rng.standard_normal((samples, SINE_MODES)))
@@ -597,16 +619,19 @@ def _carleman_forms(prob, phi: np.ndarray, psi: np.ndarray,
 
     Gamma(u) = sum_m dt b^2 [sum_j w_j w_2 |u_j|^2 + sum_f h_f a w_1 |u_x|^2]
     (w_1 at a face the geometric mean of its nodes', u_x = (D u) / h_f)
-    is the Gram form of u's columns [u r0, (D u) rf]; each field's
-    columns are built in turn, so only one is held at a time."""
-    _, _, r_src, r_obs = roots
-    lhs = sum(_gram(_gamma_columns(u, roots))
+    is the Gram form of u's columns [u r0, (D u) rf].  Every form is
+    summed over blocks of whole levels 1..M (`_level_gram`): one field's
+    columns on one block are all that is held at a time, about
+    BLOCK_BYTES whatever the grid."""
+    r0, rf, r_src, r_obs = roots
+    lhs = sum(_level_gram(_gamma_columns, u[1:], r0, rf)
               for u in (phi, psi[:, :, 0], psi[:, :, 1]))
-    rhs = _gram(_weighted(phi, r_obs))
+    rhs = _level_gram(_weighted, phi[1:], r_obs)
     # each slot's source term: the Gram matrix of the source modes
     modes = _source_modes(prob.grid, prob.mesh)
     q = len(modes)
-    src = _gram(modes[:, 1:, 1:-1] * r_src)
+    src = _level_gram(_weighted, modes[:, 1:, 1:-1].transpose(1, 0, 2),
+                      r_src)
     source = np.zeros_like(rhs)
     for i in range(SINE_MODES, len(rhs), q):
         source[i:i + q, i:i + q] = src

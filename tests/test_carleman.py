@@ -1,6 +1,7 @@
 """Carleman weight construction, identities and empirical inequalities."""
 
 import json
+import tracemalloc
 from dataclasses import replace
 from functools import partial
 
@@ -338,15 +339,27 @@ class TestGramForms:
     """The Gram forms of the weighted columns equal the per-level band
     forms and the integral formulas on random fields."""
 
-    def test_gamma_and_observation_forms(self, w32):
+    def test_gamma_and_observation_forms(self, w32, monkeypatch):
         prob, w = w32
         grid, mesh = prob.grid, prob.mesh
         gamma, _, observation = _reference_forms(prob, w)
-        roots = carleman.weight_roots(prob, w)
+        r0, rf, _, r_obs = carleman.weight_roots(prob, w)
         rng = np.random.default_rng(4)
         cols = rng.standard_normal((mesh.M + 1, 5, grid.N - 1))
-        g_gamma = carleman._gram(carleman._gamma_columns(cols, roots))
-        g_obs = carleman._gram(carleman._weighted(cols, roots[3]))
+        # blocks of 7 Gamma levels (5 columns of 2N-1 numbers each) and
+        # 14 observation levels, neither of which divides M = 64
+        monkeypatch.setattr(carleman, "BLOCK_BYTES", 7 * 5 * 63 * 8)
+        blocks, gram = [], carleman._gram
+
+        def counted(x):
+            blocks.append(x.shape[1])
+            return gram(x)
+
+        monkeypatch.setattr(carleman, "_gram", counted)
+        g_gamma = carleman._level_gram(carleman._gamma_columns, cols[1:],
+                                       r0, rf)
+        g_obs = carleman._level_gram(carleman._weighted, cols[1:], r_obs)
+        assert blocks == [7] * 9 + [1] + [14] * 4 + [8]
         for g, ref in zip((g_gamma, g_obs), _band_reference(prob, w, cols)):
             assert np.all(np.abs(g - ref) <= 1e-13 * np.abs(ref))
             assert np.array_equal(g, g.T)
@@ -358,13 +371,33 @@ class TestGramForms:
         unit = (np.ones((mesh.M, n)), np.ones((mesh.M, n + 1)))
         t = 3 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
         ref = np.einsum("mkn,np,mlp->kl", cols[1:], t, cols[1:])
-        g = carleman._gram(carleman._gamma_columns(cols, unit))
+        g = carleman._level_gram(carleman._gamma_columns, cols[1:], *unit)
         assert np.all(np.abs(g - ref) <= 1e-13 * np.abs(ref))
         for c in np.vstack([np.eye(5), rng.standard_normal((3, 5))]):
             u = np.zeros((mesh.M + 1, grid.N + 1))
             u[:, 1:-1] = np.einsum("mkn,k->mn", cols, c)
             assert c @ g_gamma @ c == pytest.approx(gamma(u), rel=1e-12)
             assert c @ g_obs @ c == pytest.approx(observation(u), rel=1e-12)
+
+    def test_forms_hold_one_block(self, prob, weights):
+        # at (64,128) the 14 basis columns of one field take 1.7 MiB on
+        # levels 1..M as Gamma columns, which the forms held whole (1.92
+        # MiB beyond the inputs); blocks of whole levels hold about
+        # BLOCK_BYTES at a time (measured 0.44 MiB, the source modes
+        # among them)
+        grid, mesh = prob.grid, prob.mesh
+        rng = np.random.default_rng(6)
+        phi = rng.standard_normal((mesh.M + 1, 14, grid.N - 1))
+        psi = rng.standard_normal((mesh.M + 1, 14, 2, grid.N - 1))
+        roots = carleman.weight_roots(prob, weights)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            carleman._carleman_forms(prob, phi, psi, roots)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2 ** 20
 
 
 class TestGramSampling:

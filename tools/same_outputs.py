@@ -59,6 +59,12 @@ CONFIGS = {
         "game": {"alpha1": 0.7, "alpha2": 0.3},
         "experiment": {"kind": "observability"},
     },
+    # Gram forms summed over many level blocks: 29 per Gamma field here,
+    # against 8 at (64,128)
+    "observability-128x256": {
+        "grid": {"N": 128, "M": 256},
+        "experiment": {"kind": "observability"},
+    },
     "observability-unweighted": {
         "grid": {"N": 32, "M": 64},
         "game": {"jacobian_weighting": False},
