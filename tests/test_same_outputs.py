@@ -92,18 +92,55 @@ def test_report_drift_names_its_key(tmp_path):
         "report.residuals.1)"]
 
 
-def test_checkout_matches_itself():
+def test_checkout_matches_itself(tmp_path):
+    # this checkout as its own parent, with a ledger entry of one repeat
+    ledger = tmp_path / "bench.json"
     done = subprocess.run(
         [sys.executable, str(TOOL), str(ROOT), str(ROOT),
-         "--grid", "16", "16", "--configs", "newton-desk",
+         "--grid", "16", "16", "--repeats", "1", "--ledger", str(ledger),
+         "--configs", "newton-desk", "adjoint-sampling",
          "linear-control-unweighted", "observability-unweighted",
          "theorem1-small-data-64x128"],
         capture_output=True, text=True)
     assert done.returncode == 0, done.stdout + done.stderr
     lines = done.stdout.splitlines()
-    assert lines[-1] == "4 of 4 configs identical"
+    assert lines[-1] == "5 of 5 configs identical"
     assert all(": identical (exit 0; " in line for line in lines[:-1])
     assert "leader.csv" in lines[0]
+    entry = json.loads(ledger.read_text())
+    assert entry["repeats"] == 1
+    assert set(entry["environment"]) == {"python", "numpy", "scipy", "nproc",
+                                         "threads"}
+    configs = entry["configs"]
+    assert sorted(config["verdict"] for config in configs.values()) == (
+        sorted(lines[:-1]))
+    for config in configs.values():
+        grid = config["config"]["grid"]
+        assert (grid["N"], grid["M"]) == (16, 16)
+        for side in ("change", "parent"):
+            s = config[side]
+            assert s["error"] is None and s["exit_codes"] == [0]
+            assert s["wall_s"] == s["wall_s_runs"][0] > 0.0
+            assert s["peak_rss_mb"] == s["peak_rss_mb_runs"][0] > 10.0
+        # one checkout on both sides computes the same accuracy keys
+        assert config["change"]["accuracy"] == config["parent"]["accuracy"]
+    accuracy = configs["newton-desk"]["change"]["accuracy"]
+    assert accuracy["report.scales.1.0.terminal_l2"] <= 1e-9
+    # scale 300 diverges on purpose and reports no terminal norm
+    assert "report.scales.300.0.terminal_l2" not in accuracy
+    assert "report.carleman_max_ratio" in (
+        configs["adjoint-sampling"]["change"]["accuracy"])
+
+
+def test_runs_stop_unless_the_package_is_the_checkouts(tmp_path):
+    # a checkout whose src/degcontrol links to this one's imports the
+    # package from outside its own src
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "degcontrol").symlink_to(ROOT / "src" / "degcontrol")
+    launch = _tool()._launch
+    with pytest.raises(SystemExit, match="degcontrol was not imported from"):
+        launch(tmp_path, ["list"], tmp_path)
+    assert launch(ROOT, ["list"], tmp_path)["exit"] == 0
 
 
 def test_scaled_drift_sets_moves_against_the_parents_scale(tmp_path):
@@ -153,7 +190,7 @@ def test_one_config_runs_f_zero_on_a_kind_that_reads_f():
     # nash-f-zero holds the kappas' spelling of F = 0 to its outputs; the
     # other configs run the default F or a kind that runs F = 0 anyway
     configs = _configs()
-    assert len(configs) == 30
+    assert len(configs) == 32
     assert [name for name, config in configs.items()
             if config["experiment"]["kind"] not in harness.F_ZERO_KINDS
             and config["nonlinearity"]["kappa1"] == 0.0
@@ -167,3 +204,9 @@ def test_every_family_and_a_second_gradient_weight_run():
     families = {config["geometry"]["family"] for config in configs}
     assert families == {"constant", "affine", "exponential", "sinusoidal"}
     assert any(config["geometry"]["b_exp"] != 2.0 for config in configs)
+
+
+def test_every_preset_is_run():
+    # the presets are no list of their own: some config runs each
+    assert {spec["preset"] for spec in _tool().CONFIGS.values()
+            if "preset" in spec} == set(harness.list_presets())

@@ -1,19 +1,27 @@
-"""Check that two checkouts compute the same outputs on a fixed list of runs.
+"""Run a fixed list of configs in two checkouts: check that they compute
+the same outputs, and time them.
 
     python tools/same_outputs.py PARENT CHANGE [--grid N M]
-                                 [--configs NAME ...]
+        [--configs NAME ...] [--repeats K] [--ledger OUT]
 
 PARENT and CHANGE are checkout roots (directories holding src/degcontrol).
-Each config runs once per checkout through the CLI (`run --seed 0`), each
-run in its own Python subprocess with PYTHONPATH=<checkout>/src and the
-BLAS thread caps (OMP_NUM_THREADS and friends) set to 1.  For every
-config the exit codes, the output file names, report.json without its
-`timings` and every CSV byte for byte are compared, and one line per
-config says `identical` or names what differs; a run that writes no
-report.json counts as a difference.  Each file that differs is followed
-by the largest relative difference of its numbers, position by position
-(`inf` when the two files do not hold as many numbers); for report.json
-it names the key where that difference is, as in `at
+Each config runs K times (default 1) per checkout through the CLI (`run
+--seed 0`), the side that runs first alternating between repeats, the
+parent first in the first.  Every run is its own Python process with
+PYTHONPATH=<checkout>/src and the BLAS thread caps (OMP_NUM_THREADS and
+friends) set to 1, and stops the tool unless degcontrol was imported
+from <checkout>/src.  It times the CLI call alone (the package is
+imported before) and then reads its peak RSS (`ru_maxrss`), which
+covers the interpreter, the imports and the run.
+
+The first run on each side is compared: the exit codes, the output file
+names, report.json without its `timings` and every CSV byte for byte.
+One line per config says `identical` or names what differs, then the
+median wall times, parent / change; a run that writes no report.json
+counts as a difference.  Each file that differs is followed by the
+largest relative difference of its numbers, position by position (`inf`
+when the two files do not hold as many numbers); for report.json it
+names the key where that difference is, as in `at
 report.scales.1.0.terminal_l2` (list items by position).  A CSV adds its
 drift on the parent's scale: the largest difference divided by the
 largest magnitude in the parent's columns that moved, so that a value
@@ -21,10 +29,20 @@ near zero does not make a small move look large, and a column that never
 moves, such as the time `t`, sets no scale.  Exits 1 on any difference,
 0 when every config is identical.
 
---grid overrides every config's grid (a quick run); --configs picks a
-subset of CONFIGS.  The benchmark's workloads and its guards take their
-configs from perfbench/workloads.py of this tool's checkout, so that the
-check runs exactly what the benchmark runs.
+--ledger writes one ledger entry to OUT (BENCH_<n>.json at the
+repository root, one per change that backs a figure with them): per
+config its verdict line, the config the change ran and per side the
+median and every run of the wall time and peak RSS, the exit codes, the
+first error (the last stderr line of a run that exited non-zero) and
+the accuracy keys of the first run: every number of its report.json but
+the timings, keyed as the drift notes key them.  It also records the
+numpy, scipy and Python versions and nproc.
+
+--grid sets every config's N and M and keeps its other grid fields (a
+quick run); --configs picks a subset of CONFIGS.  The benchmark's
+workloads and its guards take their configs from perfbench/workloads.py
+of this tool's checkout, so that the check runs exactly what the
+benchmark runs.
 """
 
 from __future__ import annotations
@@ -34,10 +52,11 @@ import copy
 import json
 import math
 import os
+import platform
+import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
@@ -59,11 +78,18 @@ CONFIGS = {
         "game": {"alpha1": 0.7, "alpha2": 0.3},
         "experiment": {"kind": "observability"},
     },
-    # Gram forms summed over many level blocks: 29 per Gamma field here,
-    # against 8 at (64,128)
+    # the observability kind at three grids: the Gram forms are summed
+    # over 8 level blocks per Gamma field at (64,128), 29 at (128,256)
+    "observability-64x128": {
+        "preset": "observability-baseline",
+    },
     "observability-128x256": {
         "grid": {"N": 128, "M": 256},
         "experiment": {"kind": "observability"},
+    },
+    "observability-256x512": {
+        "preset": "observability-baseline",
+        "grid": {"N": 256, "M": 512},
     },
     "observability-unweighted": {
         "grid": {"N": 32, "M": 64},
@@ -198,17 +224,47 @@ CONFIGS = {
     },
 }
 
-_CLI = ("import sys; from degcontrol import cli; "
-        "sys.exit(cli.main(sys.argv[1:]))")
 _THREAD_CAPS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
+# one CLI call, argv[1:] its arguments; the package is imported before
+# the clock starts, so wall_s holds no import.  Prints one JSON line last.
+_RUN = """\
+import json, resource, sys, time, traceback
+import numpy, scipy
+import degcontrol.cli, degcontrol.harness
+start = time.perf_counter()
+try:
+    code = degcontrol.cli.main(sys.argv[1:])
+except Exception:
+    traceback.print_exc()
+    code = 1
+wall = time.perf_counter() - start
+print(json.dumps({
+    "exit": code, "wall_s": wall,
+    "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    "package": degcontrol.__file__,
+    "numpy": numpy.__version__, "scipy": scipy.__version__}))
+"""
 
-def _cli(checkout: Path, args: list,
-         cwd: Path) -> subprocess.CompletedProcess:
-    env = dict(os.environ, PYTHONPATH=str(checkout.resolve() / "src"))
+
+def _launch(checkout: Path, args: list, cwd: Path) -> dict:
+    """One CLI call with `args` on `checkout`'s package, in a fresh
+    process: its exit code, wall time, peak RSS, error (the last line of
+    its stderr when it exits non-zero) and numpy and scipy versions.
+    Stops the tool when degcontrol was not imported from <checkout>/src."""
+    src = checkout.resolve() / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
     env.update({cap: "1" for cap in _THREAD_CAPS})
-    return subprocess.run([sys.executable, "-c", _CLI, *args], cwd=cwd,
+    done = subprocess.run([sys.executable, "-c", _RUN, *args], cwd=cwd,
                           env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{checkout}: {' '.join(args)}: {done.stderr}")
+    result = json.loads(done.stdout.splitlines()[-1])
+    if not Path(result.pop("package")).resolve().is_relative_to(src):
+        sys.exit(f"degcontrol was not imported from {src}")
+    errors = done.stderr.strip().splitlines()
+    result["error"] = errors[-1] if result["exit"] and errors else None
+    return result
 
 
 def scenario(checkout: Path, name: str, grid, work: Path) -> dict:
@@ -216,10 +272,12 @@ def scenario(checkout: Path, name: str, grid, work: Path) -> dict:
     spec = copy.deepcopy(CONFIGS[name])
     preset = spec.pop("preset", None)
     if preset is not None:
-        done = _cli(checkout, ["preset", preset], work)
-        if done.returncode != 0:
-            raise RuntimeError(f"{checkout}: preset {preset}: {done.stderr}")
-        config = json.loads(done.stdout)
+        path = work / "preset.json"
+        done = _launch(checkout, ["preset", preset, "--out", str(path)], work)
+        if done["exit"] != 0:
+            raise RuntimeError(f"{checkout}: preset {preset}: "
+                               f"{done['error']}")
+        config = json.loads(path.read_text())
         for section, fields in spec.items():
             config[section].update(fields)
         spec = config
@@ -228,15 +286,17 @@ def scenario(checkout: Path, name: str, grid, work: Path) -> dict:
     return spec
 
 
-def run(checkout: Path, name: str, grid, work: Path) -> tuple:
-    """Runs one config in one checkout; returns (exit code, output dir)."""
+def run(checkout: Path, config: dict, work: Path) -> dict:
+    """Runs `config` once in `checkout`: `_launch`'s result, with the
+    output directory as `out`."""
     work.mkdir(parents=True)
     path = work / "config.in.json"
-    path.write_text(json.dumps(scenario(checkout, name, grid, work)))
+    path.write_text(json.dumps(config))
     out = work / "out"
-    done = _cli(checkout, ["run", "--config", str(path), "--out", str(out),
-                           "--seed", "0"], work)
-    return done.returncode, out
+    result = _launch(checkout, ["run", "--config", str(path), "--out",
+                                str(out), "--seed", "0"], work)
+    result["out"] = out
+    return result
 
 
 def _report_text(path: Path) -> str:
@@ -374,33 +434,81 @@ def describe(a: Path, b: Path) -> list:
             for name in compare(a, b)]
 
 
+def verdict(a: dict, b: dict) -> str:
+    """`identical`, or `DIFFERS: ` and what differs between the runs a
+    (the parent's) and b (the change's): exit codes, then `describe`."""
+    diffs = describe(a["out"], b["out"])
+    if a["exit"] != b["exit"]:
+        diffs.insert(0, f"exit code {a['exit']} != {b['exit']}")
+    return "identical" if not diffs else "DIFFERS: " + "; ".join(diffs)
+
+
+def summary(runs: list) -> dict:
+    """The ledger's figures of one config on one checkout: medians and
+    every run of the wall time and peak RSS, the exit codes, the first
+    error, and the accuracy keys of the first run (every run takes seed
+    0): every number of its report.json but the timings, keyed as
+    `_numbers` keys them."""
+    report = runs[0]["out"] / "report.json"
+    return {
+        "wall_s": statistics.median(r["wall_s"] for r in runs),
+        "peak_rss_mb": statistics.median(r["peak_rss_mb"] for r in runs),
+        "wall_s_runs": [r["wall_s"] for r in runs],
+        "peak_rss_mb_runs": [r["peak_rss_mb"] for r in runs],
+        "exit_codes": [r["exit"] for r in runs],
+        "error": next((r["error"] for r in runs if r["error"]), None),
+        "accuracy": dict(_numbers(report)) if report.is_file() else None,
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--grid", type=int, nargs=2, metavar=("N", "M"))
     parser.add_argument("--configs", nargs="+", choices=sorted(CONFIGS),
-                        default=list(CONFIGS))
+                        metavar="NAME", default=list(CONFIGS))
+    parser.add_argument("--repeats", type=int, default=1, metavar="K")
+    parser.add_argument("--ledger", type=Path, metavar="OUT")
     args = parser.parse_args(argv)
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    sides = {"parent": args.parent, "change": args.change}
+    entry = {"repeats": args.repeats, "configs": {}}
+    differing = 0
     with tempfile.TemporaryDirectory() as tmp:
-        differing = 0
         for name in args.configs:
-            start = time.perf_counter()
-            code_a, out_a = run(args.parent, name, args.grid,
-                                Path(tmp, name, "parent"))
-            code_b, out_b = run(args.change, name, args.grid,
-                                Path(tmp, name, "change"))
-            diffs = describe(out_a, out_b)
-            if code_a != code_b:
-                diffs.insert(0, f"exit code {code_a} != {code_b}")
-            files = ", ".join(sorted(p.name for p in out_b.glob("*")
+            configs, runs = {}, {side: [] for side in sides}
+            for side, checkout in sides.items():
+                work = Path(tmp, name, side)
+                work.mkdir(parents=True)
+                configs[side] = scenario(checkout, name, args.grid, work)
+            for i in range(args.repeats):
+                # alternate which side runs first
+                for side in list(sides)[::1 if i % 2 == 0 else -1]:
+                    runs[side].append(run(sides[side], configs[side],
+                                          Path(tmp, name, side, str(i))))
+            first = runs["change"][0]
+            figures = {side: summary(side_runs)
+                       for side, side_runs in runs.items()}
+            files = ", ".join(sorted(p.name for p in first["out"].glob("*")
                                      if p.suffix == ".csv"
                                      or p.name == "report.json"))
-            verdict = ("identical" if not diffs
-                       else "DIFFERS: " + "; ".join(diffs))
-            print(f"{name}: {verdict} (exit {code_b}; {files}; "
-                  f"{time.perf_counter() - start:.1f} s)", flush=True)
-            differing += bool(diffs)
+            outcome = verdict(runs["parent"][0], first)
+            line = (f"{name}: {outcome} (exit {first['exit']}; {files}; "
+                    f"wall {figures['parent']['wall_s']:.3f} / "
+                    f"{figures['change']['wall_s']:.3f} s)")
+            print(line, flush=True)
+            differing += outcome != "identical"
+            entry["configs"][name] = {"config": configs["change"],
+                                      "verdict": line, **figures}
+    if args.ledger is not None:
+        entry["environment"] = {
+            "python": platform.python_version(), "numpy": first["numpy"],
+            "scipy": first["scipy"], "nproc": len(os.sched_getaffinity(0)),
+            "threads": 1}
+        args.ledger.write_text(json.dumps(entry, indent=2, sort_keys=True)
+                               + "\n")
     print(f"{len(args.configs) - differing} of {len(args.configs)} configs "
           "identical")
     return 1 if differing else 0
