@@ -85,8 +85,7 @@ def main(argv=None) -> int:
 
     # import after the thread caps so the pools honor them
     from . import harness
-    from .nullcontrol import HUMError, NewtonFailureError
-    from .solvers import StepFailureError, SweepFailureError
+    from .solvers import SolverError
 
     if args.command == "list":
         print("presets:")
@@ -125,8 +124,7 @@ def main(argv=None) -> int:
     except harness.ConfigError as exc:
         _print_issues(exc.issues)
         return EXIT_CONFIG
-    except (StepFailureError, SweepFailureError, NewtonFailureError,
-            HUMError) as exc:
+    except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except ValueError as exc:

@@ -38,11 +38,10 @@ from .solvers import (
     Couplings,
     CylinderProblem,
     LevelOps,
-    StepFailureError,
-    SweepFailureError,
+    SolverError,
     _interior,
     _source_array,
-    _sweep_converged,
+    fixed_point,
     follower_adjoints,
     solve_backward_linear,
     solve_forward_linear,
@@ -190,28 +189,23 @@ def _follower_adjoints(ops: LevelOps, couplings: Couplings,
 
 def nash_fixed_point(prob: CylinderProblem, game: GameSpec,
                      h: TrajectoryField | None, y0: np.ndarray) -> NashSolution:
-    """Picard iteration on the followers' optimality system.
-
-    Alternates the semilinear forward solve (with the current follower
-    controls) and the two adjoint solves with coefficients frozen at the
-    new state, on the trajectory update, until `solvers._sweep_converged`,
-    the stop of every Picard sweep, which raises SweepFailureError.  The
-    solution keeps the last sweep's operators, built at its state.
-    Raises StepFailureError when a state march fails.
+    """Picard iteration on the followers' optimality system, by
+    `solvers.fixed_point`: each sweep of p solves the semilinear state
+    (StepFailureError if its march fails) with the current follower
+    controls, then both adjoints with coefficients frozen at the new
+    state.  The solution keeps the last sweep's operators, built there.
     """
     couplings, targets = game.couplings(prob), game.targets(prob)
-    p = np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1))
-    history = []
-    while True:
-        v = couplings.controls(prob, p)
-        y = solve_forward_semilinear(prob, y0, h=h, v1=v[0], v2=v[1])
+
+    def sweep(p, out):
+        y = solve_forward_semilinear(prob, y0, h, *couplings.controls(prob, p))
         ops = prob.ops_at_state(y)
-        new = _follower_adjoints(ops, couplings, targets, y)
-        # np.max, unlike Python's max, propagates a NaN update
-        history.append(float(np.max(np.abs(new - p))))
-        p = new
-        if _sweep_converged(history, "nash optimality system"):
-            break
+        out[:] = _follower_adjoints(ops, couplings, targets, y)
+        return y, ops
+
+    p, history, (y, ops) = fixed_point(
+        sweep, np.zeros((2, prob.mesh.M + 1, prob.grid.N + 1)),
+        "nash optimality system")
     # one more control update so v matches the final adjoints exactly
     v1, v2 = couplings.controls(prob, p)
     p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
@@ -334,9 +328,9 @@ def fit_mu_star(prob: CylinderProblem, game: GameSpec,
     certified margin, in _MU_ITERS steps.
 
     Each trial re-solves the Nash fixed point and draws its probes from
-    one fixed seed; a diverging iteration counts as not certified,
-    whether its sweep or its state march fails.  Bisection runs on
-    log(mu).
+    one fixed seed; a fixed point that fails (any SolverError, its
+    sweep's or its state march's) counts as not certified.  Bisection
+    runs on log(mu).
     """
     bracket = _MU_BRACKET
     lo, hi = np.log(bracket[0]), np.log(bracket[1])
@@ -345,7 +339,7 @@ def fit_mu_star(prob: CylinderProblem, game: GameSpec,
         g = replace(game, mu1=mu, mu2=mu)
         try:
             st = nash_fixed_point(prob, g, h, y0)
-        except (SweepFailureError, StepFailureError):
+        except SolverError:
             return False
         rep = convexity_margin(prob, g, st, np.random.default_rng(12345))
         return rep["certified"]

@@ -69,8 +69,8 @@ from scipy.linalg import lapack
 from .carleman import CarlemanWeights
 from .grids import TrajectoryField, integral_q
 from .nash import GameSpec
-from .solvers import (Couplings, CylinderProblem, LevelOps, _interior,
-                      _source_array, _stalled, follower_adjoints,
+from .solvers import (Couplings, CylinderProblem, LevelOps, SolverError,
+                      _interior, _source_array, _stalled, follower_adjoints,
                       solve_forward_linear)
 
 __all__ = [
@@ -95,7 +95,7 @@ RECONSTRUCTION_LIMIT = 1e-6
 SHIFT = 1e-15
 
 
-class HUMError(RuntimeError):
+class HUMError(SolverError):
     """The HUM solve failed: the factorization, the refinement or the
     reconstruction of the controlled triple."""
 
@@ -110,7 +110,7 @@ class RefinementError(HUMError):
         self.rel_residual = rel_residual
 
 
-class NewtonFailureError(RuntimeError):
+class NewtonFailureError(SolverError):
     """Newton loop ended without converging.
 
     reason is "diverged" when a remainder delta is not finite or has not

@@ -44,12 +44,14 @@ from .semilinear import SemilinearF
 __all__ = [
     "CylinderProblem",
     "LevelOps",
+    "SolverError",
     "StepFailureError",
     "SweepFailureError",
     "solve_forward_semilinear",
     "solve_forward_linear",
     "solve_backward_linear",
     "follower_adjoints",
+    "fixed_point",
     "solve_linearized_coupled",
     "solve_adjoint_coupled",
     "sweep_adjoint",
@@ -62,7 +64,11 @@ __all__ = [
 ]
 
 
-class StepFailureError(RuntimeError):
+class SolverError(RuntimeError):
+    """A solver failed: the CLI's exit 3."""
+
+
+class StepFailureError(SolverError):
     """Newton's method on the semilinear state trajectory failed.
 
     Raised for a starting residual that is not finite, at the first
@@ -80,7 +86,7 @@ class StepFailureError(RuntimeError):
         self.residual = residual
 
 
-class SweepFailureError(RuntimeError):
+class SweepFailureError(SolverError):
     """Trajectory-level Picard sweep failed to converge."""
 
     def __init__(self, history: Sequence[float], what: str):
@@ -153,7 +159,7 @@ class LevelOps:
             (dt * lo).ravel()[1:], (1.0 + dt * d).ravel(),
             (dt * up).ravel()[:-1])
         if info > 0:
-            raise RuntimeError(
+            raise SolverError(
                 f"level {(info - 1) // n}: I + dt L_n is singular")
         ipiv = ipiv.reshape(L, n) - n * np.arange(L, dtype=ipiv.dtype)[:, None]
         return [(dl[s:s + n - 1], d[s:s + n], du[s:s + n - 1],
@@ -494,8 +500,7 @@ class Couplings:
                 for i in (0, 1)]
 
 
-# every Picard sweep's stop: the largest update at which it stops, and
-# its sweep budget
+# fixed_point's stop: the largest update at which it stops, its budget
 _SWEEP_TOL = 1e-10
 _MAX_SWEEPS = 300
 
@@ -505,17 +510,26 @@ def _stalled(updates) -> bool:
     return len(updates) >= 4 and updates[-1] >= updates[-4]
 
 
-def _sweep_converged(history: list, what: str) -> bool:
-    """Whether the Picard sweep `what`, whose updates are `history`, has
-    converged: its last update is at most _SWEEP_TOL.  Raises
-    SweepFailureError at an update that is not finite, at a stall, or
-    after _MAX_SWEEPS sweeps."""
-    if history[-1] <= _SWEEP_TOL:
-        return True
-    if (not np.isfinite(history[-1]) or _stalled(history)
-            or len(history) >= _MAX_SWEEPS):
-        raise SweepFailureError(history, what)
-    return False
+def fixed_point(sweep, x: np.ndarray, what: str) -> tuple:
+    """Picard iteration x <- G(x) of the sweep `what` from x (overwritten):
+    sweep(x, out) fills out with G(x) and returns what else it computed.
+    Stops at an update max|G(x) - x| (np.max: a NaN shows) of at most
+    _SWEEP_TOL; raises SweepFailureError, naming why: "not finite",
+    "stalled" (`_stalled`) or "budget" (_MAX_SWEEPS sweeps).  Returns the
+    fixed point, the updates and the last sweep's return."""
+    out, history = np.empty_like(x), []
+    for _ in range(_MAX_SWEEPS):
+        result = sweep(x, out)
+        np.subtract(x, out, out=x)
+        history.append(float(np.max(np.abs(x, out=x))))
+        x, out = out, x
+        if history[-1] <= _SWEEP_TOL:
+            return x, history, result
+        if not np.isfinite(history[-1]):
+            raise SweepFailureError(history, f"{what} (not finite)")
+        if _stalled(history):
+            raise SweepFailureError(history, f"{what} (stalled)")
+    raise SweepFailureError(history, f"{what} (budget)")
 
 
 @dataclass
@@ -539,25 +553,23 @@ def solve_linearized_coupled(prob: CylinderProblem, y0: np.ndarray,
     -p_i_t + L* p_i = tracking_i y + H_i,                  p_i(T)=0,
 
     with the game's `couplings`; p1 and p2 are `follower_adjoints`.
-    Sweeps on the largest update of p until `_sweep_converged`.
+    Sweeps p by `fixed_point`.
     """
     ops = prob.linearized_ops()
     extra = None if H is None else _interior(H.values)
     hsrc = np.stack([np.zeros_like(couplings.observed) if Hi is None
                      else Hi.values for Hi in (H1, H2)])
-    p = np.zeros_like(hsrc)
-    history = []
-    while True:
+
+    def sweep(p, out):
         src = _source_array(prob, h, *couplings.controls(prob, p), extra)
-        y_field = solve_forward_linear(ops, y0, src)
-        new = follower_adjoints(ops, couplings.tracking * y_field.values
-                                + hsrc)
-        # np.max, unlike Python's max, propagates a NaN update
-        history.append(float(np.max(np.abs(new - p))))
-        p = new
-        if _sweep_converged(history, "linearized forward-backward coupling"):
-            p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
-            return LinearizedSolution(y_field, p1, p2, history)
+        y = solve_forward_linear(ops, y0, src)
+        out[:] = follower_adjoints(ops, couplings.tracking * y.values + hsrc)
+        return y
+
+    p, history, y = fixed_point(sweep, np.zeros_like(hsrc),
+                                "linearized forward-backward coupling")
+    p1, p2 = (TrajectoryField(prob.grid, prob.mesh, p_i) for p_i in p)
+    return LinearizedSolution(y, p1, p2, history)
 
 
 @dataclass
@@ -616,8 +628,8 @@ def _coupled_source(out: np.ndarray, src, coupling: np.ndarray,
 def sweep_adjoint(prob: CylinderProblem, phi: np.ndarray,
                   couplings: Couplings, f0=None, f_rho=None) -> list:
     """Sweeps phi and rho = alpha1 psi1 + alpha2 psi2 of the coupled
-    adjoint system (see `solve_adjoint_coupled`) on the largest update of
-    rho until `_sweep_converged`; returns the history of updates.
+    adjoint system (see `solve_adjoint_coupled`) by `fixed_point` on rho;
+    returns the history of updates.
 
     phi: (M+1, k, N-1), each phi[m] C-contiguous, holding the terminal
     rows at level M; it is solved in place.  f0 and f_rho, the sources of
@@ -639,20 +651,15 @@ def sweep_adjoint(prob: CylinderProblem, phi: np.ndarray,
     obs = observed[:M, None, obs_span]
     neg_c_rho = -c_rho[1:, None, rho_span]
     f0, f_rho = _levels(f0, slice(None, M)), _levels(f_rho, slice(1, None))
-    # the current rho and the one marched next; level 0 stays 0
-    cur, nxt = np.zeros(phi.shape), np.zeros(phi.shape)
-    history = []
-    while True:
-        _coupled_source(phi[:M], f0, obs, obs_span, cur[:M], dt)
+
+    def sweep(rho, out):
+        _coupled_source(phi[:M], f0, obs, obs_span, rho[:M], dt)
         ops.march_adjoint(phi, M - 1)
-        _coupled_source(nxt[1:], f_rho, neg_c_rho, rho_span, phi[1:], dt)
-        ops.march(nxt)
-        # the update, in the old iterate's array; np.max propagates a NaN
-        np.subtract(cur, nxt, out=cur)
-        history.append(float(np.max(np.abs(cur, out=cur))))
-        cur, nxt = nxt, cur
-        if _sweep_converged(history, _ADJOINT):
-            return history
+        out[0] = 0.0  # rho(0) = 0
+        _coupled_source(out[1:], f_rho, neg_c_rho, rho_span, phi[1:], dt)
+        ops.march(out)
+
+    return fixed_point(sweep, np.zeros(phi.shape), _ADJOINT)[1]
 
 
 def march_followers(prob: CylinderProblem, phi: np.ndarray,
@@ -678,7 +685,7 @@ def march_followers(prob: CylinderProblem, phi: np.ndarray,
     psi = psi.transpose(0, 2, 1, 3)
     if not (np.all(np.isfinite(phi[0])) and np.all(np.isfinite(psi))):
         history.append(float("nan"))
-        raise SweepFailureError(history, _ADJOINT)
+        raise SweepFailureError(history, f"{_ADJOINT} (not finite)")
     return AdjointBlock(phi=phi, psi=psi, history=history)
 
 
@@ -698,8 +705,8 @@ def solve_adjoint_coupled(prob: CylinderProblem, phiT: np.ndarray,
     converged phi.
     phiT holds k terminal rows (k, N+1), each source is None or an array
     (k, M+1, N+1), and all k columns sweep in one solve per level.
-    Raises SweepFailureError as `_sweep_converged` does, or, with NaN
-    the last history entry, if phi^0 or a follower is not finite.
+    Raises SweepFailureError as `fixed_point` does, or, with NaN the
+    last history entry, if phi^0 or a follower is not finite.
     """
     M, n = prob.mesh.M, prob.grid.N - 1
     terminal = np.asarray(phiT, dtype=float)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import degcontrol
-from degcontrol import cli, harness, nullcontrol
+from degcontrol import cli, harness, nullcontrol, solvers
 
 
 def _tiny(kind="forward", **experiment):
@@ -974,6 +974,28 @@ class TestCLI:
                          "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
         err = capsys.readouterr().err
         assert "semilinear march: residual" in err and "at level 1" in err
+
+    def test_singular_step_matrix_exit_code(self, tmp_path, capsys,
+                                            monkeypatch):
+        # level 5 of every operator set gets a zero row and column 3 with
+        # 1 + dt L = 0 there, as in test_solvers.py::TestStackedFactor
+        build = solvers.LevelOps.build.__func__
+
+        def singular(cls, prob, reaction, grad_coeff):
+            ops = build(cls, prob, reaction, grad_coeff)
+            bands = ops.bands
+            bands[5, :, 3] = bands[5, 0, 4] = bands[5, 2, 2] = 0.0
+            bands[5, 1, 3] = -1.0 / prob.mesh.dt
+            assert 1.0 + prob.mesh.dt * bands[5, 1, 3] == 0.0
+            return ops
+
+        monkeypatch.setattr(solvers.LevelOps, "build", classmethod(singular))
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"grid": {"N": 16, "M": 16},
+                                    "experiment": {"kind": "forward"}}))
+        assert cli.main(["run", "--config", str(path),
+                         "--out", str(tmp_path / "out")]) == cli.EXIT_SOLVER
+        assert "level 5: I + dt L_n is singular" in capsys.readouterr().err
 
     def test_refinement_failure_exit_code(self, tmp_path, capsys,
                                           monkeypatch):

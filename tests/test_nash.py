@@ -175,6 +175,7 @@ class TestFixedPoint:
             nash_fixed_point(prob_small, UNIT_GAME, None,
                              sine_data(prob_small, 0.05))
         assert err.value.history == [1.0, 0.5, 2.0, 1.0]
+        assert "(stalled)" in str(err.value)
 
 
 class TestGradient:

@@ -414,6 +414,7 @@ class TestBlockedAdjoint:
             solve_adjoint_coupled(prob_small, phiT, couplings(prob_small),
                                   Fsrc=srcs[0], F1=srcs[1], F2=srcs[2])
         assert len(err.value.history) == 1
+        assert "(budget)" in str(err.value)
 
 
 class TestTwoFollowerReference:
@@ -554,10 +555,58 @@ def _observability(mu) -> dict:
             "experiment": {"kind": "observability"}}
 
 
+def _scripted(steps):
+    """A sweep that moves every entry by the next of steps and returns
+    the number of sweeps so far."""
+    calls = []
+
+    def sweep(x, out):
+        np.add(x, steps(x), out=out)
+        calls.append(None)
+        return len(calls)
+
+    return sweep
+
+
 class TestSweepStop:
-    """Every Picard sweep stops on the one rule: an update of at most
-    _SWEEP_TOL, no net contraction over three sweeps, or the one budget
-    of _MAX_SWEEPS sweeps."""
+    """Every Picard sweep stops on the one rule of `solvers.fixed_point`:
+    an update of at most _SWEEP_TOL, no net contraction over three
+    sweeps, or the one budget of _MAX_SWEEPS sweeps."""
+
+    def test_contraction_converges(self):
+        # x <- x/2 + 1 from 0: the error to 2 equals the update
+        x, history, last = solvers.fixed_point(
+            _scripted(lambda x: 1.0 - 0.5 * x), np.zeros(3), "contraction")
+        assert history[-1] <= solvers._SWEEP_TOL < history[-2]
+        assert np.all(np.abs(x - 2.0) <= solvers._SWEEP_TOL)
+        assert last == len(history)
+
+    def test_non_finite_update_stops_at_once(self):
+        with pytest.raises(SweepFailureError,
+                           match=r"^nan map \(not finite\): .* after 1 sweeps"
+                           ) as err:
+            solvers.fixed_point(_scripted(lambda x: np.nan), np.zeros(3),
+                                "nan map")
+        assert len(err.value.history) == 1
+        assert np.isnan(err.value.history[0])
+
+    def test_stall_stops_at_the_fourth_update(self):
+        steps = iter([1.0, 0.5, 2.0, 1.0, 1e-12])
+        with pytest.raises(SweepFailureError,
+                           match=r"^stall \(stalled\): .* after 4 sweeps"
+                           ) as err:
+            solvers.fixed_point(_scripted(lambda x: next(steps)),
+                                np.zeros(3), "stall")
+        assert err.value.history == [1.0, 0.5, 2.0, 1.0]
+
+    def test_budget_stops_a_slow_contraction(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_MAX_SWEEPS", 3)
+        with pytest.raises(SweepFailureError,
+                           match=r"^slow \(budget\): .* after 3 sweeps"
+                           ) as err:
+            solvers.fixed_point(_scripted(lambda x: 1.0 - 0.1 * x),
+                                np.zeros(3), "slow")
+        assert err.value.history == pytest.approx([1.0, 0.9, 0.81])
 
     def test_diverging_adjoint_sweep_ends_early(self, tmp_path):
         # at mu = 1e-3 on (32,64) the adjoint sweep's updates grow from
@@ -586,6 +635,7 @@ class TestSweepStop:
             solve_linearized_coupled(prob_small, sine_data(prob_small, 0.1),
                                      UNIT_GAME.couplings(prob_small))
         assert err.value.history == [1.0, 0.5, 2.0, 1.0]
+        assert "(stalled)" in str(err.value)
 
     def test_slow_adjoint_sweep_converges_within_budget(self, tmp_path):
         # at mu = 0.002 on (32,64) the adjoint sweep contracts slowly and
